@@ -140,7 +140,7 @@ def _measure_gc(manager: MultiModelManager, set_ids: list[str]) -> dict[str, Any
     survivor_digests: set[str] = set()
     doomed_digests: set[str] = set()
     for set_id in set_ids:
-        document = store._collections[SETS_COLLECTION][set_id]
+        document = store.peek(SETS_COLLECTION, set_id)
         matrix = retention._chunk_digest_matrix(document, set_id)
         target = survivor_digests if set_id == set_ids[-1] else doomed_digests
         target.update(digest for row in matrix for digest in row)

@@ -48,7 +48,7 @@ def _cmd_info(context: SaveContext, args: argparse.Namespace) -> int:
         print(f"leaves: {', '.join(lineage.leaves())}")
     if context.registry is not None and context.registry.families():
         print(f"families: {', '.join(context.registry.families())}")
-    if context.document_store._collections.get(PACKS_COLLECTION):
+    if context.document_store.count(PACKS_COLLECTION):
         chunks = context.chunk_store()
         print(
             f"chunks: {len(chunks)} unique, {chunks.total_references():,} "

@@ -85,9 +85,7 @@ def _detect_approach(context: SaveContext) -> str | None:
     """The single approach used by the archive, or None if empty/mixed."""
     types = {
         str(doc.get("type"))
-        for doc in context.document_store._collections.get(
-            SETS_COLLECTION, {}
-        ).values()
+        for doc in context.document_store.peek_collection(SETS_COLLECTION).values()
     }
     return types.pop() if len(types) == 1 else None
 

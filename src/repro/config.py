@@ -11,15 +11,12 @@ observability — lives in one frozen dataclass that
                            replicas=3, observability=ObservabilityConfig(tracing=True))
     manager = MultiModelManager.with_approach("update", config)
 
-The pre-config keyword arguments (``workers=``, ``dedup=``, ...) keep
-working through a deprecation shim that maps them onto an equivalent
-config and emits :class:`DeprecationWarning`; both call shapes produce
-byte-identical archives.
+The pre-config keyword arguments (``workers=``, ``dedup=``, ...) were
+removed with their deprecation shim: they raise :class:`TypeError`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any
 
@@ -29,10 +26,6 @@ from repro.storage.hardware import LOCAL_PROFILE, HardwareProfile
 if TYPE_CHECKING:
     from repro.storage.faults import RetryPolicy
     from repro.storage.replication import ReplicationPolicy
-
-#: Sentinel distinguishing "legacy kwarg not passed" from an explicit value.
-UNSET: Any = object()
-
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
@@ -333,37 +326,25 @@ class ArchiveConfig:
         return replace(self, **changes)
 
 
-def coalesce_legacy_config(
-    where: str,
-    config: "ArchiveConfig | HardwareProfile | None",
-    legacy: dict[str, Any],
-    stacklevel: int = 3,
+def resolve_config(
+    where: str, config: "ArchiveConfig | None", approach_kwargs: "dict | None" = None
 ) -> ArchiveConfig:
-    """Merge deprecated per-knob kwargs onto an :class:`ArchiveConfig`.
+    """``config``, or the defaults for ``None``.
 
-    ``legacy`` maps field names to values, with :data:`UNSET` marking
-    kwargs the caller did not pass.  Passing any real value (or a bare
-    :class:`HardwareProfile` where the config belongs, the pre-config
-    positional shape) emits a :class:`DeprecationWarning` naming the
-    replacement, then builds the equivalent config — so both call shapes
-    configure the archive identically.
+    The pre-config call shapes are gone: a per-knob keyword argument
+    (``workers=4``) found among ``approach_kwargs`` raises
+    :class:`TypeError` before anything is built, and a positional that
+    is not an :class:`ArchiveConfig` raises :class:`ConfigError`.
     """
-    provided = {name: value for name, value in legacy.items() if value is not UNSET}
-    if isinstance(config, HardwareProfile):
-        provided.setdefault("profile", config)
-        config = None
-    if config is not None and not isinstance(config, ArchiveConfig):
-        raise ConfigError(
-            f"{where}: expected ArchiveConfig or HardwareProfile, got {config!r}"
+    knobs = {spec.name for spec in fields(ArchiveConfig)}
+    removed = sorted(knobs.intersection(approach_kwargs or ()))
+    if removed:
+        raise TypeError(
+            f"{where}: unexpected keyword argument(s) {removed}; pass "
+            f"ArchiveConfig({', '.join(name + '=...' for name in removed)}) instead"
         )
-    if provided:
-        warnings.warn(
-            f"{where}: keyword arguments {sorted(provided)} are deprecated; "
-            f"pass ArchiveConfig({', '.join(sorted(provided))}) instead. "
-            "This compatibility shim is scheduled for removal in ISSUE 12 — "
-            "after that, per-knob keyword arguments raise TypeError.",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return (config or ArchiveConfig()).with_(**provided)
-    return config or ArchiveConfig()
+    if config is None:
+        return ArchiveConfig()
+    if not isinstance(config, ArchiveConfig):
+        raise ConfigError(f"{where}: expected ArchiveConfig, got {config!r}")
+    return config

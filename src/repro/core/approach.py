@@ -22,7 +22,7 @@ import itertools
 import threading
 from typing import TYPE_CHECKING
 
-from repro.config import UNSET, ArchiveConfig, coalesce_legacy_config
+from repro.config import ArchiveConfig, resolve_config
 from repro.core.model_set import ModelSet
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.datasets.registry import DatasetRegistry, default_registry
@@ -30,7 +30,6 @@ from repro.errors import RecoveryError
 from repro.storage.chunk_index import ChunkStore
 from repro.storage.document_store import DocumentStore
 from repro.storage.file_store import FileStore
-from repro.storage.hardware import HardwareProfile
 
 if TYPE_CHECKING:
     from repro.observability.metrics import MetricsRegistry
@@ -99,18 +98,7 @@ class SaveContext:
     registry: "object | None" = field(default=None, repr=False)
 
     @classmethod
-    def create(
-        cls,
-        config: "ArchiveConfig | HardwareProfile | None" = None,
-        *,
-        profile: "HardwareProfile" = UNSET,
-        workers: int = UNSET,
-        dedup: bool = UNSET,
-        replicas: int = UNSET,
-        write_quorum: "int | None" = UNSET,
-        read_quorum: "int | None" = UNSET,
-        replication_policy: "object | None" = UNSET,
-    ) -> "SaveContext":
+    def create(cls, config: "ArchiveConfig | None" = None) -> "SaveContext":
         """Fresh in-memory context described by an :class:`ArchiveConfig`.
 
         ``config.replicas > 1`` fans the stores across that many
@@ -120,23 +108,8 @@ class SaveContext:
         contexts run unjournaled regardless of ``config.journal`` (attach
         a journal explicitly when needed); ``config.retry`` and
         ``config.observability`` are honored.
-
-        The per-knob keyword arguments are deprecated: pass the
-        equivalent ``ArchiveConfig`` instead.
         """
-        config = coalesce_legacy_config(
-            "SaveContext.create",
-            config,
-            {
-                "profile": profile,
-                "workers": workers,
-                "dedup": dedup,
-                "replicas": replicas,
-                "write_quorum": write_quorum,
-                "read_quorum": read_quorum,
-                "replication_policy": replication_policy,
-            },
-        )
+        config = resolve_config("SaveContext.create", config)
         replicas = config.replicas or 1
         if replicas > 1:
             from repro.storage.replication import (

@@ -144,7 +144,7 @@ class ArchiveFsck:
         self.context = context
 
     def _collection(self, name: str) -> dict:
-        return self.context.document_store._collections.get(name, {})
+        return self.context.document_store.peek_collection(name)
 
     def _referenced_artifacts(self) -> dict[str, str]:
         """artifact id -> the document that references it."""
@@ -425,7 +425,7 @@ def _scrub_archive(context: SaveContext, deep: bool) -> ScrubReport:
     # know whether any replica is silent before it trusts a majority.
     for state in doc_rep.replicas:
         try:
-            state.store._collections
+            state.store.collections()
         except _REPLICA_FAILURES:
             unreachable.add(state.name)
     for state in file_rep.replicas:
@@ -450,10 +450,15 @@ def _scrub_archive(context: SaveContext, deep: bool) -> ScrubReport:
         # also prunes stale journal entries and uncommitted minority writes
         # — but only with every replica present to vote.
         may_prune = not unreachable
-        canonical_docs = doc_rep._collections
+        canonical_docs = {
+            name: doc_rep.peek_collection(name) for name in doc_rep.collections()
+        }
         for state in doc_rep.replicas:
             try:
-                collections = state.store._collections
+                collections = {
+                    name: state.store.peek_collection(name)
+                    for name in state.store.collections()
+                }
                 for name, canonical in canonical_docs.items():
                     held = collections.get(name, {})
                     for doc_id, document in canonical.items():
@@ -664,9 +669,7 @@ def salvage_recover(context: SaveContext, set_id: str) -> SalvageReport:
     to single model artifacts, and artifact-based sets fall back to
     per-model recovery checked against stored hash info when available.
     """
-    document = context.document_store._collections.get(
-        SETS_COLLECTION, {}
-    ).get(set_id)
+    document = context.document_store.peek(SETS_COLLECTION, set_id)
     if document is None:
         raise DocumentNotFoundError(f"unknown set {set_id!r}")
     approach_name = str(document.get("type"))
@@ -744,8 +747,8 @@ def _repair_from_replicas(context: SaveContext, digests: list[str]) -> list[str]
         return repaired
     store = context.document_store
     chunk_store = context.chunk_store()
-    sets = store._collections.get(SETS_COLLECTION, {})
-    hash_docs = store._collections.get(HASH_COLLECTION, {})
+    sets = store.peek_collection(SETS_COLLECTION)
+    hash_docs = store.peek_collection(HASH_COLLECTION)
     for other_id in sorted(sets):
         if not remaining:
             break
@@ -795,7 +798,7 @@ def _salvage_mmlib(
     store = context.document_store
     file_store = context.file_store
     for index, model_id in enumerate(document.get("model_ids", [])):
-        model_doc = store._collections.get(MODELS_COLLECTION, {}).get(model_id)
+        model_doc = store.peek(MODELS_COLLECTION, model_id)
         if model_doc is None:
             report.failed.append(
                 {"model": index, "reason": f"model document {model_id!r} missing"}
@@ -841,9 +844,7 @@ def _salvage_artifact_based(
 
     approach = APPROACHES[approach_name](context)
     num_models = int(document.get("num_models", 0))
-    hash_doc = context.document_store._collections.get(HASH_COLLECTION, {}).get(
-        set_id
-    )
+    hash_doc = context.document_store.peek(HASH_COLLECTION, set_id)
 
     if hash_doc is None:
         # No per-model hashes: the artifact checksum is the only oracle.

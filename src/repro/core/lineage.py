@@ -40,9 +40,8 @@ class LineageGraph:
     @classmethod
     def from_context(cls, context: SaveContext) -> "LineageGraph":
         graph = nx.DiGraph()
-        store = context.document_store
-        for set_id in store.collection_ids(SETS_COLLECTION):
-            document = store._collections[SETS_COLLECTION][set_id]
+        documents = context.document_store.peek_collection(SETS_COLLECTION)
+        for set_id, document in sorted(documents.items()):
             graph.add_node(
                 set_id,
                 approach=document.get("type"),
@@ -51,7 +50,7 @@ class LineageGraph:
                 num_models=document.get("num_models"),
             )
             base = document.get("base_set")
-            if base is not None and store.exists(SETS_COLLECTION, base):
+            if base is not None and base in documents:
                 # A recorded base whose document is gone (a GC'd ancestor
                 # of a chunked set) is provenance only — materialising it
                 # as a node would list deleted sets in roots()/ancestors().

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.config import UNSET, ArchiveConfig, coalesce_legacy_config
+from repro.config import ArchiveConfig, resolve_config
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
 from repro.core.baseline import BaselineApproach
 from repro.core.mmlib_base import MMlibBaseApproach
@@ -23,7 +23,6 @@ from repro.core.provenance import ProvenanceApproach
 from repro.core.quantized import QuantizedBaselineApproach
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.core.update import UpdateApproach
-from repro.storage.hardware import HardwareProfile
 
 #: Approach name -> class, for :meth:`MultiModelManager.with_approach`.
 APPROACHES: dict[str, type[SaveApproach]] = {
@@ -76,15 +75,9 @@ class MultiModelManager:
     def with_approach(
         cls,
         name: str,
-        config: "ArchiveConfig | HardwareProfile | None" = None,
+        config: "ArchiveConfig | None" = None,
         *,
         context: SaveContext | None = None,
-        profile: HardwareProfile = UNSET,
-        workers: "int | None" = UNSET,
-        dedup: "bool | None" = UNSET,
-        replicas: int = UNSET,
-        write_quorum: "int | None" = UNSET,
-        read_quorum: "int | None" = UNSET,
         **approach_kwargs: Any,
     ) -> "MultiModelManager":
         """Create a manager for the named approach.
@@ -105,11 +98,9 @@ class MultiModelManager:
             other field is ignored (the context's stores already exist).
         approach_kwargs:
             Extra approach options, e.g. ``snapshot_interval=4`` for the
-            Update approach.
-
-        The per-knob keyword arguments (``workers=``, ``dedup=``,
-        ``replicas=``, ...) are deprecated shims mapping onto the
-        equivalent config; both shapes produce byte-identical archives.
+            Update approach.  Per-knob archive settings (``workers=``,
+            ``dedup=``, ...) are not accepted here: they raise
+            :class:`TypeError`; pass them in ``config``.
         """
         try:
             approach_cls = APPROACHES[name]
@@ -117,23 +108,9 @@ class MultiModelManager:
             raise ValueError(
                 f"unknown approach {name!r}; known: {sorted(APPROACHES)}"
             ) from None
-        # The legacy kwargs used None for "not passed": normalize so the
-        # shim neither warns about, nor chokes on, explicit None values.
-        legacy = {
-            name: (UNSET if value is None else value)
-            for name, value in {
-                "profile": profile,
-                "workers": workers,
-                "dedup": dedup,
-                "replicas": replicas,
-                "write_quorum": write_quorum,
-                "read_quorum": read_quorum,
-            }.items()
-        }
-        provided = {name for name, value in legacy.items() if value is not UNSET}
-        full_config = config is not None and not isinstance(config, HardwareProfile)
-        config = coalesce_legacy_config(
-            "MultiModelManager.with_approach", config, legacy
+        explicit_config = config is not None
+        config = resolve_config(
+            "MultiModelManager.with_approach", config, approach_kwargs
         )
         if config.shards is not None and int(config.shards) > 1:
             from repro.errors import ConfigError
@@ -144,16 +121,11 @@ class MultiModelManager:
             )
         if context is None:
             context = SaveContext.create(config)
-        elif full_config:
+        elif explicit_config:
             # A shared context already has its stores; only the engine
             # knobs of the config can meaningfully apply to it.
             context.workers = config.workers
             context.dedup = config.dedup
-        else:
-            if "workers" in provided:
-                context.workers = config.workers
-            if "dedup" in provided:
-                context.dedup = config.dedup
         return cls(approach_cls(context, **approach_kwargs))
 
     @classmethod
@@ -161,16 +133,7 @@ class MultiModelManager:
         cls,
         directory: str,
         approach: str,
-        config: "ArchiveConfig | HardwareProfile | None" = None,
-        *,
-        profile: HardwareProfile = UNSET,
-        workers: "int | None" = UNSET,
-        dedup: "bool | None" = UNSET,
-        journal: bool = UNSET,
-        retry: Any | None = UNSET,
-        replicas: "int | None" = UNSET,
-        write_quorum: "int | None" = UNSET,
-        read_quorum: "int | None" = UNSET,
+        config: "ArchiveConfig | None" = None,
         **approach_kwargs: Any,
     ) -> "MultiModelManager":
         """Open (or create) a durable archive rooted at ``directory``.
@@ -189,26 +152,10 @@ class MultiModelManager:
         ``replicas`` (with optional quorums) replicates the archive
         across backend subtrees, and ``None`` auto-detects an existing
         replicated layout so reopening needs no flags.
-
-        The per-knob keyword arguments are deprecated shims mapping onto
-        the equivalent config.
         """
         from repro.storage.persistent import open_context
 
-        legacy = {
-            name: (UNSET if value is None else value)
-            for name, value in {
-                "profile": profile,
-                "workers": workers,
-                "dedup": dedup,
-                "journal": journal,
-                "retry": retry,
-                "replicas": replicas,
-                "write_quorum": write_quorum,
-                "read_quorum": read_quorum,
-            }.items()
-        }
-        config = coalesce_legacy_config("MultiModelManager.open", config, legacy)
+        config = resolve_config("MultiModelManager.open", config, approach_kwargs)
         if config.shards is not None and int(config.shards) > 1:
             from repro.errors import ConfigError
 

@@ -64,7 +64,7 @@ def migrate_archive(
     report = MigrationReport()
     report.source_bytes = source.total_bytes()
     for set_id in ordered:
-        document = source.document_store._collections[SETS_COLLECTION][set_id]
+        document = source.document_store.peek(SETS_COLLECTION, set_id)
         approach_name = str(document["type"])
         if approach_name not in APPROACHES:
             raise ReproError(f"set {set_id!r} has unknown type {approach_name!r}")

@@ -212,7 +212,7 @@ def problem_from_chain(context: SaveContext, leaf_set_id: str) -> tuple[
     """
     lineage = LineageGraph.from_context(context)
     chain = lineage.recovery_chain(leaf_set_id)
-    root_doc = context.document_store._collections[SETS_COLLECTION][chain[0]]
+    root_doc = context.document_store.peek(SETS_COLLECTION, chain[0])
     if root_doc.get("kind", "full") != "full":
         raise ReproError("chain does not start at a full snapshot")
     profile = context.file_store.profile
@@ -223,7 +223,7 @@ def problem_from_chain(context: SaveContext, leaf_set_id: str) -> tuple[
     delta_bytes = []
     delta_apply = []
     for set_id in chain[1:]:
-        document = context.document_store._collections[SETS_COLLECTION][set_id]
+        document = context.document_store.peek(SETS_COLLECTION, set_id)
         size = context.file_store.size(document["params_artifact"])
         delta_bytes.append(float(size))
         delta_apply.append(

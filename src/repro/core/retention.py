@@ -58,10 +58,9 @@ class RetentionManager:
         mid-compaction rolls back to the original delta set on reopen.
         """
         store = self.context.document_store
-        try:
-            document = store._collections[SETS_COLLECTION][set_id]
-        except KeyError:
-            raise DocumentNotFoundError(f"unknown set {set_id!r}") from None
+        document = store.peek(SETS_COLLECTION, set_id)
+        if document is None:
+            raise DocumentNotFoundError(f"unknown set {set_id!r}")
         approach_name = str(document.get("type"))
         if document.get("kind", "full") == "full":
             return
@@ -159,7 +158,7 @@ class RetentionManager:
         # refcounts, no packs missing live chunks.
         with self.context.save_transaction("gc"):
             for set_id in sorted(all_ids - needed):
-                document = store._collections[SETS_COLLECTION][set_id]
+                document = store.peek(SETS_COLLECTION, set_id)
                 released_chunks |= document.get("storage") == "chunked"
                 report.bytes_reclaimed += self._delete_set(set_id)
                 report.deleted_sets.append(set_id)
@@ -203,7 +202,7 @@ class RetentionManager:
         """
         store = self.context.document_store
         file_store = self.context.file_store
-        document = store._collections[SETS_COLLECTION][set_id]
+        document = store.peek(SETS_COLLECTION, set_id)
         freed = 0
         if document.get("storage") == "chunked":
             matrix = self._chunk_digest_matrix(document, set_id)
@@ -215,7 +214,7 @@ class RetentionManager:
             freed += file_store.size(artifact)
             file_store.delete(artifact)
         for model_id in document.get("model_ids", []):
-            model_doc = store._collections.get("mmlib_models", {}).get(model_id)
+            model_doc = store.peek("mmlib_models", model_id)
             if model_doc is None:
                 continue
             for key in ("params_artifact", "code_artifact"):
@@ -234,7 +233,7 @@ class RetentionManager:
         if "chunk_digests" in document:
             return document["chunk_digests"]
         store = self.context.document_store
-        hash_doc = store._collections.get(HASH_COLLECTION, {}).get(set_id)
+        hash_doc = store.peek(HASH_COLLECTION, set_id)
         if hash_doc is None:
             raise ReproError(
                 f"chunked set {set_id!r} has neither chunk_digests nor hash info"

@@ -237,9 +237,7 @@ class UpdateApproach(SaveApproach):
                 extra_fields={"kind": "full", "chain_depth": 0},
                 store_digests_in_doc=False,
             )
-            document = self.context.document_store._collections[SETS_COLLECTION][
-                set_id
-            ]
+            document = self.context.document_store.peek(SETS_COLLECTION, set_id)
             self._save_hashes(
                 set_id, matrix, StateSchema.from_json(document["schema"])
             )
@@ -437,14 +435,9 @@ class UpdateApproach(SaveApproach):
         return set_id
 
     # -- recover -------------------------------------------------------------
-    def _peek_document(self, set_id: str) -> dict | None:
-        """Uncharged descriptor peek, for storage-format dispatch only."""
-        return self.context.document_store._collections.get(
-            SETS_COLLECTION, {}
-        ).get(set_id)
-
     def recover(self, set_id: str) -> ModelSet:
-        peek = self._peek_document(set_id)
+        # Uncharged descriptor peek, for storage-format dispatch only.
+        peek = self.context.document_store.peek(SETS_COLLECTION, set_id)
         if peek is not None and peek.get("storage") == "chunked":
             # Deduplicated sets recover without walking the chain at all:
             # the set's hash-info document is its digest matrix, and every
@@ -671,7 +664,8 @@ class UpdateApproach(SaveApproach):
         full delta is read and decoded instead.  ``"replay"`` recovery
         applies the chain forward with per-delta range reads.
         """
-        peek = self._peek_document(set_id)
+        # Uncharged descriptor peek, for storage-format dispatch only.
+        peek = self.context.document_store.peek(SETS_COLLECTION, set_id)
         if peek is not None and peek.get("storage") == "chunked":
             document = self.context.set_document(set_id)
             self._require_type(document, self.name, set_id)

@@ -83,11 +83,8 @@ class ArchiveVerifier:
         """Verify one set; returns the (possibly shared) report."""
         report = report if report is not None else VerificationReport()
         report.sets_checked += 1
-        try:
-            document = self.context.document_store._collections[SETS_COLLECTION][
-                set_id
-            ]
-        except KeyError:
+        document = self.context.document_store.peek(SETS_COLLECTION, set_id)
+        if document is None:
             report.add(set_id, "missing-document", "set descriptor not found")
             return report
 
@@ -172,7 +169,7 @@ class ArchiveVerifier:
         if "chunk_digests" in document:
             matrix = document["chunk_digests"]
         else:
-            hash_doc = store._collections.get(HASH_COLLECTION, {}).get(set_id)
+            hash_doc = store.peek(HASH_COLLECTION, set_id)
             if hash_doc is None:
                 report.add(
                     set_id,
@@ -256,9 +253,7 @@ class ArchiveVerifier:
                 f"{artifact}: bytes do not match the recorded checksum",
             )
         for model_id in document.get("model_ids", []):
-            model_doc = self.context.document_store._collections.get(
-                "mmlib_models", {}
-            ).get(model_id)
+            model_doc = self.context.document_store.peek("mmlib_models", model_id)
             if model_doc is None:
                 continue
             for key in ("params_artifact", "code_artifact"):
@@ -295,12 +290,9 @@ class ArchiveVerifier:
                 f"recovered {len(model_set)} models, descriptor says "
                 f"{document.get('num_models')}",
             )
-        if approach_name == "update" and self.context.document_store.exists(
-            HASH_COLLECTION, set_id
-        ):
-            stored = self.context.document_store._collections[HASH_COLLECTION][
-                set_id
-            ]["hashes"]
+        hash_doc = self.context.document_store.peek(HASH_COLLECTION, set_id)
+        if approach_name == "update" and hash_doc is not None:
+            stored = hash_doc["hashes"]
             layer_names = model_set.schema.layer_names()
             for index, state in enumerate(model_set.states):
                 recomputed = [

@@ -442,13 +442,13 @@ class MaintenanceScheduler:
         from repro.observability import trace as _trace
 
         store = context.document_store
-        documents = store._collections.get(SETS_COLLECTION, {})
         compacted = 0
         with _trace.span("compact-chains", kind="maintenance"):
-            for set_id in store.collection_ids(SETS_COLLECTION):
+            for set_id, document in sorted(
+                store.peek_collection(SETS_COLLECTION).items()
+            ):
                 if doomed is not None and set_id in doomed:
                     continue
-                document = documents[set_id]
                 if document.get("kind", "full") == "full":
                     continue
                 if document.get("storage") == "chunked":
@@ -479,18 +479,16 @@ class MaintenanceScheduler:
             # kept delta whose base is condemned gets compacted into a
             # full snapshot, so no doomed set has to survive for chain
             # reasons (keep_last semantics, per chain).
-            documents = context.document_store._collections.get(
-                SETS_COLLECTION, {}
-            )
+            store = context.document_store
             for set_id in shard_keep:
-                document = documents[set_id]
+                document = store.peek(SETS_COLLECTION, set_id)
                 if document.get("kind", "full") == "full":
                     continue
                 base = document.get("base_set")
                 if base is not None and base not in doomed:
                     continue
                 retention.compact(set_id)
-                if documents[set_id].get("kind", "full") == "full":
+                if store.peek(SETS_COLLECTION, set_id).get("kind", "full") == "full":
                     entry.sets_compacted += 1
             report = retention.collect(keep=shard_keep)
         entry.sets_deleted += len(report.deleted_sets)

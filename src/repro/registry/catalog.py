@@ -254,7 +254,7 @@ class Registry:
         return name
 
     def _version_doc(self, set_id: str) -> "dict | None":
-        return self._store._read_raw(VERSIONS_COLLECTION, set_id)
+        return self._store.peek(VERSIONS_COLLECTION, set_id)
 
     def _require_version(self, set_id: str) -> dict:
         doc = self._version_doc(set_id)
@@ -266,10 +266,7 @@ class Registry:
         return doc
 
     def _version_docs(self) -> "list[tuple[str, dict]]":
-        return [
-            (set_id, self._store._read_raw(VERSIONS_COLLECTION, set_id))
-            for set_id in self._store.collection_ids(VERSIONS_COLLECTION)
-        ]
+        return sorted(self._store.peek_collection(VERSIONS_COLLECTION).items())
 
     def _family_docs(self, family: str) -> "list[tuple[str, dict]]":
         return [
@@ -280,8 +277,10 @@ class Registry:
 
     def _family_tags(self, family: str) -> "list[tuple[str, dict]]":
         return [
-            (tag_id, self._store._read_raw(TAGS_COLLECTION, tag_id))
-            for tag_id in self._store.collection_ids(TAGS_COLLECTION)
+            (tag_id, doc)
+            for tag_id, doc in sorted(
+                self._store.peek_collection(TAGS_COLLECTION).items()
+            )
             if tag_id.startswith(f"{family}:")
         ]
 
@@ -584,7 +583,7 @@ class Registry:
             sides = []
             for set_id, record in ((set_a, record_a), (set_b, record_b)):
                 context = self._context_for(record.get("shard"))
-                descriptor = innermost(context.document_store)._read_raw(
+                descriptor = innermost(context.document_store).peek(
                     SETS_COLLECTION, set_id
                 )
                 if descriptor is None:
@@ -635,9 +634,7 @@ class Registry:
     @staticmethod
     def _digest_matrix(set_id: str, context, descriptor: dict):
         """A stored per-layer digest matrix, read without parameter bytes."""
-        hash_doc = innermost(context.document_store)._read_raw(
-            HASH_COLLECTION, set_id
-        )
+        hash_doc = innermost(context.document_store).peek(HASH_COLLECTION, set_id)
         if hash_doc is not None:
             return list(hash_doc["layers"]), hash_doc["hashes"], "hash-info"
         digests = descriptor.get("chunk_digests")

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.model_set import ModelSet
 from repro.core.parallel import parallel_map
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, ReplicaUnavailableError
 from repro.nn.serialization import StateSchema
 from repro.observability import trace as _trace
 from repro.serving.cache import ChunkCache, ServingStats, SetCache, SetEntry
@@ -308,10 +308,11 @@ class ServingCache:
         from repro.core.approach import SETS_COLLECTION
 
         try:
-            collections = self.context.document_store._collections
-        except Exception:
+            return self.context.document_store.peek(SETS_COLLECTION, set_id)
+        except ReplicaUnavailableError:
+            # The store is down: take the approach's own path, whose
+            # charged read raises the error the uncached read would.
             return None
-        return collections.get(SETS_COLLECTION, {}).get(set_id)
 
     def _recover_miss(
         self, set_id: str, approach: "SaveApproach"

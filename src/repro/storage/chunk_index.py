@@ -240,7 +240,7 @@ class ChunkStore:
         #: serving cache registers here so a doomed chunk can never be
         #: served from cache after the store has disowned it.
         self.invalidation_listeners: list[Callable[[Iterable[str]], None]] = []
-        packs = document_store._collections.get(PACKS_COLLECTION, {})
+        packs = document_store.peek_collection(PACKS_COLLECTION)
         # Deterministic rebuild: repair packs apply last so a repaired
         # digest always resolves to its clean copy, and a pack's
         # ``superseded`` digests (disowned by a later re-store or repair)
@@ -257,9 +257,7 @@ class ChunkStore:
                         str(doc["artifact"]), offset, int(length)
                     )
                 offset += int(length)
-        refs_doc = document_store._collections.get(REFS_COLLECTION, {}).get(
-            REFS_DOC_ID
-        )
+        refs_doc = document_store.peek(REFS_COLLECTION, REFS_DOC_ID)
         if refs_doc:
             for digest, refs in refs_doc["refs"].items():
                 if digest in self._chunks:

@@ -23,9 +23,19 @@ from repro.storage.stats import StorageStats
 JsonDocument = dict[str, Any]
 
 
+def encode_document(document: JsonDocument) -> tuple[str, int]:
+    """Compact-JSON text of ``document`` and its UTF-8 byte size.
+
+    A charged read encodes once: the size is what the read is charged,
+    ``json.loads`` of the text is the caller's private copy.
+    """
+    encoded = json.dumps(document, separators=(",", ":"))
+    return encoded, len(encoded.encode("utf-8"))
+
+
 def document_num_bytes(document: JsonDocument) -> int:
     """Compact-JSON byte size of ``document`` (UTF-8)."""
-    return len(json.dumps(document, separators=(",", ":")).encode("utf-8"))
+    return encode_document(document)[1]
 
 
 class DocumentStore:
@@ -74,9 +84,9 @@ class DocumentStore:
             raise DocumentNotFoundError(
                 f"no document {doc_id!r} in collection {collection!r}"
             ) from None
-        num_bytes = document_num_bytes(document)
+        encoded, num_bytes = encode_document(document)
         self.stats.record_read(num_bytes, self.profile.doc_read_cost(num_bytes))
-        return json.loads(json.dumps(document))
+        return json.loads(encoded)
 
     def find(
         self, collection: str, **equals: Any
@@ -90,11 +100,11 @@ class DocumentStore:
         matches: list[tuple[str, JsonDocument]] = []
         for doc_id, document in self._collections.get(collection, {}).items():
             if all(document.get(key) == value for key, value in equals.items()):
-                num_bytes = document_num_bytes(document)
+                encoded, num_bytes = encode_document(document)
                 self.stats.record_read(
                     num_bytes, self.profile.doc_read_cost(num_bytes)
                 )
-                matches.append((doc_id, json.loads(json.dumps(document))))
+                matches.append((doc_id, json.loads(encoded)))
         return matches
 
     # -- management plane (not charged) --------------------------------------
@@ -175,6 +185,19 @@ class DocumentStore:
         )
 
     # -- inspection (management plane, not charged) -----------------------
+    def peek(self, collection: str, doc_id: str) -> JsonDocument | None:
+        """The stored document itself, uncharged; ``None`` when missing.
+
+        **Read-only**: no copy is made, so mutating the result corrupts
+        the store.  Use :meth:`get` for a charged private copy.
+        """
+        return self._collections.get(collection, {}).get(doc_id)
+
+    def peek_collection(self, collection: str) -> dict[str, JsonDocument]:
+        """``{doc_id: document}`` of one collection, under :meth:`peek`'s
+        read-only contract (empty when the collection does not exist)."""
+        return self._collections.get(collection, {})
+
     def exists(self, collection: str, doc_id: str) -> bool:
         return doc_id in self._collections.get(collection, {})
 

@@ -439,6 +439,14 @@ class FaultyDocumentStore(_FaultProxy):
         self._injector.check_available()
         return self._inner._read_raw(collection, doc_id)
 
+    def peek(self, collection: str, doc_id: str) -> "dict | None":
+        self._injector.check_available()
+        return self._inner.peek(collection, doc_id)
+
+    def peek_collection(self, collection: str) -> "dict[str, dict]":
+        self._injector.check_available()
+        return self._inner.peek_collection(collection)
+
     def exists(self, collection: str, doc_id: str) -> bool:
         self._injector.check_available()
         return self._inner.exists(collection, doc_id)

@@ -64,7 +64,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.observability import trace as _trace
-from repro.storage.document_store import document_num_bytes
+from repro.storage.document_store import document_num_bytes, encode_document
 from repro.storage.hardware import makespan
 from repro.storage.hashing import hash_bytes
 from repro.storage.stats import StorageStats
@@ -1022,7 +1022,7 @@ class ReplicatedDocumentStore(_ReplicaSet):
                     document = None
                 else:
                     try:
-                        document = self._majority_value(collection, doc_id)
+                        document = self.peek(collection, doc_id)
                     except QuorumError:
                         # Layer-wide outage, not this replica's fault.
                         report["deferred"].append((state.name, label))
@@ -1078,7 +1078,16 @@ class ReplicatedDocumentStore(_ReplicaSet):
         must stay readable while its holders are down (``W + R > N``
         guarantees a read quorum still overlaps it).  Equal-preference
         groups break toward the lowest replica index.
+
+        Unanimous ballots (the healthy case) return the lowest replica's
+        ballot without encoding anything; only a divergent vote pays for
+        the canonical encodings that group it.  Unanimous means ``==``,
+        under which ``1``, ``1.0`` and ``True`` are one value: ballots
+        differing only in such a spelling elect the lowest replica's.
         """
+        first = ballots[0][1]
+        if all(document == first for _index, document in ballots):
+            return first
         groups: dict[str | None, list[int]] = {}
         samples: dict[str | None, dict | None] = {}
         for index, document in ballots:
@@ -1095,7 +1104,8 @@ class ReplicatedDocumentStore(_ReplicaSet):
 
         return samples[max(groups.items(), key=rank)[0]]
 
-    def _majority_collection(self, collection: str) -> dict[str, dict]:
+    def peek_collection(self, collection: str) -> dict[str, dict]:
+        """Majority view of one collection, read-only like :meth:`peek`."""
         reachable = self._quorum_collections(f"collection read {collection!r}")
         doc_ids: set[str] = set()
         for _index, collections in reachable:
@@ -1108,10 +1118,15 @@ class ReplicatedDocumentStore(_ReplicaSet):
             ]
             document = self._vote(ballots)
             if document is not None:
-                view[doc_id] = json.loads(json.dumps(document))
+                view[doc_id] = document
         return view
 
-    def _majority_value(self, collection: str, doc_id: str) -> dict | None:
+    def peek(self, collection: str, doc_id: str) -> dict | None:
+        """One single-document majority vote, uncharged and uncopied.
+
+        Same reachability and read-quorum checks as :meth:`get`; the
+        result is the winning replica's own document (**read-only**).
+        """
         reachable = self._quorum_collections(
             f"document read {collection}/{doc_id}"
         )
@@ -1123,11 +1138,15 @@ class ReplicatedDocumentStore(_ReplicaSet):
 
     @property
     def _collections(self) -> dict[str, dict[str, dict]]:
-        """Merged majority view of every collection (inspection plane)."""
+        """Merged majority view of every collection: O(archive) votes.
+
+        Cold path, kept for the replica-divergence report of fsck and
+        scrub (:func:`replica_divergence`); point reads use :meth:`peek`.
+        """
         names: set[str] = set()
         for _index, collections in self._reachable_collections():
             names.update(collections)
-        return {name: self._majority_collection(name) for name in sorted(names)}
+        return {name: self.peek_collection(name) for name in sorted(names)}
 
     def _read_quorum_cost(self, num_bytes: int) -> float:
         """Actual cost of hearing back from the fastest R replicas."""
@@ -1192,7 +1211,7 @@ class ReplicatedDocumentStore(_ReplicaSet):
         return doc_id
 
     def replace(self, collection: str, doc_id: str, document: dict) -> None:
-        existing = self._majority_value(collection, doc_id)
+        existing = self.peek(collection, doc_id)
         if existing is None:
             raise DocumentNotFoundError(
                 f"no document {doc_id!r} in collection {collection!r}"
@@ -1241,7 +1260,7 @@ class ReplicatedDocumentStore(_ReplicaSet):
         )
 
     def delete(self, collection: str, doc_id: str) -> None:
-        existing = self._majority_value(collection, doc_id)
+        existing = self.peek(collection, doc_id)
         if existing is None:
             raise DocumentNotFoundError(
                 f"no document {doc_id!r} in collection {collection!r}"
@@ -1278,24 +1297,24 @@ class ReplicatedDocumentStore(_ReplicaSet):
 
     # -- read -------------------------------------------------------------
     def get(self, collection: str, doc_id: str) -> dict:
-        document = self._majority_value(collection, doc_id)
+        document = self.peek(collection, doc_id)
         if document is None:
             raise DocumentNotFoundError(
                 f"no document {doc_id!r} in collection {collection!r}"
             )
-        num_bytes = document_num_bytes(document)
+        encoded, num_bytes = encode_document(document)
         self.stats.record_read(num_bytes, self._read_quorum_cost(num_bytes))
-        return json.loads(json.dumps(document))
+        return json.loads(encoded)
 
     def find(self, collection: str, **equals) -> list[tuple[str, dict]]:
         matches: list[tuple[str, dict]] = []
-        for doc_id, document in self._majority_collection(collection).items():
+        for doc_id, document in self.peek_collection(collection).items():
             if all(document.get(key) == value for key, value in equals.items()):
-                num_bytes = document_num_bytes(document)
+                encoded, num_bytes = encode_document(document)
                 self.stats.record_read(
                     num_bytes, self._read_quorum_cost(num_bytes)
                 )
-                matches.append((doc_id, json.loads(json.dumps(document))))
+                matches.append((doc_id, json.loads(encoded)))
         return matches
 
     # -- raw plane (journal bookkeeping; uncharged) -------------------------
@@ -1345,17 +1364,17 @@ class ReplicatedDocumentStore(_ReplicaSet):
                 self._clear_repair(index, collection, doc_id)
 
     def _read_raw(self, collection: str, doc_id: str) -> dict | None:
-        document = self._majority_value(collection, doc_id)
+        document = self.peek(collection, doc_id)
         if document is None:
             return None
         return json.loads(json.dumps(document))
 
     # -- inspection (uncharged) --------------------------------------------
     def exists(self, collection: str, doc_id: str) -> bool:
-        return self._majority_value(collection, doc_id) is not None
+        return self.peek(collection, doc_id) is not None
 
     def collection_ids(self, collection: str) -> list[str]:
-        return sorted(self._majority_collection(collection))
+        return sorted(self.peek_collection(collection))
 
     def collections(self) -> list[str]:
         names: set[str] = set()
@@ -1364,7 +1383,7 @@ class ReplicatedDocumentStore(_ReplicaSet):
         return sorted(names)
 
     def count(self, collection: str) -> int:
-        return len(self._majority_collection(collection))
+        return len(self.peek_collection(collection))
 
     def total_bytes(self) -> int:
         """Logical metadata size: bytes of the majority view."""

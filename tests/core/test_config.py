@@ -1,13 +1,7 @@
-"""ArchiveConfig contract: validation, copies, shims, CLI mapping.
-
-The legacy per-knob keyword arguments must keep producing archives that
-are byte-for-byte identical to the ArchiveConfig shape — callers only
-pay a DeprecationWarning, never a behaviour change.
-"""
+"""ArchiveConfig contract: validation, copies, CLI mapping — and that the
+pre-config per-knob keyword arguments are gone (TypeError, not a shim)."""
 
 import argparse
-import hashlib
-from pathlib import Path
 
 import pytest
 
@@ -15,14 +9,9 @@ from repro.cli import config_from_args
 from repro.config import ArchiveConfig, MaintenanceConfig, ObservabilityConfig
 from repro.core.approach import SaveContext
 from repro.core.manager import MultiModelManager
-from repro.core.model_set import ModelSet
 from repro.errors import ConfigError
 from repro.storage.faults import RetryPolicy
 from repro.storage.hardware import LOCAL_PROFILE, SERVER_PROFILE
-
-
-def build_models():
-    return ModelSet.build("FFNN-48", num_models=2, seed=0)
 
 
 class TestValidation:
@@ -75,25 +64,32 @@ class TestValidation:
 
 
 class TestDeprecationShims:
-    def test_with_approach_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="workers.*deprecated"):
-            manager = MultiModelManager.with_approach("update", workers=4, dedup=True)
-        assert manager.context.config.workers == 4
-        assert manager.context.config.dedup is True
+    """The per-knob kwarg shim was removed on schedule (ISSUE 12): the old
+    call shapes raise instead of warning."""
 
-    def test_with_approach_bare_profile_positional_warns(self):
-        with pytest.warns(DeprecationWarning):
-            manager = MultiModelManager.with_approach("baseline", SERVER_PROFILE)
-        assert manager.context.config.profile is SERVER_PROFILE
+    def test_with_approach_per_knob_kwargs_raise(self):
+        with pytest.raises(TypeError, match=r"ArchiveConfig\(dedup=\.\.\., workers="):
+            MultiModelManager.with_approach("update", workers=4, dedup=True)
 
-    def test_save_context_create_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            context = SaveContext.create(replicas=3, write_quorum=2, read_quorum=2)
-        assert context.config.replicas == 3
+    def test_legacy_kwargs_layer_onto_explicit_config(self):
+        """They used to layer onto the config; now they raise beside one too."""
+        with pytest.raises(TypeError, match="workers"):
+            MultiModelManager.with_approach(
+                "update", ArchiveConfig(profile=SERVER_PROFILE), workers=4
+            )
 
-    def test_open_legacy_kwargs_warn(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="dedup"):
+    def test_save_context_create_per_knob_kwargs_raise(self):
+        with pytest.raises(TypeError):
+            SaveContext.create(replicas=3, write_quorum=2, read_quorum=2)
+
+    def test_open_per_knob_kwargs_raise_before_touching_disk(self, tmp_path):
+        with pytest.raises(TypeError, match="dedup"):
             MultiModelManager.open(str(tmp_path / "a"), "update", dedup=True)
+        assert not (tmp_path / "a").exists()
+
+    def test_approach_kwargs_still_pass_through(self):
+        manager = MultiModelManager.with_approach("update", snapshot_interval=4)
+        assert manager.approach.snapshot_interval == 4
 
     def test_config_path_does_not_warn(self, recwarn, tmp_path):
         MultiModelManager.with_approach("update", ArchiveConfig(workers=4))
@@ -105,49 +101,16 @@ class TestDeprecationShims:
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_legacy_kwargs_layer_onto_explicit_config(self):
-        base = ArchiveConfig(profile=SERVER_PROFILE)
-        with pytest.warns(DeprecationWarning):
-            manager = MultiModelManager.with_approach("update", base, workers=4)
-        assert manager.context.config.profile is SERVER_PROFILE
-        assert manager.context.config.workers == 4
-
     def test_rejects_non_config_positional(self):
         with pytest.raises(ConfigError):
             MultiModelManager.with_approach("update", {"workers": 4})
 
-
-def archive_digest(directory: Path) -> dict[str, str]:
-    """Relative path -> sha256 of every file under ``directory``."""
-    digest = {}
-    for path in sorted(directory.rglob("*")):
-        if path.is_file():
-            digest[str(path.relative_to(directory))] = hashlib.sha256(
-                path.read_bytes()
-            ).hexdigest()
-    return digest
-
-
-class TestLegacyEquivalence:
-    def test_legacy_kwargs_produce_byte_identical_archives(self, tmp_path):
-        models = build_models()
-
-        via_config = MultiModelManager.open(
-            str(tmp_path / "config"), "update", ArchiveConfig(dedup=True, workers=2)
-        )
-        base_id = via_config.save_set(models)
-        via_config.save_set(models, base_set_id=base_id)
-
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = MultiModelManager.open(
-                str(tmp_path / "kwargs"), "update", dedup=True, workers=2
-            )
-        base_id = via_kwargs.save_set(models)
-        via_kwargs.save_set(models, base_set_id=base_id)
-
-        config_digest = archive_digest(tmp_path / "config")
-        assert config_digest, "archive should not be empty"
-        assert config_digest == archive_digest(tmp_path / "kwargs")
+    def test_with_approach_bare_profile_positional_raises(self):
+        """The pre-config positional shape went with the shim."""
+        with pytest.raises(ConfigError):
+            MultiModelManager.with_approach("baseline", SERVER_PROFILE)
+        with pytest.raises(ConfigError):
+            SaveContext.create(SERVER_PROFILE)
 
 
 class TestConfigFromArgs:

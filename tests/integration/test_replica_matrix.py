@@ -87,9 +87,18 @@ def make_manager(approach, dedup):
     return MultiModelManager.with_approach(approach, context=context)
 
 
+def replica_document_trees(context):
+    """Canonical encoding of each replica's whole document tree."""
+    _file_rep, doc_rep = replicated_stores(context)
+    return [
+        json.dumps(state.store._collections, sort_keys=True)
+        for state in doc_rep.replicas
+    ]
+
+
 def assert_replicas_identical(context):
     """Every replica holds the same artifacts and documents, byte for byte."""
-    file_rep, doc_rep = replicated_stores(context)
+    file_rep, _doc_rep = replicated_stores(context)
     reference = file_rep.replicas[0].store
     reference_ids = reference.ids()
     for state in file_rep.replicas[1:]:
@@ -99,10 +108,7 @@ def assert_replicas_identical(context):
                 state.name,
                 artifact,
             )
-    encoded = [
-        json.dumps(state.store._collections, sort_keys=True)
-        for state in doc_rep.replicas
-    ]
+    encoded = replica_document_trees(context)
     assert all(entry == encoded[0] for entry in encoded)
 
 

@@ -14,6 +14,8 @@ from repro.config import ArchiveConfig, ServingConfig
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
 from repro.core.retention import RetentionManager
+from repro.errors import QuorumError
+from repro.storage.faults import FaultInjector, inject_replica_faults
 
 
 def serving_manager(approach="update", dedup=True, **serving_kwargs):
@@ -89,6 +91,38 @@ class TestByteIdentity:
         set_id = manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=4))
         with pytest.raises(IndexError):
             manager.recover_model(set_id, 5)
+
+
+class TestDispatchPeek:
+    """The miss path's format peek must not turn an outage into a wrong
+    recovery path: only a single store's own outage reads as "unknown"."""
+
+    def test_quorum_loss_surfaces_instead_of_misrouting(self):
+        config = ArchiveConfig(
+            dedup=True, replicas=3, serving=ServingConfig(enabled=True)
+        )
+        manager = MultiModelManager.with_approach("update", config)
+        set_id = manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=5))
+        for index in (0, 1):
+            inject_replica_faults(
+                manager.context, index, FaultInjector(down_at=0, down_mode="before")
+            )
+        with pytest.raises(QuorumError):
+            manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=6))
+        for read in (manager.recover_set, lambda sid: manager.recover_model(sid, 0)):
+            with pytest.raises(QuorumError):
+                read(set_id)
+
+    def test_programming_errors_are_not_swallowed(self, monkeypatch):
+        manager = serving_manager()
+        set_id = manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=7))
+
+        def broken(_collection, _doc_id):
+            raise RuntimeError("bug in peek")
+
+        monkeypatch.setattr(manager.context.document_store, "peek", broken)
+        with pytest.raises(RuntimeError, match="bug in peek"):
+            manager.recover_set(set_id)
 
 
 class TestAccounting:
