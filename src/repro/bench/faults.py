@@ -129,7 +129,7 @@ def retry_entry(
 
 def salvage_entry(num_models: int) -> dict:
     """Corrupt one chunk of a dedup set; count the models salvage saves."""
-    from repro.core.baseline import _chunked_digests
+    from repro.core.recovery import digest_matrix
 
     models, derived = _model_sets(num_models)
     manager = _make_manager("update", dedup=True)
@@ -138,8 +138,8 @@ def salvage_entry(num_models: int) -> dict:
     derived_id = manager.save_set(derived, base_set_id=base_id)
 
     document = manager.set_info(derived_id)
-    matrix = _chunked_digests(context, document, derived_id)
-    base_matrix = _chunked_digests(
+    matrix = digest_matrix(context, document, derived_id)
+    base_matrix = digest_matrix(
         context, manager.set_info(base_id), base_id
     )
     others = {digest for row in base_matrix for digest in row}

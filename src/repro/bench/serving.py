@@ -250,10 +250,10 @@ def _run_differential(models_per_set: int, seed: int) -> dict[str, Any]:
 
 
 def _unique_digests(manager: MultiModelManager, set_id: str) -> set:
-    from repro.core.baseline import _chunked_digests
+    from repro.core.recovery import digest_matrix
 
     document = manager.context.set_document(set_id)
-    matrix = _chunked_digests(manager.context, document, set_id)
+    matrix = digest_matrix(manager.context, document, set_id)
     return {digest for row in matrix for digest in row}
 
 

@@ -52,7 +52,9 @@ class ServingConfig:
     byte budget, tier 2 holds decoded chunks keyed by their chunk-store
     SHA-256 (shared across sets — and across fleet shards), tier 3 is
     the store itself.  Cache hits charge **zero** simulated store time;
-    misses charge exactly what the uncached read path charges.
+    a cold miss charges exactly what the uncached read path charges, at
+    every ``workers`` setting, and a warm one only fetches the slots
+    whose digest tier 2 lacks (sets without stored digests skip tier 2).
     """
 
     #: Serve recoveries through the tiered cache.  Off by default: the
@@ -63,11 +65,6 @@ class ServingConfig:
     set_cache_bytes: int = 256 * 1024 * 1024
     #: Byte budget of the tier-2 decoded-chunk LRU (0 disables tier 2).
     chunk_cache_bytes: int = 256 * 1024 * 1024
-    #: Use Update's per-layer hash documents to fetch only the chunks
-    #: that differ from what tier 2 already holds (differential
-    #: recovery).  With this off, misses fall back to the full uncached
-    #: read path and only tier 1 is populated.
-    differential: bool = True
 
 
 @dataclass(frozen=True)

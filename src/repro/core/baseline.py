@@ -20,7 +20,6 @@ their initial (and snapshot) saves, exactly as the paper describes.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any
 
 import numpy as np
@@ -29,13 +28,9 @@ from repro.architectures.registry import get_architecture
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
 from repro.core.model_set import ModelSet
 from repro.core.parallel import parallel_map
+from repro.core.recovery import execute, resolve_chain, resolve_chunked
 from repro.core.save_info import SetMetadata, UpdateInfo
-from repro.errors import RecoveryError
-from repro.nn.serialization import (
-    StateSchema,
-    bytes_to_parameters,
-    parameters_to_bytes,
-)
+from repro.nn.serialization import StateSchema, parameters_to_bytes
 from repro.observability import trace as _trace
 from repro.storage.hashing import hash_bytes
 
@@ -176,56 +171,13 @@ def read_single_model(
     Uses a byte-range read: one model of a 5000-model FFNN-48 set costs
     a ~20 KB read instead of the ~100 MB full artifact.
     """
-    num_models = int(document["num_models"])
-    if not 0 <= model_index < num_models:
-        raise IndexError(
-            f"model index {model_index} out of range for set {set_id!r} "
-            f"({num_models} models)"
-        )
-    schema = StateSchema.from_json(document["schema"])
-    with _trace.span(
-        "store-fetch", kind="store-read", artifact=document["params_artifact"]
-    ):
-        raw = context.file_store.get_range(
-            document["params_artifact"],
-            offset=model_index * schema.num_bytes,
-            length=schema.num_bytes,
-        )
-    with _trace.span("decode", kind="decode"):
-        return bytes_to_parameters(raw, schema)
+    return execute(context, resolve_chain(document, [], set_id, model_index))[0]
 
 
 def read_full_set(context: SaveContext, document: dict, set_id: str) -> ModelSet:
     """Reconstruct a set saved by :func:`write_full_set`."""
-    schema = StateSchema.from_json(document["schema"])
-    num_models = int(document["num_models"])
-    with _trace.span(
-        "store-fetch", kind="store-read", artifact=document["params_artifact"]
-    ):
-        payload = context.file_store.get(
-            document["params_artifact"], workers=context.workers
-        )
-    expected = num_models * schema.num_bytes
-    if len(payload) != expected:
-        raise RecoveryError(
-            f"set {set_id!r}: parameter artifact has {len(payload)} bytes, "
-            f"expected {expected}"
-        )
-
-    def decode_one(index: int):
-        return bytes_to_parameters(payload, schema, offset=index * schema.num_bytes)
-
-    if _trace.active():
-
-        def decode_traced(index: int):
-            with _trace.span("model", key=index, kind="decode"):
-                return decode_one(index)
-
-        with _trace.span("decode", kind="decode"):
-            states = parallel_map(decode_traced, range(num_models), context.workers)
-    else:
-        states = parallel_map(decode_one, range(num_models), context.workers)
-    return ModelSet(str(document["architecture"]), states)
+    plan = resolve_chain(document, [], set_id)
+    return ModelSet(plan.architecture, execute(context, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +190,6 @@ def _layer_bytes(array: np.ndarray, dtype: str) -> bytes:
     if dtype == "float16":
         values = values.astype(np.float16)
     return values.tobytes()
-
-
-def _layer_from_bytes(raw: bytes, shape: "tuple[int, ...]", dtype: str) -> np.ndarray:
-    size = int(np.prod(shape)) if shape else 1
-    if dtype == "float16":
-        values = np.frombuffer(raw, dtype=np.float16, count=size)
-        return values.astype(np.float32).reshape(shape)
-    return np.frombuffer(raw, dtype=np.float32, count=size).reshape(shape).copy()
 
 
 def write_chunked_set(
@@ -345,16 +289,6 @@ def write_chunked_set(
     return matrix
 
 
-def _chunked_digests(context: SaveContext, document: dict, set_id: str) -> list:
-    """The digest matrix of a chunked set (from its descriptor or, for
-    Update sets, from the hash-info document that doubles as one)."""
-    if "chunk_digests" in document:
-        return document["chunk_digests"]
-    from repro.core.update import HASH_COLLECTION
-
-    return context.document_store.get(HASH_COLLECTION, set_id)["hashes"]
-
-
 def read_chunked_set(context: SaveContext, document: dict, set_id: str) -> ModelSet:
     """Reconstruct a set saved by :func:`write_chunked_set`.
 
@@ -362,61 +296,15 @@ def read_chunked_set(context: SaveContext, document: dict, set_id: str) -> Model
     range reads per pack artifact) and copied into every referencing
     (model, layer) slot; assembly parallelizes across the worker lanes.
     """
-    schema = StateSchema.from_json(document["schema"])
-    num_models = int(document["num_models"])
-    dtype = str(document.get("param_dtype", "float32"))
-    matrix = _chunked_digests(context, document, set_id)
-    if len(matrix) != num_models:
-        raise RecoveryError(
-            f"set {set_id!r}: digest matrix has {len(matrix)} rows, "
-            f"expected {num_models}"
-        )
-    with _trace.span("chunk-fetch", kind="store-read"):
-        values = context.chunk_store().fetch(
-            (digest for row in matrix for digest in row), workers=context.workers
-        )
-    entries = schema.entries
-
-    def build_state(model_index: int) -> "OrderedDict[str, np.ndarray]":
-        row = matrix[model_index]
-        state: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for layer, (name, shape) in enumerate(entries):
-            state[name] = _layer_from_bytes(values[row[layer]], shape, dtype)
-        return state
-
-    if _trace.active():
-
-        def build_traced(model_index: int):
-            with _trace.span("model", key=model_index, kind="decode"):
-                return build_state(model_index)
-
-        with _trace.span("decode", kind="decode"):
-            states = parallel_map(build_traced, range(num_models), context.workers)
-    else:
-        states = parallel_map(build_state, range(num_models), context.workers)
-    return ModelSet(str(document["architecture"]), states)
+    plan = resolve_chunked(context, document, set_id)
+    return ModelSet(plan.architecture, execute(context, plan))
 
 
 def read_chunked_model(
     context: SaveContext, document: dict, set_id: str, model_index: int
 ):
     """Read one model of a chunked set (only its chunks are fetched)."""
-    num_models = int(document["num_models"])
-    if not 0 <= model_index < num_models:
-        raise IndexError(
-            f"model index {model_index} out of range for set {set_id!r} "
-            f"({num_models} models)"
-        )
-    schema = StateSchema.from_json(document["schema"])
-    dtype = str(document.get("param_dtype", "float32"))
-    row = _chunked_digests(context, document, set_id)[model_index]
-    with _trace.span("chunk-fetch", kind="store-read"):
-        values = context.chunk_store().fetch(row, workers=context.workers)
-    with _trace.span("decode", kind="decode"):
-        state: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for layer, (name, shape) in enumerate(schema.entries):
-            state[name] = _layer_from_bytes(values[row[layer]], shape, dtype)
-        return state
+    return execute(context, resolve_chunked(context, document, set_id, model_index))[0]
 
 
 class BaselineApproach(SaveApproach):

@@ -34,12 +34,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.core.approach import SETS_COLLECTION, SaveContext
-from repro.core.baseline import _chunked_digests, _layer_from_bytes
 from repro.core.mmlib_base import MODELS_COLLECTION
-from repro.core.update import HASH_COLLECTION, _layer_nbytes
+from repro.core.recovery import (
+    HASH_COLLECTION,
+    RecoveryPlan,
+    assemble,
+    digest_matrix,
+    layer_nbytes,
+    resolve_chunked,
+)
 from repro.errors import DocumentNotFoundError
 from repro.nn.serialization import StateSchema, deserialize_state_dict
 from repro.observability import trace as _trace
@@ -173,7 +178,7 @@ class ArchiveFsck:
             if doc.get("storage") != "chunked":
                 continue
             try:
-                matrix = _chunked_digests(self.context, doc, set_id)
+                matrix = digest_matrix(self.context, doc, set_id)
             except DocumentNotFoundError:
                 continue  # reported as missing-chunk-digests by verify
             for row in matrix:
@@ -679,7 +684,7 @@ def salvage_recover(context: SaveContext, set_id: str) -> SalvageReport:
         num_models=int(document.get("num_models", 0)),
     )
     if document.get("storage") == "chunked":
-        _salvage_chunked(context, set_id, document, report)
+        _salvage_chunks(context, resolve_chunked(context, document, set_id), report)
     elif approach_name == "mmlib-base":
         _salvage_mmlib(context, document, report)
     else:
@@ -687,15 +692,16 @@ def salvage_recover(context: SaveContext, set_id: str) -> SalvageReport:
     return report
 
 
-def _salvage_chunked(
-    context: SaveContext, set_id: str, document: dict, report: SalvageReport
+def _salvage_chunks(
+    context: SaveContext, plan: RecoveryPlan, report: SalvageReport
 ) -> None:
-    """Chunk-precise salvage: damage is isolated to (model, layer) slots."""
-    schema = StateSchema.from_json(document["schema"])
-    dtype = str(document.get("param_dtype", "float32"))
-    matrix = _chunked_digests(context, document, set_id)
+    """Chunk-precise salvage: damage is isolated to (model, layer) slots.
+
+    The plan's fetch step is swapped for a verifying one (plus repair
+    from replicas); the models whose slots all arrived are assembled.
+    """
     chunk_store = context.chunk_store()
-    unique = dict.fromkeys(digest for row in matrix for digest in row)
+    unique = dict.fromkeys(plan.digests)
     known = [digest for digest in unique if digest in chunk_store]
     missing = set(unique) - set(known)
     values, corrupted = chunk_store.fetch_verified(
@@ -713,23 +719,25 @@ def _salvage_chunked(
             report.repaired_chunks = sorted(healed)
     report.corrupt_chunks = sorted(corrupted)
 
-    entries = schema.entries
-    for index, row in enumerate(matrix):
+    num_layers = len(plan.schema.entries)
+    intact: list[int] = []
+    for index in plan.models:
+        row = plan.digests[index * num_layers : (index + 1) * num_layers]
         bad = [digest for digest in row if digest not in values]
-        if bad:
-            kinds = "missing" if all(d in missing for d in bad) else "corrupt"
-            report.failed.append(
-                {
-                    "model": index,
-                    "reason": f"{len(bad)} {kinds} chunk(s)",
-                    "digests": sorted({d[:16] for d in bad}),
-                }
-            )
+        if not bad:
+            intact.append(index)
             continue
-        state: "OrderedDict[str, Any]" = OrderedDict()
-        for layer, (name, shape) in enumerate(entries):
-            state[name] = _layer_from_bytes(values[row[layer]], shape, dtype)
-        report.models[index] = state
+        kinds = "missing" if all(d in missing for d in bad) else "corrupt"
+        report.failed.append(
+            {
+                "model": index,
+                "reason": f"{len(bad)} {kinds} chunk(s)",
+                "digests": sorted({d[:16] for d in bad}),
+            }
+        )
+    report.models.update(
+        zip(intact, assemble(plan, values, context.workers, rows=intact))
+    )
 
 
 def _repair_from_replicas(context: SaveContext, digests: list[str]) -> list[str]:
@@ -766,7 +774,7 @@ def _repair_from_replicas(context: SaveContext, digests: list[str]) -> list[str]
         if artifact is None or not context.file_store.exists(artifact):
             continue
         schema = StateSchema.from_json(doc["schema"])
-        nbytes = _layer_nbytes(schema)
+        nbytes = layer_nbytes(schema)
         offsets = [0] * len(nbytes)
         for layer in range(1, len(nbytes)):
             offsets[layer] = offsets[layer - 1] + nbytes[layer - 1]

@@ -1,0 +1,441 @@
+"""Recovery in three steps: resolve → fetch → assemble.
+
+Every artifact- or chunk-stored set is recovered the same way:
+
+1. **resolve** (metadata only) turns a set id and a selector (the whole
+   set or one model) into a columnar :class:`RecoveryPlan`.  For an
+   Update chain that is the paper's idea made explicit — walk the diff
+   lists newest first and let the *newest writer win* every
+   (model, layer) slot — so the plan names, per contributing artifact,
+   exactly the byte segments that are final.  For a chunked set the plan
+   is its digest matrix.
+2. **fetch** is the one place a plan becomes store calls: coalesced
+   vectored range reads for uncompressed artifacts, one whole-blob read
+   plus decode for compressed ones, one striped ``get`` for a snapshot
+   read whole, one :meth:`ChunkStore.fetch` for unique digests.
+3. **assemble** is the one place bytes become state dicts.
+
+Callers differ only in which slots they hand to *fetch*: the uncached
+read path hands all of them, the serving cache withholds the slots whose
+digest its tier 2 holds, and salvage swaps in a verifying fetch and
+assembles the models whose slots all arrived.  Total parameter bytes
+fetched equal one set's worth at any chain depth.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
+from typing import TYPE_CHECKING, Container, Sequence
+
+import numpy as np
+
+from repro.core.approach import SETS_COLLECTION, SaveContext
+from repro.core.compression import get_codec
+from repro.core.parallel import parallel_map
+from repro.errors import DocumentNotFoundError, RecoveryError
+from repro.nn.serialization import StateSchema
+from repro.observability import trace as _trace
+
+if TYPE_CHECKING:
+    from repro.core.approach import SaveApproach
+
+#: Collection holding one hash-info document per saved Update set.
+HASH_COLLECTION = "hash_info"
+
+
+@dataclass
+class Source:
+    """One artifact's contribution to a plan: its final segments.
+
+    ``offsets`` / ``nbytes`` / ``slots`` are parallel columns sorted by
+    offset; ``total`` is the (decoded) size the descriptor implies for
+    the whole artifact.
+    """
+
+    artifact: str
+    codec: str
+    #: Chain depth of a delta (0 = newest); ``None`` for the snapshot.
+    depth: "int | None"
+    total: int
+    offsets: np.ndarray
+    nbytes: np.ndarray
+    slots: np.ndarray
+    #: The segments are the entire artifact (a full set read whole).
+    whole: bool = False
+
+
+@dataclass
+class RecoveryPlan:
+    """Where the final bytes of every selected (model, layer) slot live.
+
+    Slots are numbered row-major over ``models`` × schema layers.
+    Artifact-stored sets carry ``sources`` (deltas newest first, then
+    the base snapshot); chunked sets carry none and are served by
+    ``digests`` alone.
+    """
+
+    architecture: str
+    schema: StateSchema
+    dtype: str
+    models: "list[int]"
+    sources: "list[Source]"
+    #: Content digest of each slot, when one is stored.
+    digests: "list[str] | None" = None
+
+    @property
+    def chunked(self) -> bool:
+        return not self.sources
+
+    @property
+    def keys(self) -> Sequence:
+        """What fetched bytes are keyed by: digest if known, else slot."""
+        if self.digests is not None:
+            return self.digests
+        return range(len(self.models) * len(self.schema.entries))
+
+
+def layer_nbytes(schema: StateSchema) -> "list[int]":
+    """Raw float32 byte size of every schema layer, in order."""
+    return [
+        (int(np.prod(shape)) if shape else 1) * 4 for _name, shape in schema.entries
+    ]
+
+
+def digest_matrix(context: SaveContext, document: dict, set_id: str) -> list:
+    """The digest matrix of a chunked set (from its descriptor or, for
+    Update sets, from the hash-info document that doubles as one)."""
+    if "chunk_digests" in document:
+        return document["chunk_digests"]
+    return context.document_store.get(HASH_COLLECTION, set_id)["hashes"]
+
+
+def chain_documents(
+    approach: "SaveApproach", set_id: str
+) -> "tuple[dict, str, list[dict]]":
+    """Walk the chain metadata-only back to the nearest full snapshot.
+
+    Returns ``(base_document, base_set_id, deltas)`` with the delta
+    documents ordered newest first.
+    """
+    with _trace.span("chain-walk", kind="metadata"):
+        deltas: list[dict] = []
+        current_id = set_id
+        while True:
+            document = approach.context.set_document(current_id)
+            approach._require_type(document, approach.name, current_id)
+            if document["kind"] == "full":
+                _trace.add_event("chain-resolved", base=current_id, depth=len(deltas))
+                return document, current_id, deltas
+            deltas.append(document)
+            current_id = str(document["base_set"])
+
+
+# -- resolve ----------------------------------------------------------------
+def _select(num_models: int, model_index: "int | None", set_id: str) -> "list[int]":
+    if model_index is None:
+        return list(range(num_models))
+    if not 0 <= model_index < num_models:
+        raise IndexError(
+            f"model index {model_index} out of range for set {set_id!r} "
+            f"({num_models} models)"
+        )
+    return [model_index]
+
+
+def resolve_chunked(
+    context: SaveContext, document: dict, set_id: str, model_index: "int | None" = None
+) -> RecoveryPlan:
+    """Plan a chunked set from its (already fetched) descriptor."""
+    num_models = int(document["num_models"])
+    models = _select(num_models, model_index, set_id)
+    matrix = digest_matrix(context, document, set_id)
+    if len(matrix) != num_models:
+        raise RecoveryError(
+            f"set {set_id!r}: digest matrix has {len(matrix)} rows, "
+            f"expected {num_models}"
+        )
+    return RecoveryPlan(
+        str(document["architecture"]),
+        StateSchema.from_json(document["schema"]),
+        str(document.get("param_dtype", "float32")),
+        models,
+        sources=[],
+        digests=[digest for model in models for digest in matrix[model]],
+    )
+
+
+def resolve_chain(
+    base_doc: dict,
+    deltas: "list[dict]",
+    set_id: str,
+    model_index: "int | None" = None,
+    hashes: "list | None" = None,
+) -> RecoveryPlan:
+    """Plan an artifact-stored set: newest writer wins every slot.
+
+    ``deltas`` are the chain's delta descriptors newest first (empty for
+    a full set); ``hashes`` is the set's hash-info matrix when the caller
+    wants slots keyed by content.  Only the selected models' diff entries
+    claim slots, so a single-model plan stays one row wide.
+    """
+    top = deltas[0] if deltas else base_doc
+    schema = StateSchema.from_json(top["schema"])
+    num_models = int(top["num_models"])
+    if deltas and StateSchema.from_json(base_doc["schema"]) != schema:
+        raise RecoveryError("delta schema does not match the base set's schema")
+    if int(base_doc["num_models"]) != num_models:
+        raise RecoveryError(
+            f"chain base has {base_doc['num_models']} models, "
+            f"set {set_id!r} has {num_models}"
+        )
+    models = _select(num_models, model_index, set_id)
+    sizes = np.asarray(layer_nbytes(schema), dtype=np.int64)
+    num_layers = len(sizes)
+    row_of = np.full(num_models, -1, dtype=np.int64)
+    row_of[models] = np.arange(len(models))
+
+    # One flat pass over every diff entry of the chain, newest delta
+    # first; a segment is one (entry, layer) extent of its delta's blob.
+    entries = [entry for document in deltas for entry in document["diff"]]
+    changed = [entry[1] for entry in entries]
+    writers = np.fromiter(map(itemgetter(0), entries), np.int64, len(entries))
+    counts = np.fromiter(map(len, changed), np.int64, len(entries))
+    layers = np.fromiter(chain.from_iterable(changed), np.int64, int(counts.sum()))
+    if len(entries) and int(writers.max()) >= num_models:
+        raise RecoveryError(
+            f"diff references model {int(writers.max())} beyond set size"
+        )
+    nbytes = sizes[layers]
+    starts = np.concatenate(([0], np.cumsum(nbytes)))
+    # Segment index and byte position at which each delta begins (+ end).
+    first_entry = np.cumsum([0] + [len(document["diff"]) for document in deltas])
+    first_segment = np.concatenate(([0], np.cumsum(counts)))[first_entry]
+    first_byte = starts[first_segment]
+    # Newest writer wins: of the selected models' segments, the first
+    # (newest) to name a slot is final.
+    rows = np.repeat(row_of[writers], counts)
+    selected = np.flatnonzero(rows >= 0)
+    claimed, first = np.unique(
+        rows[selected] * num_layers + layers[selected], return_index=True
+    )
+    order = np.argsort(first)
+    final, final_slots = selected[first[order]], claimed[order]
+    final_starts, final_nbytes = starts[final], nbytes[final]
+    # Each delta's final segments are one contiguous run of ``final``.
+    cuts = np.searchsorted(final, first_segment)
+    sources: list[Source] = []
+    for depth, document in enumerate(deltas):
+        run = slice(cuts[depth], cuts[depth + 1])
+        sources.append(
+            Source(
+                document["params_artifact"],
+                str(document.get("codec", "none")),
+                depth,
+                int(first_byte[depth + 1] - first_byte[depth]),
+                final_starts[run] - first_byte[depth],
+                final_nbytes[run],
+                final_slots[run],
+            )
+        )
+
+    # Base snapshot: everything no delta finalized.
+    unclaimed = np.ones(len(models) * num_layers, dtype=bool)
+    unclaimed[claimed] = False
+    rest = np.flatnonzero(unclaimed)
+    layer = rest % num_layers
+    sources.append(
+        Source(
+            base_doc["params_artifact"],
+            "none",
+            None,
+            num_models * schema.num_bytes,
+            np.asarray(models, dtype=np.int64)[rest // num_layers] * schema.num_bytes
+            + (np.cumsum(sizes) - sizes)[layer],
+            sizes[layer],
+            rest,
+            whole=not deltas and model_index is None,
+        )
+    )
+    digests = None
+    if (
+        hashes is not None
+        and len(hashes) == num_models
+        and all(len(row) == num_layers for row in hashes)
+    ):
+        digests = [digest for model in models for digest in hashes[model]]
+    return RecoveryPlan(
+        str(base_doc["architecture"]),
+        schema,
+        "float32",
+        models,
+        sources,
+        digests,
+    )
+
+
+def is_chunked(context: SaveContext, set_id: str) -> bool:
+    """Uncharged descriptor peek, for storage-format dispatch only."""
+    peek = context.document_store.peek(SETS_COLLECTION, set_id)
+    return peek is not None and peek.get("storage") == "chunked"
+
+
+def resolve(
+    approach: "SaveApproach",
+    set_id: str,
+    model_index: "int | None" = None,
+    hash_info: bool = False,
+) -> RecoveryPlan:
+    """Plan the recovery of ``set_id`` (or one model of it).
+
+    Reads metadata only: the descriptor (chunked sets recover without
+    walking the chain at all) or the chain's descriptors, plus — for a
+    chunked set, or when ``hash_info`` asks for content keys — the
+    hash-info document.  A missing or mis-shaped hash-info document
+    leaves the plan keyed by slot.
+    """
+    context = approach.context
+    if is_chunked(context, set_id):
+        document = context.set_document(set_id)
+        approach._require_type(document, approach.name, set_id)
+        return resolve_chunked(context, document, set_id, model_index)
+    hashes = None
+    if hash_info:
+        try:
+            hashes = context.document_store.get(HASH_COLLECTION, set_id)["hashes"]
+        except DocumentNotFoundError:
+            pass
+    base_doc, _base_id, deltas = chain_documents(approach, set_id)
+    return resolve_chain(base_doc, deltas, set_id, model_index, hashes)
+
+
+# -- fetch ------------------------------------------------------------------
+def _check_length(artifact: str, actual: int, expected: int) -> None:
+    if actual != expected:
+        raise RecoveryError(
+            f"artifact {artifact!r} has {actual} bytes, "
+            f"its descriptor implies {expected}"
+        )
+
+
+def _fetch_source(
+    file_store, source: Source, wanted: "np.ndarray | None", workers: int,
+    keys: Sequence, values: dict,
+) -> None:
+    """Read one source's wanted segments into ``values``.
+
+    Only exactly adjacent segments are merged into one range — no gap is
+    ever bridged, so the bytes charged equal the bytes needed.
+    """
+    offsets, nbytes, slots = source.offsets, source.nbytes, source.slots
+    if wanted is not None:
+        keep = wanted[slots]
+        offsets, nbytes, slots = offsets[keep], nbytes[keep], slots[keep]
+    artifact = source.artifact
+    ranged = source.codec == "none" and not (
+        source.whole and len(slots) == len(source.slots)
+    )
+    # A delta's length is checked on every read; a snapshot's only when
+    # it is read whole — a torn snapshot still serves the ranges it
+    # holds, which is what salvage recovers models from.
+    if ranged and source.depth is not None:
+        _check_length(artifact, file_store.size(artifact), source.total)
+    if not len(slots):
+        return  # every byte superseded, or every wanted slot already held
+    with _trace.span(
+        "store-fetch" if source.depth is None else "delta-fetch",
+        key=source.depth,
+        kind="store-read",
+        artifact=artifact,
+    ):
+        if ranged:
+            breaks = np.flatnonzero(offsets[1:] != offsets[:-1] + nbytes[:-1]) + 1
+            starts = [0, *breaks.tolist(), len(offsets)]
+            lengths = np.add.reduceat(nbytes, starts[:-1])
+            ranges = list(zip(offsets[starts[:-1]].tolist(), lengths.tolist()))
+            blobs = file_store.get_ranges(artifact, ranges, workers=workers)
+        else:
+            # Range addressing into a compressed blob is impossible, and
+            # a whole snapshot is one striped download.
+            blob = get_codec(source.codec).decode(
+                file_store.get(artifact, workers=workers)
+            )
+            _check_length(artifact, len(blob), source.total)
+            starts, ranges, blobs = [0, len(offsets)], [(0, source.total)], [blob]
+    offsets, nbytes, slots = offsets.tolist(), nbytes.tolist(), slots.tolist()
+    for index, (blob, (start, _length)) in enumerate(zip(blobs, ranges)):
+        view = memoryview(blob)
+        for segment in range(starts[index], starts[index + 1]):
+            relative = offsets[segment] - start
+            values[keys[slots[segment]]] = view[relative : relative + nbytes[segment]]
+
+
+def fetch(context: SaveContext, plan: RecoveryPlan, have: Container = ()) -> dict:
+    """Read from the store every slot whose key is not in ``have``.
+
+    Returns ``key -> bytes`` for what was read.  One ``get`` /
+    ``get_ranges`` per contributing artifact, or one
+    :meth:`ChunkStore.fetch` of the unique missing digests.
+    """
+    keys = plan.keys
+    if plan.chunked:
+        missing = [digest for digest in dict.fromkeys(keys) if digest not in have]
+        if not missing:
+            return {}
+        with _trace.span("chunk-fetch", kind="store-read", chunks=len(missing)):
+            return context.chunk_store().fetch(missing, workers=context.workers)
+    wanted = None
+    if have:
+        wanted = np.fromiter((key not in have for key in keys), bool, len(keys))
+    values: dict = {}
+    for source in plan.sources:
+        _fetch_source(context.file_store, source, wanted, context.workers, keys, values)
+    return values
+
+
+# -- assemble ---------------------------------------------------------------
+def assemble(
+    plan: RecoveryPlan, values: dict, workers: int, rows: "Sequence[int] | None" = None
+) -> "list[OrderedDict[str, np.ndarray]]":
+    """Build the state dict of every plan row (or of ``rows`` only).
+
+    Decoding parallelizes per model; the result is ordered like
+    ``plan.models`` (or ``rows``).
+    """
+    keys = plan.keys
+    item = np.float16 if plan.dtype == "float16" else np.float32
+    layers = [
+        (name, shape, int(np.prod(shape)) if shape else 1)
+        for name, shape in plan.schema.entries
+    ]
+
+    def build_state(row: int) -> "OrderedDict[str, np.ndarray]":
+        state: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        slot = row * len(layers)
+        for name, shape, count in layers:
+            # astype copies, detaching the array from the fetched blob.
+            state[name] = (
+                np.frombuffer(values[keys[slot]], dtype=item, count=count)
+                .reshape(shape)
+                .astype(np.float32)
+            )
+            slot += 1
+        return state
+
+    rows = range(len(plan.models)) if rows is None else rows
+    if not _trace.active():
+        return parallel_map(build_state, rows, workers)
+
+    def build_traced(row: int):
+        with _trace.span("model", key=plan.models[row], kind="decode"):
+            return build_state(row)
+
+    with _trace.span("decode", kind="decode"):
+        return parallel_map(build_traced, rows, workers)
+
+
+def execute(context: SaveContext, plan: RecoveryPlan):
+    """The uncached read: fetch every slot, assemble every row."""
+    return assemble(plan, fetch(context, plan), context.workers)

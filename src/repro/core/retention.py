@@ -23,7 +23,7 @@ from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.lineage import LineageGraph
 from repro.core.manager import APPROACHES
 from repro.core.model_set import ModelSet
-from repro.core.update import HASH_COLLECTION, _set_hashes
+from repro.core.update import HASH_COLLECTION, set_hashes
 from repro.errors import DocumentNotFoundError, ReproError
 from repro.nn.serialization import parameters_to_bytes
 
@@ -115,7 +115,7 @@ class RetentionManager:
             self.context.file_store.delete(old_artifact)
         if approach_name == "update":
             # Refresh hash info so future derived saves diff correctly.
-            hashes = _set_hashes(model_set)
+            hashes = set_hashes(model_set)
             if self.context.document_store.exists(HASH_COLLECTION, set_id):
                 self.context.document_store.replace(
                     HASH_COLLECTION,

@@ -17,13 +17,14 @@ Update above Baseline in U1 for exactly this reason).
 
 Recovery comes in two strategies:
 
-* ``"compact"`` (the default) — **delta-chain compaction**: the diff
-  lists along the chain are walked metadata-only to determine, per model
-  and layer, the *newest* set that wrote it; only those final bytes are
-  then fetched with vectored range reads.  Time-to-recover for a chain
-  of depth *d* drops from O(d × set_bytes) to O(set_bytes) plus O(d)
-  metadata reads — the total parameter bytes fetched equal exactly one
-  full set, regardless of depth.
+* ``"compact"`` (the default) — **delta-chain compaction**, the
+  resolve → fetch → assemble executor of :mod:`repro.core.recovery`: the
+  diff lists along the chain are walked metadata-only to determine, per
+  model and layer, the *newest* set that wrote it; only those final
+  bytes are then fetched with vectored range reads.  Time-to-recover for
+  a chain of depth *d* drops from O(d × set_bytes) to O(set_bytes) plus
+  O(d) metadata reads — the total parameter bytes fetched equal exactly
+  one full set, regardless of depth.
 * ``"replay"`` — the paper's recursive recovery: walk back to the
   nearest full snapshot and re-apply every delta forward, the cause of
   the staircase-shaped time-to-recover in Figure 5.
@@ -37,15 +38,12 @@ byte-identical at any worker count and under either recovery strategy.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any
 
 import numpy as np
 
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
 from repro.core.baseline import (
-    read_chunked_model,
-    read_chunked_set,
     read_full_set,
     read_single_model,
     write_chunked_set,
@@ -54,20 +52,22 @@ from repro.core.baseline import (
 from repro.core.compression import get_codec
 from repro.core.model_set import ModelSet
 from repro.core.parallel import parallel_map
+from repro.core.recovery import (
+    HASH_COLLECTION,
+    chain_documents,
+    execute,
+    is_chunked,
+    resolve,
+)
+from repro.core.recovery import layer_nbytes as _layer_nbytes
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.errors import InvalidUpdatePlanError, RecoveryError
 from repro.nn.serialization import StateSchema
 from repro.observability import trace as _trace
 from repro.storage.hashing import hash_array, hash_states
 
-#: Collection holding one hash-info document per saved set.
-HASH_COLLECTION = "hash_info"
 
-#: Sentinel depth marking "still provided by the base snapshot".
-_FROM_BASE = -1
-
-
-def _set_hashes(model_set: ModelSet, workers: int = 1) -> list[list[str]]:
+def set_hashes(model_set: ModelSet, workers: int = 1) -> list[list[str]]:
     """Full-length per-layer hashes for every model, in schema order.
 
     Hashing is the dominant compute cost of an Update save; the per-model
@@ -81,44 +81,6 @@ def _set_hashes(model_set: ModelSet, workers: int = 1) -> list[list[str]]:
             length=64,
             workers=workers,
         )
-
-
-def _layer_nbytes(schema: StateSchema) -> list[int]:
-    """Raw float32 byte size of every schema layer, in order."""
-    return [
-        (int(np.prod(shape)) if shape else 1) * 4 for _name, shape in schema.entries
-    ]
-
-
-def _coalesced_fetch(
-    file_store,
-    artifact_id: str,
-    segments: "list[tuple[int, int, tuple[int, int]]]",
-    workers: int,
-) -> "dict[tuple[int, int], bytes]":
-    """Fetch ``(offset, nbytes, key)`` segments, merging adjacent ranges.
-
-    Segments must be sorted by offset and non-overlapping.  Only exactly
-    adjacent segments are merged — no gap is ever bridged, so the bytes
-    charged equal the bytes needed.  Returns ``key -> bytes``.
-    """
-    ranges: list[tuple[int, int]] = []
-    groups: list[list[tuple[int, int, tuple[int, int]]]] = []
-    for offset, nbytes, key in segments:
-        if ranges and offset == ranges[-1][0] + ranges[-1][1]:
-            ranges[-1] = (ranges[-1][0], ranges[-1][1] + nbytes)
-            groups[-1].append((offset, nbytes, key))
-        else:
-            ranges.append((offset, nbytes))
-            groups.append([(offset, nbytes, key)])
-    blobs = file_store.get_ranges(artifact_id, ranges, workers=workers)
-    out: dict[tuple[int, int], bytes] = {}
-    for blob, (range_offset, _), group in zip(blobs, ranges, groups):
-        view = memoryview(blob)
-        for offset, nbytes, key in group:
-            relative = offset - range_offset
-            out[key] = view[relative : relative + nbytes]
-    return out
 
 
 class UpdateApproach(SaveApproach):
@@ -211,7 +173,7 @@ class UpdateApproach(SaveApproach):
             extra_fields={"kind": "full", "chain_depth": 0},
         )
         self._save_hashes(
-            set_id, _set_hashes(model_set, self.context.workers), model_set.schema
+            set_id, set_hashes(model_set, self.context.workers), model_set.schema
         )
         return set_id
 
@@ -322,7 +284,7 @@ class UpdateApproach(SaveApproach):
                 extra_fields={"kind": "full", "chain_depth": 0, "base_set": base_set_id},
             )
             self._save_hashes(
-                set_id, _set_hashes(model_set, workers), model_set.schema
+                set_id, set_hashes(model_set, workers), model_set.schema
             )
             return set_id
 
@@ -330,7 +292,7 @@ class UpdateApproach(SaveApproach):
         metadata = metadata if metadata is not None else SetMetadata()
 
         # Step 2: hash every model and layer of the new set.
-        new_hashes = _set_hashes(model_set, workers)
+        new_hashes = set_hashes(model_set, workers)
         # Step 3: diff against the base set's stored hash info.
         with _trace.span("diff", kind="diff"):
             base_hashes = self.context.document_store.get(
@@ -435,219 +397,22 @@ class UpdateApproach(SaveApproach):
         return set_id
 
     # -- recover -------------------------------------------------------------
+    def _replays(self, set_id: str) -> bool:
+        """Chunked sets hold their own final bytes: nothing to replay."""
+        return self.recovery == "replay" and not is_chunked(self.context, set_id)
+
     def recover(self, set_id: str) -> ModelSet:
-        # Uncharged descriptor peek, for storage-format dispatch only.
-        peek = self.context.document_store.peek(SETS_COLLECTION, set_id)
-        if peek is not None and peek.get("storage") == "chunked":
-            # Deduplicated sets recover without walking the chain at all:
-            # the set's hash-info document is its digest matrix, and every
-            # unique chunk is fetched exactly once.
-            document = self.context.set_document(set_id)
-            self._require_type(document, self.name, set_id)
-            return read_chunked_set(self.context, document, set_id)
-        if self.recovery == "replay":
+        if self._replays(set_id):
             return self._recover_replay(set_id)
-        return self._recover_compact(set_id)
-
-    def _chain_documents(self, set_id: str) -> tuple[dict, str, list[dict]]:
-        """Walk the chain metadata-only back to the nearest full snapshot.
-
-        Returns ``(base_document, base_set_id, deltas)`` with the delta
-        documents ordered newest first.
-        """
-        with _trace.span("chain-walk", kind="metadata"):
-            deltas: list[dict] = []
-            current_id = set_id
-            while True:
-                document = self.context.set_document(current_id)
-                self._require_type(document, self.name, current_id)
-                if document["kind"] == "full":
-                    _trace.add_event(
-                        "chain-resolved", base=current_id, depth=len(deltas)
-                    )
-                    return document, current_id, deltas
-                deltas.append(document)
-                current_id = str(document["base_set"])
-
-    def _validate_delta_size(self, document: dict, layer_nbytes: list[int]) -> None:
-        """Check an uncompressed delta blob's length against its diff list."""
-        if str(document.get("codec", "none")) != "none":
-            return
-        expected = sum(
-            layer_nbytes[int(layer)]
-            for _model, layers in document["diff"]
-            for layer in layers
-        )
-        actual = self.context.file_store.size(document["params_artifact"])
-        if actual != expected:
-            raise RecoveryError(
-                f"delta artifact has {actual} bytes, diff list implies {expected}"
-            )
-
-    def _recover_compact(self, set_id: str) -> ModelSet:
-        """Recover by delta-chain compaction.
-
-        The diff lists are walked newest-to-oldest to find the final
-        writer of every (model, layer); each parameter is then read
-        exactly once — final delta bytes via vectored range reads, the
-        rest from the base snapshot with the superseded ranges skipped.
-        Total parameter bytes fetched equal one full set at any depth.
-        """
-        base_doc, base_id, deltas = self._chain_documents(set_id)
-        if not deltas:
-            return read_full_set(self.context, base_doc, base_id)
-
-        workers = self.context.workers
-        top_doc = deltas[0]
-        schema = StateSchema.from_json(top_doc["schema"])
-        base_schema = StateSchema.from_json(base_doc["schema"])
-        if base_schema != schema:
-            raise RecoveryError("delta schema does not match the base set's schema")
-        num_models = int(top_doc["num_models"])
-        if int(base_doc["num_models"]) != num_models:
-            raise RecoveryError(
-                f"chain base {base_id!r} has {base_doc['num_models']} models, "
-                f"set {set_id!r} has {num_models}"
-            )
-        num_layers = len(schema.entries)
-        layer_nbytes = _layer_nbytes(schema)
-        layer_offsets = [0] * num_layers
-        for layer in range(1, num_layers):
-            layer_offsets[layer] = layer_offsets[layer - 1] + layer_nbytes[layer - 1]
-
-        # Pass 1 (metadata only): newest writer wins for every model × layer.
-        writer = np.full((num_models, num_layers), np.iinfo(np.int32).min, np.int32)
-        unset = np.iinfo(np.int32).min
-        for depth, document in enumerate(deltas):
-            self._validate_delta_size(document, layer_nbytes)
-            for model_index, changed_layers in document["diff"]:
-                model_index = int(model_index)
-                if model_index >= num_models:
-                    raise RecoveryError(
-                        f"diff references model {model_index} beyond set size"
-                    )
-                for layer in changed_layers:
-                    if writer[model_index, int(layer)] == unset:
-                        writer[model_index, int(layer)] = depth
-        writer[writer == unset] = _FROM_BASE
-
-        # Pass 2: fetch only the final bytes, per source artifact.
-        values: dict[tuple[int, int], bytes] = {}
-        for depth, document in enumerate(deltas):
-            segments: list[tuple[int, int, tuple[int, int]]] = []
-            offset = 0
-            for model_index, changed_layers in document["diff"]:
-                model_index = int(model_index)
-                for layer in changed_layers:
-                    layer = int(layer)
-                    nbytes = layer_nbytes[layer]
-                    if writer[model_index, layer] == depth:
-                        segments.append((offset, nbytes, (model_index, layer)))
-                    offset += nbytes
-            if not segments:
-                continue  # every byte of this delta was superseded
-            codec_name = str(document.get("codec", "none"))
-            with _trace.span(
-                "delta-fetch",
-                key=depth,
-                kind="store-read",
-                artifact=document["params_artifact"],
-            ):
-                if codec_name == "none":
-                    values.update(
-                        _coalesced_fetch(
-                            self.context.file_store,
-                            document["params_artifact"],
-                            segments,
-                            workers,
-                        )
-                    )
-                else:
-                    payload = get_codec(codec_name).decode(
-                        self.context.file_store.get(
-                            document["params_artifact"], workers=workers
-                        )
-                    )
-                    if offset != len(payload):
-                        raise RecoveryError(
-                            f"delta artifact has {len(payload)} bytes, diff list "
-                            f"implies {offset}"
-                        )
-                    view = memoryview(payload)
-                    for seg_offset, nbytes, key in segments:
-                        values[key] = view[seg_offset : seg_offset + nbytes]
-
-        # Base snapshot: everything no delta finalized, superseded ranges
-        # skipped entirely.
-        base_segments: list[tuple[int, int, tuple[int, int]]] = []
-        model_stride = schema.num_bytes
-        for model_index in range(num_models):
-            for layer in range(num_layers):
-                if writer[model_index, layer] == _FROM_BASE:
-                    base_segments.append(
-                        (
-                            model_index * model_stride + layer_offsets[layer],
-                            layer_nbytes[layer],
-                            (model_index, layer),
-                        )
-                    )
-        if base_segments:
-            with _trace.span(
-                "base-fetch", kind="store-read", artifact=base_doc["params_artifact"]
-            ):
-                values.update(
-                    _coalesced_fetch(
-                        self.context.file_store,
-                        base_doc["params_artifact"],
-                        base_segments,
-                        workers,
-                    )
-                )
-
-        # Assemble the set (decoding parallelizes per model).
-        entries = schema.entries
-
-        def build_state(model_index: int) -> "OrderedDict[str, np.ndarray]":
-            state: "OrderedDict[str, np.ndarray]" = OrderedDict()
-            for layer, (name, shape) in enumerate(entries):
-                raw = values[(model_index, layer)]
-                size = int(np.prod(shape)) if shape else 1
-                state[name] = (
-                    np.frombuffer(raw, dtype=np.float32, count=size)
-                    .reshape(shape)
-                    .copy()
-                )
-            return state
-
-        if _trace.active():
-
-            def build_traced(model_index: int):
-                with _trace.span("model", key=model_index, kind="decode"):
-                    return build_state(model_index)
-
-            with _trace.span("decode", kind="decode"):
-                states = parallel_map(build_traced, range(num_models), workers)
-        else:
-            states = parallel_map(build_state, range(num_models), workers)
-        return ModelSet(str(base_doc["architecture"]), states)
+        plan = resolve(self, set_id)
+        return ModelSet(plan.architecture, execute(self.context, plan))
 
     def _recover_replay(self, set_id: str) -> ModelSet:
         # The paper's recovery: walk the chain back to the nearest full
         # snapshot, then re-apply the deltas forward.  Iterative to keep
         # long chains safe.
-        with _trace.span("chain-walk", kind="metadata"):
-            chain: list[dict] = []
-            current_id = set_id
-            while True:
-                document = self.context.set_document(current_id)
-                self._require_type(document, self.name, current_id)
-                if document["kind"] == "full":
-                    break
-                chain.append(document)
-                current_id = str(document["base_set"])
-        base = read_full_set(self.context, document, current_id)
-
-        model_set = base
+        base_doc, base_id, chain = chain_documents(self, set_id)
+        model_set = read_full_set(self.context, base_doc, base_id)
         for index, document in enumerate(reversed(chain)):
             with _trace.span("apply-delta", key=index, kind="store-read"):
                 model_set = self._apply_delta(model_set, document)
@@ -664,130 +429,14 @@ class UpdateApproach(SaveApproach):
         full delta is read and decoded instead.  ``"replay"`` recovery
         applies the chain forward with per-delta range reads.
         """
-        # Uncharged descriptor peek, for storage-format dispatch only.
-        peek = self.context.document_store.peek(SETS_COLLECTION, set_id)
-        if peek is not None and peek.get("storage") == "chunked":
-            document = self.context.set_document(set_id)
-            self._require_type(document, self.name, set_id)
-            return read_chunked_model(self.context, document, set_id, model_index)
-        if self.recovery == "replay":
+        if self._replays(set_id):
             return self._recover_model_replay(set_id, model_index)
-        base_doc, base_id, deltas = self._chain_documents(set_id)
-        if not deltas:
-            return read_single_model(self.context, base_doc, base_id, model_index)
-
-        workers = self.context.workers
-        schema = StateSchema.from_json(deltas[0]["schema"])
-        num_models = int(deltas[0]["num_models"])
-        if not 0 <= model_index < num_models:
-            raise RecoveryError(
-                f"model index {model_index} out of range for delta set"
-            )
-        num_layers = len(schema.entries)
-        layer_nbytes = _layer_nbytes(schema)
-        layer_offsets = [0] * num_layers
-        for layer in range(1, num_layers):
-            layer_offsets[layer] = layer_offsets[layer - 1] + layer_nbytes[layer - 1]
-
-        writer = [_FROM_BASE] * num_layers
-        claimed = [False] * num_layers
-        for depth, document in enumerate(deltas):
-            for diff_model, changed_layers in document["diff"]:
-                if int(diff_model) != model_index:
-                    continue
-                for layer in changed_layers:
-                    if not claimed[int(layer)]:
-                        claimed[int(layer)] = True
-                        writer[int(layer)] = depth
-                break
-
-        values: dict[tuple[int, int], bytes] = {}
-        for depth, document in enumerate(deltas):
-            segments: list[tuple[int, int, tuple[int, int]]] = []
-            offset = 0
-            for diff_model, changed_layers in document["diff"]:
-                for layer in changed_layers:
-                    layer = int(layer)
-                    nbytes = layer_nbytes[layer]
-                    if int(diff_model) == model_index and writer[layer] == depth:
-                        segments.append((offset, nbytes, (model_index, layer)))
-                    offset += nbytes
-            if not segments:
-                continue
-            codec_name = str(document.get("codec", "none"))
-            with _trace.span(
-                "delta-fetch",
-                key=depth,
-                kind="store-read",
-                artifact=document["params_artifact"],
-            ):
-                if codec_name == "none":
-                    values.update(
-                        _coalesced_fetch(
-                            self.context.file_store,
-                            document["params_artifact"],
-                            segments,
-                            workers,
-                        )
-                    )
-                else:
-                    payload = get_codec(codec_name).decode(
-                        self.context.file_store.get(
-                            document["params_artifact"], workers=workers
-                        )
-                    )
-                    view = memoryview(payload)
-                    for seg_offset, nbytes, key in segments:
-                        values[key] = view[seg_offset : seg_offset + nbytes]
-
-        base_segments = [
-            (
-                model_index * schema.num_bytes + layer_offsets[layer],
-                layer_nbytes[layer],
-                (model_index, layer),
-            )
-            for layer in range(num_layers)
-            if writer[layer] == _FROM_BASE
-        ]
-        if base_segments:
-            with _trace.span(
-                "base-fetch", kind="store-read", artifact=base_doc["params_artifact"]
-            ):
-                values.update(
-                    _coalesced_fetch(
-                        self.context.file_store,
-                        base_doc["params_artifact"],
-                        base_segments,
-                        workers,
-                    )
-                )
-
-        with _trace.span("decode", kind="decode"):
-            state: "OrderedDict[str, np.ndarray]" = OrderedDict()
-            for layer, (name, shape) in enumerate(schema.entries):
-                raw = values[(model_index, layer)]
-                size = int(np.prod(shape)) if shape else 1
-                state[name] = (
-                    np.frombuffer(raw, dtype=np.float32, count=size)
-                    .reshape(shape)
-                    .copy()
-                )
-            return state
+        return execute(self.context, resolve(self, set_id, model_index))[0]
 
     def _recover_model_replay(self, set_id: str, model_index: int):
         """The pre-compaction single-model recovery (chain replay)."""
-        with _trace.span("chain-walk", kind="metadata"):
-            chain: list[dict] = []
-            current_id = set_id
-            while True:
-                document = self.context.set_document(current_id)
-                self._require_type(document, self.name, current_id)
-                if document["kind"] == "full":
-                    break
-                chain.append(document)
-                current_id = str(document["base_set"])
-        state = read_single_model(self.context, document, current_id, model_index)
-
+        base_doc, base_id, chain = chain_documents(self, set_id)
+        state = read_single_model(self.context, base_doc, base_id, model_index)
         for index, document in enumerate(reversed(chain)):
             with _trace.span("apply-delta", key=index, kind="store-read"):
                 self._apply_delta_to_model(state, document, model_index)

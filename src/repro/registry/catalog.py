@@ -649,7 +649,7 @@ class Registry:
     def _recovered_matrix(set_id: str, context, descriptor: dict):
         """Fallback for digest-less sets: recover and hash each layer."""
         from repro.core.manager import APPROACHES
-        from repro.core.update import _set_hashes
+        from repro.core.update import set_hashes
 
         approach_name = str(descriptor.get("type"))
         if approach_name not in APPROACHES:
@@ -659,7 +659,7 @@ class Registry:
         model_set = APPROACHES[approach_name](context).recover(set_id)
         return (
             model_set.schema.layer_names(),
-            _set_hashes(model_set, workers=context.workers),
+            set_hashes(model_set, workers=context.workers),
             "recovered",
         )
 

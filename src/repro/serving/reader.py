@@ -13,11 +13,12 @@ The perf mechanism is *differential recovery*: the per-layer SHA-256
 matrices the Update approach already persists (``hash_info``) key every
 (model, layer) slot of a requested set, so a miss only fetches the
 chunks tier 2 does not hold — recovering v8 when v7 is warm reads just
-the layers that differ, via the same vectored range reads the uncached
-path uses.  Assembly mirrors the oracle read path instruction-for-
-instruction, so recovered bytes are identical and a *cold* recovery
-charges exactly what the uncached path charges; hits charge zero
-simulated store time.
+the layers that differ.  A miss runs the uncached read path's own
+executor (:mod:`repro.core.recovery`: resolve → fetch → assemble) and
+merely withholds from *fetch* the slots tier 2 already holds, so
+recovered bytes are identical and a *cold* recovery charges exactly what
+the uncached path charges, at every ``workers`` setting; hits charge
+zero simulated store time.
 
 Correctness before reuse: a digest is only served from tier 2 on the
 chunked path when the owning chunk store still holds it un-quarantined
@@ -34,10 +35,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core import recovery
 from repro.core.model_set import ModelSet
-from repro.core.parallel import parallel_map
-from repro.errors import RecoveryError, ReplicaUnavailableError
-from repro.nn.serialization import StateSchema
+from repro.errors import ReplicaUnavailableError
 from repro.observability import trace as _trace
 from repro.serving.cache import ChunkCache, ServingStats, SetCache, SetEntry
 
@@ -49,9 +49,9 @@ if TYPE_CHECKING:
 class ServingCache:
     """Tiered read-through cache over one archive context.
 
-    Stateless approaches stay the source of truth: every miss path
-    either mirrors the approach's own read sequence (same documents,
-    same range reads, same decode) or delegates to it outright, so the
+    Stateless approaches stay the source of truth: a miss either runs
+    the approach's own recovery executor (same documents, same range
+    reads, same decode) or delegates to the approach outright, so the
     recovered bytes are identical to an uncached oracle on every
     configuration.
     """
@@ -179,7 +179,7 @@ class ServingCache:
                 )
                 return entry.value.copy()
         self.stats.record(set_misses=1)
-        result, digests = self._recover_miss(set_id, approach)
+        result, digests = self._recover_miss(set_id, None, approach)
         nbytes = result.parameter_bytes
         self.sets.put(
             (set_id, None), SetEntry(result.copy(), nbytes, digests)
@@ -220,14 +220,7 @@ class ServingCache:
                     for name, array in single.value.items()
                 )
         self.stats.record(set_misses=1)
-        document = self._peek(set_id)
-        if document is not None and document.get("storage") == "chunked":
-            state, digests = self._recover_chunked_model(
-                set_id, model_index, approach
-            )
-        else:
-            state = approach.recover_model(set_id, model_index)
-            digests = None
+        state, digests = self._recover_miss(set_id, model_index, approach)
         nbytes = sum(array.nbytes for array in state.values())
         self.sets.put(
             (set_id, model_index),
@@ -315,23 +308,59 @@ class ServingCache:
             return None
 
     def _recover_miss(
-        self, set_id: str, approach: "SaveApproach"
-    ) -> "tuple[ModelSet, frozenset[str] | None]":
+        self, set_id: str, model_index: "int | None", approach: "SaveApproach"
+    ):
+        """Recover a set (or one model) through tier 2.
+
+        Returns ``(value, digests)``.  Sets whose slots are keyed by
+        content — chunked sets, and Update sets read whole (their
+        hash-info document is one more metadata read, worth it for a set
+        but not for one model) — run the recovery executor with the
+        slots tier 2 holds withheld from the store fetch; everything
+        else is the approach's own read.
+        """
         from repro.core.update import UpdateApproach
 
         document = self._peek(set_id)
-        if document is not None and document.get("storage") == "chunked":
-            return self._recover_chunked(set_id, approach)
-        if (
-            self.config.differential
-            and isinstance(approach, UpdateApproach)
-            and document is not None
-            and document.get("type") == approach.name
+        chunked = document is not None and document.get("storage") == "chunked"
+        if not chunked and not (
+            model_index is None and isinstance(approach, UpdateApproach)
         ):
-            recovered = self._recover_update_differential(set_id, approach)
-            if recovered is not None:
-                return recovered
-        return approach.recover(set_id), None
+            if model_index is None:
+                return approach.recover(set_id), None
+            return approach.recover_model(set_id, model_index), None
+
+        context = self.context
+        plan = recovery.resolve(approach, set_id, model_index, hash_info=True)
+        values: dict = {}
+        unique = None
+        if plan.digests is not None:
+            unique = list(dict.fromkeys(plan.digests))
+            with _trace.span("tier2-lookup", kind="cache", chunks=len(unique)):
+                values, _missing = self.chunks.get_many(unique)
+                if chunked:
+                    store = context.chunk_store()
+                    values = {
+                        digest: data
+                        for digest, data in values.items()
+                        if self._servable(store, digest)
+                    }
+            self.stats.record(
+                chunk_hits=len(values),
+                chunk_misses=len(unique) - len(values),
+                bytes_saved=sum(len(data) for data in values.values()),
+            )
+        if unique is None or len(values) < len(unique):
+            with _trace.span("tier3-fetch", kind="store-read"):
+                fetched = recovery.fetch(context, plan, have=values)
+            if unique is not None:
+                self.chunks.put_many(fetched)
+            values.update(fetched)
+        states = recovery.assemble(plan, values, context.workers)
+        digests = None if unique is None else frozenset(unique)
+        if model_index is None:
+            return ModelSet(plan.architecture, states), digests
+        return states[0], digests
 
     def _servable(self, store, digest: str) -> bool:
         """Whether a tier-2 hit may stand in for this store's chunk.
@@ -341,321 +370,6 @@ class ServingCache:
         raise still surfaces (management-plane checks, uncharged).
         """
         return digest in store and not store.is_quarantined(digest)
-
-    def _recover_chunked(
-        self, set_id: str, approach: "SaveApproach"
-    ) -> "tuple[ModelSet, frozenset[str]]":
-        """Differential assembly of a chunked set (mirrors
-        :func:`~repro.core.baseline.read_chunked_set` charge-for-charge
-        on the chunks tier 2 does not hold)."""
-        from repro.core.baseline import _chunked_digests, _layer_from_bytes
-
-        context = self.context
-        document = context.set_document(set_id)
-        approach._require_type(document, approach.name, set_id)
-        schema = StateSchema.from_json(document["schema"])
-        num_models = int(document["num_models"])
-        dtype = str(document.get("param_dtype", "float32"))
-        matrix = _chunked_digests(context, document, set_id)
-        if len(matrix) != num_models:
-            raise RecoveryError(
-                f"set {set_id!r}: digest matrix has {len(matrix)} rows, "
-                f"expected {num_models}"
-            )
-        unique = list(dict.fromkeys(d for row in matrix for d in row))
-        store = context.chunk_store()
-        with _trace.span("tier2-lookup", kind="cache", chunks=len(unique)):
-            values, missing = self.chunks.get_many(unique)
-            stale = [d for d in values if not self._servable(store, d)]
-            for digest in stale:
-                del values[digest]
-                missing.append(digest)
-        self.stats.record(
-            chunk_hits=len(values),
-            chunk_misses=len(missing),
-            bytes_saved=sum(len(data) for data in values.values()),
-        )
-        if missing:
-            with _trace.span(
-                "tier3-fetch", kind="store-read", chunks=len(missing)
-            ):
-                fetched = store.fetch(missing, workers=context.workers)
-            self.chunks.put_many(fetched)
-            values.update(fetched)
-        entries = schema.entries
-
-        def build_state(model_index: int) -> "OrderedDict[str, np.ndarray]":
-            row = matrix[model_index]
-            state: "OrderedDict[str, np.ndarray]" = OrderedDict()
-            for layer, (name, shape) in enumerate(entries):
-                state[name] = _layer_from_bytes(values[row[layer]], shape, dtype)
-            return state
-
-        if _trace.active():
-
-            def build_traced(model_index: int):
-                with _trace.span("model", key=model_index, kind="decode"):
-                    return build_state(model_index)
-
-            with _trace.span("decode", kind="decode"):
-                states = parallel_map(
-                    build_traced, range(num_models), context.workers
-                )
-        else:
-            states = parallel_map(build_state, range(num_models), context.workers)
-        return (
-            ModelSet(str(document["architecture"]), states),
-            frozenset(unique),
-        )
-
-    def _recover_chunked_model(
-        self, set_id: str, model_index: int, approach: "SaveApproach"
-    ) -> "tuple[OrderedDict, frozenset[str]]":
-        """Single-model chunked recovery through tier 2 (mirrors
-        :func:`~repro.core.baseline.read_chunked_model`)."""
-        from repro.core.baseline import _chunked_digests, _layer_from_bytes
-
-        context = self.context
-        document = context.set_document(set_id)
-        approach._require_type(document, approach.name, set_id)
-        num_models = int(document["num_models"])
-        if not 0 <= model_index < num_models:
-            raise IndexError(
-                f"model index {model_index} out of range for set {set_id!r} "
-                f"({num_models} models)"
-            )
-        schema = StateSchema.from_json(document["schema"])
-        dtype = str(document.get("param_dtype", "float32"))
-        row = _chunked_digests(context, document, set_id)[model_index]
-        unique = list(dict.fromkeys(row))
-        store = context.chunk_store()
-        with _trace.span("tier2-lookup", kind="cache", chunks=len(unique)):
-            values, missing = self.chunks.get_many(unique)
-            stale = [d for d in values if not self._servable(store, d)]
-            for digest in stale:
-                del values[digest]
-                missing.append(digest)
-        self.stats.record(
-            chunk_hits=len(values),
-            chunk_misses=len(missing),
-            bytes_saved=sum(len(data) for data in values.values()),
-        )
-        if missing:
-            with _trace.span(
-                "tier3-fetch", kind="store-read", chunks=len(missing)
-            ):
-                fetched = store.fetch(missing, workers=context.workers)
-            self.chunks.put_many(fetched)
-            values.update(fetched)
-        with _trace.span("decode", kind="decode"):
-            state: "OrderedDict[str, np.ndarray]" = OrderedDict()
-            for layer, (name, shape) in enumerate(schema.entries):
-                state[name] = _layer_from_bytes(values[row[layer]], shape, dtype)
-        return state, frozenset(unique)
-
-    def _recover_update_differential(
-        self, set_id: str, approach
-    ) -> "tuple[ModelSet, frozenset[str]] | None":
-        """Differential compaction of a non-chunked Update chain.
-
-        The requested set's persisted hash matrix keys every
-        (model, layer) slot; slots whose digest tier 2 holds are served
-        from cache and only the remainder is fetched — the same
-        newest-writer-wins compaction and vectored range reads as
-        :meth:`UpdateApproach._recover_compact`, restricted to the miss
-        set.  Returns ``None`` when the hash document is unavailable
-        (the caller falls back to the uncached path).
-        """
-        from repro.core.update import (
-            HASH_COLLECTION,
-            _FROM_BASE,
-            _coalesced_fetch,
-            _layer_nbytes,
-        )
-        from repro.core.compression import get_codec
-
-        context = self.context
-        try:
-            hashes = context.document_store.get(HASH_COLLECTION, set_id)["hashes"]
-        except Exception:
-            return None
-        base_doc, base_id, deltas = approach._chain_documents(set_id)
-        top_doc = deltas[0] if deltas else base_doc
-        schema = StateSchema.from_json(top_doc["schema"])
-        if deltas:
-            base_schema = StateSchema.from_json(base_doc["schema"])
-            if base_schema != schema:
-                raise RecoveryError(
-                    "delta schema does not match the base set's schema"
-                )
-        num_models = int(top_doc["num_models"])
-        if deltas and int(base_doc["num_models"]) != num_models:
-            raise RecoveryError(
-                f"chain base {base_id!r} has {base_doc['num_models']} models, "
-                f"set {set_id!r} has {num_models}"
-            )
-        num_layers = len(schema.entries)
-        if len(hashes) != num_models or any(
-            len(row) != num_layers for row in hashes
-        ):
-            return None
-        layer_nbytes = _layer_nbytes(schema)
-        layer_offsets = [0] * num_layers
-        for layer in range(1, num_layers):
-            layer_offsets[layer] = layer_offsets[layer - 1] + layer_nbytes[layer - 1]
-
-        # Pass 1 (metadata only): newest writer wins for every model × layer.
-        unset = np.iinfo(np.int32).min
-        writer = np.full((num_models, num_layers), unset, np.int32)
-        for depth, document in enumerate(deltas):
-            approach._validate_delta_size(document, layer_nbytes)
-            for model_index, changed_layers in document["diff"]:
-                model_index = int(model_index)
-                if model_index >= num_models:
-                    raise RecoveryError(
-                        f"diff references model {model_index} beyond set size"
-                    )
-                for layer in changed_layers:
-                    if writer[model_index, int(layer)] == unset:
-                        writer[model_index, int(layer)] = depth
-        writer[writer == unset] = _FROM_BASE
-
-        # Tier-2 pass: slots whose digest is cached need no store read.
-        unique = list(dict.fromkeys(d for row in hashes for d in row))
-        with _trace.span("tier2-lookup", kind="cache", chunks=len(unique)):
-            cached, _missing = self.chunks.get_many(unique)
-        values: "dict[tuple[int, int], bytes]" = {}
-        need: "set[tuple[int, int]]" = set()
-        hit_slots = 0
-        saved = 0
-        for model_index in range(num_models):
-            for layer in range(num_layers):
-                data = cached.get(hashes[model_index][layer])
-                if data is not None:
-                    values[(model_index, layer)] = data
-                    hit_slots += 1
-                    saved += layer_nbytes[layer]
-                else:
-                    need.add((model_index, layer))
-        self.stats.record(
-            chunk_hits=hit_slots, chunk_misses=len(need), bytes_saved=saved
-        )
-
-        # Pass 2: fetch only needed final bytes, per source artifact.
-        workers = context.workers
-        for depth, document in enumerate(deltas):
-            segments: "list[tuple[int, int, tuple[int, int]]]" = []
-            offset = 0
-            for model_index, changed_layers in document["diff"]:
-                model_index = int(model_index)
-                for layer in changed_layers:
-                    layer = int(layer)
-                    nbytes = layer_nbytes[layer]
-                    if (
-                        writer[model_index, layer] == depth
-                        and (model_index, layer) in need
-                    ):
-                        segments.append((offset, nbytes, (model_index, layer)))
-                    offset += nbytes
-            if not segments:
-                continue  # superseded, or every needed slot was cached
-            codec_name = str(document.get("codec", "none"))
-            with _trace.span(
-                "tier3-fetch",
-                key=depth,
-                kind="store-read",
-                artifact=document["params_artifact"],
-            ):
-                if codec_name == "none":
-                    values.update(
-                        _coalesced_fetch(
-                            context.file_store,
-                            document["params_artifact"],
-                            segments,
-                            workers,
-                        )
-                    )
-                else:
-                    payload = get_codec(codec_name).decode(
-                        context.file_store.get(
-                            document["params_artifact"], workers=workers
-                        )
-                    )
-                    if offset != len(payload):
-                        raise RecoveryError(
-                            f"delta artifact has {len(payload)} bytes, diff "
-                            f"list implies {offset}"
-                        )
-                    view = memoryview(payload)
-                    for seg_offset, nbytes, key in segments:
-                        values[key] = view[seg_offset : seg_offset + nbytes]
-
-        base_segments: "list[tuple[int, int, tuple[int, int]]]" = []
-        model_stride = schema.num_bytes
-        for model_index in range(num_models):
-            for layer in range(num_layers):
-                if (
-                    writer[model_index, layer] == _FROM_BASE
-                    and (model_index, layer) in need
-                ):
-                    base_segments.append(
-                        (
-                            model_index * model_stride + layer_offsets[layer],
-                            layer_nbytes[layer],
-                            (model_index, layer),
-                        )
-                    )
-        if base_segments:
-            with _trace.span(
-                "tier3-fetch",
-                kind="store-read",
-                artifact=base_doc["params_artifact"],
-            ):
-                values.update(
-                    _coalesced_fetch(
-                        context.file_store,
-                        base_doc["params_artifact"],
-                        base_segments,
-                        workers,
-                    )
-                )
-
-        # Populate tier 2 with everything fetched this request.
-        fetched_chunks: "dict[str, bytes]" = {}
-        for model_index, layer in need:
-            digest = hashes[model_index][layer]
-            if digest not in fetched_chunks:
-                fetched_chunks[digest] = bytes(values[(model_index, layer)])
-        self.chunks.put_many(fetched_chunks)
-
-        entries = schema.entries
-
-        def build_state(model_index: int) -> "OrderedDict[str, np.ndarray]":
-            state: "OrderedDict[str, np.ndarray]" = OrderedDict()
-            for layer, (name, shape) in enumerate(entries):
-                raw = values[(model_index, layer)]
-                size = int(np.prod(shape)) if shape else 1
-                state[name] = (
-                    np.frombuffer(raw, dtype=np.float32, count=size)
-                    .reshape(shape)
-                    .copy()
-                )
-            return state
-
-        if _trace.active():
-
-            def build_traced(model_index: int):
-                with _trace.span("model", key=model_index, kind="decode"):
-                    return build_state(model_index)
-
-            with _trace.span("decode", kind="decode"):
-                states = parallel_map(build_traced, range(num_models), workers)
-        else:
-            states = parallel_map(build_state, range(num_models), workers)
-        architecture = str(
-            base_doc["architecture"] if deltas else top_doc["architecture"]
-        )
-        return ModelSet(architecture, states), frozenset(unique)
 
 
 def apply_serving(

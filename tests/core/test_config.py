@@ -2,11 +2,17 @@
 pre-config per-knob keyword arguments are gone (TypeError, not a shim)."""
 
 import argparse
+from dataclasses import fields
 
 import pytest
 
 from repro.cli import config_from_args
-from repro.config import ArchiveConfig, MaintenanceConfig, ObservabilityConfig
+from repro.config import (
+    ArchiveConfig,
+    MaintenanceConfig,
+    ObservabilityConfig,
+    ServingConfig,
+)
 from repro.core.approach import SaveContext
 from repro.core.manager import MultiModelManager
 from repro.errors import ConfigError
@@ -86,6 +92,14 @@ class TestDeprecationShims:
         with pytest.raises(TypeError, match="dedup"):
             MultiModelManager.open(str(tmp_path / "a"), "update", dedup=True)
         assert not (tmp_path / "a").exists()
+
+    def test_serving_differential_knob_is_gone(self):
+        """It selected a miss path that no longer exists (ISSUE 14)."""
+        with pytest.raises(TypeError):
+            ServingConfig(**{"differential": False})
+        assert [field.name for field in fields(ServingConfig)] == [
+            "enabled", "set_cache_bytes", "chunk_cache_bytes",
+        ]
 
     def test_approach_kwargs_still_pass_through(self):
         manager = MultiModelManager.with_approach("update", snapshot_interval=4)

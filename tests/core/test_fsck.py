@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import ArchiveConfig
 from repro.core.approach import SaveContext
-from repro.core.baseline import _chunked_digests
+from repro.core.recovery import digest_matrix
 from repro.core.fsck import ArchiveFsck, SalvageReport, salvage_recover
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
@@ -30,7 +30,7 @@ def unique_digest_of_model(context, set_id, model_index):
     from repro.core.approach import SETS_COLLECTION
 
     matrices = {
-        sid: _chunked_digests(context, doc, sid)
+        sid: digest_matrix(context, doc, sid)
         for sid, doc in store._collections[SETS_COLLECTION].items()
         if doc.get("storage") == "chunked"
     }

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.config import ArchiveConfig, ServingConfig
+from repro.core.compression import get_codec
 from repro.core.manager import MultiModelManager
+from repro.errors import RecoveryError
 from tests.conftest import save_sequence
+
+SERVING = ArchiveConfig(serving=ServingConfig(enabled=True))
 
 
 def states_equal(state_a, state_b) -> bool:
@@ -105,12 +110,39 @@ class TestErrors:
         "approach", ("mmlib-base", "baseline", "update", "pas-delta")
     )
     def test_out_of_range_index_raises(self, approach, synthetic_cases):
-        manager = MultiModelManager.with_approach(approach)
-        set_ids = save_sequence(manager, synthetic_cases[:1])
-        with pytest.raises(IndexError):
-            manager.recover_model(set_ids[0], len(synthetic_cases[0].model_set))
-        with pytest.raises(IndexError):
-            manager.recover_model(set_ids[0], -1)
+        # One error for a bad index on every storage shape: a full set
+        # and a derived one, plain, deduplicated, and through serving.
+        configs = [ArchiveConfig(), SERVING]
+        if approach in ("baseline", "update"):
+            configs.append(ArchiveConfig(dedup=True))
+        for config in configs:
+            manager = MultiModelManager.with_approach(approach, config)
+            for set_id in save_sequence(manager, synthetic_cases[:2]):
+                for index in (len(synthetic_cases[0].model_set), -1):
+                    with pytest.raises(IndexError):
+                        manager.recover_model(set_id, index)
+
+    @pytest.mark.parametrize("variant", ("plain", "zlib", "serving"))
+    def test_oversized_delta_rejected_like_set_recovery(
+        self, variant, synthetic_cases
+    ):
+        # Single-model recovery validates what set recovery validates.
+        codec = "zlib" if variant == "zlib" else "none"
+        manager = MultiModelManager.with_approach(
+            "update", SERVING if variant == "serving" else None, codec=codec
+        )
+        set_ids = save_sequence(manager, synthetic_cases)
+        document = manager.set_info(set_ids[-1])
+        artifact = document["params_artifact"]
+        blobs = manager.context.file_store._blobs
+        payload = get_codec(codec).decode(blobs[artifact]) + b"\x00" * 16
+        blobs[artifact] = get_codec(codec).encode(payload)
+        with pytest.raises(RecoveryError):
+            manager.recover_set(set_ids[-1])
+        # (A compressed delta is only measured by a read that decodes it.)
+        for model_index in (document["diff"][0][0], document["diff"][-1][0]):
+            with pytest.raises(RecoveryError):
+                manager.recover_model(set_ids[-1], model_index)
 
 
 class TestFileStoreRange:

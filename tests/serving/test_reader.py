@@ -13,9 +13,11 @@ import pytest
 from repro.config import ArchiveConfig, ServingConfig
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
+from repro.core.recovery import HASH_COLLECTION
 from repro.core.retention import RetentionManager
 from repro.errors import QuorumError
 from repro.storage.faults import FaultInjector, inject_replica_faults
+from repro.storage.hardware import SERVER_PROFILE
 
 
 def serving_manager(approach="update", dedup=True, **serving_kwargs):
@@ -124,6 +126,25 @@ class TestDispatchPeek:
         with pytest.raises(RuntimeError, match="bug in peek"):
             manager.recover_set(set_id)
 
+        # Nor is a failing hash-info read: only a *missing* document
+        # means "no tier-2 filter".
+        manager = serving_manager(dedup=False)
+        set_id = manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=7))
+        store = manager.context.document_store
+        get = store.get
+
+        def broken_hash_info(collection, doc_id):
+            if collection == HASH_COLLECTION:
+                raise RuntimeError("bug in hash-info read")
+            return get(collection, doc_id)
+
+        monkeypatch.setattr(store, "get", broken_hash_info)
+        with pytest.raises(RuntimeError, match="bug in hash-info read"):
+            manager.recover_set(set_id)
+        monkeypatch.setattr(store, "get", get)
+        store.delete(HASH_COLLECTION, set_id)
+        assert manager.recover_set(set_id).equals(manager.approach.recover(set_id))
+
 
 class TestAccounting:
     def test_tier1_hit_charges_zero_store_time(self):
@@ -184,14 +205,47 @@ class TestAccounting:
         assert result.equals(manager.approach.recover(derived_id))
         assert after["chunk_misses"] - before["chunk_misses"] == 1
 
-    def test_differential_disabled_falls_back_to_oracle_path(self):
-        manager = serving_manager(dedup=False, differential=False)
-        base = ModelSet.build("FFNN-48", num_models=2, seed=9)
-        base_id = manager.save_set(base)
-        derived_id = manager.save_set(perturbed(base), base_set_id=base_id)
-        result = manager.recover_set(derived_id)
-        assert result.equals(manager.approach.recover(derived_id))
-        assert manager.context.serving.stats.counters()["chunk_hits"] == 0
+
+class TestChargeParity:
+    """A cold serving read is charged what the uncached read is charged,
+    at every worker count (``ServingConfig``'s documented contract)."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("shape", ["full", "chain", "zlib-chain", "chunked"])
+    @pytest.mark.parametrize("model_index", [None, 5])
+    def test_cold_miss_charges_what_the_uncached_read_charges(
+        self, workers, shape, model_index
+    ):
+        config = ArchiveConfig(
+            profile=SERVER_PROFILE,
+            workers=workers,
+            dedup=shape == "chunked",
+            serving=ServingConfig(enabled=True),
+        )
+        manager = MultiModelManager.with_approach(
+            "update", config, codec="zlib" if shape == "zlib-chain" else "none"
+        )
+        models = ModelSet.build("FFNN-48", num_models=8, seed=18)
+        set_id = manager.save_set(models)
+        for cycle in range(0 if shape == "full" else 3):
+            models = perturbed(models, model=cycle + 4, layer=cycle)
+            set_id = manager.save_set(models, base_set_id=set_id)
+        if model_index is None:
+            uncached, serving = manager.approach.recover, manager.recover_set
+        else:
+            uncached = lambda sid: manager.approach.recover_model(sid, model_index)
+            serving = lambda sid: manager.recover_model(sid, model_index)
+
+        stats = manager.context.file_store.stats
+        charges = []
+        for read in (uncached, serving):
+            before = stats.snapshot()
+            read(set_id)
+            delta = stats.delta_since(before)
+            charges.append((delta.reads, delta.bytes_read, delta.simulated_read_s))
+        # (Deltas of a running float total: equal to the last ulp or so.)
+        assert charges[0] == pytest.approx(charges[1], rel=1e-9)
+        assert charges[0][0] > 0
 
 
 class TestInvalidation:
