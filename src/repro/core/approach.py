@@ -112,47 +112,19 @@ class SaveContext:
         config = resolve_config("SaveContext.create", config)
         replicas = config.replicas or 1
         if replicas > 1:
-            from repro.storage.replication import (
-                ReplicatedDocumentStore,
-                ReplicatedFileStore,
-            )
+            from repro.storage.replication import replicated_pair
 
-            file_store = ReplicatedFileStore(
+            file_store, document_store = replicated_pair(
                 [FileStore(profile=config.profile) for _ in range(replicas)],
-                write_quorum=config.write_quorum,
-                read_quorum=config.read_quorum,
-                policy=config.replication_policy,
-            )
-            document_store = ReplicatedDocumentStore(
                 [DocumentStore(profile=config.profile) for _ in range(replicas)],
-                write_quorum=config.write_quorum,
-                read_quorum=config.read_quorum,
-                policy=config.replication_policy,
+                config,
             )
         else:
             file_store = FileStore(profile=config.profile)
             document_store = DocumentStore(profile=config.profile)
-        context = cls(
-            file_store=file_store,
-            document_store=document_store,
-            dataset_registry=default_registry(),
-            workers=config.workers,
-            dedup=config.dedup,
-            config=config,
+        return build_context(
+            file_store, document_store, config, retry=config.retry, journal=False
         )
-        if config.retry is not None:
-            from repro.storage.faults import attach_retries
-
-            attach_retries(context, config.retry)
-        apply_observability(context, config)
-        from repro.serving import apply_serving
-
-        apply_serving(context, config)
-        if config.registry:
-            from repro.registry import attach_registry
-
-            attach_registry(context)
-        return context
 
     def chunk_store(self) -> ChunkStore:
         """The context's chunk layer (created on first use, then shared)."""
@@ -262,25 +234,56 @@ class SaveContext:
         return self.file_store.total_bytes() + self.document_store.total_bytes()
 
 
-def apply_observability(context: SaveContext, config: "ArchiveConfig") -> None:
-    """Wire a context's tracing/metrics according to ``config``.
+def build_context(
+    file_store, document_store, config: "ArchiveConfig", retry, journal: bool
+) -> SaveContext:
+    """A context over two stores, with everything it carries on top.
 
-    Shared by :meth:`SaveContext.create` and
-    :func:`repro.storage.persistent.open_context` so in-memory and
-    durable archives expose identical observability.
+    What :meth:`SaveContext.create` and
+    :func:`repro.storage.persistent.open_context` share, in the one
+    order that works: set ids resume past the persisted ones; retry
+    proxies (``retry``, a :class:`~repro.storage.faults.RetryPolicy` or
+    ``None``) go beneath the journal; the journal runs crash recovery as
+    it attaches; tracing/metrics, the serving cache and the registry see
+    the final stores — so in-memory and durable archives behave alike.
     """
-    settings = config.observability
-    if settings.tracing:
-        from repro.observability.trace import install_tracing
+    from repro.observability.metrics import global_registry
+    from repro.observability.trace import install_tracing
+    from repro.registry import attach_registry
+    from repro.serving import apply_serving
+    from repro.storage.faults import attach_retries
+    from repro.storage.journal import attach_journal
 
+    context = SaveContext(
+        file_store=file_store,
+        document_store=document_store,
+        dataset_registry=default_registry(),
+        workers=config.workers,
+        dedup=config.dedup,
+        config=config,
+    )
+    highest = -1
+    for set_id in document_store.collection_ids(SETS_COLLECTION):
+        try:
+            highest = max(highest, int(set_id.rsplit("-", 1)[-1]))
+        except ValueError:
+            continue
+    context._set_counter = itertools.count(highest + 1)
+    if retry is not None:
+        attach_retries(context, retry)
+    if journal:
+        context.recovery_report = attach_journal(context).recover()
+    if config.observability.tracing:
         install_tracing(context)
-    if settings.metrics:
-        from repro.observability.metrics import global_registry
-
+    if config.observability.metrics:
         registry = global_registry()
         registry.register_stats("file_store", context.file_store.stats)
         registry.register_stats("document_store", context.document_store.stats)
         context.metrics = registry
+    apply_serving(context, config)
+    if config.registry:
+        attach_registry(context)
+    return context
 
 
 class SaveApproach(ABC):

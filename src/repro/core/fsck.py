@@ -51,6 +51,7 @@ from repro.observability import trace as _trace
 from repro.storage.chunk_index import PACKS_COLLECTION
 from repro.storage.hashing import hash_array, hash_bytes
 from repro.storage.journal import JOURNAL_COLLECTION
+from repro.storage.replication import replica_divergence, replicated_stores
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +225,16 @@ class ArchiveFsck:
         if deep:
             self._deep_scan(report, referenced)
 
-        file_rep, doc_rep = self._replicated()
+        file_rep, doc_rep = replicated_stores(self.context)
         if file_rep is not None or doc_rep is not None:
-            from repro.storage.replication import replica_divergence
-
             report.replica_divergence = replica_divergence(
                 file_rep, doc_rep, deep=deep
             )
         return report
 
-    def _replicated(self):
-        from repro.storage.replication import replicated_stores
-
-        return replicated_stores(self.context)
-
     def _deep_scan(self, report: FsckReport, referenced: dict[str, str]) -> None:
         file_store = self.context.file_store
-        file_rep, _doc_rep = self._replicated()
+        file_rep, _doc_rep = replicated_stores(self.context)
         pack_artifacts = {
             str(doc["artifact"]) for doc in self._collection(PACKS_COLLECTION).values()
         }
@@ -411,126 +405,52 @@ def scrub_archive(context: SaveContext, deep: bool = True) -> ScrubReport:
 
 
 def _scrub_archive(context: SaveContext, deep: bool) -> ScrubReport:
-    from repro.storage.replication import (
-        _REPLICA_FAILURES,
-        _encode,
-        _safe_digest,
-        replica_divergence,
-        replicated_stores,
-    )
-
+    """The pass order of a scrub; every replica visit is the layer's."""
     file_rep, doc_rep = replicated_stores(context)
     report = ScrubReport()
     if file_rep is None or doc_rep is None:
         return report
     report.replicas = len(file_rep.replicas)
-    unreachable: set[str] = set()
 
     # 0. Probe reachability up front: every pruning decision below must
     # know whether any replica is silent before it trusts a majority.
-    for state in doc_rep.replicas:
-        try:
-            state.store.collections()
-        except _REPLICA_FAILURES:
-            unreachable.add(state.name)
-    for state in file_rep.replicas:
-        try:
-            state.store.ids()
-        except _REPLICA_FAILURES:
-            unreachable.add(state.name)
+    unreachable = doc_rep.unreachable() | file_rep.unreachable()
 
     with _trace.span("flush-repairs", kind="scrub"):
         # 1. Drain the targeted repairs failover already queued up.
-        flushed = file_rep.repair_pending()
-        doc_flushed = doc_rep.repair_pending()
-        report.pending_flushed = (
-            len(flushed["repaired"])
-            + len(flushed["deleted"])
-            + len(doc_flushed["repaired"])
-            + len(doc_flushed["deleted"])
+        report.pending_flushed = sum(
+            len(flushed["repaired"]) + len(flushed["deleted"])
+            for flushed in (file_rep.repair_pending(), doc_rep.repair_pending())
         )
 
     with _trace.span("converge-documents", kind="scrub"):
         # 2. Documents: every replica converges on the majority view.  This
         # also prunes stale journal entries and uncommitted minority writes
         # — but only with every replica present to vote.
-        may_prune = not unreachable
-        canonical_docs = {
-            name: doc_rep.peek_collection(name) for name in doc_rep.collections()
-        }
-        for state in doc_rep.replicas:
-            try:
-                collections = {
-                    name: state.store.peek_collection(name)
-                    for name in state.store.collections()
-                }
-                for name, canonical in canonical_docs.items():
-                    held = collections.get(name, {})
-                    for doc_id, document in canonical.items():
-                        if doc_id not in held or _encode(held[doc_id]) != _encode(
-                            document
-                        ):
-                            state.store._write_raw(name, doc_id, document)
-                            report.documents_healed += 1
-                    if may_prune:
-                        for doc_id in sorted(set(held) - set(canonical)):
-                            state.store._delete_raw(name, doc_id)
-                            report.documents_pruned += 1
-                if may_prune:
-                    for name in sorted(set(collections) - set(canonical_docs)):
-                        for doc_id in sorted(collections[name]):
-                            state.store._delete_raw(name, doc_id)
-                            report.documents_pruned += 1
-            except _REPLICA_FAILURES:
-                unreachable.add(state.name)
+        report.documents_healed, report.documents_pruned, failed = doc_rep.converge(
+            prune=not unreachable
+        )
+        unreachable |= failed
 
     with _trace.span("heal-artifacts", kind="scrub"):
         # 3. Artifacts: the canonical set is every id held by a majority of
         # reachable replicas (majority digest), plus anything the converged
         # documents reference — a referenced copy must never be pruned even
-        # if replication fell below majority.
-        votes: dict[str, dict] = {}
-        reachable = 0
-        for state in file_rep.replicas:
-            try:
-                ids = state.store.ids()
-            except _REPLICA_FAILURES:
-                unreachable.add(state.name)
-                continue
-            reachable += 1
-            for artifact_id in ids:
-                digest = _safe_digest(state.store, artifact_id)
-                counts = votes.setdefault(artifact_id, {})
-                counts[digest] = counts.get(digest, 0) + 1
-        referenced = ArchiveFsck(context)._referenced_artifacts()
-        canonical: dict[str, str | None] = {}
-        for artifact_id, counts in votes.items():
-            holders = sum(counts.values())
-            if holders * 2 > reachable or artifact_id in referenced:
-                canonical[artifact_id] = max(counts.items(), key=lambda kv: kv[1])[0]
-
-        pack_ids = set(canonical_docs.get(PACKS_COLLECTION, {}))
+        # if replication fell below majority.  Probe again: the vote skips
+        # a replica that dropped out since step 0 without saying so.
+        unreachable |= file_rep.unreachable()
+        canonical = file_rep.majority_artifacts(
+            keep=ArchiveFsck(context)._referenced_artifacts()
+        )
+        packs = doc_rep.peek_collection(PACKS_COLLECTION)
         for artifact_id in sorted(canonical):
             digest = canonical[artifact_id]
-            donor = None
-            for state in file_rep.replicas:
-                try:
-                    if not state.store.exists(artifact_id):
-                        continue
-                    if _safe_digest(state.store, artifact_id) != digest:
-                        continue
-                    if deep and not state.store.verify_artifact(artifact_id):
-                        continue
-                    data = state.store.get(artifact_id)
-                except _REPLICA_FAILURES:
-                    continue
-                if digest is not None and hash_bytes(data) != digest:
-                    continue
-                donor = data
-                break
-            if donor is None and artifact_id in pack_ids:
-                donor = _reassemble_pack(
-                    file_rep, canonical_docs[PACKS_COLLECTION][artifact_id], artifact_id
+            donor = file_rep.verified_copy(artifact_id, digest, deep)
+            if donor is None and artifact_id in packs:
+                # Last resort: rebuild the pack chunk by chunk across replicas.
+                pack = packs[artifact_id]
+                donor = file_rep.reassemble(
+                    artifact_id, zip(pack["digests"], pack["lengths"])
                 )
                 if donor is not None:
                     digest = hash_bytes(donor)
@@ -538,27 +458,12 @@ def _scrub_archive(context: SaveContext, deep: bool) -> ScrubReport:
             if donor is None:
                 report.lost_artifacts.append(artifact_id)
                 continue
-            for state in file_rep.replicas:
-                if state.name in unreachable:
-                    continue
-                try:
-                    healthy = (
-                        state.store.exists(artifact_id)
-                        and _safe_digest(state.store, artifact_id) == digest
-                        and (not deep or state.store.verify_artifact(artifact_id))
-                    )
-                    if healthy:
-                        continue
-                    if state.store.exists(artifact_id):
-                        state.store.delete(artifact_id)
-                    state.store.put(
-                        donor, artifact_id=artifact_id, category="repair", digest=digest
-                    )
-                except _REPLICA_FAILURES:
-                    unreachable.add(state.name)
-                    continue
-                report.artifacts_healed.append((state.name, artifact_id))
-                report.bytes_copied += len(donor)
+            healed, failed = file_rep.heal(
+                artifact_id, donor, digest, deep, skip=unreachable
+            )
+            unreachable |= failed
+            report.artifacts_healed.extend((name, artifact_id) for name in healed)
+            report.bytes_copied += len(donor) * len(healed)
 
     with _trace.span("prune-orphans", kind="scrub"):
         # 4. Prune minority orphans: copies no majority (and no document)
@@ -566,69 +471,27 @@ def _scrub_archive(context: SaveContext, deep: bool) -> ScrubReport:
         # document pruning, refused while any replica is unreachable: the
         # "orphan" may be a committed artifact whose other holders are down.
         if not unreachable:
-            for state in file_rep.replicas:
-                try:
-                    for artifact_id in sorted(
-                        set(state.store.ids()) - set(canonical)
-                    ):
-                        state.store.delete(artifact_id)
-                        report.artifacts_pruned.append((state.name, artifact_id))
-                except _REPLICA_FAILURES:
-                    unreachable.add(state.name)
+            report.artifacts_pruned, failed = file_rep.prune_orphans(canonical)
+            unreachable |= failed
 
     with _trace.span("repair-chunks", kind="scrub"):
         # 5. Quarantined chunks: with the packs converged, the damaged slice
         # can be re-read from any replica and verified against its digest.
         context._invalidate_chunk_store()
-        if canonical_docs.get(PACKS_COLLECTION):
+        if packs:
             chunk_store = context.chunk_store()
             for digest in chunk_store.quarantined_digests():
                 record = chunk_store._chunks[digest]
-                for state in file_rep.replicas:
-                    try:
-                        data = state.store.get_range(
-                            record.artifact_id, record.offset, record.length
-                        )
-                    except Exception:
-                        continue
-                    if hash_bytes(data) == digest:
-                        chunk_store.repair(digest, data)
-                        report.chunks_repaired.append(digest)
-                        break
+                data = file_rep.verified_slice(
+                    record.artifact_id, record.offset, record.length, digest
+                )
+                if data is not None:
+                    chunk_store.repair(digest, data)
+                    report.chunks_repaired.append(digest)
 
     report.unreachable_replicas = sorted(unreachable)
     report.residual_divergence = replica_divergence(file_rep, doc_rep, deep=deep)
     return report
-
-
-def _reassemble_pack(file_rep, pack_doc: dict, artifact_id: str) -> bytes | None:
-    """Rebuild a pack whose every whole copy is damaged, chunk by chunk.
-
-    Corruption rarely hits the same offsets on two replicas, so each
-    chunk slice is tried against every replica and accepted where its
-    content digest matches; the pack is byte-identical to the original
-    exactly when all slices recover.
-    """
-    parts: list[bytes] = []
-    offset = 0
-    for digest, length in zip(pack_doc["digests"], pack_doc["lengths"]):
-        length = int(length)
-        slice_bytes = None
-        for state in file_rep.replicas:
-            try:
-                if not state.store.exists(artifact_id):
-                    continue
-                data = state.store.get_range(artifact_id, offset, length)
-            except Exception:
-                continue
-            if hash_bytes(data) == digest:
-                slice_bytes = data
-                break
-        if slice_bytes is None:
-            return None
-        parts.append(slice_bytes)
-        offset += length
-    return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The storage stack already isolates failures *below* the shard boundary
 (journal rollback, retries, replica quorums); this module gives the
 fleet its own failure domain on top: each shard carries a circuit
-breaker — the same consecutive-failures / half-open-probe pattern
-:mod:`repro.storage.replication` applies per replica, lifted to shard
-granularity and driven by save/flush outcomes:
+breaker — the same :class:`~repro.breaker.Breaker` the replication
+layer keeps per replica, lifted to shard granularity and driven by
+save/flush outcomes:
 
 ``HEALTHY`` --failures >= degraded_after--> ``DEGRADED``
 --failures >= down_after--> ``DOWN`` --every Nth refused op--> half-open
@@ -28,8 +28,9 @@ the first failure visible before the breaker opens.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.breaker import Breaker
 from repro.config import FleetHealthConfig
 
 __all__ = [
@@ -52,29 +53,27 @@ HEALTH_LEVELS = {HEALTHY: 0, DEGRADED: 1, DOWN: 2}
 class ShardHealth:
     """Mutable health record of one shard (guarded by the tracker lock)."""
 
+    #: The shard's circuit breaker: consecutive save/flush failures,
+    #: open/closed, the half-open probe window and the trip count.
+    breaker: Breaker
     state: str = HEALTHY
-    #: Consecutive save/flush failures since the last success.
-    consecutive_failures: int = 0
-    #: Operations refused since the last half-open probe.
-    skipped: int = 0
     #: DOWN-at-open shards never probe; only reopen clears this.
     pinned: bool = False
     #: Human-readable cause of the current non-HEALTHY state.
     reason: str = ""
     # -- counters ----------------------------------------------------------
     transitions: int = 0
-    breaker_trips: int = 0  # entries into DOWN
     probes: int = 0  # half-open probes let through
     refused: int = 0  # operations refused while DOWN
 
     def snapshot(self) -> dict:
         return {
             "state": self.state,
-            "consecutive_failures": self.consecutive_failures,
+            "consecutive_failures": self.breaker.failures,
             "pinned": self.pinned,
             "reason": self.reason,
             "transitions": self.transitions,
-            "breaker_trips": self.breaker_trips,
+            "breaker_trips": self.breaker.trips,  # entries into DOWN
             "probes": self.probes,
             "refused": self.refused,
         }
@@ -83,6 +82,9 @@ class ShardHealth:
 class FleetHealthTracker:
     """Thread-safe health map of every shard in a fleet.
 
+    Each shard's ladder is a :class:`~repro.breaker.Breaker` (``down_after``
+    / ``probe_interval_ops``); the lock, the DEGRADED level, pinning, the
+    reason and the ``refused`` / ``probes`` counters are the tracker's own.
     ``on_transition(shard, old, new, reason)`` is invoked *outside* the
     tracker lock after each state change — the fleet hooks trace events
     and metrics counters there.
@@ -96,7 +98,12 @@ class FleetHealthTracker:
     ) -> None:
         self.config = config if config is not None else FleetHealthConfig()
         self._lock = threading.Lock()
-        self.shards = [ShardHealth() for _ in range(num_shards)]
+        self.shards = [
+            ShardHealth(
+                Breaker(self.config.down_after, self.config.probe_interval_ops)
+            )
+            for _ in range(num_shards)
+        ]
         self._on_transition = on_transition
 
     # -- introspection -----------------------------------------------------
@@ -116,23 +123,26 @@ class FleetHealthTracker:
             return [health.snapshot() for health in self.shards]
 
     # -- transitions -------------------------------------------------------
-    def _set_state_locked(self, shard: int, state: str, reason: str):
-        """Move one shard to ``state``; returns the transition (or None)."""
+    def _sync_locked(self, shard: int, reason: str):
+        """Re-derive one shard's state from its breaker; returns the
+        transition ``(shard, old, new, reason)``, or ``None`` for no change."""
         health = self.shards[shard]
+        if health.breaker.open:
+            state = DOWN
+        elif health.breaker.failures >= int(self.config.degraded_after):
+            state = DEGRADED
+        else:
+            state = HEALTHY
         if health.state == state:
             return None
         old = health.state
         health.state = state
-        health.reason = reason
         health.transitions += 1
-        if state == DOWN:
-            health.breaker_trips += 1
-            health.skipped = 0
         if state == HEALTHY:
-            health.consecutive_failures = 0
-            health.skipped = 0
             health.pinned = False
             health.reason = ""
+        else:
+            health.reason = reason
         return (shard, old, state, reason)
 
     def _fire(self, transition) -> None:
@@ -142,11 +152,12 @@ class FleetHealthTracker:
     def pin_down(self, shard: int, reason: str) -> None:
         """Force a shard DOWN with probing disabled (missing at open)."""
         with self._lock:
-            transition = self._set_state_locked(shard, DOWN, reason)
+            self.shards[shard].breaker.trip()
+            transition = self._sync_locked(shard, reason)
             self.shards[shard].pinned = True
         self._fire(transition)
 
-    def allow(self, shard: int) -> bool:
+    def allow(self, shard: int, probing: bool = True) -> bool:
         """Gate one operation against the shard's breaker.
 
         HEALTHY/DEGRADED (or tracking disabled): always allowed.  DOWN:
@@ -157,17 +168,13 @@ class FleetHealthTracker:
             return True
         with self._lock:
             health = self.shards[shard]
-            if health.state != DOWN:
+            if not health.breaker.open:
                 return True
             health.refused += 1
-            if health.pinned:
+            if not probing or health.pinned or not health.breaker.allow():
                 return False
-            health.skipped += 1
-            if health.skipped >= int(self.config.probe_interval_ops):
-                health.skipped = 0
-                health.probes += 1
-                return True
-            return False
+            health.probes += 1
+            return True
 
     def gate_read(self, shard: int) -> bool:
         """Read gate: DOWN refuses (counted) but never probes.
@@ -177,14 +184,7 @@ class FleetHealthTracker:
         shard — only save/flush outcomes (and their half-open probes via
         :meth:`allow`) move the breaker.
         """
-        if not self.config.enabled:
-            return True
-        with self._lock:
-            health = self.shards[shard]
-            if health.state != DOWN:
-                return True
-            health.refused += 1
-            return False
+        return self.allow(shard, probing=False)
 
     def reason(self, shard: int) -> str:
         with self._lock:
@@ -195,11 +195,8 @@ class FleetHealthTracker:
         if not self.config.enabled:
             return
         with self._lock:
-            health = self.shards[shard]
-            health.consecutive_failures = 0
-            transition = self._set_state_locked(
-                shard, HEALTHY, "operation succeeded"
-            )
+            self.shards[shard].breaker.success()
+            transition = self._sync_locked(shard, "operation succeeded")
         self._fire(transition)
 
     def record_failure(
@@ -217,17 +214,10 @@ class FleetHealthTracker:
         reason = f"{type(error).__name__}: {error}"
         with self._lock:
             health = self.shards[shard]
+            if not (saving or health.breaker.open):
+                return
+            health.breaker.failure()
             if health.state == DOWN:
-                # A failed half-open probe: stay DOWN, restart the window.
-                health.skipped = 0
-                health.reason = reason
-                return
-            if not saving:
-                return
-            health.consecutive_failures += 1
-            transition = None
-            if health.consecutive_failures >= int(self.config.down_after):
-                transition = self._set_state_locked(shard, DOWN, reason)
-            elif health.consecutive_failures >= int(self.config.degraded_after):
-                transition = self._set_state_locked(shard, DEGRADED, reason)
+                health.reason = reason  # a failed probe: stay DOWN
+            transition = self._sync_locked(shard, reason)
         self._fire(transition)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.storage.document_store import check_document_key
 from repro.storage.journal import SaveJournal, innermost
 
 #: Directory name of the fleet-level registry subtree under a fleet root
@@ -49,8 +50,11 @@ def journaled_write(store, journal, collection: str, doc_id: str, document: dict
 
     Inside a save transaction the op joins the save's journal entry;
     standalone callers open their own transaction around this.  With no
-    journal (in-memory contexts) the write is plain raw.
+    journal (in-memory contexts) the write is plain raw.  A name the
+    stores refuse (family and tag names come from callers) is refused
+    here first, before an undo op that could not be replayed is logged.
     """
+    check_document_key(collection, doc_id)
     txn = journal.active_txn() if journal is not None else None
     if txn is not None:
         prior = store._read_raw(collection, doc_id)
@@ -72,6 +76,7 @@ def journaled_write(store, journal, collection: str, doc_id: str, document: dict
 
 def journaled_delete(store, journal, collection: str, doc_id: str):
     """Raw-delete one registry document, undo-logged against any open txn."""
+    check_document_key(collection, doc_id)
     txn = journal.active_txn() if journal is not None else None
     if txn is not None:
         prior = store._read_raw(collection, doc_id)

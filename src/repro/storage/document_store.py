@@ -16,7 +16,7 @@ import itertools
 import json
 from typing import Any
 
-from repro.errors import DocumentNotFoundError
+from repro.errors import DocumentNotFoundError, StorageError
 from repro.storage.hardware import LOCAL_PROFILE, HardwareProfile
 from repro.storage.stats import StorageStats
 
@@ -38,6 +38,37 @@ def document_num_bytes(document: JsonDocument) -> int:
     return encode_document(document)[1]
 
 
+def check_document_key(collection: str, doc_id: str | None = None) -> None:
+    """Refuse a collection or document id that cannot name a file.
+
+    Durable stores lay documents out as ``<collection>/<doc_id>.json`` and
+    some ids (registry family and tag names) come from callers, so every
+    write entry point of every document store checks both names *before*
+    anything is mutated or charged — in memory too, so all archives refuse
+    the same names.  A name is non-empty, has no ``/`` or ``\\`` and no
+    leading ``.``; ``:`` is legal.  ``doc_id=None``: the store draws the id.
+    """
+    for name in (collection,) if doc_id is None else (collection, doc_id):
+        if not name or name[0] == "." or "/" in name or "\\" in name:
+            raise StorageError(
+                f"invalid document key {collection!r}/{doc_id!r}: a collection "
+                "or document id must be non-empty, without '/' or '\\' and "
+                "without a leading '.'"
+            )
+
+
+def auto_id_counter(doc_ids=()) -> "itertools.count[int]":
+    """Counter behind the ``doc-<n>`` auto ids, resuming past ``doc_ids``."""
+    highest = -1
+    for doc_id in doc_ids:
+        if doc_id.startswith("doc-"):
+            try:
+                highest = max(highest, int(doc_id[4:]))
+            except ValueError:
+                pass
+    return itertools.count(highest + 1)
+
+
 class DocumentStore:
     """Collection-based JSON document store with byte/op accounting."""
 
@@ -48,7 +79,7 @@ class DocumentStore:
         #: (collection, doc_id) -> category charged at insert time, so a
         #: delete returns the bytes to the right breakdown bucket.
         self._categories: dict[tuple[str, str], str] = {}
-        self._id_counter = itertools.count()
+        self._id_counter = auto_id_counter()
 
     # -- write -----------------------------------------------------------
     def insert(
@@ -64,6 +95,7 @@ class DocumentStore:
         JSON-serializability and to decouple the store from caller-held
         references (as a real remote store would).
         """
+        check_document_key(collection, doc_id)
         encoded = json.dumps(document, separators=(",", ":"))
         if doc_id is None:
             doc_id = f"doc-{next(self._id_counter):08d}"
@@ -73,7 +105,15 @@ class DocumentStore:
         self.stats.record_write(
             num_bytes, self.profile.doc_write_cost(num_bytes), category
         )
+        self._persist(collection, doc_id)
         return doc_id
+
+    def _persist(self, collection: str, doc_id: str) -> None:
+        """Hook run after every mutation of one document (in memory: nothing).
+
+        Durable stores write the document's *current* state through here —
+        its file, or no file once it is gone.
+        """
 
     # -- read ------------------------------------------------------------
     def get(self, collection: str, doc_id: str) -> JsonDocument:
@@ -114,14 +154,17 @@ class DocumentStore:
         Used by the save journal for its begin/commit records and by
         crash recovery when restoring a document's prior contents —
         bookkeeping of the durability machinery itself, not archive data.
-        Persistent stores override this to also write through to disk.
         """
+        check_document_key(collection, doc_id)
         encoded = json.dumps(document, separators=(",", ":"))
         self._collections.setdefault(collection, {})[doc_id] = json.loads(encoded)
+        self._persist(collection, doc_id)
 
     def _delete_raw(self, collection: str, doc_id: str) -> None:
         """Remove a document without charging; missing ids are a no-op."""
+        check_document_key(collection, doc_id)
         self._collections.get(collection, {}).pop(doc_id, None)
+        self._persist(collection, doc_id)
         self._drop_if_empty(collection)
 
     def _drop_if_empty(self, collection: str) -> None:
@@ -148,6 +191,7 @@ class DocumentStore:
         ``bytes_by_category`` bucket (see
         :meth:`~repro.storage.stats.StorageStats.record_delete`).
         """
+        check_document_key(collection, doc_id)
         try:
             document = self._collections[collection][doc_id]
         except KeyError:
@@ -160,6 +204,7 @@ class DocumentStore:
         self.stats.record_delete(
             num_bytes, self._categories.pop((collection, doc_id), "metadata")
         )
+        self._persist(collection, doc_id)
 
     def replace(self, collection: str, doc_id: str, document: JsonDocument) -> None:
         """Overwrite an existing document in place (charged as a write).
@@ -167,6 +212,7 @@ class DocumentStore:
         Used by compaction, which rewrites a delta/provenance set
         descriptor as a full snapshot.
         """
+        check_document_key(collection, doc_id)
         if doc_id not in self._collections.get(collection, {}):
             raise DocumentNotFoundError(
                 f"no document {doc_id!r} in collection {collection!r}"
@@ -183,6 +229,7 @@ class DocumentStore:
         self.stats.record_write(
             num_bytes, self.profile.doc_write_cost(num_bytes), "metadata"
         )
+        self._persist(collection, doc_id)
 
     # -- inspection (management plane, not charged) -----------------------
     def peek(self, collection: str, doc_id: str) -> JsonDocument | None:

@@ -39,6 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import SimulatedCrashError, StorageError
+from repro.storage.document_store import check_document_key
 from repro.storage.hashing import hash_bytes
 
 #: Document-store collection holding one entry per open transaction.
@@ -430,6 +431,9 @@ class JournaledDocumentStore(_StoreProxy):
             return self._inner.insert(
                 collection, document, doc_id=doc_id, category=category
             )
+        # Refuse a bad name before the intent is logged: the undo of an
+        # insert is a raw delete, which refuses the same names.
+        check_document_key(collection, doc_id)
         if doc_id is None:
             # Pre-draw the auto id from the inner counter so the intent
             # can be logged write-ahead; the inner insert then stores

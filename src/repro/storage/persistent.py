@@ -28,7 +28,7 @@ from repro.errors import (
     DuplicateArtifactError,
     StorageError,
 )
-from repro.storage.document_store import DocumentStore
+from repro.storage.document_store import DocumentStore, auto_id_counter
 from repro.storage.hardware import (
     LOCAL_PROFILE,
     HardwareProfile,
@@ -60,11 +60,9 @@ class PersistentFileStore:
         self,
         directory: str | Path,
         profile: HardwareProfile = LOCAL_PROFILE,
-        verify_checksums: bool = True,
     ) -> None:
         self.profile = profile
         self.stats = StorageStats()
-        self.verify_checksums = verify_checksums
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
         self.sweep_temp_files()
@@ -156,12 +154,11 @@ class PersistentFileStore:
         if artifact_id not in self._sizes:
             raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
         data = self._path(artifact_id).read_bytes()
-        if self.verify_checksums:
-            recorded = self._path(artifact_id).with_suffix(".sha256")
-            if recorded.exists() and recorded.read_text() != hash_bytes(data):
-                raise StorageError(
-                    f"artifact {artifact_id!r} failed checksum verification"
-                )
+        recorded = self._path(artifact_id).with_suffix(".sha256")
+        if recorded.exists() and recorded.read_text() != hash_bytes(data):
+            raise StorageError(
+                f"artifact {artifact_id!r} failed checksum verification"
+            )
         self.stats.record_read(len(data), self._read_cost(len(data), workers))
         return data
 
@@ -348,76 +345,27 @@ class PersistentDocumentStore(DocumentStore):
         super().__init__(profile=profile)
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
-        max_counter = -1
         for collection_dir in self._directory.iterdir():
             if not collection_dir.is_dir():
                 continue
-            collection = collection_dir.name
             for doc_path in collection_dir.glob("*.json"):
-                doc_id = doc_path.stem
-                self._collections.setdefault(collection, {})[doc_id] = json.loads(
-                    doc_path.read_text()
-                )
-                if doc_id.startswith("doc-"):
-                    try:
-                        max_counter = max(max_counter, int(doc_id[4:]))
-                    except ValueError:
-                        pass
+                documents = self._collections.setdefault(collection_dir.name, {})
+                documents[doc_path.stem] = json.loads(doc_path.read_text())
         # Resume auto-ids beyond anything already on disk.
-        import itertools
-
-        self._id_counter = itertools.count(max_counter + 1)
-
-    def insert(
-        self,
-        collection: str,
-        document: dict,
-        doc_id: str | None = None,
-        category: str = "metadata",
-    ) -> str:
-        doc_id = super().insert(collection, document, doc_id=doc_id, category=category)
-        if "/" in doc_id or "/" in collection:
-            raise StorageError(f"invalid document id {doc_id!r} or collection")
-        collection_dir = self._directory / collection
-        collection_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
-            collection_dir / f"{doc_id}.json",
-            json.dumps(
-                self._collections[collection][doc_id], separators=(",", ":")
-            ).encode("utf-8"),
-        )
-        return doc_id
-
-    def replace(self, collection: str, doc_id: str, document: dict) -> None:
-        super().replace(collection, doc_id, document)
-        _atomic_write(
-            self._directory / collection / f"{doc_id}.json",
-            json.dumps(
-                self._collections[collection][doc_id], separators=(",", ":")
-            ).encode("utf-8"),
+        self._id_counter = auto_id_counter(
+            doc_id for documents in self._collections.values() for doc_id in documents
         )
 
-    def delete(self, collection: str, doc_id: str) -> None:
-        """Remove a document from memory and disk (garbage collection)."""
-        super().delete(collection, doc_id)
-        (self._directory / collection / f"{doc_id}.json").unlink(missing_ok=True)
-
-    def _write_raw(self, collection: str, doc_id: str, document: dict) -> None:
-        """Uncharged durable write (journal records, rollback restores)."""
-        super()._write_raw(collection, doc_id, document)
-        collection_dir = self._directory / collection
-        collection_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
-            collection_dir / f"{doc_id}.json",
-            json.dumps(
-                self._collections[collection][doc_id], separators=(",", ":")
-            ).encode("utf-8"),
-        )
-
-    def _delete_raw(self, collection: str, doc_id: str) -> None:
-        super()._delete_raw(collection, doc_id)
-        (self._directory / collection / f"{doc_id}.json").unlink(missing_ok=True)
-        self._drop_if_empty(collection)
+    def _persist(self, collection: str, doc_id: str) -> None:
+        """Write the document's current state through: its file, written
+        atomically — or no file, once the document is gone."""
+        path = self._directory / collection / f"{doc_id}.json"
+        document = self._collections.get(collection, {}).get(doc_id)
+        if document is None:
+            path.unlink(missing_ok=True)
+            return
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_write(path, json.dumps(document, separators=(",", ":")).encode("utf-8"))
 
     def _drop_if_empty(self, collection: str) -> None:
         super()._drop_if_empty(collection)
@@ -428,46 +376,17 @@ class PersistentDocumentStore(DocumentStore):
                 pass
 
 
-def detect_replicas(directory: str | Path) -> int:
-    """Number of ``replica-<i>`` topology directories under ``directory``.
+def _topology(directory: str | Path, prefix: str) -> int:
+    """``max(index) + 1`` over the ``<prefix><index>`` subdirectories.
 
-    The count is ``max(index) + 1`` over every ``replica-<i>`` directory
-    present, *not* a sequential scan from zero: losing a whole replica
-    directory (the disk failure replication exists to survive) must not
-    make the archive silently reopen as an empty single-backend layout.
-    A gap reopens as the full topology with the lost replica empty, which
-    ``fsck`` reports as degraded and ``scrub`` heals.  Returns 1 for a
-    single-backend archive (the classic ``artifacts``/``documents``
-    layout).
+    *Not* a sequential scan from zero: losing one whole subtree (the
+    disk failure replication and sharding exist to survive) must reopen
+    as the full topology with the lost member empty or DOWN — which
+    ``fsck`` reports and ``scrub`` heals — never as a silently smaller
+    archive.
     """
     root = Path(directory)
     highest = -1
-    prefix = "replica-"
-    if root.is_dir():
-        for entry in root.iterdir():
-            if not entry.is_dir() or not entry.name.startswith(prefix):
-                continue
-            try:
-                index = int(entry.name[len(prefix):])
-            except ValueError:
-                continue
-            highest = max(highest, index)
-    return max(highest + 1, 1)
-
-
-def detect_shards(directory: str | Path) -> int:
-    """Number of ``shard-<i>`` fleet directories under ``directory``.
-
-    Mirrors :func:`detect_replicas`: the count is ``max(index) + 1`` over
-    every ``shard-<i>`` directory present, so losing a whole shard
-    directory reopens as the full (degraded) topology rather than a
-    silently smaller fleet.  Returns **0** when no ``shard-*`` directory
-    exists — a plain single-archive layout (or a fresh directory), which
-    the classic ``MultiModelManager`` entry points own.
-    """
-    root = Path(directory)
-    highest = -1
-    prefix = "shard-"
     if root.is_dir():
         for entry in root.iterdir():
             if not entry.is_dir() or not entry.name.startswith(prefix):
@@ -480,69 +399,49 @@ def detect_shards(directory: str | Path) -> int:
     return highest + 1
 
 
-def open_context(
-    directory: str | Path,
-    profile: HardwareProfile = LOCAL_PROFILE,
-    dedup: bool = False,
-    journal: bool = True,
-    retry: "object | None" = None,
-    replicas: int | None = None,
-    write_quorum: int | None = None,
-    read_quorum: int | None = None,
-    replication_policy: "object | None" = None,
-    config: "object | None" = None,
-):
+def detect_replicas(directory: str | Path) -> int:
+    """Number of ``replica-<i>`` topology directories under ``directory``.
+
+    Returns 1 for a single-backend archive (the classic
+    ``artifacts``/``documents`` layout); see :func:`_topology` for gaps.
+    """
+    return max(_topology(directory, "replica-"), 1)
+
+
+def detect_shards(directory: str | Path) -> int:
+    """Number of ``shard-<i>`` fleet directories under ``directory``.
+
+    Returns **0** when no ``shard-*`` directory exists — a plain
+    single-archive layout (or a fresh directory), which the classic
+    ``MultiModelManager`` entry points own; see :func:`_topology` for gaps.
+    """
+    return _topology(directory, "shard-")
+
+
+def open_context(directory: str | Path, config: "object | None" = None):
     """Open (or create) a durable save context rooted at ``directory``.
 
-    ``config`` (an :class:`~repro.config.ArchiveConfig`) is the preferred
-    way to describe the archive and supersedes the per-knob parameters;
-    the knobs remain as internal plumbing for callers that tweak a single
-    setting.
+    ``config`` is the :class:`~repro.config.ArchiveConfig` describing the
+    archive (defaults when ``None``); what opening adds to its fields:
 
-    With ``dedup=True`` parameter writes go through the content-addressed
-    chunk layer; the chunk index itself lives in the document store, so a
-    reopened archive resumes deduplicating against everything on disk.
-
-    ``journal=True`` (the default for durable archives) attaches the
-    write-ahead save journal and immediately runs crash recovery: torn
-    saves left by a dead process are rolled back and reported on the
-    returned context's ``recovery_report``.  ``retry`` accepts a
-    :class:`~repro.storage.faults.RetryPolicy` to re-issue transiently
-    failing store operations with exponential backoff.
-
-    ``replicas > 1`` lays the archive out as ``replica-<i>/artifacts`` +
-    ``replica-<i>/documents`` subtrees fanned behind the quorum
-    replication layer (:mod:`repro.storage.replication`); ``replicas=None``
-    auto-detects the topology from the directory, so a replicated archive
-    reopens replicated without any flags.  ``retry`` then wraps each
-    backend *below* the replication layer: transient blips are retried on
-    the replica that had them, and only a persistent outage fails over.
+    * ``journal`` attaches the write-ahead save journal and immediately
+      runs crash recovery: torn saves left by a dead process are rolled
+      back and reported on the returned context's ``recovery_report``.
+    * ``dedup`` keeps the chunk index in the document store, so a
+      reopened archive resumes deduplicating against everything on disk.
+    * ``replicas > 1`` lays the archive out as ``replica-<i>/artifacts`` +
+      ``replica-<i>/documents`` subtrees behind the quorum replication
+      layer (:mod:`repro.storage.replication`); ``None`` auto-detects the
+      topology, so a replicated archive reopens replicated without flags.
+    * ``retry`` then wraps each backend *below* the replication layer:
+      transient blips are retried on the replica that had them, and only
+      a persistent outage fails over.
     """
-    from repro.config import ArchiveConfig
-    from repro.core.approach import SaveContext, apply_observability
-    from repro.serving import apply_serving
-    from repro.datasets.registry import default_registry
+    from repro.config import resolve_config
+    from repro.core.approach import build_context
 
-    if config is None:
-        config = ArchiveConfig(
-            profile=profile,
-            dedup=dedup,
-            journal=journal,
-            retry=retry,
-            replicas=replicas,
-            write_quorum=write_quorum,
-            read_quorum=read_quorum,
-            replication_policy=replication_policy,
-        )
-    profile = config.profile
-    dedup = config.dedup
-    journal = config.journal
-    retry = config.retry
-    replicas = config.replicas
-    write_quorum = config.write_quorum
-    read_quorum = config.read_quorum
-    replication_policy = config.replication_policy
-
+    config = resolve_config("open_context", config)
+    profile, retry = config.profile, config.retry
     root = Path(directory)
     if detect_shards(root):
         # A fleet layout reopened through the single-archive entry point
@@ -553,8 +452,7 @@ def open_context(
             "subtrees); open it with repro.fleet.FleetManager.open or "
             "repro-archive --shards"
         )
-    if replicas is None:
-        replicas = detect_replicas(root)
+    replicas = detect_replicas(root) if config.replicas is None else config.replicas
     if replicas > 1:
         # Refuse to shadow an existing single-backend archive: fresh
         # empty replica-<i> subtrees would make its data silently
@@ -567,100 +465,25 @@ def open_context(
                     f"move it into {root / 'replica-0'}/ (one subtree per "
                     "replica) before reopening with replicas > 1"
                 )
-        from repro.storage.replication import (
-            ReplicatedDocumentStore,
-            ReplicatedFileStore,
-        )
+        from repro.storage.faults import RetryingDocumentStore, RetryingFileStore
+        from repro.storage.replication import replicated_pair
 
-        file_backends = []
-        doc_backends = []
-        names = []
-        for index in range(replicas):
-            base = root / f"replica-{index}"
-            file_backend = PersistentFileStore(base / "artifacts", profile=profile)
-            doc_backend = PersistentDocumentStore(
-                base / "documents", profile=profile
-            )
-            if retry is not None:
-                from repro.storage.faults import (
-                    RetryingDocumentStore,
-                    RetryingFileStore,
-                )
-
-                file_backend = RetryingFileStore(file_backend, retry)
-                doc_backend = RetryingDocumentStore(doc_backend, retry)
-            file_backends.append(file_backend)
-            doc_backends.append(doc_backend)
-            names.append(f"replica-{index}")
-        context = SaveContext(
-            file_store=ReplicatedFileStore(
-                file_backends,
-                write_quorum=write_quorum,
-                read_quorum=read_quorum,
-                policy=replication_policy,
-                names=names,
-            ),
-            document_store=ReplicatedDocumentStore(
-                doc_backends,
-                write_quorum=write_quorum,
-                read_quorum=read_quorum,
-                policy=replication_policy,
-                names=list(names),
-            ),
-            dataset_registry=default_registry(),
-            workers=config.workers,
-            dedup=dedup,
-            config=config,
-        )
-        _resume_set_counter(context)
-        if journal:
-            from repro.storage.journal import attach_journal
-
-            context.recovery_report = attach_journal(context).recover()
-        apply_observability(context, config)
-        apply_serving(context, config)
-        if config.registry:
-            from repro.registry import attach_registry
-
-            attach_registry(context)
-        return context
-    context = SaveContext(
-        file_store=PersistentFileStore(root / "artifacts", profile=profile),
-        document_store=PersistentDocumentStore(root / "documents", profile=profile),
-        dataset_registry=default_registry(),
-        workers=config.workers,
-        dedup=dedup,
-        config=config,
+        bases = [root / f"replica-{index}" for index in range(replicas)]
+        file_backends = [
+            PersistentFileStore(base / "artifacts", profile=profile) for base in bases
+        ]
+        doc_backends = [
+            PersistentDocumentStore(base / "documents", profile=profile)
+            for base in bases
+        ]
+        if retry is not None:
+            file_backends = [RetryingFileStore(store, retry) for store in file_backends]
+            doc_backends = [RetryingDocumentStore(store, retry) for store in doc_backends]
+        file_store, document_store = replicated_pair(file_backends, doc_backends, config)
+        retry = None  # applied per backend above
+    else:
+        file_store = PersistentFileStore(root / "artifacts", profile=profile)
+        document_store = PersistentDocumentStore(root / "documents", profile=profile)
+    return build_context(
+        file_store, document_store, config, retry=retry, journal=config.journal
     )
-    _resume_set_counter(context)
-    if retry is not None:
-        from repro.storage.faults import attach_retries
-
-        attach_retries(context, retry)
-    if journal:
-        from repro.storage.journal import attach_journal
-
-        context.recovery_report = attach_journal(context).recover()
-    apply_observability(context, config)
-    apply_serving(context, config)
-    if config.registry:
-        from repro.registry import attach_registry
-
-        attach_registry(context)
-    return context
-
-
-def _resume_set_counter(context) -> None:
-    """Advance the context's set-id counter past persisted ids."""
-    import itertools
-
-    from repro.core.approach import SETS_COLLECTION
-
-    max_counter = -1
-    for set_id in context.document_store.collection_ids(SETS_COLLECTION):
-        suffix = set_id.rsplit("-", 1)[-1]
-        try:
-            max_counter = max(max_counter, int(suffix))
-        except ValueError:
-            continue
-    context._set_counter = itertools.count(max_counter + 1)

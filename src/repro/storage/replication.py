@@ -7,10 +7,10 @@ style:
 * **quorum writes** — every mutation fans out to all reachable replicas
   and succeeds once ``write_quorum`` (W) of them acknowledge; replicas
   that missed the write are enqueued for targeted repair.
-* **health tracking** — each replica carries a consecutive-failure
-  circuit breaker: after ``failure_threshold`` straight failures the
-  breaker opens and traffic skips the node, with a half-open probe every
-  ``probe_interval_ops`` skipped operations so a recovered node is
+* **health tracking** — each replica carries a
+  :class:`~repro.breaker.Breaker`: after ``failure_threshold`` straight
+  failures it opens and traffic skips the node, with a half-open probe
+  every ``probe_interval_ops`` skipped operations so a recovered node is
   noticed and folded back in.
 * **failover reads** — artifact reads are served from the fastest
   healthy replica (belief order: profile cost, then index) and verified
@@ -25,6 +25,13 @@ style:
   the parallel per-replica costs, recorded once on the layer's own
   :class:`~repro.storage.stats.StorageStats` (per-replica stats keep
   each backend's private view).
+
+How a replica is visited, and what counts as its failure, is written
+once, in three primitives (DESIGN.md §7): :meth:`_ReplicaSet._fan_out`
+for every mutation (with its epilogue :meth:`_ReplicaSet._settle` /
+:meth:`_ReplicaSet._charge`), :meth:`ReplicatedFileStore._failover_read`
+for every charged artifact read, and :meth:`_ReplicaSet._scan` for every
+uncharged question — the only one that never touches a breaker.
 
 The layer slots *under* the save journal and the chunk store unchanged:
 the replicated stores expose the full store surface and deliberately
@@ -49,29 +56,34 @@ byte-identical state.
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
+from repro.breaker import Breaker
 from repro.errors import (
     ArtifactCorruptionError,
     ArtifactNotFoundError,
     DocumentNotFoundError,
     DuplicateArtifactError,
     QuorumError,
-    SimulatedCrashError,
     StorageError,
 )
 from repro.observability import trace as _trace
-from repro.storage.document_store import document_num_bytes, encode_document
+from repro.storage.document_store import (
+    auto_id_counter,
+    check_document_key,
+    document_num_bytes,
+    encode_document,
+)
 from repro.storage.hardware import makespan
 from repro.storage.hashing import hash_bytes
 from repro.storage.stats import StorageStats
 
 #: Exceptions that mark a *replica* as failed (the fan-out continues).
-#: :class:`~repro.errors.SimulatedCrashError` is deliberately not a
-#: :class:`StorageError`: a process kill must unwind through the layer.
+#: :class:`~repro.errors.SimulatedCrashError` is deliberately neither: a
+#: process kill must unwind through the layer untouched.
 _REPLICA_FAILURES = (StorageError, OSError)
 
 #: Artifact size used to rank replicas by *believed* read cost.  Routing
@@ -79,6 +91,15 @@ _REPLICA_FAILURES = (StorageError, OSError)
 #: still sorts by its healthy cost, which is exactly the regime hedged
 #: reads exist for.
 _PROBE_BYTES = 1 << 20
+
+#: Fan-out closure result: this replica missed the mutation through no
+#: fault of its own (no breaker penalty).
+_MISSED = object()
+#: Failover-read closure results in place of ``(payload, size)``: the copy
+#: is absent / fails verification.  ``_FAILED`` is the primitive's own.
+_MISSING, _CORRUPT, _FAILED = object(), object(), object()
+#: :meth:`ReplicatedFileStore.verified_copy`: accept any recorded digest.
+_ANY = object()
 
 
 @dataclass(frozen=True)
@@ -102,18 +123,36 @@ class ReplicaState:
 
     name: str
     store: Any
+    #: Consecutive-failure circuit breaker gating traffic to the node.
+    breaker: Breaker
     #: Multiplier on this replica's *actual* simulated latency, modeling
     #: unexpected degradation the router does not know about (routing
     #: ranks replicas by healthy profile cost only).
     latency_factor: float = 1.0
-    #: Consecutive failed operations (reset on any success).
-    failures: int = 0
-    #: True while the circuit breaker is open (traffic skips the node).
-    breaker_open: bool = False
-    #: Operations skipped since the breaker opened / the last probe.
-    skipped: int = 0
-    #: Times the breaker has opened (monitoring).
-    breaker_trips: int = 0
+
+    # Monitoring / test views of the breaker.
+    @property
+    def failures(self) -> int:
+        """Consecutive failed operations (reset on any success)."""
+        return self.breaker.failures
+
+    @failures.setter
+    def failures(self, value: int) -> None:
+        self.breaker.failures = value
+
+    @property
+    def breaker_open(self) -> bool:
+        """True while the circuit breaker is open (traffic skips the node)."""
+        return self.breaker.open
+
+    @breaker_open.setter
+    def breaker_open(self, value: bool) -> None:
+        self.breaker.open = value
+
+    @property
+    def breaker_trips(self) -> int:
+        """Times the breaker has opened (monitoring)."""
+        return self.breaker.trips
 
 
 def default_quorums(num_replicas: int) -> tuple[int, int]:
@@ -145,8 +184,6 @@ class _ReplicaSet:
         write_quorum: int | None = None,
         read_quorum: int | None = None,
         policy: ReplicationPolicy | None = None,
-        names: list[str] | None = None,
-        latency_factors: list[float] | None = None,
     ) -> None:
         if not stores:
             raise ValueError("at least one replica store is required")
@@ -162,88 +199,216 @@ class _ReplicaSet:
                 raise ValueError(
                     f"{label} must be between 1 and {count}, got {value}"
                 )
-        self.policy = policy or ReplicationPolicy()
+        self.policy = policy = policy or ReplicationPolicy()
         self.stats = StorageStats()
-        if names is None:
-            names = [f"replica-{index}" for index in range(count)]
-        factors = latency_factors or [1.0] * count
         self.replicas = [
-            ReplicaState(name=name, store=store, latency_factor=factor)
-            for name, store, factor in zip(names, stores, factors)
+            ReplicaState(
+                f"replica-{index}",
+                store,
+                Breaker(policy.failure_threshold, policy.probe_interval_ops),
+            )
+            for index, store in enumerate(stores)
         ]
         self.profile = self.replicas[0].store.profile
+        #: replica index -> {key: "put" | "delete"}; the key is opaque
+        #: here (an artifact id, or a ``(collection, doc_id)`` pair).
+        self._pending: dict[int, dict[Any, str]] = {}
+        #: key -> category charged on this layer's stats at write time,
+        #: so a delete returns the bytes to the same bucket.
+        self._categories: dict[Any, str] = {}
 
-    # -- health ----------------------------------------------------------
-    def _allow(self, state: ReplicaState) -> bool:
-        """Breaker gate for one operation; open breakers probe half-open."""
-        if not state.breaker_open:
-            return True
-        state.skipped += 1
-        if state.skipped >= self.policy.probe_interval_ops:
-            state.skipped = 0
-            return True
-        return False
+    # -- primitive 1: the write fan-out -----------------------------------
+    def _fan_out(self, visit, key=None, targets=None, gated=True):
+        """Apply one mutation to the replicas; returns ``(acks, missed)``.
 
-    def _ok(self, state: ReplicaState) -> None:
-        state.failures = 0
-        if state.breaker_open:
-            state.breaker_open = False
-            state.skipped = 0
+        ``visit(index, store)`` mutates one backend.  Per replica (all,
+        or the ``targets`` indices): a breaker refusal (``gated`` only)
+        is a miss; a ``StorageError`` / ``OSError`` penalises the breaker
+        and is a miss; :data:`_MISSED` is a miss without penalty; anything
+        else is an ack — the breaker closes and the repair entry for
+        ``key`` is cleared.  Both results list replica indices.
+        """
+        acks: list[int] = []
+        missed: list[int] = []
+        if targets is None:
+            targets = range(len(self.replicas))
+        for index in targets:
+            state = self.replicas[index]
+            outcome = _MISSED  # unless the visit runs and acknowledges
+            if not gated or state.breaker.allow():
+                try:
+                    outcome = visit(index, state.store)
+                except _REPLICA_FAILURES:
+                    state.breaker.failure()
+            if outcome is _MISSED:
+                missed.append(index)
+                continue
+            state.breaker.success()
+            if key is not None:
+                self._clear_repair(index, key)
+            acks.append(index)
+        return acks, missed
 
-    def _fail(self, state: ReplicaState) -> None:
-        state.failures += 1
-        if state.breaker_open:
-            state.skipped = 0  # failed probe: restart the cooldown
-        elif state.failures >= self.policy.failure_threshold:
-            state.breaker_open = True
-            state.breaker_trips += 1
-            state.skipped = 0
-
-    def _require_quorum(self, successes: int, quorum: int, what: str) -> None:
-        if successes < quorum:
+    def _settle(self, what: str, key, op: str, acks, missed, quorum: int) -> None:
+        """The epilogue of a fan-out: require the quorum, queue repairs."""
+        if len(acks) < quorum:
             raise QuorumError(
-                f"{what}: {successes} replica(s) acknowledged, "
+                f"{what}: {len(acks)} replica(s) acknowledged, "
                 f"quorum is {quorum} of {len(self.replicas)}"
             )
+        for index in missed:
+            self._note_repair(index, key, op)
 
+    def _replicate(self, what: str, key, op: str, visit, quorum=None):
+        """Gated fan-out to every replica, settled at W (or ``quorum``)."""
+        acks, missed = self._fan_out(visit, key)
+        quorum = self.write_quorum if quorum is None else quorum
+        self._settle(what, key, op, acks, missed, quorum)
+        return acks, missed
+
+    def _charge(self, label, key, num_bytes, category, cost, acks, missed) -> None:
+        """Charge one settled quorum write; emit its per-replica breakdown.
+
+        ``cost(store)`` is the write's cost on a healthy backend; the
+        charge is the W-th fastest ack's actual cost.  ``replica-acks``
+        fires only when this layer's stats are the traced ones, like the
+        charge itself — a degraded save shows which replica ate the latency.
+        """
+        costs = [
+            (state.name, cost(state.store) * state.latency_factor)
+            for state in (self.replicas[index] for index in acks)
+        ]
+        self.stats.record_write(
+            num_bytes,
+            _quorum_cost([value for _name, value in costs], self.write_quorum),
+            category,
+        )
+        self._categories[key] = category
+        if self.stats.traced and _trace.active():
+            _trace.add_event(
+                "replica-acks",
+                op=label,
+                quorum=f"{self.write_quorum}/{len(self.replicas)}",
+                acks={name: round(value, 9) for name, value in costs},
+                missed=[self.replicas[index].name for index in missed],
+            )
+
+    # -- primitive 3: the reachable scan ------------------------------------
+    def _scan(self, ask, what: str | None = None, skip=()):
+        """Yield ``(index, ask(store))`` for every replica that answers.
+
+        Replicas named in ``skip`` are not asked; unreachable ones
+        (``StorageError`` / ``OSError``) are skipped; if nobody answered a
+        named question (``what``), exhaustion raises :class:`QuorumError`.
+        Lazy — a caller may stop at the first useful answer — and
+        management plane: no breaker is touched.
+        """
+        silent = True
+        for index, state in enumerate(self.replicas):
+            if state.name in skip:
+                continue
+            try:
+                answer = ask(state.store)
+            except _REPLICA_FAILURES:
+                continue
+            silent = False
+            yield index, answer
+        if silent and what is not None:
+            raise QuorumError(f"{what}: no replica reachable")
+
+    def _first(self, ask, what: str | None = None):
+        """The first answer that is not ``None`` (``None``: nobody has one)."""
+        for _index, answer in self._scan(ask, what):
+            if answer is not None:
+                return answer
+        return None
+
+    def _ask_all(self, ask, skip=()) -> tuple[dict[str, Any], set[str]]:
+        """``({name: answer}, names that gave none)``, ``skip`` aside."""
+        answers = {
+            self.replicas[index].name: answer
+            for index, answer in self._scan(ask, skip=skip)
+        }
+        asked = {state.name for state in self.replicas} - set(skip)
+        return answers, asked - set(answers)
+
+    # -- repair queue -----------------------------------------------------
+    def _note_repair(self, index: int, key, op: str) -> None:
+        self._pending.setdefault(index, {})[key] = op
+
+    def _clear_repair(self, index: int, key) -> None:
+        queue = self._pending.get(index)
+        if queue is not None:
+            queue.pop(key, None)
+            if not queue:
+                del self._pending[index]
+
+    def _drain(self, plan) -> dict:
+        """Replay the queue, one replica at a time and ungated.
+
+        ``plan(key, op)`` returns ``(bucket, visit)``: ``visit`` runs on
+        the replica through the fan-out (success closes its breaker and
+        clears the entry; failure files it as ``"deferred"``).  With
+        ``visit=None`` nothing runs, and ``"dropped"`` forgets the entry.
+        """
+        report = {"repaired": [], "deleted": [], "dropped": [], "deferred": []}
+        queued = [
+            (index, key, op)
+            for index in sorted(self._pending)
+            for key, op in self._pending[index].items()
+        ]
+        for index, key, op in queued:
+            bucket, visit = plan(key, op)
+            if visit is None:
+                if bucket == "dropped":
+                    self._clear_repair(index, key)
+            elif not self._fan_out(visit, key, targets=(index,), gated=False)[0]:
+                bucket = "deferred"
+            entry = (self.replicas[index].name, self._repair_label(key))
+            report[bucket].append(entry)
+        return report
+
+    def _repair_label(self, key) -> str:
+        return key
+
+    def pending_repairs(self) -> dict[str, dict[str, str]]:
+        """Outstanding per-replica repairs, keyed by replica name."""
+        return {
+            self.replicas[index].name: {
+                self._repair_label(key): op for key, op in sorted(queue.items())
+            }
+            for index, queue in sorted(self._pending.items())
+        }
+
+    # -- monitoring --------------------------------------------------------
     def health(self) -> list[dict]:
         """Per-replica health snapshot (monitoring/CLI)."""
         return [
             {
                 "replica": state.name,
-                "breaker_open": state.breaker_open,
-                "consecutive_failures": state.failures,
-                "breaker_trips": state.breaker_trips,
+                "breaker_open": state.breaker.open,
+                "consecutive_failures": state.breaker.failures,
+                "breaker_trips": state.breaker.trips,
             }
             for state in self.replicas
         ]
 
-    def replica_stats(self) -> dict[str, StorageStats]:
-        """Each backend's private accounting, keyed by replica name."""
-        return {state.name: state.store.stats for state in self.replicas}
 
-    def _trace_acks(
-        self,
-        op: str,
-        acks: "list[tuple[str, float]]",
-        missed: "list[int]",
-        quorum: int,
-    ) -> None:
-        """Attach a per-replica breakdown of one quorum write to the trace.
+def _copy_ok(store, artifact_id: str, digest, deep: bool) -> bool:
+    """Does this backend's copy record ``digest`` (``deep``: and hash to it)?"""
+    return _safe_digest(store, artifact_id) == digest and (
+        not deep or store.verify_artifact(artifact_id)
+    )
 
-        Only fires when this layer's stats are the traced (context-level)
-        ones, mirroring how charges attribute — so a degraded save's span
-        tree shows exactly which replica ate the latency.
-        """
-        if not (self.stats.traced and _trace.active()):
-            return
-        _trace.add_event(
-            "replica-acks",
-            op=op,
-            quorum=f"{quorum}/{len(self.replicas)}",
-            acks={name: round(cost, 9) for name, cost in acks},
-            missed=[self.replicas[index].name for index in missed],
-        )
+
+def _heal_copy(store, artifact_id: str, data: bytes, digest, deep: bool = True) -> bool:
+    """Replace one backend's copy unless it is already good; did it write?"""
+    if store.exists(artifact_id):
+        if _copy_ok(store, artifact_id, digest, deep):
+            return False
+        store.delete(artifact_id)
+    store.put(data, artifact_id=artifact_id, category="repair", digest=digest)
+    return True
 
 
 class ReplicatedFileStore(_ReplicaSet):
@@ -257,98 +422,32 @@ class ReplicatedFileStore(_ReplicaSet):
     the anti-entropy scrubber.
     """
 
-    def __init__(self, stores, **kwargs) -> None:
-        super().__init__(stores, **kwargs)
-        #: replica index -> {artifact_id: "put" | "delete"}.
-        self._pending: dict[int, dict[str, str]] = {}
-        #: artifact_id -> category charged on this layer's stats at put
-        #: time, so a delete returns the bytes to the same bucket.
-        self._categories: dict[str, str] = {}
-
-    # -- repair queue -----------------------------------------------------
-    def _note_repair(self, index: int, artifact_id: str, op: str) -> None:
-        self._pending.setdefault(index, {})[artifact_id] = op
-
-    def _clear_repair(self, index: int, artifact_id: str) -> None:
-        queue = self._pending.get(index)
-        if queue is not None:
-            queue.pop(artifact_id, None)
-            if not queue:
-                self._pending.pop(index, None)
-
-    def pending_repairs(self) -> dict[str, dict[str, str]]:
-        """Outstanding per-replica repairs, keyed by replica name."""
-        return {
-            self.replicas[index].name: dict(queue)
-            for index, queue in sorted(self._pending.items())
-        }
-
-    def _canonical_bytes(self, artifact_id: str) -> tuple[bytes | None, str | None]:
-        """Verified bytes of an artifact from any healthy holder."""
-        for state in self.replicas:
-            try:
-                if not state.store.exists(artifact_id):
-                    continue
-                if not state.store.verify_artifact(artifact_id):
-                    continue
-                data = state.store.get(artifact_id)
-            except _REPLICA_FAILURES:
-                continue
-            digest = _safe_digest(state.store, artifact_id) or hash_bytes(data)
-            return data, digest
-        return None, None
-
     def repair_pending(self) -> dict:
         """Drain the repair queues against replicas that are back.
 
-        Copies canonical verified bytes onto replicas that missed a put
-        (replacing divergent copies), applies missed deletes, drops
-        entries whose artifact no longer exists anywhere (superseded),
-        and defers entries whose replica is still unreachable.
+        Copies verified bytes onto replicas that missed a put (replacing
+        divergent copies), applies missed deletes, drops entries whose
+        artifact no longer exists anywhere (superseded), and defers
+        entries whose replica is still unreachable.
         """
-        report = {"repaired": [], "deleted": [], "dropped": [], "deferred": []}
-        for index in sorted(self._pending):
-            state = self.replicas[index]
-            queue = self._pending[index]
-            for artifact_id, op in list(queue.items()):
-                try:
-                    if op == "delete":
-                        if state.store.exists(artifact_id):
-                            state.store.delete(artifact_id)
-                        report["deleted"].append((state.name, artifact_id))
-                    else:
-                        data, digest = self._canonical_bytes(artifact_id)
-                        if data is None:
-                            report["dropped"].append((state.name, artifact_id))
-                            del queue[artifact_id]
-                            continue
-                        converged = False
-                        if state.store.exists(artifact_id):
-                            if (
-                                _safe_digest(state.store, artifact_id) == digest
-                                and state.store.verify_artifact(artifact_id)
-                            ):
-                                converged = True
-                            else:
-                                state.store.delete(artifact_id)
-                        if not converged:
-                            state.store.put(
-                                data,
-                                artifact_id=artifact_id,
-                                category="repair",
-                                digest=digest,
-                            )
-                        report["repaired"].append((state.name, artifact_id))
-                    del queue[artifact_id]
-                    self._ok(state)
-                except SimulatedCrashError:
-                    raise
-                except _REPLICA_FAILURES:
-                    self._fail(state)
-                    report["deferred"].append((state.name, artifact_id))
-            if not queue:
-                self._pending.pop(index, None)
-        return report
+
+        def plan(artifact_id, op):
+            if op == "delete":
+
+                def visit(_index, store):
+                    if store.exists(artifact_id):
+                        store.delete(artifact_id)
+
+                return "deleted", visit
+            data = self.verified_copy(artifact_id)
+            if data is None:
+                return "dropped", None
+            digest = hash_bytes(data)
+            return "repaired", lambda _index, store: _heal_copy(
+                store, artifact_id, data, digest
+            )
+
+        return self._drain(plan)
 
     # -- write ------------------------------------------------------------
     def _committed(self, artifact_id: str) -> bool:
@@ -358,15 +457,18 @@ class ReplicatedFileStore(_ReplicaSet):
         leftover: a new put is allowed to proceed and converge it, which
         is what makes retrying a save after a partial failure possible.
         """
-        holders = reachable = 0
-        for state in self.replicas:
-            try:
-                held = state.store.exists(artifact_id)
-            except _REPLICA_FAILURES:
-                continue
-            reachable += 1
-            holders += bool(held)
-        return reachable > 0 and holders >= min(self.write_quorum, reachable)
+        held = [
+            answer
+            for _index, answer in self._scan(lambda store: store.exists(artifact_id))
+        ]
+        return bool(held) and sum(held) >= min(self.write_quorum, len(held))
+
+    def _charge_put(self, target, num_bytes, category, workers, acks, missed) -> None:
+        """Charge one settled artifact write (``put`` / writer close)."""
+        self._charge(
+            f"put {target}", target, num_bytes, category,
+            lambda store: store._write_cost(num_bytes, workers), acks, missed,
+        )
 
     def put(
         self,
@@ -378,58 +480,25 @@ class ReplicatedFileStore(_ReplicaSet):
     ) -> str:
         if digest is None:
             digest = hash_bytes(data)
-        derived = artifact_id is None
-        target = "sha256-" + digest if derived else artifact_id
-        if not derived and self._committed(target):
+        target = "sha256-" + digest if artifact_id is None else artifact_id
+        if artifact_id is not None and self._committed(target):
             raise DuplicateArtifactError(f"artifact {target!r} already exists")
-        costs: list[float] = []
-        acks: list[tuple[str, float]] = []
-        missed: list[int] = []
-        for index, state in enumerate(self.replicas):
-            if not self._allow(state):
-                missed.append(index)
-                continue
+
+        options = {"category": category, "workers": workers, "digest": digest}
+
+        def visit(_index, store):
             try:
-                try:
-                    state.store.put(
-                        data,
-                        artifact_id=artifact_id,
-                        category=category,
-                        workers=workers,
-                        digest=digest,
-                    )
-                except DuplicateArtifactError:
-                    # This replica already holds the id.  Matching bytes
-                    # are an idempotent success; divergent bytes are a
-                    # stale leftover to overwrite — write-path anti-entropy.
-                    if _safe_digest(state.store, target) != digest:
-                        state.store.delete(target)
-                        state.store.put(
-                            data,
-                            artifact_id=target,
-                            category=category,
-                            workers=workers,
-                            digest=digest,
-                        )
-            except SimulatedCrashError:
-                raise
-            except _REPLICA_FAILURES:
-                self._fail(state)
-                missed.append(index)
-            else:
-                self._ok(state)
-                self._clear_repair(index, target)
-                cost = state.store._write_cost(len(data), workers) * state.latency_factor
-                costs.append(cost)
-                acks.append((state.name, cost))
-        self._require_quorum(len(costs), self.write_quorum, f"put {target!r}")
-        for index in missed:
-            self._note_repair(index, target, "put")
-        self.stats.record_write(
-            len(data), _quorum_cost(costs, self.write_quorum), category
-        )
-        self._categories[target] = category
-        self._trace_acks(f"put {target}", acks, missed, self.write_quorum)
+                store.put(data, artifact_id=artifact_id, **options)
+            except DuplicateArtifactError:
+                # This replica already holds the id.  Matching bytes are
+                # an idempotent success; divergent bytes are a stale
+                # leftover to overwrite — write-path anti-entropy.
+                if _safe_digest(store, target) != digest:
+                    store.delete(target)
+                    store.put(data, artifact_id=target, **options)
+
+        acks, missed = self._replicate(f"put {target!r}", target, "put", visit)
+        self._charge_put(target, len(data), category, workers, acks, missed)
         return target
 
     def open_writer(
@@ -440,35 +509,28 @@ class ReplicatedFileStore(_ReplicaSet):
     ) -> "_ReplicatedWriter":
         if artifact_id is not None and self._committed(artifact_id):
             raise DuplicateArtifactError(f"artifact {artifact_id!r} already exists")
-        writers: list[tuple[int, ReplicaState, Any]] = []
-        missed: list[int] = []
-        for index, state in enumerate(self.replicas):
-            if not self._allow(state):
-                missed.append(index)
-                continue
+        writers: dict[int, Any] = {}
+
+        def visit(index, store):
             try:
-                writer = state.store.open_writer(
+                writers[index] = store.open_writer(
                     artifact_id, category=category, workers=workers
                 )
-            except SimulatedCrashError:
-                raise
             except DuplicateArtifactError:
                 # A stale minority copy blocks this replica's writer; it
                 # is reconciled by the repair queue after close.
-                missed.append(index)
-            except _REPLICA_FAILURES:
-                self._fail(state)
-                missed.append(index)
-            else:
-                writers.append((index, state, writer))
+                return _MISSED
+
+        # No key: nothing has landed yet, so no repair entry is cleared.
+        _acks, missed = self._fan_out(visit)
         if not writers:
             raise QuorumError(
                 f"open_writer {artifact_id!r}: no replica reachable"
             )
         return _ReplicatedWriter(self, artifact_id, category, workers, writers, missed)
 
-    # -- read -------------------------------------------------------------
-    def _candidates(self) -> list[tuple[int, ReplicaState]]:
+    # -- primitive 2: the failover read -------------------------------------
+    def _candidates(self) -> list[int]:
         """Replica order for reads: believed cost, then index; breaker-gated."""
         order = sorted(
             range(len(self.replicas)),
@@ -477,11 +539,7 @@ class ReplicatedFileStore(_ReplicaSet):
                 i,
             ),
         )
-        return [
-            (index, self.replicas[index])
-            for index in order
-            if self._allow(self.replicas[index])
-        ]
+        return [index for index in order if self.replicas[index].breaker.allow()]
 
     def _hedged(self, base: float, serving: ReplicaState, alt_costs) -> float:
         """Charge of a read with an optional hedged second request.
@@ -495,7 +553,7 @@ class ReplicatedFileStore(_ReplicaSet):
         alternatives = [
             alt_costs(state)
             for state in self.replicas
-            if state is not serving and not state.breaker_open
+            if state is not serving and not state.breaker.open
         ]
         if not alternatives:
             return base
@@ -512,34 +570,43 @@ class ReplicatedFileStore(_ReplicaSet):
             return hedged
         return base
 
-    def get(self, artifact_id: str, workers: int = 1) -> bytes:
+    def _failover_read(self, what: str, artifact_id: str, read, cost):
+        """Serve one charged read from the first replica that can.
+
+        ``read(store)`` returns ``(payload, num_bytes)``, or
+        :data:`_MISSING` / :data:`_CORRUPT` (``ArtifactNotFoundError``
+        counts as missing); ``cost(store, payload)`` is the read's cost
+        on a healthy backend.  A missing or corrupt copy is a healthy but
+        divergent replica — no breaker penalty — while a ``StorageError``
+        / ``OSError`` penalises it; all three queue a ``put`` repair and
+        fail over.  The serving replica's breaker closes and its actual
+        cost is charged, hedged per the policy.
+
+        The breaker gate is **eager**: :meth:`_candidates` consults every
+        breaker before the first read is tried, so a read served by
+        replica 0 still advances an open breaker on replica 1 and can use
+        up its probe slot without contacting it.  The expected rate of
+        real probes per operation is unchanged, and the soak's and fault
+        matrix's revive timing is pinned to it — so it stays.
+        """
         tried = 0
-        saw_missing = False
-        saw_corrupt = False
-        for index, state in self._candidates():
+        verdicts = set()
+        for index in self._candidates():
+            state = self.replicas[index]
             try:
-                data = state.store.get(artifact_id, workers=workers)
-            except SimulatedCrashError:
-                raise
+                outcome = read(state.store)
             except ArtifactNotFoundError:
-                # Healthy but divergent replica — no breaker penalty.
-                saw_missing = True
-                self._note_repair(index, artifact_id, "put")
-                tried += 1
-                continue
+                outcome = _MISSING
             except _REPLICA_FAILURES:
-                self._fail(state)
+                state.breaker.failure()
+                outcome = _FAILED
+            if not isinstance(outcome, tuple):
+                verdicts.add(outcome)
                 self._note_repair(index, artifact_id, "put")
                 tried += 1
                 continue
-            recorded = _safe_digest(state.store, artifact_id)
-            if recorded is not None and hash_bytes(data) != recorded:
-                # Bitrot on this copy: heal later, serve from elsewhere.
-                saw_corrupt = True
-                self._note_repair(index, artifact_id, "put")
-                tried += 1
-                continue
-            self._ok(state)
+            payload, num_bytes = outcome
+            state.breaker.success()
             if tried:
                 self.stats.record_failover()
                 if self.stats.traced and _trace.active():
@@ -549,24 +616,37 @@ class ReplicatedFileStore(_ReplicaSet):
                         served_by=state.name,
                         replicas_skipped=tried,
                     )
-            base = state.store._read_cost(len(data), workers) * state.latency_factor
             charged = self._hedged(
-                base,
+                cost(state.store, payload) * state.latency_factor,
                 state,
-                lambda other: other.store._read_cost(len(data), workers)
-                * other.latency_factor,
+                lambda other: cost(other.store, payload) * other.latency_factor,
             )
-            self.stats.record_read(len(data), charged)
-            return data
-        if saw_corrupt:
+            self.stats.record_read(num_bytes, charged)
+            return payload
+        if _CORRUPT in verdicts:
             raise ArtifactCorruptionError(
                 f"artifact {artifact_id!r} fails verification on every replica"
             )
-        if saw_missing:
+        if _MISSING in verdicts:
             raise ArtifactNotFoundError(
                 f"artifact {artifact_id!r} unavailable on every replica"
             )
-        raise QuorumError(f"get {artifact_id!r}: no replica reachable")
+        raise QuorumError(f"{what}: no replica reachable")
+
+    def get(self, artifact_id: str, workers: int = 1) -> bytes:
+        def read(store):
+            data = store.get(artifact_id, workers=workers)
+            recorded = _safe_digest(store, artifact_id)
+            if recorded is not None and hash_bytes(data) != recorded:
+                return _CORRUPT  # bitrot: heal later, serve from elsewhere
+            return data, len(data)
+
+        return self._failover_read(
+            f"get {artifact_id!r}",
+            artifact_id,
+            read,
+            lambda store, data: store._read_cost(len(data), workers),
+        )
 
     def get_range(self, artifact_id: str, offset: int, length: int) -> bytes:
         return self.get_ranges(artifact_id, [(offset, length)])[0]
@@ -585,126 +665,86 @@ class ReplicatedFileStore(_ReplicaSet):
         corrupt replica can therefore never silently feed garbage into
         chunk recovery.
         """
-        tried = 0
-        saw_missing = False
-        saw_corrupt = False
-        for index, state in self._candidates():
-            try:
-                if not state.store.exists(artifact_id):
-                    saw_missing = True
-                    self._note_repair(index, artifact_id, "put")
-                    tried += 1
-                    continue
-                if not state.store.verify_artifact(artifact_id):
-                    saw_corrupt = True
-                    self._note_repair(index, artifact_id, "put")
-                    tried += 1
-                    continue
-                chunks = state.store.get_ranges(artifact_id, ranges, workers=workers)
-            except SimulatedCrashError:
-                raise
-            except _REPLICA_FAILURES:
-                self._fail(state)
-                self._note_repair(index, artifact_id, "put")
-                tried += 1
-                continue
-            self._ok(state)
-            if tried:
-                self.stats.record_failover()
-                if self.stats.traced and _trace.active():
-                    _trace.add_event(
-                        "read-failover",
-                        artifact=artifact_id,
-                        served_by=state.name,
-                        replicas_skipped=tried,
-                    )
-            total = sum(len(chunk) for chunk in chunks)
-            base = (
-                makespan(
-                    [
-                        state.store.profile.file_read_cost(len(chunk))
-                        for chunk in chunks
-                    ],
-                    workers,
-                )
-                * state.latency_factor
-            )
-            charged = self._hedged(
-                base,
-                state,
-                lambda other: makespan(
-                    [
-                        other.store.profile.file_read_cost(len(chunk))
-                        for chunk in chunks
-                    ],
-                    workers,
-                )
-                * other.latency_factor,
-            )
-            self.stats.record_read(total, charged)
-            return chunks
-        if saw_corrupt:
-            raise ArtifactCorruptionError(
-                f"artifact {artifact_id!r} fails verification on every replica"
-            )
-        if saw_missing:
-            raise ArtifactNotFoundError(
-                f"artifact {artifact_id!r} unavailable on every replica"
-            )
-        raise QuorumError(f"get_ranges {artifact_id!r}: no replica reachable")
 
-    # -- management plane (uncharged; no breaker bookkeeping) ---------------
+        def read(store):
+            if not store.exists(artifact_id):
+                return _MISSING
+            if not store.verify_artifact(artifact_id):
+                return _CORRUPT
+            chunks = store.get_ranges(artifact_id, ranges, workers=workers)
+            return chunks, sum(len(chunk) for chunk in chunks)
+
+        return self._failover_read(
+            f"get_ranges {artifact_id!r}",
+            artifact_id,
+            read,
+            lambda store, chunks: makespan(
+                [store.profile.file_read_cost(len(chunk)) for chunk in chunks],
+                workers,
+            ),
+        )
+
+    # -- management plane -----------------------------------------------------
+    # Which calls move a breaker: every mutation (put / open_writer / the
+    # writer / delete, the repair drain) and the charged reads (get /
+    # get_ranges).  The uncharged questions below — exists / size / ids /
+    # total_bytes / recorded_digest / verify_* — and everything the
+    # scrubber calls go through ``_scan`` and never do.
     def delete(self, artifact_id: str) -> None:
         """Remove an artifact; needs ``write_quorum`` acks like ``put``.
 
         A delete acknowledged by fewer replicas would report success
         while a majority keeps serving the bytes (and ``_committed``
         keeps blocking re-puts of the id), so it fails loudly instead
-        and leaves the repair queues to finish the job.
+        and leaves the repair queues to finish the job.  A replica that
+        does not hold the artifact still acknowledges.  Uncharged.
         """
-        found = False
-        num_bytes = 0
-        applied = 0
-        missed: list[int] = []
-        for index, state in enumerate(self.replicas):
-            if not self._allow(state):
-                missed.append(index)
-                continue
-            try:
-                if state.store.exists(artifact_id):
-                    if not found:
-                        num_bytes = state.store.size(artifact_id)
-                    found = True
-                    state.store.delete(artifact_id)
-                applied += 1
-            except SimulatedCrashError:
-                raise
-            except _REPLICA_FAILURES:
-                self._fail(state)
-                missed.append(index)
-            else:
-                self._ok(state)
-                self._clear_repair(index, artifact_id)
-        self._require_quorum(applied, self.write_quorum, f"delete {artifact_id!r}")
-        if not found and not missed:
+        sizes: list[int] = []
+
+        def visit(_index, store):
+            if store.exists(artifact_id):
+                sizes.append(store.size(artifact_id))
+                store.delete(artifact_id)
+
+        what = f"delete {artifact_id!r}"
+        _acks, missed = self._replicate(what, artifact_id, "delete", visit)
+        if sizes:
+            category = self._categories.pop(artifact_id, "binary")
+            self.stats.record_delete(sizes[0], category)
+        elif not missed:
             raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
-        for index in missed:
-            self._note_repair(index, artifact_id, "delete")
-        if found:
-            self.stats.record_delete(
-                num_bytes, self._categories.pop(artifact_id, "binary")
-            )
+
+    def _from_holder(self, artifact_id: str, get, what: str | None = None):
+        """``get(store)`` of the first replica that holds the artifact."""
+        return self._first(
+            lambda store: get(store) if store.exists(artifact_id) else None, what
+        )
 
     def recorded_digest(self, artifact_id: str) -> str | None:
-        for state in self.replicas:
-            try:
-                if state.store.exists(artifact_id):
-                    digest = state.store.recorded_digest(artifact_id)
-                    if digest is not None:
-                        return digest
-            except _REPLICA_FAILURES:
-                continue
-        return None
+        return self._from_holder(
+            artifact_id, lambda store: store.recorded_digest(artifact_id)
+        )
+
+    def exists(self, artifact_id: str) -> bool:
+        what = f"exists {artifact_id!r}"
+        return self._from_holder(artifact_id, lambda store: True, what) is not None
+
+    def size(self, artifact_id: str) -> int:
+        size = self._from_holder(
+            artifact_id, lambda store: store.size(artifact_id), f"size {artifact_id!r}"
+        )
+        if size is None:
+            raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
+        return size
+
+    def verify_replicas(self, artifact_id: str) -> dict[str, object]:
+        """Per-replica verdicts: True/False, "missing", or "unreachable"."""
+        answers, silent = self._ask_all(
+            lambda store: store.verify_artifact(artifact_id)
+            if store.exists(artifact_id)
+            else "missing"
+        )
+        return {**answers, **dict.fromkeys(silent, "unreachable")}
 
     def verify_artifact(self, artifact_id: str) -> bool:
         """Whether *every* reachable copy still matches its digest.
@@ -712,97 +752,158 @@ class ReplicatedFileStore(_ReplicaSet):
         Conservative by design: one rotten replica makes the archive
         degraded (the scrubber heals it), even though reads fail over.
         """
-        verdicts: list[bool] = []
-        reachable = 0
-        for state in self.replicas:
-            try:
-                if state.store.exists(artifact_id):
-                    verdicts.append(state.store.verify_artifact(artifact_id))
-                reachable += 1
-            except _REPLICA_FAILURES:
-                continue
-        if not verdicts:
-            if reachable:
-                raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
-            raise QuorumError(
-                f"verify_artifact {artifact_id!r}: no replica reachable"
-            )
-        return all(verdicts)
-
-    def verify_replicas(self, artifact_id: str) -> dict[str, object]:
-        """Per-replica verdicts: True/False, "missing", or "unreachable"."""
-        verdicts: dict[str, object] = {}
-        for state in self.replicas:
-            try:
-                if not state.store.exists(artifact_id):
-                    verdicts[state.name] = "missing"
-                else:
-                    verdicts[state.name] = state.store.verify_artifact(artifact_id)
-            except _REPLICA_FAILURES:
-                verdicts[state.name] = "unreachable"
-        return verdicts
-
-    def exists(self, artifact_id: str) -> bool:
-        reachable = 0
-        for state in self.replicas:
-            try:
-                if state.store.exists(artifact_id):
-                    return True
-                reachable += 1
-            except _REPLICA_FAILURES:
-                continue
-        if reachable == 0:
-            raise QuorumError(f"exists {artifact_id!r}: no replica reachable")
-        return False
-
-    def size(self, artifact_id: str) -> int:
-        reachable = 0
-        for state in self.replicas:
-            try:
-                if state.store.exists(artifact_id):
-                    return state.store.size(artifact_id)
-                reachable += 1
-            except _REPLICA_FAILURES:
-                continue
-        if reachable == 0:
-            raise QuorumError(f"size {artifact_id!r}: no replica reachable")
-        raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
+        verdicts = list(self.verify_replicas(artifact_id).values())
+        held = [verdict for verdict in verdicts if isinstance(verdict, bool)]
+        if held:
+            return all(held)
+        if "missing" in verdicts:
+            raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
+        raise QuorumError(f"verify_artifact {artifact_id!r}: no replica reachable")
 
     def ids(self) -> list[str]:
-        union: set[str] = set()
-        reachable = 0
-        for state in self.replicas:
-            try:
-                union.update(state.store.ids())
-                reachable += 1
-            except _REPLICA_FAILURES:
-                continue
-        if reachable == 0:
-            raise QuorumError("ids(): no replica reachable")
-        return sorted(union)
+        held = (ids for _index, ids in self._scan(lambda store: store.ids(), "ids()"))
+        return sorted(set().union(*held))
 
     def total_bytes(self) -> int:
         """Logical archive size: the largest reachable replica's view."""
-        best = None
-        for state in self.replicas:
-            try:
-                value = state.store.total_bytes()
-            except _REPLICA_FAILURES:
-                continue
-            best = value if best is None else max(best, value)
-        if best is None:
-            raise QuorumError("total_bytes(): no replica reachable")
-        return best
+        return max(
+            value
+            for _index, value in self._scan(
+                lambda store: store.total_bytes(), "total_bytes()"
+            )
+        )
 
     def __len__(self) -> int:
         return len(self.ids())
 
-    # -- cost model (delegated to the lead replica's profile) ---------------
-    def _write_cost(self, num_bytes: int, workers: int = 1) -> float:
-        return self.replicas[0].store._write_cost(num_bytes, workers)
+    # -- anti-entropy (what the scrubber and the divergence report call) ------
+    def unreachable(self) -> set[str]:
+        """Names of the replicas that cannot list their artifacts."""
+        return self._ask_all(lambda store: store.ids())[1]
 
-    def _read_cost(self, num_bytes: int, workers: int = 1) -> float:
-        return self.replicas[0].store._read_cost(num_bytes, workers)
+    def majority_artifacts(self, keep=()) -> dict[str, str | None]:
+        """``{artifact id: majority recorded digest}`` of the canonical set:
+        every id a majority of the reachable replicas holds, plus every id
+        in ``keep`` that anyone holds — a copy the documents reference is
+        never pruned, even if replication fell below majority."""
+        reachable = 0
+        votes: dict[str, dict[str | None, int]] = {}
+        for _index, held in self._scan(
+            lambda store: {a: _safe_digest(store, a) for a in store.ids()}
+        ):
+            reachable += 1
+            for artifact_id, digest in held.items():
+                counts = votes.setdefault(artifact_id, {})
+                counts[digest] = counts.get(digest, 0) + 1
+        return {
+            artifact_id: max(counts.items(), key=lambda item: item[1])[0]
+            for artifact_id, counts in votes.items()
+            if sum(counts.values()) * 2 > reachable or artifact_id in keep
+        }
+
+    def verified_copy(self, artifact_id: str, digest=_ANY, deep: bool = True):
+        """A good copy's bytes from any replica, or ``None``: it records
+        ``digest`` (any, when omitted), passes ``verify_artifact`` (``deep``
+        only), and the bytes read hash to what it records."""
+
+        def ask(store):
+            if not store.exists(artifact_id):
+                return None
+            recorded = _safe_digest(store, artifact_id)
+            if digest is not _ANY and recorded != digest:
+                return None
+            if deep and not store.verify_artifact(artifact_id):
+                return None
+            data = store.get(artifact_id)
+            if recorded is not None and hash_bytes(data) != recorded:
+                return None
+            return data
+
+        return self._first(ask)
+
+    def verified_slice(
+        self, artifact_id: str, offset: int, length: int, digest: str
+    ) -> bytes | None:
+        """A byte range that hashes to ``digest``, from any replica."""
+
+        def ask(store):
+            if not store.exists(artifact_id):
+                return None
+            if store.size(artifact_id) < offset + length:
+                return None  # a torn copy ends before the range does
+            data = store.get_range(artifact_id, offset, length)
+            return data if hash_bytes(data) == digest else None
+
+        return self._first(ask)
+
+    def reassemble(self, artifact_id: str, slices) -> bytes | None:
+        """Rebuild an artifact whose every whole copy is damaged.
+
+        ``slices`` is the ``(content digest, length)`` of its consecutive
+        parts (a chunk pack's index).  Corruption rarely hits the same
+        offsets on two replicas, so each part is taken from whichever
+        replica still verifies it; ``None`` unless every part recovers.
+        """
+        parts: list[bytes] = []
+        offset = 0
+        for digest, length in slices:
+            part = self.verified_slice(artifact_id, offset, int(length), digest)
+            if part is None:
+                return None
+            parts.append(part)
+            offset += int(length)
+        return b"".join(parts)
+
+    def heal(
+        self, artifact_id: str, data: bytes, digest, deep: bool = True, skip=()
+    ) -> tuple[list[str], set[str]]:
+        """Write ``data`` over every copy that is absent or differs, except
+        on ``skip``; returns ``(names rewritten, names that failed)``."""
+        answers, failed = self._ask_all(
+            lambda store: _heal_copy(store, artifact_id, data, digest, deep), skip
+        )
+        return [name for name, wrote in answers.items() if wrote], failed
+
+    def prune_orphans(self, canonical) -> tuple[list[tuple[str, str]], set[str]]:
+        """Delete every copy of an id outside ``canonical``; returns
+        ``((replica, artifact) pairs removed, names that failed)``.  Whether
+        pruning is safe (never while a replica is silent) is the caller's."""
+
+        def ask(store):
+            removed = sorted(set(store.ids()) - set(canonical))
+            for artifact_id in removed:
+                store.delete(artifact_id)
+            return removed
+
+        answers, failed = self._ask_all(ask)
+        pruned = [
+            (name, artifact_id)
+            for name, removed in answers.items()
+            for artifact_id in removed
+        ]
+        return pruned, failed
+
+    def divergence(self, deep: bool = False) -> dict[str, dict | None]:
+        """``{replica: {"missing", "extra", "divergent"}}`` (id lists) against
+        :meth:`majority_artifacts`; ``None`` for a replica that could not
+        answer.  ``deep`` re-hashes every copy."""
+        canonical = self.majority_artifacts()
+
+        def ask(store):
+            held = set(store.ids())
+            divergent = [
+                artifact_id
+                for artifact_id in sorted(held & set(canonical))
+                if not _copy_ok(store, artifact_id, canonical[artifact_id], deep)
+            ]
+            return {
+                "missing": sorted(set(canonical) - held),
+                "extra": sorted(held - set(canonical)),
+                "divergent": divergent,
+            }
+
+        answers, silent = self._ask_all(ask)
+        return {**answers, **dict.fromkeys(silent)}
 
 
 class _ReplicatedWriter:
@@ -820,15 +921,14 @@ class _ReplicatedWriter:
         artifact_id: str | None,
         category: str,
         workers: int,
-        writers: list,
+        writers: dict[int, Any],
         missed: list[int],
     ) -> None:
-        import hashlib
-
         self._store = store
         self._artifact_id = artifact_id
         self._category = category
         self._workers = workers
+        #: replica index -> that backend's open writer (survivors only).
         self._writers = writers
         self._missed = list(missed)
         self._hasher = hashlib.sha256()
@@ -841,23 +941,14 @@ class _ReplicatedWriter:
         chunk = bytes(chunk)
         self._hasher.update(chunk)
         self._num_bytes += len(chunk)
-        survivors = []
-        for index, state, writer in self._writers:
-            try:
-                writer.write(chunk)
-            except SimulatedCrashError:
-                raise
-            except _REPLICA_FAILURES:
-                self._store._fail(state)
-                self._missed.append(index)
-                try:
-                    writer.abort()
-                except Exception:
-                    pass
-            else:
-                survivors.append((index, state, writer))
-        self._writers = survivors
-        if not survivors:
+        _acks, missed = self._store._fan_out(
+            lambda index, _store: self._writers[index].write(chunk),
+            targets=list(self._writers),
+            gated=False,
+        )
+        self._missed += missed
+        self._abort(missed)
+        if not self._writers:
             self._closed = True
             raise QuorumError("streamed write lost every replica")
 
@@ -867,65 +958,39 @@ class _ReplicatedWriter:
         self._closed = True
         store = self._store
         digest = self._hasher.hexdigest()
-        target = (
-            self._artifact_id
-            if self._artifact_id is not None
-            else "sha256-" + digest
-        )
-        costs: list[float] = []
-        acks: list[tuple[str, float]] = []
-        for index, state, writer in self._writers:
+        target = "sha256-" + digest if self._artifact_id is None else self._artifact_id
+
+        def visit(index, backend):
             try:
-                writer.close()
-            except SimulatedCrashError:
-                raise
+                self._writers[index].close()
             except DuplicateArtifactError:
                 # The id landed on this replica between open and close; a
                 # matching digest makes the close an idempotent success.
-                if _safe_digest(state.store, target) == digest:
-                    store._ok(state)
-                    cost = (
-                        state.store._write_cost(self._num_bytes, self._workers)
-                        * state.latency_factor
-                    )
-                    costs.append(cost)
-                    acks.append((state.name, cost))
-                else:
-                    self._missed.append(index)
-            except _REPLICA_FAILURES:
-                store._fail(state)
-                self._missed.append(index)
-            else:
-                store._ok(state)
-                store._clear_repair(index, target)
-                cost = (
-                    state.store._write_cost(self._num_bytes, self._workers)
-                    * state.latency_factor
-                )
-                costs.append(cost)
-                acks.append((state.name, cost))
-        store._require_quorum(
-            len(costs), store.write_quorum, f"writer close {target!r}"
+                if _safe_digest(backend, target) != digest:
+                    return _MISSED
+
+        acks, missed = store._fan_out(
+            visit, target, targets=list(self._writers), gated=False
         )
-        for index in self._missed:
-            store._note_repair(index, target, "put")
-        store.stats.record_write(
-            self._num_bytes,
-            _quorum_cost(costs, store.write_quorum),
-            self._category,
+        missed = self._missed + missed
+        store._settle(
+            f"writer close {target!r}", target, "put", acks, missed, store.write_quorum
         )
-        store._categories[target] = self._category
-        store._trace_acks(f"put {target}", acks, self._missed, store.write_quorum)
+        store._charge_put(
+            target, self._num_bytes, self._category, self._workers, acks, missed
+        )
         return target
+
+    def _abort(self, indices) -> None:
+        for index in indices:
+            try:
+                self._writers.pop(index).abort()
+            except Exception:
+                pass
 
     def abort(self) -> None:
         self._closed = True
-        for _index, _state, writer in self._writers:
-            try:
-                writer.abort()
-            except Exception:
-                pass
-        self._writers = []
+        self._abort(list(self._writers))
 
     def __enter__(self) -> "_ReplicatedWriter":
         return self
@@ -956,52 +1021,22 @@ class ReplicatedDocumentStore(_ReplicaSet):
     then toward the lowest replica index.  Replicas that miss a mutation
     are remembered in a per-replica repair queue
     (:meth:`pending_repairs`) drained by :meth:`repair_pending` and by
-    the anti-entropy scrubber.
+    the anti-entropy scrubber.  Document reads (votes) never consult or
+    move a breaker; mutations do.
     """
 
     def __init__(self, stores, **kwargs) -> None:
         super().__init__(stores, **kwargs)
         self.stats.origin = "doc"
-        #: replica index -> {(collection, doc_id): "put" | "delete"}.
-        self._pending: dict[int, dict[tuple[str, str], str]] = {}
-        #: (collection, doc_id) -> category charged on this layer's stats
-        #: at insert time, so a delete returns the bytes to the same bucket.
-        self._categories: dict[tuple[str, str], str] = {}
-        highest = -1
-        for state in self.replicas:
-            try:
-                collections = state.store._collections
-            except _REPLICA_FAILURES:
-                continue
-            for documents in collections.values():
-                for doc_id in documents:
-                    if doc_id.startswith("doc-"):
-                        try:
-                            highest = max(highest, int(doc_id[4:]))
-                        except ValueError:
-                            pass
-        self._id_counter = itertools.count(highest + 1)
+        self._id_counter = auto_id_counter(
+            doc_id
+            for _index, collections in self._scan(lambda store: store._collections)
+            for documents in collections.values()
+            for doc_id in documents
+        )
 
-    # -- repair queue -----------------------------------------------------
-    def _note_repair(self, index: int, collection: str, doc_id: str, op: str) -> None:
-        self._pending.setdefault(index, {})[(collection, doc_id)] = op
-
-    def _clear_repair(self, index: int, collection: str, doc_id: str) -> None:
-        queue = self._pending.get(index)
-        if queue is not None:
-            queue.pop((collection, doc_id), None)
-            if not queue:
-                self._pending.pop(index, None)
-
-    def pending_repairs(self) -> dict[str, dict[str, str]]:
-        """Outstanding per-replica repairs, keyed by replica name."""
-        return {
-            self.replicas[index].name: {
-                f"{collection}/{doc_id}": op
-                for (collection, doc_id), op in sorted(queue.items())
-            }
-            for index, queue in sorted(self._pending.items())
-        }
+    def _repair_label(self, key) -> str:
+        return "/".join(key)
 
     def repair_pending(self) -> dict:
         """Drain the document repair queues against replicas that are back.
@@ -1012,51 +1047,24 @@ class ReplicatedDocumentStore(_ReplicaSet):
         is retired as a delete; entries whose replica is still
         unreachable (or whose majority is unreadable) are deferred.
         """
-        report = {"repaired": [], "deleted": [], "deferred": []}
-        for index in sorted(self._pending):
-            state = self.replicas[index]
-            queue = self._pending[index]
-            for (collection, doc_id), op in list(queue.items()):
-                label = f"{collection}/{doc_id}"
-                if op == "delete":
-                    document = None
-                else:
-                    try:
-                        document = self.peek(collection, doc_id)
-                    except QuorumError:
-                        # Layer-wide outage, not this replica's fault.
-                        report["deferred"].append((state.name, label))
-                        continue
+
+        def plan(key, op):
+            document = None
+            if op != "delete":
                 try:
-                    if document is None:
-                        state.store._delete_raw(collection, doc_id)
-                        report["deleted"].append((state.name, label))
-                    else:
-                        state.store._write_raw(collection, doc_id, document)
-                        report["repaired"].append((state.name, label))
-                except SimulatedCrashError:
-                    raise
-                except _REPLICA_FAILURES:
-                    self._fail(state)
-                    report["deferred"].append((state.name, label))
-                else:
-                    self._ok(state)
-                    del queue[(collection, doc_id)]
-            if not queue:
-                self._pending.pop(index, None)
-        return report
+                    document = self.peek(*key)
+                except QuorumError:
+                    # Layer-wide outage, not this replica's fault.
+                    return "deferred", None
+            if document is None:
+                return "deleted", lambda _index, store: store._delete_raw(*key)
+            return "repaired", lambda _index, store: store._write_raw(*key, document)
+
+        return self._drain(plan)
 
     # -- majority machinery ----------------------------------------------
     def _reachable_collections(self) -> list[tuple[int, dict]]:
-        reachable = []
-        for index, state in enumerate(self.replicas):
-            try:
-                reachable.append((index, state.store._collections))
-            except _REPLICA_FAILURES:
-                continue
-        if not reachable:
-            raise QuorumError("document read: no replica reachable")
-        return reachable
+        return list(self._scan(lambda store: store._collections, "document read"))
 
     def _quorum_collections(self, what: str) -> list[tuple[int, dict]]:
         """Reachable collections, or :class:`QuorumError` below R."""
@@ -1143,23 +1151,37 @@ class ReplicatedDocumentStore(_ReplicaSet):
         Cold path, kept for the replica-divergence report of fsck and
         scrub (:func:`replica_divergence`); point reads use :meth:`peek`.
         """
-        names: set[str] = set()
-        for _index, collections in self._reachable_collections():
-            names.update(collections)
-        return {name: self.peek_collection(name) for name in sorted(names)}
+        return {name: self.peek_collection(name) for name in self.collections()}
 
     def _read_quorum_cost(self, num_bytes: int) -> float:
         """Actual cost of hearing back from the fastest R replicas."""
         costs = sorted(
             state.store.profile.doc_read_cost(num_bytes) * state.latency_factor
             for state in self.replicas
-            if not state.breaker_open
+            if not state.breaker.open
         )
         if not costs:
             costs = [self.profile.doc_read_cost(num_bytes)]
         return costs[min(self.read_quorum, len(costs)) - 1]
 
     # -- write ------------------------------------------------------------
+    def _existing(self, collection: str, doc_id: str) -> dict:
+        """The committed document a replace/delete is about to touch."""
+        check_document_key(collection, doc_id)
+        existing = self.peek(collection, doc_id)
+        if existing is None:
+            raise DocumentNotFoundError(
+                f"no document {doc_id!r} in collection {collection!r}"
+            )
+        return existing
+
+    def _charge_doc(self, label, key, num_bytes, category, acks, missed) -> None:
+        """Charge one settled document write (``insert`` / ``replace``)."""
+        self._charge(
+            label, key, num_bytes, category,
+            lambda store: store.profile.doc_write_cost(num_bytes), acks, missed,
+        )
+
     def insert(
         self,
         collection: str,
@@ -1167,132 +1189,59 @@ class ReplicatedDocumentStore(_ReplicaSet):
         doc_id: str | None = None,
         category: str = "metadata",
     ) -> str:
+        check_document_key(collection, doc_id)
         if doc_id is None:
             # Pre-drawn at the layer so every replica stores the same id.
             doc_id = f"doc-{next(self._id_counter):08d}"
         num_bytes = document_num_bytes(document)
-        costs: list[float] = []
-        acks: list[tuple[str, float]] = []
-        missed: list[int] = []
-        for index, state in enumerate(self.replicas):
-            if not self._allow(state):
-                missed.append(index)
-                continue
-            try:
-                state.store.insert(
-                    collection, document, doc_id=doc_id, category=category
-                )
-            except SimulatedCrashError:
-                raise
-            except _REPLICA_FAILURES:
-                self._fail(state)
-                missed.append(index)
-            else:
-                self._ok(state)
-                self._clear_repair(index, collection, doc_id)
-                cost = (
-                    state.store.profile.doc_write_cost(num_bytes)
-                    * state.latency_factor
-                )
-                costs.append(cost)
-                acks.append((state.name, cost))
-        self._require_quorum(
-            len(costs), self.write_quorum, f"insert {collection}/{doc_id}"
+        key, label = (collection, doc_id), f"insert {collection}/{doc_id}"
+        acks, missed = self._replicate(
+            label,
+            key,
+            "put",
+            lambda _index, store: store.insert(
+                collection, document, doc_id=doc_id, category=category
+            ),
         )
-        for index in missed:
-            self._note_repair(index, collection, doc_id, "put")
-        self.stats.record_write(
-            num_bytes, _quorum_cost(costs, self.write_quorum), category
-        )
-        self._categories[(collection, doc_id)] = category
-        self._trace_acks(
-            f"insert {collection}/{doc_id}", acks, missed, self.write_quorum
-        )
+        self._charge_doc(label, key, num_bytes, category, acks, missed)
         return doc_id
 
     def replace(self, collection: str, doc_id: str, document: dict) -> None:
-        existing = self.peek(collection, doc_id)
-        if existing is None:
-            raise DocumentNotFoundError(
-                f"no document {doc_id!r} in collection {collection!r}"
-            )
+        existing = self._existing(collection, doc_id)
         num_bytes = document_num_bytes(document)
-        costs: list[float] = []
-        missed: list[int] = []
-        for index, state in enumerate(self.replicas):
-            if not self._allow(state):
-                missed.append(index)
-                continue
+        key, label = (collection, doc_id), f"replace {collection}/{doc_id}"
+
+        def visit(_index, store):
             try:
-                try:
-                    state.store.replace(collection, doc_id, document)
-                except DocumentNotFoundError:
-                    # The doc is committed (majority has it) but this
-                    # replica missed the insert: converge it in passing.
-                    state.store._write_raw(collection, doc_id, document)
-            except SimulatedCrashError:
-                raise
-            except _REPLICA_FAILURES:
-                self._fail(state)
-                missed.append(index)
-            else:
-                self._ok(state)
-                self._clear_repair(index, collection, doc_id)
-                costs.append(
-                    state.store.profile.doc_write_cost(num_bytes)
-                    * state.latency_factor
-                )
-        self._require_quorum(
-            len(costs), self.write_quorum, f"replace {collection}/{doc_id}"
-        )
-        for index in missed:
-            self._note_repair(index, collection, doc_id, "put")
+                store.replace(collection, doc_id, document)
+            except DocumentNotFoundError:
+                # The doc is committed (majority has it) but this
+                # replica missed the insert: converge it in passing.
+                store._write_raw(collection, doc_id, document)
+
+        acks, missed = self._replicate(label, key, "put", visit)
         # The overwritten document's bytes leave the store (see
         # DocumentStore.replace).
         self.stats.record_delete(
             document_num_bytes(existing),
-            self._categories.get((collection, doc_id), "metadata"),
+            self._categories.get(key, "metadata"),
             count_op=False,
         )
-        self._categories[(collection, doc_id)] = "metadata"
-        self.stats.record_write(
-            num_bytes, _quorum_cost(costs, self.write_quorum), "metadata"
-        )
+        self._charge_doc(label, key, num_bytes, "metadata", acks, missed)
 
     def delete(self, collection: str, doc_id: str) -> None:
-        existing = self.peek(collection, doc_id)
-        if existing is None:
-            raise DocumentNotFoundError(
-                f"no document {doc_id!r} in collection {collection!r}"
-            )
-        successes = 0
-        missed: list[int] = []
-        for index, state in enumerate(self.replicas):
-            if not self._allow(state):
-                missed.append(index)
-                continue
+        existing = self._existing(collection, doc_id)
+
+        def visit(_index, store):
             try:
-                try:
-                    state.store.delete(collection, doc_id)
-                except DocumentNotFoundError:
-                    pass  # already absent on this replica — converged
-            except SimulatedCrashError:
-                raise
-            except _REPLICA_FAILURES:
-                self._fail(state)
-                missed.append(index)
-            else:
-                self._ok(state)
-                self._clear_repair(index, collection, doc_id)
-                successes += 1
-        self._require_quorum(
-            successes, self.write_quorum, f"delete {collection}/{doc_id}"
-        )
-        for index in missed:
-            self._note_repair(index, collection, doc_id, "delete")
+                store.delete(collection, doc_id)
+            except DocumentNotFoundError:
+                pass  # already absent on this replica — converged
+
+        key = (collection, doc_id)
+        self._replicate(f"delete {collection}/{doc_id}", key, "delete", visit)
         self.stats.record_delete(
-            document_num_bytes(existing),
-            self._categories.pop((collection, doc_id), "metadata"),
+            document_num_bytes(existing), self._categories.pop(key, "metadata")
         )
 
     # -- read -------------------------------------------------------------
@@ -1302,66 +1251,46 @@ class ReplicatedDocumentStore(_ReplicaSet):
             raise DocumentNotFoundError(
                 f"no document {doc_id!r} in collection {collection!r}"
             )
+        return self._charged_copy(document)
+
+    def _charged_copy(self, document: dict) -> dict:
+        """One charged read: a private copy, at the read-quorum cost."""
         encoded, num_bytes = encode_document(document)
         self.stats.record_read(num_bytes, self._read_quorum_cost(num_bytes))
         return json.loads(encoded)
 
     def find(self, collection: str, **equals) -> list[tuple[str, dict]]:
-        matches: list[tuple[str, dict]] = []
-        for doc_id, document in self.peek_collection(collection).items():
-            if all(document.get(key) == value for key, value in equals.items()):
-                encoded, num_bytes = encode_document(document)
-                self.stats.record_read(
-                    num_bytes, self._read_quorum_cost(num_bytes)
-                )
-                matches.append((doc_id, json.loads(encoded)))
-        return matches
+        return [
+            (doc_id, self._charged_copy(document))
+            for doc_id, document in self.peek_collection(collection).items()
+            if all(document.get(key) == value for key, value in equals.items())
+        ]
 
     # -- raw plane (journal bookkeeping; uncharged) -------------------------
     def _write_raw(self, collection: str, doc_id: str, document: dict) -> None:
-        successes = 0
-        missed: list[int] = []
-        for index, state in enumerate(self.replicas):
-            if not self._allow(state):
-                missed.append(index)
-                continue
-            try:
-                state.store._write_raw(collection, doc_id, document)
-            except SimulatedCrashError:
-                raise
-            except _REPLICA_FAILURES:
-                self._fail(state)
-                missed.append(index)
-            else:
-                self._ok(state)
-                self._clear_repair(index, collection, doc_id)
-                successes += 1
+        check_document_key(collection, doc_id)
         # The journal's undo log needs the same durability as the data
         # it protects: quorum or the save must not proceed.
-        self._require_quorum(
-            successes, self.write_quorum, f"raw write {collection}/{doc_id}"
+        self._replicate(
+            f"raw write {collection}/{doc_id}",
+            (collection, doc_id),
+            "put",
+            lambda _index, store: store._write_raw(collection, doc_id, document),
         )
-        for index in missed:
-            self._note_repair(index, collection, doc_id, "put")
 
     def _delete_raw(self, collection: str, doc_id: str) -> None:
-        # Best effort: a replica that misses the retirement keeps a stale
-        # entry, which the majority vote hides and the repair queue (or
-        # the scrubber, once every replica is reachable again) retires.
-        for index, state in enumerate(self.replicas):
-            if not self._allow(state):
-                self._note_repair(index, collection, doc_id, "delete")
-                continue
-            try:
-                state.store._delete_raw(collection, doc_id)
-            except SimulatedCrashError:
-                raise
-            except _REPLICA_FAILURES:
-                self._fail(state)
-                self._note_repair(index, collection, doc_id, "delete")
-            else:
-                self._ok(state)
-                self._clear_repair(index, collection, doc_id)
+        check_document_key(collection, doc_id)
+        # Best effort (quorum 0): a replica that misses the retirement —
+        # refused by its breaker or failing — keeps a stale entry, which
+        # the majority vote hides and the repair queue (or the scrubber,
+        # once every replica is reachable again) retires.
+        self._replicate(
+            f"raw delete {collection}/{doc_id}",
+            (collection, doc_id),
+            "delete",
+            lambda _index, store: store._delete_raw(collection, doc_id),
+            quorum=0,
+        )
 
     def _read_raw(self, collection: str, doc_id: str) -> dict | None:
         document = self.peek(collection, doc_id)
@@ -1377,10 +1306,8 @@ class ReplicatedDocumentStore(_ReplicaSet):
         return sorted(self.peek_collection(collection))
 
     def collections(self) -> list[str]:
-        names: set[str] = set()
-        for _index, collections in self._reachable_collections():
-            names.update(collections)
-        return sorted(names)
+        held = (collections for _index, collections in self._reachable_collections())
+        return sorted(set().union(*held))
 
     def count(self, collection: str) -> int:
         return len(self.peek_collection(collection))
@@ -1393,8 +1320,88 @@ class ReplicatedDocumentStore(_ReplicaSet):
             for document in collection.values()
         )
 
+    # -- anti-entropy (what the scrubber and the divergence report call) ------
+    def unreachable(self) -> set[str]:
+        """Names of the replicas that cannot list their collections."""
+        return self._ask_all(lambda store: store.collections())[1]
+
+    def _diff(self, act, skip=()) -> tuple[dict[str, Any], set[str]]:
+        """Diff every replica's documents against the majority view.
+
+        ``act(store, diffs)`` gets one replica's differences as ``(kind,
+        collection, doc_id, majority document)`` rows, kind ``"missing"`` /
+        ``"divergent"`` / ``"extra"`` (the replica's alone; no document).
+        Returns ``({replica: act's result}, names that failed)``.
+        """
+        majority = self._collections
+
+        def ask(store):
+            diffs = []
+            for name in sorted(set(majority) | set(store.collections())):
+                held, canonical = store.peek_collection(name), majority.get(name, {})
+                for doc_id in sorted(set(held) | set(canonical)):
+                    document = canonical.get(doc_id)
+                    if doc_id not in held:
+                        diffs.append(("missing", name, doc_id, document))
+                    elif document is None:
+                        diffs.append(("extra", name, doc_id, None))
+                    elif _encode(held[doc_id]) != _encode(document):
+                        diffs.append(("divergent", name, doc_id, document))
+            return act(store, diffs)
+
+        return self._ask_all(ask, skip)
+
+    def converge(self, prune: bool) -> tuple[int, int, set[str]]:
+        """Rewrite every replica's documents onto the majority view.
+
+        Missing and divergent documents are rewritten; with ``prune`` —
+        the caller's call, safe only with every replica present to vote —
+        documents the majority lacks (stale journal entries, uncommitted
+        minority writes) are deleted.  Returns ``(healed, pruned, failed)``.
+        """
+        healed = pruned = 0
+
+        def act(store, diffs):
+            nonlocal healed, pruned
+            for kind, name, doc_id, document in diffs:
+                if kind != "extra":
+                    store._write_raw(name, doc_id, document)
+                    healed += 1
+                elif prune:
+                    store._delete_raw(name, doc_id)
+                    pruned += 1
+
+        _answers, failed = self._diff(act)
+        return healed, pruned, failed
+
+    def divergence(self, skip=()) -> dict[str, dict | None]:
+        """``{replica: {"missing": n, "extra": n, "divergent": n}}`` against
+        the majority view; ``None`` for a replica that could not answer,
+        nothing for the ``skip`` names (not contacted)."""
+
+        def act(_store, diffs):
+            kinds = [kind for kind, _name, _doc_id, _document in diffs]
+            return {kind: kinds.count(kind) for kind in ("missing", "extra", "divergent")}
+
+        answers, failed = self._diff(act, skip)
+        return {**answers, **dict.fromkeys(failed)}
+
 
 # -- wiring and divergence inspection ---------------------------------------
+def replicated_pair(file_backends: list, doc_backends: list, config):
+    """The replicated store pair over per-replica backends, with the
+    quorums and policy of an :class:`~repro.config.ArchiveConfig`."""
+    options = {
+        "write_quorum": config.write_quorum,
+        "read_quorum": config.read_quorum,
+        "policy": config.replication_policy,
+    }
+    return (
+        ReplicatedFileStore(file_backends, **options),
+        ReplicatedDocumentStore(doc_backends, **options),
+    )
+
+
 def replicated_stores(context):
     """The replicated layers of a context's stores (``None`` if absent)."""
 
@@ -1422,89 +1429,23 @@ def replica_divergence(
     bytes).  Only replicas that diverge (or are unreachable) appear in
     the result.
     """
+    artifacts = file_rep.divergence(deep) if file_rep is not None else {}
+    silent = {name for name, diff in artifacts.items() if diff is None}
+    documents = doc_rep.divergence(skip=silent) if doc_rep is not None else {}
     entries: list[dict] = []
-    canonical_docs = doc_rep._collections if doc_rep is not None else {}
-
-    canonical_artifacts: dict[str, str | None] = {}
-    if file_rep is not None:
-        votes: dict[str, dict[str | None, int]] = {}
-        reachable = 0
-        for state in file_rep.replicas:
-            try:
-                ids = state.store.ids()
-            except _REPLICA_FAILURES:
-                continue
-            reachable += 1
-            for artifact_id in ids:
-                digest = _safe_digest(state.store, artifact_id)
-                counts = votes.setdefault(artifact_id, {})
-                counts[digest] = counts.get(digest, 0) + 1
-        for artifact_id, counts in votes.items():
-            holders = sum(counts.values())
-            if reachable and holders * 2 > reachable:
-                canonical_artifacts[artifact_id] = max(
-                    counts.items(), key=lambda item: item[1]
-                )[0]
-
-    names = [
-        state.name
-        for state in (file_rep or doc_rep).replicas
-    ]
-    for position, name in enumerate(names):
-        entry: dict = {
-            "replica": name,
-            "unreachable": False,
-            "missing_artifacts": [],
-            "extra_artifacts": [],
-            "divergent_artifacts": [],
-            "missing_documents": 0,
-            "extra_documents": 0,
-            "divergent_documents": 0,
+    for state in (file_rep or doc_rep).replicas:
+        files = artifacts.get(state.name, {})
+        docs = documents.get(state.name, {})
+        entry = {
+            "replica": state.name,
+            "unreachable": files is None or docs is None,
+            "missing_artifacts": (files or {}).get("missing", []),
+            "extra_artifacts": (files or {}).get("extra", []),
+            "divergent_artifacts": (files or {}).get("divergent", []),
+            "missing_documents": (docs or {}).get("missing", 0),
+            "extra_documents": (docs or {}).get("extra", 0),
+            "divergent_documents": (docs or {}).get("divergent", 0),
         }
-        if file_rep is not None:
-            state = file_rep.replicas[position]
-            try:
-                held = set(state.store.ids())
-                entry["missing_artifacts"] = sorted(
-                    set(canonical_artifacts) - held
-                )
-                entry["extra_artifacts"] = sorted(
-                    held - set(canonical_artifacts)
-                )
-                for artifact_id in sorted(held & set(canonical_artifacts)):
-                    digest = _safe_digest(state.store, artifact_id)
-                    if digest != canonical_artifacts[artifact_id]:
-                        entry["divergent_artifacts"].append(artifact_id)
-                    elif deep and not state.store.verify_artifact(artifact_id):
-                        entry["divergent_artifacts"].append(artifact_id)
-            except _REPLICA_FAILURES:
-                entry["unreachable"] = True
-        if doc_rep is not None and not entry["unreachable"]:
-            state = doc_rep.replicas[position]
-            try:
-                collections = state.store._collections
-                for collection, canonical in canonical_docs.items():
-                    held_docs = collections.get(collection, {})
-                    for doc_id, document in canonical.items():
-                        if doc_id not in held_docs:
-                            entry["missing_documents"] += 1
-                        elif _encode(held_docs[doc_id]) != _encode(document):
-                            entry["divergent_documents"] += 1
-                    entry["extra_documents"] += len(
-                        set(held_docs) - set(canonical)
-                    )
-                for collection in set(collections) - set(canonical_docs):
-                    entry["extra_documents"] += len(collections[collection])
-            except _REPLICA_FAILURES:
-                entry["unreachable"] = True
-        if (
-            entry["unreachable"]
-            or entry["missing_artifacts"]
-            or entry["extra_artifacts"]
-            or entry["divergent_artifacts"]
-            or entry["missing_documents"]
-            or entry["extra_documents"]
-            or entry["divergent_documents"]
-        ):
+        if any(value for key, value in entry.items() if key != "replica"):
             entries.append(entry)
     return entries

@@ -101,6 +101,22 @@ class TestDeprecationShims:
             "enabled", "set_cache_bytes", "chunk_cache_bytes",
         ]
 
+    def test_dead_constructor_knobs_are_gone(self, tmp_path):
+        """ISSUE 18: per-knob plumbing no caller passed, and a checksum
+        switch whose only use was turning verification off."""
+        from repro.storage.file_store import FileStore
+        from repro.storage.persistent import PersistentFileStore, open_context
+        from repro.storage.replication import ReplicatedFileStore
+
+        with pytest.raises(TypeError):
+            open_context(str(tmp_path / "a"), profile=SERVER_PROFILE)
+        with pytest.raises(TypeError):
+            PersistentFileStore(tmp_path / "b", verify_checksums=False)
+        for knob in ("names", "latency_factors"):
+            with pytest.raises(TypeError):
+                ReplicatedFileStore([FileStore()], **{knob: None})
+        assert not (tmp_path / "a").exists()
+
     def test_approach_kwargs_still_pass_through(self):
         manager = MultiModelManager.with_approach("update", snapshot_interval=4)
         assert manager.approach.snapshot_interval == 4

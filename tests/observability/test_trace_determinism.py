@@ -159,6 +159,27 @@ class TestDegradedVisibility:
             assert event["missed"] == ["replica-2"]
             assert sorted(event["acks"]) == ["replica-0", "replica-1"]
 
+    def test_degraded_compaction_names_the_missed_replica(self):
+        # ``replace`` is the same charged quorum write as ``insert`` — the
+        # one compaction issues — and reports its acks the same way.
+        from repro.core.retention import RetentionManager
+
+        result = run_cycle(workers=1, replicas=3, replica_down=True)
+        context = result["manager"].context
+        context.tracer.clear()
+        with context.trace("compact"):
+            RetentionManager(context).compact(result["set_id"])
+        acks = [
+            event
+            for span in context.tracer.roots[0].walk()
+            for event in span.events
+            if event["name"] == "replica-acks"
+        ]
+        assert any(event["op"].startswith("replace ") for event in acks)
+        for event in acks:
+            assert event["missed"] == ["replica-2"]
+            assert sorted(event["acks"]) == ["replica-0", "replica-1"]
+
     def test_healthy_save_misses_nobody(self):
         result = run_cycle(workers=1, replicas=3)
         acks = [

@@ -55,13 +55,6 @@ class TestPersistentFileStore:
         with pytest.raises(StorageError):
             PersistentFileStore(tmp_path).get("a1")
 
-    def test_checksum_verification_can_be_disabled(self, tmp_path):
-        store = PersistentFileStore(tmp_path)
-        store.put(b"bytes", artifact_id="a1")
-        (tmp_path / "a1.bin").write_bytes(b"tampered")
-        lax = PersistentFileStore(tmp_path, verify_checksums=False)
-        assert lax.get("a1") == b"tampered"
-
     def test_get_range_reads_from_disk(self, tmp_path):
         store = PersistentFileStore(tmp_path)
         store.put(bytes(range(100)), artifact_id="a1")

@@ -13,8 +13,11 @@ from repro.errors import (
     DocumentNotFoundError,
     DuplicateArtifactError,
     QuorumError,
+    ReplicaUnavailableError,
+    SimulatedCrashError,
 )
-from repro.storage.document_store import DocumentStore
+from repro.storage import replication
+from repro.storage.document_store import DocumentStore, document_num_bytes
 from repro.storage.faults import FaultInjector, FaultyDocumentStore, FaultyFileStore
 from repro.storage.file_store import FileStore
 from repro.storage.hardware import LOCAL_PROFILE, SERVER_PROFILE
@@ -456,3 +459,222 @@ class TestDivergenceDiff:
         assert replica_divergence(file_rep, None) == []
         [entry] = replica_divergence(file_rep, None, deep=True)
         assert entry["divergent_artifacts"] == ["a1"]
+
+
+# -- the fan-out contract, once for all ten mutating entry points -----------
+DATA = b"x" * 4096
+DOC = {"v": 1, "pad": "y" * 256}
+FACTORS = (1.0, 3.0, 10.0)
+
+
+class Scripted:
+    """Backend proxy whose mutations follow a switchable script.
+
+    ``script["fail"]`` (an exception instance or ``None``) is raised by
+    every mutating call — of the store and of the writers it opened —
+    and ``script["calls"]`` counts the mutations that reached it.
+    """
+
+    MUTATIONS = frozenset(
+        "put open_writer delete insert replace _write_raw _delete_raw "
+        "write close".split()
+    )
+
+    def __init__(self, inner, script=None):
+        self._target = inner
+        self.script = {"fail": None, "calls": 0} if script is None else script
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if name not in self.MUTATIONS:
+            return attr
+
+        def call(*args, **kwargs):
+            self.script["calls"] += 1
+            if self.script["fail"] is not None:
+                raise self.script["fail"]
+            result = attr(*args, **kwargs)
+            if name == "open_writer":
+                return Scripted(result, self.script)
+            return result
+
+        return call
+
+
+def scripted_rep(kind):
+    backends = [
+        Scripted(FileStore(profile=SERVER_PROFILE) if kind == "file"
+                 else DocumentStore(profile=SERVER_PROFILE))
+        for _ in FACTORS
+    ]
+    cls = ReplicatedFileStore if kind == "file" else ReplicatedDocumentStore
+    rep = cls(backends)  # N=3, W=2
+    for state, factor in zip(rep.replicas, FACTORS):
+        state.latency_factor = factor
+    return rep
+
+
+def _file_cost(rep):
+    return rep.replicas[0].store._write_cost(len(DATA), 1)
+
+
+def _doc_cost(rep):
+    size = document_num_bytes(DOC)
+    return rep.profile.doc_write_cost(size)
+
+
+def _open(rep, box):
+    box["writer"] = rep.open_writer("k")
+
+
+def _open_and_write(rep, box):
+    _open(rep, box)
+    box["writer"].write(DATA)
+
+
+def _finish_stream(rep, box):
+    # Leftover of an earlier chunk-less stream: complete it healthy.
+    if box["writer"]._num_bytes == 0:
+        box["writer"].write(DATA)
+    box["writer"].close()
+
+
+#: name -> (store kind, repair key, op queued for a missed replica,
+#: gated, acks needed, charged base cost or None, setup, act, finish).
+#: ``finish`` completes a stream so the deferred repair notes land.
+ENTRY_POINTS = {
+    "file.put": (
+        "file", "k", "put", True, 2, _file_cost, None,
+        lambda rep, box: rep.put(DATA, artifact_id="k"), None,
+    ),
+    "file.open_writer": (
+        "file", "k", "put", True, 1, None, None, _open, _finish_stream,
+    ),
+    "writer.write": (
+        "file", "k", "put", False, 1, None, _open,
+        lambda rep, box: box["writer"].write(DATA), _finish_stream,
+    ),
+    "writer.close": (
+        "file", "k", "put", False, 2, _file_cost, _open_and_write,
+        lambda rep, box: box["writer"].close(), None,
+    ),
+    "file.delete": (
+        "file", "k", "delete", True, 2, None,
+        lambda rep, box: rep.put(DATA, artifact_id="k"),
+        lambda rep, box: rep.delete("k"), None,
+    ),
+    "doc.insert": (
+        "doc", ("c", "k"), "put", True, 2, _doc_cost, None,
+        lambda rep, box: rep.insert("c", DOC, doc_id="k"), None,
+    ),
+    "doc.replace": (
+        "doc", ("c", "k"), "put", True, 2, _doc_cost,
+        lambda rep, box: rep.insert("c", {"v": 0}, doc_id="k"),
+        lambda rep, box: rep.replace("c", "k", DOC), None,
+    ),
+    "doc.delete": (
+        "doc", ("c", "k"), "delete", True, 2, None,
+        lambda rep, box: rep.insert("c", DOC, doc_id="k"),
+        lambda rep, box: rep.delete("c", "k"), None,
+    ),
+    "doc._write_raw": (
+        "doc", ("c", "k"), "put", True, 2, None, None,
+        lambda rep, box: rep._write_raw("c", "k", DOC), None,
+    ),
+    "doc._delete_raw": (
+        "doc", ("c", "k"), "delete", True, 0, None,
+        lambda rep, box: rep._write_raw("c", "k", DOC),
+        lambda rep, box: rep._delete_raw("c", "k"), None,
+    ),
+}
+
+
+class TestFanOutContract:
+    """Every mutating entry point obeys the one per-replica rule."""
+
+    def test_a_process_kill_is_not_a_replica_failure(self):
+        assert not issubclass(SimulatedCrashError, replication._REPLICA_FAILURES)
+
+    @pytest.mark.parametrize("victims", [(1,), (1, 2)], ids=["one", "two"])
+    @pytest.mark.parametrize("outcome", ["ack", "refused", "unavailable", "crash"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_entry_point(self, entry, outcome, victims):
+        kind, key, op, gated, needed, base_cost, setup, act, finish = ENTRY_POINTS[
+            entry
+        ]
+        rep = scripted_rep(kind)
+        box = {}
+        if setup is not None:
+            setup(rep, box)
+        assert rep.pending_repairs() == {}
+        label = key if kind == "file" else "/".join(key)
+        # A stale note on replica 0, which acknowledges in every row.
+        rep._note_repair(0, key, op)
+        for index in victims:
+            state = rep.replicas[index]
+            if outcome == "refused":
+                state.breaker.trip()
+            elif outcome == "unavailable":
+                state.store.script["fail"] = ReplicaUnavailableError("scripted")
+            elif outcome == "crash":
+                state.store.script["fail"] = SimulatedCrashError("scripted")
+        calls = {i: rep.replicas[i].store.script["calls"] for i in victims}
+        charged = rep.stats.simulated_write_s
+
+        if outcome == "crash":
+            with pytest.raises(SimulatedCrashError):
+                act(rep, box)
+            # The kill unwound untouched: no note, no breaker movement.
+            pending = rep.pending_repairs()
+            for index in victims:
+                assert label not in pending.get(f"replica-{index}", {})
+                assert rep.replicas[index].breaker.failures == 0
+            assert rep.stats.simulated_write_s == charged
+            return
+
+        visited = outcome == "ack" or (outcome == "refused" and not gated)
+        ackers = [i for i in range(3) if visited or i not in victims]
+        if len(ackers) < needed:
+            with pytest.raises(QuorumError):
+                act(rep, box)
+            assert rep.stats.simulated_write_s == charged
+            return
+        act(rep, box)
+
+        # Charged ops move the layer by the W-th fastest ack, others by 0.
+        moved = rep.stats.simulated_write_s - charged
+        if base_cost is None:
+            assert moved == 0
+        else:
+            costs = sorted(base_cost(rep) * FACTORS[i] for i in ackers)
+            assert moved == pytest.approx(costs[rep.write_quorum - 1])
+
+        # Breaker counters moved exactly as the outcome says.
+        for index in victims:
+            breaker = rep.replicas[index].breaker
+            contacted = rep.replicas[index].store.script["calls"] - calls[index]
+            if visited:
+                assert contacted == 1
+                assert (breaker.open, breaker.failures, breaker.skipped) == (False, 0, 0)
+            elif outcome == "refused":
+                assert contacted == 0
+                assert (breaker.open, breaker.failures, breaker.skipped) == (True, 0, 1)
+            else:
+                assert contacted == 1
+                assert (breaker.open, breaker.failures) == (False, 1)
+
+        for index in victims:
+            rep.replicas[index].store.script["fail"] = None
+        if finish is not None and len(ackers) < rep.write_quorum:
+            # The stream opened on fewer than W replicas: it cannot commit.
+            with pytest.raises(QuorumError):
+                finish(rep, box)
+            return
+        if finish is not None:
+            finish(rep, box)
+        # Each missed replica is queued under the right op; every ack
+        # cleared its entry (replica 0's stale note included).
+        missed = [i for i in victims if i not in ackers]
+        assert rep.pending_repairs() == {
+            f"replica-{i}": {label: op} for i in missed
+        }
