@@ -16,11 +16,8 @@ Module map (see DESIGN.md §3 for the full inventory):
   (paper's future work, §4.5).
 """
 
-# Compatibility re-exports: the canonical home of every exception is
-# repro.errors (see that module's docstring).
 from repro.config import ArchiveConfig, ObservabilityConfig
 from repro.core.approach import SaveApproach, SaveContext
-from repro.errors import RecoveryError, ReproError
 from repro.core.baseline import BaselineApproach
 from repro.core.compression import CODECS, CompressionCodec
 from repro.core.export import export_models, import_models
@@ -60,8 +57,6 @@ __all__ = [
     "Placement",
     "PlacementProblem",
     "ProvenanceApproach",
-    "RecoveryError",
-    "ReproError",
     "RetentionManager",
     "SaveApproach",
     "SaveContext",

@@ -30,6 +30,7 @@ from repro.errors import RecoveryError
 from repro.storage.chunk_index import ChunkStore
 from repro.storage.document_store import DocumentStore
 from repro.storage.file_store import FileStore
+from repro.storage.persistent import open_archive_stores
 
 if TYPE_CHECKING:
     from repro.observability.metrics import MetricsRegistry
@@ -106,25 +107,15 @@ class SaveContext:
         :mod:`repro.storage.replication`); the quorums default to a
         majority W and the matching R with W + R = N + 1.  In-memory
         contexts run unjournaled regardless of ``config.journal`` (attach
-        a journal explicitly when needed); ``config.retry`` and
+        a journal explicitly when needed); ``config.retry`` (per backend,
+        beneath the replication layer, as in a durable archive) and
         ``config.observability`` are honored.
         """
         config = resolve_config("SaveContext.create", config)
-        replicas = config.replicas or 1
-        if replicas > 1:
-            from repro.storage.replication import replicated_pair
-
-            file_store, document_store = replicated_pair(
-                [FileStore(profile=config.profile) for _ in range(replicas)],
-                [DocumentStore(profile=config.profile) for _ in range(replicas)],
-                config,
-            )
-        else:
-            file_store = FileStore(profile=config.profile)
-            document_store = DocumentStore(profile=config.profile)
-        return build_context(
-            file_store, document_store, config, retry=config.retry, journal=False
+        file_store, document_store = open_archive_stores(
+            [None] * (config.replicas or 1), config
         )
+        return build_context(file_store, document_store, config, journal=False)
 
     def chunk_store(self) -> ChunkStore:
         """The context's chunk layer (created on first use, then shared)."""
@@ -235,23 +226,23 @@ class SaveContext:
 
 
 def build_context(
-    file_store, document_store, config: "ArchiveConfig", retry, journal: bool
+    file_store, document_store, config: "ArchiveConfig", journal: bool
 ) -> SaveContext:
     """A context over two stores, with everything it carries on top.
 
     What :meth:`SaveContext.create` and
-    :func:`repro.storage.persistent.open_context` share, in the one
-    order that works: set ids resume past the persisted ones; retry
-    proxies (``retry``, a :class:`~repro.storage.faults.RetryPolicy` or
-    ``None``) go beneath the journal; the journal runs crash recovery as
-    it attaches; tracing/metrics, the serving cache and the registry see
-    the final stores — so in-memory and durable archives behave alike.
+    :func:`repro.storage.persistent.open_context` share — over the pair
+    :func:`repro.storage.persistent.open_archive_stores` built them (retry
+    proxies and replication already in place) — in the one order that
+    works: set ids resume past the persisted ones; the journal runs crash
+    recovery as it attaches; tracing/metrics, the serving cache and the
+    registry see the final stores — so in-memory and durable archives
+    behave alike.
     """
     from repro.observability.metrics import global_registry
     from repro.observability.trace import install_tracing
     from repro.registry import attach_registry
     from repro.serving import apply_serving
-    from repro.storage.faults import attach_retries
     from repro.storage.journal import attach_journal
 
     context = SaveContext(
@@ -269,10 +260,8 @@ def build_context(
         except ValueError:
             continue
     context._set_counter = itertools.count(highest + 1)
-    if retry is not None:
-        attach_retries(context, retry)
     if journal:
-        context.recovery_report = attach_journal(context).recover()
+        attach_journal(context)
     if config.observability.tracing:
         install_tracing(context)
     if config.observability.metrics:

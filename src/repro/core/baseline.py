@@ -28,6 +28,7 @@ from repro.architectures.registry import get_architecture
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
 from repro.core.model_set import ModelSet
 from repro.core.parallel import parallel_map
+from repro.core.quantized import to_float16
 from repro.core.recovery import execute, resolve_chain, resolve_chunked
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.nn.serialization import StateSchema, parameters_to_bytes
@@ -186,10 +187,9 @@ def read_full_set(context: SaveContext, document: dict, set_id: str) -> ModelSet
 
 def _layer_bytes(array: np.ndarray, dtype: str) -> bytes:
     """One layer tensor's serialized chunk bytes (the dedup unit)."""
-    values = np.asarray(array, dtype=np.float32)
     if dtype == "float16":
-        values = values.astype(np.float16)
-    return values.tobytes()
+        return to_float16(array).tobytes()
+    return np.asarray(array, dtype=np.float32).tobytes()
 
 
 def write_chunked_set(

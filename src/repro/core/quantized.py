@@ -29,6 +29,20 @@ from repro.errors import RecoveryError
 from repro.nn.serialization import StateSchema
 
 _ITEM_BYTES = 2  # float16
+_FP16_MAX = float(np.finfo(np.float16).max)  # 65504
+
+
+def to_float16(array) -> np.ndarray:
+    """Narrow ``array`` to half precision, saturating instead of overflowing.
+
+    A finite value beyond ±65504 stores as ±65504 — the nearest value the
+    tier can hold — rather than turning into an infinity the model never
+    contained (and a ``RuntimeWarning`` per save); ``±inf`` and ``NaN``
+    pass through.  In-range values cast exactly as ``astype`` does.
+    """
+    values = np.asarray(array, dtype=np.float32)
+    clipped = np.clip(values, -_FP16_MAX, _FP16_MAX)
+    return np.where(np.isinf(values), values, clipped).astype(np.float16)
 
 
 class QuantizedBaselineApproach(SaveApproach):
@@ -65,7 +79,7 @@ class QuantizedBaselineApproach(SaveApproach):
             )
             return set_id
         payload = b"".join(
-            np.asarray(arr, dtype=np.float32).astype(np.float16).tobytes()
+            to_float16(arr).tobytes()
             for state in model_set.states
             for arr in state.values()
         )

@@ -4,11 +4,9 @@ Every error raised by the library derives from :class:`ReproError` so that
 callers can catch library failures with a single ``except`` clause while
 still being able to distinguish the individual failure modes.
 
-This module is the single public home of the hierarchy: import errors
-from ``repro.errors`` (or the ``repro`` top level, which re-exports all
-of them).  Storage modules that historically raised these classes keep
-re-exporting them for compatibility, but new code should not import
-errors from anywhere else.
+This module is the single home of the hierarchy: import errors from
+``repro.errors`` (the ``repro`` top level and ``repro.api`` expose the
+module itself as ``errors``).  No other package re-exports them.
 """
 
 from __future__ import annotations

@@ -25,13 +25,7 @@ how to choose shard counts and flush deadlines.
 
 from repro.fleet.deadletter import DeadLetterStore
 from repro.fleet.health import DEGRADED, DOWN, HEALTHY, FleetHealthTracker
-from repro.fleet.ingest import (
-    IngestBackpressureError,
-    IngestClosedError,
-    IngestError,
-    IngestQueue,
-    SimClock,
-)
+from repro.fleet.ingest import IngestQueue
 from repro.fleet.manager import SHARD_PREFIX, FleetManager, shard_for
 
 __all__ = [
@@ -42,10 +36,6 @@ __all__ = [
     "DeadLetterStore",
     "FleetHealthTracker",
     "FleetManager",
-    "IngestBackpressureError",
-    "IngestClosedError",
-    "IngestError",
     "IngestQueue",
-    "SimClock",
     "shard_for",
 ]

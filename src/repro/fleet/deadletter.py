@@ -34,14 +34,9 @@ from pathlib import Path
 
 from repro.errors import DeadLetterError
 from repro.nn.serialization import deserialize_state_dict, serialize_state_dict
-from repro.storage.document_store import DocumentStore
-from repro.storage.file_store import FileStore
 from repro.storage.hardware import LOCAL_PROFILE, HardwareProfile
-from repro.storage.journal import (
-    JournaledDocumentStore,
-    JournaledFileStore,
-    SaveJournal,
-)
+from repro.storage.journal import open_journal
+from repro.storage.persistent import open_stores
 
 __all__ = ["DEADLETTER_COLLECTION", "DEADLETTER_DIR", "DeadLetterStore"]
 
@@ -66,30 +61,12 @@ class DeadLetterStore:
         profile: HardwareProfile = LOCAL_PROFILE,
     ) -> None:
         self.directory = Path(directory) if directory is not None else None
-        if self.directory is None:
-            file_store = FileStore(profile=profile)
-            document_store = DocumentStore(profile=profile)
-        else:
-            from repro.storage.persistent import (
-                PersistentDocumentStore,
-                PersistentFileStore,
-            )
-
-            file_store = PersistentFileStore(
-                self.directory / "artifacts", profile=profile
-            )
-            document_store = PersistentDocumentStore(
-                self.directory / "documents", profile=profile
-            )
-        self.journal = SaveJournal(file_store, document_store)
-        self.journal.recover()
-        self.file_store = JournaledFileStore(file_store, self.journal)
-        self.document_store = JournaledDocumentStore(
-            document_store, self.journal
+        self.journal, self.file_store, self.document_store, _report = open_journal(
+            *open_stores(self.directory, profile)
         )
         self._lock = threading.Lock()
         highest = -1
-        for entry_id in document_store.collection_ids(DEADLETTER_COLLECTION):
+        for entry_id in self.document_store.collection_ids(DEADLETTER_COLLECTION):
             suffix = entry_id.rsplit("-", 1)[-1]
             if suffix.isdigit():
                 highest = max(highest, int(suffix))

@@ -62,13 +62,7 @@ from repro.errors import (
 from repro.fleet.manager import FleetManager
 from repro.simtime import SimClock
 
-__all__ = [
-    "IngestBackpressureError",
-    "IngestClosedError",
-    "IngestError",
-    "IngestQueue",
-    "SimClock",
-]
+__all__ = ["IngestQueue"]
 
 
 @dataclass

@@ -44,9 +44,9 @@ from repro.registry.records import (
     VERSIONS_COLLECTION,
     journaled_delete,
     journaled_write,
-    open_registry_store,
 )
-from repro.storage.journal import innermost
+from repro.storage.journal import innermost, open_journal
+from repro.storage.persistent import open_stores
 
 #: The automatically maintained tag: always the newest surviving version.
 LATEST_TAG = "latest"
@@ -680,9 +680,12 @@ def open_fleet_registry(
     shard, like ``deadletter/``, so the catalog stays queryable while a
     shard is DOWN; ``directory=None`` builds an in-memory catalog.  The
     store carries a private journal replayed on open, so a crash
-    mid-record never surfaces a torn catalog entry.
+    mid-record never surfaces a torn catalog entry; records are documents
+    only, so the journal's artifact half is a throwaway in-memory store
+    and ``registry/`` holds ``documents/`` alone.
     """
-    store, journal = open_registry_store(directory)
+    file_store, store = open_stores(directory, artifacts=False)
+    journal = open_journal(file_store, store)[0]
     return Registry(store, journal=journal, resolver=resolver, metrics=metrics)
 
 

@@ -1,4 +1,4 @@
-"""Registry record plumbing: collections, journaled raw writes, stores.
+"""Registry record plumbing: collections and journaled raw writes.
 
 The registry is management-plane bookkeeping, exactly like the save
 journal: its documents are written through the stores' uncharged
@@ -13,10 +13,8 @@ pass that repairs torn saves.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.storage.document_store import check_document_key
-from repro.storage.journal import SaveJournal, innermost
+from repro.storage.journal import innermost
 
 #: Directory name of the fleet-level registry subtree under a fleet root
 #: (outside every shard, like ``deadletter/``).
@@ -90,34 +88,6 @@ def journaled_delete(store, journal, collection: str, doc_id: str):
                 }
             )
     store._delete_raw(collection, doc_id)
-
-
-def open_registry_store(directory: "str | Path | None"):
-    """Build the standalone (fleet-level) registry store pair.
-
-    ``directory=None`` builds an in-memory document store (in-memory
-    fleets and tests); a path builds the durable ``registry/documents``
-    subtree.  Either way the store gets a private
-    :class:`~repro.storage.journal.SaveJournal` whose recovery runs on
-    open, so a crash mid-record never surfaces a torn catalog entry.
-    The journal's file store is a throwaway in-memory store: registry
-    records are documents only.
-
-    Returns ``(document_store, journal)``.
-    """
-    from repro.storage.file_store import FileStore
-
-    if directory is None:
-        from repro.storage.document_store import DocumentStore
-
-        document_store = DocumentStore()
-    else:
-        from repro.storage.persistent import PersistentDocumentStore
-
-        document_store = PersistentDocumentStore(Path(directory) / "documents")
-    journal = SaveJournal(FileStore(), document_store)
-    journal.recover()
-    return document_store, journal
 
 
 def raw_documents(store, collection: str):

@@ -7,9 +7,6 @@ queue's flush-age deadlines, the maintenance scheduler's duty-cycle
 rate limiting, the soak harness driving both — shares one injectable
 :class:`SimClock` instead of sleeping: tests and benchmarks ``advance()``
 it explicitly, so deadline and pacing behaviour is deterministic.
-
-Historically this class lived in :mod:`repro.fleet.ingest`; that module
-re-exports it, so the old import path keeps working.
 """
 
 from __future__ import annotations

@@ -8,17 +8,6 @@ charge a configurable simulated latency per operation so that the paper's
 host (see DESIGN.md, substitution table).
 """
 
-# Compatibility re-exports: the canonical home of every exception is
-# repro.errors; these aliases keep pre-existing ``from repro.storage
-# import StorageError``-style imports working.
-from repro.errors import (
-    ArtifactCorruptionError,
-    ArtifactNotFoundError,
-    DocumentNotFoundError,
-    DuplicateArtifactError,
-    QuorumError,
-    StorageError,
-)
 from repro.storage.chunk_index import ChunkStore, IngestReport, SweepReport
 from repro.storage.document_store import DocumentStore
 from repro.storage.file_store import FileStore
@@ -41,15 +30,9 @@ from repro.storage.replication import (
 from repro.storage.stats import StorageStats
 
 __all__ = [
-    "ArtifactCorruptionError",
-    "ArtifactNotFoundError",
     "ChunkStore",
-    "DocumentNotFoundError",
     "DocumentStore",
-    "DuplicateArtifactError",
     "FileStore",
-    "QuorumError",
-    "StorageError",
     "IngestReport",
     "SweepReport",
     "HardwareProfile",

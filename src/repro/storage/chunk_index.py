@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.errors import ChunkCorruptionError, StorageError
+from repro.storage.file_store import WriterContext
 from repro.storage.hashing import hash_bytes
 
 #: Collection holding one layout document per pack artifact.
@@ -89,7 +90,7 @@ class SweepReport:
     packs_rewritten: list[str] = field(default_factory=list)
 
 
-class IngestSession:
+class IngestSession(WriterContext):
     """Streaming ingest of one save's chunk references.
 
     References are added one at a time (:meth:`add`), so a 5000-model save
@@ -211,15 +212,6 @@ class IngestSession:
         self._closed = True
         if self._writer is not None:
             self._writer.abort()
-
-    def __enter__(self) -> "IngestSession":
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        if exc_type is not None:
-            self.abort()
-        elif not self._closed:
-            self.close()
 
 
 class ChunkStore:

@@ -38,6 +38,13 @@ def document_num_bytes(document: JsonDocument) -> int:
     return encode_document(document)[1]
 
 
+def unsafe_name(name: str) -> bool:
+    """Whether ``name`` breaks the naming rule of both planes (document
+    keys, artifact ids): to be a file in a store's directory a name is
+    non-empty, has no ``/`` or ``\\`` and no leading ``.``; ``:`` is legal."""
+    return not name or name[0] == "." or "/" in name or "\\" in name
+
+
 def check_document_key(collection: str, doc_id: str | None = None) -> None:
     """Refuse a collection or document id that cannot name a file.
 
@@ -45,11 +52,11 @@ def check_document_key(collection: str, doc_id: str | None = None) -> None:
     some ids (registry family and tag names) come from callers, so every
     write entry point of every document store checks both names *before*
     anything is mutated or charged — in memory too, so all archives refuse
-    the same names.  A name is non-empty, has no ``/`` or ``\\`` and no
-    leading ``.``; ``:`` is legal.  ``doc_id=None``: the store draws the id.
+    the same names (:func:`unsafe_name`).  ``doc_id=None``: the store draws
+    the id.
     """
     for name in (collection,) if doc_id is None else (collection, doc_id):
-        if not name or name[0] == "." or "/" in name or "\\" in name:
+        if unsafe_name(name):
             raise StorageError(
                 f"invalid document key {collection!r}/{doc_id!r}: a collection "
                 "or document id must be non-empty, without '/' or '\\' and "

@@ -51,6 +51,7 @@ from repro.errors import (
     TransientStorageError,
 )
 from repro.storage.hashing import hash_bytes
+from repro.storage.journal import StoreProxy, WriterProxy, innermost, splice_bottom
 
 
 @dataclass
@@ -233,25 +234,19 @@ class FaultInjector:
         return bytes(corrupted)
 
 
-class _FaultProxy:
-    """Base for fault-wrapping store proxies (``_inner`` delegation)."""
+class _FaultProxy(StoreProxy):
+    """Base for fault-wrapping store proxies."""
 
     def __init__(self, inner, injector: FaultInjector) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._injector = injector
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
-    def __len__(self) -> int:
-        return len(self._inner)
-
-
-class _FaultyWriter:
+class _FaultyWriter(WriterProxy):
     """Writer wrapper: the finalizing close is one schedulable mutation."""
 
     def __init__(self, writer, injector: FaultInjector) -> None:
-        self._writer = writer
+        super().__init__(writer)
         self._injector = injector
 
     def write(self, chunk: bytes) -> None:
@@ -263,24 +258,6 @@ class _FaultyWriter:
 
     def close(self) -> str:
         return self._injector.mutation(self._writer.close)
-
-    def abort(self) -> None:
-        self._writer.abort()
-
-    @property
-    def _closed(self) -> bool:
-        # Outer proxies (journal, replication) consult ``_closed`` to
-        # decide whether a with-block exit still needs to finalize.
-        return self._writer._closed
-
-    def __enter__(self) -> "_FaultyWriter":
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        if exc_type is not None:
-            self.abort()
-        elif not self._writer._closed:
-            self.close()
 
 
 class FaultyFileStore(_FaultProxy):
@@ -303,25 +280,15 @@ class FaultyFileStore(_FaultProxy):
             digest = hash_bytes(data)
         target = artifact_id if artifact_id is not None else "sha256-" + digest
         stored = self._injector.maybe_corrupt(data)
+        options = {"category": category, "workers": workers, "digest": digest}
 
         def apply():
-            return self._inner.put(
-                stored,
-                artifact_id=artifact_id,
-                category=category,
-                workers=workers,
-                digest=digest,
-            )
+            return self._inner.put(stored, artifact_id=artifact_id, **options)
 
         def torn_apply():
             if not self._inner.exists(target):
-                self._inner.put(
-                    stored[: max(1, len(stored) // 2)],
-                    artifact_id=target,
-                    category=category,
-                    workers=workers,
-                    digest=digest,
-                )
+                torn = stored[: max(1, len(stored) // 2)]
+                self._inner.put(torn, artifact_id=target, **options)
 
         return self._injector.mutation(apply, torn_apply=torn_apply, ids=(target,))
 
@@ -346,10 +313,7 @@ class FaultyFileStore(_FaultProxy):
         )
 
     def get_range(self, artifact_id: str, offset: int, length: int) -> bytes:
-        return self._injector.read(
-            lambda: self._inner.get_range(artifact_id, offset, length),
-            ids=(artifact_id,),
-        )
+        return self.get_ranges(artifact_id, [(offset, length)])[0]
 
     def get_ranges(self, artifact_id: str, ranges, workers: int = 1):
         return self._injector.read(
@@ -492,16 +456,10 @@ class RetryPolicy:
         return self.base_delay_s * (self.multiplier ** (retry_index - 1))
 
 
-class _RetryProxy:
+class _RetryProxy(StoreProxy):
     def __init__(self, inner, policy: RetryPolicy) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._policy = policy
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def __len__(self) -> int:
-        return len(self._inner)
 
     def _with_retries(self, apply, on_duplicate=None):
         last: Exception | None = None
@@ -554,9 +512,7 @@ class RetryingFileStore(_RetryProxy):
         )
 
     def get_range(self, artifact_id: str, offset: int, length: int) -> bytes:
-        return self._with_retries(
-            lambda: self._inner.get_range(artifact_id, offset, length)
-        )
+        return self.get_ranges(artifact_id, [(offset, length)])[0]
 
     def get_ranges(self, artifact_id: str, ranges, workers: int = 1):
         return self._with_retries(
@@ -604,17 +560,6 @@ class RetryingDocumentStore(_RetryProxy):
 
 
 # -- wiring ----------------------------------------------------------------
-def _splice_bottom(store, wrap):
-    """Wrap the innermost real store of a proxy chain; returns the top."""
-    if not hasattr(store, "_inner"):
-        return wrap(store)
-    proxy = store
-    while hasattr(proxy._inner, "_inner"):
-        proxy = proxy._inner
-    proxy._inner = wrap(proxy._inner)
-    return store
-
-
 def inject_faults(context, injector: FaultInjector) -> FaultInjector:
     """Splice fault wrappers beneath any journal/retry layers of a context.
 
@@ -622,10 +567,10 @@ def inject_faults(context, injector: FaultInjector) -> FaultInjector:
     written straight to the real stores), so every injected fault lands on
     archive data — the thing the journal must protect.
     """
-    context.file_store = _splice_bottom(
+    context.file_store = splice_bottom(
         context.file_store, lambda real: FaultyFileStore(real, injector)
     )
-    context.document_store = _splice_bottom(
+    context.document_store = splice_bottom(
         context.document_store, lambda real: FaultyDocumentStore(real, injector)
     )
     context._chunk_store = None
@@ -649,21 +594,32 @@ def inject_replica_faults(
     if file_rep is None or doc_rep is None:
         raise ReproError("context has no replicated stores")
     file_state = file_rep.replicas[replica_index]
-    file_state.store = _splice_bottom(
+    file_state.store = splice_bottom(
         file_state.store, lambda real: FaultyFileStore(real, injector)
     )
     doc_state = doc_rep.replicas[replica_index]
-    doc_state.store = _splice_bottom(
+    doc_state.store = splice_bottom(
         doc_state.store, lambda real: FaultyDocumentStore(real, injector)
     )
     context._chunk_store = None
     return injector
 
 
+def with_retries(file_store, document_store, policy: "RetryPolicy | None"):
+    """A store pair behind retrying proxies (``policy=None``: as it is)."""
+    if policy is None:
+        return file_store, document_store
+    return (
+        RetryingFileStore(file_store, policy),
+        RetryingDocumentStore(document_store, policy),
+    )
+
+
 def attach_retries(context, policy: RetryPolicy) -> None:
-    """Wrap a context's stores in retrying proxies (beneath the journal)."""
-    context.file_store = RetryingFileStore(context.file_store, policy)
-    context.document_store = RetryingDocumentStore(context.document_store, policy)
+    """Wrap a context's stores in retrying proxies."""
+    context.file_store, context.document_store = with_retries(
+        context.file_store, context.document_store, policy
+    )
     context._chunk_store = None
 
 
@@ -673,15 +629,10 @@ def corrupt_artifact(file_store, artifact_id: str, offset: int = 0) -> None:
     Bypasses all accounting and checksums — afterwards the artifact fails
     ``verify_artifact`` and digest-verified reads, which is the point.
     """
-    from repro.storage.journal import innermost
-
     store = innermost(file_store)
-    if getattr(store, "_blobs", None) is not None and artifact_id in store._blobs:
-        data = bytearray(store._blobs[artifact_id])
-        data[offset] ^= 0xFF
-        store._blobs[artifact_id] = bytes(data)
-        return
-    path = store._directory / f"{artifact_id}.bin"
-    data = bytearray(path.read_bytes())
+    data = bytearray(store._load(artifact_id))
     data[offset] ^= 0xFF
-    path.write_bytes(bytes(data))
+    if artifact_id in store._blobs:
+        store._blobs[artifact_id] = bytes(data)
+    else:
+        (store._directory / f"{artifact_id}.bin").write_bytes(bytes(data))

@@ -1,14 +1,14 @@
 """Binary artifact store (the "file store" of the paper's approaches).
 
 Artifacts are immutable byte blobs addressed by an explicit id or, when no
-id is given, by content hash.  The store keeps data in memory by default
-and can optionally spill to a directory on disk, which the benchmark
-harness uses when measuring real I/O.  In spill mode only a size index is
-kept in memory — artifact bytes live on disk exclusively, so archiving a
-5000-model fleet does not also hold it resident.
+id is given, by content hash.  :class:`FileStore` is the artifact plane's
+one accounting layer — id rules, bounds checks, cost model, every
+:class:`~repro.storage.stats.StorageStats` charge — over a few byte hooks
+that say where the bytes live (DESIGN.md §8): in memory here, on disk in
+:class:`~repro.storage.persistent.PersistentFileStore`, which overrides
+the hooks and nothing else.
 
-Every operation updates a :class:`~repro.storage.stats.StorageStats`
-instance and is charged simulated latency according to the active
+Every operation is charged simulated latency according to the active
 :class:`~repro.storage.hardware.HardwareProfile`.  Operations issued by
 the parallel engine (``workers > 1``) model striped/vectored transfers:
 the simulated charge is the :func:`~repro.storage.hardware.makespan` of
@@ -17,19 +17,15 @@ the per-stripe costs across the worker lanes, not their sum.
 Large artifacts can be produced incrementally through
 :meth:`FileStore.open_writer` — the streaming-ingestion path uses it to
 save a 5000-model parameter artifact without holding all models' bytes
-at once.  In spill mode the writer streams chunks straight to the spill
-file and hashes incrementally, so no contiguous buffer of the final
-artifact ever exists in memory.
+at once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-import os
-from pathlib import Path
 
 from repro.errors import ArtifactNotFoundError, DuplicateArtifactError, StorageError
+from repro.storage.document_store import unsafe_name
 from repro.storage.hardware import (
     LOCAL_PROFILE,
     HardwareProfile,
@@ -40,19 +36,45 @@ from repro.storage.hashing import hash_bytes
 from repro.storage.stats import StorageStats
 
 
-class ArtifactWriter:
+def check_artifact_id(artifact_id: str) -> None:
+    """Refuse an artifact id that cannot name a file (``<id>.bin`` on disk).
+
+    Checked before anything is written or charged, in memory too, so all
+    archives refuse the same names — the rule of
+    :func:`~repro.storage.document_store.check_document_key`.
+    """
+    if unsafe_name(artifact_id):
+        raise StorageError(
+            f"invalid artifact id {artifact_id!r}: an id must be non-empty, "
+            "without '/' or '\\' and without a leading '.'"
+        )
+
+
+class WriterContext:
+    """The ``with`` protocol of everything that streams an artifact (the
+    writers, their proxies, the chunk ingest session): an exception inside
+    the block abandons it, a clean exit finalizes it unless the block
+    already did (``_closed``)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb) -> None:
+        if exc_type is not None:
+            self.abort()
+        elif not self._closed:
+            self.close()
+
+
+class ArtifactWriter(WriterContext):
     """Incremental artifact writer; finalize with :meth:`close`.
 
-    Accounting mirrors a single :meth:`FileStore.put`: one write
-    operation charged at close, covering the total bytes.  Usable as a
-    context manager — an exception inside the block abandons the
-    artifact without storing anything.
-
-    In spill mode chunks are streamed to a temporary file next to the
-    final artifact and the content hash is maintained incrementally;
-    the writer therefore never materializes the joined artifact.  In
-    memory mode the store must ultimately hold the final bytes, so the
-    chunks are joined once at close.
+    The content hash is maintained incrementally, and close is one
+    :meth:`FileStore.put` of the streamed bytes: the same id rules (the
+    duplicate check runs *again* — the id may have been claimed while
+    the writer was open) and one write operation charged.  Where the
+    chunks go is the backend's: the hooks below buffer them — the memory
+    store must hold the final bytes anyway — and join once at close.
     """
 
     def __init__(
@@ -69,90 +91,51 @@ class ArtifactWriter:
         self._hasher = hashlib.sha256()
         self._num_bytes = 0
         self._closed = False
-        self._chunks: list[bytes] | None = None
-        self._handle = None
-        self._temp: Path | None = None
-        if store._directory is not None:
-            self._temp = store._directory / (
-                f".writer-{next(store._temp_counter)}.tmp"
-            )
-            self._handle = open(self._temp, "wb")
-        else:
-            self._chunks = []
+        self._sink = self._open()
 
+    # -- byte hooks --------------------------------------------------------
+    def _open(self):
+        """Start the artifact; returns what :meth:`write` hands chunks to."""
+        chunks = self._chunks = []
+        return lambda chunk: chunks.append(bytes(chunk))
+
+    def _land(self, artifact_id: str, digest: str) -> None:
+        """Make the streamed bytes the stored artifact."""
+        self._store._write(artifact_id, b"".join(self._chunks), digest)
+        self._chunks.clear()
+
+    def _discard(self) -> None:
+        """Drop everything streamed; nothing may outlive the writer."""
+        self._chunks.clear()
+
+    # -- the writer ----------------------------------------------------------
     def write(self, chunk: bytes) -> None:
+        """Append ``chunk`` (bytes-like, one byte per item)."""
         if self._closed:
             raise StorageError("writer already closed")
-        chunk = bytes(chunk)
         self._hasher.update(chunk)
         self._num_bytes += len(chunk)
-        if self._handle is not None:
-            self._handle.write(chunk)
-        else:
-            self._chunks.append(chunk)
+        self._sink(chunk)
 
     def close(self) -> str:
         """Finalize the artifact; returns its id."""
         if self._closed:
             raise StorageError("writer already closed")
         self._closed = True
-        store = self._store
-        derived = self._artifact_id is None
-        digest = self._hasher.hexdigest()
-        artifact_id = "sha256-" + digest if derived else self._artifact_id
-        if not derived and store.exists(artifact_id):
+        try:
+            return self._store._commit(
+                self._artifact_id, self._hasher.hexdigest(), self._num_bytes,
+                self._category, self._workers, self._land,
+            )
+        except BaseException:
+            # Refused or failed, nothing streamed may outlive the writer.
             self._discard()
-            raise DuplicateArtifactError(f"artifact {artifact_id!r} already exists")
-        if self._handle is not None:
-            try:
-                self._handle.close()
-                os.replace(self._temp, store._directory / f"{artifact_id}.bin")
-            except OSError:
-                # A failed finalize must not leak the spill temp file.
-                self._discard()
-                raise
-            store._sizes[artifact_id] = self._num_bytes
-        else:
-            store._blobs[artifact_id] = b"".join(self._chunks)
-            self._chunks = None
-        store._digests[artifact_id] = digest
-        store._categories[artifact_id] = self._category
-        store.stats.record_write(
-            self._num_bytes,
-            store._write_cost(self._num_bytes, self._workers),
-            self._category,
-        )
-        return artifact_id
+            raise
 
     def abort(self) -> None:
         """Discard everything written so far."""
         self._closed = True
         self._discard()
-
-    def _discard(self) -> None:
-        """Drop buffered chunks and, in spill mode, the temp file.
-
-        The unlink runs even if closing the handle fails: the temp file
-        must never outlive the writer, or reopening the same spill
-        directory would accumulate ``.writer-*.tmp`` garbage.
-        """
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                if self._temp is not None:
-                    self._temp.unlink(missing_ok=True)
-        else:
-            self._chunks = []
-
-    def __enter__(self) -> "ArtifactWriter":
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        if exc_type is not None:
-            self.abort()
-        elif not self._closed:
-            self.close()
 
 
 class FileStore:
@@ -162,64 +145,112 @@ class FileStore:
     ----------
     profile:
         Latency profile charged per operation; defaults to zero-latency.
-    directory:
-        Optional spill directory.  When given, artifacts are written to
-        and read from disk (named ``<artifact_id>.bin``) and only a size
-        index is kept in memory, so real I/O cost is incurred in addition
-        to the simulated charge and memory stays bounded by the index.
+
+    A backend overrides the byte hooks (``_write``, ``_load``,
+    ``_read_ranges``, ``_remove``, ``_size_of``, ``_held``,
+    ``recorded_digest``, ``_writer_class``), never an operation built on
+    them.  This class's hooks hold the bytes in ``_blobs``; :meth:`get`
+    returns them unverified (:meth:`verify_artifact` is what notices rot).
     """
 
-    def __init__(
-        self,
-        profile: HardwareProfile = LOCAL_PROFILE,
-        directory: str | Path | None = None,
-    ) -> None:
+    #: What :meth:`open_writer` builds (the backend's streaming half).
+    _writer_class = ArtifactWriter
+
+    def __init__(self, profile: HardwareProfile = LOCAL_PROFILE) -> None:
         self.profile = profile
         self.stats = StorageStats()
-        #: Memory mode: id -> bytes.  Empty in spill mode.
+        #: id -> bytes.
         self._blobs: dict[str, bytes] = {}
-        #: Spill mode: id -> size index (the only in-memory footprint).
-        self._sizes: dict[str, int] = {}
         #: id -> SHA-256 hex digest recorded at write time, so silent
         #: corruption of stored bytes is detectable (:meth:`verify_artifact`).
         self._digests: dict[str, str] = {}
         #: id -> category charged at write time, so deletes can return
         #: the bytes to the right ``bytes_by_category`` bucket.
         self._categories: dict[str, str] = {}
-        self._temp_counter = itertools.count()
-        self._directory = Path(directory) if directory is not None else None
-        if self._directory is not None:
-            self._directory.mkdir(parents=True, exist_ok=True)
-            # A crashed process can leave abandoned writer temp files;
-            # they are garbage by definition (never renamed into place).
-            for leftover in self._directory.glob(".writer-*.tmp"):
-                leftover.unlink(missing_ok=True)
+
+    # -- byte hooks (memory backend) ----------------------------------------
+    def _write(self, artifact_id: str, data: bytes, digest: str) -> None:
+        """Hold ``data`` under ``artifact_id``: bytes, then digest, then index."""
+        self._blobs[artifact_id] = data
+        self._digests[artifact_id] = digest
+
+    def _load(self, artifact_id: str, verify: bool = False) -> bytes:
+        """The stored bytes as they are; with ``verify`` (what :meth:`get`
+        serves) a backend that keeps checksums at rest checks them first."""
+        return self._blobs[artifact_id]
+
+    def _read_ranges(self, artifact_id: str, ranges) -> "list[bytes]":
+        """One slice per (bounds-checked) ``(offset, length)`` range."""
+        blob = self._blobs[artifact_id]
+        return [blob[offset : offset + length] for offset, length in ranges]
+
+    def _remove(self, artifact_id: str) -> None:
+        del self._blobs[artifact_id]
+        self._digests.pop(artifact_id, None)
+
+    def _size_of(self, artifact_id: str) -> int:
+        return len(self._blobs[artifact_id])
+
+    def _held(self):
+        """The backend's index: a mapping keyed by the ids held."""
+        return self._blobs
 
     # -- cost model -------------------------------------------------------
+    def _striped_cost(self, cost, num_bytes: int, workers: int) -> float:
+        """Makespan of one transfer striped across ``workers`` lanes (one
+        lane: one stripe, the plain cost)."""
+        return makespan(
+            [cost(size) for size in stripe_sizes(num_bytes, workers)], workers
+        )
+
     def _write_cost(self, num_bytes: int, workers: int = 1) -> float:
         """Simulated cost of one (possibly striped) artifact write."""
-        if workers <= 1:
-            return self.profile.file_write_cost(num_bytes)
-        stripes = stripe_sizes(num_bytes, workers)
-        return makespan(
-            [self.profile.file_write_cost(size) for size in stripes], workers
-        )
+        return self._striped_cost(self.profile.file_write_cost, num_bytes, workers)
 
     def _read_cost(self, num_bytes: int, workers: int = 1) -> float:
         """Simulated cost of one (possibly striped) artifact read."""
-        if workers <= 1:
-            return self.profile.file_read_cost(num_bytes)
-        stripes = stripe_sizes(num_bytes, workers)
+        return self._striped_cost(self.profile.file_read_cost, num_bytes, workers)
+
+    def _ranges_cost(self, chunks: "list[bytes]", workers: int = 1) -> float:
+        """Simulated cost of one vectored read that returned ``chunks``."""
         return makespan(
-            [self.profile.file_read_cost(size) for size in stripes], workers
+            [self.profile.file_read_cost(len(chunk)) for chunk in chunks], workers
         )
 
-    def _size_of(self, artifact_id: str) -> int:
-        if self._directory is not None:
-            return self._sizes[artifact_id]
-        return len(self._blobs[artifact_id])
-
     # -- write -----------------------------------------------------------
+    def _claim(self, artifact_id: str, derived: bool) -> bool:
+        """The id rules: a name that cannot be a file is refused, and so is
+        an explicit id that exists.  Returns whether the id is held — a
+        content-addressed re-put."""
+        check_artifact_id(artifact_id)
+        held = self.exists(artifact_id)
+        if held and not derived:
+            raise DuplicateArtifactError(f"artifact {artifact_id!r} already exists")
+        return held
+
+    def _commit(
+        self, artifact_id: "str | None", digest: str, num_bytes: int,
+        category: str, workers: int, land,
+    ) -> str:
+        """The one write, behind ``put`` and a writer's close alike:
+        ``land(artifact_id, digest)`` puts the bytes in place, then the charge."""
+        derived = artifact_id is None
+        if derived:
+            artifact_id = "sha256-" + digest
+        replaced = self._claim(artifact_id, derived)
+        land(artifact_id, digest)
+        self._categories[artifact_id] = category
+        self.stats.record_write(
+            num_bytes, self._write_cost(num_bytes, workers), category
+        )
+        if replaced:
+            # A content-addressed re-put overwrote identical bytes: the
+            # round trip is charged above, but the store holds no new
+            # bytes, so cancel the duplicate stored-bytes accounting (the
+            # per-category breakdown must keep summing to what is held).
+            self.stats.record_delete(num_bytes, category, count_op=False)
+        return artifact_id
+
     def put(
         self,
         data: bytes,
@@ -235,35 +266,16 @@ class FileStore:
         then a no-op that still charges the write (matching a real store,
         which cannot skip the round trip).  A caller that already hashed
         the bytes (the Update hash pass, the chunk layer) passes the hex
-        ``digest`` to skip re-hashing them here.  ``workers > 1`` models a
-        striped parallel upload: the simulated charge is the makespan of
-        the stripes, still accounted as one write operation.
+        ``digest`` to skip re-hashing them here; it is recorded as given.
+        ``workers > 1`` models a striped parallel upload: the simulated
+        charge is the makespan of the stripes, still one write operation.
         """
         if digest is None:
             digest = hash_bytes(data)
-        derived = artifact_id is None
-        if derived:
-            artifact_id = "sha256-" + digest
-        if not derived and self.exists(artifact_id):
-            raise DuplicateArtifactError(f"artifact {artifact_id!r} already exists")
-        replaced = derived and self.exists(artifact_id)
-        if self._directory is not None:
-            (self._directory / f"{artifact_id}.bin").write_bytes(data)
-            self._sizes[artifact_id] = len(data)
-        else:
-            self._blobs[artifact_id] = data
-        self._digests[artifact_id] = digest
-        self._categories[artifact_id] = category
-        self.stats.record_write(
-            len(data), self._write_cost(len(data), workers), category
+        return self._commit(
+            artifact_id, digest, len(data), category, workers,
+            lambda target, digest: self._write(target, data, digest),
         )
-        if replaced:
-            # A content-addressed re-put overwrote identical bytes: the
-            # round trip is charged above, but the store holds no new
-            # bytes, so cancel the duplicate stored-bytes accounting (the
-            # per-category breakdown must keep summing to what is held).
-            self.stats.record_delete(len(data), category, count_op=False)
-        return artifact_id
 
     def open_writer(
         self,
@@ -276,9 +288,9 @@ class FileStore:
         ``artifact_id=None`` content-addresses the artifact at close from
         the incrementally maintained SHA-256.
         """
-        if artifact_id is not None and self.exists(artifact_id):
-            raise DuplicateArtifactError(f"artifact {artifact_id!r} already exists")
-        return ArtifactWriter(self, artifact_id, category, workers=workers)
+        if artifact_id is not None:
+            self._claim(artifact_id, derived=False)
+        return self._writer_class(self, artifact_id, category, workers=workers)
 
     # -- read ------------------------------------------------------------
     def get(self, artifact_id: str, workers: int = 1) -> bytes:
@@ -287,12 +299,8 @@ class FileStore:
         ``workers > 1`` models a striped parallel download (one read
         operation, makespan-charged).
         """
-        if not self.exists(artifact_id):
-            raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
-        if self._directory is not None:
-            data = (self._directory / f"{artifact_id}.bin").read_bytes()
-        else:
-            data = self._blobs[artifact_id]
+        self._require(artifact_id)
+        data = self._load(artifact_id, verify=True)
         self.stats.record_read(len(data), self._read_cost(len(data), workers))
         return data
 
@@ -319,8 +327,7 @@ class FileStore:
         range requests concurrently).  Compacted chain recovery uses this
         to fetch exactly the final bytes of every model and layer.
         """
-        if not self.exists(artifact_id):
-            raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
+        self._require(artifact_id)
         if not ranges:
             return []
         size = self._size_of(artifact_id)
@@ -332,21 +339,9 @@ class FileStore:
                     f"range [{offset}, {offset + length}) exceeds artifact "
                     f"size {size}"
                 )
-        if self._directory is not None:
-            chunks = []
-            with open(self._directory / f"{artifact_id}.bin", "rb") as handle:
-                for offset, length in ranges:
-                    handle.seek(offset)
-                    chunks.append(handle.read(length))
-        else:
-            blob = self._blobs[artifact_id]
-            chunks = [blob[offset : offset + length] for offset, length in ranges]
+        chunks = self._read_ranges(artifact_id, ranges)
         total = sum(len(chunk) for chunk in chunks)
-        cost = makespan(
-            [self.profile.file_read_cost(len(chunk)) for chunk in chunks],
-            workers,
-        )
-        self.stats.record_read(total, cost)
+        self.stats.record_read(total, self._ranges_cost(chunks, workers))
         return chunks
 
     # -- management plane (not charged) ------------------------------------
@@ -358,15 +353,8 @@ class FileStore:
         :meth:`~repro.storage.stats.StorageStats.record_delete`, keeping
         the breakdown an accurate currently-stored view across GC.
         """
-        if not self.exists(artifact_id):
-            raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
-        num_bytes = self._size_of(artifact_id)
-        if self._directory is not None:
-            del self._sizes[artifact_id]
-            (self._directory / f"{artifact_id}.bin").unlink(missing_ok=True)
-        else:
-            del self._blobs[artifact_id]
-        self._digests.pop(artifact_id, None)
+        num_bytes = self.size(artifact_id)
+        self._remove(artifact_id)
         self.stats.record_delete(
             num_bytes, self._categories.pop(artifact_id, "binary")
         )
@@ -384,40 +372,28 @@ class FileStore:
         ``fsck`` and the salvage path to detect silent corruption without
         charging the latency model.
         """
-        if not self.exists(artifact_id):
-            raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
-        recorded = self._digests.get(artifact_id)
-        if recorded is None:
-            return True
-        if self._directory is not None:
-            data = (self._directory / f"{artifact_id}.bin").read_bytes()
-        else:
-            data = self._blobs[artifact_id]
-        return hash_bytes(data) == recorded
+        self._require(artifact_id)
+        recorded = self.recorded_digest(artifact_id)
+        return recorded is None or hash_bytes(self._load(artifact_id)) == recorded
 
     # -- inspection (not charged: management-plane operations) -----------
-    def exists(self, artifact_id: str) -> bool:
-        if self._directory is not None:
-            return artifact_id in self._sizes
-        return artifact_id in self._blobs
-
-    def size(self, artifact_id: str) -> int:
+    def _require(self, artifact_id: str) -> None:
         if not self.exists(artifact_id):
             raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
+
+    def size(self, artifact_id: str) -> int:
+        self._require(artifact_id)
         return self._size_of(artifact_id)
 
+    def exists(self, artifact_id: str) -> bool:
+        return artifact_id in self._held()
+
     def ids(self) -> list[str]:
-        if self._directory is not None:
-            return sorted(self._sizes)
-        return sorted(self._blobs)
+        return sorted(self._held())
 
     def total_bytes(self) -> int:
-        """Bytes currently held by the store (index sizes in spill mode)."""
-        if self._directory is not None:
-            return sum(self._sizes.values())
-        return sum(len(blob) for blob in self._blobs.values())
+        """Bytes currently held by the store."""
+        return sum(map(self._size_of, self._held()))
 
     def __len__(self) -> int:
-        if self._directory is not None:
-            return len(self._sizes)
-        return len(self._blobs)
+        return len(self._held())

@@ -38,8 +38,9 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 
-from repro.errors import SimulatedCrashError, StorageError
+from repro.errors import ArtifactNotFoundError, SimulatedCrashError, StorageError
 from repro.storage.document_store import check_document_key
+from repro.storage.file_store import WriterContext, check_artifact_id
 from repro.storage.hashing import hash_bytes
 
 #: Document-store collection holding one entry per open transaction.
@@ -50,11 +51,48 @@ JOURNAL_COLLECTION = "save_journal"
 _SETS_COLLECTION = "model_sets"
 
 
+class StoreProxy:
+    """Base of every transparent store wrapper (journal, fault, retry):
+    what a proxy does not override is its ``_inner`` store's."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def __len__(self) -> int:
+        return len(self._inner)
+
+
 def innermost(store):
     """Unwrap a proxy chain (``_inner`` convention) down to the real store."""
     while hasattr(store, "_inner"):
         store = store._inner
     return store
+
+
+def splice_bottom(store, wrap):
+    """Wrap the real store at the bottom of a proxy chain; returns the top."""
+    if not hasattr(store, "_inner"):
+        return wrap(store)
+    store._inner = splice_bottom(store._inner, wrap)
+    return store
+
+
+class WriterProxy(WriterContext):
+    """Base of the artifact-writer wrappers; ``_closed`` is the inner
+    writer's, so a proxy above sees whether a with-block exit must close."""
+
+    def __init__(self, writer) -> None:
+        self._writer = writer
+
+    @property
+    def _closed(self) -> bool:
+        return self._writer._closed
+
+    def abort(self) -> None:
+        self._writer.abort()
 
 
 @dataclass
@@ -286,21 +324,15 @@ class SaveJournal:
         return artifacts_removed, documents_restored
 
 
-class _StoreProxy:
-    """Base for transparent store wrappers (``_inner`` delegation)."""
+class _JournaledProxy(StoreProxy):
+    """A store proxy that logs into its journal's open transaction."""
 
     def __init__(self, inner, journal: SaveJournal) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._journal = journal
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
-    def __len__(self) -> int:
-        return len(self._inner)
-
-
-class _JournaledWriter:
+class _JournaledWriter(WriterProxy):
     """Wraps an artifact writer to log content-addressed ids at close.
 
     A derived-id artifact's name is its SHA-256, unknown until the last
@@ -309,7 +341,7 @@ class _JournaledWriter:
     """
 
     def __init__(self, writer, txn: SaveTransaction, store) -> None:
-        self._writer = writer
+        super().__init__(writer)
         self._txn = txn
         self._store = store
         self._hasher = hashlib.sha256()
@@ -327,20 +359,8 @@ class _JournaledWriter:
             self._txn.log_op({"op": "put_artifact", "artifact_id": artifact_id})
         return self._writer.close()
 
-    def abort(self) -> None:
-        self._writer.abort()
 
-    def __enter__(self) -> "_JournaledWriter":
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        if exc_type is not None:
-            self.abort()
-        elif not self._writer._closed:
-            self.close()
-
-
-class JournaledFileStore(_StoreProxy):
+class JournaledFileStore(_JournaledProxy):
     """File-store proxy logging put intents and deferring deletes."""
 
     def put(
@@ -352,22 +372,19 @@ class JournaledFileStore(_StoreProxy):
         digest: str | None = None,
     ) -> str:
         txn = self._journal.active_txn()
-        if txn is None:
-            return self._inner.put(
-                data,
-                artifact_id=artifact_id,
-                category=category,
-                workers=workers,
-                digest=digest,
-            )
-        if digest is None:
-            digest = hash_bytes(data)
-        target = artifact_id if artifact_id is not None else "sha256-" + digest
-        # Only log ids this put will create: a pre-existing explicit id is
-        # about to raise DuplicateArtifactError, and a pre-existing derived
-        # id is an idempotent re-put — neither must be undone by rollback.
-        if not self._inner.exists(target):
-            txn.log_op({"op": "put_artifact", "artifact_id": target})
+        if txn is not None:
+            if digest is None:
+                digest = hash_bytes(data)
+            target = artifact_id if artifact_id is not None else "sha256-" + digest
+            # Refuse a bad name before the intent is logged, like the
+            # document proxy does.
+            check_artifact_id(target)
+            # Only log ids this put will create: a pre-existing explicit id
+            # is about to raise DuplicateArtifactError, and a pre-existing
+            # derived id is an idempotent re-put — neither must be undone
+            # by rollback.
+            if not self._inner.exists(target):
+                txn.log_op({"op": "put_artifact", "artifact_id": target})
         return self._inner.put(
             data,
             artifact_id=artifact_id,
@@ -383,40 +400,35 @@ class JournaledFileStore(_StoreProxy):
         workers: int = 1,
     ):
         txn = self._journal.active_txn()
-        if txn is None or (
-            artifact_id is not None and self._inner.exists(artifact_id)
+        if (
+            txn is not None
+            and artifact_id is not None
+            and not self._inner.exists(artifact_id)
         ):
-            # Pass through; the inner store raises DuplicateArtifactError.
-            return self._inner.open_writer(
-                artifact_id, category=category, workers=workers
-            )
-        if artifact_id is not None:
+            check_artifact_id(artifact_id)
             # Logged at open: until close only a temp file exists, so the
             # undo (delete-if-present) is correct at every crash point.
             txn.log_op({"op": "put_artifact", "artifact_id": artifact_id})
-            return self._inner.open_writer(
-                artifact_id, category=category, workers=workers
-            )
-        return _JournaledWriter(
-            self._inner.open_writer(artifact_id, category=category, workers=workers),
-            txn,
-            self._inner,
+        # (An id that exists gets the inner store's DuplicateArtifactError.)
+        writer = self._inner.open_writer(
+            artifact_id, category=category, workers=workers
         )
+        if txn is not None and artifact_id is None:
+            return _JournaledWriter(writer, txn, self._inner)
+        return writer
 
     def delete(self, artifact_id: str) -> None:
         txn = self._journal.active_txn()
         if txn is None:
             return self._inner.delete(artifact_id)
         if not self._inner.exists(artifact_id):
-            from repro.errors import ArtifactNotFoundError
-
             raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
         # Deferred to commit: rollback must be able to keep the bytes, and
         # bytes are far too large to stage in the journal entry.
         txn.defer_delete(artifact_id)
 
 
-class JournaledDocumentStore(_StoreProxy):
+class JournaledDocumentStore(_JournaledProxy):
     """Document-store proxy logging insert/replace/delete undo info."""
 
     def insert(
@@ -482,20 +494,38 @@ class JournaledDocumentStore(_StoreProxy):
         return self._inner.delete(collection, doc_id)
 
 
+def open_journal(file_store, document_store):
+    """Journal a store pair: build the :class:`SaveJournal`, run crash
+    recovery before anyone reads the pair, wrap both stores in journaled
+    proxies (composing with any fault/retry wrappers already present).
+
+    Returns ``(journal, file proxy, document proxy, recovery report)``.
+    """
+    journal = SaveJournal(file_store, document_store)
+    report = journal.recover()
+    return (
+        journal,
+        JournaledFileStore(file_store, journal),
+        JournaledDocumentStore(document_store, journal),
+        report,
+    )
+
+
 def attach_journal(context) -> SaveJournal:
     """Wire a :class:`SaveJournal` into a save context's store pair.
 
-    Idempotent.  The context's stores are wrapped in journaled proxies
-    (composing with any fault/retry wrappers already present), the chunk
-    index cache is invalidated on rollback, and the journal is exposed as
+    Idempotent.  The context's stores become :func:`open_journal`'s
+    proxies, what crash recovery repaired lands on
+    ``context.recovery_report``, the chunk index cache is invalidated now
+    and on every rollback, and the journal is exposed as
     ``context.journal`` for ``SaveContext.save_transaction``.
     """
     if getattr(context, "journal", None) is not None:
         return context.journal
-    journal = SaveJournal(context.file_store, context.document_store)
-    context.file_store = JournaledFileStore(context.file_store, journal)
-    context.document_store = JournaledDocumentStore(context.document_store, journal)
+    journal, context.file_store, context.document_store, context.recovery_report = open_journal(
+        context.file_store, context.document_store
+    )
     journal.on_rollback = context._invalidate_chunk_store
-    context._chunk_store = None
+    context._invalidate_chunk_store()
     context.journal = journal
     return journal

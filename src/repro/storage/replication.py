@@ -77,7 +77,7 @@ from repro.storage.document_store import (
     document_num_bytes,
     encode_document,
 )
-from repro.storage.hardware import makespan
+from repro.storage.file_store import WriterContext, check_artifact_id
 from repro.storage.hashing import hash_bytes
 from repro.storage.stats import StorageStats
 
@@ -481,6 +481,9 @@ class ReplicatedFileStore(_ReplicaSet):
         if digest is None:
             digest = hash_bytes(data)
         target = "sha256-" + digest if artifact_id is None else artifact_id
+        # Ahead of the fan-out: a name every backend would refuse is the
+        # caller's mistake, not N replica failures.
+        check_artifact_id(target)
         if artifact_id is not None and self._committed(target):
             raise DuplicateArtifactError(f"artifact {target!r} already exists")
 
@@ -507,8 +510,12 @@ class ReplicatedFileStore(_ReplicaSet):
         category: str = "binary",
         workers: int = 1,
     ) -> "_ReplicatedWriter":
-        if artifact_id is not None and self._committed(artifact_id):
-            raise DuplicateArtifactError(f"artifact {artifact_id!r} already exists")
+        if artifact_id is not None:
+            check_artifact_id(artifact_id)
+            if self._committed(artifact_id):
+                raise DuplicateArtifactError(
+                    f"artifact {artifact_id!r} already exists"
+                )
         writers: dict[int, Any] = {}
 
         def visit(index, store):
@@ -678,10 +685,7 @@ class ReplicatedFileStore(_ReplicaSet):
             f"get_ranges {artifact_id!r}",
             artifact_id,
             read,
-            lambda store, chunks: makespan(
-                [store.profile.file_read_cost(len(chunk)) for chunk in chunks],
-                workers,
-            ),
+            lambda store, chunks: store._ranges_cost(chunks, workers),
         )
 
     # -- management plane -----------------------------------------------------
@@ -906,7 +910,7 @@ class ReplicatedFileStore(_ReplicaSet):
         return {**answers, **dict.fromkeys(silent)}
 
 
-class _ReplicatedWriter:
+class _ReplicatedWriter(WriterContext):
     """Fans streamed chunks to one writer per reachable replica.
 
     Accounting mirrors :meth:`ReplicatedFileStore.put`: one write charged
@@ -991,15 +995,6 @@ class _ReplicatedWriter:
     def abort(self) -> None:
         self._closed = True
         self._abort(list(self._writers))
-
-    def __enter__(self) -> "_ReplicatedWriter":
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        if exc_type is not None:
-            self.abort()
-        elif not self._closed:
-            self.close()
 
 
 def _encode(document: dict) -> str:
@@ -1388,17 +1383,19 @@ class ReplicatedDocumentStore(_ReplicaSet):
 
 
 # -- wiring and divergence inspection ---------------------------------------
-def replicated_pair(file_backends: list, doc_backends: list, config):
-    """The replicated store pair over per-replica backends, with the
-    quorums and policy of an :class:`~repro.config.ArchiveConfig`."""
+def replicated_pair(pairs: list, config):
+    """The replicated store pair over per-replica ``(file, document)``
+    backend pairs, with the quorums and policy of an
+    :class:`~repro.config.ArchiveConfig`."""
     options = {
         "write_quorum": config.write_quorum,
         "read_quorum": config.read_quorum,
         "policy": config.replication_policy,
     }
+    file_backends, doc_backends = zip(*pairs)
     return (
-        ReplicatedFileStore(file_backends, **options),
-        ReplicatedDocumentStore(doc_backends, **options),
+        ReplicatedFileStore(list(file_backends), **options),
+        ReplicatedDocumentStore(list(doc_backends), **options),
     )
 
 

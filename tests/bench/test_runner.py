@@ -1,6 +1,8 @@
 """Tests for the experiment driver: every experiment reproduces its
 paper artifact's *shape* at small scale."""
 
+import gc
+
 import pytest
 
 from repro.bench.runner import (
@@ -12,6 +14,21 @@ from repro.bench.runner import (
 )
 
 SMALL = ExperimentSettings(num_models=40, cycles=2, runs=1)
+
+
+@pytest.fixture(autouse=True)
+def no_collector_pauses():
+    """Keep the cyclic collector out of the timed operations.
+
+    The experiments time single ~2 ms saves and recoveries (``runs=1``);
+    under pytest a generation-2 collection takes ~8 ms, and which
+    operation it lands in is an accident of the allocation count — enough
+    to flip an ordering assertion below.
+    """
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
 
 
 @pytest.fixture(scope="module")

@@ -16,8 +16,12 @@ from repro.config import (
 from repro.core.approach import SaveContext
 from repro.core.manager import MultiModelManager
 from repro.errors import ConfigError
-from repro.storage.faults import RetryPolicy
+from repro.storage.faults import RetryingDocumentStore, RetryingFileStore, RetryPolicy
+from repro.storage.file_store import FileStore
 from repro.storage.hardware import LOCAL_PROFILE, SERVER_PROFILE
+from repro.storage.journal import JournaledFileStore
+from repro.storage.persistent import PersistentFileStore, open_context
+from repro.storage.replication import ReplicatedDocumentStore, ReplicatedFileStore
 
 
 class TestValidation:
@@ -197,3 +201,34 @@ class TestConfigFromArgs:
     def test_live_enables_metrics(self):
         config = config_from_args(self.make_args(live=True))
         assert config.observability.metrics is True
+
+
+class TestStoreAssembly:
+    """``create`` and ``open_context`` stack the same layers in the same
+    order: journal > replication > per-backend retries > the stores."""
+
+    CONFIG = ArchiveConfig(replicas=3, retry=RetryPolicy(attempts=2))
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_retries_sit_beneath_the_replication_layer(self, durable, tmp_path):
+        if durable:
+            context = open_context(tmp_path, self.CONFIG)
+            file_top, doc_top = context.file_store._inner, context.document_store._inner
+            backend = PersistentFileStore
+        else:
+            context = SaveContext.create(self.CONFIG)
+            file_top, doc_top = context.file_store, context.document_store
+            backend = FileStore
+        assert isinstance(file_top, ReplicatedFileStore)
+        assert isinstance(doc_top, ReplicatedDocumentStore)
+        for state in file_top.replicas:
+            assert isinstance(state.store, RetryingFileStore)
+            assert type(state.store._inner) is backend
+        for state in doc_top.replicas:
+            assert isinstance(state.store, RetryingDocumentStore)
+
+    def test_single_backend_retries_sit_beneath_the_journal(self, tmp_path):
+        context = open_context(tmp_path, ArchiveConfig(retry=RetryPolicy(attempts=2)))
+        assert isinstance(context.file_store, JournaledFileStore)
+        assert isinstance(context.file_store._inner, RetryingFileStore)
+        assert isinstance(context.file_store._inner._inner, PersistentFileStore)

@@ -56,27 +56,3 @@ class TestHierarchy:
         # one except-clause regardless of approach.
         assert issubclass(errors.ProvenanceReplayError, errors.RecoveryError)
 
-
-class TestLegacyReExports:
-    """The pre-consolidation import locations must stay importable and
-    resolve to the *same* classes, so old ``except`` clauses keep
-    matching new raises."""
-
-    def test_storage_package_reexports(self):
-        from repro import storage
-
-        for name in (
-            "ArtifactCorruptionError",
-            "ArtifactNotFoundError",
-            "DocumentNotFoundError",
-            "DuplicateArtifactError",
-            "QuorumError",
-            "StorageError",
-        ):
-            assert getattr(storage, name) is getattr(errors, name)
-
-    def test_core_package_reexports(self):
-        from repro import core
-
-        assert core.ReproError is errors.ReproError
-        assert core.RecoveryError is errors.RecoveryError

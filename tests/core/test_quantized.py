@@ -1,12 +1,15 @@
 """Tests for the lossy float16 storage tier."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.battery.datagen import CellDataConfig
+from repro.config import ArchiveConfig
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
-from repro.core.quantized import QuantizedBaselineApproach
+from repro.core.quantized import QuantizedBaselineApproach, to_float16
 from tests.conftest import save_sequence
 
 
@@ -125,3 +128,40 @@ class TestApi:
         blobs[artifact] = blobs[artifact][:-2]
         with pytest.raises(RecoveryError):
             approach.recover(set_id)
+
+
+class TestOutOfRangeValues:
+    """fp16 tops out at ±65504: finite values beyond it saturate (no
+    infinity the model never held, no ``RuntimeWarning``); ``inf`` and
+    ``NaN`` pass through."""
+
+    VALUES = np.array([1e6, -1e6, np.inf, np.nan, 1.5], dtype=np.float32)
+    STORED = np.array([65504.0, -65504.0, np.inf, np.nan, 1.5], dtype=np.float32)
+
+    def test_to_float16_saturates(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            narrowed = to_float16(self.VALUES)
+        assert narrowed.dtype == np.float16
+        np.testing.assert_array_equal(narrowed.astype(np.float32), self.STORED)
+        # In range, the cast is exactly astype's.
+        ordinary = np.linspace(-70000, 70000, 10001, dtype=np.float32)
+        ordinary = ordinary[np.abs(ordinary) <= 65504]
+        np.testing.assert_array_equal(
+            to_float16(ordinary), ordinary.astype(np.float16)
+        )
+
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_saves_saturate_without_warning(self, models, dedup):
+        manager = MultiModelManager.with_approach(
+            "baseline-fp16", ArchiveConfig(dedup=dedup)
+        )
+        name = models.schema.layer_names()[0]
+        models.state(3)[name].flat[: len(self.VALUES)] = self.VALUES
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            set_id = manager.save_set(models)
+        recovered = manager.recover_set(set_id).state(3)[name]
+        np.testing.assert_array_equal(
+            recovered.flat[: len(self.VALUES)], self.STORED
+        )

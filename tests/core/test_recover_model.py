@@ -175,8 +175,8 @@ class TestFileStoreRange:
             store.get_range("blob", 2, 5)
 
     def test_get_range_from_disk_spill(self, tmp_path):
-        from repro.storage.file_store import FileStore
+        from repro.storage.persistent import PersistentFileStore
 
-        store = FileStore(directory=tmp_path)
+        store = PersistentFileStore(tmp_path)
         store.put(bytes(range(50)), artifact_id="blob")
         assert store.get_range("blob", 20, 10) == bytes(range(20, 30))

@@ -6,9 +6,11 @@ from collections import OrderedDict
 import pytest
 
 from repro.config import ArchiveConfig, ObservabilityConfig
-from repro.fleet import FleetManager, IngestError, IngestQueue, SimClock
+from repro.errors import IngestError
+from repro.fleet import FleetManager, IngestQueue
 from repro.observability import prometheus_text
 from repro.observability.metrics import global_registry
+from repro.simtime import SimClock
 
 
 def state_plus(model_set, index, delta):

@@ -364,6 +364,22 @@ class TestFleetRegistry:
         reopened = FleetManager.open(root, "update")
         assert reopened.registry.resolve("pack") == derived_id
 
+    def test_fleet_root_holds_shards_deadletter_and_registry_documents(
+        self, tmp_path
+    ):
+        root = tmp_path / "fleet"
+        fleet = FleetManager.open(root, "update", ArchiveConfig(shards=2))
+        save_chain_fleet(fleet)
+        assert fleet.deadletter.count == 0  # built on first use
+
+        def names(directory):
+            return sorted(path.name for path in directory.iterdir())
+
+        assert names(root) == ["deadletter", "registry", "shard-0", "shard-1"]
+        assert names(root / "deadletter") == ["artifacts", "documents"]
+        # The registry journals through a throwaway in-memory file store.
+        assert names(root / "registry") == ["documents"]
+
     def test_delete_sets_syncs_registry(self, tmp_path):
         fleet = FleetManager.open(
             tmp_path / "fleet", "update", ArchiveConfig(shards=2)

@@ -24,6 +24,7 @@ from repro.storage.faults import (
 from repro.storage.file_store import FileStore
 from repro.storage.hashing import hash_bytes
 from repro.storage.journal import JournaledFileStore, attach_journal
+from repro.storage.persistent import PersistentFileStore
 
 
 def schedule(injector, num_ops):
@@ -159,7 +160,7 @@ class TestCorruption:
         assert not store.verify_artifact("blob")
 
     def test_corrupt_artifact_helper_disk_mode(self, tmp_path):
-        store = FileStore(directory=tmp_path)
+        store = PersistentFileStore(tmp_path)
         store.put(b"payload" * 16, artifact_id="blob")
         corrupt_artifact(store, "blob", offset=3)
         assert not store.verify_artifact("blob")

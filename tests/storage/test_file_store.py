@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.errors import ArtifactNotFoundError, DuplicateArtifactError
+from repro.config import ArchiveConfig
+from repro.core.approach import SaveContext
+from repro.errors import ArtifactNotFoundError, DuplicateArtifactError, StorageError
 from repro.storage.file_store import FileStore
 from repro.storage.hardware import M1_PROFILE
+from repro.storage.hashing import hash_bytes
+from repro.storage.persistent import PersistentFileStore
 
 
 class TestPutGet:
@@ -100,20 +104,16 @@ class TestAccounting:
 
 
 class TestDiskSpill:
+    """The disk backend (``PersistentFileStore``): bytes live on disk only."""
+
     def test_artifacts_written_to_directory(self, tmp_path):
-        store = FileStore(directory=tmp_path)
+        store = PersistentFileStore(tmp_path)
         store.put(b"on-disk", artifact_id="file1")
         assert (tmp_path / "file1.bin").read_bytes() == b"on-disk"
-
-    def test_reads_come_from_disk(self, tmp_path):
-        store = FileStore(directory=tmp_path)
-        store.put(b"payload", artifact_id="file1")
-        # Tamper with the file to prove reads hit the disk copy.
-        (tmp_path / "file1.bin").write_bytes(b"tampered")
-        assert store.get("file1") == b"tampered"
+        assert (tmp_path / "file1.sha256").read_text() == hash_bytes(b"on-disk")
 
     def test_spill_mode_keeps_only_size_index_in_memory(self, tmp_path):
-        store = FileStore(directory=tmp_path)
+        store = PersistentFileStore(tmp_path)
         store.put(b"x" * 4096, artifact_id="big")
         # The bytes live on disk exclusively; memory holds just the index.
         assert store._blobs == {}
@@ -125,28 +125,28 @@ class TestDiskSpill:
         assert not (tmp_path / "big.bin").exists()
 
     def test_streaming_writer_spills_without_joining(self, tmp_path):
-        store = FileStore(directory=tmp_path)
+        store = PersistentFileStore(tmp_path)
         with store.open_writer("streamed") as writer:
             for _ in range(8):
                 writer.write(b"chunk" * 100)
             # Chunks go straight to the temp file, never a joined buffer.
-            assert writer._chunks is None
+            assert not hasattr(writer, "_chunks")
         assert store._blobs == {}
         assert store.get("streamed") == b"chunk" * 800
         # The temp file was renamed away, not left behind.
-        assert list(tmp_path.glob(".writer-*.tmp")) == []
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_streaming_writer_content_addresses_incrementally(self, tmp_path):
         reference = FileStore()
         expected = reference.put(b"alpha" + b"beta")
-        store = FileStore(directory=tmp_path)
+        store = PersistentFileStore(tmp_path)
         with store.open_writer(None) as writer:
             writer.write(b"alpha")
             writer.write(b"beta")
         assert store.ids() == [expected]
 
     def test_aborted_writer_leaves_no_trace(self, tmp_path):
-        store = FileStore(directory=tmp_path)
+        store = PersistentFileStore(tmp_path)
         writer = store.open_writer("doomed")
         writer.write(b"partial")
         writer.abort()
@@ -187,7 +187,7 @@ class TestGetRanges:
             store.get_ranges("digits", [(-1, 3)])
 
     def test_spill_mode_reads_from_disk(self, tmp_path):
-        store = FileStore(directory=tmp_path)
+        store = PersistentFileStore(tmp_path)
         store.put(b"0123456789", artifact_id="digits")
         assert store.get_ranges("digits", [(2, 4), (8, 2)]) == [b"2345", b"89"]
 
@@ -222,24 +222,25 @@ class TestStripedTransfers:
 
 
 class TestWriterAbandon:
-    """Satellite: an abandoned spill-mode writer must never leak its
-    ``.writer-*.tmp`` file — not on exception, not across reopen."""
+    """An abandoned disk writer must never leak its ``.writer-*.tmp``
+    file — not on exception, not across reopen."""
 
     def test_exception_in_spill_writer_unlinks_temp(self, tmp_path):
-        store = FileStore(directory=tmp_path)
+        store = PersistentFileStore(tmp_path)
         with pytest.raises(RuntimeError):
-            with store.open_writer("doomed") as writer:
+            with store.open_writer(None) as writer:
                 writer.write(b"partial")
                 raise RuntimeError("caller dies mid-stream")
-        assert list(tmp_path.glob(".writer-*.tmp")) == []
-        assert not store.exists("doomed")
+        assert list(tmp_path.iterdir()) == []
+        assert store.ids() == []
 
     def test_abort_unlinks_temp(self, tmp_path):
-        store = FileStore(directory=tmp_path)
+        store = PersistentFileStore(tmp_path)
         writer = store.open_writer(None)
         writer.write(b"partial")
+        assert len(list(tmp_path.glob(".writer-*.tmp"))) == 1
         writer.abort()
-        assert list(tmp_path.glob(".writer-*.tmp")) == []
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_memory_mode_abandon_stores_nothing(self):
         store = FileStore()
@@ -251,18 +252,16 @@ class TestWriterAbandon:
         assert store.total_bytes() == 0
 
     def test_reopen_sweeps_a_crash_leftover_temp(self, tmp_path):
-        store = FileStore(directory=tmp_path)
+        store = PersistentFileStore(tmp_path)
         store.put(b"real", artifact_id="kept")
         # A kill -9 between writes leaves the temp behind.
         (tmp_path / ".writer-99.tmp").write_bytes(b"garbage")
-        FileStore(directory=tmp_path)
-        assert list(tmp_path.glob(".writer-*.tmp")) == []
-        # The real artifact's bytes are untouched by the sweep.
-        assert (tmp_path / "kept.bin").read_bytes() == b"real"
+        reopened = PersistentFileStore(tmp_path)
+        assert list(tmp_path.glob("*.tmp")) == []
+        # The real artifact is untouched by the sweep.
+        assert reopened.get("kept") == b"real"
 
     def test_persistent_writer_abort_leaves_no_temp(self, tmp_path):
-        from repro.storage.persistent import PersistentFileStore
-
         store = PersistentFileStore(tmp_path)
         with pytest.raises(RuntimeError):
             with store.open_writer("doomed") as writer:
@@ -273,14 +272,14 @@ class TestWriterAbandon:
 
 
 class TestDuplicateParity:
-    """Satellite: DuplicateArtifactError semantics must be identical in
-    memory and spill modes."""
+    """DuplicateArtifactError semantics must be identical in memory and on
+    disk (the ``spill`` rows run :class:`PersistentFileStore`)."""
 
     @pytest.fixture(params=["memory", "spill"])
     def store(self, request, tmp_path):
         if request.param == "memory":
             return FileStore()
-        return FileStore(directory=tmp_path)
+        return PersistentFileStore(tmp_path)
 
     def test_put_twice_raises_and_keeps_original(self, store):
         store.put(b"original", artifact_id="one")
@@ -294,9 +293,9 @@ class TestDuplicateParity:
             store.open_writer("one")
         assert store.get("one") == b"original"
 
-    def test_writer_racing_a_put_raises_at_close(self, store):
+    def test_writer_racing_a_put_raises_at_close(self, store, tmp_path):
         # The id is free at open but claimed before close: the late
-        # check protects the stored bytes in both modes, and a spill
+        # check protects the stored bytes on both backends, and a disk
         # writer must still clean up its temp file.
         writer = store.open_writer("one")
         writer.write(b"streamed")
@@ -304,11 +303,100 @@ class TestDuplicateParity:
         with pytest.raises(DuplicateArtifactError):
             writer.close()
         assert store.get("one") == b"original"
-        if store._directory is not None:
-            assert list(store._directory.glob(".writer-*.tmp")) == []
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_derived_id_reput_is_idempotent(self, store):
         first = store.put(b"same content")
         second = store.put(b"same content")
         assert first == second
         assert store.get(first) == b"same content"
+
+
+BAD_IDS = ["", "a/b", "a\\b", ".hidden", "../escape"]
+
+
+class TestBackendContract:
+    """One accounting layer, two byte backends: what ``FileStore`` promises
+    holds wherever the bytes live.  Each test failed on at least one
+    backend before the stores shared their rules."""
+
+    @pytest.fixture(params=["memory", "disk"])
+    def store(self, request, tmp_path):
+        if request.param == "memory":
+            return FileStore()
+        return PersistentFileStore(tmp_path / "store")
+
+    @pytest.fixture(params=["memory", "disk", "replicas=3"])
+    def any_store(self, request, tmp_path):
+        if request.param == "memory":
+            return FileStore()
+        if request.param == "disk":
+            return PersistentFileStore(tmp_path / "store")
+        return SaveContext.create(ArchiveConfig(replicas=3)).file_store
+
+    def test_writers_racing_a_put_keep_the_committed_bytes(self, store, tmp_path):
+        first = store.open_writer("one")
+        second = store.open_writer("one")
+        first.write(b"streamed first")
+        second.write(b"streamed second")
+        store.put(b"committed", artifact_id="one")
+        for writer in (first, second):
+            with pytest.raises(DuplicateArtifactError):
+                writer.close()
+            assert store.get("one") == b"committed"
+            assert store.verify_artifact("one")
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert store.stats.writes == 1
+        assert store.stats.bytes_by_category == {"binary": len(b"committed")}
+
+    def test_second_writer_loses_to_the_first(self, store, tmp_path):
+        first = store.open_writer("one")
+        second = store.open_writer("one")
+        second.write(b"second")
+        first.write(b"first")
+        assert first.close() == "one"
+        with pytest.raises(DuplicateArtifactError):
+            second.close()
+        assert store.get("one") == b"first"
+        assert store.verify_artifact("one")
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_content_addressed_reput_is_counted_once(self, store):
+        first = store.put(b"x" * 100, category="parameters")
+        assert store.put(b"x" * 100, category="parameters") == first
+        assert store.stats.writes == 2
+        assert store.stats.bytes_written == 200
+        assert store.total_bytes() == 100
+        assert sum(store.stats.bytes_by_category.values()) == store.total_bytes()
+
+    def test_open_writer_none_content_addresses_like_put(self, store):
+        with store.open_writer(None, category="parameters") as writer:
+            writer.write(b"alpha")
+            writer.write(b"beta")
+        expected = "sha256-" + hash_bytes(b"alphabeta")
+        assert store.ids() == [expected]
+        assert store.put(b"alphabeta", category="parameters") == expected
+        assert store.recorded_digest(expected) == hash_bytes(b"alphabeta")
+        assert sum(store.stats.bytes_by_category.values()) == store.total_bytes()
+
+    @pytest.mark.parametrize("bad_id", BAD_IDS)
+    def test_unsafe_ids_are_refused_before_anything_happens(
+        self, any_store, bad_id, tmp_path
+    ):
+        before = any_store.stats.snapshot()
+        with pytest.raises(StorageError):
+            any_store.put(b"x", artifact_id=bad_id)
+        with pytest.raises(StorageError):
+            any_store.open_writer(bad_id)
+        assert any_store.ids() == []
+        assert any_store.stats.snapshot() == before
+        # Nothing on disk, inside the store directory or outside it.
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+        # A bad name is the caller's mistake: no replica is blamed for it.
+        for state in getattr(any_store, "replicas", ()):
+            assert state.failures == 0 and not state.breaker_open
+
+    def test_spill_mode_is_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            FileStore(**{"directory": tmp_path})
+        assert issubclass(PersistentFileStore, FileStore)
