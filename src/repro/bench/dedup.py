@@ -31,6 +31,7 @@ from repro.bench.metrics import measure_recover, measure_save
 from repro.config import ArchiveConfig, ObservabilityConfig
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
+from repro.core.recovery import set_owns
 from repro.core.retention import RetentionManager
 from repro.nn.serialization import parameters_to_bytes
 from repro.storage.hardware import ARCHIVE_PROFILE, HardwareProfile
@@ -141,7 +142,7 @@ def _measure_gc(manager: MultiModelManager, set_ids: list[str]) -> dict[str, Any
     doomed_digests: set[str] = set()
     for set_id in set_ids:
         document = store.peek(SETS_COLLECTION, set_id)
-        matrix = retention._chunk_digest_matrix(document, set_id)
+        matrix = set_owns(manager.context, set_id, document).matrix
         target = survivor_digests if set_id == set_ids[-1] else doomed_digests
         target.update(digest for row in matrix for digest in row)
     only_doomed = doomed_digests - survivor_digests

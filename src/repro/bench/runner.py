@@ -171,18 +171,21 @@ def _median_ttr(
     dataset_cache: bool = True,
     **approach_kwargs,
 ) -> list[float]:
-    """Median TTR per use case over ``runs`` recoveries of each saved set."""
+    """Median TTR per use case over ``runs`` recoveries of each saved set.
+
+    The rounds are interleaved — every set once, ``runs`` times over — so
+    a host that changes speed mid-measurement slows one sample of every
+    set, not every sample of one set: ratios between use cases survive.
+    """
     manager, set_ids, _saves = _save_all(
         approach, cases, profile, dataset_cache=dataset_cache, **approach_kwargs
     )
-    results: list[float] = []
-    for set_id in set_ids:
-        times = []
-        for _run in range(runs):
+    times: list[list[float]] = [[] for _set_id in set_ids]
+    for _run in range(runs):
+        for samples, set_id in zip(times, set_ids):
             _model_set, measurement = measure_recover(manager, set_id)
-            times.append(measurement.total_s)
-        results.append(median(times))
-    return results
+            samples.append(measurement.total_s)
+    return [median(samples) for samples in times]
 
 
 def _use_case_names(cases: list[UseCase]) -> list[str]:

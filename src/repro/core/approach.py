@@ -314,10 +314,10 @@ class SaveApproach(ABC):
     ) -> str:
         """Persist an initial set from an *iterable* of state dicts.
 
-        Bounded-memory ingestion: implementations stream models into the
-        parameter artifact one at a time, so saving a 5000-model set
-        never materializes more than one model's parameters (plus the
-        artifact writer's buffer).  This default materializes a
+        Bounded-memory ingestion: implementations hand the iterable to
+        :func:`repro.core.baseline.write_set`, which consumes it block by
+        block, so saving a 5000-model set never materializes more than
+        one block's parameters.  This default materializes a
         :class:`ModelSet` first — subclasses override it with a true
         single-pass implementation.
         """

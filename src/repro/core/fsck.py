@@ -41,9 +41,9 @@ from repro.core.recovery import (
     HASH_COLLECTION,
     RecoveryPlan,
     assemble,
-    digest_matrix,
     layer_nbytes,
     resolve_chunked,
+    set_owns,
 )
 from repro.errors import DocumentNotFoundError
 from repro.nn.serialization import StateSchema, deserialize_state_dict
@@ -178,11 +178,8 @@ class ArchiveFsck:
         for set_id, doc in self._collection(SETS_COLLECTION).items():
             if doc.get("storage") != "chunked":
                 continue
-            try:
-                matrix = digest_matrix(self.context, doc, set_id)
-            except DocumentNotFoundError:
-                continue  # reported as missing-chunk-digests by verify
-            for row in matrix:
+            # A missing matrix is reported as missing-chunk-digests by verify.
+            for row in set_owns(self.context, set_id, doc).matrix or ():
                 for digest in row:
                     expected[digest] = expected.get(digest, 0) + 1
         return expected

@@ -232,9 +232,10 @@ class MultiModelManager:
     ) -> str:
         """Persist an initial set from an iterable of state dicts.
 
-        Bounded-memory ingestion for large fleets: models are streamed
-        into the parameter artifact one at a time (Baseline/Update write
-        a true single pass; other approaches fall back to materializing).
+        :meth:`save_set` over an iterable: Baseline, the fp16 tier and
+        Update consume it in one validating pass with peak memory of one
+        block (a set within one block is a single ``put``, exactly the
+        materialized save); other approaches fall back to materializing.
         """
         with self.context.mutex:
             with self.context.trace(

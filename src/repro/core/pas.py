@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
-from repro.core.baseline import read_full_set, write_full_set
+from repro.core.baseline import read_full_set, write_set
 from repro.core.compression import get_codec
 from repro.core.model_set import ModelSet
 from repro.core.save_info import SetMetadata, UpdateInfo
@@ -74,18 +74,30 @@ class PasDeltaApproach(SaveApproach):
         self.snapshot_interval = snapshot_interval
 
     # -- save --------------------------------------------------------------
+    def _save_full(
+        self,
+        model_set: ModelSet,
+        metadata: SetMetadata | None,
+        base_set_id: str | None = None,
+    ) -> str:
+        # Always artifact-stored: recovery XORs deltas over ``read_full_set``.
+        fields = {"kind": "full", "chain_depth": 0}
+        if base_set_id is not None:
+            fields["base_set"] = base_set_id
+        return write_set(
+            self,
+            model_set.states,
+            model_set.architecture,
+            len(model_set),
+            metadata,
+            fields,
+            chunked=False,
+        )
+
     def save_initial(
         self, model_set: ModelSet, metadata: SetMetadata | None = None
     ) -> str:
-        set_id = self.context.next_set_id(self.name)
-        return write_full_set(
-            self.context,
-            model_set,
-            set_id,
-            doc_type=self.name,
-            metadata=metadata,
-            extra_fields={"kind": "full", "chain_depth": 0},
-        )
+        return self._save_full(model_set, metadata)
 
     def save_derived(
         self,
@@ -103,19 +115,7 @@ class PasDeltaApproach(SaveApproach):
             )
         chain_depth = int(base_doc.get("chain_depth", 0)) + 1
         if self.snapshot_interval is not None and chain_depth >= self.snapshot_interval:
-            set_id = self.context.next_set_id(self.name)
-            return write_full_set(
-                self.context,
-                model_set,
-                set_id,
-                doc_type=self.name,
-                metadata=metadata,
-                extra_fields={
-                    "kind": "full",
-                    "chain_depth": 0,
-                    "base_set": base_set_id,
-                },
-            )
+            return self._save_full(model_set, metadata, base_set_id)
 
         # The PAS trade-off: the base set must be materialized to delta
         # against it (no hash shortcut), making TTS recovery-shaped.

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.architectures.registry import get_architecture
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
-from repro.core.baseline import read_full_set, read_single_model, write_full_set
+from repro.core.baseline import read_full_set, read_single_model, write_set
 from repro.core.model_set import ModelSet
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.errors import InvalidUpdatePlanError, ProvenanceReplayError
@@ -44,14 +44,15 @@ class ProvenanceApproach(SaveApproach):
     ) -> str:
         # "For the initial model set, we save complete model
         # representations using Baseline's logic." (§3.4)
-        set_id = self.context.next_set_id(self.name)
-        return write_full_set(
-            self.context,
-            model_set,
-            set_id,
-            doc_type=self.name,
-            metadata=metadata,
-            extra_fields={"kind": "full", "chain_depth": 0},
+        # Always artifact-stored: replay starts from ``read_full_set``.
+        return write_set(
+            self,
+            model_set.states,
+            model_set.architecture,
+            len(model_set),
+            metadata,
+            {"kind": "full", "chain_depth": 0},
+            chunked=False,
         )
 
     def save_derived(

@@ -28,12 +28,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Container, Sequence
+from typing import TYPE_CHECKING, Container, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.compression import get_codec
+from repro.core.mmlib_base import MODELS_COLLECTION
 from repro.core.parallel import parallel_map
 from repro.errors import DocumentNotFoundError, RecoveryError
 from repro.nn.serialization import StateSchema
@@ -97,19 +98,69 @@ class RecoveryPlan:
         return range(len(self.models) * len(self.schema.entries))
 
 
-def layer_nbytes(schema: StateSchema) -> "list[int]":
-    """Raw float32 byte size of every schema layer, in order."""
+def layer_nbytes(schema: StateSchema, itemsize: int = 4) -> "list[int]":
+    """Raw byte size of every schema layer, in order (float32 by default)."""
     return [
-        (int(np.prod(shape)) if shape else 1) * 4 for _name, shape in schema.entries
+        (int(np.prod(shape)) if shape else 1) * itemsize
+        for _name, shape in schema.entries
     ]
 
 
-def digest_matrix(context: SaveContext, document: dict, set_id: str) -> list:
+def digest_matrix(
+    context: SaveContext, document: dict, set_id: str, read=None
+) -> "list | None":
     """The digest matrix of a chunked set (from its descriptor or, for
-    Update sets, from the hash-info document that doubles as one)."""
+    Update sets, from the hash-info document that doubles as one).
+
+    ``read`` fetches the hash-info document: the store's charged ``get``
+    by default (recovery pays, a missing document raises), or an uncharged
+    ``peek`` for audits and retention (a missing document yields ``None``).
+    """
     if "chunk_digests" in document:
         return document["chunk_digests"]
-    return context.document_store.get(HASH_COLLECTION, set_id)["hashes"]
+    hash_doc = (read or context.document_store.get)(HASH_COLLECTION, set_id)
+    return None if hash_doc is None else hash_doc["hashes"]
+
+
+class SetOwns(NamedTuple):
+    """What one set owns besides its descriptor (see :func:`set_owns`)."""
+
+    #: The set's ``params_artifact`` and every model document's artifacts.
+    artifacts: "list[str]"
+    #: A chunked set's digest matrix (``None``: not chunked, or none stored).
+    matrix: "list | None"
+    #: ``(collection, id)`` of its side documents: model documents, hash info.
+    documents: "list[tuple[str, str]]"
+
+
+def set_owns(context: SaveContext, set_id: str, document: dict) -> SetOwns:
+    """Everything set ``set_id`` owns, read uncharged from its descriptor.
+
+    The one answer retention (what to delete and release), verification
+    (what to re-hash, which chunks to audit) and fsck (which references
+    the chunk ledger should count) share.
+    """
+    store = context.document_store
+    artifacts = [document["params_artifact"]] if document.get("params_artifact") else []
+    documents: list[tuple[str, str]] = []
+    for model_id in document.get("model_ids", []):
+        model_doc = store.peek(MODELS_COLLECTION, model_id)
+        if model_doc is None:
+            continue
+        documents.append((MODELS_COLLECTION, model_id))
+        artifacts.extend(
+            model_doc[key]
+            for key in ("params_artifact", "code_artifact")
+            if model_doc.get(key)
+        )
+    hash_doc = store.peek(HASH_COLLECTION, set_id)
+    if hash_doc is not None:
+        documents.append((HASH_COLLECTION, set_id))
+    matrix = None
+    if document.get("storage") == "chunked":
+        # One peek serves both answers (on a replicated store it is a vote).
+        matrix = digest_matrix(context, document, set_id, lambda *_key: hash_doc)
+    return SetOwns(artifacts, matrix, documents)
 
 
 def chain_documents(
@@ -192,8 +243,9 @@ def resolve_chain(
             f"set {set_id!r} has {num_models}"
         )
     models = _select(num_models, model_index, set_id)
-    sizes = np.asarray(layer_nbytes(schema), dtype=np.int64)
-    num_layers = len(sizes)
+    dtype = str(base_doc.get("param_dtype", "float32"))
+    sizes = np.asarray(layer_nbytes(schema, np.dtype(dtype).itemsize), dtype=np.int64)
+    num_layers, model_nbytes = len(sizes), int(sizes.sum())
     row_of = np.full(num_models, -1, dtype=np.int64)
     row_of[models] = np.arange(len(models))
 
@@ -251,8 +303,8 @@ def resolve_chain(
             base_doc["params_artifact"],
             "none",
             None,
-            num_models * schema.num_bytes,
-            np.asarray(models, dtype=np.int64)[rest // num_layers] * schema.num_bytes
+            num_models * model_nbytes,
+            np.asarray(models, dtype=np.int64)[rest // num_layers] * model_nbytes
             + (np.cumsum(sizes) - sizes)[layer],
             sizes[layer],
             rest,
@@ -269,7 +321,7 @@ def resolve_chain(
     return RecoveryPlan(
         str(base_doc["architecture"]),
         schema,
-        "float32",
+        dtype,
         models,
         sources,
         digests,

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.approach import SETS_COLLECTION, SaveContext
+from repro.core.baseline import write_set
 from repro.core.lineage import LineageGraph
 from repro.core.manager import APPROACHES
-from repro.core.model_set import ModelSet
-from repro.core.update import HASH_COLLECTION, set_hashes
+from repro.core.recovery import set_owns
+from repro.core.save_info import SetMetadata
 from repro.errors import DocumentNotFoundError, ReproError
-from repro.nn.serialization import parameters_to_bytes
 
 
 @dataclass
@@ -77,58 +77,32 @@ class RetentionManager:
         approach = APPROACHES[approach_name](self.context)
         model_set = approach.recover(set_id)
         with self.context.save_transaction("compact", approach_name):
-            self._write_snapshot(set_id, document, model_set, approach_name)
+            # new artifact → descriptor replaced → delta blob deleted → (for
+            # Update) hash info refreshed so future derived saves diff
+            # correctly.  Artifact-stored: a chunked set never gets here.
+            write_set(
+                approach,
+                model_set.states,
+                model_set.architecture,
+                len(model_set),
+                SetMetadata.from_json(document.get("metadata", {})),
+                {
+                    "kind": "full",
+                    "chain_depth": 0,
+                    "compacted_from": document.get("base_set"),
+                },
+                set_id=set_id,
+                hash_info=approach_name == "update",
+                replace=True,
+                suffix="compacted-params",
+                chunked=False,
+            )
             if self.context.registry is not None:
                 self.context.registry.record_compact(set_id)
         # The bytes are unchanged but the read recipe is not: a cached
         # materialization must re-assemble from the new snapshot.
         if self.context.serving is not None:
             self.context.serving.invalidate_set(set_id)
-
-    def _write_snapshot(
-        self,
-        set_id: str,
-        document: dict,
-        model_set: ModelSet,
-        approach_name: str,
-    ) -> None:
-        payload = b"".join(parameters_to_bytes(state) for state in model_set.states)
-        artifact_id = self.context.file_store.put(
-            payload, artifact_id=f"{set_id}-compacted-params", category="parameters"
-        )
-        # Drop the now-superseded delta blob, if any.
-        old_artifact = document.get("params_artifact")
-        new_document = {
-            "type": approach_name,
-            "kind": "full",
-            "chain_depth": 0,
-            "architecture": model_set.architecture,
-            "architecture_code": document.get("architecture_code", ""),
-            "num_models": len(model_set),
-            "schema": model_set.schema.to_json(),
-            "params_artifact": artifact_id,
-            "metadata": document.get("metadata", {}),
-            "compacted_from": document.get("base_set"),
-        }
-        self.context.document_store.replace(SETS_COLLECTION, set_id, new_document)
-        if old_artifact is not None and self.context.file_store.exists(old_artifact):
-            self.context.file_store.delete(old_artifact)
-        if approach_name == "update":
-            # Refresh hash info so future derived saves diff correctly.
-            hashes = set_hashes(model_set)
-            if self.context.document_store.exists(HASH_COLLECTION, set_id):
-                self.context.document_store.replace(
-                    HASH_COLLECTION,
-                    set_id,
-                    {"layers": model_set.schema.layer_names(), "hashes": hashes},
-                )
-            else:
-                self.context.document_store.insert(
-                    HASH_COLLECTION,
-                    {"layers": model_set.schema.layer_names(), "hashes": hashes},
-                    doc_id=set_id,
-                    category="hash-info",
-                )
 
     # -- garbage collection ------------------------------------------------------
     def collect(self, keep: list[str]) -> CollectionReport:
@@ -203,39 +177,21 @@ class RetentionManager:
         store = self.context.document_store
         file_store = self.context.file_store
         document = store.peek(SETS_COLLECTION, set_id)
-        freed = 0
+        owned = set_owns(self.context, set_id, document)
         if document.get("storage") == "chunked":
-            matrix = self._chunk_digest_matrix(document, set_id)
+            if owned.matrix is None:
+                raise ReproError(
+                    f"chunked set {set_id!r} has neither chunk_digests nor hash info"
+                )
             self.context.chunk_store().release(
-                digest for row in matrix for digest in row
+                digest for row in owned.matrix for digest in row
             )
-        artifact = document.get("params_artifact")
-        if artifact is not None and file_store.exists(artifact):
-            freed += file_store.size(artifact)
-            file_store.delete(artifact)
-        for model_id in document.get("model_ids", []):
-            model_doc = store.peek("mmlib_models", model_id)
-            if model_doc is None:
-                continue
-            for key in ("params_artifact", "code_artifact"):
-                model_artifact = model_doc.get(key)
-                if model_artifact and file_store.exists(model_artifact):
-                    freed += file_store.size(model_artifact)
-                    file_store.delete(model_artifact)
-            store.delete("mmlib_models", model_id)
-        if store.exists(HASH_COLLECTION, set_id):
-            store.delete(HASH_COLLECTION, set_id)
+        freed = 0
+        for artifact in owned.artifacts:
+            if file_store.exists(artifact):
+                freed += file_store.size(artifact)
+                file_store.delete(artifact)
+        for collection, doc_id in owned.documents:
+            store.delete(collection, doc_id)
         store.delete(SETS_COLLECTION, set_id)
         return freed
-
-    def _chunk_digest_matrix(self, document: dict, set_id: str) -> list:
-        """A chunked set's digest matrix, read on the management plane."""
-        if "chunk_digests" in document:
-            return document["chunk_digests"]
-        store = self.context.document_store
-        hash_doc = store.peek(HASH_COLLECTION, set_id)
-        if hash_doc is None:
-            raise ReproError(
-                f"chunked set {set_id!r} has neither chunk_digests nor hash info"
-            )
-        return hash_doc["hashes"]

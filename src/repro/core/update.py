@@ -44,10 +44,11 @@ import numpy as np
 
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
 from repro.core.baseline import (
+    layer_hashes,
     read_full_set,
     read_single_model,
-    write_chunked_set,
-    write_full_set,
+    write_hash_info,
+    write_set,
 )
 from repro.core.compression import get_codec
 from repro.core.model_set import ModelSet
@@ -64,23 +65,6 @@ from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.errors import InvalidUpdatePlanError, RecoveryError
 from repro.nn.serialization import StateSchema
 from repro.observability import trace as _trace
-from repro.storage.hashing import hash_array, hash_states
-
-
-def set_hashes(model_set: ModelSet, workers: int = 1) -> list[list[str]]:
-    """Full-length per-layer hashes for every model, in schema order.
-
-    Hashing is the dominant compute cost of an Update save; the per-model
-    work runs on ``workers`` thread lanes (hashlib drops the GIL on large
-    buffers) and the output is identical to the serial loop.
-    """
-    with _trace.span("hash", kind="hash"):
-        return hash_states(
-            model_set.states,
-            model_set.schema.layer_names(),
-            length=64,
-            workers=workers,
-        )
 
 
 class UpdateApproach(SaveApproach):
@@ -134,48 +118,31 @@ class UpdateApproach(SaveApproach):
         self.recovery = recovery
 
     # -- save --------------------------------------------------------------
-    def _save_hashes(self, set_id: str, hashes: list[list[str]], schema: StateSchema) -> None:
-        with _trace.span("hash-info", kind="metadata"):
-            self.context.document_store.insert(
-                HASH_COLLECTION,
-                {"layers": schema.layer_names(), "hashes": hashes},
-                doc_id=set_id,
-                category="hash-info",
-            )
+    def _save_full(
+        self,
+        architecture: str,
+        states,
+        num_models: int,
+        metadata: SetMetadata | None,
+        base_set_id: str | None = None,
+    ) -> str:
+        """Initial, streamed and snapshot saves: Baseline's logic plus the
+        hash info derived saves diff against.  Chunked, the chunk digests
+        *are* that hash info (full-length SHA-256 of the same serialized
+        bytes), so no separate hash pass runs."""
+        fields: dict[str, Any] = {"kind": "full", "chain_depth": 0}
+        if base_set_id is not None:
+            fields["base_set"] = base_set_id
+        return write_set(
+            self, states, architecture, num_models, metadata, fields, hash_info=True
+        )
 
     def save_initial(
         self, model_set: ModelSet, metadata: SetMetadata | None = None
     ) -> str:
-        set_id = self.context.next_set_id(self.name)
-        if self.context.dedup:
-            # The chunk layer hashes every layer exactly once; the digest
-            # matrix it returns IS the hash info (full-length SHA-256 of
-            # the same serialized bytes), so no separate hash pass runs.
-            matrix = write_chunked_set(
-                self.context,
-                model_set.states,
-                model_set.architecture,
-                len(model_set),
-                set_id,
-                doc_type=self.name,
-                metadata=metadata,
-                extra_fields={"kind": "full", "chain_depth": 0},
-                store_digests_in_doc=False,
-            )
-            self._save_hashes(set_id, matrix, model_set.schema)
-            return set_id
-        write_full_set(
-            self.context,
-            model_set,
-            set_id,
-            doc_type=self.name,
-            metadata=metadata,
-            extra_fields={"kind": "full", "chain_depth": 0},
+        return self.save_initial_streaming(
+            model_set.architecture, model_set.states, len(model_set), metadata
         )
-        self._save_hashes(
-            set_id, set_hashes(model_set, self.context.workers), model_set.schema
-        )
-        return set_id
 
     def save_initial_streaming(
         self,
@@ -184,54 +151,7 @@ class UpdateApproach(SaveApproach):
         num_models: int,
         metadata: SetMetadata | None = None,
     ) -> str:
-        from repro.core.baseline import write_full_set_streaming
-
-        set_id = self.context.next_set_id(self.name)
-        if self.context.dedup:
-            matrix = write_chunked_set(
-                self.context,
-                states,
-                architecture,
-                num_models,
-                set_id,
-                doc_type=self.name,
-                metadata=metadata,
-                extra_fields={"kind": "full", "chain_depth": 0},
-                store_digests_in_doc=False,
-            )
-            document = self.context.document_store.peek(SETS_COLLECTION, set_id)
-            self._save_hashes(
-                set_id, matrix, StateSchema.from_json(document["schema"])
-            )
-            return set_id
-        hashes: list[list[str]] = []
-        layer_names: list[str] = []
-
-        def hash_state(_index: int, state) -> None:
-            if not layer_names:
-                layer_names.extend(state)
-            hashes.append(
-                [hash_array(state[name], length=64) for name in layer_names]
-            )
-
-        write_full_set_streaming(
-            self.context,
-            states,
-            architecture,
-            num_models,
-            set_id,
-            doc_type=self.name,
-            metadata=metadata,
-            extra_fields={"kind": "full", "chain_depth": 0},
-            per_state=hash_state,
-        )
-        self.context.document_store.insert(
-            HASH_COLLECTION,
-            {"layers": layer_names, "hashes": hashes},
-            doc_id=set_id,
-            category="hash-info",
-        )
-        return set_id
+        return self._save_full(architecture, states, num_models, metadata)
 
     def save_derived(
         self,
@@ -256,43 +176,17 @@ class UpdateApproach(SaveApproach):
         chain_depth = int(base_doc.get("chain_depth", 0)) + 1
         if self.snapshot_interval is not None and chain_depth >= self.snapshot_interval:
             # Bound the recovery recursion with a full snapshot.
-            set_id = self.context.next_set_id(self.name)
-            if self.context.dedup:
-                matrix = write_chunked_set(
-                    self.context,
-                    model_set.states,
-                    model_set.architecture,
-                    len(model_set),
-                    set_id,
-                    doc_type=self.name,
-                    metadata=metadata,
-                    extra_fields={
-                        "kind": "full",
-                        "chain_depth": 0,
-                        "base_set": base_set_id,
-                    },
-                    store_digests_in_doc=False,
-                )
-                self._save_hashes(set_id, matrix, model_set.schema)
-                return set_id
-            write_full_set(
-                self.context,
-                model_set,
-                set_id,
-                doc_type=self.name,
-                metadata=metadata,
-                extra_fields={"kind": "full", "chain_depth": 0, "base_set": base_set_id},
+            return self._save_full(
+                model_set.architecture,
+                model_set.states,
+                len(model_set),
+                metadata,
+                base_set_id,
             )
-            self._save_hashes(
-                set_id, set_hashes(model_set, workers), model_set.schema
-            )
-            return set_id
-
-        set_id = self.context.next_set_id(self.name)
-        metadata = metadata if metadata is not None else SetMetadata()
 
         # Step 2: hash every model and layer of the new set.
-        new_hashes = set_hashes(model_set, workers)
+        layer_names = model_set.schema.layer_names()
+        new_hashes = layer_hashes(model_set.states, layer_names, workers)
         # Step 3: diff against the base set's stored hash info.
         with _trace.span("diff", kind="diff"):
             base_hashes = self.context.document_store.get(
@@ -317,15 +211,13 @@ class UpdateApproach(SaveApproach):
             # derived set holds its own references to *all* its chunks,
             # which is what lets retention delete the base set without
             # endangering shared layers.
-            write_chunked_set(
-                self.context,
+            return write_set(
+                self,
                 model_set.states,
                 model_set.architecture,
                 len(model_set),
-                set_id,
-                doc_type=self.name,
-                metadata=metadata,
-                extra_fields={
+                metadata,
+                {
                     "kind": "delta",
                     "base_set": base_set_id,
                     "chain_depth": chain_depth,
@@ -333,15 +225,14 @@ class UpdateApproach(SaveApproach):
                     "granularity": self.granularity,
                 },
                 digests=new_hashes,
-                store_digests_in_doc=False,
+                hash_info=True,
             )
-            self._save_hashes(set_id, new_hashes, model_set.schema)
-            return set_id
 
         # Step 4: concatenate all changed parameters into one artifact.
         # Per-entry serialization is independent, so it runs on the
         # worker lanes; the concatenation order matches the diff list.
-        layer_names = model_set.schema.layer_names()
+        set_id = self.context.next_set_id(self.name)
+        metadata = metadata if metadata is not None else SetMetadata()
 
         def serialize_entry(entry: "list[Any]") -> bytes:
             model_index, changed_layers = entry
@@ -393,7 +284,7 @@ class UpdateApproach(SaveApproach):
                 },
                 doc_id=set_id,
             )
-        self._save_hashes(set_id, new_hashes, model_set.schema)
+        write_hash_info(self.context, set_id, layer_names, new_hashes)
         return set_id
 
     # -- recover -------------------------------------------------------------

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.manager import APPROACHES
-from repro.core.update import HASH_COLLECTION
+from repro.core.recovery import HASH_COLLECTION, layer_nbytes, set_owns
 from repro.errors import ReproError
 from repro.nn.serialization import StateSchema
 from repro.storage.hashing import hash_array
@@ -129,11 +127,7 @@ class ArchiveVerifier:
                 and document.get("kind") == "delta"
                 and document.get("codec", "none") == "none"
             ):
-                schema = StateSchema.from_json(document["schema"])
-                sizes = [
-                    (int(np.prod(shape)) if shape else 1) * 4
-                    for _name, shape in schema.entries
-                ]
+                sizes = layer_nbytes(StateSchema.from_json(document["schema"]))
                 expected = sum(
                     sizes[int(layer)]
                     for _model, layers in document.get("diff", [])
@@ -165,19 +159,14 @@ class ArchiveVerifier:
         self, set_id: str, document: dict, report: VerificationReport
     ) -> None:
         """Audit a chunked set: every digest indexed, every length right."""
-        store = self.context.document_store
-        if "chunk_digests" in document:
-            matrix = document["chunk_digests"]
-        else:
-            hash_doc = store.peek(HASH_COLLECTION, set_id)
-            if hash_doc is None:
-                report.add(
-                    set_id,
-                    "missing-chunk-digests",
-                    "chunked set has neither chunk_digests nor hash info",
-                )
-                return
-            matrix = hash_doc["hashes"]
+        matrix = set_owns(self.context, set_id, document).matrix
+        if matrix is None:
+            report.add(
+                set_id,
+                "missing-chunk-digests",
+                "chunked set has neither chunk_digests nor hash info",
+            )
+            return
         if len(matrix) != int(document.get("num_models", len(matrix))):
             report.add(
                 set_id,
@@ -187,12 +176,10 @@ class ArchiveVerifier:
             )
             return
         chunk_store = self.context.chunk_store()
-        schema = StateSchema.from_json(document["schema"])
-        item_bytes = 2 if document.get("param_dtype") == "float16" else 4
-        sizes = [
-            (int(np.prod(shape)) if shape else 1) * item_bytes
-            for _name, shape in schema.entries
-        ]
+        sizes = layer_nbytes(
+            StateSchema.from_json(document["schema"]),
+            2 if document.get("param_dtype") == "float16" else 4,
+        )
         for model, row in enumerate(matrix):
             for layer, digest in enumerate(row):
                 if digest not in chunk_store:
@@ -241,34 +228,13 @@ class ArchiveVerifier:
         whose in-memory reads do not verify on their own.
         """
         file_store = self.context.file_store
-        artifact = document.get("params_artifact")
-        if (
-            artifact is not None
-            and file_store.exists(artifact)
-            and not file_store.verify_artifact(artifact)
-        ):
-            report.add(
-                set_id,
-                "corrupt-artifact",
-                f"{artifact}: bytes do not match the recorded checksum",
-            )
-        for model_id in document.get("model_ids", []):
-            model_doc = self.context.document_store.peek("mmlib_models", model_id)
-            if model_doc is None:
-                continue
-            for key in ("params_artifact", "code_artifact"):
-                model_artifact = model_doc.get(key)
-                if (
-                    model_artifact
-                    and file_store.exists(model_artifact)
-                    and not file_store.verify_artifact(model_artifact)
-                ):
-                    report.add(
-                        set_id,
-                        "corrupt-artifact",
-                        f"{model_artifact}: bytes do not match the recorded "
-                        "checksum",
-                    )
+        for artifact in set_owns(self.context, set_id, document).artifacts:
+            if file_store.exists(artifact) and not file_store.verify_artifact(artifact):
+                report.add(
+                    set_id,
+                    "corrupt-artifact",
+                    f"{artifact}: bytes do not match the recorded checksum",
+                )
 
     def _check_recovery(
         self,

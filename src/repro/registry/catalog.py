@@ -649,7 +649,7 @@ class Registry:
     def _recovered_matrix(set_id: str, context, descriptor: dict):
         """Fallback for digest-less sets: recover and hash each layer."""
         from repro.core.manager import APPROACHES
-        from repro.core.update import set_hashes
+        from repro.core.baseline import layer_hashes
 
         approach_name = str(descriptor.get("type"))
         if approach_name not in APPROACHES:
@@ -657,11 +657,9 @@ class Registry:
                 f"set {set_id!r} has unknown approach {approach_name!r}"
             )
         model_set = APPROACHES[approach_name](context).recover(set_id)
-        return (
-            model_set.schema.layer_names(),
-            set_hashes(model_set, workers=context.workers),
-            "recovered",
-        )
+        layers = model_set.schema.layer_names()
+        hashes = layer_hashes(model_set.states, layers, context.workers)
+        return layers, hashes, "recovered"
 
 
 def attach_registry(context) -> Registry:

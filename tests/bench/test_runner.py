@@ -199,8 +199,11 @@ class TestOtherExperiments:
         )
 
     def test_provenance_training_staircase(self):
+        # runs=4 -> the median of three timed samples per point, taken in
+        # interleaved rounds: a single 12-54 ms training sample (runs=1)
+        # puts the ratio below outside its band whenever the box is loaded.
         result = run_experiment(
-            "provenance-training", ExperimentSettings(num_models=3, cycles=3, runs=1)
+            "provenance-training", ExperimentSettings(num_models=3, cycles=3, runs=4)
         )
         ttr = result.data["ttr"]
         # U1 < U3-1 < U3-2 < U3-3 — each recovery replays one more cycle.

@@ -12,6 +12,7 @@ from repro.config import ArchiveConfig
 from repro.core.lineage import LineageGraph
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
+from repro.core.recovery import set_owns
 from repro.core.retention import RetentionManager
 from repro.core.verify import ArchiveVerifier
 from repro.errors import InvalidUpdatePlanError
@@ -152,9 +153,7 @@ class TestRefcountGC:
         keep_digests = set()
         for set_id in ids:
             doc = manager.context.document_store._collections["model_sets"][set_id]
-            matrix = RetentionManager(manager.context)._chunk_digest_matrix(
-                doc, set_id
-            )
+            matrix = set_owns(manager.context, set_id, doc).matrix
             target = keep_digests if set_id == ids[-1] else doomed_digests
             target.update(d for row in matrix for d in row)
         only_doomed = doomed_digests - keep_digests

@@ -71,6 +71,26 @@ class TestFsckClean:
         assert report.artifacts_checked > 0
         assert report.summary().startswith("clean")
 
+    @pytest.mark.parametrize("replicas", [None, 3])
+    def test_audits_charge_no_document_read(self, replicas):
+        """fsck and the shallow verify peek; what a chunked set owns is
+        read uncharged like the rest of the audit."""
+        from repro.core.verify import ArchiveVerifier
+
+        manager = MultiModelManager.with_approach(
+            "update", ArchiveConfig(dedup=True, replicas=replicas)
+        )
+        models = models_fixture()
+        base = manager.save_set(models)
+        derived = models.copy()
+        derived.state(0)["0.bias"][:] += 1.0
+        manager.save_set(derived, base_set_id=base)
+        stats = manager.context.document_store.stats
+        before = stats.snapshot()
+        assert ArchiveFsck(manager.context).run(deep=True).ok
+        assert ArchiveVerifier(manager.context).verify_all(deep=False).ok
+        assert stats.snapshot() == before
+
 
 class TestFsckFindings:
     def test_orphan_artifact(self):
