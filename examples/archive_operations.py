@@ -8,8 +8,9 @@ Everything a fleet operator does over the archive's lifetime:
 3. audit integrity (checksummed artifacts, hash info, chain structure),
 4. run a post-accident analysis on a single cell — recovering only that
    model and charting its parameter drift across cycles, and
-5. apply a retention policy: compact the oldest kept generation into a
-   full snapshot and garbage-collect everything older.
+5. apply a retention policy: keep the newest generations, compacting
+   each kept set whose base is older into a full snapshot, and
+   garbage-collect everything older.
 
 Run with::
 

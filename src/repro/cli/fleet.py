@@ -14,10 +14,9 @@ import argparse
 
 from repro.cli.archive import _cmd_stats
 from repro.cli.common import _detect_approach
-from repro.cli.maintenance import _cmd_warm, _maintain
+from repro.cli.maintenance import _cmd_warm, _gc, _maintain
 from repro.config import ArchiveConfig, ObservabilityConfig
 from repro.core.approach import SETS_COLLECTION, SaveContext
-from repro.core.retention import RetentionManager
 from repro.errors import ReproError
 from repro.storage.persistent import open_context
 
@@ -98,6 +97,18 @@ def _open_fleet_contexts(
     return contexts
 
 
+def _fleet_catalog_hook(directory: str):
+    """The root catalog's retention call, or ``None`` for a fleet without one."""
+    from pathlib import Path
+
+    from repro.registry import REGISTRY_DIR, open_fleet_registry
+
+    registry_dir = Path(directory) / REGISTRY_DIR
+    if not registry_dir.is_dir():
+        return None
+    return open_fleet_registry(registry_dir).record_retention
+
+
 def _owning_context(contexts: list[SaveContext], set_id: str) -> SaveContext:
     for context in contexts:
         if context.document_store.exists(SETS_COLLECTION, set_id):
@@ -105,50 +116,6 @@ def _owning_context(contexts: list[SaveContext], set_id: str) -> SaveContext:
     raise ReproError(
         f"set {set_id!r} not found on any of the {len(contexts)} shard(s)"
     )
-
-
-def _cmd_fleet_gc(contexts: list[SaveContext], args: argparse.Namespace) -> int:
-    """Fleet-wide retention: one policy decision, one pass per shard.
-
-    ``--keep-last K`` keeps the newest K sets *across the whole fleet*
-    (ids are fleet-ordered), compacting each shard's oldest kept set so
-    no older ancestors need to survive — matching single-archive
-    ``keep_last`` semantics shard by shard.
-    """
-    per_shard_ids = [
-        context.document_store.collection_ids(SETS_COLLECTION)
-        for context in contexts
-    ]
-    if args.keep_last is not None:
-        if args.keep_last <= 0:
-            raise ReproError("--keep-last must be positive")
-        all_ids = sorted(set_id for ids in per_shard_ids for set_id in ids)
-        keep = set(all_ids[-args.keep_last :])
-    else:
-        keep = set(args.keep or [])
-    deleted: list[str] = []
-    retained: list[str] = []
-    chunks = 0
-    reclaimed = 0
-    for context, shard_ids in zip(contexts, per_shard_ids):
-        retention = RetentionManager(context)
-        shard_keep = [set_id for set_id in shard_ids if set_id in keep]
-        if args.keep_last is not None and shard_keep:
-            retention.compact(shard_keep[0])
-        report = retention.collect(keep=shard_keep)
-        deleted.extend(report.deleted_sets)
-        retained.extend(report.retained_for_chains)
-        chunks += report.chunks_reclaimed
-        reclaimed += report.bytes_reclaimed
-    print(f"deleted {len(deleted)} sets")
-    for set_id in sorted(deleted):
-        print(f"  - {set_id}")
-    if retained:
-        print(f"retained for recovery chains: {sorted(retained)}")
-    if chunks:
-        print(f"swept {chunks} zero-reference chunks")
-    print(f"reclaimed {reclaimed:,} bytes")
-    return 0
 
 
 def _cmd_fleet_warm(contexts: list[SaveContext], args: argparse.Namespace) -> int:
@@ -286,12 +253,12 @@ def _run_fleet(
         )
     present = [index for index in range(num) if index not in missing]
     contexts = _open_fleet_contexts(args.directory, present, config)
-    if command == "gc":
-        result = _cmd_fleet_gc(contexts, args)
-    elif command == "maintain":
-        # Maintenance is inherently fleet-aware: one scheduler, one
-        # retention decision, per-shard atomic passes.
-        result = _maintain(contexts, args)
+    if command in ("gc", "maintain"):
+        # One fleet-wide retention decision, per-shard atomic passes; the
+        # shards carry no registry, so the root catalog hears what each
+        # committed pass deleted and compacted.
+        verb = _gc if command == "gc" else _maintain
+        result = verb(contexts, args, _fleet_catalog_hook(args.directory))
     elif command == "warm":
         result = _cmd_fleet_warm(contexts, args)
     elif command == "evict":
@@ -336,34 +303,6 @@ def _run_fleet(
         result = max(codes) if codes else 0
     else:  # pragma: no cover - argparse restricts the verb set
         raise ReproError(f"command {command!r} does not support fleet archives")
-    if command in ("gc", "maintain"):
-        # Deletions and compactions ran against the shard contexts,
-        # which carry no per-shard registry; resync the fleet-level
-        # catalog incrementally (not a rebuild — incremental deletes
-        # preserve family names whose explicitly-named root was
-        # collected, and keep surviving version numbers stable).
-        from repro.registry import REGISTRY_DIR, open_fleet_registry
-
-        registry_dir = Path(args.directory) / REGISTRY_DIR
-        if registry_dir.is_dir():
-            by_shard = dict(zip(present, contexts))
-            registry = open_fleet_registry(
-                registry_dir, resolver=lambda shard: by_shard[shard]
-            )
-            surviving = {
-                shard: set(ctx.document_store.collection_ids(SETS_COLLECTION))
-                for shard, ctx in by_shard.items()
-            }
-            for record in registry.records():
-                owned = surviving.get(record.shard)
-                if owned is not None and record.set_id not in owned:
-                    registry.record_delete(record.set_id)
-            # Re-record survivors: idempotent (family/version kept), and
-            # it refreshes compacted descriptors plus heals any record
-            # lost in the save path's post-commit crash gap.
-            for shard, owned in surviving.items():
-                for set_id in sorted(owned):
-                    registry.record_save(set_id, shard=shard)
     trace_path = config.observability.trace_path
     tracer = contexts[0].tracer if contexts else None
     if trace_path and tracer is not None and tracer.roots:

@@ -36,6 +36,14 @@ from repro.errors import ReproError
 from repro.storage.persistent import open_context
 
 
+def _keep_count(text: str) -> int:
+    """``--keep-last`` values: a count of sets, at least one."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-archive", description="Operate a durable model archive."
@@ -183,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gc = subparsers.add_parser("gc", help="garbage-collect old sets")
     group = gc.add_mutually_exclusive_group(required=True)
-    group.add_argument("--keep-last", type=int, default=None)
+    group.add_argument("--keep-last", type=_keep_count, default=None)
     group.add_argument("--keep", nargs="+", default=None, metavar="SET_ID")
 
     maintain = subparsers.add_parser(
@@ -202,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     maintain.add_argument(
         "--keep-last",
-        type=int,
+        type=_keep_count,
         default=None,
         metavar="K",
         help="retention policy: keep the newest K sets fleet-wide "
@@ -214,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="D",
         help="compact kept delta chains at or beyond this recovery depth "
-        "(default: only the retention policy's oldest-kept compaction)",
+        "(default: only the retention policy's chain cut)",
     )
     maintain.add_argument(
         "--no-scrub",

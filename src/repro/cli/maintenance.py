@@ -8,30 +8,67 @@ transactions; ``warm``/``evict`` manage the tiered serving cache.
 from __future__ import annotations
 
 import argparse
+from itertools import chain
 
 from repro.core.approach import SETS_COLLECTION, SaveContext
-from repro.core.retention import RetentionManager
-from repro.errors import ReproError
+from repro.core.retention import RetentionManager, older_than_newest
+from repro.errors import DocumentNotFoundError, ReproError
 
 
-def _cmd_gc(context: SaveContext, args: argparse.Namespace) -> int:
-    retention = RetentionManager(context)
+def _gc(contexts: list[SaveContext], args: argparse.Namespace, on_retired=None) -> int:
+    """Apply one retention decision to the given shard contexts.
+
+    ``--keep-last K`` retires everything older than the newest K sets
+    across every shard (ids are fleet-ordered); ``--keep`` keeps the named
+    sets plus the chains they need, checked against every shard before
+    anything is deleted.  ``on_retired(deleted, compacted)`` runs after
+    every shard committed (the fleet catalog's hook).
+    """
+    listings = [
+        context.document_store.collection_ids(SETS_COLLECTION)
+        for context in contexts
+    ]
     if args.keep_last is not None:
-        report = retention.keep_last(args.keep_last)
+        doomed = older_than_newest(args.keep_last, listings)
+        reports = [RetentionManager(context).retire(doomed) for context in contexts]
     else:
-        report = retention.collect(keep=args.keep or [])
-    print(f"deleted {len(report.deleted_sets)} sets")
-    for set_id in report.deleted_sets:
+        held = set(chain.from_iterable(listings))
+        unknown = [set_id for set_id in args.keep if set_id not in held]
+        if unknown:
+            raise DocumentNotFoundError(f"keep list references unknown sets {unknown}")
+        reports = [
+            RetentionManager(context).collect(
+                keep=[set_id for set_id in shard_ids if set_id in args.keep]
+            )
+            for context, shard_ids in zip(contexts, listings)
+        ]
+
+    def gathered(name: str) -> list[str]:
+        return sorted(chain.from_iterable(getattr(report, name) for report in reports))
+
+    deleted, retained = gathered("deleted_sets"), gathered("retained_for_chains")
+    print(f"deleted {len(deleted)} sets")
+    for set_id in deleted:
         print(f"  - {set_id}")
-    if report.retained_for_chains:
-        print(f"retained for recovery chains: {report.retained_for_chains}")
-    if report.chunks_reclaimed:
-        print(f"swept {report.chunks_reclaimed} zero-reference chunks")
-    print(f"reclaimed {report.bytes_reclaimed:,} bytes")
+    if retained:
+        print(f"retained for recovery chains: {retained}")
+    chunks = sum(report.chunks_reclaimed for report in reports)
+    if chunks:
+        print(f"swept {chunks} zero-reference chunks")
+    print(f"reclaimed {sum(report.bytes_reclaimed for report in reports):,} bytes")
+    compacted = gathered("compacted_sets")
+    if on_retired is not None and (deleted or compacted):
+        on_retired(deleted, compacted)
     return 0
 
 
-def _maintain(contexts: list[SaveContext], args: argparse.Namespace) -> int:
+def _cmd_gc(context: SaveContext, args: argparse.Namespace) -> int:
+    return _gc([context], args)
+
+
+def _maintain(
+    contexts: list[SaveContext], args: argparse.Namespace, on_retired=None
+) -> int:
     """Run ``--cycles`` maintenance passes over the given shard contexts.
 
     Each pass runs every shard's mutating tasks (compaction, GC, chunk
@@ -39,7 +76,7 @@ def _maintain(contexts: list[SaveContext], args: argparse.Namespace) -> int:
     queues and scrubs.  Exit follows the 0/1/2 contract across all
     cycles: 0 — nothing needed doing, 1 — maintenance did work
     (reclaimed, compacted, healed), 2 — a scrub found unrecoverable
-    data.
+    data.  ``on_retired`` is every shard pass's post-commit hook.
     """
     from repro.config import MaintenanceConfig
     from repro.maintenance import MaintenanceScheduler
@@ -51,7 +88,9 @@ def _maintain(contexts: list[SaveContext], args: argparse.Namespace) -> int:
         scrub=not args.no_scrub,
         scrub_deep=bool(args.deep),
     )
-    scheduler = MaintenanceScheduler.for_contexts(contexts, config=config)
+    scheduler = MaintenanceScheduler.for_contexts(
+        contexts, config=config, on_retired=on_retired
+    )
     worst = 0
     for cycle in range(args.cycles):
         report = scheduler.run_pass()

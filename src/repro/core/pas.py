@@ -30,6 +30,7 @@ from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
 from repro.core.baseline import read_full_set, write_set
 from repro.core.compression import get_codec
 from repro.core.model_set import ModelSet
+from repro.core.recovery import chain_documents
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.errors import InvalidUpdatePlanError, RecoveryError
 from repro.nn.serialization import StateSchema, bytes_to_parameters
@@ -152,17 +153,8 @@ class PasDeltaApproach(SaveApproach):
 
     # -- recover -------------------------------------------------------------
     def recover(self, set_id: str) -> ModelSet:
-        chain: list[dict] = []
-        current_id = set_id
-        while True:
-            document = self.context.set_document(current_id)
-            self._require_type(document, self.name, current_id)
-            if document["kind"] == "full":
-                model_set = read_full_set(self.context, document, current_id)
-                break
-            chain.append(document)
-            current_id = str(document["base_set"])
-
+        base_doc, base_id, chain = chain_documents(self, set_id)
+        model_set = read_full_set(self.context, base_doc, base_id)
         if not chain:
             return model_set
         bits = _set_bits(model_set)
@@ -193,23 +185,14 @@ class PasDeltaApproach(SaveApproach):
         """
         from repro.core.baseline import read_single_model
 
-        chain: list[dict] = []
-        current_id = set_id
-        while True:
-            document = self.context.set_document(current_id)
-            self._require_type(document, self.name, current_id)
-            if document["kind"] == "full":
-                break
-            chain.append(document)
-            current_id = str(document["base_set"])
-
-        num_models = int(document["num_models"])
+        base_doc, base_id, chain = chain_documents(self, set_id)
+        num_models = int(base_doc["num_models"])
         if not 0 <= model_index < num_models:
             raise IndexError(
                 f"model index {model_index} out of range for set {set_id!r} "
                 f"({num_models} models)"
             )
-        state = read_single_model(self.context, document, current_id, model_index)
+        state = read_single_model(self.context, base_doc, base_id, model_index)
         if not chain:
             return state
         schema = StateSchema.from_json(chain[0]["schema"])

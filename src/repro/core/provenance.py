@@ -23,6 +23,7 @@ from repro.architectures.registry import get_architecture
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
 from repro.core.baseline import read_full_set, read_single_model, write_set
 from repro.core.model_set import ModelSet
+from repro.core.recovery import chain_documents
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.errors import InvalidUpdatePlanError, ProvenanceReplayError
 from repro.training.environment import capture_environment
@@ -106,17 +107,8 @@ class ProvenanceApproach(SaveApproach):
 
     # -- recover -------------------------------------------------------------
     def recover(self, set_id: str) -> ModelSet:
-        chain: list[dict] = []
-        current_id = set_id
-        while True:
-            document = self.context.set_document(current_id)
-            self._require_type(document, self.name, current_id)
-            if document["kind"] == "full":
-                model_set = read_full_set(self.context, document, current_id)
-                break
-            chain.append(document)
-            current_id = str(document["base_set"])
-
+        base_doc, base_id, chain = chain_documents(self, set_id)
+        model_set = read_full_set(self.context, base_doc, base_id)
         for document in reversed(chain):
             model_set = self._replay(model_set, document)
         return model_set
@@ -128,21 +120,9 @@ class ProvenanceApproach(SaveApproach):
         base model, then re-trains it once per cycle in which it was
         updated — skipping every other model's training entirely.
         """
-        chain: list[dict] = []
-        current_id = set_id
-        while True:
-            document = self.context.set_document(current_id)
-            self._require_type(document, self.name, current_id)
-            if document["kind"] == "full":
-                state = read_single_model(
-                    self.context, document, current_id, model_index
-                )
-                architecture = str(document["architecture"])
-                break
-            chain.append(document)
-            current_id = str(document["base_set"])
-
-        spec = get_architecture(architecture)
+        base_doc, base_id, chain = chain_documents(self, set_id)
+        state = read_single_model(self.context, base_doc, base_id, model_index)
+        spec = get_architecture(str(base_doc["architecture"]))
         for document in reversed(chain):
             info = UpdateInfo.from_json(
                 {"pipelines": document["pipelines"], "updates": document["updates"]}

@@ -10,14 +10,20 @@ Two maintenance operations an unbounded archive eventually needs:
   chain ancestors).  Deleting a needed base would be data loss; the
   collector refuses it structurally rather than by convention.
 
-The combination implements the natural policy "keep the last *k*
-generations": compact the *k*-th newest set, then collect with the last
-*k* as the keep list.
+The combination is the one retention rule (DESIGN.md §10):
+:meth:`RetentionManager.retire` deletes a *doomed* set of ids after
+compacting every kept set whose base is doomed, so nothing doomed
+survives for chain reasons.  "Keep the newest *k*" is
+``retire(older_than_newest(k, listings))`` — for one archive
+(:meth:`RetentionManager.keep_last`), the ``gc``/``maintain`` verbs and
+the maintenance scheduler alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable
 
 from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.baseline import write_set
@@ -38,6 +44,22 @@ class CollectionReport:
     #: Zero-reference chunks reclaimed by the chunk-layer sweep (dedup
     #: archives only); their bytes are included in ``bytes_reclaimed``.
     chunks_reclaimed: int = 0
+    #: Kept sets :meth:`RetentionManager.retire` compacted to cut their
+    #: chains free of doomed bases (``collect`` compacts nothing).
+    compacted_sets: list[str] = field(default_factory=list)
+
+
+def older_than_newest(count: int, listings: "Iterable[Iterable[str]]") -> "set[str]":
+    """Ids older than the newest ``count`` across the given set listings.
+
+    Set ids are commit counters (fleet ids are allocated fleet-wide), so
+    id order is commit order and one sort over every shard's listing
+    decides "keep the newest K" for a whole fleet.  ``count`` below 1
+    raises :class:`ValueError`.
+    """
+    if count < 1:
+        raise ValueError(f"keep-last count must be >= 1, got {count!r}")
+    return set(sorted(chain.from_iterable(listings))[:-count])
 
 
 class RetentionManager:
@@ -47,14 +69,15 @@ class RetentionManager:
         self.context = context
 
     # -- compaction ---------------------------------------------------------
-    def compact(self, set_id: str) -> None:
+    def compact(self, set_id: str) -> bool:
         """Rewrite a derived set as an independent full snapshot.
 
         The set keeps its id — descendants' base references stay valid —
         but its descriptor becomes ``kind: full`` with a freshly written
         parameter artifact, and its recovery no longer touches ancestors.
-        Full sets (Baseline, MMlib-base, snapshots) are left untouched.
-        On a journaled context the rewrite is one atomic commit: a crash
+        Full sets (Baseline, MMlib-base, snapshots) and chunked deltas are
+        left untouched.  Returns whether the set was rewritten.  On a
+        journaled context the rewrite is one atomic commit: a crash
         mid-compaction rolls back to the original delta set on reopen.
         """
         store = self.context.document_store
@@ -63,13 +86,13 @@ class RetentionManager:
             raise DocumentNotFoundError(f"unknown set {set_id!r}")
         approach_name = str(document.get("type"))
         if document.get("kind", "full") == "full":
-            return
+            return False
         if document.get("storage") == "chunked":
             # Chunked deltas already recover in one hop (the digest matrix
             # is the whole recipe) and their bases are deletable — the
             # refcounts protect shared chunks — so there is nothing for
             # compaction to improve.
-            return
+            return False
         if approach_name not in ("update", "provenance", "pas-delta"):
             raise ReproError(
                 f"set {set_id!r} of type {approach_name!r} cannot be compacted"
@@ -103,6 +126,7 @@ class RetentionManager:
         # materialization must re-assemble from the new snapshot.
         if self.context.serving is not None:
             self.context.serving.invalidate_set(set_id)
+        return True
 
     # -- garbage collection ------------------------------------------------------
     def collect(self, keep: list[str]) -> CollectionReport:
@@ -151,20 +175,40 @@ class RetentionManager:
                 self.context.serving.invalidate_set(set_id)
         return report
 
-    def keep_last(self, count: int, compact_oldest_kept: bool = True) -> CollectionReport:
-        """Retain the newest ``count`` sets (by id order) and collect the rest.
+    def retire(self, doomed: "Iterable[str]") -> CollectionReport:
+        """Delete the ``doomed`` sets so that none survives for chain reasons.
 
-        With ``compact_oldest_kept`` (default), the oldest kept set is
-        first compacted into a full snapshot so that *no* older set needs
-        to survive for chain reasons — the policy most deployments want.
+        One journal transaction: every kept set whose base is doomed is first
+        compacted into a full snapshot (a no-op for full and chunked
+        sets), then :meth:`collect` runs with every held set not doomed as
+        the keep list.  Ids the archive does not hold are ignored, so a
+        fleet hands one fleet-wide doomed set to every shard.
         """
-        if count <= 0:
-            raise ValueError("count must be positive")
-        all_ids = self.context.document_store.collection_ids(SETS_COLLECTION)
-        keep = all_ids[-count:]
-        if compact_oldest_kept and keep:
-            self.compact(keep[0])
-        return self.collect(keep)
+        doomed = set(doomed)
+        store = self.context.document_store
+        with self.context.save_transaction("gc"):
+            keep = [
+                set_id
+                for set_id in store.collection_ids(SETS_COLLECTION)
+                if set_id not in doomed
+            ]
+            compacted = [
+                set_id
+                for set_id in keep
+                if store.peek(SETS_COLLECTION, set_id).get("base_set") in doomed
+                and self.compact(set_id)
+            ]
+            report = self.collect(keep)
+        report.compacted_sets = compacted
+        return report
+
+    def keep_last(self, count: int) -> CollectionReport:
+        """Retain the newest ``count`` sets (by id order); retire the rest."""
+        return self.retire(
+            older_than_newest(
+                count, [self.context.document_store.collection_ids(SETS_COLLECTION)]
+            )
+        )
 
     def _delete_set(self, set_id: str) -> int:
         """Delete one set's documents and artifacts; returns bytes freed.

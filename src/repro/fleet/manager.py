@@ -624,12 +624,15 @@ class FleetManager:
             if root is not None:
                 self._root_of[set_id] = root
 
-    def forget_sets(self, set_ids: "list[str]") -> None:
+    def forget_sets(
+        self, set_ids: "list[str]", compacted: "list[str]" = ()
+    ) -> None:
         """Drop placement/root bookkeeping for sets no longer on a shard.
 
-        Called after a deletion that bypassed :meth:`delete_sets` — e.g.
-        a :class:`~repro.maintenance.MaintenanceScheduler` GC pass
-        running directly against the shard contexts.
+        Also the post-commit hook of a
+        :class:`~repro.maintenance.MaintenanceScheduler` pass running
+        directly against the shard contexts: ``set_ids`` it deleted,
+        ``compacted`` it rewrote as full snapshots.
         """
         with self._fleet_lock:
             for set_id in set_ids:
@@ -640,8 +643,7 @@ class FleetManager:
             # Unregistered ids (released allocations) are no-ops, so the
             # same sync covers GC, maintenance passes, and allocation
             # cleanup alike.
-            for set_id in set_ids:
-                registry.record_delete(set_id)
+            registry.record_retention(set_ids, compacted)
 
     @contextmanager
     def _fleet_span(self, operation: str, set_id: str, shard: int):

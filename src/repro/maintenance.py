@@ -67,14 +67,17 @@ class MaintenanceTarget:
     shard context's mutex (the fleet's
     :class:`~repro.observability.metrics.TimedLock` wrappers qualify, so
     fleet lock-wait metrics see maintenance contention too).
-    ``on_deleted`` is called with the ids a GC pass deleted — the fleet
-    uses it to drop placement entries.
+    ``on_retired(deleted, compacted)`` is called after a pass's
+    transaction commits, with the ids it deleted and the ids it
+    compacted — the fleet drops placement entries and updates its root
+    catalog through it.  A killed pass never calls it, so the catalog
+    cannot forget sets the shard rolls back at reopen.
     """
 
     name: str
     context: SaveContext
     lock: Any
-    on_deleted: "Callable[[list[str]], None] | None" = None
+    on_retired: "Callable[[list[str], list[str]], None] | None" = None
 
 
 @dataclass
@@ -227,14 +230,15 @@ class MaintenanceScheduler:
 
         Uses the fleet's timed shard locks (maintenance contention shows
         up in ``fleet_shard_<i>_lock_wait_s_total``) and keeps the
-        fleet's placement map in sync with what GC deletes.
+        fleet's placement map and root catalog in sync with what each
+        committed pass deleted and compacted.
         """
         targets = [
             MaintenanceTarget(
                 name=f"shard-{index}",
                 context=manager.context,
                 lock=fleet.shard_locks[index],
-                on_deleted=fleet.forget_sets,
+                on_retired=fleet.forget_sets,
             )
             for index, manager in enumerate(fleet.shards)
         ]
@@ -273,17 +277,19 @@ class MaintenanceScheduler:
         cls,
         contexts: "list[SaveContext]",
         config: "MaintenanceConfig | None" = None,
-        clock: "SimClock | None" = None,
+        on_retired: "Callable[[list[str], list[str]], None] | None" = None,
     ) -> "MaintenanceScheduler":
-        """A scheduler over bare shard contexts (the CLI's offline view)."""
+        """A scheduler over bare shard contexts (the CLI's offline view).
+
+        ``on_retired`` becomes every target's post-commit hook (the CLI
+        passes the fleet catalog's; plain archives record in-txn).
+        """
         targets = [
-            MaintenanceTarget(
-                name=f"shard-{index}", context=context, lock=context.mutex
-            )
+            MaintenanceTarget(f"shard-{index}", context, context.mutex, on_retired)
             for index, context in enumerate(contexts)
         ]
         metrics = contexts[0].metrics if contexts else None
-        return cls(targets, config=config, clock=clock, metrics=metrics)
+        return cls(targets, config=config, metrics=metrics)
 
     # -- scheduling --------------------------------------------------------
     @property
@@ -366,17 +372,18 @@ class MaintenanceScheduler:
         """
         if self.config.gc_keep_last is None:
             return None
-        all_ids: list[str] = []
+        from repro.core.retention import older_than_newest
+
+        listings = []
         for target in self.targets:
             # Listings are management-plane reads, but the underlying
             # collections are mutated by live writers — take each shard's
             # lock (one at a time, never nested) for a consistent read.
             with target.lock:
-                all_ids.extend(
+                listings.append(
                     target.context.document_store.collection_ids(SETS_COLLECTION)
                 )
-        all_ids.sort()
-        return set(all_ids[: -int(self.config.gc_keep_last)])
+        return older_than_newest(int(self.config.gc_keep_last), listings)
 
     def _fault(self, point: str, shard: str, pass_index: int) -> None:
         if self.fault_hook is not None:
@@ -390,7 +397,8 @@ class MaintenanceScheduler:
         scrub: bool,
     ) -> ShardMaintenanceReport:
         """One shard's slice of a pass: txn work, then replica work."""
-        from repro.core.retention import RetentionManager
+        from repro.core.retention import CollectionReport, RetentionManager
+        from repro.observability import trace as _trace
 
         context = target.context
         entry = ShardMaintenanceReport(shard=target.name)
@@ -407,15 +415,26 @@ class MaintenanceScheduler:
                 "maintenance", shard=target.name, pass_index=pass_index
             ):
                 retention = RetentionManager(context)
+                report = CollectionReport()
                 # -- one atomic txn: compaction + GC + chunk sweep ----------
                 with context.save_transaction("maintenance"):
-                    entry.sets_compacted += self._compact_deep_chains(
+                    compacted = self._compact_deep_chains(
                         context, retention, doomed
                     )
                     if doomed is not None:
-                        self._collect(context, retention, doomed, entry, target)
+                        with _trace.span("gc", kind="maintenance"):
+                            report = retention.retire(doomed)
                     self._fault("in-txn", target.name, pass_index)
-                # -- post-commit replica work ------------------------------
+                compacted += report.compacted_sets
+                entry.sets_deleted = len(report.deleted_sets)
+                entry.sets_compacted = len(compacted)
+                entry.bytes_reclaimed = report.bytes_reclaimed
+                entry.chunks_swept = report.chunks_reclaimed
+                # -- post-commit: catalog hook, then replica work ----------
+                if target.on_retired is not None and (
+                    report.deleted_sets or compacted
+                ):
+                    target.on_retired(report.deleted_sets, compacted)
                 self._fault("post-commit", target.name, pass_index)
                 if self.config.drain_repairs:
                     entry.repairs_drained += self._drain_repairs(context)
@@ -429,73 +448,30 @@ class MaintenanceScheduler:
     # -- tasks -------------------------------------------------------------
     def _compact_deep_chains(
         self, context: SaveContext, retention, doomed: "set[str] | None"
-    ) -> int:
-        """Compact kept delta sets whose recovery chain grew too deep.
+    ) -> "list[str]":
+        """Compact kept sets whose recovery chain grew too deep.
 
         Bounds time-to-recover for chains the retention policy retains;
         sets GC is about to delete are skipped (compacting them would be
-        wasted writes inside the same transaction).
+        wasted writes inside the same transaction).  Returns the ids
+        :meth:`RetentionManager.compact` rewrote.
         """
         depth_limit = self.config.compact_chain_depth
         if depth_limit is None:
-            return 0
+            return []
         from repro.observability import trace as _trace
 
-        store = context.document_store
-        compacted = 0
+        doomed = doomed or set()
         with _trace.span("compact-chains", kind="maintenance"):
-            for set_id, document in sorted(
-                store.peek_collection(SETS_COLLECTION).items()
-            ):
-                if doomed is not None and set_id in doomed:
-                    continue
-                if document.get("kind", "full") == "full":
-                    continue
-                if document.get("storage") == "chunked":
-                    # Chunked deltas recover in one hop; compaction is a
-                    # no-op for them (see RetentionManager.compact).
-                    continue
-                if int(document.get("chain_depth", 0)) < int(depth_limit):
-                    continue
-                retention.compact(set_id)
-                compacted += 1
-        return compacted
-
-    def _collect(
-        self,
-        context: SaveContext,
-        retention,
-        doomed: "set[str]",
-        entry: ShardMaintenanceReport,
-        target: MaintenanceTarget,
-    ) -> None:
-        """Retention GC for one shard under the fleet-wide doomed set."""
-        from repro.observability import trace as _trace
-
-        shard_ids = context.document_store.collection_ids(SETS_COLLECTION)
-        shard_keep = [set_id for set_id in shard_ids if set_id not in doomed]
-        with _trace.span("gc", kind="maintenance"):
-            # Cut every kept chain free of its doomed ancestors first: a
-            # kept delta whose base is condemned gets compacted into a
-            # full snapshot, so no doomed set has to survive for chain
-            # reasons (keep_last semantics, per chain).
-            store = context.document_store
-            for set_id in shard_keep:
-                document = store.peek(SETS_COLLECTION, set_id)
-                if document.get("kind", "full") == "full":
-                    continue
-                base = document.get("base_set")
-                if base is not None and base not in doomed:
-                    continue
-                retention.compact(set_id)
-                if store.peek(SETS_COLLECTION, set_id).get("kind", "full") == "full":
-                    entry.sets_compacted += 1
-            report = retention.collect(keep=shard_keep)
-        entry.sets_deleted += len(report.deleted_sets)
-        entry.bytes_reclaimed += report.bytes_reclaimed
-        entry.chunks_swept += report.chunks_reclaimed
-        if report.deleted_sets and target.on_deleted is not None:
-            target.on_deleted(list(report.deleted_sets))
+            return [
+                set_id
+                for set_id, document in sorted(
+                    context.document_store.peek_collection(SETS_COLLECTION).items()
+                )
+                if set_id not in doomed
+                and int(document.get("chain_depth", 0)) >= int(depth_limit)
+                and retention.compact(set_id)
+            ]
 
     def _drain_repairs(self, context: SaveContext) -> int:
         """Drain replica repair queues; returns entries resolved."""

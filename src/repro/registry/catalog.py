@@ -408,6 +408,23 @@ class Registry:
                 updated["kind"] = "full"
                 self._write(VERSIONS_COLLECTION, set_id, updated)
 
+    def record_retention(self, deleted: "list[str]", compacted: "list[str]") -> None:
+        """Reflect one committed retention pass: one catalog transaction.
+
+        The fleet's single retention call — :meth:`FleetManager.forget_sets`
+        and the CLI's fleet ``gc``/``maintain`` make it after the shard
+        pass commits, so a pass killed mid-transaction (rolled back at
+        reopen) never reaches the catalog.
+        """
+        if not (deleted or compacted):
+            return
+        with self._lock:
+            with self._registry_txn():
+                for set_id in compacted:
+                    self.record_compact(set_id)
+                for set_id in deleted:
+                    self.record_delete(set_id)
+
     def rebuild(self, sources) -> int:
         """Drop and re-derive the whole catalog from descriptor documents.
 

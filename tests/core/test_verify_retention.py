@@ -180,14 +180,6 @@ class TestGarbageCollection:
             synthetic_cases[-1].model_set
         )
 
-    def test_keep_last_without_compaction_retains_chain(self, update_archive):
-        manager, set_ids = update_archive
-        report = RetentionManager(manager.context).keep_last(
-            1, compact_oldest_kept=False
-        )
-        assert report.deleted_sets == []
-        assert report.retained_for_chains == sorted(set_ids[:-1])
-
     def test_collect_removes_hash_info_and_artifacts(self, update_archive):
         manager, set_ids = update_archive
         store = manager.context.document_store
