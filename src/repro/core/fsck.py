@@ -50,7 +50,7 @@ from repro.nn.serialization import StateSchema, deserialize_state_dict
 from repro.observability import trace as _trace
 from repro.storage.chunk_index import PACKS_COLLECTION
 from repro.storage.hashing import hash_array, hash_bytes
-from repro.storage.journal import JOURNAL_COLLECTION
+from repro.storage.journal import JOURNAL_COLLECTION, entry_ids
 from repro.storage.replication import replica_divergence, replicated_stores
 
 
@@ -188,9 +188,7 @@ class ArchiveFsck:
         """Audit the archive; ``deep=True`` re-hashes every stored byte."""
         report = FsckReport()
         file_store = self.context.file_store
-        report.pending_journal = sorted(
-            self._collection(JOURNAL_COLLECTION)
-        )
+        report.pending_journal = entry_ids(self._collection(JOURNAL_COLLECTION))
         report.sets_checked = len(self._collection(SETS_COLLECTION))
 
         referenced = self._referenced_artifacts()

@@ -8,21 +8,24 @@ packs, descriptors referencing bytes that were never written.  The
 :class:`SaveJournal` turns each save (and each retention/GC pass) into an
 atomic commit:
 
-1. :meth:`SaveJournal.begin` durably writes a ``pending`` journal entry
+1. :meth:`SaveJournal.begin` durably writes a ``pending`` entry header
    *before* the first mutation.
 2. The :class:`JournaledFileStore` / :class:`JournaledDocumentStore`
-   proxies log every mutation's **undo information** into the entry
-   *before* applying it (write-ahead), and **defer** physical artifact
-   deletes until commit so a rollback never has to resurrect bytes.
-3. Commit flips the entry to ``committing``, applies the deferred
-   deletes, and removes the entry.  Rollback (any in-process exception)
-   undoes the logged operations in reverse.  A crash —
+   proxies log every mutation's **undo information** *before* applying
+   it (write-ahead) — one record document per op, written once and never
+   rewritten — and **defer** physical artifact deletes until commit so a
+   rollback never has to resurrect bytes.
+3. Commit flips the header to ``committing`` with the deferred deletes,
+   applies them, then deletes the header (the commit point) and its
+   records.  Rollback (any in-process exception) undoes the logged
+   operations in reverse.  A crash —
    :class:`~repro.errors.SimulatedCrashError` in the fault harness, a real
    ``kill -9`` in production — leaves the entry behind; the next
    :meth:`SaveJournal.recover` (run by ``MultiModelManager.open``) rolls
-   ``pending`` entries back and re-applies the deferred deletes of
-   ``committing`` entries, so reopening an archive always lands on a
-   consistent prefix of its save history.
+   ``pending`` entries back, re-applies the deferred deletes of
+   ``committing`` entries and sweeps records whose header is gone, so
+   reopening an archive always lands on a consistent prefix of its save
+   history.
 
 Journal records are management-plane bookkeeping: they are written through
 the stores' uncharged ``_write_raw``/``_delete_raw`` paths, so the
@@ -43,12 +46,26 @@ from repro.storage.document_store import check_document_key
 from repro.storage.file_store import WriterContext, check_artifact_id
 from repro.storage.hashing import hash_bytes
 
-#: Document-store collection holding one entry per open transaction.
+#: Document-store collection holding each open transaction's header
+#: (``txn-<n>``) and its op records (``txn-<n>.<seq>``).
 JOURNAL_COLLECTION = "save_journal"
 
 #: Mirrors :data:`repro.core.approach.SETS_COLLECTION`.  Not imported:
 #: the core package depends on this module, not the other way around.
 _SETS_COLLECTION = "model_sets"
+
+
+def _record_of(doc_id: str) -> tuple[str, int] | None:
+    """``(entry id, seq)`` of an op record id; ``None`` for a header."""
+    entry_id, dot, seq = doc_id.rpartition(".")
+    if dot and seq.isdigit():
+        return entry_id, int(seq)
+    return None
+
+
+def entry_ids(doc_ids) -> list[str]:
+    """The entry (header) ids among a journal collection's document ids."""
+    return sorted(doc_id for doc_id in doc_ids if _record_of(doc_id) is None)
 
 
 class StoreProxy:
@@ -125,35 +142,39 @@ class SaveTransaction:
     the next open, exactly as after a real process kill.
     """
 
-    def __init__(self, journal: "SaveJournal", txn_id: str, entry: dict) -> None:
+    def __init__(self, journal: "SaveJournal", txn_id: str, header: dict) -> None:
         self._journal = journal
         self.txn_id = txn_id
-        self._entry = entry
+        self._header = header
+        #: Undo records logged so far, kept for in-process rollback.
+        self.ops: list[dict] = []
+        #: Artifacts to delete at commit; durable only once committing.
+        self.deletes: list[str] = []
         self.closed = False
 
-    @property
-    def set_id(self) -> str | None:
-        """The set id this transaction created, once known."""
-        return self._entry.get("set_id")
+    def _check_open(self) -> None:
+        if self.closed:
+            raise StorageError(f"transaction {self.txn_id} already closed")
+
+    def record_ids(self) -> list[str]:
+        """Document ids of the op records this transaction has logged."""
+        return [f"{self.txn_id}.{seq}" for seq in range(len(self.ops))]
 
     def log_op(self, op: dict) -> None:
         """Durably record one mutation's undo info *before* it applies."""
-        if self.closed:
-            raise StorageError(f"transaction {self.txn_id} already closed")
-        self._entry["ops"].append(op)
-        self._journal._flush(self)
+        self._check_open()
+        seq = len(self.ops)
+        self.ops.append(op)
+        self._journal._write(f"{self.txn_id}.{seq}", op)
 
     def defer_delete(self, artifact_id: str) -> None:
-        """Schedule a physical artifact delete for commit time."""
-        if self.closed:
-            raise StorageError(f"transaction {self.txn_id} already closed")
-        self._entry["deletes"].append(artifact_id)
-        self._journal._flush(self)
+        """Schedule a physical artifact delete for commit time.
 
-    def note_set(self, set_id: str) -> None:
-        """Tag the entry with the set id it is creating (for reports)."""
-        if self._entry.get("set_id") is None:
-            self._entry["set_id"] = set_id
+        Nothing durable: a ``pending`` entry's deletes never ran, so
+        recovery never needs them.
+        """
+        self._check_open()
+        self.deletes.append(artifact_id)
 
     def __enter__(self) -> "SaveTransaction":
         return self
@@ -198,7 +219,9 @@ class SaveJournal:
         #: owner can drop caches rebuilt from store state (chunk index).
         self.on_rollback = None
         highest = -1
-        for entry_id in self._document_store.collection_ids(JOURNAL_COLLECTION):
+        for doc_id in self._document_store.collection_ids(JOURNAL_COLLECTION):
+            # Record ids count too: an orphan's txn id is never reused.
+            entry_id = doc_id.partition(".")[0]
             if entry_id.startswith("txn-"):
                 try:
                     highest = max(highest, int(entry_id[4:]))
@@ -215,34 +238,29 @@ class SaveJournal:
         if self._txn is not None:
             return _NestedTransaction()
         txn_id = f"txn-{next(self._counter):06d}"
-        entry = {
-            "status": "pending",
-            "kind": kind,
-            "approach": approach,
-            "set_id": None,
-            "ops": [],
-            "deletes": [],
-        }
-        txn = SaveTransaction(self, txn_id, entry)
-        self._flush(txn)
+        txn = SaveTransaction(
+            self, txn_id, {"status": "pending", "kind": kind, "approach": approach}
+        )
+        self._write(txn_id, txn._header)
         self._txn = txn
         return txn
 
     def commit(self, txn: SaveTransaction) -> None:
         """Apply deferred deletes and retire the entry."""
-        entry = txn._entry
-        if entry["deletes"]:
-            entry["status"] = "committing"
-            self._flush(txn)
-            self._apply_deletes(entry["deletes"])
-        self._document_store._delete_raw(JOURNAL_COLLECTION, txn.txn_id)
+        if txn.deletes:
+            self._write(
+                txn.txn_id,
+                {**txn._header, "status": "committing", "deletes": txn.deletes},
+            )
+            self._apply_deletes(txn.deletes)
+        self._retire(txn.txn_id, txn.record_ids())
         txn.closed = True
         self._txn = None
 
     def rollback(self, txn: SaveTransaction) -> tuple[list[str], int]:
         """Undo every logged operation in reverse; deferred deletes never ran."""
-        removed, restored = self._undo(txn._entry)
-        self._document_store._delete_raw(JOURNAL_COLLECTION, txn.txn_id)
+        removed, restored = self._undo(txn.ops)
+        self._retire(txn.txn_id, txn.record_ids())
         txn.closed = True
         self._txn = None
         if self.on_rollback is not None:
@@ -258,13 +276,15 @@ class SaveJournal:
     def recover(self) -> RecoveryReport:
         """Repair every entry a dead process left behind (run at open)."""
         report = RecoveryReport()
-        entry_ids = sorted(
-            self._document_store.collection_ids(JOURNAL_COLLECTION), reverse=True
-        )
-        for entry_id in entry_ids:
-            entry = self._document_store._read_raw(JOURNAL_COLLECTION, entry_id)
-            if entry is None:
-                continue
+        documents = dict(self._document_store.peek_collection(JOURNAL_COLLECTION))
+        records: dict[str, list[tuple[int, str]]] = {}
+        for doc_id in documents:
+            record = _record_of(doc_id)
+            if record is not None:
+                records.setdefault(record[0], []).append((record[1], doc_id))
+        for entry_id in reversed(entry_ids(documents)):
+            entry = documents[entry_id]
+            record_ids = [doc_id for _seq, doc_id in sorted(records.pop(entry_id, []))]
             status = entry.get("status")
             if status == "committing":
                 # All mutations applied; only the deferred deletes may be
@@ -272,7 +292,10 @@ class SaveJournal:
                 self._apply_deletes(entry.get("deletes", []))
                 report.redone.append(entry_id)
             elif status == "pending":
-                removed, restored = self._undo(entry)
+                # An entry written before records existed carries its ops
+                # inline; either way they are undone newest first.
+                ops = entry.get("ops", []) + [documents[r] for r in record_ids]
+                removed, restored = self._undo(ops)
                 report.artifacts_removed.extend(removed)
                 report.documents_restored += restored
                 report.rolled_back.append(
@@ -280,33 +303,47 @@ class SaveJournal:
                         "txn": entry_id,
                         "kind": entry.get("kind"),
                         "approach": entry.get("approach"),
-                        "set_id": entry.get("set_id"),
+                        "set_id": _created_set(ops),
                         "artifacts_removed": removed,
                         "documents_restored": restored,
                     }
                 )
-            self._document_store._delete_raw(JOURNAL_COLLECTION, entry_id)
+            self._retire(entry_id, record_ids)
+        # Records without a header: residue of a commit that happened.
+        for orphans in records.values():
+            for _seq, doc_id in orphans:
+                self._document_store._delete_raw(JOURNAL_COLLECTION, doc_id)
         if not report.clean and self.on_rollback is not None:
             self.on_rollback()
         return report
 
     def pending_entries(self) -> list[str]:
         """Ids of unretired journal entries (normally empty)."""
-        return self._document_store.collection_ids(JOURNAL_COLLECTION)
+        return entry_ids(self._document_store.collection_ids(JOURNAL_COLLECTION))
 
     # -- internals ---------------------------------------------------------
-    def _flush(self, txn: SaveTransaction) -> None:
-        self._document_store._write_raw(JOURNAL_COLLECTION, txn.txn_id, txn._entry)
+    def _write(self, doc_id: str, document: dict) -> None:
+        self._document_store._write_raw(JOURNAL_COLLECTION, doc_id, document)
+
+    def _retire(self, entry_id: str, record_ids: list[str]) -> None:
+        """Delete the header first — the commit point — then its records.
+
+        The other order could leave a ``pending`` header over a partial op
+        list after a crash, and recovery would roll back a committed save.
+        """
+        self._document_store._delete_raw(JOURNAL_COLLECTION, entry_id)
+        for record_id in record_ids:
+            self._document_store._delete_raw(JOURNAL_COLLECTION, record_id)
 
     def _apply_deletes(self, artifact_ids: list[str]) -> None:
         for artifact_id in artifact_ids:
             if self._file_store.exists(artifact_id):
                 self._file_store.delete(artifact_id)
 
-    def _undo(self, entry: dict) -> tuple[list[str], int]:
+    def _undo(self, ops: list[dict]) -> tuple[list[str], int]:
         artifacts_removed: list[str] = []
         documents_restored = 0
-        for op in reversed(entry.get("ops", [])):
+        for op in reversed(ops):
             kind = op["op"]
             if kind == "put_artifact":
                 artifact_id = op["artifact_id"]
@@ -322,6 +359,14 @@ class SaveJournal:
                 )
                 documents_restored += 1
         return artifacts_removed, documents_restored
+
+
+def _created_set(ops: list[dict]) -> str | None:
+    """The set id a transaction created: its first descriptor insert."""
+    for op in ops:
+        if op["op"] == "insert_doc" and op["collection"] == _SETS_COLLECTION:
+            return op["doc_id"]
+    return None
 
 
 class _JournaledProxy(StoreProxy):
@@ -451,8 +496,6 @@ class JournaledDocumentStore(_JournaledProxy):
             # can be logged write-ahead; the inner insert then stores
             # under exactly this id.
             doc_id = f"doc-{next(self._inner._id_counter):08d}"
-        if collection == _SETS_COLLECTION:
-            txn.note_set(doc_id)
         txn.log_op({"op": "insert_doc", "collection": collection, "doc_id": doc_id})
         return self._inner.insert(
             collection, document, doc_id=doc_id, category=category

@@ -9,10 +9,10 @@ from repro.core.recovery import digest_matrix
 from repro.core.fsck import ArchiveFsck, SalvageReport, salvage_recover
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
-from repro.errors import DocumentNotFoundError
+from repro.errors import DocumentNotFoundError, SimulatedCrashError
 from repro.nn.serialization import StateSchema
 from repro.storage.faults import corrupt_artifact
-from repro.storage.journal import JOURNAL_COLLECTION, innermost
+from repro.storage.journal import JOURNAL_COLLECTION, attach_journal, innermost
 
 
 def make_manager(approach, dedup=False):
@@ -120,6 +120,19 @@ class TestFsckFindings:
         )
         report = ArchiveFsck(manager.context).run()
         assert report.pending_journal == ["txn-000042"]
+
+    def test_pending_journal_lists_entries_not_op_records(self):
+        context = SaveContext.create()
+        attach_journal(context)
+        manager = MultiModelManager.with_approach("baseline", context=context)
+        manager.save_set(models_fixture())
+        with pytest.raises(SimulatedCrashError):
+            with manager.context.save_transaction("save", "baseline"):
+                manager.context.file_store.put(b"a", artifact_id="torn-a")
+                manager.context.file_store.put(b"b", artifact_id="torn-b")
+                raise SimulatedCrashError("kill -9")
+        report = ArchiveFsck(manager.context).run()
+        assert report.pending_journal == ["txn-000001"]
 
     def test_refcount_mismatch(self):
         manager = make_manager("update", dedup=True)

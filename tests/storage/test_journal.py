@@ -1,9 +1,12 @@
 """Unit tests of the write-ahead save journal."""
 
+import os
+
 import pytest
 
 from repro.config import ArchiveConfig
 from repro.core.approach import SETS_COLLECTION, SaveContext
+from repro.core.fsck import ArchiveFsck, scrub_archive
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
 from repro.errors import (
@@ -11,14 +14,25 @@ from repro.errors import (
     SimulatedCrashError,
     StorageError,
 )
-from repro.storage.faults import FaultInjector, inject_faults
+from repro.storage.chunk_index import REFS_COLLECTION
+from repro.storage.document_store import DocumentStore
+from repro.storage.faults import (
+    FaultInjector,
+    inject_faults,
+    inject_replica_faults,
+)
 from repro.storage.journal import (
     JOURNAL_COLLECTION,
     JournaledDocumentStore,
     JournaledFileStore,
+    SaveJournal,
     attach_journal,
     innermost,
 )
+from repro.storage.replication import replicated_stores
+
+#: Offsets the replica-outage seed (CI runs two fault seeds).
+SEED_BASE = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 
 def make_context(dedup=False):
@@ -319,3 +333,266 @@ class TestAccountingNeutrality:
             journaled.document_store.stats.bytes_written
             == plain.document_store.stats.bytes_written
         )
+
+
+def journal_ids(context) -> list[str]:
+    """Every document id in the raw journal collection, headers and records."""
+    return sorted(innermost(context.document_store).peek_collection(JOURNAL_COLLECTION))
+
+
+class TestAppendOnlyLayout:
+    def test_each_op_is_one_record_beside_a_small_header(self):
+        context = make_context()
+        with pytest.raises(SimulatedCrashError):
+            with context.save_transaction("save", "baseline") as txn:
+                context.file_store.put(b"a", artifact_id="blob")
+                context.document_store.insert("notes", {"v": 1}, doc_id="n")
+                context.file_store.delete("blob")
+                raise SimulatedCrashError("kill -9")
+        raw = innermost(context.document_store)
+        assert journal_ids(context) == [txn.txn_id, f"{txn.txn_id}.0", f"{txn.txn_id}.1"]
+        # A pending header never carries ops or the deferred deletes.
+        assert raw.peek(JOURNAL_COLLECTION, txn.txn_id) == {
+            "status": "pending", "kind": "save", "approach": "baseline",
+        }
+        assert raw.peek(JOURNAL_COLLECTION, f"{txn.txn_id}.1") == {
+            "op": "insert_doc", "collection": "notes", "doc_id": "n",
+        }
+
+    def test_pending_entries_lists_headers_only(self):
+        context = make_context()
+        with pytest.raises(SimulatedCrashError):
+            with context.save_transaction():
+                context.file_store.put(b"a", artifact_id="blob")
+                context.file_store.put(b"b", artifact_id="blob-2")
+                raise SimulatedCrashError("kill -9")
+        assert len(journal_ids(context)) == 3
+        assert context.journal.pending_entries() == ["txn-000000"]
+
+    def test_counter_resumes_past_orphan_record_ids(self):
+        context = make_context()
+        innermost(context.document_store)._write_raw(
+            JOURNAL_COLLECTION, "txn-000009.0", {"op": "put_artifact", "artifact_id": "x"}
+        )
+        journal = SaveJournal(context.file_store, context.document_store)
+        with journal.begin() as txn:
+            assert txn.txn_id == "txn-000010"
+
+    def test_commit_and_rollback_leave_no_journal_documents(self):
+        context = make_context()
+        context.file_store.put(b"old", artifact_id="doomed")
+        with context.save_transaction():
+            context.file_store.put(b"a", artifact_id="blob")
+            context.file_store.delete("doomed")
+        with pytest.raises(RuntimeError):
+            with context.save_transaction():
+                context.file_store.put(b"b", artifact_id="blob-2")
+                raise RuntimeError("boom")
+        assert journal_ids(context) == []
+
+
+class TestNewCrashPoints:
+    #: Four mutations of one transaction, each logging one record.
+    MUTATIONS = (
+        lambda ctx: ctx.file_store.put(b"a", artifact_id="blob-0"),
+        lambda ctx: ctx.document_store.insert("notes", {"v": 1}, doc_id="added"),
+        lambda ctx: ctx.document_store.replace("notes", "kept", {"v": 2}),
+        lambda ctx: ctx.file_store.put(b"b", artifact_id="blob-3"),
+    )
+
+    @pytest.mark.parametrize("k", range(len(MUTATIONS) + 1))
+    def test_killed_after_k_records_undoes_exactly_those_ops(
+        self, tmp_path, monkeypatch, k
+    ):
+        manager = MultiModelManager.open(str(tmp_path), "baseline")
+        context = manager.context
+        context.document_store.insert("notes", {"v": 0}, doc_id="kept")
+        written = []
+        real_write = SaveJournal._write
+
+        def write(journal, doc_id, document):
+            if "." in doc_id:
+                if len(written) == k:
+                    raise SimulatedCrashError(f"killed before record {k}")
+                written.append(doc_id)
+            real_write(journal, doc_id, document)
+
+        monkeypatch.setattr(SaveJournal, "_write", write)
+        with pytest.raises(SimulatedCrashError):
+            with context.save_transaction("save"):
+                for mutate in self.MUTATIONS:
+                    mutate(context)
+                raise SimulatedCrashError("killed after the last record")
+        monkeypatch.undo()
+        assert len(journal_ids(context)) == 1 + k
+
+        reopened = MultiModelManager.open(str(tmp_path), "baseline")
+        report = reopened.recovery_report
+        assert [entry["txn"] for entry in report.rolled_back] == ["txn-000000"]
+        # Puts are ops 0 and 3; undo runs newest first.
+        assert report.artifacts_removed == [
+            artifact for seq, artifact in ((3, "blob-3"), (0, "blob-0")) if seq < k
+        ]
+        assert report.documents_restored == (1 if k > 2 else 0)
+        store = reopened.context.document_store
+        assert not reopened.context.file_store.exists("blob-0")
+        assert not reopened.context.file_store.exists("blob-3")
+        assert not store.exists("notes", "added")
+        assert store.get("notes", "kept") == {"v": 0}
+        assert journal_ids(reopened.context) == []
+
+    def test_killed_between_header_and_record_deletes_keeps_the_save(
+        self, tmp_path, monkeypatch
+    ):
+        manager = MultiModelManager.open(str(tmp_path), "update")
+        base_id = manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=0))
+        models = ModelSet.build("FFNN-48", num_models=2, seed=1)
+        raw = innermost(manager.context.document_store)
+        real_delete = raw._delete_raw
+
+        def delete(collection, doc_id):
+            if collection == JOURNAL_COLLECTION and "." in doc_id:
+                raise SimulatedCrashError("killed after the commit point")
+            real_delete(collection, doc_id)
+
+        monkeypatch.setattr(raw, "_delete_raw", delete)
+        with pytest.raises(SimulatedCrashError):
+            manager.save_set(models)
+        monkeypatch.undo()
+        assert manager.context.journal.pending_entries() == []
+        orphans = journal_ids(manager.context)
+        assert orphans and all("." in doc_id for doc_id in orphans)
+
+        reopened = MultiModelManager.open(str(tmp_path), "update")
+        assert reopened.recovery_report.clean
+        assert journal_ids(reopened.context) == []
+        new_id = [s for s in reopened.list_sets() if s != base_id]
+        assert len(new_id) == 1
+        assert reopened.recover_set(new_id[0]).equals(models)
+        assert not (tmp_path / "documents" / JOURNAL_COLLECTION).exists()
+        assert ArchiveFsck(reopened.context).run().ok
+
+    def test_replica_down_at_commit_keeps_stale_records_hidden_until_scrub(
+        self, tmp_path
+    ):
+        config = ArchiveConfig(replicas=3)
+        manager = MultiModelManager.open(str(tmp_path), "baseline", config)
+        base = ModelSet.build("FFNN-48", num_models=2, seed=0)
+        manager.save_set(base)
+        probe = inject_replica_faults(manager.context, 1, FaultInjector())
+        manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=1))
+        # The outage hits the replica at the save's last mutation: it holds
+        # the header and records, then misses every retirement at commit.
+        injector = FaultInjector(seed=SEED_BASE, down_at=probe.ops - 1)
+        inject_replica_faults(manager.context, 1, injector)
+        models = ModelSet.build("FFNN-48", num_models=2, seed=2)
+        set_id = manager.save_set(models)
+        assert injector.down
+        injector.revive()
+
+        _file_rep, doc_rep = replicated_stores(manager.context)
+        stale = innermost(doc_rep.replicas[1].store).peek_collection(JOURNAL_COLLECTION)
+        assert any("." in doc_id for doc_id in stale)
+        assert manager.context.journal.pending_entries() == []
+        assert ArchiveFsck(manager.context).run().pending_journal == []
+
+        assert scrub_archive(manager.context).exit_code == 1
+        for state in doc_rep.replicas:
+            assert innermost(state.store).peek_collection(JOURNAL_COLLECTION) == {}
+        assert scrub_archive(manager.context).exit_code == 0
+        assert manager.recover_set(set_id).equals(models)
+
+
+class TestPreChangeEntries:
+    def test_single_document_entries_recover_as_before(self, tmp_path):
+        manager = MultiModelManager.open(str(tmp_path), "baseline")
+        context = manager.context
+        set_id = manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=0))
+        context.document_store.insert("notes", {"v": 1}, doc_id="kept")
+        context.file_store.put(b"torn", artifact_id="torn")
+        context.document_store.insert("notes", {"v": 9}, doc_id="added")
+        context.document_store.replace("notes", "kept", {"v": 2})
+        context.file_store.put(b"old", artifact_id="victim")
+        raw = innermost(context.document_store)
+        raw._write_raw(JOURNAL_COLLECTION, "txn-000040", {
+            "status": "pending", "kind": "save", "approach": "baseline",
+            "set_id": "added",
+            "ops": [
+                {"op": "put_artifact", "artifact_id": "torn"},
+                {"op": "insert_doc", "collection": "notes", "doc_id": "added"},
+                {"op": "replace_doc", "collection": "notes", "doc_id": "kept",
+                 "prior": {"v": 1}},
+            ],
+            "deletes": [],
+        })
+        raw._write_raw(JOURNAL_COLLECTION, "txn-000041", {
+            "status": "committing", "kind": "gc", "approach": None,
+            "set_id": None, "ops": [], "deletes": ["victim"],
+        })
+
+        reopened = MultiModelManager.open(str(tmp_path), "baseline")
+        report = reopened.recovery_report
+        assert report.redone == ["txn-000041"]
+        assert [entry["txn"] for entry in report.rolled_back] == ["txn-000040"]
+        assert report.artifacts_removed == ["torn"]
+        assert report.documents_restored == 1
+        store = reopened.context.document_store
+        assert store.get("notes", "kept") == {"v": 1}
+        assert not store.exists("notes", "added")
+        assert not reopened.context.file_store.exists("victim")
+        assert not reopened.context.file_store.exists("torn")
+        assert reopened.list_sets() == [set_id]
+        assert journal_ids(reopened.context) == []
+
+
+class TestWriteVolume:
+    """Deterministic counts of journal document writes (not timings)."""
+
+    @staticmethod
+    def count_journal_writes(monkeypatch):
+        writes = []
+        real_write = DocumentStore._write_raw
+
+        def write(store, collection, doc_id, document):
+            if collection == JOURNAL_COLLECTION:
+                writes.append((id(store), doc_id, document))
+            real_write(store, collection, doc_id, document)
+
+        monkeypatch.setattr(DocumentStore, "_write_raw", write)
+        return writes
+
+    def test_refs_prior_image_is_written_once_per_replica(self, monkeypatch):
+        context = SaveContext.create(ArchiveConfig(dedup=True, replicas=3))
+        attach_journal(context)
+        manager = MultiModelManager.with_approach("update", context=context)
+        models = ModelSet.build("FFNN-48", num_models=3, seed=0)
+        base_id = manager.save_set(models)
+        derived = models.copy()
+        derived.state(1)["0.bias"][:] += 1.0
+        writes = self.count_journal_writes(monkeypatch)
+        manager.save_set(derived, base_set_id=base_id)
+
+        def carries_refs_prior(document):
+            # A journal document carries ops inline or is one op itself.
+            return any(
+                op.get("collection") == REFS_COLLECTION and "prior" in op
+                for op in document.get("ops", [document])
+            )
+
+        per_replica: dict[int, int] = {}
+        for store, _doc_id, document in writes:
+            if carries_refs_prior(document):
+                per_replica[store] = per_replica.get(store, 0) + 1
+        assert sorted(per_replica.values()) == [1, 1, 1]
+
+    @pytest.mark.parametrize("deletes", [1, 8])
+    def test_header_is_written_at_most_twice(self, monkeypatch, deletes):
+        context = make_context()
+        for index in range(deletes):
+            context.file_store.put(b"x%d" % index, artifact_id=f"doomed-{index}")
+        writes = self.count_journal_writes(monkeypatch)
+        with context.save_transaction("gc") as txn:
+            for index in range(deletes):
+                context.file_store.delete(f"doomed-{index}")
+        headers = [doc_id for _store, doc_id, _doc in writes if doc_id == txn.txn_id]
+        assert len(headers) == 2
