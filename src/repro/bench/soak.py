@@ -266,7 +266,7 @@ def _run_cycles(
                 f"injected kill of maintenance pass {pass_index} on {shard}"
             )
 
-    scheduler = MaintenanceScheduler.for_fleet(
+    scheduler = MaintenanceScheduler.for_manager(
         fleet, clock=clock, fault_hook=fault_hook
     )
     queue = IngestQueue(fleet, flush_max_updates=num_models, clock=clock)
@@ -369,7 +369,7 @@ def _run_cycles(
                     fleet, flush_max_updates=num_models, clock=clock
                 )
                 consumed = 0
-                scheduler = MaintenanceScheduler.for_fleet(
+                scheduler = MaintenanceScheduler.for_manager(
                     fleet, clock=clock, fault_hook=fault_hook
                 )
                 # Converge after crash recovery (rollback restored sets

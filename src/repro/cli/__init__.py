@@ -34,16 +34,20 @@ were found that are repairable (or were repaired), and 2 on
 unrecoverable data loss.
 
 A sharded fleet layout (``shard-<i>/`` subtrees, written by
-:class:`~repro.fleet.FleetManager`) is auto-detected the same way — or
-created with ``--shards N``.  Every verb then iterates the shards:
-``info``/``fsck``/``scrub``/``verify``/``lineage``/``stats`` aggregate
-per-shard output (exit code = worst shard, keeping the 0/1/2 contract),
-``gc --keep-last`` applies the retention policy fleet-wide,
-``maintain`` runs scheduler passes (one atomic journal txn per shard,
-exit code = worst shard), set-addressed verbs (``history``,
-``compact``, ``export``) route to the shard owning the set, and the
-catalog verbs (``query``, ``register``) address the single fleet-level
-registry at the root.
+:class:`~repro.fleet.FleetManager`) is auto-detected the same way;
+``--shards N`` asks for a fleet of exactly N shards and is refused on a
+plain archive or a fleet of another size.  There is one dispatcher and
+one archive view (:func:`~repro.cli.common.open_view`): a plain archive
+is a fleet of one shard rooted at its own directory, so every verb is
+written once.  ``info``/``fsck``/``scrub``/``verify``/``lineage``/
+``stats`` run per shard (exit code = worst shard, keeping the 0/1/2
+contract; a fleet adds ``== shard-<i> ==`` banners and ``fleet …``
+totals), ``gc --keep-last`` applies the retention policy across every
+shard, ``maintain`` runs scheduler passes (one atomic journal txn per
+shard), set-addressed verbs (``history``, ``compact``, ``export``,
+``warm SET_ID``) run on the shard owning the set, and the catalog verbs
+(``query``, ``register``) use the archive's one catalog — the plain
+archive's own registry, or the fleet-level registry at the root.
 
 Every global flag maps 1:1 onto an :class:`~repro.config.ArchiveConfig`
 field (see :func:`~repro.cli.common.config_from_args`);
@@ -54,10 +58,10 @@ simulated-time breakdown.
 
 The package splits one module per verb group: :mod:`repro.cli.archive`
 (inspection and transformation), :mod:`repro.cli.maintenance`
-(retention and caches), :mod:`repro.cli.fleet` (sharded dispatch and
-dead letters), :mod:`repro.cli.query` (registry), with shared plumbing
-in :mod:`repro.cli.common` and the argparse wiring in
-:mod:`repro.cli.main`.
+(retention and caches), :mod:`repro.cli.fleet` (dead letters, the one
+fleet-only verb), :mod:`repro.cli.query` (registry), with the archive
+view and shared plumbing in :mod:`repro.cli.common` and the argparse
+wiring and dispatcher in :mod:`repro.cli.main`.
 """
 
 from repro.cli.common import PROFILES, config_from_args

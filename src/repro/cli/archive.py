@@ -1,9 +1,9 @@
-"""Single-archive inspection and transformation verbs.
+"""Inspection and transformation verbs.
 
-``info``/``lineage``/``verify``/``fsck``/``scrub`` audit one archive (or
-one shard, when driven by the fleet dispatcher); ``history``/``compact``/
-``export``/``migrate``/``stats`` read or rewrite its contents; ``trace``
-runs the synthetic traced update cycle.
+``info`` summarizes the whole archive view; ``lineage``/``verify``/
+``fsck``/``scrub`` audit one shard (a plain archive is a view of one);
+``history``/``compact``/``export``/``migrate``/``stats`` read or rewrite
+one shard's contents; ``trace`` runs the synthetic traced update cycle.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli.common import _manager_for, config_from_args
+from repro.cli.common import ArchiveView, _detect_approach, _manager_for, config_from_args
 from repro.config import ArchiveConfig, ObservabilityConfig
 from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.lineage import LineageGraph, model_history
@@ -22,8 +22,23 @@ from repro.core.verify import ArchiveVerifier
 from repro.storage.hardware import SERVER_PROFILE
 
 
-def _cmd_info(context: SaveContext, args: argparse.Namespace) -> int:
-    from repro.cli.common import _detect_approach
+def _cmd_info(view: ArchiveView, args: argparse.Namespace) -> int:
+    """Summarize every shard; a fleet first prints its totals and families."""
+    if view.sharded:
+        contexts = view.contexts
+        print(f"fleet: {view.num} shards")
+        if view.missing:
+            print(f"fleet shards DOWN: {len(view.missing)}")
+        sets = sum(len(c.document_store.collection_ids(SETS_COLLECTION)) for c in contexts)
+        print(f"fleet sets: {sets}")
+        print(f"fleet stored bytes: {sum(c.total_bytes() for c in contexts):,}")
+        families = view.catalog.families() if view.has_catalog else []
+        if families:
+            print(f"fleet families: {', '.join(families)}")
+    return view.each(lambda index, context: _shard_info(context, view.families(index)))
+
+
+def _shard_info(context: SaveContext, families: "list[str]") -> int:
     from repro.storage.chunk_index import PACKS_COLLECTION
 
     lineage = LineageGraph.from_context(context)
@@ -46,8 +61,8 @@ def _cmd_info(context: SaveContext, args: argparse.Namespace) -> int:
     if set_ids:
         print(f"roots: {', '.join(lineage.roots())}")
         print(f"leaves: {', '.join(lineage.leaves())}")
-    if context.registry is not None and context.registry.families():
-        print(f"families: {', '.join(context.registry.families())}")
+    if families:
+        print(f"families: {', '.join(families)}")
     if context.document_store.count(PACKS_COLLECTION):
         chunks = context.chunk_store()
         print(

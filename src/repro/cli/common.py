@@ -1,27 +1,33 @@
 """Shared plumbing for the ``repro-archive`` verb modules.
 
-Every verb module receives the same two building blocks: the
+Every verb module receives the same building blocks: the
 :class:`~repro.config.ArchiveConfig` derived from the global flags
-(:func:`config_from_args`) and a manager bound to the archive's
-auto-detected approach (:func:`_manager_for`).  Keeping them here means
-a verb module imports exactly one sibling and the argparse wiring in
+(:func:`config_from_args`), the :class:`ArchiveView` of the directory
+(:func:`open_view`), and a manager bound to the archive's auto-detected
+approach (:func:`_manager_for`).  Keeping them here means a verb module
+imports exactly one sibling and the argparse wiring in
 :mod:`repro.cli.main` stays declarative.
 """
 
 from __future__ import annotations
 
 import argparse
+from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 
 from repro.config import ArchiveConfig, ObservabilityConfig, ServingConfig
 from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.manager import APPROACHES, MultiModelManager
-from repro.errors import ReproError
+from repro.errors import RegistryError, ReproError
+from repro.registry import REGISTRY_DIR
 from repro.storage.hardware import (
     ARCHIVE_PROFILE,
     LOCAL_PROFILE,
     M1_PROFILE,
     SERVER_PROFILE,
 )
+from repro.storage.persistent import open_context, shard_roots
 
 #: ``--profile`` choices → the latency model charged per store operation.
 PROFILES = {
@@ -100,3 +106,166 @@ def _manager_for(context: SaveContext, approach: str | None) -> MultiModelManage
     if name not in APPROACHES:
         raise ReproError(f"unknown approach {name!r}; known: {sorted(APPROACHES)}")
     return MultiModelManager.with_approach(name, context=context)
+
+
+@dataclass
+class ArchiveView:
+    """The shards a verb runs against, plain or fleet alike.
+
+    A plain archive is a fleet of one shard rooted at its own directory:
+    one context labelled ``archive``, its catalog the context-attached
+    registry.  A fleet is its ``shard-<i>/`` contexts, labelled
+    ``shard-<i>``, and the root ``registry/`` catalog.  ``contexts`` holds
+    the present shards in index order, ``indices`` their shard numbers,
+    ``missing`` the shards whose directory is gone.
+    """
+
+    directory: Path
+    sharded: bool
+    contexts: "list[SaveContext]"
+    indices: "list[int]"
+    missing: "list[int]"
+
+    @property
+    def num(self) -> int:
+        return len(self.indices) + len(self.missing)
+
+    @property
+    def sources(self) -> "list[tuple[int | None, SaveContext]]":
+        """``(shard, context)`` pairs as the catalog tags them (``None`` plain)."""
+        return [
+            (index if self.sharded else None, context)
+            for index, context in zip(self.indices, self.contexts)
+        ]
+
+    def each(self, verb, banner: bool = True) -> int:
+        """Run ``verb(index, context)`` on every shard; the worst exit wins.
+
+        On a fleet each shard's output follows an ``== shard-<i> ==``
+        banner (unless ``banner=False``), and a missing shard prints
+        DOWN and floors the exit code at 1 — degraded, like a missing
+        replica — without blocking the healthy shards.
+        """
+        present = dict(zip(self.indices, self.contexts))
+        codes = [1] if self.missing else []
+        for index in range(self.num):
+            if self.sharded and banner:
+                print(f"== shard-{index} ==")
+            if index in present:
+                codes.append(verb(index, present[index]))
+            else:
+                print("DOWN: shard directory missing")
+        return max(codes, default=0)
+
+    def require_complete(self, reason: str) -> None:
+        """Refuse to run on a fleet with missing shards."""
+        if self.missing:
+            names = ", ".join(f"shard-{index}" for index in self.missing)
+            raise ReproError(
+                f"fleet at {self.directory} is degraded ({names} missing); {reason}"
+            )
+
+    def owner(self, set_id: str) -> SaveContext:
+        """The context holding ``set_id`` (a plain archive's only one)."""
+        if not self.sharded:
+            return self.contexts[0]
+        for context in self.contexts:
+            if context.document_store.exists(SETS_COLLECTION, set_id):
+                return context
+        raise ReproError(
+            f"set {set_id!r} not found on any of the {len(self.contexts)} shard(s)"
+        )
+
+    @property
+    def has_catalog(self) -> bool:
+        """Whether a catalog exists; asking never creates a fleet's."""
+        return not self.sharded or (self.directory / REGISTRY_DIR).is_dir()
+
+    @cached_property
+    def catalog(self):
+        """The registry: the plain context's, or the fleet root's (opened,
+        and created when absent, on first use)."""
+        if not self.sharded:
+            return self.contexts[0].registry
+        from repro.registry import open_fleet_registry
+
+        by_shard = dict(self.sources)
+
+        def resolver(shard):
+            if shard not in by_shard:
+                raise RegistryError(f"registry record routes to unknown shard {shard!r}")
+            return by_shard[shard]
+
+        return open_fleet_registry(self.directory / REGISTRY_DIR, resolver=resolver)
+
+    @property
+    def on_retired(self):
+        """The post-commit retirement hook: ``None`` on a plain archive (its
+        registry records inside the transaction), the root catalog's
+        ``record_retention`` on a fleet that has a catalog."""
+        if self.sharded and self.has_catalog:
+            return self.catalog.record_retention
+        return None
+
+    def families(self, index: int) -> "list[str]":
+        """Families with a version on shard ``index`` (all, on a plain archive)."""
+        if not self.has_catalog:
+            return []
+        if not self.sharded:
+            return self.catalog.families()
+        return sorted(
+            {record.family for record in self.catalog.records() if record.shard == index}
+        )
+
+    def maintenance_targets(self) -> list:
+        from repro.maintenance import MaintenanceTarget
+
+        hook = self.on_retired
+        return [
+            MaintenanceTarget(
+                f"shard-{index}" if self.sharded else "archive", context, context.mutex, hook
+            )
+            for index, context in zip(self.indices, self.contexts)
+        ]
+
+
+def open_view(directory: str, config: ArchiveConfig) -> ArchiveView:
+    """Open the archive at ``directory`` as an :class:`ArchiveView`.
+
+    The topology comes from :func:`~repro.storage.persistent.shard_roots`
+    (``--shards`` is ``config.shards``).  A fleet's shards open without a
+    registry and with fleet observability: one trace recorder shared
+    across shards (concurrent fleet traces stay one stream), and metrics
+    registering each shard's stats under a ``fleet_shard_<i>_`` prefix
+    instead of the colliding single-archive names.  Missing shards are
+    reported, never recreated.
+    """
+    root = Path(directory)
+    roots, missing = shard_roots(root, config.shards)
+    if roots == [root]:
+        return ArchiveView(root, False, [open_context(root, config=config)], [0], [])
+    shard_config = config.with_(
+        shards=None, registry=False, observability=ObservabilityConfig()
+    )
+    indices = [index for index in range(len(roots)) if index not in missing]
+    contexts = [open_context(roots[index], config=shard_config) for index in indices]
+    settings = config.observability
+    if settings.tracing:
+        from repro.observability.trace import TraceRecorder, install_tracing
+
+        recorder = TraceRecorder()
+        for context in contexts:
+            install_tracing(context, recorder)
+    if settings.metrics:
+        from repro.observability.metrics import global_registry
+
+        registry = global_registry()
+        for index, context in zip(indices, contexts):
+            registry.register_stats(
+                f"fleet_shard_{index}_file_store", context.file_store.stats
+            )
+            registry.register_stats(
+                f"fleet_shard_{index}_document_store", context.document_store.stats
+            )
+            context.metrics = registry
+    return ArchiveView(root, True, contexts, indices, missing)

@@ -1,12 +1,14 @@
-"""Argument parsing and dispatch for ``repro-archive``.
+"""Argument parsing and the one dispatcher of ``repro-archive``.
 
 The parser is assembled here; the verb implementations live in the
 sibling modules (:mod:`repro.cli.archive`, :mod:`repro.cli.maintenance`,
-:mod:`repro.cli.fleet`, :mod:`repro.cli.query`).  Dispatch order:
-``trace`` runs before any archive is opened; ``deadletter``, ``query``,
-and ``register`` handle fleet routing themselves; every other verb goes
-through the fleet dispatcher when a ``shard-<i>/`` layout is detected
-and runs against the single opened context otherwise.
+:mod:`repro.cli.fleet`, :mod:`repro.cli.query`).  ``trace`` runs before
+any archive is opened; every other verb runs against the archive view
+(:func:`repro.cli.common.open_view`), where a plain archive is a fleet
+of one shard rooted at its own directory.  Each verb is written once:
+inspection verbs loop over the shards, set-addressed verbs go to the
+owning shard, and the whole-view verbs (``info``, ``gc``, ``maintain``,
+``warm``, ``query``, ``register``, ``deadletter``) take the view.
 """
 
 from __future__ import annotations
@@ -27,13 +29,36 @@ from repro.cli.archive import (
     _cmd_trace,
     _cmd_verify,
 )
-from repro.cli.common import PROFILES, config_from_args
-from repro.cli.fleet import _cmd_deadletter, _fleet_shard_count, _run_fleet
-from repro.cli.maintenance import _cmd_evict, _cmd_gc, _cmd_maintain, _cmd_warm
+from repro.cli.common import PROFILES, ArchiveView, config_from_args, open_view
+from repro.cli.fleet import _cmd_deadletter
+from repro.cli.maintenance import _cmd_evict, _gc, _maintain, _warm
 from repro.cli.query import _cmd_query, _cmd_register
 from repro.core.manager import APPROACHES
 from repro.errors import ReproError
-from repro.storage.persistent import open_context
+
+#: Whole-view verbs that run on a degraded fleet (the catalog verbs
+#: refuse one themselves, with their own reason).
+_DEGRADED_OK = {
+    "info": _cmd_info,
+    "query": _cmd_query,
+    "register": _cmd_register,
+    "deadletter": _cmd_deadletter,
+}
+#: Per-shard inspection verbs: a missing shard prints DOWN.
+_INSPECTION = {
+    "lineage": _cmd_lineage,
+    "verify": _cmd_verify,
+    "fsck": _cmd_fsck,
+    "scrub": _cmd_scrub,
+    "stats": _cmd_stats,
+}
+#: Whole-view verbs that need every shard.
+_WHOLE = {"gc": _gc, "maintain": _maintain, "warm": _warm}
+#: Verbs addressed by set id, run on the shard owning the set.
+_ROUTED = {"history": _cmd_history, "compact": _cmd_compact, "export": _cmd_export}
+#: Verbs run once per shard (``migrate`` merges every shard into one
+#: target: fleet ids are unique, so per-shard migration cannot collide).
+_EACH = {"evict": _cmd_evict, "migrate": _cmd_migrate}
 
 
 def _keep_count(text: str) -> int:
@@ -413,57 +438,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(view: ArchiveView, args: argparse.Namespace) -> int:
+    command = args.command
+    if command in _DEGRADED_OK:
+        return _DEGRADED_OK[command](view, args)
+    if command == "stats" and args.live:
+        # The metrics registry is process-wide: one export covers every shard.
+        return _cmd_stats(view.contexts[0], args)
+    if command in _INSPECTION:
+        return view.each(lambda _index, context: _INSPECTION[command](context, args))
+    view.require_complete(
+        "only the per-shard inspection verbs (info/lineage/verify/fsck/scrub/"
+        "stats) run against a degraded fleet — restore the missing shard "
+        "directories first"
+    )
+    if command in _WHOLE:
+        return _WHOLE[command](view, args)
+    if command in _ROUTED:
+        result = _ROUTED[command](view.owner(args.set_id), args)
+        if command == "compact" and view.on_retired is not None:
+            view.on_retired([], [args.set_id])
+        return result
+    return view.each(
+        lambda _index, context: _EACH[command](context, args),
+        banner=command != "migrate",
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "trace":
-        try:
-            return _cmd_trace(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    commands = {
-        "info": _cmd_info,
-        "lineage": _cmd_lineage,
-        "verify": _cmd_verify,
-        "fsck": _cmd_fsck,
-        "scrub": _cmd_scrub,
-        "history": _cmd_history,
-        "compact": _cmd_compact,
-        "gc": _cmd_gc,
-        "export": _cmd_export,
-        "migrate": _cmd_migrate,
-        "stats": _cmd_stats,
-        "warm": _cmd_warm,
-        "evict": _cmd_evict,
-        "maintain": _cmd_maintain,
-    }
+    args = _build_parser().parse_args(argv)
     try:
+        if args.command == "trace":
+            return _cmd_trace(args)
         config = config_from_args(args)
-        num_shards = _fleet_shard_count(args.directory, config)
-        if args.command == "deadletter":
-            return _cmd_deadletter(args, config, num_shards)
-        if args.command == "query":
-            return _cmd_query(args, config, num_shards)
-        if args.command == "register":
-            return _cmd_register(args, config, num_shards)
-        if num_shards > 0:
-            return _run_fleet(args, config, num_shards, commands)
-        context = open_context(args.directory, config=config)
+        view = open_view(args.directory, config)
+        result = _run(view, args)
     except (ReproError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        result = commands[args.command](context, args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    trace_path = context.config.observability.trace_path if context.config else None
-    if trace_path and context.tracer is not None and context.tracer.roots:
+    trace_path = config.observability.trace_path
+    tracer = view.contexts[0].tracer if view.contexts else None
+    if trace_path and tracer is not None and tracer.roots:
         from repro.observability import write_trace_json
 
-        path = write_trace_json(
-            trace_path, context.tracer.roots, meta={"command": args.command}
-        )
-        print(f"trace written to {path}")
+        meta = {"command": args.command}
+        if view.sharded:
+            meta["shards"] = view.num
+        print(f"trace written to {write_trace_json(trace_path, tracer.roots, meta=meta)}")
     return result

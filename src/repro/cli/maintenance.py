@@ -3,6 +3,8 @@
 ``gc`` applies a retention policy once; ``maintain`` runs scheduler
 passes (retention, compaction, chunk sweep, scrub) as atomic journal
 transactions; ``warm``/``evict`` manage the tiered serving cache.
+``gc``, ``maintain`` and ``warm`` take the whole archive view (a plain
+archive is a view of one shard); ``evict`` runs per shard.
 """
 
 from __future__ import annotations
@@ -10,20 +12,22 @@ from __future__ import annotations
 import argparse
 from itertools import chain
 
+from repro.cli.common import ArchiveView, _manager_for
 from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.retention import RetentionManager, older_than_newest
 from repro.errors import DocumentNotFoundError, ReproError
 
 
-def _gc(contexts: list[SaveContext], args: argparse.Namespace, on_retired=None) -> int:
-    """Apply one retention decision to the given shard contexts.
+def _gc(view: ArchiveView, args: argparse.Namespace) -> int:
+    """Apply one retention decision to every shard of the view.
 
     ``--keep-last K`` retires everything older than the newest K sets
     across every shard (ids are fleet-ordered); ``--keep`` keeps the named
     sets plus the chains they need, checked against every shard before
-    anything is deleted.  ``on_retired(deleted, compacted)`` runs after
-    every shard committed (the fleet catalog's hook).
+    anything is deleted.  The view's ``on_retired(deleted, compacted)``
+    hook runs after every shard committed (the fleet catalog's).
     """
+    contexts = view.contexts
     listings = [
         context.document_store.collection_ids(SETS_COLLECTION)
         for context in contexts
@@ -57,26 +61,21 @@ def _gc(contexts: list[SaveContext], args: argparse.Namespace, on_retired=None) 
         print(f"swept {chunks} zero-reference chunks")
     print(f"reclaimed {sum(report.bytes_reclaimed for report in reports):,} bytes")
     compacted = gathered("compacted_sets")
+    on_retired = view.on_retired
     if on_retired is not None and (deleted or compacted):
         on_retired(deleted, compacted)
     return 0
 
 
-def _cmd_gc(context: SaveContext, args: argparse.Namespace) -> int:
-    return _gc([context], args)
-
-
-def _maintain(
-    contexts: list[SaveContext], args: argparse.Namespace, on_retired=None
-) -> int:
-    """Run ``--cycles`` maintenance passes over the given shard contexts.
+def _maintain(view: ArchiveView, args: argparse.Namespace) -> int:
+    """Run ``--cycles`` maintenance passes over every shard of the view.
 
     Each pass runs every shard's mutating tasks (compaction, GC, chunk
     sweep) as one atomic journal transaction, then drains replica repair
     queues and scrubs.  Exit follows the 0/1/2 contract across all
     cycles: 0 — nothing needed doing, 1 — maintenance did work
     (reclaimed, compacted, healed), 2 — a scrub found unrecoverable
-    data.  ``on_retired`` is every shard pass's post-commit hook.
+    data.  The view's targets carry its post-commit retirement hook.
     """
     from repro.config import MaintenanceConfig
     from repro.maintenance import MaintenanceScheduler
@@ -88,8 +87,8 @@ def _maintain(
         scrub=not args.no_scrub,
         scrub_deep=bool(args.deep),
     )
-    scheduler = MaintenanceScheduler.for_contexts(
-        contexts, config=config, on_retired=on_retired
+    scheduler = MaintenanceScheduler(
+        view.maintenance_targets(), config=config, metrics=view.contexts[0].metrics
     )
     worst = 0
     for cycle in range(args.cycles):
@@ -114,13 +113,25 @@ def _maintain(
     return worst
 
 
-def _cmd_maintain(context: SaveContext, args: argparse.Namespace) -> int:
-    return _maintain([context], args)
+def _warm(view: ArchiveView, args: argparse.Namespace) -> int:
+    """Warm each named set on the shard owning it; ``--all`` warms every shard."""
+    if args.all or not view.sharded:
+        # A plain archive's one shard owns every named set.
+        return view.each(lambda _index, context: _cmd_warm(context, args))
+    owned: dict[int, tuple[SaveContext, list[str]]] = {}
+    for set_id in args.set_ids:
+        context = view.owner(set_id)
+        owned.setdefault(id(context), (context, []))[1].append(set_id)
+    return max(
+        (
+            _cmd_warm(context, argparse.Namespace(**{**vars(args), "set_ids": set_ids}))
+            for context, set_ids in owned.values()
+        ),
+        default=0,
+    )
 
 
 def _cmd_warm(context: SaveContext, args: argparse.Namespace) -> int:
-    from repro.cli.common import _manager_for
-
     manager = _manager_for(context, args.approach)
     serving = context.serving
     if serving is None:  # pragma: no cover - warm implies --serve-cache

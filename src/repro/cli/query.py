@@ -12,67 +12,18 @@ descriptors — the recovery path for archives that predate the registry
 or whose catalog was lost.  On a fleet it rebuilds the single
 fleet-level catalog at the root from every shard's descriptors.
 
-Both verbs address the fleet-level registry directly on sharded
-archives; they never iterate shards the way the inspection verbs do.
+Both verbs use the archive view's catalog (the plain context's registry,
+or the fleet root's); they never iterate shards the way the inspection
+verbs do, and refuse a fleet with missing shards.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from pathlib import Path
 
-from repro.config import ArchiveConfig
-from repro.core.approach import SaveContext
-from repro.errors import RegistryError, ReproError
-from repro.storage.persistent import open_context
-
-
-def _open_registry(
-    args: argparse.Namespace, config: ArchiveConfig, num: int
-) -> "tuple[object, list[SaveContext]]":
-    """The archive's registry plus the contexts whose stats diff reads.
-
-    Plain archives use the context-attached registry; fleets open the
-    root-level catalog with a resolver routing shard-tagged records to
-    their shard context.
-    """
-    if num > 0:
-        from repro.cli.fleet import _open_fleet_contexts
-        from repro.registry import REGISTRY_DIR, open_fleet_registry
-
-        missing = [
-            index
-            for index in range(num)
-            if not (Path(args.directory) / f"shard-{index}").is_dir()
-        ]
-        if missing:
-            names = ", ".join(f"shard-{index}" for index in missing)
-            raise ReproError(
-                f"fleet at {args.directory} is degraded ({names} missing); "
-                "restore the shard directories before querying the registry"
-            )
-        contexts = _open_fleet_contexts(args.directory, list(range(num)), config)
-
-        def resolver(shard):
-            if shard is None or not 0 <= shard < len(contexts):
-                raise RegistryError(
-                    f"registry record routes to unknown shard {shard!r}"
-                )
-            return contexts[shard]
-
-        registry = open_fleet_registry(
-            Path(args.directory) / REGISTRY_DIR, resolver=resolver
-        )
-        return registry, contexts
-    context = open_context(args.directory, config=config)
-    if context.registry is None:
-        raise RegistryError(
-            "this archive was opened without a registry "
-            "(ArchiveConfig(registry=False)); reopen with the registry "
-            "enabled to use the query verbs"
-        )
-    return context.registry, [context]
+from repro.cli.common import ArchiveView
+from repro.errors import ReproError
 
 
 def _print_versions(records, as_json: bool) -> None:
@@ -112,8 +63,9 @@ def _print_diff(diff, reads, bytes_read, as_json: bool) -> int:
     return 0
 
 
-def _cmd_query(args: argparse.Namespace, config: ArchiveConfig, num: int) -> int:
-    registry, contexts = _open_registry(args, config, num)
+def _cmd_query(view: ArchiveView, args: argparse.Namespace) -> int:
+    view.require_complete("restore the shard directories before querying the registry")
+    registry, contexts = view.catalog, view.contexts
     verb = args.query_command
     as_json = getattr(args, "json", False)
     if verb == "families":
@@ -170,38 +122,10 @@ def _cmd_query(args: argparse.Namespace, config: ArchiveConfig, num: int) -> int
     raise ReproError(f"unknown query verb {verb!r}")  # pragma: no cover
 
 
-def _cmd_register(
-    args: argparse.Namespace, config: ArchiveConfig, num: int
-) -> int:
+def _cmd_register(view: ArchiveView, args: argparse.Namespace) -> int:
     if not args.rebuild:
         raise ReproError("register requires --rebuild (incremental "
                          "registration happens automatically at save time)")
-    if num > 0:
-        from repro.cli.fleet import _open_fleet_contexts
-        from repro.registry import REGISTRY_DIR, open_fleet_registry
-
-        missing = [
-            index
-            for index in range(num)
-            if not (Path(args.directory) / f"shard-{index}").is_dir()
-        ]
-        if missing:
-            names = ", ".join(f"shard-{index}" for index in missing)
-            raise ReproError(
-                f"fleet at {args.directory} is degraded ({names} missing); "
-                "a rebuild from partial shards would drop their records"
-            )
-        contexts = _open_fleet_contexts(args.directory, list(range(num)), config)
-        registry = open_fleet_registry(Path(args.directory) / REGISTRY_DIR)
-        count = registry.rebuild(list(enumerate(contexts)))
-    else:
-        context = open_context(args.directory, config=config)
-        if context.registry is None:
-            raise RegistryError(
-                "this archive was opened without a registry "
-                "(ArchiveConfig(registry=False)); reopen with the registry "
-                "enabled to rebuild it"
-            )
-        count = context.registry.rebuild([(None, context)])
-    print(f"registered {count} sets")
+    view.require_complete("a rebuild from partial shards would drop their records")
+    print(f"registered {view.catalog.rebuild(view.sources)} sets")
     return 0

@@ -11,7 +11,7 @@ plus storage accounting.  Typical use::
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.config import ArchiveConfig, resolve_config
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
@@ -199,29 +199,19 @@ class MultiModelManager:
         cannot interleave id allocation, journal transactions, or
         descriptor/refcount mutation.
         """
-        with self.context.mutex:
-            with self.context.trace(
+        if base_set_id is None:
+            return self._save(
                 "save_set",
-                approach=self.approach.name,
-                mode="initial" if base_set_id is None else "derived",
-            ):
-                with self.context.save_transaction("save", self.approach.name):
-                    if base_set_id is None:
-                        set_id = self.approach.save_initial(
-                            model_set, metadata=metadata
-                        )
-                    else:
-                        set_id = self.approach.save_derived(
-                            model_set,
-                            base_set_id,
-                            update_info=update_info,
-                            metadata=metadata,
-                        )
-                    # Still inside the transaction: the registry record
-                    # commits (or rolls back) atomically with the save.
-                    if self.context.registry is not None:
-                        self.context.registry.record_save(set_id)
-                    return set_id
+                "initial",
+                lambda: self.approach.save_initial(model_set, metadata=metadata),
+            )
+        return self._save(
+            "save_set",
+            "derived",
+            lambda: self.approach.save_derived(
+                model_set, base_set_id, update_info=update_info, metadata=metadata
+            ),
+        )
 
     def save_set_streaming(
         self,
@@ -237,14 +227,22 @@ class MultiModelManager:
         block (a set within one block is a single ``put``, exactly the
         materialized save); other approaches fall back to materializing.
         """
+        return self._save(
+            "save_set_streaming",
+            "initial",
+            lambda: self.approach.save_initial_streaming(
+                architecture, states, num_models, metadata=metadata
+            ),
+        )
+
+    def _save(self, span: str, mode: str, write: "Callable[[], str]") -> str:
+        """The one save wrapper: mutex → trace span → journal transaction →
+        ``write()`` → registry record, still inside the transaction so the
+        record commits (or rolls back) atomically with the save."""
         with self.context.mutex:
-            with self.context.trace(
-                "save_set_streaming", approach=self.approach.name, mode="initial"
-            ):
+            with self.context.trace(span, approach=self.approach.name, mode=mode):
                 with self.context.save_transaction("save", self.approach.name):
-                    set_id = self.approach.save_initial_streaming(
-                        architecture, states, num_models, metadata=metadata
-                    )
+                    set_id = write()
                     if self.context.registry is not None:
                         self.context.registry.record_save(set_id)
                     return set_id

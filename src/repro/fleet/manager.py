@@ -49,9 +49,7 @@ from repro.errors import (
 )
 from repro.fleet.health import FleetHealthTracker
 from repro.observability.metrics import TimedLock
-
-#: Directory name of shard ``i`` under a fleet root.
-SHARD_PREFIX = "shard-"
+from repro.storage.persistent import SHARD_PREFIX, detect_shards, shard_roots
 
 
 def shard_for(set_id: str, num_shards: int) -> int:
@@ -176,68 +174,47 @@ class FleetManager:
 
         ``config.shards=None`` auto-detects the on-disk ``shard-<i>/``
         topology (like replica auto-detection), so reopening needs no
-        flags; a fresh directory defaults to one shard.  Resharding is
-        not supported: passing a shard count that contradicts the
-        detected layout raises :class:`~repro.errors.ConfigError`.
+        flags; a fresh directory defaults to one shard.  The topology
+        rule (:func:`~repro.storage.persistent.shard_roots`) refuses a
+        plain archive (:class:`~repro.errors.StorageError`) and a shard
+        count contradicting the detected layout
+        (:class:`~repro.errors.ConfigError`).
         """
-        from repro.storage.persistent import detect_shards
-
         config = config if config is not None else ArchiveConfig()
         root = Path(directory)
-        detected = detect_shards(root)
-        if (root / "artifacts").is_dir() or (root / "documents").is_dir():
-            raise StorageError(
-                f"{root} holds a plain single archive; move its contents "
-                f"into {root / (SHARD_PREFIX + '0')}/ to adopt the fleet "
-                "layout (or open it with MultiModelManager.open)"
-            )
-        if config.shards is None:
-            num = detected if detected else 1
-        else:
-            num = int(config.shards)
-            if detected and detected != num:
-                raise ConfigError(
-                    f"archive at {root} has {detected} shard(s) but "
-                    f"shards={num} was requested; resharding an existing "
-                    "fleet is not supported"
-                )
+        shards = config.shards
+        roots, missing = shard_roots(
+            root, shards if shards is not None else max(detect_shards(root), 1)
+        )
+        # No shard directory at all is a fresh fleet: create every shard.
+        existing = len(missing) < len(roots)
         shard_config = _shard_config(config)
         managers = []
         down_at_open: dict[int, str] = {}
-        for index in range(num):
-            shard_dir = root / f"{SHARD_PREFIX}{index}"
-            # On an *existing* fleet (detected > 0) a missing or unreadable
-            # shard directory pins that shard DOWN behind an in-memory
+        for index, shard_dir in enumerate(roots):
+            # On an *existing* fleet a missing or unreadable shard
+            # directory pins that shard DOWN behind an in-memory
             # placeholder instead of crashing the open (or silently
-            # recreating the shard empty); a fresh fleet still creates all
-            # of its directories normally.
-            if detected and not shard_dir.is_dir():
-                down_at_open[index] = (
-                    f"shard directory missing at open: {shard_dir}"
-                )
-                managers.append(
-                    MultiModelManager.with_approach(
-                        approach, shard_config, **approach_kwargs
+            # recreating the shard empty).
+            if existing and index in missing:
+                down_at_open[index] = f"shard directory missing at open: {shard_dir}"
+            else:
+                try:
+                    managers.append(
+                        MultiModelManager.open(
+                            str(shard_dir), approach, shard_config, **approach_kwargs
+                        )
                     )
-                )
-                continue
-            try:
-                managers.append(
-                    MultiModelManager.open(
-                        str(shard_dir), approach, shard_config, **approach_kwargs
+                    continue
+                except (OSError, StorageError) as error:
+                    if not existing:
+                        raise
+                    down_at_open[index] = (
+                        f"shard unreadable at open: {type(error).__name__}: {error}"
                     )
-                )
-            except (OSError, StorageError) as error:
-                if not detected:
-                    raise
-                down_at_open[index] = (
-                    f"shard unreadable at open: {type(error).__name__}: {error}"
-                )
-                managers.append(
-                    MultiModelManager.with_approach(
-                        approach, shard_config, **approach_kwargs
-                    )
-                )
+            managers.append(
+                MultiModelManager.with_approach(approach, shard_config, **approach_kwargs)
+            )
         return cls(
             managers, approach, config, root=root, down_at_open=down_at_open
         )

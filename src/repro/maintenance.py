@@ -34,11 +34,11 @@ Scrubs are *rolling* in scheduled mode: each pass scrubs one shard,
 round-robin, so anti-entropy cost is spread across passes instead of
 spiking.  One-shot (CLI) passes scrub every shard.
 
-The scheduler drives any of: a :class:`~repro.fleet.FleetManager`
-(per-shard, placement kept in sync), a single
-:class:`~repro.core.manager.MultiModelManager`, or bare
-:class:`~repro.core.approach.SaveContext` shards (the CLI's offline
-fleet view).
+:meth:`MaintenanceScheduler.for_manager` builds a scheduler over a
+:class:`~repro.fleet.FleetManager` (per shard, placement kept in sync)
+or a single :class:`~repro.core.manager.MultiModelManager`; the CLI's
+offline archive view (:class:`repro.cli.common.ArchiveView`) hands the
+constructor its own targets.
 """
 
 from __future__ import annotations
@@ -219,40 +219,6 @@ class MaintenanceScheduler:
 
     # -- construction ------------------------------------------------------
     @classmethod
-    def for_fleet(
-        cls,
-        fleet,
-        config: "MaintenanceConfig | None" = None,
-        clock: "SimClock | None" = None,
-        fault_hook: "Callable[..., None] | None" = None,
-    ) -> "MaintenanceScheduler":
-        """A scheduler over every shard of a live ``FleetManager``.
-
-        Uses the fleet's timed shard locks (maintenance contention shows
-        up in ``fleet_shard_<i>_lock_wait_s_total``) and keeps the
-        fleet's placement map and root catalog in sync with what each
-        committed pass deleted and compacted.
-        """
-        targets = [
-            MaintenanceTarget(
-                name=f"shard-{index}",
-                context=manager.context,
-                lock=fleet.shard_locks[index],
-                on_retired=fleet.forget_sets,
-            )
-            for index, manager in enumerate(fleet.shards)
-        ]
-        if config is None:
-            config = fleet.config.maintenance
-        return cls(
-            targets,
-            config=config,
-            clock=clock,
-            metrics=fleet.metrics,
-            fault_hook=fault_hook,
-        )
-
-    @classmethod
     def for_manager(
         cls,
         manager,
@@ -260,36 +226,39 @@ class MaintenanceScheduler:
         clock: "SimClock | None" = None,
         fault_hook: "Callable[..., None] | None" = None,
     ) -> "MaintenanceScheduler":
-        """A scheduler over one single-archive ``MultiModelManager``."""
-        context = manager.context
-        if config is None and context.config is not None:
-            config = context.config.maintenance
-        return cls(
-            [MaintenanceTarget(name="archive", context=context, lock=context.mutex)],
-            config=config,
-            clock=clock,
-            metrics=context.metrics,
-            fault_hook=fault_hook,
-        )
+        """A scheduler over a ``MultiModelManager`` or a ``FleetManager``.
 
-    @classmethod
-    def for_contexts(
-        cls,
-        contexts: "list[SaveContext]",
-        config: "MaintenanceConfig | None" = None,
-        on_retired: "Callable[[list[str], list[str]], None] | None" = None,
-    ) -> "MaintenanceScheduler":
-        """A scheduler over bare shard contexts (the CLI's offline view).
-
-        ``on_retired`` becomes every target's post-commit hook (the CLI
-        passes the fleet catalog's; plain archives record in-txn).
+        A plain archive is one target named ``archive`` under the
+        context's own mutex; its registry records inside the pass's
+        transaction, so it needs no hook.  A fleet is one target per
+        shard under the fleet's timed shard locks (maintenance contention
+        shows up in ``fleet_shard_<i>_lock_wait_s_total``), with
+        :meth:`~repro.fleet.FleetManager.forget_sets` keeping placement
+        and the root catalog in sync with what each committed pass
+        deleted and compacted.  ``config=None`` takes the owner's
+        ``maintenance`` settings.
         """
-        targets = [
-            MaintenanceTarget(f"shard-{index}", context, context.mutex, on_retired)
-            for index, context in enumerate(contexts)
-        ]
-        metrics = contexts[0].metrics if contexts else None
-        return cls(targets, config=config, metrics=metrics)
+        from repro.fleet import FleetManager
+
+        if isinstance(manager, FleetManager):
+            targets = [
+                MaintenanceTarget(
+                    f"shard-{index}", shard.context, lock, manager.forget_sets
+                )
+                for index, (shard, lock) in enumerate(
+                    zip(manager.shards, manager.shard_locks)
+                )
+            ]
+            owner_config, metrics = manager.config, manager.metrics
+        else:
+            context = manager.context
+            targets = [MaintenanceTarget("archive", context, context.mutex)]
+            owner_config, metrics = context.config, context.metrics
+        if config is None and owner_config is not None:
+            config = owner_config.maintenance
+        return cls(
+            targets, config=config, clock=clock, metrics=metrics, fault_hook=fault_hook
+        )
 
     # -- scheduling --------------------------------------------------------
     @property

@@ -26,7 +26,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.errors import StorageError
+from repro.errors import ConfigError, StorageError
 from repro.storage.document_store import DocumentStore, auto_id_counter
 from repro.storage.file_store import ArtifactWriter, FileStore
 from repro.storage.hardware import LOCAL_PROFILE, HardwareProfile
@@ -198,6 +198,10 @@ class PersistentDocumentStore(DocumentStore):
                 pass
 
 
+#: Directory name of shard ``i`` under a fleet root.
+SHARD_PREFIX = "shard-"
+
+
 def _topology(directory: str | Path, prefix: str) -> int:
     """``max(index) + 1`` over the ``<prefix><index>`` subdirectories.
 
@@ -234,10 +238,53 @@ def detect_shards(directory: str | Path) -> int:
     """Number of ``shard-<i>`` fleet directories under ``directory``.
 
     Returns **0** when no ``shard-*`` directory exists — a plain
-    single-archive layout (or a fresh directory), which the classic
-    ``MultiModelManager`` entry points own; see :func:`_topology` for gaps.
+    single-archive layout (or a fresh directory); see :func:`_topology`
+    for gaps.
     """
-    return _topology(directory, "shard-")
+    return _topology(directory, SHARD_PREFIX)
+
+
+def shard_roots(
+    directory: str | Path, shards: "int | None" = None
+) -> "tuple[list[Path], list[int]]":
+    """The archive's shard roots, and the indices of the missing ones.
+
+    The one topology rule.  A plain archive is one shard rooted at the
+    directory itself: ``[directory]``.  A fleet is ``directory/shard-<i>``
+    for every index below the detected shard count; an index whose
+    directory is absent is reported missing, never recreated here.
+    ``shards=None`` auto-detects (no ``shard-<i>/`` means plain — or
+    fresh); a count asks for a fleet of exactly that size.
+
+    Two refusals live here and nowhere else: mixing a plain layout (any
+    of ``artifacts/``, ``documents/`` or ``replica-<i>/``) with a fleet
+    (shard subtrees beside it, or a shard count asked of it) raises
+    :class:`~repro.errors.StorageError`; a count contradicting an
+    existing fleet raises :class:`~repro.errors.ConfigError`.
+    """
+    root = Path(directory)
+    detected = detect_shards(root)
+    plain = (
+        (root / "artifacts").is_dir()
+        or (root / "documents").is_dir()
+        or _topology(root, "replica-") > 0
+    )
+    if plain and (detected or shards is not None):
+        raise StorageError(
+            f"{root} holds a plain single archive; move its contents into "
+            f"{root / (SHARD_PREFIX + '0')}/ to adopt the fleet layout, or "
+            "open it without a shard count"
+        )
+    if shards is None and not detected:
+        return [root], []
+    num = detected if shards is None else int(shards)
+    if detected and detected != num:
+        raise ConfigError(
+            f"archive at {root} has {detected} shard(s) but shards={num} was "
+            "requested; resharding an existing fleet is not supported"
+        )
+    roots = [root / f"{SHARD_PREFIX}{index}" for index in range(num)]
+    return roots, [index for index, shard in enumerate(roots) if not shard.is_dir()]
 
 
 def open_stores(
@@ -304,7 +351,7 @@ def open_context(directory: str | Path, config: "object | None" = None):
 
     config = resolve_config("open_context", config)
     root = Path(directory)
-    if detect_shards(root):
+    if shard_roots(root)[0] != [root]:
         # A fleet layout reopened through the single-archive entry point
         # would create a fresh empty archive beside the shard subtrees,
         # silently shadowing every set in them.

@@ -9,8 +9,8 @@ three trained update cycles of six FFNN-48 models, on ``ARCHIVE_PROFILE``)
 of ``update``, ``update`` with ``dedup``, ``pas-delta`` and
 ``provenance``, plain and as a 2-shard fleet, at ``workers`` 1 and 4, it
 runs every "keep the newest 2" path on a fresh copy — in process
-(``RetentionManager.keep_last`` and a ``for_manager`` pass on a plain
-archive, a ``for_fleet`` pass on a fleet) and through the CLI (``gc
+(``RetentionManager.keep_last`` on a plain archive, and a
+``MaintenanceScheduler.for_manager`` pass on both) and through the CLI (``gc
 --keep-last 2`` and ``maintain --keep-last 2 --no-scrub``) — and records
 the SHA-256 of every file afterwards, the CLI's output, and the
 ``StorageStats`` of every store the path opened.
@@ -36,11 +36,12 @@ from repro.core.retention import RetentionManager
 from repro.fleet import FleetManager
 from repro.maintenance import MaintenanceScheduler
 from repro.storage.hardware import ARCHIVE_PROFILE
+from repro.storage.persistent import open_context
 from repro.training.pipeline import PipelineConfig
 from repro.workloads.scenario import MultiModelScenario, ScenarioConfig
 
 #: The modules, not the ``repro.cli.main`` function the package exports.
-cli_main, cli_fleet = import_module("repro.cli.main"), import_module("repro.cli.fleet")
+cli_main, cli_common = import_module("repro.cli.main"), import_module("repro.cli.common")
 KEEP = 2
 CONFIGS = (("update", False), ("update", True), ("pas-delta", False), ("provenance", False))
 
@@ -95,26 +96,20 @@ def contexts_of(manager) -> list:
 
 
 def run_cli(argv: "list[str]") -> dict:
-    """Run one CLI call in process, keeping the contexts it opened."""
+    """Run one CLI call in process, keeping the shard contexts its view opened."""
     captured: list = []
-    open_context, open_fleet = cli_main.open_context, cli_fleet._open_fleet_contexts
 
-    def capture_one(*args, **kwargs):
+    def capture(*args, **kwargs):
         captured.append(open_context(*args, **kwargs))
         return captured[-1]
 
-    def capture_fleet(*args, **kwargs):
-        contexts = open_fleet(*args, **kwargs)
-        captured.extend(contexts)
-        return contexts
-
-    cli_main.open_context, cli_fleet._open_fleet_contexts = capture_one, capture_fleet
+    cli_common.open_context = capture
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
             code = cli_main.main(argv)
     finally:
-        cli_main.open_context, cli_fleet._open_fleet_contexts = open_context, open_fleet
+        cli_common.open_context = open_context
     return {"exit": code, "stdout": out.getvalue(), "stats": stats_of(captured)}
 
 
@@ -130,12 +125,7 @@ def run_path(path: str, root: Path, approach: str, config: ArchiveConfig) -> dic
         RetentionManager(manager.context).keep_last(KEEP)
     else:
         upkeep = MaintenanceConfig(enabled=True, gc_keep_last=KEEP, scrub=False)
-        factory = (
-            MaintenanceScheduler.for_fleet
-            if isinstance(manager, FleetManager)
-            else MaintenanceScheduler.for_manager
-        )
-        factory(manager, config=upkeep).run_pass()
+        MaintenanceScheduler.for_manager(manager, config=upkeep).run_pass()
     return {"stats": stats_of(contexts_of(manager))}
 
 

@@ -76,7 +76,7 @@ def in_process(topology: str, path) -> None:
     else:
         fleet = FleetManager.open(path, "update")
         config = MaintenanceConfig(enabled=True, gc_keep_last=KEEP, scrub=False)
-        MaintenanceScheduler.for_fleet(fleet, config=config).run_pass()
+        MaintenanceScheduler.for_manager(fleet, config=config).run_pass()
 
 
 RUNNERS = {
@@ -159,7 +159,7 @@ class TestFleetCatalogHook:
         fleet = FleetManager.open(tmp_path / "fleet", "update", ArchiveConfig(shards=2))
         saved = save_three_chains(fleet)
         config = MaintenanceConfig(enabled=True, gc_keep_last=KEEP, scrub=False)
-        report = MaintenanceScheduler.for_fleet(fleet, config=config).run_pass()
+        report = MaintenanceScheduler.for_manager(fleet, config=config).run_pass()
         assert sum(entry.sets_compacted for entry in report.shards) == 3
         kept = sorted(saved)[-KEEP:]
         assert [record.set_id for record in fleet.registry.records()] == kept
@@ -180,7 +180,7 @@ class TestFleetCatalogHook:
                 raise SimulatedCrashError("injected maintenance kill")
 
         config = MaintenanceConfig(enabled=True, gc_keep_last=1, scrub=False)
-        scheduler = MaintenanceScheduler.for_fleet(fleet, config=config, fault_hook=hook)
+        scheduler = MaintenanceScheduler.for_manager(fleet, config=config, fault_hook=hook)
         with pytest.raises(SimulatedCrashError):
             scheduler.run_pass()
         reopened = FleetManager.open(root, "update")

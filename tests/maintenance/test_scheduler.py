@@ -39,7 +39,7 @@ class TestRetentionGc:
     def test_gc_keep_last_is_fleet_wide(self, tiny_set):
         fleet = FleetManager.with_approach("update", ArchiveConfig(shards=2))
         ids = sorted(fleet.save_set(tiny_set) for _ in range(6))
-        scheduler = MaintenanceScheduler.for_fleet(
+        scheduler = MaintenanceScheduler.for_manager(
             fleet, config=upkeep(gc_keep_last=2)
         )
         report = scheduler.run_pass()
@@ -123,7 +123,7 @@ class TestJournalCoordination:
             if point == "in-txn":
                 raise SimulatedCrashError("injected maintenance kill")
 
-        scheduler = MaintenanceScheduler.for_fleet(fleet, fault_hook=hook)
+        scheduler = MaintenanceScheduler.for_manager(fleet, fault_hook=hook)
         with pytest.raises(SimulatedCrashError):
             scheduler.run_pass()
         # The killed pass still consumed its slot (pacing moved on).
@@ -141,7 +141,7 @@ class TestJournalCoordination:
             ArchiveFsck(reopened.shards[0].context).run(deep=True).exit_code == 0
         )
         # The same maintenance succeeds after recovery.
-        again = MaintenanceScheduler.for_fleet(reopened)
+        again = MaintenanceScheduler.for_manager(reopened)
         assert again.run_pass().exit_code == 1
         assert reopened.list_sets() == ids[-2:]
 
@@ -196,7 +196,7 @@ class TestJournalCoordination:
         # Warm the serving cache with both sets.
         assert fleet.recover_set(doomed).equals(tiny_set)
         assert fleet.recover_set(kept).equals(perturbed(tiny_set, 0))
-        scheduler = MaintenanceScheduler.for_fleet(
+        scheduler = MaintenanceScheduler.for_manager(
             fleet, config=upkeep(gc_keep_last=1)
         )
         assert scheduler.run_pass().exit_code == 1
@@ -234,7 +234,7 @@ class TestReplicaUpkeep:
         )
         fleet.save_set(tiny_set)
         fleet.save_set(tiny_set)
-        scheduler = MaintenanceScheduler.for_fleet(
+        scheduler = MaintenanceScheduler.for_manager(
             fleet, clock=clock, config=upkeep(interval_s=1.0)
         )
         clock.advance(1.0)
