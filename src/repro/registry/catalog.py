@@ -294,9 +294,7 @@ class Registry:
         registry (its own journal), keyed with the owning ``shard``.
         """
         context = self._context_for(shard)
-        descriptor = innermost(context.document_store)._read_raw(
-            SETS_COLLECTION, set_id
-        )
+        descriptor = innermost(context.document_store).peek(SETS_COLLECTION, set_id)
         if descriptor is None:
             raise RegistryError(
                 f"cannot register {set_id!r}: no descriptor document"
@@ -329,7 +327,7 @@ class Registry:
                 (int(doc["version"]) for _sid, doc in self._family_docs(family)),
                 default=0,
             )
-        if self._store._read_raw(FAMILIES_COLLECTION, family) is None:
+        if self._store.peek(FAMILIES_COLLECTION, family) is None:
             self._write(FAMILIES_COLLECTION, family, {"root_set": set_id})
         record: dict = {
             "family": family,
@@ -343,7 +341,7 @@ class Registry:
         if shard is not None:
             record["shard"] = int(shard)
         self._write(VERSIONS_COLLECTION, set_id, record)
-        latest = self._store._read_raw(TAGS_COLLECTION, f"{family}:{LATEST_TAG}")
+        latest = self._store.peek(TAGS_COLLECTION, f"{family}:{LATEST_TAG}")
         latest_doc = (
             self._version_doc(latest["set_id"]) if latest is not None else None
         )
@@ -452,7 +450,7 @@ class Registry:
                 store = innermost(context.document_store)
                 for set_id in store.collection_ids(SETS_COLLECTION):
                     descriptors.append(
-                        (set_id, store._read_raw(SETS_COLLECTION, set_id), shard)
+                        (set_id, store.peek(SETS_COLLECTION, set_id), shard)
                     )
             descriptors.sort(key=lambda item: item[0])
             for set_id, descriptor, shard in descriptors:
@@ -471,7 +469,7 @@ class Registry:
         """A family's version records, oldest first."""
         self._inc("registry_queries_total", "registry queries answered")
         with self._lock:
-            if self._store._read_raw(FAMILIES_COLLECTION, family) is None:
+            if self._store.peek(FAMILIES_COLLECTION, family) is None:
                 raise RegistryError(
                     f"unknown family {family!r}; known: {self.families()}"
                 )
@@ -522,7 +520,7 @@ class Registry:
         """``{tag: set_id}`` of a family (always includes ``latest``)."""
         self._inc("registry_queries_total", "registry queries answered")
         with self._lock:
-            if self._store._read_raw(FAMILIES_COLLECTION, family) is None:
+            if self._store.peek(FAMILIES_COLLECTION, family) is None:
                 raise RegistryError(
                     f"unknown family {family!r}; known: {self.families()}"
                 )
@@ -540,9 +538,9 @@ class Registry:
         self._inc("registry_queries_total", "registry queries answered")
         with _trace.span("registry-query", kind="registry", op="resolve"):
             with self._lock:
-                doc = self._store._read_raw(TAGS_COLLECTION, f"{family}:{tag}")
+                doc = self._store.peek(TAGS_COLLECTION, f"{family}:{tag}")
                 if doc is None:
-                    if self._store._read_raw(FAMILIES_COLLECTION, family) is None:
+                    if self._store.peek(FAMILIES_COLLECTION, family) is None:
                         raise RegistryError(
                             f"unknown family {family!r}; known: {self.families()}"
                         )

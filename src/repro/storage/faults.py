@@ -415,6 +415,10 @@ class FaultyDocumentStore(_FaultProxy):
         self._injector.check_available()
         return self._inner.exists(collection, doc_id)
 
+    def stored_size(self, collection: str, doc_id: str) -> "int | None":
+        self._injector.check_available()
+        return self._inner.stored_size(collection, doc_id)
+
     def collection_ids(self, collection: str) -> "list[str]":
         self._injector.check_available()
         return self._inner.collection_ids(collection)

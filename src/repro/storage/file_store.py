@@ -165,7 +165,8 @@ class FileStore:
         #: corruption of stored bytes is detectable (:meth:`verify_artifact`).
         self._digests: dict[str, str] = {}
         #: id -> category charged at write time, so deletes can return
-        #: the bytes to the right ``bytes_by_category`` bucket.
+        #: the bytes to the right ``bytes_by_category`` bucket (artifacts
+        #: found at reopen have none and return them to no bucket).
         self._categories: dict[str, str] = {}
 
     # -- byte hooks (memory backend) ----------------------------------------
@@ -356,7 +357,7 @@ class FileStore:
         num_bytes = self.size(artifact_id)
         self._remove(artifact_id)
         self.stats.record_delete(
-            num_bytes, self._categories.pop(artifact_id, "binary")
+            num_bytes, self._categories.pop(artifact_id, None)
         )
 
     # -- integrity (management plane, not charged) ------------------------

@@ -27,7 +27,11 @@ import os
 from pathlib import Path
 
 from repro.errors import ConfigError, StorageError
-from repro.storage.document_store import DocumentStore, auto_id_counter
+from repro.storage.document_store import (
+    DocumentStore,
+    auto_id_counter,
+    document_num_bytes,
+)
 from repro.storage.file_store import ArtifactWriter, FileStore
 from repro.storage.hardware import LOCAL_PROFILE, HardwareProfile
 from repro.storage.hashing import hash_bytes
@@ -92,7 +96,7 @@ class PersistentFileStore(FileStore):
         self._directory.mkdir(parents=True, exist_ok=True)
         self.sweep_temp_files()
         #: id -> size, the only in-memory footprint.  Artifacts found at
-        #: reopen have no remembered category and delete as "binary".
+        #: reopen have no remembered category and delete from no bucket.
         self._sizes: dict[str, int] = {
             path.stem: path.stat().st_size
             for path in self._directory.glob("*.bin")
@@ -158,7 +162,8 @@ class PersistentDocumentStore(DocumentStore):
     """Document store persisted as ``<collection>/<id>.json`` files.
 
     Existing documents are loaded (without charging the latency model) on
-    open; inserts write through atomically.
+    open, each remembered at its compact-JSON size whatever the file's
+    spelling; inserts write through atomically.
     """
 
     def __init__(
@@ -172,22 +177,25 @@ class PersistentDocumentStore(DocumentStore):
                 continue
             for doc_path in collection_dir.glob("*.json"):
                 documents = self._collections.setdefault(collection_dir.name, {})
-                documents[doc_path.stem] = json.loads(doc_path.read_text())
+                document = json.loads(doc_path.read_text())
+                documents[doc_path.stem] = document
+                self._sizes[(collection_dir.name, doc_path.stem)] = (
+                    document_num_bytes(document)
+                )
         # Resume auto-ids beyond anything already on disk.
         self._id_counter = auto_id_counter(
             doc_id for documents in self._collections.values() for doc_id in documents
         )
 
-    def _persist(self, collection: str, doc_id: str) -> None:
-        """Write the document's current state through: its file, written
-        atomically — or no file, once the document is gone."""
+    def _persist(self, collection: str, doc_id: str, encoded: "str | None") -> None:
+        """Write the document's current state through: the text the write
+        encoded, atomically — or no file, once the document is gone."""
         path = self._directory / collection / f"{doc_id}.json"
-        document = self._collections.get(collection, {}).get(doc_id)
-        if document is None:
+        if encoded is None:
             path.unlink(missing_ok=True)
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, json.dumps(document, separators=(",", ":")).encode("utf-8"))
+        _atomic_write(path, encoded.encode("utf-8"))
 
     def _drop_if_empty(self, collection: str) -> None:
         super()._drop_if_empty(collection)

@@ -74,8 +74,8 @@ from repro.observability import trace as _trace
 from repro.storage.document_store import (
     auto_id_counter,
     check_document_key,
+    copy_document,
     document_num_bytes,
-    encode_document,
 )
 from repro.storage.file_store import WriterContext, check_artifact_id
 from repro.storage.hashing import hash_bytes
@@ -713,7 +713,7 @@ class ReplicatedFileStore(_ReplicaSet):
         what = f"delete {artifact_id!r}"
         _acks, missed = self._replicate(what, artifact_id, "delete", visit)
         if sizes:
-            category = self._categories.pop(artifact_id, "binary")
+            category = self._categories.pop(artifact_id, None)
             self.stats.record_delete(sizes[0], category)
         elif not missed:
             raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
@@ -1071,8 +1071,11 @@ class ReplicatedDocumentStore(_ReplicaSet):
             )
         return reachable
 
-    def _vote(self, ballots: list[tuple[int, dict | None]]) -> dict | None:
-        """Majority value of the ballots cast by reachable replicas.
+    def _vote(
+        self, ballots: list[tuple[int, dict | None]]
+    ) -> tuple[int, dict | None]:
+        """The majority ballot ``(replica index, document)`` of those cast
+        by reachable replicas: the document, and whose copy it is.
 
         A tie (only possible while replicas are unreachable) breaks
         toward absence only when the absent replicas are a majority of
@@ -1090,39 +1093,61 @@ class ReplicatedDocumentStore(_ReplicaSet):
         """
         first = ballots[0][1]
         if all(document == first for _index, document in ballots):
-            return first
-        groups: dict[str | None, list[int]] = {}
-        samples: dict[str | None, dict | None] = {}
-        for index, document in ballots:
-            key = None if document is None else _encode(document)
-            groups.setdefault(key, []).append(index)
-            samples.setdefault(key, document)
+            return ballots[0]
+        groups: dict[str | None, list[tuple[int, dict | None]]] = {}
+        for ballot in ballots:
+            key = None if ballot[1] is None else _encode(ballot[1])
+            groups.setdefault(key, []).append(ballot)
         total = len(self.replicas)
 
         def rank(item):
-            key, indices = item
+            key, members = item
             absent = key is None
-            absence_majority = absent and 2 * len(indices) > total
-            return (len(indices), absence_majority, not absent, -min(indices))
+            absence_majority = absent and 2 * len(members) > total
+            lowest = min(index for index, _document in members)
+            return (len(members), absence_majority, not absent, -lowest)
 
-        return samples[max(groups.items(), key=rank)[0]]
+        return max(groups.items(), key=rank)[1][0]
 
-    def peek_collection(self, collection: str) -> dict[str, dict]:
-        """Majority view of one collection, read-only like :meth:`peek`."""
+    def _elect_collection(self, collection: str) -> dict[str, tuple[int, dict]]:
+        """``{doc_id: winning ballot}`` of one collection's present documents."""
         reachable = self._quorum_collections(f"collection read {collection!r}")
         doc_ids: set[str] = set()
         for _index, collections in reachable:
             doc_ids.update(collections.get(collection, {}))
-        view: dict[str, dict] = {}
+        view: dict[str, tuple[int, dict]] = {}
         for doc_id in sorted(doc_ids):
             ballots = [
                 (index, collections.get(collection, {}).get(doc_id))
                 for index, collections in reachable
             ]
-            document = self._vote(ballots)
-            if document is not None:
-                view[doc_id] = document
+            winner = self._vote(ballots)
+            if winner[1] is not None:
+                view[doc_id] = winner
         return view
+
+    def _elect(self, collection: str, doc_id: str) -> tuple[int, dict | None]:
+        """The winning ballot of one single-document majority vote."""
+        reachable = self._quorum_collections(
+            f"document read {collection}/{doc_id}"
+        )
+        return self._vote(
+            [
+                (index, collections.get(collection, {}).get(doc_id))
+                for index, collections in reachable
+            ]
+        )
+
+    def _size_on(self, index: int, collection: str, doc_id: str) -> int:
+        """The size replica ``index`` remembers for a document it holds."""
+        return self.replicas[index].store.stored_size(collection, doc_id)
+
+    def peek_collection(self, collection: str) -> dict[str, dict]:
+        """Majority view of one collection, read-only like :meth:`peek`."""
+        return {
+            doc_id: document
+            for doc_id, (_index, document) in self._elect_collection(collection).items()
+        }
 
     def peek(self, collection: str, doc_id: str) -> dict | None:
         """One single-document majority vote, uncharged and uncopied.
@@ -1130,14 +1155,12 @@ class ReplicatedDocumentStore(_ReplicaSet):
         Same reachability and read-quorum checks as :meth:`get`; the
         result is the winning replica's own document (**read-only**).
         """
-        reachable = self._quorum_collections(
-            f"document read {collection}/{doc_id}"
-        )
-        ballots = [
-            (index, collections.get(collection, {}).get(doc_id))
-            for index, collections in reachable
-        ]
-        return self._vote(ballots)
+        return self._elect(collection, doc_id)[1]
+
+    def stored_size(self, collection: str, doc_id: str) -> int | None:
+        """The size the winning replica remembers; ``None`` when missing."""
+        index, document = self._elect(collection, doc_id)
+        return None if document is None else self._size_on(index, collection, doc_id)
 
     @property
     def _collections(self) -> dict[str, dict[str, dict]]:
@@ -1160,15 +1183,15 @@ class ReplicatedDocumentStore(_ReplicaSet):
         return costs[min(self.read_quorum, len(costs)) - 1]
 
     # -- write ------------------------------------------------------------
-    def _existing(self, collection: str, doc_id: str) -> dict:
-        """The committed document a replace/delete is about to touch."""
+    def _existing_size(self, collection: str, doc_id: str) -> int:
+        """Size of the committed document a replace/delete is about to touch."""
         check_document_key(collection, doc_id)
-        existing = self.peek(collection, doc_id)
-        if existing is None:
+        size = self.stored_size(collection, doc_id)
+        if size is None:
             raise DocumentNotFoundError(
                 f"no document {doc_id!r} in collection {collection!r}"
             )
-        return existing
+        return size
 
     def _charge_doc(self, label, key, num_bytes, category, acks, missed) -> None:
         """Charge one settled document write (``insert`` / ``replace``)."""
@@ -1202,7 +1225,7 @@ class ReplicatedDocumentStore(_ReplicaSet):
         return doc_id
 
     def replace(self, collection: str, doc_id: str, document: dict) -> None:
-        existing = self._existing(collection, doc_id)
+        old_bytes = self._existing_size(collection, doc_id)
         num_bytes = document_num_bytes(document)
         key, label = (collection, doc_id), f"replace {collection}/{doc_id}"
 
@@ -1217,15 +1240,11 @@ class ReplicatedDocumentStore(_ReplicaSet):
         acks, missed = self._replicate(label, key, "put", visit)
         # The overwritten document's bytes leave the store (see
         # DocumentStore.replace).
-        self.stats.record_delete(
-            document_num_bytes(existing),
-            self._categories.get(key, "metadata"),
-            count_op=False,
-        )
+        self.stats.record_delete(old_bytes, self._categories.get(key), count_op=False)
         self._charge_doc(label, key, num_bytes, "metadata", acks, missed)
 
     def delete(self, collection: str, doc_id: str) -> None:
-        existing = self._existing(collection, doc_id)
+        num_bytes = self._existing_size(collection, doc_id)
 
         def visit(_index, store):
             try:
@@ -1235,29 +1254,28 @@ class ReplicatedDocumentStore(_ReplicaSet):
 
         key = (collection, doc_id)
         self._replicate(f"delete {collection}/{doc_id}", key, "delete", visit)
-        self.stats.record_delete(
-            document_num_bytes(existing), self._categories.pop(key, "metadata")
-        )
+        self.stats.record_delete(num_bytes, self._categories.pop(key, None))
 
     # -- read -------------------------------------------------------------
     def get(self, collection: str, doc_id: str) -> dict:
-        document = self.peek(collection, doc_id)
+        index, document = self._elect(collection, doc_id)
         if document is None:
             raise DocumentNotFoundError(
                 f"no document {doc_id!r} in collection {collection!r}"
             )
-        return self._charged_copy(document)
+        return self._charged_copy(index, collection, doc_id, document)
 
-    def _charged_copy(self, document: dict) -> dict:
-        """One charged read: a private copy, at the read-quorum cost."""
-        encoded, num_bytes = encode_document(document)
+    def _charged_copy(self, index: int, collection: str, doc_id: str, document: dict) -> dict:
+        """One charged read of replica ``index``'s winning ballot: its
+        remembered size at the read-quorum cost, and a private copy."""
+        num_bytes = self._size_on(index, collection, doc_id)
         self.stats.record_read(num_bytes, self._read_quorum_cost(num_bytes))
-        return json.loads(encoded)
+        return copy_document(document)
 
     def find(self, collection: str, **equals) -> list[tuple[str, dict]]:
         return [
-            (doc_id, self._charged_copy(document))
-            for doc_id, document in self.peek_collection(collection).items()
+            (doc_id, self._charged_copy(index, collection, doc_id, document))
+            for doc_id, (index, document) in self._elect_collection(collection).items()
             if all(document.get(key) == value for key, value in equals.items())
         ]
 
@@ -1291,7 +1309,7 @@ class ReplicatedDocumentStore(_ReplicaSet):
         document = self.peek(collection, doc_id)
         if document is None:
             return None
-        return json.loads(json.dumps(document))
+        return copy_document(document)
 
     # -- inspection (uncharged) --------------------------------------------
     def exists(self, collection: str, doc_id: str) -> bool:
@@ -1310,9 +1328,9 @@ class ReplicatedDocumentStore(_ReplicaSet):
     def total_bytes(self) -> int:
         """Logical metadata size: bytes of the majority view."""
         return sum(
-            document_num_bytes(document)
-            for collection in self._collections.values()
-            for document in collection.values()
+            self._size_on(index, name, doc_id)
+            for name in self.collections()
+            for doc_id, (index, _document) in self._elect_collection(name).items()
         )
 
     # -- anti-entropy (what the scrubber and the divergence report call) ------

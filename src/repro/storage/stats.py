@@ -38,7 +38,7 @@ class StorageStats:
     bytes_written: int = 0
     bytes_read: int = 0
     #: Bytes removed by charged deletes (also subtracted from
-    #: ``bytes_by_category``, which tracks *currently stored* bytes).
+    #: ``bytes_by_category`` when their object was categorised).
     bytes_deleted: int = 0
     simulated_write_s: float = 0.0
     simulated_read_s: float = 0.0
@@ -61,6 +61,9 @@ class StorageStats:
     read_failovers: int = 0
     #: Bytes currently stored, keyed by a caller-chosen category label
     #: (e.g. "parameters", "metadata", "hash-info") for breakdown reports.
+    #: Session-relative: only objects written since the store was opened
+    #: carry a category, so an object found at reopen leaves no bucket
+    #: when deleted and the counts never go negative.
     bytes_by_category: dict[str, int] = field(default_factory=dict)
     #: Which substrate this object accounts ("file" or "doc") — prefixes
     #: the trace charge kind so breakdowns can tell the stores apart.
@@ -92,13 +95,15 @@ class StorageStats:
             _trace.charge(f"{self.origin}-read", num_bytes, simulated_s)
 
     def record_delete(
-        self, num_bytes: int, category: str, count_op: bool = True
+        self, num_bytes: int, category: "str | None", count_op: bool = True
     ) -> None:
         """Account removing ``num_bytes`` of stored data from ``category``.
 
         Keeps ``bytes_by_category`` an accurate *currently stored*
         breakdown on GC/retention paths; zeroed categories are dropped so
         a fully collected category disappears from reports.
+        ``category=None`` — an object this session never categorised —
+        counts the delete and its bytes but subtracts from no bucket.
         ``count_op=False`` adjusts only the byte accounting — used by
         ``replace``, which removes the overwritten document's bytes
         without being a delete operation.
@@ -107,6 +112,8 @@ class StorageStats:
             if count_op:
                 self.deletes += 1
             self.bytes_deleted += num_bytes
+            if category is None:
+                return
             remaining = self.bytes_by_category.get(category, 0) - num_bytes
             if remaining:
                 self.bytes_by_category[category] = remaining

@@ -420,9 +420,9 @@ class TestDocumentMajority:
         rep = make_doc_rep(3)
         # 1-1 tie with one replica silent: presence wins — absence is
         # not a majority of N, so a write quorum may have committed it.
-        assert rep._vote([(0, {"v": 1}), (2, None)]) == {"v": 1}
+        assert rep._vote([(0, {"v": 1}), (2, None)]) == (0, {"v": 1})
         # Absence held by a majority of N proves no W=2 commit happened.
-        assert rep._vote([(0, {"v": 1}), (1, None), (2, None)]) is None
+        assert rep._vote([(0, {"v": 1}), (1, None), (2, None)])[1] is None
 
     def test_id_counter_resumes_past_all_replicas(self):
         stores = [DocumentStore(profile=LOCAL_PROFILE) for _ in range(3)]

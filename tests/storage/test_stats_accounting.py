@@ -1,6 +1,7 @@
 """Delete/replace byte accounting: ``bytes_by_category`` tracks what is
 *currently stored*, under the stats lock, on single-backend and
-replicated stores alike."""
+replicated stores alike — relative to the session: what a reopened store
+found on disk was never categorised and returns its bytes to no bucket."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.config import ArchiveConfig
 from repro.core.approach import SaveContext
 from repro.storage.document_store import DocumentStore, document_num_bytes
 from repro.storage.file_store import FileStore
+from repro.storage.persistent import open_archive_stores
 
 
 class TestFileStoreAccounting:
@@ -86,3 +88,40 @@ class TestReplicatedAccounting:
         store.delete("sets", doc_id)
         assert store.stats.bytes_by_category == {}
         assert store.stats.deletes == 1
+
+
+def reopened_pair(tmp_path, replicas):
+    """A store pair holding one artifact and one document written by an
+    earlier session, reopened fresh."""
+    config = ArchiveConfig(replicas=replicas)
+    roots = [tmp_path / f"replica-{index}" for index in range(replicas)]
+    file_store, document_store = open_archive_stores(roots, config)
+    file_store.put(b"z" * 50, artifact_id="old", category="parameters")
+    document_store.insert("sets", {"k": "v"}, doc_id="old", category="hash-info")
+    return open_archive_stores(roots, config)
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+class TestSessionRelativeCategories:
+    def test_deleting_what_reopen_found_leaves_no_negative_bucket(
+        self, tmp_path, replicas
+    ):
+        file_store, document_store = reopened_pair(tmp_path, replicas)
+        file_store.delete("old")
+        document_store.delete("sets", "old")
+        size = document_num_bytes({"k": "v"})
+        for stats, deleted in ((file_store.stats, 50), (document_store.stats, size)):
+            assert stats.bytes_by_category == {}
+            assert (stats.deletes, stats.bytes_deleted) == (1, deleted)
+
+    def test_replacing_what_reopen_found_counts_only_the_new_bytes(
+        self, tmp_path, replicas
+    ):
+        _file_store, document_store = reopened_pair(tmp_path, replicas)
+        replacement = {"k": "a much longer value than before"}
+        document_store.replace("sets", "old", replacement)
+        stats = document_store.stats
+        assert stats.bytes_by_category == {"metadata": document_num_bytes(replacement)}
+        assert (stats.deletes, stats.bytes_deleted) == (0, document_num_bytes({"k": "v"}))
+        document_store.delete("sets", "old")
+        assert stats.bytes_by_category == {}
