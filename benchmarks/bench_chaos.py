@@ -28,7 +28,8 @@ chaos-matrix job runs a bounded variant under two seeds.
 import os
 from pathlib import Path
 
-from repro.bench.chaos import format_report, run_chaos_benchmark, write_report
+from repro.bench.chaos import format_report, run_chaos_benchmark
+from repro.bench.report import write_report
 
 CYCLES = int(os.environ.get("REPRO_CHAOS_CYCLES", "48"))
 NUM_WRITERS = int(os.environ.get("REPRO_CHAOS_WRITERS", "32"))

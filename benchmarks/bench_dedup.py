@@ -21,7 +21,8 @@ import json
 from pathlib import Path
 
 from benchmarks.conftest import BENCH_NUM_MODELS
-from repro.bench.dedup import format_report, run_dedup_benchmark, write_report
+from repro.bench.dedup import format_report, run_dedup_benchmark
+from repro.bench.report import write_report
 from repro.observability.schema import validate_trace_document
 
 NUM_MODELS = BENCH_NUM_MODELS

@@ -17,7 +17,8 @@ store charges do not depend on the host):
 
 from pathlib import Path
 
-from repro.bench.fleet import format_report, run_fleet_scaling, write_report
+from repro.bench.fleet import format_report, run_fleet_scaling
+from repro.bench.report import write_report
 
 SHARDS = (1, 2, 4, 8)
 WRITERS = (1, 8, 64)

@@ -18,7 +18,8 @@ not depend on the host):
 from pathlib import Path
 
 from benchmarks.conftest import BENCH_NUM_MODELS
-from repro.bench.scaling import format_report, run_parallel_scaling, write_report
+from repro.bench.scaling import format_report, run_parallel_scaling
+from repro.bench.report import write_report
 
 #: The scaling claims are calibrated at the paper-adjacent 1000-model
 #: scale; ``REPRO_BENCH_MODELS`` can only raise it.

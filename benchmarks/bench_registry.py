@@ -23,7 +23,8 @@ bounded variant.
 import os
 from pathlib import Path
 
-from repro.bench.registry import format_report, run_registry_benchmark, write_report
+from repro.bench.registry import format_report, run_registry_benchmark
+from repro.bench.report import write_report
 
 VERSIONS = int(os.environ.get("REPRO_REGISTRY_VERSIONS", "500"))
 NUM_MODELS = int(os.environ.get("REPRO_REGISTRY_MODELS", "4"))

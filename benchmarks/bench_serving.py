@@ -21,7 +21,8 @@ store charges do not depend on the host):
 import os
 from pathlib import Path
 
-from repro.bench.serving import format_report, run_serving_benchmark, write_report
+from repro.bench.serving import format_report, run_serving_benchmark
+from repro.bench.report import write_report
 
 NUM_MODELS = int(os.environ.get("REPRO_BENCH_MODELS", "8"))
 NUM_REQUESTS = int(os.environ.get("REPRO_SERVING_REQUESTS", "200"))

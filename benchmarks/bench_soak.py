@@ -24,7 +24,8 @@ Scale knobs: ``REPRO_SOAK_CYCLES`` (default 200), ``REPRO_SOAK_CHAINS``,
 import os
 from pathlib import Path
 
-from repro.bench.soak import format_report, run_soak_benchmark, write_report
+from repro.bench.soak import format_report, run_soak_benchmark
+from repro.bench.report import write_report
 
 CYCLES = int(os.environ.get("REPRO_SOAK_CYCLES", "200"))
 NUM_CHAINS = int(os.environ.get("REPRO_SOAK_CHAINS", "3"))

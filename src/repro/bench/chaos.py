@@ -41,7 +41,6 @@ asserted invariant is schedule-independent.
 
 from __future__ import annotations
 
-import json
 import random
 import shutil
 import tempfile
@@ -53,6 +52,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.bench.report import percentile
 from repro.bench.scaling import set_digest
 from repro.config import (
     ArchiveConfig,
@@ -72,10 +72,10 @@ from repro.fleet.manager import shard_for
 from repro.storage.faults import FaultInjector, inject_faults
 from repro.storage.hardware import ARCHIVE_PROFILE, HardwareProfile
 
-__all__ = ["run_chaos_benchmark", "format_report", "write_report"]
+__all__ = ["run_chaos_benchmark", "format_report"]
 
 
-def _cycle_state(
+def cycle_state(
     base: ModelSet, chain: int, cycle: int, index: int
 ) -> "OrderedDict[str, np.ndarray]":
     """Model ``index``'s parameters after chain ``chain``'s cycle ``cycle``."""
@@ -85,17 +85,13 @@ def _cycle_state(
     )
 
 
-def _oracle_set(base: ModelSet, chain: int, cycle: int) -> ModelSet:
+def oracle_set(base: ModelSet, chain: int, cycle: int) -> ModelSet:
     """Serial-oracle contents of chain ``chain`` after applying the batch
     of cycle ``cycle`` (every batch overwrites every model)."""
     expected = base.copy()
     for index in range(len(base)):
-        expected.states[index] = _cycle_state(base, chain, cycle, index)
+        expected.states[index] = cycle_state(base, chain, cycle, index)
     return expected
-
-
-def _percentile(values: "list[float]", q: float) -> float:
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
 
 
 def _save_latencies_by_shard(fleet: FleetManager) -> "dict[int, list[float]]":
@@ -251,7 +247,7 @@ def _run_workload(
     def oracle_digest(chain: int, cycle: int) -> str:
         key = (chain, cycle)
         if key not in oracle_digests:
-            oracle_digests[key] = set_digest(_oracle_set(base, chain, cycle))
+            oracle_digests[key] = set_digest(oracle_set(base, chain, cycle))
         return oracle_digests[key]
 
     # -- seed: one root set per chain (every chain starts at ``base``) ----
@@ -303,7 +299,7 @@ def _run_workload(
             for cycle in range(cycles):
                 barrier.wait()
                 for index in range(num_models):
-                    state = _cycle_state(base, chain, cycle, index)
+                    state = cycle_state(base, chain, cycle, index)
                     while True:
                         try:
                             queue.submit(key, index, state)
@@ -389,7 +385,7 @@ def _run_workload(
                 queue.submit(
                     keys[probe_chain],
                     index,
-                    _cycle_state(base, probe_chain, cycle, index),
+                    cycle_state(base, probe_chain, cycle, index),
                 )
             batches[probe_chain] += 1
             probe_rounds += 1
@@ -618,10 +614,10 @@ def run_chaos_benchmark(
     ]
     latency = {
         "healthy_saves": len(healthy),
-        "healthy_p50_s": _percentile(healthy, 50),
-        "healthy_p99_s": _percentile(healthy, 99),
+        "healthy_p50_s": percentile(healthy, 50),
+        "healthy_p99_s": percentile(healthy, 99),
         "baseline_saves": len(baseline_all),
-        "baseline_p99_s": _percentile(baseline_all, 99),
+        "baseline_p99_s": percentile(baseline_all, 99),
     }
     latency["p99_ratio"] = (
         latency["healthy_p99_s"] / latency["baseline_p99_s"]
@@ -648,13 +644,6 @@ def run_chaos_benchmark(
         "latency": latency,
         "wall_s": wall_s,
     }
-
-
-def write_report(report: dict[str, Any], path: "str | Path") -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def format_report(report: dict[str, Any]) -> str:

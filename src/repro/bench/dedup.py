@@ -23,7 +23,6 @@ store charges, content digests.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -235,14 +234,6 @@ def run_dedup_benchmark(
             )
         )
     return report
-
-
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    """Write the report as JSON next to the other benchmark results."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def format_report(report: dict[str, Any]) -> str:

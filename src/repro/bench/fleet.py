@@ -24,11 +24,9 @@ recovered and compared against it.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -268,13 +266,6 @@ def _run_config(
         and queue.flushes == flushes_expected,
         "chain_digests": chain_digests,
     }
-
-
-def write_report(report: dict[str, Any], path: "str | Path") -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def format_report(report: dict[str, Any]) -> str:

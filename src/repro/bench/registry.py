@@ -13,10 +13,8 @@ report carries the file-store stats delta observed around the diff calls
 so the benchmark (and CI) can assert it, not just state it.
 """
 
-import json
 import statistics
 import time
-from pathlib import Path
 from typing import Any
 
 from repro.core.manager import MultiModelManager
@@ -111,13 +109,6 @@ def run_registry_benchmark(
             "parameter_bytes_read": delta.bytes_read,
         },
     }
-
-
-def write_report(report: dict[str, Any], path: "str | Path") -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def format_report(report: dict[str, Any]) -> str:

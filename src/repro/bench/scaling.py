@@ -20,8 +20,6 @@ the simulated store charges do not depend on the host.
 from __future__ import annotations
 
 import hashlib
-import json
-from pathlib import Path
 from typing import Any, Sequence
 
 from repro.bench.metrics import measure_recover, measure_save
@@ -189,14 +187,6 @@ def _compare_recovery_bytes(
         "compact_ttr_s": compact_measurement.total_s,
         "identical": set_digest(replayed) == set_digest(compacted),
     }
-
-
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    """Write the report as JSON next to the other benchmark results."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def format_report(report: dict[str, Any]) -> str:

@@ -34,9 +34,7 @@ requests).
 
 from __future__ import annotations
 
-import json
 import threading
-from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -348,13 +346,6 @@ def _find(configs: list[dict], shards: int, readers: int, cache: str) -> dict:
         ):
             return entry
     raise KeyError((shards, readers, cache))
-
-
-def write_report(report: dict[str, Any], path: "str | Path") -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def format_report(report: dict[str, Any]) -> str:

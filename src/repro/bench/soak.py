@@ -30,19 +30,17 @@ race (`DocumentNotFoundError`) is counted, never failed.
 
 from __future__ import annotations
 
-import json
 import random
 import shutil
 import statistics
 import tempfile
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
+from repro.bench.chaos import cycle_state, oracle_set
+from repro.bench.report import percentile
 from repro.bench.scaling import set_digest
 from repro.config import (
     ArchiveConfig,
@@ -59,29 +57,7 @@ from repro.simtime import SimClock
 from repro.storage.faults import FaultInjector, inject_replica_faults
 from repro.storage.hardware import ARCHIVE_PROFILE, HardwareProfile
 
-__all__ = ["run_soak_benchmark", "format_report", "write_report"]
-
-
-def _cycle_state(
-    base: ModelSet, chain: int, cycle: int, index: int
-) -> "OrderedDict[str, np.ndarray]":
-    """Model ``index``'s parameters after chain ``chain``'s cycle ``cycle``."""
-    return OrderedDict(
-        (name, (array + 0.001 * (cycle + 1) + chain).astype(array.dtype))
-        for name, array in base.state(index).items()
-    )
-
-
-def _oracle_set(base: ModelSet, chain: int, cycle: int) -> ModelSet:
-    """Serial-oracle contents of chain ``chain`` after cycle ``cycle``.
-
-    Every cycle updates every model of the chain, so the expected
-    contents depend on the latest cycle only — no replay needed.
-    """
-    expected = base.copy()
-    for index in range(len(base)):
-        expected.states[index] = _cycle_state(base, chain, cycle, index)
-    return expected
+__all__ = ["run_soak_benchmark", "format_report"]
 
 
 def _save_latencies(fleet: FleetManager) -> list[float]:
@@ -100,10 +76,6 @@ def _deep_fsck_exits(fleet: FleetManager) -> list[int]:
         ArchiveFsck(manager.context).run(deep=True).exit_code
         for manager in fleet.shards
     ]
-
-
-def _percentile(values: "list[float]", q: float) -> float:
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
 
 
 def _fault_schedule(
@@ -305,7 +277,7 @@ def _run_cycles(
     def oracle_digest(chain: int, cycle: int) -> str:
         key = (chain, cycle)
         if key not in oracle_digests:
-            oracle_digests[key] = set_digest(_oracle_set(base, chain, cycle))
+            oracle_digests[key] = set_digest(oracle_set(base, chain, cycle))
         return oracle_digests[key]
 
     # -- seed: one root set per chain (cycle -1 contents = base) ----------
@@ -389,7 +361,7 @@ def _run_cycles(
                 root_to_chain[fleet.root_of(keys[chain])] = chain
                 for index in range(num_models):
                     queue.submit(
-                        keys[chain], index, _cycle_state(base, chain, cycle, index)
+                        keys[chain], index, cycle_state(base, chain, cycle, index)
                     )
             clock.advance(cycle_s)
             tick_report = scheduler.tick()
@@ -478,7 +450,7 @@ def _run_baseline(
             for chain in range(num_chains):
                 for index in range(num_models):
                     queue.submit(
-                        keys[chain], index, _cycle_state(base, chain, cycle, index)
+                        keys[chain], index, cycle_state(base, chain, cycle, index)
                     )
             queue.drain()
     return {
@@ -558,11 +530,11 @@ def run_soak_benchmark(
     off = baseline["save_latencies"]
     latency = {
         "saves": len(on),
-        "save_p50_s": _percentile(on, 50),
-        "save_p99_s": _percentile(on, 99),
+        "save_p50_s": percentile(on, 50),
+        "save_p99_s": percentile(on, 99),
         "baseline_saves": len(off),
-        "baseline_p50_s": _percentile(off, 50),
-        "baseline_p99_s": _percentile(off, 99),
+        "baseline_p50_s": percentile(off, 50),
+        "baseline_p99_s": percentile(off, 99),
     }
     latency["p99_ratio"] = (
         latency["save_p99_s"] / latency["baseline_p99_s"]
@@ -611,13 +583,6 @@ def run_soak_benchmark(
         "fsck_exit_codes_final": soak["fsck_exit_codes_final"],
         "wall_s": wall_s,
     }
-
-
-def write_report(report: dict[str, Any], path: "str | Path") -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def format_report(report: dict[str, Any]) -> str:

@@ -198,15 +198,6 @@ class ArchiveView:
 
         return open_fleet_registry(self.directory / REGISTRY_DIR, resolver=resolver)
 
-    @property
-    def on_retired(self):
-        """The post-commit retirement hook: ``None`` on a plain archive (its
-        registry records inside the transaction), the root catalog's
-        ``record_retention`` on a fleet that has a catalog."""
-        if self.sharded and self.has_catalog:
-            return self.catalog.record_retention
-        return None
-
     def families(self, index: int) -> "list[str]":
         """Families with a version on shard ``index`` (all, on a plain archive)."""
         if not self.has_catalog:
@@ -220,10 +211,9 @@ class ArchiveView:
     def maintenance_targets(self) -> list:
         from repro.maintenance import MaintenanceTarget
 
-        hook = self.on_retired
         return [
             MaintenanceTarget(
-                f"shard-{index}" if self.sharded else "archive", context, context.mutex, hook
+                f"shard-{index}" if self.sharded else "archive", context, context.mutex
             )
             for index, context in zip(self.indices, self.contexts)
         ]
@@ -234,7 +224,8 @@ def open_view(directory: str, config: ArchiveConfig) -> ArchiveView:
 
     The topology comes from :func:`~repro.storage.persistent.shard_roots`
     (``--shards`` is ``config.shards``).  A fleet's shards open without a
-    registry and with fleet observability: one trace recorder shared
+    registry of their own — bound to the root catalog when ``registry/``
+    exists — and with fleet observability: one trace recorder shared
     across shards (concurrent fleet traces stay one stream), and metrics
     registering each shard's stats under a ``fleet_shard_<i>_`` prefix
     instead of the colliding single-archive names.  Missing shards are
@@ -268,4 +259,10 @@ def open_view(directory: str, config: ArchiveConfig) -> ArchiveView:
                 f"fleet_shard_{index}_document_store", context.document_store.stats
             )
             context.metrics = registry
-    return ArchiveView(root, True, contexts, indices, missing)
+    view = ArchiveView(root, True, contexts, indices, missing)
+    if view.has_catalog:
+        # Each shard records into the root catalog as it commits, the
+        # way a FleetManager's shards do.
+        for index, context in zip(indices, contexts):
+            context.registry = view.catalog.bind(index, context)
+    return view

@@ -455,10 +455,7 @@ def _run(view: ArchiveView, args: argparse.Namespace) -> int:
     if command in _WHOLE:
         return _WHOLE[command](view, args)
     if command in _ROUTED:
-        result = _ROUTED[command](view.owner(args.set_id), args)
-        if command == "compact" and view.on_retired is not None:
-            view.on_retired([], [args.set_id])
-        return result
+        return _ROUTED[command](view.owner(args.set_id), args)
     return view.each(
         lambda _index, context: _EACH[command](context, args),
         banner=command != "migrate",

@@ -24,8 +24,7 @@ def _gc(view: ArchiveView, args: argparse.Namespace) -> int:
     ``--keep-last K`` retires everything older than the newest K sets
     across every shard (ids are fleet-ordered); ``--keep`` keeps the named
     sets plus the chains they need, checked against every shard before
-    anything is deleted.  The view's ``on_retired(deleted, compacted)``
-    hook runs after every shard committed (the fleet catalog's).
+    anything is deleted.  Each shard's pass records itself in the catalog.
     """
     contexts = view.contexts
     listings = [
@@ -60,10 +59,6 @@ def _gc(view: ArchiveView, args: argparse.Namespace) -> int:
     if chunks:
         print(f"swept {chunks} zero-reference chunks")
     print(f"reclaimed {sum(report.bytes_reclaimed for report in reports):,} bytes")
-    compacted = gathered("compacted_sets")
-    on_retired = view.on_retired
-    if on_retired is not None and (deleted or compacted):
-        on_retired(deleted, compacted)
     return 0
 
 
@@ -75,7 +70,7 @@ def _maintain(view: ArchiveView, args: argparse.Namespace) -> int:
     queues and scrubs.  Exit follows the 0/1/2 contract across all
     cycles: 0 — nothing needed doing, 1 — maintenance did work
     (reclaimed, compacted, healed), 2 — a scrub found unrecoverable
-    data.  The view's targets carry its post-commit retirement hook.
+    data.
     """
     from repro.config import MaintenanceConfig
     from repro.maintenance import MaintenanceScheduler

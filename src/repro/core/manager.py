@@ -238,7 +238,9 @@ class MultiModelManager:
     def _save(self, span: str, mode: str, write: "Callable[[], str]") -> str:
         """The one save wrapper: mutex → trace span → journal transaction →
         ``write()`` → registry record, still inside the transaction so the
-        record commits (or rolls back) atomically with the save."""
+        record commits (or rolls back) atomically with the save — on a
+        fleet shard, ``context.registry`` is the root catalog's binding,
+        which applies the record once the shard commits."""
         with self.context.mutex:
             with self.context.trace(span, approach=self.approach.name, mode=mode):
                 with self.context.save_transaction("save", self.approach.name):

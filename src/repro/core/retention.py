@@ -161,7 +161,8 @@ class RetentionManager:
                 report.bytes_reclaimed += self._delete_set(set_id)
                 report.deleted_sets.append(set_id)
                 # Inside the GC transaction: the catalog update (version
-                # removal, latest-tag retarget) rolls back with the pass.
+                # removal, latest-tag retarget) commits or rolls back with
+                # the pass — a fleet shard's binding applies it at commit.
                 if self.context.registry is not None:
                     self.context.registry.record_delete(set_id)
             if released_chunks:

@@ -651,8 +651,11 @@ class IngestQueue:
             else:
                 with self._lock:
                     self.dead_lettered += 1
-        self.fleet.forget_allocation(job["set_id"])
         with self._lock:
+            # One step under the queue lock (queue -> fleet, the order
+            # _dispatch_locked uses): a submit can never dispatch against
+            # an id placement has forgotten but the chain head still names.
+            self.fleet.forget_allocation(job["set_id"])
             chain.inflight -= 1
             chain.materialized = None
             if chain.inflight == 0:

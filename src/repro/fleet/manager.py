@@ -83,7 +83,8 @@ def _shard_config(config: ArchiveConfig) -> ArchiveConfig:
         maintenance=MaintenanceConfig(),
         # The registry too: the fleet keeps ONE catalog at the root
         # (outside every shard, like deadletter/) so cross-shard families
-        # resolve in one place; shards must not each grow a private one.
+        # resolve in one place; shards must not each grow a private one
+        # (each records through its binding of the root catalog).
         registry=False,
     )
 
@@ -141,6 +142,7 @@ class FleetManager:
         self._init_bookkeeping()
         self._init_observability()
         self._init_serving()
+        self._init_catalog()
         for shard, reason in sorted((down_at_open or {}).items()):
             self.health.pin_down(shard, reason)
 
@@ -307,6 +309,25 @@ class FleetManager:
                     self.metrics, prefix=f"fleet_shard_{index}_serving"
                 )
 
+    def _init_catalog(self) -> None:
+        """Make the root catalog every shard's ``context.registry``.
+
+        Each shard gets a binding (:meth:`~repro.registry.Registry.bind`),
+        so a save, compaction or deletion on the shard — however it is
+        driven — records itself and reaches the catalog when the shard
+        commits.  Bound when ``config.registry`` is on or a durable
+        catalog already exists; otherwise no ``registry/`` is created.
+        """
+        from repro.registry import REGISTRY_DIR
+
+        if not (
+            self.config.registry
+            or (self.root is not None and (self.root / REGISTRY_DIR).is_dir())
+        ):
+            return
+        for index, manager in enumerate(self.shards):
+            manager.context.registry = self.registry.bind(index, manager.context)
+
     def serving_counters(self) -> "dict | None":
         """Fleet-wide serving counter aggregate (``None`` when disabled)."""
         if not self.serving_caches:
@@ -414,7 +435,9 @@ class FleetManager:
         queryable while a shard is DOWN; in-memory fleets get an
         in-memory catalog.  Version records carry their owning shard, so
         :meth:`recover_set` routes ``family=``/``tag=`` recoveries
-        through the placement map without touching other shards.
+        through the placement map without touching other shards.  The
+        shards record into it through their bindings (see
+        :meth:`_init_catalog`), never the fleet on their behalf.
         """
         with self._registry_lock:
             if self._registry is None:
@@ -429,20 +452,6 @@ class FleetManager:
                     metrics=lambda: self.metrics,
                 )
             return self._registry
-
-    def _registry_if_active(self):
-        """The registry when it exists — without creating one as a side
-        effect (a fleet running ``registry=False`` that merely deletes
-        sets must not grow a ``registry/`` subtree)."""
-        with self._registry_lock:
-            if self._registry is not None:
-                return self._registry
-        if self.root is not None:
-            from repro.registry import REGISTRY_DIR
-
-            if (self.root / REGISTRY_DIR).is_dir():
-                return self.registry
-        return None
 
     def rebuild_registry(self) -> int:
         """Re-derive the fleet catalog from every shard's descriptors.
@@ -601,26 +610,18 @@ class FleetManager:
             if root is not None:
                 self._root_of[set_id] = root
 
-    def forget_sets(
-        self, set_ids: "list[str]", compacted: "list[str]" = ()
-    ) -> None:
+    def forget_sets(self, set_ids: "list[str]") -> None:
         """Drop placement/root bookkeeping for sets no longer on a shard.
 
-        Also the post-commit hook of a
-        :class:`~repro.maintenance.MaintenanceScheduler` pass running
-        directly against the shard contexts: ``set_ids`` it deleted,
-        ``compacted`` it rewrote as full snapshots.
+        Placement only, no I/O: released allocations, :meth:`delete_sets`
+        and the post-commit hook of a
+        :class:`~repro.maintenance.MaintenanceScheduler` pass (the ids it
+        deleted).  The catalog heard each deletion from the shard itself.
         """
         with self._fleet_lock:
             for set_id in set_ids:
                 self._placement.pop(set_id, None)
                 self._root_of.pop(set_id, None)
-        registry = self._registry_if_active()
-        if registry is not None:
-            # Unregistered ids (released allocations) are no-ops, so the
-            # same sync covers GC, maintenance passes, and allocation
-            # cleanup alike.
-            registry.record_retention(set_ids, compacted)
 
     @contextmanager
     def _fleet_span(self, operation: str, set_id: str, shard: int):
@@ -712,11 +713,6 @@ class FleetManager:
             raise StorageError(
                 f"shard {shard} saved under {saved!r}, expected {set_id!r}"
             )
-        if self.config.registry:
-            # Post-commit, outside the shard lock: the fleet catalog has
-            # its own journal, so a crash in the gap loses at most this
-            # one record — `register --rebuild` re-derives it.
-            self.registry.record_save(saved, shard=shard)
         return saved
 
     # -- save / recover / delete -------------------------------------------

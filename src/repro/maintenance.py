@@ -67,17 +67,16 @@ class MaintenanceTarget:
     shard context's mutex (the fleet's
     :class:`~repro.observability.metrics.TimedLock` wrappers qualify, so
     fleet lock-wait metrics see maintenance contention too).
-    ``on_retired(deleted, compacted)`` is called after a pass's
-    transaction commits, with the ids it deleted and the ids it
-    compacted — the fleet drops placement entries and updates its root
-    catalog through it.  A killed pass never calls it, so the catalog
-    cannot forget sets the shard rolls back at reopen.
+    ``on_retired(deleted)`` is called after a pass's transaction commits,
+    with the ids it deleted — the fleet drops their placement entries
+    through it.  The catalog needs no hook: the pass records itself
+    through ``context.registry`` (DESIGN.md §10).
     """
 
     name: str
     context: SaveContext
     lock: Any
-    on_retired: "Callable[[list[str], list[str]], None] | None" = None
+    on_retired: "Callable[[list[str]], None] | None" = None
 
 
 @dataclass
@@ -229,14 +228,13 @@ class MaintenanceScheduler:
         """A scheduler over a ``MultiModelManager`` or a ``FleetManager``.
 
         A plain archive is one target named ``archive`` under the
-        context's own mutex; its registry records inside the pass's
-        transaction, so it needs no hook.  A fleet is one target per
-        shard under the fleet's timed shard locks (maintenance contention
-        shows up in ``fleet_shard_<i>_lock_wait_s_total``), with
-        :meth:`~repro.fleet.FleetManager.forget_sets` keeping placement
-        and the root catalog in sync with what each committed pass
-        deleted and compacted.  ``config=None`` takes the owner's
-        ``maintenance`` settings.
+        context's own mutex.  A fleet is one target per shard under the
+        fleet's timed shard locks (maintenance contention shows up in
+        ``fleet_shard_<i>_lock_wait_s_total``), with
+        :meth:`~repro.fleet.FleetManager.forget_sets` dropping the
+        placement of what each committed pass deleted.  Either way the
+        catalog records inside the pass's transaction.  ``config=None``
+        takes the owner's ``maintenance`` settings.
         """
         from repro.fleet import FleetManager
 
@@ -399,11 +397,9 @@ class MaintenanceScheduler:
                 entry.sets_compacted = len(compacted)
                 entry.bytes_reclaimed = report.bytes_reclaimed
                 entry.chunks_swept = report.chunks_reclaimed
-                # -- post-commit: catalog hook, then replica work ----------
-                if target.on_retired is not None and (
-                    report.deleted_sets or compacted
-                ):
-                    target.on_retired(report.deleted_sets, compacted)
+                # -- post-commit: placement hook, then replica work --------
+                if target.on_retired is not None and report.deleted_sets:
+                    target.on_retired(report.deleted_sets)
                 self._fault("post-commit", target.name, pass_index)
                 if self.config.drain_repairs:
                     entry.repairs_drained += self._drain_repairs(context)

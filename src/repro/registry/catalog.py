@@ -14,10 +14,14 @@ holds.  Every committed save appends one *version record* to a family:
   :meth:`Registry.tag` and feed
   ``manager.recover_set(family=..., tag=...)``.
 
-Records are written under the archive's own save journal — one registry
-record per committed save, rolled back with the save on crash — and the
-whole catalog is rebuildable from descriptor documents via
-:meth:`Registry.rebuild` (``repro-archive register --rebuild``).
+One catalog rule: every save, compaction and deletion records itself
+through ``context.registry`` inside its own transaction.  A plain
+archive's catalog joins that transaction, so a record commits or rolls
+back with the change; a fleet shard's ``context.registry`` is the root
+catalog bound to the shard (:meth:`Registry.bind`), which applies the
+records when the shard's transaction commits.  The whole catalog is
+rebuildable from descriptor documents via :meth:`Registry.rebuild`
+(``repro-archive register --rebuild``).
 
 :meth:`Registry.diff` answers "which layers changed between A and B"
 from the Update approach's stored per-layer hashes (or a chunked set's
@@ -27,12 +31,13 @@ hash metadata; sets without it fall back to recover-and-hash.
 
 from __future__ import annotations
 
+import copy
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import RegistryError
+from repro.errors import RegistryError, StorageError
 from repro.observability import trace as _trace
 from repro.registry.records import (
     FAMILIES_COLLECTION,
@@ -179,10 +184,12 @@ class Registry:
         A :class:`~repro.observability.metrics.MetricsRegistry` (or
         callable returning one) for the registry counters.
 
-    Thread safety: one reentrant lock serializes every catalog
-    mutation and query — required on fleets, where saves commit
-    concurrently across shards but the journal underneath the registry
-    is single-writer.
+    Thread safety: one reentrant lock, shared with every binding,
+    serializes every catalog mutation and query — required on fleets,
+    where saves commit concurrently across shards but the journal
+    underneath the registry is single-writer.  Lock order: a shard
+    commit takes this lock inside the shard's mutex, so nothing holding
+    it may take a shard mutex (queries and ``diff`` take none).
     """
 
     def __init__(self, store, journal=None, resolver=None, metrics=None) -> None:
@@ -191,6 +198,12 @@ class Registry:
         self._resolver = resolver
         self._metrics = _callable(metrics)
         self._lock = threading.RLock()
+        #: The shard whose records this catalog writes (see :meth:`bind`);
+        #: ``None`` on plain archives and the fleet's own handle.
+        self.shard: "int | None" = None
+        #: ``(shard context, applier)`` of a binding; ``None`` records in
+        #: place.
+        self._binding: "tuple[Any, Registry] | None" = None
 
     # -- factories ---------------------------------------------------------
     @classmethod
@@ -207,6 +220,51 @@ class Registry:
             resolver=lambda shard: context,
             metrics=lambda: context.metrics,
         )
+
+    def bind(self, shard: int, context) -> "Registry":
+        """This catalog as fleet shard ``shard``'s ``context.registry``.
+
+        The binding shares the catalog's store, journal and lock, and
+        supplies ``shard`` to every record.  A record made inside one of
+        the shard's transactions is held on it and applied when the
+        outermost one commits — dropped with it on rollback or a crash —
+        and one made with no transaction open applies at once.  Applying
+        is a transaction of the catalog's own journal, after the shard's
+        commit: a store failure there is not the shard's, so it is
+        counted (``registry_record_failures_total``) and leaves that one
+        record missing, as a crash in the same gap does, until
+        ``register --rebuild``.
+        """
+        applier = copy.copy(self)
+        applier.shard = int(shard)
+        bound = copy.copy(applier)
+        bound._binding = (context, applier)
+        return bound
+
+    def _held(self, name: str, *args) -> bool:
+        """Route one record of a binding (:meth:`bind`): hold it on the
+        shard's open transaction, or apply it now.  ``False`` when this
+        catalog records in place."""
+        if self._binding is None:
+            return False
+        context, applier = self._binding
+
+        def apply() -> None:
+            try:
+                getattr(applier, name)(*args)
+            except (OSError, StorageError):
+                applier._inc(
+                    "registry_record_failures_total",
+                    "catalog records lost to a store failure after their commit",
+                )
+
+        journal = context.journal
+        txn = journal.active_txn() if journal is not None else None
+        if txn is None:
+            apply()
+        else:
+            txn.after_commit(apply)
+        return True
 
     # -- plumbing ----------------------------------------------------------
     @contextmanager
@@ -285,39 +343,45 @@ class Registry:
         ]
 
     # -- record side (called by the save / retention paths) ----------------
-    def record_save(self, set_id: str, shard: "int | None" = None) -> VersionRecord:
-        """Register one committed save (called inside the save txn).
+    def record_save(self, set_id: str) -> None:
+        """Register one saved set (called inside the save's transaction).
 
-        On plain archives the manager calls this between the approach's
-        save and the transaction commit, so the record is atomic with
-        the save.  Fleet saves record post-commit into the fleet-level
-        registry (its own journal), keyed with the owning ``shard``.
+        The manager calls this between the approach's save and the
+        commit.  A plain archive's catalog joins that transaction, so the
+        record commits or rolls back with the save; a fleet shard's
+        binding (:meth:`bind`) holds it for the shard's commit.  A bad
+        family name fails the save either way.
         """
-        context = self._context_for(shard)
+        context = self._context_for(self.shard)
         descriptor = innermost(context.document_store).peek(SETS_COLLECTION, set_id)
         if descriptor is None:
             raise RegistryError(
                 f"cannot register {set_id!r}: no descriptor document"
             )
+        self._explicit_family(descriptor)
+        if self._held("record_save", set_id):
+            return
         with self._lock:
             with _trace.span("registry-record", kind="registry", set_id=set_id):
                 with self._registry_txn():
-                    record = self._record(set_id, descriptor, shard)
+                    self._record(set_id, descriptor, self.shard)
         self._inc("registry_records_total", "registry version records written")
-        return record
 
-    def _record(
-        self, set_id: str, descriptor: dict, shard: "int | None"
-    ) -> VersionRecord:
+    def _explicit_family(self, descriptor: dict) -> "str | None":
+        """The family a descriptor's metadata names, checked; else ``None``."""
+        family = descriptor.get("metadata", {}).get("extra", {}).get("family")
+        return None if family is None else self._check_name("family", str(family))
+
+    def _record(self, set_id: str, descriptor: dict, shard: "int | None") -> None:
         existing = self._version_doc(set_id)
-        explicit = descriptor.get("metadata", {}).get("extra", {}).get("family")
+        explicit = self._explicit_family(descriptor)
         if existing is not None:
             # Idempotent re-record (rebuild heal, save retry): keep the
             # assigned family/version, refresh the descriptor summary.
             family = str(existing["family"])
             version = int(existing["version"])
         elif explicit is not None:
-            family = self._check_name("family", str(explicit))
+            family = explicit
         else:
             base = descriptor.get("base_set") or descriptor.get("compacted_from")
             base_doc = self._version_doc(base) if base is not None else None
@@ -351,7 +415,6 @@ class Registry:
                 f"{family}:{LATEST_TAG}",
                 {"family": family, "tag": LATEST_TAG, "set_id": set_id},
             )
-        return VersionRecord.from_doc(set_id, record)
 
     def record_delete(self, set_id: str) -> None:
         """Unregister a garbage-collected set (inside the GC txn).
@@ -361,6 +424,8 @@ class Registry:
         with no surviving versions disappears entirely.  Unregistered
         ids are ignored, so callers can feed every deleted set through.
         """
+        if self._held("record_delete", set_id):
+            return
         with self._lock:
             with self._registry_txn():
                 record = self._version_doc(set_id)
@@ -397,6 +462,8 @@ class Registry:
         The derivation edge is preserved — compaction keeps ``base_set``
         as ``compacted_from`` history, and the DAG outlives the bytes.
         """
+        if self._held("record_compact", set_id):
+            return
         with self._lock:
             with self._registry_txn():
                 record = self._version_doc(set_id)
@@ -405,23 +472,6 @@ class Registry:
                 updated = dict(record)
                 updated["kind"] = "full"
                 self._write(VERSIONS_COLLECTION, set_id, updated)
-
-    def record_retention(self, deleted: "list[str]", compacted: "list[str]") -> None:
-        """Reflect one committed retention pass: one catalog transaction.
-
-        The fleet's single retention call — :meth:`FleetManager.forget_sets`
-        and the CLI's fleet ``gc``/``maintain`` make it after the shard
-        pass commits, so a pass killed mid-transaction (rolled back at
-        reopen) never reaches the catalog.
-        """
-        if not (deleted or compacted):
-            return
-        with self._lock:
-            with self._registry_txn():
-                for set_id in compacted:
-                    self.record_compact(set_id)
-                for set_id in deleted:
-                    self.record_delete(set_id)
 
     def rebuild(self, sources) -> int:
         """Drop and re-derive the whole catalog from descriptor documents.

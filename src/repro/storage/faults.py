@@ -266,7 +266,7 @@ class FaultyFileStore(_FaultProxy):
     def put(
         self,
         data: bytes,
-        artifact_id: str | None = None,
+        artifact_id: str,
         category: str = "binary",
         workers: int = 1,
         digest: str | None = None,
@@ -278,7 +278,6 @@ class FaultyFileStore(_FaultProxy):
         # detectable afterwards.
         if digest is None:
             digest = hash_bytes(data)
-        target = artifact_id if artifact_id is not None else "sha256-" + digest
         stored = self._injector.maybe_corrupt(data)
         options = {"category": category, "workers": workers, "digest": digest}
 
@@ -286,21 +285,22 @@ class FaultyFileStore(_FaultProxy):
             return self._inner.put(stored, artifact_id=artifact_id, **options)
 
         def torn_apply():
-            if not self._inner.exists(target):
+            if not self._inner.exists(artifact_id):
                 torn = stored[: max(1, len(stored) // 2)]
-                self._inner.put(torn, artifact_id=target, **options)
+                self._inner.put(torn, artifact_id=artifact_id, **options)
 
-        return self._injector.mutation(apply, torn_apply=torn_apply, ids=(target,))
+        return self._injector.mutation(
+            apply, torn_apply=torn_apply, ids=(artifact_id,)
+        )
 
     def open_writer(
         self,
-        artifact_id: str | None,
+        artifact_id: str,
         category: str = "binary",
         workers: int = 1,
     ):
         self._injector.check_available()
-        if artifact_id is not None:
-            self._injector._check_permanent((artifact_id,))
+        self._injector._check_permanent((artifact_id,))
         return _FaultyWriter(
             self._inner.open_writer(artifact_id, category=category, workers=workers),
             self._injector,
@@ -491,14 +491,13 @@ class RetryingFileStore(_RetryProxy):
     def put(
         self,
         data: bytes,
-        artifact_id: str | None = None,
+        artifact_id: str,
         category: str = "binary",
         workers: int = 1,
         digest: str | None = None,
     ) -> str:
         if digest is None:
             digest = hash_bytes(data)
-        target = artifact_id if artifact_id is not None else "sha256-" + digest
         return self._with_retries(
             lambda: self._inner.put(
                 data,
@@ -507,7 +506,7 @@ class RetryingFileStore(_RetryProxy):
                 workers=workers,
                 digest=digest,
             ),
-            on_duplicate=lambda: target,
+            on_duplicate=lambda: artifact_id,
         )
 
     def get(self, artifact_id: str, workers: int = 1) -> bytes:

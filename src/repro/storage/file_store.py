@@ -80,7 +80,7 @@ class ArtifactWriter(WriterContext):
     def __init__(
         self,
         store: "FileStore",
-        artifact_id: str | None,
+        artifact_id: str,
         category: str,
         workers: int = 1,
     ) -> None:
@@ -219,55 +219,40 @@ class FileStore:
         )
 
     # -- write -----------------------------------------------------------
-    def _claim(self, artifact_id: str, derived: bool) -> bool:
+    def _claim(self, artifact_id: str) -> None:
         """The id rules: a name that cannot be a file is refused, and so is
-        an explicit id that exists.  Returns whether the id is held — a
-        content-addressed re-put."""
+        an id that exists."""
         check_artifact_id(artifact_id)
-        held = self.exists(artifact_id)
-        if held and not derived:
+        if self.exists(artifact_id):
             raise DuplicateArtifactError(f"artifact {artifact_id!r} already exists")
-        return held
 
     def _commit(
-        self, artifact_id: "str | None", digest: str, num_bytes: int,
+        self, artifact_id: str, digest: str, num_bytes: int,
         category: str, workers: int, land,
     ) -> str:
         """The one write, behind ``put`` and a writer's close alike:
         ``land(artifact_id, digest)`` puts the bytes in place, then the charge."""
-        derived = artifact_id is None
-        if derived:
-            artifact_id = "sha256-" + digest
-        replaced = self._claim(artifact_id, derived)
+        self._claim(artifact_id)
         land(artifact_id, digest)
         self._categories[artifact_id] = category
         self.stats.record_write(
             num_bytes, self._write_cost(num_bytes, workers), category
         )
-        if replaced:
-            # A content-addressed re-put overwrote identical bytes: the
-            # round trip is charged above, but the store holds no new
-            # bytes, so cancel the duplicate stored-bytes accounting (the
-            # per-category breakdown must keep summing to what is held).
-            self.stats.record_delete(num_bytes, category, count_op=False)
         return artifact_id
 
     def put(
         self,
         data: bytes,
-        artifact_id: str | None = None,
+        artifact_id: str,
         category: str = "binary",
         workers: int = 1,
         digest: str | None = None,
     ) -> str:
-        """Store ``data`` and return its artifact id.
+        """Store ``data`` under ``artifact_id`` and return the id.
 
-        When ``artifact_id`` is omitted the blob is content-addressed by
-        its SHA-256; re-putting identical content under the derived id is
-        then a no-op that still charges the write (matching a real store,
-        which cannot skip the round trip).  A caller that already hashed
-        the bytes (the Update hash pass, the chunk layer) passes the hex
-        ``digest`` to skip re-hashing them here; it is recorded as given.
+        A caller that already hashed the bytes (the Update hash pass, the
+        chunk layer) passes the hex ``digest`` to skip re-hashing them
+        here; it is recorded as given.
         ``workers > 1`` models a striped parallel upload: the simulated
         charge is the makespan of the stripes, still one write operation.
         """
@@ -280,17 +265,12 @@ class FileStore:
 
     def open_writer(
         self,
-        artifact_id: str | None,
+        artifact_id: str,
         category: str = "binary",
         workers: int = 1,
     ) -> ArtifactWriter:
-        """Open an incremental writer for a new artifact.
-
-        ``artifact_id=None`` content-addresses the artifact at close from
-        the incrementally maintained SHA-256.
-        """
-        if artifact_id is not None:
-            self._claim(artifact_id, derived=False)
+        """Open an incremental writer for a new artifact ``artifact_id``."""
+        self._claim(artifact_id)
         return self._writer_class(self, artifact_id, category, workers=workers)
 
     # -- read ------------------------------------------------------------

@@ -37,14 +37,12 @@ retry wrappers layered on top.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import ArtifactNotFoundError, SimulatedCrashError, StorageError
 from repro.storage.document_store import check_document_key
 from repro.storage.file_store import WriterContext, check_artifact_id
-from repro.storage.hashing import hash_bytes
 
 #: Document-store collection holding each open transaction's header
 #: (``txn-<n>``) and its op records (``txn-<n>.<seq>``).
@@ -150,6 +148,9 @@ class SaveTransaction:
         self.ops: list[dict] = []
         #: Artifacts to delete at commit; durable only once committing.
         self.deletes: list[str] = []
+        #: Callbacks run in order once the commit point has passed;
+        #: a rollback or a crash drops them (see :meth:`after_commit`).
+        self.committed_callbacks: list = []
         self.closed = False
 
     def _check_open(self) -> None:
@@ -175,6 +176,15 @@ class SaveTransaction:
         """
         self._check_open()
         self.deletes.append(artifact_id)
+
+    def after_commit(self, callback) -> None:
+        """Run ``callback()`` once this transaction has committed.
+
+        Nothing durable: a rollback or a crash discards it with the
+        transaction, so work held here happens only for committed state.
+        """
+        self._check_open()
+        self.committed_callbacks.append(callback)
 
     def __enter__(self) -> "SaveTransaction":
         return self
@@ -246,7 +256,8 @@ class SaveJournal:
         return txn
 
     def commit(self, txn: SaveTransaction) -> None:
-        """Apply deferred deletes and retire the entry."""
+        """Apply deferred deletes, retire the entry, then run the
+        transaction's :meth:`~SaveTransaction.after_commit` callbacks."""
         if txn.deletes:
             self._write(
                 txn.txn_id,
@@ -256,6 +267,8 @@ class SaveJournal:
         self._retire(txn.txn_id, txn.record_ids())
         txn.closed = True
         self._txn = None
+        for callback in txn.committed_callbacks:
+            callback()
 
     def rollback(self, txn: SaveTransaction) -> tuple[list[str], int]:
         """Undo every logged operation in reverse; deferred deletes never ran."""
@@ -377,59 +390,27 @@ class _JournaledProxy(StoreProxy):
         self._journal = journal
 
 
-class _JournaledWriter(WriterProxy):
-    """Wraps an artifact writer to log content-addressed ids at close.
-
-    A derived-id artifact's name is its SHA-256, unknown until the last
-    byte — the wrapper mirrors the hash incrementally so the put intent
-    can be logged *before* the inner close makes the artifact visible.
-    """
-
-    def __init__(self, writer, txn: SaveTransaction, store) -> None:
-        super().__init__(writer)
-        self._txn = txn
-        self._store = store
-        self._hasher = hashlib.sha256()
-
-    def write(self, chunk: bytes) -> None:
-        chunk = bytes(chunk)
-        self._hasher.update(chunk)
-        self._writer.write(chunk)
-
-    def close(self) -> str:
-        artifact_id = "sha256-" + self._hasher.hexdigest()
-        # An id that already exists predates this transaction: re-putting
-        # identical content is a no-op and must not be undone by rollback.
-        if not self._store.exists(artifact_id):
-            self._txn.log_op({"op": "put_artifact", "artifact_id": artifact_id})
-        return self._writer.close()
-
-
 class JournaledFileStore(_JournaledProxy):
     """File-store proxy logging put intents and deferring deletes."""
 
     def put(
         self,
         data: bytes,
-        artifact_id: str | None = None,
+        artifact_id: str,
         category: str = "binary",
         workers: int = 1,
         digest: str | None = None,
     ) -> str:
         txn = self._journal.active_txn()
         if txn is not None:
-            if digest is None:
-                digest = hash_bytes(data)
-            target = artifact_id if artifact_id is not None else "sha256-" + digest
             # Refuse a bad name before the intent is logged, like the
             # document proxy does.
-            check_artifact_id(target)
-            # Only log ids this put will create: a pre-existing explicit id
-            # is about to raise DuplicateArtifactError, and a pre-existing
-            # derived id is an idempotent re-put — neither must be undone
-            # by rollback.
-            if not self._inner.exists(target):
-                txn.log_op({"op": "put_artifact", "artifact_id": target})
+            check_artifact_id(artifact_id)
+            # Only log ids this put will create: a pre-existing id is
+            # about to raise DuplicateArtifactError, and must not be
+            # undone by rollback.
+            if not self._inner.exists(artifact_id):
+                txn.log_op({"op": "put_artifact", "artifact_id": artifact_id})
         return self._inner.put(
             data,
             artifact_id=artifact_id,
@@ -440,27 +421,18 @@ class JournaledFileStore(_JournaledProxy):
 
     def open_writer(
         self,
-        artifact_id: str | None,
+        artifact_id: str,
         category: str = "binary",
         workers: int = 1,
     ):
         txn = self._journal.active_txn()
-        if (
-            txn is not None
-            and artifact_id is not None
-            and not self._inner.exists(artifact_id)
-        ):
+        if txn is not None and not self._inner.exists(artifact_id):
             check_artifact_id(artifact_id)
             # Logged at open: until close only a temp file exists, so the
             # undo (delete-if-present) is correct at every crash point.
             txn.log_op({"op": "put_artifact", "artifact_id": artifact_id})
         # (An id that exists gets the inner store's DuplicateArtifactError.)
-        writer = self._inner.open_writer(
-            artifact_id, category=category, workers=workers
-        )
-        if txn is not None and artifact_id is None:
-            return _JournaledWriter(writer, txn, self._inner)
-        return writer
+        return self._inner.open_writer(artifact_id, category=category, workers=workers)
 
     def delete(self, artifact_id: str) -> None:
         txn = self._journal.active_txn()

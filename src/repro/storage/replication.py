@@ -473,19 +473,18 @@ class ReplicatedFileStore(_ReplicaSet):
     def put(
         self,
         data: bytes,
-        artifact_id: str | None = None,
+        artifact_id: str,
         category: str = "binary",
         workers: int = 1,
         digest: str | None = None,
     ) -> str:
         if digest is None:
             digest = hash_bytes(data)
-        target = "sha256-" + digest if artifact_id is None else artifact_id
         # Ahead of the fan-out: a name every backend would refuse is the
         # caller's mistake, not N replica failures.
-        check_artifact_id(target)
-        if artifact_id is not None and self._committed(target):
-            raise DuplicateArtifactError(f"artifact {target!r} already exists")
+        check_artifact_id(artifact_id)
+        if self._committed(artifact_id):
+            raise DuplicateArtifactError(f"artifact {artifact_id!r} already exists")
 
         options = {"category": category, "workers": workers, "digest": digest}
 
@@ -496,26 +495,23 @@ class ReplicatedFileStore(_ReplicaSet):
                 # This replica already holds the id.  Matching bytes are
                 # an idempotent success; divergent bytes are a stale
                 # leftover to overwrite — write-path anti-entropy.
-                if _safe_digest(store, target) != digest:
-                    store.delete(target)
-                    store.put(data, artifact_id=target, **options)
+                if _safe_digest(store, artifact_id) != digest:
+                    store.delete(artifact_id)
+                    store.put(data, artifact_id=artifact_id, **options)
 
-        acks, missed = self._replicate(f"put {target!r}", target, "put", visit)
-        self._charge_put(target, len(data), category, workers, acks, missed)
-        return target
+        acks, missed = self._replicate(f"put {artifact_id!r}", artifact_id, "put", visit)
+        self._charge_put(artifact_id, len(data), category, workers, acks, missed)
+        return artifact_id
 
     def open_writer(
         self,
-        artifact_id: str | None,
+        artifact_id: str,
         category: str = "binary",
         workers: int = 1,
     ) -> "_ReplicatedWriter":
-        if artifact_id is not None:
-            check_artifact_id(artifact_id)
-            if self._committed(artifact_id):
-                raise DuplicateArtifactError(
-                    f"artifact {artifact_id!r} already exists"
-                )
+        check_artifact_id(artifact_id)
+        if self._committed(artifact_id):
+            raise DuplicateArtifactError(f"artifact {artifact_id!r} already exists")
         writers: dict[int, Any] = {}
 
         def visit(index, store):
@@ -922,7 +918,7 @@ class _ReplicatedWriter(WriterContext):
     def __init__(
         self,
         store: ReplicatedFileStore,
-        artifact_id: str | None,
+        artifact_id: str,
         category: str,
         workers: int,
         writers: dict[int, Any],
@@ -962,7 +958,7 @@ class _ReplicatedWriter(WriterContext):
         self._closed = True
         store = self._store
         digest = self._hasher.hexdigest()
-        target = "sha256-" + digest if self._artifact_id is None else self._artifact_id
+        target = self._artifact_id
 
         def visit(index, backend):
             try:

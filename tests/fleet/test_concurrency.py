@@ -7,6 +7,7 @@ journal transactions.  These tests hammer exactly that path.
 """
 
 import os
+import sys
 import threading
 from collections import OrderedDict
 
@@ -125,3 +126,26 @@ class TestFleetHammer:
         queue.close()
         for shard in fleet.shards:
             assert ArchiveVerifier(shard.context).verify_all().ok
+
+    def test_concurrent_shard_commits_all_reach_the_root_catalog(
+        self, tiny_set, tmp_path
+    ):
+        """Every shard commit applies its held record to the one root
+        catalog under its shard mutex: concurrent writers on a durable
+        (journaled) fleet must lose no record and misplace none."""
+        fleet = FleetManager.open(tmp_path / "fleet", "update", ArchiveConfig(shards=4))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+
+            def worker(index):
+                head = fleet.save_set(tiny_set)
+                for _ in range(2):
+                    head = fleet.save_set(tiny_set, base_set_id=head)
+
+            run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        records = {record.set_id: record.shard for record in fleet.registry.records()}
+        assert len(records) == THREADS * 3
+        assert records == {set_id: fleet.shard_of(set_id) for set_id in fleet.list_sets()}

@@ -264,6 +264,44 @@ class TestCloseSemantics:
         assert follow_up in fleet.list_sets()
 
 
+class TestFailedFlushRelease:
+    def test_submit_between_release_and_head_rollback(self, tiny_set, monkeypatch):
+        """A failed flush releases its id and rolls the chain head back as
+        one step: a writer's submit can never land in between and
+        dispatch against an id placement has already forgotten (the
+        ``base set ... not found on any shard`` chaos failure)."""
+        fleet = make_fleet()
+        base = fleet.save_set(tiny_set)
+        queue = IngestQueue(fleet, flush_max_updates=100, workers=0)
+        execute_save, forget_allocation = fleet.execute_save, fleet.forget_allocation
+
+        def failing_save(*args, **kwargs):
+            raise RuntimeError("store fell over mid-flush")
+
+        def forget_then_write(set_id):
+            forget_allocation(set_id)
+            if not queue._lock.locked():
+                # The queue lock is free: a concurrent writer gets in now.
+                monkeypatch.setattr(fleet, "execute_save", execute_save)
+                queue.submit(base, 1, state_plus(tiny_set, 1, 2.0))
+                queue.flush(base)
+
+        monkeypatch.setattr(fleet, "execute_save", failing_save)
+        monkeypatch.setattr(fleet, "forget_allocation", forget_then_write)
+        queue.submit(base, 0, state_plus(tiny_set, 0, 1.0))
+        with pytest.raises(IngestError, match="fell over"):
+            queue.flush(base)
+        monkeypatch.undo()
+        # The writer's update is accepted against the rolled-back head.
+        queue.submit(base, 1, state_plus(tiny_set, 1, 2.0))
+        queue.close()
+        (entry,) = queue.flush_log
+        assert entry["base"] == base
+        expected = tiny_set.copy()
+        expected.states[1] = state_plus(tiny_set, 1, 2.0)
+        assert fleet.recover_set(entry["set_id"]).equals(expected)
+
+
 class TestMetricsExport:
     def test_queue_depth_and_ratios_in_prometheus_export(self, tiny_set):
         fleet = make_fleet(metrics=True)

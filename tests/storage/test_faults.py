@@ -22,7 +22,6 @@ from repro.storage.faults import (
     inject_faults,
 )
 from repro.storage.file_store import FileStore
-from repro.storage.hashing import hash_bytes
 from repro.storage.journal import JournaledFileStore, attach_journal
 from repro.storage.persistent import PersistentFileStore
 
@@ -131,18 +130,6 @@ class TestTornWrites:
         # The recorded digest is the *intended* content's — the tear is
         # detectable, exactly like a truncated object-store upload.
         assert not inner.verify_artifact("blob")
-
-    def test_torn_derived_id_put_lands_under_content_hash(self):
-        inner = FileStore()
-        store = FaultyFileStore(
-            inner, FaultInjector(crash_at=0, crash_mode="torn")
-        )
-        data = b"content addressed" * 64
-        with pytest.raises(SimulatedCrashError):
-            store.put(data)
-        target = "sha256-" + hash_bytes(data)
-        assert inner.exists(target)
-        assert not inner.verify_artifact(target)
 
 
 class TestCorruption:

@@ -17,16 +17,6 @@ class TestPutGet:
         store.put(b"hello", artifact_id="greeting")
         assert store.get("greeting") == b"hello"
 
-    def test_content_addressing_without_id(self):
-        store = FileStore()
-        artifact_id = store.put(b"payload")
-        assert artifact_id.startswith("sha256-")
-        assert store.get(artifact_id) == b"payload"
-
-    def test_same_content_same_derived_id(self):
-        store = FileStore()
-        assert store.put(b"x") == store.put(b"x")
-
     def test_duplicate_explicit_id_rejected(self):
         store = FileStore()
         store.put(b"a", artifact_id="one")
@@ -136,15 +126,6 @@ class TestDiskSpill:
         # The temp file was renamed away, not left behind.
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_streaming_writer_content_addresses_incrementally(self, tmp_path):
-        reference = FileStore()
-        expected = reference.put(b"alpha" + b"beta")
-        store = PersistentFileStore(tmp_path)
-        with store.open_writer(None) as writer:
-            writer.write(b"alpha")
-            writer.write(b"beta")
-        assert store.ids() == [expected]
-
     def test_aborted_writer_leaves_no_trace(self, tmp_path):
         store = PersistentFileStore(tmp_path)
         writer = store.open_writer("doomed")
@@ -228,7 +209,7 @@ class TestWriterAbandon:
     def test_exception_in_spill_writer_unlinks_temp(self, tmp_path):
         store = PersistentFileStore(tmp_path)
         with pytest.raises(RuntimeError):
-            with store.open_writer(None) as writer:
+            with store.open_writer("doomed") as writer:
                 writer.write(b"partial")
                 raise RuntimeError("caller dies mid-stream")
         assert list(tmp_path.iterdir()) == []
@@ -236,7 +217,7 @@ class TestWriterAbandon:
 
     def test_abort_unlinks_temp(self, tmp_path):
         store = PersistentFileStore(tmp_path)
-        writer = store.open_writer(None)
+        writer = store.open_writer("doomed")
         writer.write(b"partial")
         assert len(list(tmp_path.glob(".writer-*.tmp"))) == 1
         writer.abort()
@@ -305,12 +286,6 @@ class TestDuplicateParity:
         assert store.get("one") == b"original"
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_derived_id_reput_is_idempotent(self, store):
-        first = store.put(b"same content")
-        second = store.put(b"same content")
-        assert first == second
-        assert store.get(first) == b"same content"
-
 
 BAD_IDS = ["", "a/b", "a\\b", ".hidden", "../escape"]
 
@@ -360,24 +335,6 @@ class TestBackendContract:
         assert store.get("one") == b"first"
         assert store.verify_artifact("one")
         assert list(tmp_path.rglob("*.tmp")) == []
-
-    def test_content_addressed_reput_is_counted_once(self, store):
-        first = store.put(b"x" * 100, category="parameters")
-        assert store.put(b"x" * 100, category="parameters") == first
-        assert store.stats.writes == 2
-        assert store.stats.bytes_written == 200
-        assert store.total_bytes() == 100
-        assert sum(store.stats.bytes_by_category.values()) == store.total_bytes()
-
-    def test_open_writer_none_content_addresses_like_put(self, store):
-        with store.open_writer(None, category="parameters") as writer:
-            writer.write(b"alpha")
-            writer.write(b"beta")
-        expected = "sha256-" + hash_bytes(b"alphabeta")
-        assert store.ids() == [expected]
-        assert store.put(b"alphabeta", category="parameters") == expected
-        assert store.recorded_digest(expected) == hash_bytes(b"alphabeta")
-        assert sum(store.stats.bytes_by_category.values()) == store.total_bytes()
 
     @pytest.mark.parametrize("bad_id", BAD_IDS)
     def test_unsafe_ids_are_refused_before_anything_happens(

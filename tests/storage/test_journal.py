@@ -206,17 +206,6 @@ class TestCrashRecovery:
 
 
 class TestUndoSemantics:
-    def test_preexisting_derived_id_reput_is_not_undone(self):
-        context = make_context()
-        derived_id = context.file_store.put(b"shared content")
-        with pytest.raises(SimulatedCrashError):
-            with context.save_transaction():
-                assert context.file_store.put(b"shared content") == derived_id
-                raise SimulatedCrashError("kill -9")
-        context.journal.recover()
-        # The artifact predates the transaction; rollback must keep it.
-        assert context.file_store.exists(derived_id)
-
     def test_preexisting_explicit_id_raises_and_survives_rollback(self):
         context = make_context()
         context.file_store.put(b"original", artifact_id="claimed")
@@ -279,19 +268,6 @@ class TestUndoSemantics:
 
 
 class TestJournaledWriters:
-    def test_derived_id_writer_is_rolled_back(self):
-        context = make_context()
-        with pytest.raises(SimulatedCrashError):
-            with context.save_transaction():
-                writer = context.file_store.open_writer(None)
-                writer.write(b"stream")
-                writer.write(b"ed bytes")
-                artifact_id = writer.close()
-                assert context.file_store.exists(artifact_id)
-                raise SimulatedCrashError("kill -9")
-        context.journal.recover()
-        assert not context.file_store.exists(artifact_id)
-
     def test_explicit_id_writer_is_rolled_back(self):
         context = make_context()
         with pytest.raises(SimulatedCrashError):
@@ -302,18 +278,6 @@ class TestJournaledWriters:
                 raise SimulatedCrashError("kill -9")
         context.journal.recover()
         assert not context.file_store.exists("streamed")
-
-    def test_derived_id_writer_preexisting_content_survives(self):
-        context = make_context()
-        derived_id = context.file_store.put(b"already stored")
-        with pytest.raises(SimulatedCrashError):
-            with context.save_transaction():
-                writer = context.file_store.open_writer(None)
-                writer.write(b"already stored")
-                assert writer.close() == derived_id
-                raise SimulatedCrashError("kill -9")
-        context.journal.recover()
-        assert context.file_store.exists(derived_id)
 
 
 class TestAccountingNeutrality:

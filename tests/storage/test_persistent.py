@@ -28,12 +28,6 @@ class TestPersistentFileStore:
         assert reopened.size("a1") == 7
         assert reopened.ids() == ["a1"]
 
-    def test_content_addressing(self, tmp_path):
-        store = PersistentFileStore(tmp_path)
-        artifact_id = store.put(b"xyz")
-        assert artifact_id.startswith("sha256-")
-        assert store.get(artifact_id) == b"xyz"
-
     def test_duplicate_rejected(self, tmp_path):
         store = PersistentFileStore(tmp_path)
         store.put(b"a", artifact_id="dup")

@@ -21,7 +21,6 @@ from repro.storage.document_store import DocumentStore, document_num_bytes
 from repro.storage.faults import FaultInjector, FaultyDocumentStore, FaultyFileStore
 from repro.storage.file_store import FileStore
 from repro.storage.hardware import LOCAL_PROFILE, SERVER_PROFILE
-from repro.storage.hashing import hash_bytes
 from repro.storage.replication import (
     ReplicatedDocumentStore,
     ReplicatedFileStore,
@@ -315,14 +314,6 @@ class TestReplicatedWriter:
         artifact = writer.close()
         assert rep.get(artifact) == b"onetwo"
         assert "a1" in rep.pending_repairs()["replica-1"]
-
-    def test_writer_derived_id_consistent_across_replicas(self):
-        rep = make_file_rep(3)
-        with rep.open_writer(None) as writer:
-            writer.write(b"content")
-        digest = hash_bytes(b"content")
-        for state in rep.replicas:
-            assert state.store.exists("sha256-" + digest)
 
     def test_abort_leaves_no_copies(self):
         rep = make_file_rep(3)

@@ -15,7 +15,7 @@ from repro.storage.persistent import open_archive_stores
 class TestFileStoreAccounting:
     def test_delete_returns_bytes_and_pops_empty_category(self):
         store = FileStore()
-        artifact_id = store.put(b"x" * 128, category="parameters")
+        artifact_id = store.put(b"x" * 128, artifact_id="x", category="parameters")
         assert store.stats.bytes_by_category == {"parameters": 128}
         store.delete(artifact_id)
         assert store.stats.bytes_by_category == {}
@@ -24,21 +24,11 @@ class TestFileStoreAccounting:
 
     def test_partial_delete_keeps_remainder(self):
         store = FileStore()
-        keep = store.put(b"a" * 100, category="parameters")
-        drop = store.put(b"b" * 28, category="parameters")
+        keep = store.put(b"a" * 100, artifact_id="keep", category="parameters")
+        drop = store.put(b"b" * 28, artifact_id="drop", category="parameters")
         store.delete(drop)
         assert store.stats.bytes_by_category == {"parameters": 100}
         assert store.exists(keep)
-
-    def test_content_addressed_reput_does_not_drift_stored_bytes(self):
-        # A derived-id re-put overwrites identical bytes: the round trip
-        # is charged, but the store holds no new bytes.
-        store = FileStore()
-        store.put(b"c" * 64, category="chunk")
-        store.put(b"c" * 64, category="chunk")
-        store.put(b"c" * 64, category="chunk")
-        assert store.stats.bytes_by_category == {"chunk": 64}
-        assert store.stats.writes == 3
 
 
 class TestDocumentStoreAccounting:
@@ -70,7 +60,7 @@ def replicated_context():
 class TestReplicatedAccounting:
     def test_file_delete_uses_put_category(self, replicated_context):
         store = replicated_context.file_store
-        artifact_id = store.put(b"y" * 64, category="parameters")
+        artifact_id = store.put(b"y" * 64, artifact_id="y", category="parameters")
         assert store.stats.bytes_by_category == {"parameters": 64}
         store.delete(artifact_id)
         assert store.stats.bytes_by_category == {}
