@@ -298,11 +298,16 @@ class SaveApproach(ABC):
         base_set_id: str,
         update_info: UpdateInfo | None = None,
         metadata: SetMetadata | None = None,
+        *,
+        touched: "frozenset[int] | None" = None,
     ) -> str:
         """Persist a set derived from ``base_set_id``; returns the new id.
 
         ``update_info`` carries the cycle's provenance; approaches that do
-        not need it may ignore it.
+        not need it may ignore it.  ``touched``, when given, vouches that
+        every model outside it is byte-identical to the base set's (only
+        a writer that owns the set, the fleet ingest queue, passes it);
+        approaches that do not use it ignore it.
         """
 
     def save_initial_streaming(

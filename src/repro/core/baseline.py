@@ -405,6 +405,8 @@ class BaselineApproach(SaveApproach):
         base_set_id: str,
         update_info: UpdateInfo | None = None,
         metadata: SetMetadata | None = None,
+        *,
+        touched: "frozenset[int] | None" = None,
     ) -> str:
         # Baseline takes no advantage of the relation to the base set: it
         # always saves complete representations (its storage consumption

@@ -199,6 +199,19 @@ class MultiModelManager:
         cannot interleave id allocation, journal transactions, or
         descriptor/refcount mutation.
         """
+        return self._save_set(model_set, base_set_id, update_info, metadata)
+
+    def _save_set(
+        self,
+        model_set: ModelSet,
+        base_set_id: str | None,
+        update_info: UpdateInfo | None,
+        metadata: SetMetadata | None,
+        touched: "frozenset[int] | None" = None,
+    ) -> str:
+        """:meth:`save_set` with the derived save's ``touched`` hint, which
+        only the fleet ingest queue passes (see
+        :meth:`~repro.core.approach.SaveApproach.save_derived`)."""
         if base_set_id is None:
             return self._save(
                 "save_set",
@@ -209,7 +222,11 @@ class MultiModelManager:
             "save_set",
             "derived",
             lambda: self.approach.save_derived(
-                model_set, base_set_id, update_info=update_info, metadata=metadata
+                model_set,
+                base_set_id,
+                update_info=update_info,
+                metadata=metadata,
+                touched=touched,
             ),
         )
 

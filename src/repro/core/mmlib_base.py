@@ -144,6 +144,8 @@ class MMlibBaseApproach(SaveApproach):
         base_set_id: str,
         update_info: UpdateInfo | None = None,
         metadata: SetMetadata | None = None,
+        *,
+        touched: "frozenset[int] | None" = None,
     ) -> str:
         # MMlib-base has no notion of related models: a derived set is
         # saved exactly like an initial one (its storage consumption is

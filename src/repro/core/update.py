@@ -159,7 +159,16 @@ class UpdateApproach(SaveApproach):
         base_set_id: str,
         update_info: UpdateInfo | None = None,
         metadata: SetMetadata | None = None,
+        *,
+        touched: "frozenset[int] | None" = None,
     ) -> str:
+        """Steps 1-4 against ``base_set_id``.
+
+        ``touched`` narrows steps 2 and 3 to those models: every other
+        model is the base's byte for byte (the caller vouches for it), so
+        its hash row is the base's stored row and it cannot be in the
+        diff.  ``None`` is the paper's full hash pass.
+        """
         base_doc = self.context.set_document(base_set_id)
         self._require_type(base_doc, self.name, base_set_id)
         if int(base_doc["num_models"]) != len(model_set):
@@ -184,17 +193,40 @@ class UpdateApproach(SaveApproach):
                 base_set_id,
             )
 
-        # Step 2: hash every model and layer of the new set.
+        # Step 2: hash every model and layer of the new set (only the
+        # touched models when the caller vouches for the rest).
         layer_names = model_set.schema.layer_names()
-        new_hashes = layer_hashes(model_set.states, layer_names, workers)
+        if touched is None:
+            hashed = range(len(model_set))
+        else:
+            hashed = sorted(touched)
+            if hashed and (hashed[0] < 0 or hashed[-1] >= len(model_set)):
+                raise InvalidUpdatePlanError(
+                    f"touched model indices {hashed[0]}..{hashed[-1]} out of "
+                    f"range for a {len(model_set)}-model set"
+                )
+        rows = layer_hashes(
+            [model_set.states[index] for index in hashed], layer_names, workers
+        )
         # Step 3: diff against the base set's stored hash info.
         with _trace.span("diff", kind="diff"):
-            base_hashes = self.context.document_store.get(
+            # The charged get returns a private copy of the base's matrix:
+            # it becomes the new set's, with the hashed models' rows
+            # swapped in as they are diffed.
+            new_hashes = self.context.document_store.get(
                 HASH_COLLECTION, base_set_id
             )["hashes"]
+            if len(new_hashes) != len(model_set) or any(
+                len(row) != len(layer_names) for row in new_hashes
+            ):
+                raise InvalidUpdatePlanError(
+                    f"hash info of base set {base_set_id!r} is not a "
+                    f"{len(model_set)} x {len(layer_names)} matrix"
+                )
             diff: list[list[Any]] = []
-            all_layers = list(range(len(model_set.schema.entries)))
-            for model_index, (old, new) in enumerate(zip(base_hashes, new_hashes)):
+            all_layers = list(range(len(layer_names)))
+            for model_index, new in zip(hashed, rows):
+                old = new_hashes[model_index]
                 changed = [
                     layer for layer, (a, b) in enumerate(zip(old, new)) if a != b
                 ]
@@ -202,6 +234,7 @@ class UpdateApproach(SaveApproach):
                     changed = all_layers
                 if changed:
                     diff.append([model_index, changed])
+                new_hashes[model_index] = new
 
         if self.context.dedup:
             # Step 4, deduplicated: every layer is referenced through the

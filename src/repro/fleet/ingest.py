@@ -225,6 +225,10 @@ class IngestQueue:
         of any chain by age); with inline workers those saves run before
         ``submit`` returns.
 
+        The queue keeps a reference to ``state``, not a copy, until the
+        flush that saves it (and, as chain contents, after it): mutating
+        ``state`` after ``submit`` is undefined.
+
         Raises :class:`~repro.errors.IngestClosedError` once
         ``close()``/``abort()`` has begun (deterministic, regardless of
         worker-pool state) and
@@ -584,6 +588,10 @@ class IngestQueue:
                             f"{job['root']!r}"
                         )
                     current.states[model_index] = state
+                # ``current`` was recovered from the base or is the
+                # previous successful flush (every failure drops it: the
+                # storage branch below, _fail_job), so only the batch's
+                # models can differ from the base: the save hashes those.
                 self.fleet.execute_save(
                     job["set_id"],
                     job["shard"],
@@ -593,6 +601,7 @@ class IngestQueue:
                         "updates": job["updates"],
                         "models": len(job["states"]),
                     },
+                    touched=frozenset(job["states"]),
                 )
             except (OSError, StorageError) as storage_error:
                 error = storage_error

@@ -28,7 +28,7 @@ dictionary operations only — never across storage I/O.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any
 
@@ -48,6 +48,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.fleet.health import FleetHealthTracker
+from repro.observability import trace as _trace
 from repro.observability.metrics import TimedLock
 from repro.storage.persistent import SHARD_PREFIX, detect_shards, shard_roots
 
@@ -378,8 +379,6 @@ class FleetManager:
                 "shard health state transitions (any direction)",
             ).inc()
         if self.tracer is not None:
-            from repro.observability import trace as _trace
-
             if _trace.active():
                 _trace.add_event(
                     "health-transition",
@@ -637,8 +636,6 @@ class FleetManager:
         if self.tracer is None:
             yield
             return
-        from repro.observability import trace as _trace
-
         if _trace.active():
             with _trace.span("fleet", key=set_id, op=operation):
                 with _trace.span(f"{SHARD_PREFIX}{shard}", shard=shard):
@@ -657,11 +654,16 @@ class FleetManager:
         update_info: "UpdateInfo | None" = None,
         metadata: "SetMetadata | None" = None,
         coalesce: "dict | None" = None,
+        *,
+        touched: "frozenset[int] | None" = None,
     ) -> str:
         """Run a save allocated by :meth:`allocate_save` on its shard.
 
         ``coalesce`` attaches the ingest queue's batch accounting to a
         ``coalesce`` span between the fleet envelope and the shard save.
+        ``touched`` is the ingest queue's vouch that every other model
+        is the base set's byte for byte; a derived Update save then
+        hashes only those models (DESIGN.md §9).
         """
         if not self.health.allow(shard):
             raise ShardUnavailableError(
@@ -677,22 +679,13 @@ class FleetManager:
                     context = manager.context
                     context.reserve_set_id(set_id)
                     try:
-                        if coalesce is not None:
-                            from repro.observability import trace as _trace
-
-                            with _trace.span("coalesce", **coalesce):
-                                saved = manager.save_set(
-                                    model_set,
-                                    base_set_id=base_set_id,
-                                    update_info=update_info,
-                                    metadata=metadata,
-                                )
-                        else:
-                            saved = manager.save_set(
-                                model_set,
-                                base_set_id=base_set_id,
-                                update_info=update_info,
-                                metadata=metadata,
+                        with (
+                            nullcontext()
+                            if coalesce is None
+                            else _trace.span("coalesce", **coalesce)
+                        ):
+                            saved = manager._save_set(
+                                model_set, base_set_id, update_info, metadata, touched
                             )
                     finally:
                         if context._reserved_set_id is not None:

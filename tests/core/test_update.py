@@ -117,6 +117,30 @@ class TestDerivedSave:
         assert approach.context.file_store.stats.reads == reads_before
 
 
+class TestTouchedHint:
+    """``touched`` narrows the hash pass; the stored set must not change."""
+
+    def test_same_set_as_the_full_pass(self, context, models):
+        derived = perturb(models, 1, ["0.weight"])
+        derived = perturb(derived, 7, ["6.bias"])
+        documents = []
+        for touched in (None, frozenset({1, 3, 7})):
+            approach = UpdateApproach(type(context).create())
+            base_id = approach.save_initial(models)
+            set_id = approach.save_derived(derived, base_id, touched=touched)
+            store = approach.context.document_store
+            documents.append(
+                (store.peek(HASH_COLLECTION, set_id), approach.context.set_document(set_id))
+            )
+            assert approach.recover(set_id).equals(derived)
+        assert documents[0] == documents[1]
+
+    def test_rejects_out_of_range_indices(self, approach, models):
+        base_id = approach.save_initial(models)
+        with pytest.raises(InvalidUpdatePlanError, match="out of range"):
+            approach.save_derived(models.copy(), base_id, touched=frozenset({10}))
+
+
 class TestChainRecovery:
     def test_three_level_chain(self, approach, models):
         ids = [approach.save_initial(models)]
@@ -202,3 +226,20 @@ class TestCorruption:
         approach.context.file_store._blobs[artifact] += b"\x00" * 8
         with pytest.raises(RecoveryError):
             approach.recover(set_id)
+
+    @pytest.mark.parametrize("truncate", ["rows", "layers"])
+    def test_truncated_base_hash_info_refused(self, approach, models, truncate):
+        # A short matrix would silently drop models or layers from the
+        # diff (the change below is to the last model's last layer), and
+        # with the touched hint it would be copied forward.
+        base_id = approach.save_initial(models)
+        store = approach.context.document_store
+        document = store.get(HASH_COLLECTION, base_id)
+        if truncate == "rows":
+            document["hashes"] = document["hashes"][:-1]
+        else:
+            document["hashes"][-1] = document["hashes"][-1][:-1]
+        store.replace(HASH_COLLECTION, base_id, document)
+        derived = perturb(models, len(models) - 1, [models.schema.layer_names()[-1]])
+        with pytest.raises(InvalidUpdatePlanError, match=base_id):
+            approach.save_derived(derived, base_id)
