@@ -39,7 +39,7 @@ from repro.core.recovery import (
 )
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.errors import ArchitectureMismatchError
-from repro.nn.serialization import StateSchema, parameters_to_bytes
+from repro.nn.serialization import ModelState, StateSchema, parameters_to_bytes
 from repro.observability import trace as _trace
 from repro.storage.hashing import hash_bytes, hash_states
 
@@ -105,10 +105,12 @@ class _Blocks:
         first = next(iterator, None)
         # An empty iterable pins nothing; iterating it raises the count error.
         self._states = iterator if first is None else chain((first,), iterator)
-        self.schema = StateSchema.from_state_dict(first or {})
+        self.schema = (
+            first.schema
+            if isinstance(first, ModelState)
+            else StateSchema.from_state_dict(first or {})
+        )
         self.num_models, self.dtype, self.workers = num_models, dtype, workers
-        # ``num_parameters`` multiplies out every shape on each access:
-        # read once per set, never per model.
         model_nbytes = self.schema.num_parameters * np.dtype(dtype).itemsize
         self.per_block = max(1, BLOCK_BYTES // max(1, model_nbytes))
         #: Whether the declared set fits a single block.
@@ -117,10 +119,14 @@ class _Blocks:
         self.hashes: "list[list[str]] | None" = [] if hashed else None
 
     def __iter__(self) -> "Iterator[dict]":
-        expected, count = self.schema.entries, 0
+        schema, count = self.schema, 0
         for count, state in enumerate(self._states, 1):
+            # A row-backed state's layout is its schema: no re-check.
+            if isinstance(state, ModelState) and state.schema == schema:
+                yield state
+                continue
             entries = tuple((name, tuple(arr.shape)) for name, arr in state.items())
-            if entries != expected:
+            if entries != schema.entries:
                 raise ArchitectureMismatchError(
                     f"model {count - 1} does not match the set schema"
                 )
@@ -329,13 +335,12 @@ def read_single_model(
     Uses a byte-range read: one model of a 5000-model FFNN-48 set costs
     a ~20 KB read instead of the ~100 MB full artifact.
     """
-    return execute(context, resolve_chain(document, [], set_id, model_index))[0]
+    return execute(context, resolve_chain(document, [], set_id, model_index)).state(0)
 
 
 def read_full_set(context: SaveContext, document: dict, set_id: str) -> ModelSet:
     """Reconstruct an artifact-stored set saved by :func:`write_set`."""
-    plan = resolve_chain(document, [], set_id)
-    return ModelSet(plan.architecture, execute(context, plan))
+    return execute(context, resolve_chain(document, [], set_id))
 
 
 def read_chunked_set(context: SaveContext, document: dict, set_id: str) -> ModelSet:
@@ -343,17 +348,16 @@ def read_chunked_set(context: SaveContext, document: dict, set_id: str) -> Model
 
     Single-fetch fan-out: each *unique* chunk is fetched once (vectored
     range reads per pack artifact) and copied into every referencing
-    (model, layer) slot; assembly parallelizes across the worker lanes.
+    (model, layer) slot of the set's rows.
     """
-    plan = resolve_chunked(context, document, set_id)
-    return ModelSet(plan.architecture, execute(context, plan))
+    return execute(context, resolve_chunked(context, document, set_id))
 
 
 def read_chunked_model(
     context: SaveContext, document: dict, set_id: str, model_index: int
 ):
     """Read one model of a chunked set (only its chunks are fetched)."""
-    return execute(context, resolve_chunked(context, document, set_id, model_index))[0]
+    return execute(context, resolve_chunked(context, document, set_id, model_index)).state(0)
 
 
 class BaselineApproach(SaveApproach):

@@ -46,7 +46,7 @@ from repro.core.recovery import (
     set_owns,
 )
 from repro.errors import DocumentNotFoundError
-from repro.nn.serialization import StateSchema, deserialize_state_dict
+from repro.nn.serialization import ModelState, StateSchema, deserialize_state_dict
 from repro.observability import trace as _trace
 from repro.storage.chunk_index import PACKS_COLLECTION
 from repro.storage.hashing import hash_array, hash_bytes
@@ -593,8 +593,9 @@ def _salvage_chunks(
                 "digests": sorted({d[:16] for d in bad}),
             }
         )
+    matrix = assemble(plan, values, rows=intact)
     report.models.update(
-        zip(intact, assemble(plan, values, context.workers, rows=intact))
+        zip(intact, (ModelState(plan.schema, row) for row in matrix))
     )
 
 

@@ -5,11 +5,19 @@ architecture (and therefore one parameter schema) but holding different
 parameter values.  The set stores parameter dictionaries, not live
 modules — materializing executable models is an explicit, separate step
 (:meth:`ModelSet.build_model`), mirroring how recovery works in MMlib.
+
+Each model is one of two things: a contiguous float32 *row* laid out by
+the schema — what recovery, :meth:`ModelSet.copy` and the serving cache
+produce — or the caller's own state dict, kept as handed in.
+:meth:`ModelSet.state` returns a row as a
+:class:`~repro.nn.serialization.ModelState` of views into it, built on
+first access and kept.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from typing import Iterator
 
 import numpy as np
@@ -17,7 +25,7 @@ import numpy as np
 from repro.architectures.registry import get_architecture
 from repro.errors import ArchitectureMismatchError
 from repro.nn import Module
-from repro.nn.serialization import StateSchema
+from repro.nn.serialization import ModelState, StateSchema, state_row
 from repro.training.seeds import derive_seed
 
 
@@ -30,7 +38,9 @@ class ModelSet:
         Registered architecture name (e.g. ``"FFNN-48"``).
     states:
         One parameter dictionary per model; all must share the same
-        layer names and shapes.
+        layer names and shapes.  Each dictionary is kept itself, not
+        copied — except a :class:`ModelState` of a row-backed set, whose
+        row is shared.
     """
 
     def __init__(
@@ -41,15 +51,43 @@ class ModelSet:
         if not states:
             raise ValueError("a model set must contain at least one model")
         self.architecture = architecture
-        self.schema = StateSchema.from_state_dict(states[0])
-        expected = self.schema.entries
-        for index, state in enumerate(states):
-            entries = tuple((name, tuple(arr.shape)) for name, arr in state.items())
-            if entries != expected:
-                raise ArchitectureMismatchError(
-                    f"model {index} does not match the set schema"
-                )
-        self.states = states
+        first = states[0]
+        self.schema = (
+            first.schema
+            if isinstance(first, ModelState)
+            else StateSchema.from_state_dict(first)
+        )
+        self._models = [self._adopt(state) for state in states]
+        for index, model in enumerate(self._models):
+            if _row(model) is None:
+                self._check(model, index)
+
+    @classmethod
+    def from_rows(
+        cls, architecture: str, schema: StateSchema, rows
+    ) -> "ModelSet":
+        """A set over float32 rows laid out by ``schema`` (not validated:
+        the rows' producer owns the layout)."""
+        model_set = cls.__new__(cls)
+        model_set.architecture, model_set.schema = architecture, schema
+        model_set._models = list(rows)
+        return model_set
+
+    def _adopt(self, state) -> "OrderedDict[str, np.ndarray]":
+        """What the set stores for a handed-in state: the state itself (a
+        same-schema :class:`ModelState` shares its row), except that a
+        :class:`ModelState` of another schema is kept as a plain dict of
+        its views, for the schema check to refuse."""
+        if isinstance(state, ModelState) and state.schema != self.schema:
+            return OrderedDict(state)
+        return state
+
+    def _check(self, state, index: int) -> None:
+        entries = tuple((name, tuple(arr.shape)) for name, arr in state.items())
+        if entries != self.schema.entries:
+            raise ArchitectureMismatchError(
+                f"model {index} does not match the set schema"
+            )
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -76,20 +114,31 @@ class ModelSet:
         return cls(architecture, [module.state_dict() for module in modules])
 
     # -- access ------------------------------------------------------------
+    @property
+    def states(self) -> "_States":
+        """The models as a sequence of state dicts; ``states[i] = state``
+        replaces model ``i`` (kept as handed in, like the constructor)."""
+        return _States(self)
+
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._models)
 
     def __iter__(self) -> Iterator["OrderedDict[str, np.ndarray]"]:
-        return iter(self.states)
+        return map(self.state, range(len(self._models)))
 
     def state(self, index: int) -> "OrderedDict[str, np.ndarray]":
-        return self.states[index]
+        """Model ``index``'s state dict: the one handed in, or a
+        :class:`ModelState` whose views write through to the row."""
+        model = self._models[index]
+        if isinstance(model, np.ndarray):
+            model = self._models[index] = ModelState(self.schema, model)
+        return model
 
     def build_model(self, index: int) -> Module:
         """Materialize model ``index`` as an executable module."""
         spec = get_architecture(self.architecture)
         model = spec.build(rng=np.random.default_rng(0))
-        model.load_state_dict(self.states[index])
+        model.load_state_dict(self.state(index))
         model.eval()
         return model
 
@@ -104,26 +153,82 @@ class ModelSet:
 
     # -- comparison ----------------------------------------------------------
     def equals(self, other: "ModelSet", atol: float = 0.0) -> bool:
-        """Whether two sets hold identical parameters (bit-exact by default)."""
+        """Whether two sets hold identical parameters (bit-exact by default).
+
+        Per layer, values compare like ``np.array_equal`` (NaN never
+        equals) or, with ``atol``, ``np.allclose``; two rows compare in
+        one call, with the same outcome.
+        """
         if (
             self.architecture != other.architecture
             or len(self) != len(other)
             or self.schema != other.schema
         ):
             return False
-        for mine, theirs in zip(self.states, other.states):
-            for name in mine:
-                if atol == 0.0:
-                    if not np.array_equal(mine[name], theirs[name]):
-                        return False
-                elif not np.allclose(mine[name], theirs[name], atol=atol):
+
+        def same(mine, theirs) -> bool:
+            if atol == 0.0:
+                return np.array_equal(mine, theirs)
+            return np.allclose(mine, theirs, atol=atol)
+
+        for index, (mine, theirs) in enumerate(zip(self._models, other._models)):
+            mine, theirs = _row(mine), _row(theirs)
+            if mine is not None and theirs is not None:
+                if not same(mine, theirs):
                     return False
+                continue
+            mine, theirs = self.state(index), other.state(index)
+            if not all(same(mine[name], theirs[name]) for name in mine):
+                return False
         return True
 
     def copy(self) -> "ModelSet":
-        """Deep copy (parameter arrays are duplicated)."""
-        states = [
-            OrderedDict((name, arr.copy()) for name, arr in state.items())
-            for state in self.states
-        ]
-        return ModelSet(self.architecture, states)
+        """Deep copy: every model gets a private row of its own."""
+        return ModelSet.from_rows(
+            self.architecture, self.schema, map(self._private_row, range(len(self)))
+        )
+
+    def copy_state(self, index: int) -> ModelState:
+        """Model ``index`` as a :class:`ModelState` over a private row."""
+        return ModelState(self.schema, self._private_row(index))
+
+    def _private_row(self, index: int) -> np.ndarray:
+        model = self._models[index]
+        row = _row(model)
+        if row is not None:
+            return row.copy()
+        self._check(model, index)
+        return state_row(model)
+
+
+def _row(model) -> "np.ndarray | None":
+    """A stored model's row (``None`` for a caller's dict)."""
+    if isinstance(model, np.ndarray):
+        return model
+    if isinstance(model, ModelState):
+        return model.row
+    return None
+
+
+class _States(Sequence):
+    """:attr:`ModelSet.states`: the set's models as state dicts."""
+
+    __slots__ = ("_owner",)
+
+    def __init__(self, owner: ModelSet) -> None:
+        self._owner = owner
+
+    def __len__(self) -> int:
+        return len(self._owner)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._owner.state(i) for i in range(len(self))[index]]
+        return self._owner.state(index)
+
+    def __setitem__(self, index: int, state) -> None:
+        owner = self._owner
+        owner._models[index] = owner._adopt(state)
+
+    def __iter__(self):
+        return iter(self._owner)

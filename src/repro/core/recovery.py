@@ -13,7 +13,8 @@ Every artifact- or chunk-stored set is recovered the same way:
    vectored range reads for uncompressed artifacts, one whole-blob read
    plus decode for compressed ones, one striped ``get`` for a snapshot
    read whole, one :meth:`ChunkStore.fetch` for unique digests.
-3. **assemble** is the one place bytes become state dicts.
+3. **assemble** is the one place bytes become parameters: one join of
+   the selected slots, read as one float32 row per model.
 
 Callers differ only in which slots they hand to *fetch*: the uncached
 read path hands all of them, the serving cache withholds the slots whose
@@ -24,7 +25,6 @@ fetched equal one set's worth at any chain depth.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.compression import get_codec
 from repro.core.mmlib_base import MODELS_COLLECTION
-from repro.core.parallel import parallel_map
+from repro.core.model_set import ModelSet
 from repro.errors import DocumentNotFoundError, RecoveryError
 from repro.nn.serialization import StateSchema
 from repro.observability import trace as _trace
@@ -449,45 +449,39 @@ def fetch(context: SaveContext, plan: RecoveryPlan, have: Container = ()) -> dic
 
 # -- assemble ---------------------------------------------------------------
 def assemble(
-    plan: RecoveryPlan, values: dict, workers: int, rows: "Sequence[int] | None" = None
-) -> "list[OrderedDict[str, np.ndarray]]":
-    """Build the state dict of every plan row (or of ``rows`` only).
+    plan: RecoveryPlan, values: dict, rows: "Sequence[int] | None" = None
+) -> np.ndarray:
+    """Every plan row's (or only ``rows``') parameters, one float32 row each.
 
-    Decoding parallelizes per model; the result is ordered like
+    The selected slots' bytes are joined once, in row-major slot order,
+    and read as one ``(rows, parameters)`` matrix ordered like
     ``plan.models`` (or ``rows``).
     """
     keys = plan.keys
+    num_layers = len(plan.schema.entries)
+    if rows is not None:
+        keys = [
+            keys[slot]
+            for row in rows
+            for slot in range(row * num_layers, (row + 1) * num_layers)
+        ]
     item = np.float16 if plan.dtype == "float16" else np.float32
-    layers = [
-        (name, shape, int(np.prod(shape)) if shape else 1)
-        for name, shape in plan.schema.entries
-    ]
-
-    def build_state(row: int) -> "OrderedDict[str, np.ndarray]":
-        state: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        slot = row * len(layers)
-        for name, shape, count in layers:
-            # astype copies, detaching the array from the fetched blob.
-            state[name] = (
-                np.frombuffer(values[keys[slot]], dtype=item, count=count)
-                .reshape(shape)
-                .astype(np.float32)
-            )
-            slot += 1
-        return state
-
-    rows = range(len(plan.models)) if rows is None else rows
-    if not _trace.active():
-        return parallel_map(build_state, rows, workers)
-
-    def build_traced(row: int):
-        with _trace.span("model", key=plan.models[row], kind="decode"):
-            return build_state(row)
-
+    shape = (len(keys) // num_layers, plan.schema.num_parameters)
     with _trace.span("decode", kind="decode"):
-        return parallel_map(build_traced, rows, workers)
+        joined = bytearray().join(map(values.__getitem__, keys))
+        if len(joined) != shape[0] * shape[1] * np.dtype(item).itemsize:
+            raise RecoveryError(
+                f"fetched {len(joined)} parameter bytes for {shape[0]} models "
+                f"of {shape[1]} parameters"
+            )
+        # float32 rows stay views of the joined buffer; half precision widens.
+        return np.frombuffer(joined, dtype=item).reshape(shape).astype(
+            np.float32, copy=False
+        )
 
 
-def execute(context: SaveContext, plan: RecoveryPlan):
+def execute(context: SaveContext, plan: RecoveryPlan) -> ModelSet:
     """The uncached read: fetch every slot, assemble every row."""
-    return assemble(plan, fetch(context, plan), context.workers)
+    return ModelSet.from_rows(
+        plan.architecture, plan.schema, assemble(plan, fetch(context, plan))
+    )

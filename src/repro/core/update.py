@@ -206,7 +206,7 @@ class UpdateApproach(SaveApproach):
                     f"range for a {len(model_set)}-model set"
                 )
         rows = layer_hashes(
-            [model_set.states[index] for index in hashed], layer_names, workers
+            [model_set.state(index) for index in hashed], layer_names, workers
         )
         # Step 3: diff against the base set's stored hash info.
         with _trace.span("diff", kind="diff"):
@@ -328,8 +328,7 @@ class UpdateApproach(SaveApproach):
     def recover(self, set_id: str) -> ModelSet:
         if self._replays(set_id):
             return self._recover_replay(set_id)
-        plan = resolve(self, set_id)
-        return ModelSet(plan.architecture, execute(self.context, plan))
+        return execute(self.context, resolve(self, set_id))
 
     def _recover_replay(self, set_id: str) -> ModelSet:
         # The paper's recovery: walk the chain back to the nearest full
@@ -355,7 +354,7 @@ class UpdateApproach(SaveApproach):
         """
         if self._replays(set_id):
             return self._recover_model_replay(set_id, model_index)
-        return execute(self.context, resolve(self, set_id, model_index))[0]
+        return execute(self.context, resolve(self, set_id, model_index)).state(0)
 
     def _recover_model_replay(self, set_id: str, model_index: int):
         """The pre-compaction single-model recovery (chain replay)."""
@@ -403,7 +402,7 @@ class UpdateApproach(SaveApproach):
             name, shape = layer_entries[layer]
             size = int(np.prod(shape)) if shape else 1
             values = np.frombuffer(payload, dtype=np.float32, count=size, offset=cursor)
-            state[name] = values.reshape(shape).copy()
+            state[name] = values.reshape(shape)  # written into the state's row
             cursor += size * 4
 
     def _apply_delta(self, base: ModelSet, document: dict) -> ModelSet:
@@ -427,7 +426,7 @@ class UpdateApproach(SaveApproach):
                 values = np.frombuffer(
                     payload, dtype=np.float32, count=size, offset=cursor
                 )
-                state[name] = values.reshape(shape).copy()
+                state[name] = values.reshape(shape)
                 cursor += nbytes
         if cursor != len(payload):
             raise RecoveryError(

@@ -12,18 +12,24 @@ persist parameters:
   raw float32 stream only; names and shapes live in a schema saved once
   per model set.  Baseline/Update/Provenance use this.
 
+A :class:`ModelState` is the in-memory twin of the schema-split stream:
+one model's parameters as one contiguous float32 row, seen through
+per-layer views laid out by the schema.
+
 All multi-byte integers are little-endian.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.errors import SerializationError
+from repro.errors import ArchitectureMismatchError, SerializationError
 from repro.nn.module import DTYPE
 
 _MAGIC = b"RSD1"
@@ -48,15 +54,26 @@ class StateSchema:
 
     @property
     def num_parameters(self) -> int:
-        return sum(int(np.prod(shape)) for _name, shape in self.entries)
+        return self.num_bytes // _ITEM_SIZE
 
     @property
     def num_bytes(self) -> int:
         """Bytes of one model's raw float32 parameter stream."""
-        return self.num_parameters * _ITEM_SIZE
+        return self.extents[-1][3] if self.extents else 0
 
     def layer_names(self) -> list[str]:
         return [name for name, _shape in self.entries]
+
+    @cached_property
+    def extents(self) -> "tuple[tuple[str, tuple[int, ...], int, int], ...]":
+        """``(name, shape, start, stop)`` of every layer: its byte range
+        within one model's float32 row (computed once per schema)."""
+        extents, start = [], 0
+        for name, shape in self.entries:
+            stop = start + math.prod(shape) * _ITEM_SIZE
+            extents.append((name, shape, start, stop))
+            start = stop
+        return tuple(extents)
 
     def to_json(self) -> list[list[object]]:
         """JSON-serializable representation (used by document stores)."""
@@ -71,6 +88,61 @@ class StateSchema:
         except (TypeError, ValueError) as exc:
             raise SerializationError(f"malformed schema JSON: {data!r}") from exc
         return cls(entries)
+
+
+class ModelState(OrderedDict):
+    """One model's parameters: per-layer views of one float32 row.
+
+    ``row`` holds the model's raw parameter stream in ``schema`` order,
+    so encoding or hashing it needs no per-layer copy.  The mapping
+    behaves like a state dict whose keys are fixed by the schema:
+    assigning ``state[name] = value`` writes ``value`` into the row (an
+    unknown layer or a wrong shape raises
+    :class:`~repro.errors.ArchitectureMismatchError`), and removing a
+    layer raises, so the row and the schema cannot drift apart.  It
+    pickles as a plain ``OrderedDict``; :meth:`copy` copies the row.
+    """
+
+    __slots__ = ("schema", "row")
+
+    def __init__(self, schema: StateSchema, row: np.ndarray) -> None:
+        super().__init__()
+        self.schema, self.row = schema, row
+        place = OrderedDict.__setitem__
+        for name, shape, start, _stop in schema.extents:
+            place(self, name, np.ndarray(shape, DTYPE, row, start))
+
+    def __setitem__(self, name: str, value) -> None:
+        view = self.get(name)
+        if view is None:
+            raise ArchitectureMismatchError(f"unknown layer {name!r}")
+        value = np.asarray(value)
+        if value.shape != view.shape:
+            raise ArchitectureMismatchError(
+                f"layer {name!r}: expected shape {view.shape}, got {value.shape}"
+            )
+        view[...] = value
+
+    def _fixed(self, *_args, **_kwargs):
+        raise ArchitectureMismatchError("the layers of a model state are fixed")
+
+    __delitem__ = pop = popitem = clear = move_to_end = _fixed
+
+    def copy(self) -> "ModelState":
+        """A state over a private copy of the row."""
+        return ModelState(self.schema, self.row.copy())
+
+    def __reduce__(self):
+        return OrderedDict, (list(self.items()),)
+
+
+def state_row(state: "OrderedDict[str, np.ndarray]") -> np.ndarray:
+    """A new float32 row holding ``state``'s parameters in order."""
+    if isinstance(state, ModelState):
+        return state.row.copy()
+    return np.concatenate(
+        [np.ravel(array) for array in state.values()], dtype=DTYPE, casting="unsafe"
+    )
 
 
 def serialize_state_dict(state: "OrderedDict[str, np.ndarray]") -> bytes:
@@ -126,6 +198,8 @@ def deserialize_state_dict(blob: bytes) -> "OrderedDict[str, np.ndarray]":
 
 def parameters_to_bytes(state: "OrderedDict[str, np.ndarray]") -> bytes:
     """Concatenate a state dict's float32 values into a raw byte stream."""
+    if isinstance(state, ModelState):
+        return state.row.tobytes()
     return b"".join(
         np.asarray(arr, dtype=DTYPE).tobytes() for arr in state.values()
     )

@@ -38,6 +38,7 @@ import numpy as np
 from repro.core import recovery
 from repro.core.model_set import ModelSet
 from repro.errors import ReplicaUnavailableError
+from repro.nn.serialization import ModelState, StateSchema, state_row
 from repro.observability import trace as _trace
 from repro.serving.cache import ChunkCache, ServingStats, SetCache, SetEntry
 
@@ -169,21 +170,13 @@ class ServingCache:
     def recover_set(self, set_id: str, approach: "SaveApproach") -> ModelSet:
         """Tiered ``recover_set``: byte-identical to ``approach.recover``."""
         self.stats.record(requests=1)
-        entry = self.sets.get((set_id, None))
-        if entry is not None:
-            with _trace.span("tier1-hit", kind="cache", set_id=set_id):
-                self.stats.record(
-                    set_hits=1,
-                    logical_bytes_served=entry.nbytes,
-                    bytes_saved=entry.nbytes,
-                )
-                return entry.value.copy()
+        hit = self._tier1(set_id, None, "tier1-hit")
+        if hit is not None:
+            return hit
         self.stats.record(set_misses=1)
         result, digests = self._recover_miss(set_id, None, approach)
         nbytes = result.parameter_bytes
-        self.sets.put(
-            (set_id, None), SetEntry(result.copy(), nbytes, digests)
-        )
+        self.sets.put((set_id, None), SetEntry(result.copy(), nbytes, digests))
         self.stats.record(logical_bytes_served=nbytes)
         return result
 
@@ -192,46 +185,19 @@ class ServingCache:
     ) -> "OrderedDict[str, np.ndarray]":
         """Tiered single-model recovery (slices a warm tier-1 set)."""
         self.stats.record(requests=1)
-        full = self.sets.get((set_id, None))
-        if full is not None and 0 <= model_index < len(full.value):
-            with _trace.span(
-                "tier1-hit", kind="cache", set_id=set_id, model=model_index
-            ):
-                state = full.value.state(model_index)
-                nbytes = sum(array.nbytes for array in state.values())
-                self.stats.record(
-                    set_hits=1, logical_bytes_served=nbytes, bytes_saved=nbytes
-                )
-                return OrderedDict(
-                    (name, array.copy()) for name, array in state.items()
-                )
-        single = self.sets.get((set_id, model_index))
-        if single is not None:
-            with _trace.span(
-                "tier1-hit", kind="cache", set_id=set_id, model=model_index
-            ):
-                self.stats.record(
-                    set_hits=1,
-                    logical_bytes_served=single.nbytes,
-                    bytes_saved=single.nbytes,
-                )
-                return OrderedDict(
-                    (name, array.copy())
-                    for name, array in single.value.items()
-                )
+        hit = self._tier1(set_id, model_index, "tier1-hit")
+        if hit is not None:
+            return hit
         self.stats.record(set_misses=1)
         state, digests = self._recover_miss(set_id, model_index, approach)
-        nbytes = sum(array.nbytes for array in state.values())
-        self.sets.put(
-            (set_id, model_index),
-            SetEntry(
-                OrderedDict(
-                    (name, array.copy()) for name, array in state.items()
-                ),
-                nbytes,
-                digests,
-            ),
+        schema = (
+            state.schema
+            if isinstance(state, ModelState)
+            else StateSchema.from_state_dict(state)
         )
+        private = ModelState(schema, state_row(state))
+        nbytes = private.row.nbytes
+        self.sets.put((set_id, model_index), SetEntry(private, nbytes, digests))
         self.stats.record(logical_bytes_served=nbytes)
         return state
 
@@ -246,54 +212,38 @@ class ServingCache:
         as ``stale_hits`` on top of the normal hit counters.
         """
         self.stats.record(requests=1)
-        if model_index is None:
-            entry = self.sets.get((set_id, None))
-            if entry is not None:
-                with _trace.span(
-                    "tier1-stale-hit", kind="cache", set_id=set_id
-                ):
-                    self.stats.record(
-                        set_hits=1,
-                        stale_hits=1,
-                        logical_bytes_served=entry.nbytes,
-                        bytes_saved=entry.nbytes,
-                    )
-                    return entry.value.copy()
+        hit = self._tier1(set_id, model_index, "tier1-stale-hit", stale_hits=1)
+        if hit is None:
             self.stats.record(set_misses=1)
+        return hit
+
+    def _tier1(self, set_id: str, model_index: "int | None", span: str, **counters):
+        """A private copy of a tier-1 value, or ``None`` on a miss.
+
+        A set is served from its full-set entry; one model from the
+        full-set entry's row when it is cached, else from the model's own
+        entry.  Either way the caller gets fresh rows (tier 1 stays
+        pristine whatever the caller writes).
+        """
+        entry = self.sets.get((set_id, None))
+        index = model_index
+        if model_index is not None and not (
+            entry is not None and 0 <= model_index < len(entry.value)
+        ):
+            entry, index = self.sets.get((set_id, model_index)), None
+        if entry is None:
             return None
-        full = self.sets.get((set_id, None))
-        if full is not None and 0 <= model_index < len(full.value):
-            with _trace.span(
-                "tier1-stale-hit", kind="cache", set_id=set_id, model=model_index
-            ):
-                state = full.value.state(model_index)
-                nbytes = sum(array.nbytes for array in state.values())
-                self.stats.record(
-                    set_hits=1,
-                    stale_hits=1,
-                    logical_bytes_served=nbytes,
-                    bytes_saved=nbytes,
-                )
-                return OrderedDict(
-                    (name, array.copy()) for name, array in state.items()
-                )
-        single = self.sets.get((set_id, model_index))
-        if single is not None:
-            with _trace.span(
-                "tier1-stale-hit", kind="cache", set_id=set_id, model=model_index
-            ):
-                self.stats.record(
-                    set_hits=1,
-                    stale_hits=1,
-                    logical_bytes_served=single.nbytes,
-                    bytes_saved=single.nbytes,
-                )
-                return OrderedDict(
-                    (name, array.copy())
-                    for name, array in single.value.items()
-                )
-        self.stats.record(set_misses=1)
-        return None
+        fields = {} if model_index is None else {"model": model_index}
+        with _trace.span(span, kind="cache", set_id=set_id, **fields):
+            if index is None:
+                value, nbytes = entry.value.copy(), entry.nbytes
+            else:
+                value = entry.value.copy_state(index)
+                nbytes = value.row.nbytes
+            self.stats.record(
+                set_hits=1, logical_bytes_served=nbytes, bytes_saved=nbytes, **counters
+            )
+            return value
 
     # -- miss paths --------------------------------------------------------
     def _peek(self, set_id: str) -> "dict | None":
@@ -339,11 +289,14 @@ class ServingCache:
             with _trace.span("tier2-lookup", kind="cache", chunks=len(unique)):
                 values, _missing = self.chunks.get_many(unique)
                 if chunked:
-                    store = context.chunk_store()
+                    # A digest the store no longer holds, or holds
+                    # quarantined, takes the store path, so the error the
+                    # uncached read would raise still surfaces.
+                    servable = context.chunk_store().servable(values)
                     values = {
                         digest: data
                         for digest, data in values.items()
-                        if self._servable(store, digest)
+                        if digest in servable
                     }
             self.stats.record(
                 chunk_hits=len(values),
@@ -356,20 +309,11 @@ class ServingCache:
             if unique is not None:
                 self.chunks.put_many(fetched)
             values.update(fetched)
-        states = recovery.assemble(plan, values, context.workers)
+        matrix = recovery.assemble(plan, values)
         digests = None if unique is None else frozenset(unique)
         if model_index is None:
-            return ModelSet(plan.architecture, states), digests
-        return states[0], digests
-
-    def _servable(self, store, digest: str) -> bool:
-        """Whether a tier-2 hit may stand in for this store's chunk.
-
-        A digest the store no longer holds, or holds quarantined, must
-        take the store path so the exact error the uncached read would
-        raise still surfaces (management-plane checks, uncharged).
-        """
-        return digest in store and not store.is_quarantined(digest)
+            return ModelSet.from_rows(plan.architecture, plan.schema, matrix), digests
+        return ModelState(plan.schema, matrix[0]), digests
 
 
 def apply_serving(

@@ -589,10 +589,15 @@ class ChunkStore:
         chunk = self._chunks.get(digest)
         return chunk.refs if chunk is not None else 0
 
-    def is_quarantined(self, digest: str) -> bool:
-        """Whether a digest's stored bytes currently refuse reads."""
-        chunk = self._chunks.get(digest)
-        return chunk is not None and chunk.quarantined
+    def servable(self, digests: Iterable[str]) -> "set[str]":
+        """The digests of ``digests`` a read would serve: held and not
+        quarantined."""
+        chunks = self._chunks
+        return {
+            digest
+            for digest in digests
+            if (chunk := chunks.get(digest)) is not None and not chunk.quarantined
+        }
 
     def chunk_length(self, digest: str) -> int:
         """Stored byte length of one chunk (raises for unknown digests)."""

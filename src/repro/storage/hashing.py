@@ -14,6 +14,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.nn.serialization import ModelState
+
 #: Hex characters kept from the SHA-256 digest for layer hashes.
 LAYER_HASH_LENGTH = 16
 
@@ -51,12 +53,18 @@ def hash_states(
     The per-model work is independent and hashlib releases the GIL on
     buffers larger than ~2 KiB, so with ``workers > 1`` the models are
     hashed on a thread pool.  Order (and therefore every produced hash
-    document) is identical to the serial path.
+    document) is identical to the serial path.  A
+    :class:`~repro.nn.serialization.ModelState` is hashed from slices of
+    its row: the same bytes, without a per-layer copy.
     """
     from repro.core.parallel import parallel_map
     from repro.observability import trace as _trace
 
     def hash_state(state: "OrderedDict[str, np.ndarray]") -> "list[str]":
+        if isinstance(state, ModelState):
+            data = memoryview(state.row).cast("B")
+            extents = {name: (start, stop) for name, _, start, stop in state.schema.extents}
+            return [hash_bytes(data[slice(*extents[name])], length) for name in layer_names]
         return [hash_array(state[name], length=length) for name in layer_names]
 
     if not _trace.active():

@@ -15,7 +15,7 @@ from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
 from repro.core.recovery import HASH_COLLECTION
 from repro.core.retention import RetentionManager
-from repro.errors import QuorumError
+from repro.errors import ChunkCorruptionError, QuorumError
 from repro.storage.faults import FaultInjector, inject_replica_faults
 from repro.storage.hardware import SERVER_PROFILE
 
@@ -75,6 +75,21 @@ class TestByteIdentity:
         first.state(0)[name][:] = 0.0  # caller scribbles over the result
         again = manager.recover_set(set_id)
         assert again.equals(base)
+
+    def test_mutating_a_model_sliced_from_a_cached_set_cannot_poison_it(self):
+        manager = serving_manager()
+        base = ModelSet.build("FFNN-48", num_models=2, seed=2)
+        set_id = manager.save_set(base)
+        manager.recover_set(set_id)  # caches the full set
+        hit = manager.recover_model(set_id, 1)
+        assert manager.context.serving.stats.set_hits == 1
+        name = list(hit)[0]
+        hit[name][:] = 0.0  # scribble through the view ...
+        hit[name] = np.ones_like(hit[name])  # ... and through assignment
+        assert manager.recover_set(set_id).equals(base)
+        again = manager.recover_model(set_id, 1)
+        for layer, values in base.state(1).items():
+            assert again[layer].tobytes() == values.tobytes()
 
     def test_recover_model_slices_a_cached_full_set(self):
         manager = serving_manager()
@@ -290,6 +305,25 @@ class TestInvalidation:
         assert doomed not in serving.chunks
         counters = serving.counters()
         assert counters["invalidations"] >= 1
+
+    def test_quarantined_digest_still_in_tier2_is_not_served_from_it(self):
+        # Tier 2 can hold a digest the store has quarantined (a fleet's
+        # shared tier 2 refilled by another shard): the miss must take the
+        # store path and surface the uncached read's error.
+        manager = serving_manager()
+        set_id = manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=12))
+        serving = manager.context.serving
+        manager.recover_set(set_id)
+        held, _missing = serving.chunks.get_many(serving.chunks.keys())
+        store = manager.context.chunk_store()
+        doomed = next(iter(held))
+        store.quarantine([doomed])
+        serving.chunks.put_many(held)  # back in tier 2, still quarantined
+        assert doomed in serving.chunks
+        with pytest.raises(ChunkCorruptionError):
+            manager.recover_set(set_id)
+        with pytest.raises(ChunkCorruptionError):
+            manager.approach.recover(set_id)
 
     def test_sweep_drops_collected_chunks_from_tier2(self):
         manager = serving_manager()
