@@ -6,7 +6,7 @@ MMlib-base is far slower (per-model round trips), and Update shows the
 staircase caused by its recursive chain recovery.  The Update series is
 therefore pinned to ``recovery="replay"`` — the engine's default
 delta-chain compaction flattens exactly this staircase, and its payoff
-is measured separately in ``bench_parallel_scaling.py``.  The Provenance
+is asserted in ``tests/core/test_parallel_determinism.py``.  The Provenance
 staircase is covered in ``bench_provenance_training.py``, mirroring the
 paper's reduced-training methodology (§4.4).
 """

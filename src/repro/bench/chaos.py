@@ -41,6 +41,7 @@ asserted invariant is schedule-independent.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import shutil
 import tempfile
@@ -53,7 +54,6 @@ from typing import Any
 import numpy as np
 
 from repro.bench.report import percentile
-from repro.bench.scaling import set_digest
 from repro.config import (
     ArchiveConfig,
     FleetHealthConfig,
@@ -69,6 +69,7 @@ from repro.errors import (
 )
 from repro.fleet import FleetManager, IngestQueue
 from repro.fleet.manager import shard_for
+from repro.nn.serialization import parameters_to_bytes
 from repro.storage.faults import FaultInjector, inject_faults
 from repro.storage.hardware import ARCHIVE_PROFILE, HardwareProfile
 
@@ -92,6 +93,14 @@ def oracle_set(base: ModelSet, chain: int, cycle: int) -> ModelSet:
     for index in range(len(base)):
         expected.states[index] = cycle_state(base, chain, cycle, index)
     return expected
+
+
+def set_digest(model_set: ModelSet) -> str:
+    """Content hash of a recovered set, for byte-identity checks."""
+    hasher = hashlib.sha256()
+    for state in model_set.states:
+        hasher.update(parameters_to_bytes(state))
+    return hasher.hexdigest()
 
 
 def _save_latencies_by_shard(fleet: FleetManager) -> "dict[int, list[float]]":

@@ -39,9 +39,8 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.bench.chaos import cycle_state, oracle_set
+from repro.bench.chaos import cycle_state, oracle_set, set_digest
 from repro.bench.report import percentile
-from repro.bench.scaling import set_digest
 from repro.config import (
     ArchiveConfig,
     MaintenanceConfig,

@@ -23,7 +23,7 @@ other approaches reuse for their full sets, exactly as the paper describes.
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -78,15 +78,23 @@ def _half_parameters(state) -> bytes:
     return b"".join(_layer_bytes(array, "float16") for array in state.values())
 
 
-def layer_hashes(states: list, layer_names: "list[str]", workers: int = 1):
+def layer_hashes(
+    states: list,
+    layer_names: "list[str]",
+    workers: int = 1,
+    indices: "Sequence[int] | None" = None,
+):
     """Full-length per-layer hashes of ``states``, one row per model.
 
     Hashing is the dominant compute cost of an Update save; the per-model
     work runs on ``workers`` thread lanes (hashlib drops the GIL on large
-    buffers) and the output is identical to the serial loop.
+    buffers) and the output is identical to the serial loop.  ``indices``
+    (the models' indices in their set) key the trace's ``model`` spans.
     """
     with _trace.span("hash", kind="hash"):
-        return hash_states(states, layer_names, length=64, workers=workers)
+        return hash_states(
+            states, layer_names, length=64, workers=workers, indices=indices
+        )
 
 
 class _Blocks:
@@ -149,7 +157,11 @@ class _Blocks:
         states, first = iter(self), 0
         while block := list(islice(states, self.per_block)):
             if self.hashes is not None:
-                self.hashes.extend(layer_hashes(block, layer_names, self.workers))
+                self.hashes.extend(
+                    layer_hashes(
+                        block, layer_names, self.workers, range(first, first + len(block))
+                    )
+                )
             if _trace.active():
 
                 def encode_traced(indexed):

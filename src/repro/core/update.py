@@ -206,7 +206,7 @@ class UpdateApproach(SaveApproach):
                     f"range for a {len(model_set)}-model set"
                 )
         rows = layer_hashes(
-            [model_set.state(index) for index in hashed], layer_names, workers
+            [model_set.state(index) for index in hashed], layer_names, workers, hashed
         )
         # Step 3: diff against the base set's stored hash info.
         with _trace.span("diff", kind="diff"):

@@ -1,8 +1,8 @@
 """Trace-export JSON schema and a dependency-free validator.
 
-The CI trace job asserts that every exported trace document validates
-against the checked-in copy of :data:`TRACE_SCHEMA`
-(``benchmarks/trace_schema.json``).  The validator implements the subset
+``tests/observability/test_exporters.py`` asserts that a traced run's
+exported document validates against the checked-in copy of
+:data:`TRACE_SCHEMA` (``benchmarks/trace_schema.json``).  The validator implements the subset
 of JSON Schema the trace schema uses — ``type``, ``properties``,
 ``required``, ``items``, ``enum``, ``minimum``, ``additionalProperties``
 and ``$ref`` into ``$defs`` — because the repo deliberately takes no
@@ -10,8 +10,7 @@ third-party dependencies beyond numpy.
 
 Run as a module to validate a file::
 
-    python -m repro.observability.schema results/dedup_trace.json \
-        benchmarks/trace_schema.json
+    python -m repro.observability.schema trace.json benchmarks/trace_schema.json
 """
 
 from __future__ import annotations

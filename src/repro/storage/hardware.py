@@ -90,7 +90,7 @@ M1_PROFILE = HardwareProfile(
 #: per-stream bandwidth.  Single-stream throughput is the bottleneck in
 #: this regime, which is exactly where the parallel save/recover engine
 #: (striped writes, vectored range reads across ``workers`` lanes) pays
-#: off; ``bench_parallel_scaling.py`` uses it.
+#: off; ``tests/core/test_parallel_determinism.py::TestLaneScaling`` uses it.
 ARCHIVE_PROFILE = HardwareProfile(
     name="archive",
     doc_write_latency_s=2.0e-3,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +48,7 @@ def hash_states(
     layer_names: "list[str]",
     length: int | None = None,
     workers: int = 1,
+    indices: "Sequence[int] | None" = None,
 ) -> "list[list[str]]":
     """Per-layer hashes for a list of state dicts, in schema order.
 
@@ -55,7 +57,9 @@ def hash_states(
     hashed on a thread pool.  Order (and therefore every produced hash
     document) is identical to the serial path.  A
     :class:`~repro.nn.serialization.ModelState` is hashed from slices of
-    its row: the same bytes, without a per-layer copy.
+    its row: the same bytes, without a per-layer copy.  ``indices`` are
+    the models' indices in their set, used only to key the traced path's
+    ``model`` spans (default: positions in ``states``).
     """
     from repro.core.parallel import parallel_map
     from repro.observability import trace as _trace
@@ -81,4 +85,5 @@ def hash_states(
                     hashes.append(hash_array(state[name], length=length))
             return hashes
 
-    return parallel_map(hash_state_traced, list(enumerate(states)), workers)
+    keys = range(len(states)) if indices is None else indices
+    return parallel_map(hash_state_traced, list(zip(keys, states)), workers)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.config import ArchiveConfig
+from repro.core.approach import SETS_COLLECTION
 from repro.core.lineage import LineageGraph
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
@@ -16,6 +17,8 @@ from repro.core.recovery import set_owns
 from repro.core.retention import RetentionManager
 from repro.core.verify import ArchiveVerifier
 from repro.errors import InvalidUpdatePlanError
+from repro.storage.hardware import ARCHIVE_PROFILE
+from repro.workloads.scenario import MultiModelScenario, ScenarioConfig
 
 APPROACHES = ["baseline", "update", "baseline-fp16"]
 
@@ -145,27 +148,30 @@ class TestRefcountGC:
         assert ArchiveVerifier(manager.context).verify_all(deep=True).ok
 
     def test_gc_reclaims_exactly_zero_ref_bytes(self):
-        manager, ids, _sets = self.make_chain()
-        chunk_store = manager.context.chunk_store()
-        # Predict: deleting everything but the leaf should reclaim the
-        # bytes of chunks only the doomed sets reference.
-        doomed_digests = set()
-        keep_digests = set()
-        for set_id in ids:
-            doc = manager.context.document_store._collections["model_sets"][set_id]
-            matrix = set_owns(manager.context, set_id, doc).matrix
-            target = keep_digests if set_id == ids[-1] else doomed_digests
-            target.update(d for row in matrix for d in row)
-        only_doomed = doomed_digests - keep_digests
-        expected = sum(chunk_store.chunk_length(d) for d in only_doomed)
-        report = RetentionManager(manager.context).collect(keep=[ids[-1]])
-        assert report.chunks_reclaimed == len(only_doomed)
-        # Pack rewrites may add/remove artifact bytes, but the *chunk*
-        # bytes reclaimed must match exactly.
-        assert chunk_store.stored_bytes() == sum(
-            chunk_store.chunk_length(d) for d in keep_digests
-        )
-        assert report.bytes_reclaimed >= expected
+        for approach in APPROACHES:
+            manager, ids, _sets = self.make_chain(approach)
+            chunk_store = manager.context.chunk_store()
+            # Predict: deleting everything but the leaf reclaims exactly
+            # the chunks only the doomed sets reference.
+            doomed_digests = set()
+            keep_digests = set()
+            for set_id in ids:
+                doc = manager.context.document_store.peek(SETS_COLLECTION, set_id)
+                matrix = set_owns(manager.context, set_id, doc).matrix
+                target = keep_digests if set_id == ids[-1] else doomed_digests
+                target.update(d for row in matrix for d in row)
+            only_doomed = doomed_digests - keep_digests
+            expected = sum(chunk_store.chunk_length(d) for d in only_doomed)
+            survivor = manager.recover_set(ids[-1])
+            chunk_bytes_before = chunk_store.stored_bytes()
+            report = RetentionManager(manager.context).collect(keep=[ids[-1]])
+            assert report.chunks_reclaimed == len(only_doomed), approach
+            # Pack rewrites may add/remove artifact bytes, but the *chunk*
+            # bytes fall by exactly the doomed-only chunks' length.
+            assert chunk_store.stored_bytes() == chunk_bytes_before - expected, approach
+            assert chunk_store.dead_bytes() == 0, approach
+            assert report.bytes_reclaimed >= expected, approach
+            assert manager.recover_set(ids[-1]).equals(survivor), approach
 
     def test_delete_everything_empties_the_store(self):
         manager, _ids, _sets = self.make_chain()
@@ -180,6 +186,61 @@ class TestRefcountGC:
         assert set(report.deleted_sets) == set(ids[:-2])
         assert_states_equal(manager.recover_set(ids[-1]), sets[-1])
         assert_states_equal(manager.recover_set(ids[-2]), sets[-2])
+
+
+class TestPaperScenario:
+    """The paper's default scenario on Baseline, dedup off vs on.
+
+    U1 then three U3 cycles (5 % of models fully, 10 % partially
+    updated) at 100 models on the archive profile. The time claim needs
+    that scale: at 10 models the U3 saves are latency-bound and dedup
+    makes them slower (0.83x); from about 20 models up it makes them
+    faster.
+    """
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        config = ScenarioConfig(
+            num_models=100, num_update_cycles=3, partial_update_fraction=0.10
+        )
+        cases = list(MultiModelScenario(config).use_cases())
+        return {dedup: self.run(cases, dedup) for dedup in (False, True)}
+
+    @staticmethod
+    def run(cases, dedup):
+        manager = MultiModelManager.with_approach(
+            "baseline", ArchiveConfig(profile=ARCHIVE_PROFILE, dedup=dedup)
+        )
+        stores = (manager.context.file_store, manager.context.document_store)
+        ids, u3_bytes, u3_simulated_s = [], 0, 0.0
+        for case in cases:
+            base_id = None if case.base_index is None else ids[case.base_index]
+            bytes_before = stores[0].total_bytes()
+            before = [store.stats.snapshot() for store in stores]
+            ids.append(manager.save_set(case.model_set, base_set_id=base_id))
+            if base_id is not None:
+                u3_bytes += stores[0].total_bytes() - bytes_before
+                for store, snapshot in zip(stores, before):
+                    delta = store.stats.delta_since(snapshot)
+                    u3_simulated_s += delta.simulated_write_s + delta.simulated_read_s
+        return {
+            "u3_bytes": u3_bytes,
+            "total_bytes": stores[0].total_bytes(),
+            "u3_simulated_s": u3_simulated_s,
+            "recovered": manager.recover_set(ids[-1]),
+        }
+
+    def test_u3_parameter_bytes_fall_by_30_percent(self, runs):
+        assert runs[True]["u3_bytes"] <= 0.7 * runs[False]["u3_bytes"]
+
+    def test_archive_falls_by_30_percent(self, runs):
+        assert runs[True]["total_bytes"] <= 0.7 * runs[False]["total_bytes"]
+
+    def test_u3_simulated_tts_falls(self, runs):
+        assert runs[True]["u3_simulated_s"] < runs[False]["u3_simulated_s"]
+
+    def test_recovery_identical(self, runs):
+        assert runs[True]["recovered"].equals(runs[False]["recovered"])
 
 
 class TestChainSemantics:

@@ -15,6 +15,8 @@ from repro.core.approach import SaveContext
 from repro.core.baseline import BaselineApproach
 from repro.core.model_set import ModelSet
 from repro.core.update import UpdateApproach
+from repro.storage.hardware import ARCHIVE_PROFILE
+from repro.workloads.scenario import MultiModelScenario, ScenarioConfig
 
 
 def perturb(models, model_index, layer_names):
@@ -142,11 +144,11 @@ class TestCompactionEquivalence:
         file_stats = context.file_store.stats
 
         before = file_stats.snapshot()
-        UpdateApproach(context, recovery="replay").recover(ids[-1])
+        replayed = UpdateApproach(context, recovery="replay").recover(ids[-1])
         replay_bytes = file_stats.delta_since(before).bytes_read
 
         before = file_stats.snapshot()
-        UpdateApproach(context, recovery="compact").recover(ids[-1])
+        compacted = UpdateApproach(context, recovery="compact").recover(ids[-1])
         compact_bytes = file_stats.delta_since(before).bytes_read
 
         set_bytes = len(sets[-1]) * sets[-1].schema.num_bytes
@@ -155,3 +157,55 @@ class TestCompactionEquivalence:
         # Replay reads the base snapshot plus every delta along the chain.
         assert replay_bytes > set_bytes
         assert compact_bytes < replay_bytes
+        assert compacted.equals(replayed)
+
+
+def simulated_s(context, operation):
+    """Simulated store seconds ``operation`` charges to both stores."""
+    stores = (context.file_store, context.document_store)
+    before = [store.stats.snapshot() for store in stores]
+    result = operation()
+    deltas = [store.stats.delta_since(snap) for store, snap in zip(stores, before)]
+    return result, sum(d.simulated_write_s + d.simulated_read_s for d in deltas)
+
+
+class TestLaneScaling:
+    """Striped writes and vectored reads pay the makespan of their stripes
+    across ``workers`` lanes, so transfer-bound simulated times fall."""
+
+    def test_u1_save_of_1000_models_twice_as_fast_on_four_lanes(self):
+        # Charges depend on byte and operation counts only, so one
+        # model's state stands in for all 1000. Baseline's U1 is the
+        # striped write_set alone; Update's adds a hash pass on top.
+        state = ModelSet.build("FFNN-48", num_models=1, seed=0).state(0)
+        models = ModelSet("FFNN-48", [state] * 1000)
+        seconds = {}
+        for workers in (1, 4):
+            context = SaveContext.create(
+                ArchiveConfig(profile=ARCHIVE_PROFILE, workers=workers)
+            )
+            _, seconds[workers] = simulated_s(
+                context, lambda: BaselineApproach(context).save_initial(models)
+            )
+        assert seconds[1] >= 2.0 * seconds[4]
+
+    def test_chain_recovery_twice_as_fast_on_four_lanes(self):
+        config = ScenarioConfig(
+            num_models=120, num_update_cycles=3, partial_update_fraction=0.10
+        )
+        context = SaveContext.create(ArchiveConfig(profile=ARCHIVE_PROFILE))
+        approach = UpdateApproach(context)
+        ids = []
+        for case in MultiModelScenario(config).use_cases():
+            if case.base_index is None:
+                ids.append(approach.save_initial(case.model_set))
+            else:
+                ids.append(approach.save_derived(case.model_set, ids[case.base_index]))
+        recovered, seconds = {}, {}
+        for workers in (1, 4):
+            context.workers = workers
+            recovered[workers], seconds[workers] = simulated_s(
+                context, lambda: UpdateApproach(context).recover(ids[-1])
+            )
+        assert seconds[1] >= 2.0 * seconds[4]
+        assert recovered[1].equals(recovered[4])

@@ -117,6 +117,27 @@ class TestDerivedSave:
         assert approach.context.file_store.stats.reads == reads_before
 
 
+def traced_context():
+    from repro.config import ArchiveConfig, ObservabilityConfig
+    from repro.core.approach import SaveContext
+
+    return SaveContext.create(
+        ArchiveConfig(observability=ObservabilityConfig(tracing=True))
+    )
+
+
+def model_span_keys(root):
+    """Keys of the ``model`` spans under each parent span name, in key order."""
+    keys, stack = {}, [root]
+    while stack:
+        span = stack.pop()
+        for child in span.children:
+            if child.name == "model":
+                keys.setdefault(span.name, []).append(child.key)
+            stack.append(child)
+    return {name: sorted(found) for name, found in keys.items()}
+
+
 class TestTouchedHint:
     """``touched`` narrows the hash pass; the stored set must not change."""
 
@@ -134,6 +155,27 @@ class TestTouchedHint:
             )
             assert approach.recover(set_id).equals(derived)
         assert documents[0] == documents[1]
+
+    def test_trace_keys_hash_spans_by_model_index(self):
+        context = traced_context()
+        approach = UpdateApproach(context)
+        models = ModelSet.build("FFNN-48", num_models=4, seed=0)
+        base_id = approach.save_initial(models)
+        with context.trace("save_set") as root:
+            approach.save_derived(
+                perturb(models, 3, ["0.bias"]), base_id, touched=frozenset({3})
+            )
+        assert model_span_keys(root) == {"hash": [3], "serialize": [3]}
+
+    def test_blocked_save_keys_hash_spans_by_model_index(self, monkeypatch):
+        from repro.core import baseline
+
+        models = ModelSet.build("FFNN-48", num_models=3, seed=0)
+        monkeypatch.setattr(baseline, "BLOCK_BYTES", models.schema.num_bytes)
+        context = traced_context()
+        with context.trace("save_set") as root:
+            UpdateApproach(context).save_initial(models)
+        assert model_span_keys(root) == {"hash": [0, 1, 2], "serialize": [0, 1, 2]}
 
     def test_rejects_out_of_range_indices(self, approach, models):
         base_id = approach.save_initial(models)

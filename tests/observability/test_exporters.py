@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.config import ArchiveConfig, ObservabilityConfig
+from repro.core.manager import MultiModelManager
+from repro.core.model_set import ModelSet
 from repro.observability import (
     TRACE_SCHEMA,
     MetricsRegistry,
@@ -18,6 +21,7 @@ from repro.observability import (
 )
 from repro.observability.export import OTHER_PHASE
 from repro.observability.trace import Span
+from repro.storage.hardware import ARCHIVE_PROFILE
 from repro.storage.stats import StorageStats
 
 SCHEMA_PATH = (
@@ -71,6 +75,29 @@ class TestTraceDocument:
         # consumers (and the CI trace job) validate against — it must
         # stay in lockstep with the library's schema.
         assert json.loads(SCHEMA_PATH.read_text()) == TRACE_SCHEMA
+
+    def test_traced_run_exports_against_checked_in_schema(self, tmp_path):
+        manager = MultiModelManager.with_approach(
+            "update",
+            ArchiveConfig(
+                profile=ARCHIVE_PROFILE,
+                dedup=True,
+                observability=ObservabilityConfig(tracing=True),
+            ),
+        )
+        models = ModelSet.build("FFNN-48", num_models=4, seed=0)
+        base_id = manager.save_set(models)
+        derived = models.copy()
+        derived.state(2)["0.bias"] = derived.state(2)["0.bias"] + 1.0
+        manager.recover_set(manager.save_set(derived, base_set_id=base_id))
+        path = write_trace_json(tmp_path / "trace.json", manager.context.tracer.roots)
+        document = json.loads(path.read_text())
+        schema = json.loads(SCHEMA_PATH.read_text())
+        assert validate_trace_document(document, schema) == []
+        assert len(document["traces"]) == 3
+        for trace in document["traces"]:
+            assert trace["total_simulated_s"] > 0
+            assert abs(sum(trace["phases"].values()) - trace["total_simulated_s"]) <= 1e-9
 
     def test_keyed_siblings_export_in_key_order(self):
         document = trace_document([build_trace()])

@@ -251,6 +251,26 @@ class TestDiff:
             models.schema.layer_names()[0],
         )
 
+    def test_long_chain_diffs_read_no_parameters(self, manager):
+        # A 12-version family, each save nudging one layer of one model.
+        versions, num_models = 12, 4
+        models = build_models(num_models=num_models)
+        ids = [manager.save_set(models, metadata=SetMetadata(extra={"family": "long"}))]
+        for step in range(versions - 1):
+            models = perturb(models, step % num_models, step % 4)
+            ids.append(manager.save_set(models, base_set_id=ids[-1]))
+        registry = manager.context.registry
+        assert registry.families() == ["long"]
+        assert len(registry.versions("long")) == versions
+        assert registry.resolve("long") == ids[-1]
+        for a, b in ((ids[-2], ids[-1]), (ids[0], ids[-1])):
+            before = manager.context.file_store.stats.snapshot()
+            diff = registry.diff(a, b)
+            delta = manager.context.file_store.stats.delta_since(before)
+            assert delta.reads == 0 and delta.bytes_read == 0
+            assert diff.source == "hash-info"
+        assert diff.changed_models == tuple(range(num_models))
+
     def test_diff_matches_recover_oracle(self, manager):
         models = build_models()
         a = manager.save_set(models, metadata=SetMetadata(extra={"family": "f"}))
