@@ -9,7 +9,8 @@ This module provides drop-in persistent variants:
   read lazily; the constructor only scans the index.
 * :class:`PersistentDocumentStore` — documents as
   ``<collection>/<id>.json``, also written atomically; existing
-  documents are loaded on open.
+  documents are loaded on open.  The save journal's collection is the
+  exception: one append-only log, ``save_journal.log`` (DESIGN.md §11).
 
 Both are subclasses of their in-memory counterparts that override where
 the bytes live and inherit every rule, charge and cost, so measurements
@@ -24,17 +25,22 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import struct
+import weakref
+import zlib
 from pathlib import Path
 
 from repro.errors import ConfigError, StorageError
 from repro.storage.document_store import (
     DocumentStore,
     auto_id_counter,
+    compact_json,
     document_num_bytes,
 )
 from repro.storage.file_store import ArtifactWriter, FileStore
 from repro.storage.hardware import LOCAL_PROFILE, HardwareProfile
 from repro.storage.hashing import hash_bytes
+from repro.storage.journal import JOURNAL_COLLECTION
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -158,12 +164,153 @@ class PersistentFileStore(FileStore):
         return sidecar.read_text().strip() if sidecar.exists() else None
 
 
+#: A log frame's head: the payload's length, then its CRC-32.
+_FRAME = struct.Struct("<II")
+#: A payload opens with its doc id's length; the id and the document's
+#: compact JSON follow.  A tombstone is a payload with no JSON.
+_ID_LENGTH = struct.Struct("<H")
+
+
+def _encode_frame(doc_id: str, encoded: "str | None") -> bytes:
+    """One log frame: length, CRC-32, doc id, and the compact JSON the
+    write encoded — or nothing after the id (``None``), a tombstone."""
+    key = doc_id.encode("utf-8")
+    body = b"" if encoded is None else encoded.encode("utf-8")
+    payload = _ID_LENGTH.pack(len(key)) + key + body
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _decode_frames(data: bytes):
+    """Yield ``(frame size, doc id, compact JSON or None)`` for each frame
+    of ``data``, stopping at the first torn or bad-CRC frame."""
+    offset = 0
+    while offset + _FRAME.size <= len(data):
+        length, crc = _FRAME.unpack_from(data, offset)
+        start, end = offset + _FRAME.size, offset + _FRAME.size + length
+        if length < _ID_LENGTH.size or end > len(data):
+            return
+        payload = data[start:end]
+        (key_length,) = _ID_LENGTH.unpack_from(payload)
+        body = _ID_LENGTH.size + key_length
+        if zlib.crc32(payload) != crc or body > length:
+            return
+        yield (
+            end - offset,
+            payload[_ID_LENGTH.size : body].decode("utf-8"),
+            payload[body:].decode("utf-8") if body < length else None,
+        )
+        offset = end
+
+
+class _DocumentLog:
+    """One collection of a :class:`PersistentDocumentStore` kept as an
+    append-only file of frames (:func:`_encode_frame`).
+
+    The handle opens at the first frame after the log was last emptied
+    and closes when it is emptied again; frames are written unbuffered,
+    so a killed process loses nothing the OS already holds.  There is
+    no fsync, as nowhere else in the stores.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self._handle = None
+        self._close = None
+        #: Bytes in the file.
+        self.size = 0
+        #: doc id -> size of the frame holding its current value.
+        self._live: dict[str, int] = {}
+        #: The sum of ``_live``'s frame sizes.
+        self.live_bytes = 0
+
+    def _note(self, doc_id: str, frame_size: int, encoded: "str | None") -> None:
+        self.size += frame_size
+        self.live_bytes -= self._live.pop(doc_id, 0)
+        if encoded is not None:
+            self._live[doc_id] = frame_size
+            self.live_bytes += frame_size
+
+    def replay(self) -> "dict[str, str]":
+        """``{doc id: compact JSON}`` of the live documents in the log's
+        intact prefix; a torn or bad-CRC tail is truncated away."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return {}
+        documents: dict[str, str] = {}
+        for frame_size, doc_id, encoded in _decode_frames(data):
+            self._note(doc_id, frame_size, encoded)
+            documents[doc_id] = encoded
+        if self.size < len(data):
+            os.truncate(self.path, self.size)
+        return {doc_id: encoded for doc_id, encoded in documents.items() if encoded}
+
+    def holds(self, doc_id: str) -> bool:
+        return doc_id in self._live
+
+    def append(self, doc_id: str, encoded: "str | None") -> None:
+        """Append one document's frame, or its tombstone (``None``)."""
+        frame = _encode_frame(doc_id, encoded)
+        if self._handle is None:
+            self._handle = open(self.path, "ab", buffering=0)
+            # Closes a handle a crashed transaction left open once the
+            # store is collected, or at exit.
+            self._close = weakref.finalize(self, self._handle.close)
+        try:
+            view = memoryview(frame)
+            while view:
+                view = view[self._handle.write(view) :]
+        except OSError:
+            # A frame cut short (a full disk) must not be followed by the
+            # next one: replay would stop at it and lose that frame too.
+            os.truncate(self.path, self.size)
+            raise
+        self._note(doc_id, len(frame), encoded)
+
+    def oversized(self) -> bool:
+        """Whether the log holds more than twice its live frames."""
+        return self.size > 2 * self.live_bytes
+
+    def rewrite(self, documents: dict) -> None:
+        """Replace the log by one frame per live document (temp file +
+        rename); ``documents`` holds their current values by id.  An id
+        whose tombstone failed to append is still live in the log but gone
+        from ``documents``; the rewrite drops it."""
+        frames = {
+            doc_id: _encode_frame(doc_id, compact_json(document))
+            for doc_id, document in documents.items()
+            if doc_id in self._live
+        }
+        # Not through _atomic_write: the log's bytes are not document files.
+        temp = self.path.with_suffix(self.path.suffix + ".tmp")
+        temp.write_bytes(b"".join(frames.values()))
+        self._close_handle()
+        os.replace(temp, self.path)
+        self._live = {doc_id: len(frame) for doc_id, frame in frames.items()}
+        self.size = self.live_bytes = sum(self._live.values())
+
+    def clear(self) -> None:
+        """Truncate the log to zero bytes and close its handle."""
+        if self.size:
+            os.truncate(self.path, 0)
+        self._close_handle()
+        self.size = self.live_bytes = 0
+        self._live.clear()
+
+    def _close_handle(self) -> None:
+        if self._handle is not None:
+            self._close()
+            self._handle = None
+
+
 class PersistentDocumentStore(DocumentStore):
     """Document store persisted as ``<collection>/<id>.json`` files.
 
     Existing documents are loaded (without charging the latency model) on
     open, each remembered at its compact-JSON size whatever the file's
-    spelling; inserts write through atomically.
+    spelling; inserts write through atomically.  The save journal's
+    collection is one append-only log instead, ``save_journal.log``
+    (:class:`_DocumentLog`), emptied whenever the collection empties.
     """
 
     def __init__(
@@ -172,6 +319,7 @@ class PersistentDocumentStore(DocumentStore):
         super().__init__(profile=profile)
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
+        self.sweep_temp_files()
         for collection_dir in self._directory.iterdir():
             if not collection_dir.is_dir():
                 continue
@@ -182,20 +330,65 @@ class PersistentDocumentStore(DocumentStore):
                 self._sizes[(collection_dir.name, doc_path.stem)] = (
                     document_num_bytes(document)
                 )
+        #: Journal documents still in the per-file layout of older code:
+        #: each file is unlinked when its document is retired.
+        self._legacy_journal = set(self._collections.get(JOURNAL_COLLECTION, ()))
+        self._journal_log = _DocumentLog(self._directory / f"{JOURNAL_COLLECTION}.log")
+        for doc_id, encoded in self._journal_log.replay().items():
+            self._hold(JOURNAL_COLLECTION, doc_id, encoded)
+        if not self._collections.get(JOURNAL_COLLECTION):
+            self._journal_log.clear()
         # Resume auto-ids beyond anything already on disk.
         self._id_counter = auto_id_counter(
             doc_id for documents in self._collections.values() for doc_id in documents
         )
 
+    def sweep_temp_files(self) -> int:
+        """Remove the temp files of writes a crash interrupted (each
+        collection's ``*.json.tmp``, the log's rewrite); returns how many."""
+        leftovers = [
+            *self._directory.glob("*/*.json.tmp"),
+            *self._directory.glob(f"{JOURNAL_COLLECTION}.log.tmp"),
+        ]
+        for leftover in leftovers:
+            leftover.unlink(missing_ok=True)
+        return len(leftovers)
+
     def _persist(self, collection: str, doc_id: str, encoded: "str | None") -> None:
         """Write the document's current state through: the text the write
         encoded, atomically — or no file, once the document is gone."""
+        if collection == JOURNAL_COLLECTION:
+            self._persist_logged(doc_id, encoded)
+            return
         path = self._directory / collection / f"{doc_id}.json"
         if encoded is None:
             path.unlink(missing_ok=True)
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(path, encoded.encode("utf-8"))
+
+    def _persist_logged(self, doc_id: str, encoded: "str | None") -> None:
+        """:meth:`_persist` of the journal collection: append to its log.
+
+        Only a document frame can trigger the rewrite: a retirement
+        tombstones a header and then each of its records, so mid-way its
+        live set shrinks toward the truncation that ends it.
+        """
+        log = self._journal_log
+        if encoded is not None:
+            log.append(doc_id, encoded)
+            if log.oversized():
+                log.rewrite(self._collections[JOURNAL_COLLECTION])
+            return
+        if doc_id in self._legacy_journal:
+            self._legacy_journal.discard(doc_id)
+            (self._directory / JOURNAL_COLLECTION / f"{doc_id}.json").unlink(
+                missing_ok=True
+            )
+        if not self._collections.get(JOURNAL_COLLECTION):
+            log.clear()
+        elif log.holds(doc_id):
+            log.append(doc_id, None)
 
     def _drop_if_empty(self, collection: str) -> None:
         super()._drop_if_empty(collection)

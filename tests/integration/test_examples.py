@@ -30,7 +30,14 @@ def test_all_examples_are_covered():
 @pytest.mark.parametrize("example", EXAMPLES)
 def test_example_runs_clean(example):
     result = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / example)],
+        [
+            sys.executable,
+            "-W",
+            "error::DeprecationWarning",
+            "-W",
+            "error::RuntimeWarning",
+            str(EXAMPLES_DIR / example),
+        ],
         capture_output=True,
         text=True,
         timeout=300,

@@ -1,6 +1,9 @@
 """Unit tests of the write-ahead save journal."""
 
+import hashlib
+import json
 import os
+import shutil
 
 import pytest
 
@@ -15,7 +18,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.storage.chunk_index import REFS_COLLECTION
-from repro.storage.document_store import DocumentStore
+from repro.storage.document_store import DocumentStore, compact_json
 from repro.storage.faults import (
     FaultInjector,
     inject_faults,
@@ -28,6 +31,11 @@ from repro.storage.journal import (
     SaveJournal,
     attach_journal,
     innermost,
+)
+from repro.storage.persistent import (
+    PersistentDocumentStore,
+    _decode_frames,
+    _encode_frame,
 )
 from repro.storage.replication import replicated_stores
 
@@ -465,6 +473,196 @@ class TestNewCrashPoints:
             assert innermost(state.store).peek_collection(JOURNAL_COLLECTION) == {}
         assert scrub_archive(manager.context).exit_code == 0
         assert manager.recover_set(set_id).equals(models)
+
+    def test_replica_that_missed_a_retirement_keeps_its_log_bounded(
+        self, tmp_path, monkeypatch
+    ):
+        manager = MultiModelManager.open(
+            str(tmp_path), "baseline", ArchiveConfig(replicas=3)
+        )
+        manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=0))
+        _file_rep, doc_rep = replicated_stores(manager.context)
+        stale = innermost(doc_rep.replicas[1].store)
+        real_delete = stale._delete_raw
+        missed = []
+
+        def delete(collection, doc_id):
+            if collection == JOURNAL_COLLECTION and "." in doc_id and not missed:
+                missed.append(doc_id)
+                raise StorageError("replica-1 misses one record's retirement")
+            real_delete(collection, doc_id)
+
+        monkeypatch.setattr(stale, "_delete_raw", delete)
+        manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=1))
+        monkeypatch.undo()
+        assert missed
+
+        log = tmp_path / "replica-1" / "documents" / f"{JOURNAL_COLLECTION}.log"
+
+        def live_frame_bytes():
+            return sum(
+                len(_encode_frame(doc_id, compact_json(document)))
+                for doc_id, document in stale.peek_collection(JOURNAL_COLLECTION).items()
+            )
+
+        for seed in range(2, 22):
+            models = ModelSet.build("FFNN-48", num_models=2, seed=seed)
+            set_id = manager.save_set(models)
+            # The rule is checked at every document frame: a header is one.
+            with manager.context.journal.begin("probe"):
+                assert log.stat().st_size <= 2 * live_frame_bytes()
+        assert list(stale.peek_collection(JOURNAL_COLLECTION)) == missed
+        assert manager.context.document_store.peek(JOURNAL_COLLECTION, missed[0]) is None
+        assert manager.context.journal.pending_entries() == []
+        assert ArchiveFsck(manager.context).run().pending_journal == []
+
+        assert scrub_archive(manager.context).exit_code == 1
+        assert stale.peek_collection(JOURNAL_COLLECTION) == {}
+        assert log.stat().st_size == 0
+        assert scrub_archive(manager.context).exit_code == 0
+        assert manager.recover_set(set_id).equals(models)
+
+
+def tree_digests(root) -> dict:
+    """``{relative path: SHA-256}`` of every file under ``root``."""
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestTornTail:
+    def test_every_cut_of_the_last_frame_recovers_the_pre_save_archive(
+        self, tmp_path, monkeypatch
+    ):
+        crashed = tmp_path / "crashed"
+        manager = MultiModelManager.open(str(crashed), "update")
+        models = ModelSet.build("FFNN-48", num_models=2, seed=0)
+        base_id = manager.save_set(models)
+        pre_save = tree_digests(crashed)
+        derived = models.copy()
+        derived.state(1)["0.bias"][:] += 1.0
+        # The process dies right after appending record k, before its
+        # mutation: cutting that frame is a death mid-append.
+        k = 1 + SEED_BASE % 3
+        real_write = SaveJournal._write
+
+        def write(journal, doc_id, document):
+            real_write(journal, doc_id, document)
+            if doc_id.endswith(f".{k}"):
+                raise SimulatedCrashError(f"killed after record {k}")
+
+        monkeypatch.setattr(SaveJournal, "_write", write)
+        with pytest.raises(SimulatedCrashError):
+            manager.save_set(derived, base_set_id=base_id)
+        monkeypatch.undo()
+        del manager
+        data = (crashed / "documents" / f"{JOURNAL_COLLECTION}.log").read_bytes()
+        frame_sizes = [size for size, _doc_id, _encoded in _decode_frames(data)]
+        assert sum(frame_sizes) == len(data) and len(frame_sizes) > 1
+        last = len(data) - frame_sizes[-1]
+
+        for cut in range(last, len(data)):
+            archive = tmp_path / f"cut-{cut}"
+            shutil.copytree(crashed, archive)
+            log = archive / "documents" / f"{JOURNAL_COLLECTION}.log"
+            log.write_bytes(data[:cut])
+            # Open cuts the torn tail at the last whole frame; the next
+            # write lands right after it.
+            store = PersistentDocumentStore(archive / "documents")
+            assert log.stat().st_size == last
+            store._write_raw(JOURNAL_COLLECTION, "probe", {"v": 1})
+            assert log.read_bytes() == data[:last] + _encode_frame("probe", '{"v":1}')
+            store._delete_raw(JOURNAL_COLLECTION, "probe")
+            del store
+
+            reopened = MultiModelManager.open(str(archive), "update")
+            report = reopened.recovery_report
+            assert [entry["txn"] for entry in report.rolled_back] == ["txn-000001"]
+            assert tree_digests(archive) == pre_save
+            assert ArchiveFsck(reopened.context).run().ok
+            assert reopened.list_sets() == [base_id]
+            set_id = reopened.save_set(derived, base_set_id=base_id)
+            assert MultiModelManager.open(str(archive), "update").recover_set(
+                set_id
+            ).equals(derived)
+            shutil.rmtree(archive)
+
+
+class TestLegacyLayout:
+    """Journals written by older code: one ``save_journal/<id>.json`` file
+    per header and record."""
+
+    @staticmethod
+    def write_legacy(root, doc_id, document):
+        directory = root / "documents" / JOURNAL_COLLECTION
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{doc_id}.json").write_text(json.dumps(document))
+
+    @staticmethod
+    def archive_with_loose_state(root):
+        manager = MultiModelManager.open(str(root), "baseline")
+        set_id = manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=0))
+        context = manager.context
+        context.document_store.insert("notes", {"v": 1}, doc_id="kept")
+        context.file_store.put(b"torn", artifact_id="torn")
+        context.document_store.insert("notes", {"v": 9}, doc_id="added")
+        context.document_store.replace("notes", "kept", {"v": 2})
+        context.file_store.put(b"old", artifact_id="victim")
+        return set_id
+
+    def test_pending_entry_rolls_back_and_committing_entry_is_redone(self, tmp_path):
+        set_id = self.archive_with_loose_state(tmp_path)
+        self.write_legacy(tmp_path, "txn-000040", {
+            "status": "pending", "kind": "save", "approach": "baseline",
+        })
+        for seq, op in enumerate([
+            {"op": "put_artifact", "artifact_id": "torn"},
+            {"op": "insert_doc", "collection": "notes", "doc_id": "added"},
+            {"op": "replace_doc", "collection": "notes", "doc_id": "kept",
+             "prior": {"v": 1}},
+        ]):
+            self.write_legacy(tmp_path, f"txn-000040.{seq}", op)
+        self.write_legacy(tmp_path, "txn-000041", {
+            "status": "committing", "kind": "gc", "approach": None,
+            "deletes": ["victim"],
+        })
+
+        reopened = MultiModelManager.open(str(tmp_path), "baseline")
+        report = reopened.recovery_report
+        assert report.redone == ["txn-000041"]
+        assert [entry["txn"] for entry in report.rolled_back] == ["txn-000040"]
+        assert report.artifacts_removed == ["torn"]
+        assert report.documents_restored == 1
+        store = reopened.context.document_store
+        assert store.get("notes", "kept") == {"v": 1}
+        assert not store.exists("notes", "added")
+        assert not reopened.context.file_store.exists("torn")
+        assert not reopened.context.file_store.exists("victim")
+        assert reopened.list_sets() == [set_id]
+        assert not (tmp_path / "documents" / JOURNAL_COLLECTION).exists()
+        assert (tmp_path / "documents" / f"{JOURNAL_COLLECTION}.log").stat().st_size == 0
+
+    def test_single_legacy_document_without_a_log(self, tmp_path):
+        self.archive_with_loose_state(tmp_path)
+        log = tmp_path / "documents" / f"{JOURNAL_COLLECTION}.log"
+        log.unlink()
+        self.write_legacy(tmp_path, "txn-000007", {
+            "status": "committing", "kind": "gc", "approach": None,
+            "deletes": ["victim"],
+        })
+
+        reopened = MultiModelManager.open(str(tmp_path), "baseline")
+        assert reopened.recovery_report.redone == ["txn-000007"]
+        assert not reopened.context.file_store.exists("victim")
+        assert not (tmp_path / "documents" / JOURNAL_COLLECTION).exists()
+        # Retiring legacy files writes no frame: the log comes with the
+        # first journal record.
+        assert not log.exists()
+        reopened.save_set(ModelSet.build("FFNN-48", num_models=2, seed=1))
+        assert log.stat().st_size == 0
+        assert journal_ids(reopened.context) == []
 
 
 class TestPreChangeEntries:

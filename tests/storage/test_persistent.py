@@ -1,5 +1,7 @@
 """Tests for the disk-backed stores and the durable manager."""
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from repro.errors import (
     DuplicateArtifactError,
     StorageError,
 )
+from repro.storage.journal import JOURNAL_COLLECTION
 from repro.storage.persistent import (
     PersistentDocumentStore,
     PersistentFileStore,
+    _encode_frame,
     open_context,
 )
 
@@ -115,6 +119,128 @@ class TestPersistentDocumentStore:
         store = PersistentDocumentStore(tmp_path)
         with pytest.raises(DocumentNotFoundError):
             store.replace("c", "ghost", {})
+
+    def test_reopen_sweeps_temp_files_of_interrupted_writes(self, tmp_path):
+        store = PersistentDocumentStore(tmp_path)
+        store.insert("model_sets", {"v": 1}, doc_id="set-1")
+        # A kill between _atomic_write's temp write and its rename.
+        leftover = tmp_path / "model_sets" / "set-2.json.tmp"
+        leftover.write_text('{"v": 2}')
+        reopened = PersistentDocumentStore(tmp_path)
+        assert not leftover.exists()
+        assert reopened.collection_ids("model_sets") == ["set-1"]
+
+
+class TestJournalLog:
+    """The journal collection is one append-only log per store root."""
+
+    def test_writes_append_frames_and_empty_truncates(self, tmp_path):
+        store = PersistentDocumentStore(tmp_path)
+        log = tmp_path / f"{JOURNAL_COLLECTION}.log"
+        assert not log.exists()
+        store._write_raw(JOURNAL_COLLECTION, "txn-000000", {"status": "pending"})
+        store._write_raw(JOURNAL_COLLECTION, "txn-000000.0", {"op": "x"})
+        assert log.read_bytes() == _encode_frame(
+            "txn-000000", '{"status":"pending"}'
+        ) + _encode_frame("txn-000000.0", '{"op":"x"}')
+        store._delete_raw(JOURNAL_COLLECTION, "txn-000000")
+        assert log.read_bytes().endswith(_encode_frame("txn-000000", None))
+        store._delete_raw(JOURNAL_COLLECTION, "txn-000000.0")
+        assert log.read_bytes() == b""
+        assert not (tmp_path / JOURNAL_COLLECTION).exists()
+
+    def test_reopen_replays_frames_and_tombstones(self, tmp_path):
+        store = PersistentDocumentStore(tmp_path)
+        store._write_raw(JOURNAL_COLLECTION, "a", {"v": 1})
+        store._write_raw(JOURNAL_COLLECTION, "b", {"v": 2})
+        store._write_raw(JOURNAL_COLLECTION, "a", {"v": 3})
+        store._delete_raw(JOURNAL_COLLECTION, "b")
+        reopened = PersistentDocumentStore(tmp_path)
+        assert reopened.peek_collection(JOURNAL_COLLECTION) == {"a": {"v": 3}}
+        assert reopened.stored_size(JOURNAL_COLLECTION, "a") == len('{"v":3}')
+
+    def test_bad_crc_frame_ends_the_replay(self, tmp_path):
+        store = PersistentDocumentStore(tmp_path)
+        store._write_raw(JOURNAL_COLLECTION, "a", {"v": 1})
+        store._write_raw(JOURNAL_COLLECTION, "b", {"v": 2})
+        store._write_raw(JOURNAL_COLLECTION, "c", {"v": 3})
+        log = tmp_path / f"{JOURNAL_COLLECTION}.log"
+        data = bytearray(log.read_bytes())
+        first = len(_encode_frame("a", '{"v":1}'))
+        data[first + 12] ^= 0xFF  # inside b's payload
+        log.write_bytes(bytes(data))
+        reopened = PersistentDocumentStore(tmp_path)
+        assert reopened.peek_collection(JOURNAL_COLLECTION) == {"a": {"v": 1}}
+        assert log.stat().st_size == first
+
+    def test_a_failed_append_leaves_no_torn_frame_behind(self, tmp_path):
+        store = PersistentDocumentStore(tmp_path)
+        store._write_raw(JOURNAL_COLLECTION, "a", {"v": 1})
+        real = store._journal_log._handle
+
+        class FullDisk:
+            def write(self, data):
+                real.write(bytes(data[:5]))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+        store._journal_log._handle = FullDisk()
+        with pytest.raises(OSError):
+            store._write_raw(JOURNAL_COLLECTION, "b", {"v": 2})
+        store._journal_log._handle = real
+        store._write_raw(JOURNAL_COLLECTION, "c", {"v": 3})
+        assert PersistentDocumentStore(tmp_path).peek_collection(JOURNAL_COLLECTION) == {
+            "a": {"v": 1}, "c": {"v": 3},
+        }
+
+    def test_rewrite_drops_a_document_whose_tombstone_failed(self, tmp_path):
+        store = PersistentDocumentStore(tmp_path)
+        store._write_raw(JOURNAL_COLLECTION, "stale", {"v": 0})
+        store._write_raw(JOURNAL_COLLECTION, "gone", {"v": 1})
+        real = store._journal_log._handle
+
+        class FullDisk:
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+        store._journal_log._handle = FullDisk()
+        with pytest.raises(OSError):
+            store._delete_raw(JOURNAL_COLLECTION, "gone")
+        store._journal_log._handle = real
+        # "gone" left the collection but is still live in the log; these
+        # frames grow the log past the rewrite bound.
+        for index in range(10):
+            store._write_raw(JOURNAL_COLLECTION, f"t{index}", {"v": index})
+            store._delete_raw(JOURNAL_COLLECTION, f"t{index}")
+        store._write_raw(JOURNAL_COLLECTION, "new", {"v": 2})
+        log = tmp_path / f"{JOURNAL_COLLECTION}.log"
+        live = len(_encode_frame("stale", '{"v":0}')) + len(_encode_frame("new", '{"v":2}'))
+        assert log.stat().st_size <= 2 * live
+        # A rewrite dropped "gone": no frame of it is left to replay.
+        assert PersistentDocumentStore(tmp_path).peek_collection(JOURNAL_COLLECTION) == {
+            "stale": {"v": 0}, "new": {"v": 2},
+        }
+
+    def test_log_is_rewritten_past_twice_its_live_frames(self, tmp_path):
+        store = PersistentDocumentStore(tmp_path)
+        store._write_raw(JOURNAL_COLLECTION, "stale", {"v": 0})
+        for index in range(10):
+            store._write_raw(JOURNAL_COLLECTION, f"t{index}", {"v": index})
+            store._delete_raw(JOURNAL_COLLECTION, f"t{index}")
+        store._write_raw(JOURNAL_COLLECTION, "new", {"v": 1})
+        log = tmp_path / f"{JOURNAL_COLLECTION}.log"
+        live = len(_encode_frame("stale", '{"v":0}')) + len(_encode_frame("new", '{"v":1}'))
+        assert log.stat().st_size <= 2 * live
+        reopened = PersistentDocumentStore(tmp_path)
+        assert reopened.peek_collection(JOURNAL_COLLECTION) == {
+            "stale": {"v": 0}, "new": {"v": 1},
+        }
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestDurableManager:
