@@ -27,6 +27,7 @@ from repro.core.model_set import ModelSet
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.datasets.registry import DatasetRegistry, default_registry
 from repro.errors import RecoveryError
+from repro.observability import trace as _trace
 from repro.storage.chunk_index import ChunkStore
 from repro.storage.document_store import DocumentStore
 from repro.storage.file_store import FileStore
@@ -215,8 +216,6 @@ class SaveContext:
 
     def set_document(self, set_id: str) -> dict:
         """Fetch a set's descriptor document (charged as a store read)."""
-        from repro.observability import trace as _trace
-
         with _trace.span("set-doc", kind="metadata", set_id=set_id):
             return self.document_store.get(SETS_COLLECTION, set_id)
 

@@ -23,6 +23,7 @@ from repro.core.provenance import ProvenanceApproach
 from repro.core.quantized import QuantizedBaselineApproach
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.core.update import UpdateApproach
+from repro.storage.document_store import thaw
 
 #: Approach name -> class, for :meth:`MultiModelManager.with_approach`.
 APPROACHES: dict[str, type[SaveApproach]] = {
@@ -333,8 +334,10 @@ class MultiModelManager:
         return self.context.document_store.collection_ids(SETS_COLLECTION)
 
     def set_info(self, set_id: str) -> dict:
-        """The raw descriptor document of a saved set."""
-        return self.context.set_document(set_id)
+        """The raw descriptor document of a saved set: a plain dict the
+        caller may edit (a :func:`~repro.storage.document_store.thaw` of
+        the store's read-only document)."""
+        return thaw(self.context.set_document(set_id))
 
     def find_sets(
         self,

@@ -39,6 +39,7 @@ from repro.core.model_set import ModelSet
 from repro.errors import DocumentNotFoundError, RecoveryError
 from repro.nn.serialization import StateSchema
 from repro.observability import trace as _trace
+from repro.storage.document_store import FrozenDict
 
 if TYPE_CHECKING:
     from repro.core.approach import SaveApproach
@@ -185,6 +186,48 @@ def chain_documents(
 
 
 # -- resolve ----------------------------------------------------------------
+class DiffColumns(NamedTuple):
+    """A delta descriptor's diff list as read-only columns."""
+
+    #: The model each diff entry writes.
+    writers: np.ndarray
+    #: How many layers each entry writes.
+    counts: np.ndarray
+    #: Every entry's layers, flat, in diff order.
+    layers: np.ndarray
+
+
+def _columns_of(document: dict) -> DiffColumns:
+    entries = document["diff"]
+    changed = [entry[1] for entry in entries]
+    counts = np.fromiter(map(len, changed), np.int64, len(entries))
+    columns = DiffColumns(
+        np.fromiter(map(itemgetter(0), entries), np.int64, len(entries)),
+        counts,
+        np.fromiter(chain.from_iterable(changed), np.int64, int(counts.sum())),
+    )
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+#: Empty columns, so a chain with no delta concatenates like any other.
+_NO_DIFF = _columns_of({"diff": []})
+
+
+def diff_columns(document: dict) -> DiffColumns:
+    """The diff columns of a delta descriptor.
+
+    Built once per held document: a store read returns the same
+    read-only object until a write replaces it (DESIGN.md §13), so the
+    columns live on it (:meth:`FrozenDict.derive`) and need no
+    invalidation.  A plain dict is converted on every call.
+    """
+    if isinstance(document, FrozenDict):
+        return document.derive(_columns_of)
+    return _columns_of(document)
+
+
 def _select(num_models: int, model_index: "int | None", set_id: str) -> "list[int]":
     if model_index is None:
         return list(range(num_models))
@@ -251,19 +294,16 @@ def resolve_chain(
 
     # One flat pass over every diff entry of the chain, newest delta
     # first; a segment is one (entry, layer) extent of its delta's blob.
-    entries = [entry for document in deltas for entry in document["diff"]]
-    changed = [entry[1] for entry in entries]
-    writers = np.fromiter(map(itemgetter(0), entries), np.int64, len(entries))
-    counts = np.fromiter(map(len, changed), np.int64, len(entries))
-    layers = np.fromiter(chain.from_iterable(changed), np.int64, int(counts.sum()))
-    if len(entries) and int(writers.max()) >= num_models:
+    columns = [diff_columns(document) for document in deltas]
+    writers, counts, layers = map(np.concatenate, zip(_NO_DIFF, *columns))
+    if len(writers) and int(writers.max()) >= num_models:
         raise RecoveryError(
             f"diff references model {int(writers.max())} beyond set size"
         )
     nbytes = sizes[layers]
     starts = np.concatenate(([0], np.cumsum(nbytes)))
     # Segment index and byte position at which each delta begins (+ end).
-    first_entry = np.cumsum([0] + [len(document["diff"]) for document in deltas])
+    first_entry = np.cumsum([0] + [len(column.writers) for column in columns])
     first_segment = np.concatenate(([0], np.cumsum(counts)))[first_entry]
     first_byte = starts[first_segment]
     # Newest writer wins: of the selected models' segments, the first
@@ -276,22 +316,23 @@ def resolve_chain(
     order = np.argsort(first)
     final, final_slots = selected[first[order]], claimed[order]
     final_starts, final_nbytes = starts[final], nbytes[final]
-    # Each delta's final segments are one contiguous run of ``final``.
+    # Each delta's final segments are one contiguous run of ``final``,
+    # addressed from the start of that delta's blob.
     cuts = np.searchsorted(final, first_segment)
-    sources: list[Source] = []
-    for depth, document in enumerate(deltas):
-        run = slice(cuts[depth], cuts[depth + 1])
-        sources.append(
-            Source(
-                document["params_artifact"],
-                str(document.get("codec", "none")),
-                depth,
-                int(first_byte[depth + 1] - first_byte[depth]),
-                final_starts[run] - first_byte[depth],
-                final_nbytes[run],
-                final_slots[run],
-            )
+    final_offsets = final_starts - np.repeat(first_byte[:-1], np.diff(cuts))
+    cuts, totals = cuts.tolist(), np.diff(first_byte).tolist()
+    sources = [
+        Source(
+            document["params_artifact"],
+            str(document.get("codec", "none")),
+            depth,
+            totals[depth],
+            final_offsets[cuts[depth] : cuts[depth + 1]],
+            final_nbytes[cuts[depth] : cuts[depth + 1]],
+            final_slots[cuts[depth] : cuts[depth + 1]],
         )
+        for depth, document in enumerate(deltas)
+    ]
 
     # Base snapshot: everything no delta finalized.
     unclaimed = np.ones(len(models) * num_layers, dtype=bool)

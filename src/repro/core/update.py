@@ -210,12 +210,12 @@ class UpdateApproach(SaveApproach):
         )
         # Step 3: diff against the base set's stored hash info.
         with _trace.span("diff", kind="diff"):
-            # The charged get returns a private copy of the base's matrix:
-            # it becomes the new set's, with the hashed models' rows
-            # swapped in as they are diffed.
-            new_hashes = self.context.document_store.get(
-                HASH_COLLECTION, base_set_id
-            )["hashes"]
+            # The charged get returns the base's stored (read-only)
+            # matrix; a shallow copy of its rows becomes the new set's,
+            # with the hashed models' rows swapped in as they are diffed.
+            new_hashes = list(
+                self.context.document_store.get(HASH_COLLECTION, base_set_id)["hashes"]
+            )
             if len(new_hashes) != len(model_set) or any(
                 len(row) != len(layer_names) for row in new_hashes
             ):

@@ -500,7 +500,7 @@ class FleetManager:
                 break
             chain.append(current)
             try:
-                document = self.shards[shard].set_info(current)
+                document = self.shards[shard].context.set_document(current)
             except DocumentNotFoundError:
                 root = current
                 break

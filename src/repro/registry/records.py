@@ -14,7 +14,6 @@ pass that repairs torn saves.
 from __future__ import annotations
 
 from repro.storage.document_store import check_document_key
-from repro.storage.journal import innermost
 
 #: Directory name of the fleet-level registry subtree under a fleet root
 #: (outside every shard, like ``deadletter/``).
@@ -88,12 +87,3 @@ def journaled_delete(store, journal, collection: str, doc_id: str):
                 }
             )
     store._delete_raw(collection, doc_id)
-
-
-def raw_documents(store, collection: str):
-    """``(doc_id, document)`` pairs of a collection, raw, in id order."""
-    inner = innermost(store)
-    return [
-        (doc_id, inner._read_raw(collection, doc_id))
-        for doc_id in inner.collection_ids(collection)
-    ]

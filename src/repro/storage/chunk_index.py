@@ -312,8 +312,11 @@ class ChunkStore:
         if digest in superseded:
             return
         superseded.add(digest)
-        doc["superseded"] = sorted(superseded)
-        self.document_store.replace(PACKS_COLLECTION, old_chunk.artifact_id, doc)
+        self.document_store.replace(
+            PACKS_COLLECTION,
+            old_chunk.artifact_id,
+            {**doc, "superseded": sorted(superseded)},
+        )
 
     # -- read -----------------------------------------------------------------
     def fetch(self, digests: Iterable[str], workers: int = 1) -> dict[str, bytes]:

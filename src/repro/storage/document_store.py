@@ -4,7 +4,8 @@ Models a MongoDB-style service: named collections of JSON documents, each
 insert/fetch being one round trip.  Document size is measured as the
 compact-JSON encoding, which is what the storage-consumption metric counts
 for metadata.  A store remembers that size from the one encoding each
-write does, so a charged read is one copy and no encode (DESIGN.md §13).
+write does, and holds the document as a read-only tree built at that
+write, so a charged read neither encodes nor copies (DESIGN.md §13).
 
 MMlib-base performs one insert per model; the set-oriented approaches
 perform O(1) inserts per set — the operation counters make that O3
@@ -15,14 +16,15 @@ from __future__ import annotations
 
 import itertools
 import json
-import marshal
-from typing import Any
+from itertools import chain
+from typing import Any, Callable, TypeVar
 
 from repro.errors import DocumentNotFoundError, StorageError
 from repro.storage.hardware import LOCAL_PROFILE, HardwareProfile
 from repro.storage.stats import StorageStats
 
 JsonDocument = dict[str, Any]
+T = TypeVar("T")
 
 
 def compact_json(document: JsonDocument) -> str:
@@ -37,17 +39,94 @@ def document_num_bytes(document: JsonDocument) -> int:
     return len(compact_json(document))
 
 
-def copy_document(document: JsonDocument) -> JsonDocument:
-    """A caller's private copy of a stored document.
+def _read_only(self, *_args, **_kwargs):
+    raise TypeError(
+        "a stored document is read-only: thaw() it for an editable copy"
+    )
 
-    A stored document is a tree ``json.loads`` built — dicts with string
-    keys, lists, strings, numbers, booleans, ``None``, nothing shared —
-    and ``marshal`` round-trips exactly those types, so the copy equals
-    the JSON round trip it replaces.  Measured the fastest of the JSON,
-    pickle and recursive-copy round trips on both a 2.2 KB delta
-    descriptor and a 538 KB hash-info document (DESIGN.md §13).
+
+class FrozenDict(dict):
+    """A held document's objects: a ``dict`` whose mutators raise.
+
+    It compares equal to, and encodes like, the plain dict it spells.
     """
-    return marshal.loads(marshal.dumps(document))
+
+    __slots__ = ("_derived",)
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+    def derive(self, build: Callable[["FrozenDict"], T]) -> T:
+        """``build(self)``, computed once and kept with this object.
+
+        A held document never changes — a replace holds a new object —
+        so nothing derived from it goes stale.  Threads racing on the
+        first call may each build; they build equal values.
+        """
+        try:
+            derived = self._derived
+        except AttributeError:
+            derived = self._derived = {}
+        try:
+            return derived[build]
+        except KeyError:
+            value = derived[build] = build(self)
+            return value
+
+
+class FrozenList(list):
+    """A held document's arrays: a ``list`` whose mutators raise."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = reverse = sort = clear = _read_only
+
+    def __reduce__(self):
+        return type(self), (list(self),)
+
+
+def _frozen_list(items: list) -> FrozenList:
+    # A row of scalars (a diff entry's layers) is wrapped whole, and a
+    # matrix of them (the hash rows) with no Python call per row; only
+    # a row holding arrays among other values is walked.  Objects are
+    # frozen already: the decoder builds them inside out.
+    kinds = set(map(type, items))
+    if list in kinds:
+        if kinds == {list} and list not in set(map(type, chain.from_iterable(items))):
+            return FrozenList(map(FrozenList, items))
+        items = [_frozen_list(item) if type(item) is list else item for item in items]
+    return FrozenList(items)
+
+
+def _frozen_object(decoded: dict) -> FrozenDict:
+    if list in set(map(type, decoded.values())):
+        decoded.update(
+            {key: _frozen_list(value) for key, value in decoded.items() if type(value) is list}
+        )
+    return FrozenDict(decoded)
+
+
+def load_frozen(encoded: str) -> JsonDocument:
+    """The read-only tree the compact JSON ``encoded`` spells.
+
+    What every store holds and every read returns (DESIGN.md §13): built
+    once, when the document is written or loaded, and never copied.
+    """
+    # Text with no "[" spells no array: every object is frozen as decoded.
+    hook = _frozen_object if "[" in encoded else FrozenDict
+    return json.loads(encoded, object_hook=hook)
+
+
+def thaw(document: Any) -> Any:
+    """A caller's editable deep copy of a read-only document (or any
+    value in one): plain dicts and lists throughout."""
+    if isinstance(document, dict):
+        return {key: thaw(value) for key, value in document.items()}
+    if isinstance(document, list):
+        return [thaw(item) for item in document]
+    return document
 
 
 def unsafe_name(name: str) -> bool:
@@ -132,10 +211,11 @@ class DocumentStore:
     def _hold(self, collection: str, doc_id: str, encoded: str) -> int:
         """Keep the document ``encoded`` spells, and its size; returns it.
 
-        Decoding the text is the private copy that decouples the store
-        from the caller's references and normalises the tree to JSON.
+        Decoding the text decouples the store from the caller's
+        references and normalises the tree to JSON; the tree is built
+        read-only (:func:`load_frozen`), so every read can return it.
         """
-        self._collections.setdefault(collection, {})[doc_id] = json.loads(encoded)
+        self._collections.setdefault(collection, {})[doc_id] = load_frozen(encoded)
         self._sizes[(collection, doc_id)] = num_bytes = len(encoded)
         return num_bytes
 
@@ -149,22 +229,23 @@ class DocumentStore:
 
     # -- read ------------------------------------------------------------
     def get(self, collection: str, doc_id: str) -> JsonDocument:
-        """Fetch one document; raises :class:`DocumentNotFoundError`."""
+        """Fetch one document, read-only (see :meth:`peek`); raises
+        :class:`DocumentNotFoundError`."""
         try:
             document = self._collections[collection][doc_id]
         except KeyError:
             raise DocumentNotFoundError(
                 f"no document {doc_id!r} in collection {collection!r}"
             ) from None
-        return self._charged_copy(collection, doc_id, document)
+        return self._charged_read(collection, doc_id, document)
 
-    def _charged_copy(
+    def _charged_read(
         self, collection: str, doc_id: str, document: JsonDocument
     ) -> JsonDocument:
-        """One charged read: the remembered size, and a private copy."""
+        """One charged read: the remembered size; the held document."""
         num_bytes = self._sizes[(collection, doc_id)]
         self.stats.record_read(num_bytes, self.profile.doc_read_cost(num_bytes))
-        return copy_document(document)
+        return document
 
     def find(
         self, collection: str, **equals: Any
@@ -179,7 +260,7 @@ class DocumentStore:
         for doc_id, document in self._collections.get(collection, {}).items():
             if all(document.get(key) == value for key, value in equals.items()):
                 matches.append(
-                    (doc_id, self._charged_copy(collection, doc_id, document))
+                    (doc_id, self._charged_read(collection, doc_id, document))
                 )
         return matches
 
@@ -215,11 +296,9 @@ class DocumentStore:
             self._collections.pop(collection, None)
 
     def _read_raw(self, collection: str, doc_id: str) -> JsonDocument | None:
-        """Fetch a document copy without charging; ``None`` when missing."""
-        document = self._collections.get(collection, {}).get(doc_id)
-        if document is None:
-            return None
-        return copy_document(document)
+        """:meth:`peek` under the raw plane's name (the journal and the
+        registry read through it)."""
+        return self.peek(collection, doc_id)
 
     def delete(self, collection: str, doc_id: str) -> None:
         """Remove a document (used by garbage collection).
@@ -269,8 +348,8 @@ class DocumentStore:
     def peek(self, collection: str, doc_id: str) -> JsonDocument | None:
         """The stored document itself, uncharged; ``None`` when missing.
 
-        **Read-only**: no copy is made, so mutating the result corrupts
-        the store.  Use :meth:`get` for a charged private copy.
+        Read-only, like every read (its mutators raise; :func:`thaw` is
+        the editable copy): it differs from :meth:`get` only by the charge.
         """
         return self._collections.get(collection, {}).get(doc_id)
 

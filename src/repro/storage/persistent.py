@@ -23,7 +23,6 @@ every store pair; ``open_context`` assembles a durable
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import struct
 import weakref
@@ -36,6 +35,7 @@ from repro.storage.document_store import (
     auto_id_counter,
     compact_json,
     document_num_bytes,
+    load_frozen,
 )
 from repro.storage.file_store import ArtifactWriter, FileStore
 from repro.storage.hardware import LOCAL_PROFILE, HardwareProfile
@@ -307,7 +307,8 @@ class PersistentDocumentStore(DocumentStore):
     """Document store persisted as ``<collection>/<id>.json`` files.
 
     Existing documents are loaded (without charging the latency model) on
-    open, each remembered at its compact-JSON size whatever the file's
+    open, read-only like every held document (:func:`load_frozen`), each
+    remembered at its compact-JSON size whatever the file's
     spelling; inserts write through atomically.  The save journal's
     collection is one append-only log instead, ``save_journal.log``
     (:class:`_DocumentLog`), emptied whenever the collection empties.
@@ -325,7 +326,7 @@ class PersistentDocumentStore(DocumentStore):
                 continue
             for doc_path in collection_dir.glob("*.json"):
                 documents = self._collections.setdefault(collection_dir.name, {})
-                document = json.loads(doc_path.read_text())
+                document = load_frozen(doc_path.read_text())
                 documents[doc_path.stem] = document
                 self._sizes[(collection_dir.name, doc_path.stem)] = (
                     document_num_bytes(document)

@@ -74,7 +74,6 @@ from repro.observability import trace as _trace
 from repro.storage.document_store import (
     auto_id_counter,
     check_document_key,
-    copy_document,
     document_num_bytes,
 )
 from repro.storage.file_store import WriterContext, check_artifact_id
@@ -1259,18 +1258,18 @@ class ReplicatedDocumentStore(_ReplicaSet):
             raise DocumentNotFoundError(
                 f"no document {doc_id!r} in collection {collection!r}"
             )
-        return self._charged_copy(index, collection, doc_id, document)
+        return self._charged_read(index, collection, doc_id, document)
 
-    def _charged_copy(self, index: int, collection: str, doc_id: str, document: dict) -> dict:
+    def _charged_read(self, index: int, collection: str, doc_id: str, document: dict) -> dict:
         """One charged read of replica ``index``'s winning ballot: its
-        remembered size at the read-quorum cost, and a private copy."""
+        remembered size at the read-quorum cost; the (read-only) ballot."""
         num_bytes = self._size_on(index, collection, doc_id)
         self.stats.record_read(num_bytes, self._read_quorum_cost(num_bytes))
-        return copy_document(document)
+        return document
 
     def find(self, collection: str, **equals) -> list[tuple[str, dict]]:
         return [
-            (doc_id, self._charged_copy(index, collection, doc_id, document))
+            (doc_id, self._charged_read(index, collection, doc_id, document))
             for doc_id, (index, document) in self._elect_collection(collection).items()
             if all(document.get(key) == value for key, value in equals.items())
         ]
@@ -1302,10 +1301,7 @@ class ReplicatedDocumentStore(_ReplicaSet):
         )
 
     def _read_raw(self, collection: str, doc_id: str) -> dict | None:
-        document = self.peek(collection, doc_id)
-        if document is None:
-            return None
-        return copy_document(document)
+        return self.peek(collection, doc_id)
 
     # -- inspection (uncharged) --------------------------------------------
     def exists(self, collection: str, doc_id: str) -> bool:

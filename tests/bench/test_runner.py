@@ -100,8 +100,11 @@ class TestOtherExperiments:
     def test_figure5_staircase_and_constants(self):
         result = run_experiment("figure5", SMALL)
         series = result.data["series"]
-        # Update TTR grows along the chain; baseline stays flat.
-        assert series["update"][2] > series["update"][0]
+        # Update TTR grows along the chain: asserted on the simulated
+        # store time, which the replayed chain decides (one wall-inclusive
+        # sample per set is the host's to decide).  Baseline stays flat.
+        simulated = result.data["simulated"]["update"]
+        assert simulated[2] > simulated[0]
         baseline = series["baseline"]
         assert max(baseline) < 3 * min(baseline) + 1e-3
         assert len(series["provenance"]) == 3

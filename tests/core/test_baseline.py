@@ -7,6 +7,7 @@ from repro.core.baseline import BaselineApproach
 from repro.core.model_set import ModelSet
 from repro.core.save_info import SetMetadata
 from repro.errors import RecoveryError
+from repro.storage.document_store import thaw
 
 
 @pytest.fixture
@@ -92,7 +93,7 @@ class TestRecoverErrors:
 
     def test_corrupt_artifact_length_rejected(self, approach, models):
         set_id = approach.save_initial(models)
-        document = approach.context.document_store.get(SETS_COLLECTION, set_id)
+        document = thaw(approach.context.document_store.get(SETS_COLLECTION, set_id))
         # Shrink the declared model count to force a length mismatch.
         document["num_models"] = 99
         approach.context.document_store._collections[SETS_COLLECTION][

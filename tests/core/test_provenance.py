@@ -9,6 +9,7 @@ from repro.core.save_info import ModelUpdate, UpdateInfo
 from repro.datasets.battery import battery_dataset_ref
 from repro.battery.datagen import CellDataConfig
 from repro.errors import InvalidUpdatePlanError, ProvenanceReplayError
+from repro.storage.document_store import thaw
 from repro.training.pipeline import PipelineConfig, TrainingPipeline
 
 
@@ -183,8 +184,9 @@ class TestStrictEnvironment:
         # machine with a different numpy.
         from repro.core.approach import SETS_COLLECTION
 
-        document = context.document_store._collections[SETS_COLLECTION][set_id]
+        document = thaw(context.document_store.get(SETS_COLLECTION, set_id))
         document["environment"]["numpy_version"] = "0.0.1"
+        context.document_store.replace(SETS_COLLECTION, set_id, document)
         with pytest.raises(ProvenanceReplayError):
             approach.recover(set_id)
 

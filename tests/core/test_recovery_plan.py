@@ -6,8 +6,13 @@ codec none/zlib, dedup off/on, whole-set and single-model selectors —
 the executor returns the bytes the paper's replay recovery returns,
 resolves from metadata alone, reads one set's worth of parameter bytes at
 any depth, fetches exactly what a warm tier 2 lacks, and salvage loses
-exactly the models whose rows reference a corrupt chunk.
+exactly the models whose rows reference a corrupt chunk.  A plan built
+from the diff columns memoized on held descriptors equals one built from
+thawed (plain) descriptors, across compaction and a reopen, and a
+replaced descriptor never serves its predecessor's columns.
 """
+
+import tempfile
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -16,8 +21,18 @@ from hypothesis import strategies as st
 from repro.config import ArchiveConfig, ServingConfig
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
-from repro.core.recovery import digest_matrix, layer_nbytes, resolve
+from repro.core.approach import SETS_COLLECTION
+from repro.core.recovery import (
+    chain_documents,
+    diff_columns,
+    digest_matrix,
+    layer_nbytes,
+    resolve,
+    resolve_chain,
+)
+from repro.core.retention import RetentionManager
 from repro.core.update import UpdateApproach
+from repro.storage.document_store import thaw
 from repro.storage.faults import corrupt_artifact
 
 NUM_MODELS = 4
@@ -35,10 +50,15 @@ property_settings = settings(
 )
 
 
-def build_chain(cycles, codec="none", dedup=False, serving=False):
-    """Save U1 plus one derived set per cycle; returns manager, ids, sets."""
+def build_chain(cycles, codec="none", dedup=False, serving=False, directory=None):
+    """Save U1 plus one derived set per cycle; returns manager, ids, sets.
+
+    In memory, or on disk under ``directory``."""
     config = ArchiveConfig(dedup=dedup, serving=ServingConfig(enabled=serving))
-    manager = MultiModelManager.with_approach("update", config, codec=codec)
+    if directory is None:
+        manager = MultiModelManager.with_approach("update", config, codec=codec)
+    else:
+        manager = MultiModelManager.open(directory, "update", config)
     sets = [ModelSet.build("FFNN-48", num_models=NUM_MODELS, seed=0)]
     ids = [manager.save_set(sets[0])]
     names = sets[0].schema.layer_names()
@@ -157,3 +177,75 @@ class TestSalvage:
         ]
         for index, state in report.models.items():
             assert same_state(state, sets[-1].state(index))
+
+
+def plan_fields(plan) -> tuple:
+    """A plan as plain values, for equality."""
+    return (
+        plan.architecture, plan.schema, plan.dtype, plan.models, plan.digests,
+        [
+            (source.artifact, source.codec, source.depth, source.total, source.whole,
+             source.offsets.tolist(), source.nbytes.tolist(), source.slots.tolist())
+            for source in plan.sources
+        ],
+    )
+
+
+def thawed_plan(approach, set_id, selector):
+    """The oracle: ``resolve_chain`` over plain copies of the chain."""
+    base_doc, _base_id, deltas = chain_documents(approach, set_id)
+    return resolve_chain(
+        thaw(base_doc), [thaw(document) for document in deltas], set_id, selector
+    )
+
+
+def assert_memo_matches_thawed(manager, ids):
+    for set_id in ids:
+        for selector in (None, *range(NUM_MODELS)):
+            for _ in range(2):  # the second resolve serves memoized columns
+                memoized = resolve(manager.approach, set_id, selector)
+                assert plan_fields(memoized) == plan_fields(
+                    thawed_plan(manager.approach, set_id, selector)
+                )
+
+
+class TestMemoizedColumns:
+    @given(cycles=chains.filter(len), compacted=st.integers(0, 6))
+    @property_settings
+    def test_memoized_plan_equals_the_thawed_plan(self, cycles, compacted):
+        with tempfile.TemporaryDirectory() as directory:
+            manager, ids, sets = build_chain(cycles, directory=directory)
+            assert_memo_matches_thawed(manager, ids)
+            RetentionManager(manager.context).compact(ids[compacted % len(ids)])
+            assert_memo_matches_thawed(manager, ids)
+            manager = MultiModelManager.open(directory, "update", ArchiveConfig())
+            assert_memo_matches_thawed(manager, ids)
+            for set_id, expected in zip(ids, sets):
+                assert manager.recover_set(set_id).equals(expected)
+
+    def test_a_replaced_descriptor_never_serves_stale_columns(self):
+        cycles = [{0: {0, 1}, 1: {2}}, {1: {0}, 3: {1, 2}}, {0: {3}, 2: {0}}]
+        manager, ids, sets = build_chain(cycles)
+        store = manager.context.document_store
+        assert_memo_matches_thawed(manager, ids)
+        held = store.peek(SETS_COLLECTION, ids[2])
+        assert diff_columns(held) is diff_columns(held)
+
+        # Compaction replaces the delta by a snapshot: a new object, and
+        # the chain above it now stops there.
+        assert RetentionManager(manager.context).compact(ids[2])
+        assert store.peek(SETS_COLLECTION, ids[2]) is not held
+        assert_memo_matches_thawed(manager, ids)
+        plan = resolve(manager.approach, ids[-1])
+        assert [source.depth for source in plan.sources] == [0, None]
+        assert manager.recover_set(ids[-1]).equals(sets[-1])
+
+        # A descriptor replaced with a different diff gets its own columns.
+        top = store.peek(SETS_COLLECTION, ids[-1])
+        before = diff_columns(top)
+        edited = thaw(top)
+        edited["diff"] = edited["diff"][:1]
+        store.replace(SETS_COLLECTION, ids[-1], edited)
+        after = diff_columns(store.peek(SETS_COLLECTION, ids[-1]))
+        assert len(after.writers) == 1 < len(before.writers)
+        assert_memo_matches_thawed(manager, ids)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.update import HASH_COLLECTION, UpdateApproach
 from repro.core.model_set import ModelSet
 from repro.errors import InvalidUpdatePlanError, RecoveryError
+from repro.storage.document_store import thaw
 
 
 @pytest.fixture
@@ -276,7 +277,7 @@ class TestCorruption:
         # with the touched hint it would be copied forward.
         base_id = approach.save_initial(models)
         store = approach.context.document_store
-        document = store.get(HASH_COLLECTION, base_id)
+        document = thaw(store.get(HASH_COLLECTION, base_id))
         if truncate == "rows":
             document["hashes"] = document["hashes"][:-1]
         else:

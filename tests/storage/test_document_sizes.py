@@ -5,8 +5,9 @@ size from the one encoding its write does (DESIGN.md §13).  An op
 sequence over the three store shapes — memory, on disk, and three
 replicas on disk — checks after every step that each remembered size is
 the document's compact encoding and that ``total_bytes`` is their sum;
-a charged or raw read hands out a private copy; and a document found at
-reopen is remembered at its compact size whatever the file's spelling.
+a charged or raw read hands out the held document, which refuses every
+edit; and a document found at reopen is remembered at its compact size
+whatever the file's spelling.
 """
 
 import json
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DocumentNotFoundError
-from repro.storage.document_store import DocumentStore
+from repro.storage.document_store import DocumentStore, thaw
 from repro.storage.file_store import FileStore
 from repro.storage.journal import innermost, open_journal
 from repro.storage.persistent import PersistentDocumentStore
@@ -175,7 +176,7 @@ def test_remembered_sizes_are_the_compact_encoding(shape, sequence):
             check_sizes(store)
 
 
-# -- private copies ---------------------------------------------------------
+# -- read-only reads --------------------------------------------------------
 DOC = {"type": "update", "diff": [[0, [1, 2]], [3, [4]]], "meta": {"tags": ["x"]}}
 
 
@@ -194,13 +195,21 @@ def store(request, tmp_path):
 )
 def test_mutating_a_read_leaves_the_store_unchanged(store, read):
     store.insert("sets", DOC, doc_id="s1")
-    copy = read(store)
-    assert copy == DOC
-    copy["diff"][0][1].append(99)
-    copy["meta"]["tags"].clear()
-    copy["type"] = "mutated"
+    document = read(store)
+    assert document == DOC
+    edits = (
+        lambda: document["diff"][0][1].append(99),
+        lambda: document["meta"]["tags"].clear(),
+        lambda: document.__setitem__("type", "mutated"),
+    )
+    for edit in edits:
+        with pytest.raises(TypeError, match="thaw"):
+            edit()
     assert store.peek("sets", "s1") == DOC
-    assert read(store) == DOC
+    assert read(store) is document == DOC
+    editable = thaw(document)
+    editable["diff"][0][1].append(99)
+    assert editable != DOC and read(store) == DOC
     check_sizes(store)
 
 

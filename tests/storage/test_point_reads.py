@@ -1,15 +1,22 @@
 """The document inspection plane: ``peek`` / ``peek_collection``.
 
-``peek`` is ``get`` minus the charge and minus the copy, on every store
-shape; a charged ``get`` costs exactly the document's compact encoding
-and hands back a private copy; and the replicated store's unanimous-vote
-fast path elects the same ballot as its canonical-encoding path.
+``peek`` is ``get`` minus the charge, on every store shape; a charged
+``get`` costs exactly the document's compact encoding and hands back the
+held document; every read is read-only — each mutator raises, the store
+is unchanged, and ``thaw`` is the editable copy; and the replicated
+store's unanimous-vote fast path elects the same ballot as its
+canonical-encoding path.
 """
 
 import pytest
 
 from repro.errors import QuorumError, ReplicaUnavailableError
-from repro.storage.document_store import DocumentStore, document_num_bytes
+from repro.storage.document_store import (
+    DocumentStore,
+    compact_json,
+    document_num_bytes,
+    thaw,
+)
 from repro.storage.faults import (
     FaultInjector,
     FaultyDocumentStore,
@@ -71,19 +78,20 @@ class TestPeekIsGetMinusTheCharge:
         assert store.peek("sets", "s1") is store.peek("sets", "s1")
         assert store.peek_collection("sets")["s1"] is store.peek("sets", "s1")
 
-    def test_get_charges_the_compact_encoding_and_copies(self, store):
+    def test_get_charges_the_compact_encoding_and_returns_the_held_document(
+        self, store
+    ):
         store.insert("sets", DOC, doc_id="s1")
         before = store.stats.snapshot()
         fetched = store.get("sets", "s1")
         delta = store.stats.delta_since(before)
         assert (delta.reads, delta.bytes_read) == (1, document_num_bytes(DOC))
-        fetched["nested"]["b"].append("mine")
-        assert store.peek("sets", "s1") == DOC
+        assert fetched is store.peek("sets", "s1")
         [(found_id, found)] = store.find("sets", type="update")
         delta = store.stats.delta_since(before)
         assert (delta.reads, delta.bytes_read) == (2, 2 * document_num_bytes(DOC))
-        found["n"] = -1
-        assert (found_id, store.peek("sets", "s1")) == ("s1", DOC)
+        assert (found_id, found) == ("s1", DOC)
+        assert found is fetched is store._read_raw("sets", "s1")
 
     def test_downed_faulty_store_refuses_peek(self):
         inner = DocumentStore()
@@ -97,6 +105,75 @@ class TestPeekIsGetMinusTheCharge:
             faulty.peek("sets", "s1")
         with pytest.raises(ReplicaUnavailableError):
             faulty.peek_collection("sets")
+
+
+def _raises(edit) -> bool:
+    try:
+        edit()
+    except TypeError as error:
+        return "thaw" in str(error)
+    return False
+
+
+#: Every mutator of a dict and of a list, as an edit of a read's part.
+DICT_EDITS = {
+    "setitem": lambda doc: doc.__setitem__("n", 4),
+    "delitem": lambda doc: doc.__delitem__("n"),
+    "ior": lambda doc: doc.__ior__({"n": 4}),
+    "clear": lambda doc: doc.clear(),
+    "pop": lambda doc: doc.pop("n"),
+    "popitem": lambda doc: doc.popitem(),
+    "setdefault": lambda doc: doc.setdefault("new", 1),
+    "update": lambda doc: doc.update(n=4),
+}
+LIST_EDITS = {
+    "setitem": lambda row: row.__setitem__(0, 9),
+    "slice-setitem": lambda row: row.__setitem__(slice(0, 1), [9]),
+    "delitem": lambda row: row.__delitem__(0),
+    "iadd": lambda row: row.__iadd__([9]),
+    "imul": lambda row: row.__imul__(2),
+    "append": lambda row: row.append(9),
+    "extend": lambda row: row.extend([9]),
+    "insert": lambda row: row.insert(0, 9),
+    "pop": lambda row: row.pop(),
+    "remove": lambda row: row.remove(1),
+    "reverse": lambda row: row.reverse(),
+    "sort": lambda row: row.sort(),
+    "clear": lambda row: row.clear(),
+}
+READS = {
+    "get": lambda store: store.get("sets", "s1"),
+    "find": lambda store: store.find("sets", type="update")[0][1],
+    "_read_raw": lambda store: store._read_raw("sets", "s1"),
+    "peek": lambda store: store.peek("sets", "s1"),
+    "peek_collection": lambda store: store.peek_collection("sets")["s1"],
+}
+
+
+class TestReadsAreReadOnly:
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_every_mutator_raises_and_the_store_is_unchanged(self, store, read):
+        store.insert("sets", DOC, doc_id="s1")
+        before = counters(store)
+        document = READS[read](store)
+        charged = counters(store)
+        refused = [
+            f"{part}.{name}"
+            for part, target, edits in (
+                ("document", document, DICT_EDITS),
+                ("nested", document["nested"], DICT_EDITS),
+                ("row", document["nested"]["b"], LIST_EDITS),
+            )
+            for name, edit in edits.items()
+            if _raises(lambda: edit(target))
+        ]
+        assert len(refused) == 2 * len(DICT_EDITS) + len(LIST_EDITS)
+        assert counters(store) == charged
+        assert READS[read](store) is document == DOC
+        assert store.peek("sets", "s1") == DOC
+        assert document == thaw(document)
+        assert compact_json(document) == compact_json(thaw(document)) == compact_json(DOC)
+        assert (charged == before) == (read in ("_read_raw", "peek", "peek_collection"))
 
 
 class TestReplicatedPeek:
