@@ -7,12 +7,17 @@ deployment needs to save, recover, query, and serve model sets, with
 the same compatibility promise as the ``repro-archive`` CLI:
 
 * :class:`ArchiveConfig` — every archive knob, one frozen dataclass.
-* :class:`MultiModelManager` — save/recover on one archive.
-* :class:`FleetManager` / :class:`IngestQueue` — sharded fleets and
-  their coalescing async front door.
+* :class:`MultiModelManager` / :class:`FleetManager` — one archive
+  engine under two names: save/recover on a plain archive (one shard
+  rooted at its directory) or a sharded fleet, whichever the directory
+  holds.  They differ only in what a fresh directory or an in-memory
+  archive becomes: the directory itself, or ``shard-0/``.  Neither
+  refuses the other's topology any more: ``shards=N`` builds a fleet
+  under either name, and either name opens an existing plain archive.
+* :class:`IngestQueue` — the coalescing async front door.
 * :class:`Registry` — the catalog: families, versions, tags, lineage,
-  and layer-level diffs (``manager.context.registry`` on plain
-  archives, ``fleet.registry`` on fleets).
+  and layer-level diffs (``manager.registry``; on a plain archive also
+  ``manager.context.registry``).
 * :class:`ModelSet` / :class:`SetMetadata` — the payload and its
   user-supplied metadata (``extra={"family": ...}`` names a family).
 * :class:`ServingCache` — the tiered read cache.

@@ -33,13 +33,13 @@ the topology.  ``fsck`` and ``scrub`` exit 0 when clean, 1 when issues
 were found that are repairable (or were repaired), and 2 on
 unrecoverable data loss.
 
-A sharded fleet layout (``shard-<i>/`` subtrees, written by
-:class:`~repro.fleet.FleetManager`) is auto-detected the same way;
+A sharded fleet layout (``shard-<i>/`` subtrees) is auto-detected the
+same way;
 ``--shards N`` asks for a fleet of exactly N shards and is refused on a
 plain archive or a fleet of another size.  There is one dispatcher and
-one archive view (:func:`~repro.cli.common.open_view`): a plain archive
-is a fleet of one shard rooted at its own directory, so every verb is
-written once.  ``info``/``fsck``/``scrub``/``verify``/``lineage``/
+one archive view (:func:`~repro.cli.common.open_view`, the archive
+engine opened for management): a plain archive is the engine's one shard
+rooted at its own directory, so every verb is written once.  ``info``/``fsck``/``scrub``/``verify``/``lineage``/
 ``stats`` run per shard (exit code = worst shard, keeping the 0/1/2
 contract; a fleet adds ``== shard-<i> ==`` banners and ``fleet …``
 totals), ``gc --keep-last`` applies the retention policy across every

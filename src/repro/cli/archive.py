@@ -25,13 +25,11 @@ from repro.storage.hardware import SERVER_PROFILE
 def _cmd_info(view: ArchiveView, args: argparse.Namespace) -> int:
     """Summarize every shard; a fleet first prints its totals and families."""
     if view.sharded:
-        contexts = view.contexts
         print(f"fleet: {view.num} shards")
         if view.missing:
             print(f"fleet shards DOWN: {len(view.missing)}")
-        sets = sum(len(c.document_store.collection_ids(SETS_COLLECTION)) for c in contexts)
-        print(f"fleet sets: {sets}")
-        print(f"fleet stored bytes: {sum(c.total_bytes() for c in contexts):,}")
+        print(f"fleet sets: {len(view.engine.list_sets())}")
+        print(f"fleet stored bytes: {view.engine.total_stored_bytes():,}")
         families = view.catalog.families() if view.has_catalog else []
         if families:
             print(f"fleet families: {', '.join(families)}")

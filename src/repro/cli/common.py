@@ -18,16 +18,15 @@ from pathlib import Path
 
 from repro.config import ArchiveConfig, ObservabilityConfig, ServingConfig
 from repro.core.approach import SETS_COLLECTION, SaveContext
-from repro.core.manager import APPROACHES, MultiModelManager
-from repro.errors import RegistryError, ReproError
-from repro.registry import REGISTRY_DIR
+from repro.core.manager import MultiModelManager, open_shards
+from repro.errors import ReproError
+from repro.registry import attach_registry
 from repro.storage.hardware import (
     ARCHIVE_PROFILE,
     LOCAL_PROFILE,
     M1_PROFILE,
     SERVER_PROFILE,
 )
-from repro.storage.persistent import open_context, shard_roots
 
 #: ``--profile`` choices → the latency model charged per store operation.
 PROFILES = {
@@ -103,8 +102,6 @@ def _manager_for(context: SaveContext, approach: str | None) -> MultiModelManage
         raise ReproError(
             "archive is empty or mixes approaches; pass --approach explicitly"
         )
-    if name not in APPROACHES:
-        raise ReproError(f"unknown approach {name!r}; known: {sorted(APPROACHES)}")
     return MultiModelManager.with_approach(name, context=context)
 
 
@@ -112,31 +109,34 @@ def _manager_for(context: SaveContext, approach: str | None) -> MultiModelManage
 class ArchiveView:
     """The shards a verb runs against, plain or fleet alike.
 
-    A plain archive is a fleet of one shard rooted at its own directory:
-    one context labelled ``archive``, its catalog the context-attached
-    registry.  A fleet is its ``shard-<i>/`` contexts, labelled
-    ``shard-<i>``, and the root ``registry/`` catalog.  ``contexts`` holds
-    the present shards in index order, ``indices`` their shard numbers,
-    ``missing`` the shards whose directory is gone.
+    ``engine`` is the archive engine opened over the directory for
+    management (no approach bound; see :func:`open_view`): a plain
+    archive is its one shard, labelled ``archive``, with the catalog in
+    place; a fleet is its ``shard-<i>/`` shards and the root
+    ``registry/`` catalog.  ``missing`` holds the shards that could not
+    be opened (directory gone or unreadable); ``contexts`` the others, in
+    index order, and ``indices`` their shard numbers.
     """
 
     directory: Path
-    sharded: bool
-    contexts: "list[SaveContext]"
-    indices: "list[int]"
+    engine: MultiModelManager
     missing: "list[int]"
 
     @property
-    def num(self) -> int:
-        return len(self.indices) + len(self.missing)
+    def sharded(self) -> bool:
+        return self.engine.sharded
 
     @property
-    def sources(self) -> "list[tuple[int | None, SaveContext]]":
-        """``(shard, context)`` pairs as the catalog tags them (``None`` plain)."""
-        return [
-            (index if self.sharded else None, context)
-            for index, context in zip(self.indices, self.contexts)
-        ]
+    def num(self) -> int:
+        return self.engine.num_shards
+
+    @property
+    def indices(self) -> "list[int]":
+        return [index for index in range(self.num) if index not in self.missing]
+
+    @property
+    def contexts(self) -> "list[SaveContext]":
+        return [self.engine.shards[index].context for index in self.indices]
 
     def each(self, verb, banner: bool = True) -> int:
         """Run ``verb(index, context)`` on every shard; the worst exit wins.
@@ -166,37 +166,18 @@ class ArchiveView:
             )
 
     def owner(self, set_id: str) -> SaveContext:
-        """The context holding ``set_id`` (a plain archive's only one)."""
-        if not self.sharded:
-            return self.contexts[0]
-        for context in self.contexts:
-            if context.document_store.exists(SETS_COLLECTION, set_id):
-                return context
-        raise ReproError(
-            f"set {set_id!r} not found on any of the {len(self.contexts)} shard(s)"
-        )
+        """The context holding ``set_id``."""
+        return self.engine.shards[self.engine.shard_of(set_id)].context
 
     @property
     def has_catalog(self) -> bool:
-        """Whether a catalog exists; asking never creates a fleet's."""
-        return not self.sharded or (self.directory / REGISTRY_DIR).is_dir()
+        """Whether a catalog is kept; asking never creates a fleet's."""
+        return self.engine.has_catalog
 
     @cached_property
     def catalog(self):
-        """The registry: the plain context's, or the fleet root's (opened,
-        and created when absent, on first use)."""
-        if not self.sharded:
-            return self.contexts[0].registry
-        from repro.registry import open_fleet_registry
-
-        by_shard = dict(self.sources)
-
-        def resolver(shard):
-            if shard not in by_shard:
-                raise RegistryError(f"registry record routes to unknown shard {shard!r}")
-            return by_shard[shard]
-
-        return open_fleet_registry(self.directory / REGISTRY_DIR, resolver=resolver)
+        """The engine's catalog (a fleet's is created on first use)."""
+        return self.engine.registry
 
     def families(self, index: int) -> "list[str]":
         """Families with a version on shard ``index`` (all, on a plain archive)."""
@@ -208,61 +189,22 @@ class ArchiveView:
             {record.family for record in self.catalog.records() if record.shard == index}
         )
 
-    def maintenance_targets(self) -> list:
-        from repro.maintenance import MaintenanceTarget
-
-        return [
-            MaintenanceTarget(
-                f"shard-{index}" if self.sharded else "archive", context, context.mutex
-            )
-            for index, context in zip(self.indices, self.contexts)
-        ]
-
 
 def open_view(directory: str, config: ArchiveConfig) -> ArchiveView:
     """Open the archive at ``directory`` as an :class:`ArchiveView`.
 
-    The topology comes from :func:`~repro.storage.persistent.shard_roots`
-    (``--shards`` is ``config.shards``).  A fleet's shards open without a
-    registry of their own — bound to the root catalog when ``registry/``
-    exists — and with fleet observability: one trace recorder shared
-    across shards (concurrent fleet traces stay one stream), and metrics
-    registering each shard's stats under a ``fleet_shard_<i>_`` prefix
-    instead of the colliding single-archive names.  Missing shards are
-    reported, never recreated.
+    The engine's own shard assembly
+    (:func:`~repro.core.manager.open_shards`; ``--shards`` is
+    ``config.shards``) with ``registry=False``, so no fleet catalog is
+    created at open: a fleet's root ``registry/`` is kept when it exists,
+    and a plain archive's catalog, which lives in its own document store,
+    is kept always.  Every verb records into the catalog kept.  Missing
+    shards are reported, never recreated.
     """
-    root = Path(directory)
-    roots, missing = shard_roots(root, config.shards)
-    if roots == [root]:
-        return ArchiveView(root, False, [open_context(root, config=config)], [0], [])
-    shard_config = config.with_(
-        shards=None, registry=False, observability=ObservabilityConfig()
+    config = config.with_(registry=False)
+    shards = open_shards(directory, config)
+    if not shards.sharded:
+        attach_registry(shards.contexts[0])
+    return ArchiveView(
+        Path(directory), MultiModelManager(None, config, shards), sorted(shards.down)
     )
-    indices = [index for index in range(len(roots)) if index not in missing]
-    contexts = [open_context(roots[index], config=shard_config) for index in indices]
-    settings = config.observability
-    if settings.tracing:
-        from repro.observability.trace import TraceRecorder, install_tracing
-
-        recorder = TraceRecorder()
-        for context in contexts:
-            install_tracing(context, recorder)
-    if settings.metrics:
-        from repro.observability.metrics import global_registry
-
-        registry = global_registry()
-        for index, context in zip(indices, contexts):
-            registry.register_stats(
-                f"fleet_shard_{index}_file_store", context.file_store.stats
-            )
-            registry.register_stats(
-                f"fleet_shard_{index}_document_store", context.document_store.stats
-            )
-            context.metrics = registry
-    view = ArchiveView(root, True, contexts, indices, missing)
-    if view.has_catalog:
-        # Each shard records into the root catalog as it commits, the
-        # way a FleetManager's shards do.
-        for index, context in zip(indices, contexts):
-            context.registry = view.catalog.bind(index, context)
-    return view

@@ -4,8 +4,8 @@ The parser is assembled here; the verb implementations live in the
 sibling modules (:mod:`repro.cli.archive`, :mod:`repro.cli.maintenance`,
 :mod:`repro.cli.fleet`, :mod:`repro.cli.query`).  ``trace`` runs before
 any archive is opened; every other verb runs against the archive view
-(:func:`repro.cli.common.open_view`), where a plain archive is a fleet
-of one shard rooted at its own directory.  Each verb is written once:
+(:func:`repro.cli.common.open_view`), where a plain archive is the
+engine's one shard rooted at its own directory.  Each verb is written once:
 inspection verbs loop over the shards, set-addressed verbs go to the
 owning shard, and the whole-view verbs (``info``, ``gc``, ``maintain``,
 ``warm``, ``query``, ``register``, ``deadletter``) take the view.

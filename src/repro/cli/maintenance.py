@@ -82,9 +82,7 @@ def _maintain(view: ArchiveView, args: argparse.Namespace) -> int:
         scrub=not args.no_scrub,
         scrub_deep=bool(args.deep),
     )
-    scheduler = MaintenanceScheduler(
-        view.maintenance_targets(), config=config, metrics=view.contexts[0].metrics
-    )
+    scheduler = MaintenanceScheduler.for_manager(view.engine, config=config)
     worst = 0
     for cycle in range(args.cycles):
         report = scheduler.run_pass()
@@ -110,8 +108,7 @@ def _maintain(view: ArchiveView, args: argparse.Namespace) -> int:
 
 def _warm(view: ArchiveView, args: argparse.Namespace) -> int:
     """Warm each named set on the shard owning it; ``--all`` warms every shard."""
-    if args.all or not view.sharded:
-        # A plain archive's one shard owns every named set.
+    if args.all:
         return view.each(lambda _index, context: _cmd_warm(context, args))
     owned: dict[int, tuple[SaveContext, list[str]]] = {}
     for set_id in args.set_ids:

@@ -127,5 +127,5 @@ def _cmd_register(view: ArchiveView, args: argparse.Namespace) -> int:
         raise ReproError("register requires --rebuild (incremental "
                          "registration happens automatically at save time)")
     view.require_complete("a rebuild from partial shards would drop their records")
-    print(f"registered {view.catalog.rebuild(view.sources)} sets")
+    print(f"registered {view.engine.rebuild_registry()} sets")
     return 0

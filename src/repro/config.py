@@ -108,8 +108,8 @@ class MaintenanceConfig:
 class FleetHealthConfig:
     """Fleet-level graceful-degradation settings.
 
-    Consumed by :class:`~repro.fleet.FleetManager` and
-    :class:`~repro.fleet.IngestQueue` (shards never read it): a
+    Consumed by a fleet's engine and its
+    :class:`~repro.fleet.IngestQueue` (a plain archive runs with it off): a
     per-shard health state machine (HEALTHY → DEGRADED → DOWN →
     half-open probe) driven by consecutive save/flush failures, bounded
     ingest admission so a stuck shard cannot grow the queue without
@@ -171,11 +171,11 @@ class ArchiveConfig:
 
     ``shards`` partitions model sets across that many independent archive
     shards (each a full archive with its own journal, chunk store, and
-    replicas) behind a :class:`~repro.fleet.FleetManager`.  ``None``
-    means "single archive" for the classic ``MultiModelManager`` entry
-    points and "auto-detect the on-disk ``shard-<i>/`` topology" for
-    :meth:`~repro.fleet.FleetManager.open`; replication composes *under*
-    sharding (every shard gets ``replicas`` backends of its own).
+    replicas), under either engine name.  ``None`` opens whatever
+    topology is on disk; a fresh directory or an in-memory archive then
+    becomes a plain archive under ``MultiModelManager`` and a one-shard
+    fleet under :class:`~repro.fleet.FleetManager`.  Replication composes
+    *under* sharding (every shard gets ``replicas`` backends of its own).
     """
 
     profile: HardwareProfile = LOCAL_PROFILE
@@ -190,8 +190,9 @@ class ArchiveConfig:
     shards: int | None = None
     #: Maintain the model registry (families, versions, tags, derivation
     #: DAG — see :mod:`repro.registry`): one catalog record per committed
-    #: save, written on the uncharged management plane.  Fleet shards run
-    #: with this off — the fleet keeps one registry at the root instead.
+    #: save, written on the uncharged management plane.  A catalog that
+    #: already exists is kept either way; a fleet keeps one at its root,
+    #: which every shard records into.
     registry: bool = True
     observability: ObservabilityConfig = field(default_factory=ObservabilityConfig)
     serving: ServingConfig = field(default_factory=ServingConfig)

@@ -9,7 +9,8 @@ Module map (see DESIGN.md §3 for the full inventory):
 * :mod:`~repro.core.baseline` / :mod:`~repro.core.update` /
   :mod:`~repro.core.provenance` — the three optimized approaches (§3).
 * :mod:`~repro.core.mmlib_base` — the MMlib-base comparator (§2.2).
-* :mod:`~repro.core.manager` — the :class:`MultiModelManager` facade.
+* :mod:`~repro.core.manager` — :class:`MultiModelManager`, the archive
+  engine over one shard (a plain archive) or many (a fleet).
 * :mod:`~repro.core.recommender` — heuristic approach selection
   (paper's future work, §4.5).
 * :mod:`~repro.core.compression` — optional blob compression

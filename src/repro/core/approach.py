@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 import itertools
 import threading
@@ -40,6 +41,8 @@ if TYPE_CHECKING:
 
 #: Document-store collection holding one descriptor document per set.
 SETS_COLLECTION = "model_sets"
+
+_NULL_CONTEXT = nullcontext()
 
 
 @dataclass
@@ -93,14 +96,17 @@ class SaveContext:
     #: :func:`repro.serving.apply_serving`).  ``None`` leaves the read
     #: path on the classic approach code.
     serving: "object | None" = field(default=None, repr=False)
-    #: Model catalog over this archive (see :mod:`repro.registry`),
-    #: attached when ``config.registry`` is on.  ``None`` (fleet shards,
-    #: hand-assembled contexts, ``registry=False``) skips catalog
+    #: Model catalog this archive records into (see :mod:`repro.registry`):
+    #: the archive's own when ``config.registry`` is on, a fleet shard's
+    #: binding of the root catalog (see :func:`build_context`).  ``None``
+    #: (hand-assembled contexts, ``registry=False``) skips catalog
     #: maintenance entirely.
     registry: "object | None" = field(default=None, repr=False)
 
     @classmethod
-    def create(cls, config: "ArchiveConfig | None" = None) -> "SaveContext":
+    def create(
+        cls, config: "ArchiveConfig | None" = None, wiring: "ShardWiring | None" = None
+    ) -> "SaveContext":
         """Fresh in-memory context described by an :class:`ArchiveConfig`.
 
         ``config.replicas > 1`` fans the stores across that many
@@ -110,13 +116,16 @@ class SaveContext:
         contexts run unjournaled regardless of ``config.journal`` (attach
         a journal explicitly when needed); ``config.retry`` (per backend,
         beneath the replication layer, as in a durable archive) and
-        ``config.observability`` are honored.
+        ``config.observability`` are honored.  ``wiring`` makes the context
+        a fleet shard (see :func:`build_context`).
         """
         config = resolve_config("SaveContext.create", config)
         file_store, document_store = open_archive_stores(
             [None] * (config.replicas or 1), config
         )
-        return build_context(file_store, document_store, config, journal=False)
+        return build_context(
+            file_store, document_store, config, journal=False, wiring=wiring
+        )
 
     def chunk_store(self) -> ChunkStore:
         """The context's chunk layer (created on first use, then shared)."""
@@ -147,11 +156,7 @@ class SaveContext:
         to its simulated time.
         """
         if self.tracer is None:
-            from contextlib import nullcontext
-
-            return nullcontext(None)
-        from repro.observability import trace as _trace
-
+            return _NULL_CONTEXT
         if _trace.active():
             return _trace.span(name, **attrs)
         return self.tracer.trace(name, **attrs)
@@ -170,9 +175,7 @@ class SaveContext:
                 "save/GC journal transactions begun",
             ).inc()
         if self.journal is None:
-            from contextlib import nullcontext
-
-            return nullcontext()
+            return _NULL_CONTEXT
         from contextlib import contextmanager
 
         from repro.observability import trace as _trace
@@ -223,9 +226,38 @@ class SaveContext:
         """Bytes currently held across both stores."""
         return self.file_store.total_bytes() + self.document_store.total_bytes()
 
+    def simulated_s(self) -> float:
+        """Simulated store seconds both stores have charged so far."""
+        files, documents = self.file_store.stats, self.document_store.stats
+        return (
+            files.simulated_write_s
+            + files.simulated_read_s
+            + documents.simulated_write_s
+            + documents.simulated_read_s
+        )
+
+
+@dataclass(frozen=True)
+class ShardWiring:
+    """What makes a context shard ``index`` of a fleet.
+
+    The fleet's shards share one trace recorder, one tier-2 chunk cache
+    and one root catalog (each shard records through its binding); any
+    of them is ``None`` when the fleet's config leaves it off.
+    """
+
+    index: int
+    recorder: "TraceRecorder | None" = None
+    chunk_cache: "object | None" = None
+    catalog: "object | None" = None
+
 
 def build_context(
-    file_store, document_store, config: "ArchiveConfig", journal: bool
+    file_store,
+    document_store,
+    config: "ArchiveConfig",
+    journal: bool,
+    wiring: "ShardWiring | None" = None,
 ) -> SaveContext:
     """A context over two stores, with everything it carries on top.
 
@@ -237,6 +269,15 @@ def build_context(
     recovery as it attaches; tracing/metrics, the serving cache and the
     registry see the final stores — so in-memory and durable archives
     behave alike.
+
+    The one place a context gets its tracer, its metrics and its catalog.
+    A plain archive (``wiring=None``) traces into its own recorder,
+    exports ``file_store_*`` / ``document_store_*`` / ``serving_*``
+    metrics and keeps its catalog in its own document store when
+    ``config.registry`` is on.  A fleet
+    shard traces into the fleet's recorder, exports the same metrics
+    under ``fleet_shard_<i>_``, shares the fleet's tier-2 chunk cache and
+    records through its binding of the fleet's root catalog.
     """
     from repro.observability.metrics import global_registry
     from repro.observability.trace import install_tracing
@@ -261,15 +302,24 @@ def build_context(
     context._set_counter = itertools.count(highest + 1)
     if journal:
         attach_journal(context)
+    prefix = "" if wiring is None else f"fleet_shard_{wiring.index}_"
     if config.observability.tracing:
-        install_tracing(context)
+        install_tracing(context, None if wiring is None else wiring.recorder)
     if config.observability.metrics:
         registry = global_registry()
-        registry.register_stats("file_store", context.file_store.stats)
-        registry.register_stats("document_store", context.document_store.stats)
+        registry.register_stats(f"{prefix}file_store", context.file_store.stats)
+        registry.register_stats(f"{prefix}document_store", context.document_store.stats)
         context.metrics = registry
-    apply_serving(context, config)
-    if config.registry:
+    apply_serving(
+        context,
+        config,
+        chunk_cache=None if wiring is None else wiring.chunk_cache,
+        prefix=f"{prefix}serving",
+    )
+    if wiring is not None:
+        if wiring.catalog is not None:
+            context.registry = wiring.catalog.bind(wiring.index, context)
+    elif config.registry:
         attach_registry(context)
     return context
 

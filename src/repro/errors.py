@@ -105,10 +105,10 @@ class ReplicaUnavailableError(TransientStorageError):
 class ShardUnavailableError(TransientStorageError):
     """A fleet shard's health breaker is open (shard marked DOWN).
 
-    Raised by :class:`~repro.fleet.FleetManager` when an operation is
-    routed to a shard whose per-shard circuit breaker has opened after
-    consecutive save/flush failures (or that was pinned DOWN at open
-    because its directory was missing or unreadable).  Subclasses
+    Raised by a fleet's engine when an operation is routed to a shard
+    whose per-shard circuit breaker has opened after consecutive
+    save/flush failures (or that was pinned DOWN at open because its
+    directory was missing or unreadable).  Subclasses
     :class:`TransientStorageError` like
     :class:`ReplicaUnavailableError` — the shard may come back, and a
     half-open probe will close the breaker once it does.

@@ -1,12 +1,13 @@
-"""Sharded concurrent fleet engine with a coalescing ingest front door.
+"""Sharded fleets: the engine's fleet name and a coalescing ingest front door.
 
-Scale-out layer over the single-archive core: a
-:class:`~repro.fleet.manager.FleetManager` partitions model sets across
-N independent archive shards (routing by a stable hash of the set id,
-chains kept shard-local), and an
-:class:`~repro.fleet.ingest.IngestQueue` in front coalesces concurrent
-per-model updates into set-level saves drained by a bounded,
-shard-affine worker pool.
+:class:`~repro.fleet.manager.FleetManager` is the archive engine
+(:class:`~repro.core.manager.MultiModelManager`) under the name whose
+fresh archives are fleets: it partitions model sets across N
+independent archive shards (routing by a stable hash of the set id,
+chains kept shard-local).  Beside it live per-shard health, the
+dead-letter store, and an :class:`~repro.fleet.ingest.IngestQueue`
+that coalesces concurrent per-model updates into set-level saves
+drained by a bounded, shard-affine worker pool.
 
 Quickstart::
 

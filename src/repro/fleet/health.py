@@ -12,7 +12,7 @@ save/flush outcomes:
 probe --success--> ``HEALTHY``
 
 While a shard is DOWN, :meth:`FleetHealthTracker.allow` refuses
-operations (the :class:`~repro.fleet.FleetManager` turns a refusal into
+operations (a fleet's engine turns a refusal into
 a typed :class:`~repro.errors.ShardUnavailableError`, after trying the
 shard's serving cache for a stale-but-committed hit) except for the
 periodic probe that lets the breaker close again.  A shard whose

@@ -59,7 +59,7 @@ from repro.errors import (
     IngestError,
     StorageError,
 )
-from repro.fleet.manager import FleetManager
+from repro.core.manager import MultiModelManager
 from repro.simtime import SimClock
 
 __all__ = ["IngestQueue"]
@@ -95,9 +95,9 @@ class IngestQueue:
     Parameters
     ----------
     fleet:
-        The :class:`~repro.fleet.manager.FleetManager` saves route
-        through.  Its ``config.health`` drives admission control, flush
-        retry, and dead-lettering.
+        The archive engine saves route through (a fleet, or a plain
+        archive).  Its health config drives admission control, flush
+        retry, and dead-lettering; a plain archive's is off.
     flush_max_updates:
         Flush a chain once its batch has absorbed this many submitted
         updates (coalesced resubmissions count — they are work the
@@ -114,7 +114,7 @@ class IngestQueue:
 
     def __init__(
         self,
-        fleet: FleetManager,
+        fleet: MultiModelManager,
         flush_max_updates: int = 16,
         flush_max_age_s: "float | None" = None,
         workers: "int | None" = None,
@@ -133,7 +133,9 @@ class IngestQueue:
         self._chains: dict[str, _Chain] = {}
         self._closed = False
         self._closing = False
-        self._health = fleet.config.health
+        # The engine's own health config: off on a plain archive, which
+        # gains no admission refusals from an ingest queue in front of it.
+        self._health = fleet.health.config
         # -- counters (exported through the fleet's metrics registry) ------
         self.updates_submitted = 0
         self.updates_coalesced = 0

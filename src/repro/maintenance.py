@@ -34,11 +34,9 @@ Scrubs are *rolling* in scheduled mode: each pass scrubs one shard,
 round-robin, so anti-entropy cost is spread across passes instead of
 spiking.  One-shot (CLI) passes scrub every shard.
 
-:meth:`MaintenanceScheduler.for_manager` builds a scheduler over a
-:class:`~repro.fleet.FleetManager` (per shard, placement kept in sync)
-or a single :class:`~repro.core.manager.MultiModelManager`; the CLI's
-offline archive view (:class:`repro.cli.common.ArchiveView`) hands the
-constructor its own targets.
+:meth:`MaintenanceScheduler.for_manager` builds a scheduler over an
+archive engine (:class:`~repro.core.manager.MultiModelManager`, plain or
+fleet): one target per shard, placement kept in sync.
 """
 
 from __future__ import annotations
@@ -64,11 +62,11 @@ class MaintenanceTarget:
     """One shard the scheduler maintains.
 
     ``lock`` must expose ``acquire(blocking=...)``/``release`` over the
-    shard context's mutex (the fleet's
-    :class:`~repro.observability.metrics.TimedLock` wrappers qualify, so
-    fleet lock-wait metrics see maintenance contention too).
+    shard context's mutex (the engine's
+    :class:`~repro.observability.metrics.TimedLock` shard locks qualify,
+    so fleet lock-wait metrics see maintenance contention too).
     ``on_retired(deleted)`` is called after a pass's transaction commits,
-    with the ids it deleted — the fleet drops their placement entries
+    with the ids it deleted — the engine drops their placement entries
     through it.  The catalog needs no hook: the pass records itself
     through ``context.registry`` (DESIGN.md §10).
     """
@@ -132,18 +130,6 @@ class MaintenancePassReport:
         if any(entry.lost_artifacts for entry in self.shards):
             return 2
         return 1 if self.changed else 0
-
-
-def _shard_sim_s(context: SaveContext) -> float:
-    """Simulated store seconds this shard has charged so far."""
-    file_stats = context.file_store.stats
-    doc_stats = context.document_store.stats
-    return (
-        file_stats.simulated_write_s
-        + file_stats.simulated_read_s
-        + doc_stats.simulated_write_s
-        + doc_stats.simulated_read_s
-    )
 
 
 class MaintenanceScheduler:
@@ -225,37 +211,29 @@ class MaintenanceScheduler:
         clock: "SimClock | None" = None,
         fault_hook: "Callable[..., None] | None" = None,
     ) -> "MaintenanceScheduler":
-        """A scheduler over a ``MultiModelManager`` or a ``FleetManager``.
+        """A scheduler over an archive engine, plain or fleet alike.
 
-        A plain archive is one target named ``archive`` under the
-        context's own mutex.  A fleet is one target per shard under the
-        fleet's timed shard locks (maintenance contention shows up in
-        ``fleet_shard_<i>_lock_wait_s_total``), with
-        :meth:`~repro.fleet.FleetManager.forget_sets` dropping the
-        placement of what each committed pass deleted.  Either way the
+        One target per shard, named by the shard's label (``archive`` on
+        a plain archive, ``shard-<i>`` on a fleet) and taken under the
+        shard's timed lock (on a fleet, maintenance contention shows up
+        in ``fleet_shard_<i>_lock_wait_s_total``), with
+        :meth:`~repro.core.manager.MultiModelManager.forget_sets`
+        dropping the placement of what each committed pass deleted.  The
         catalog records inside the pass's transaction.  ``config=None``
-        takes the owner's ``maintenance`` settings.
+        takes the engine's ``maintenance`` settings.
         """
-        from repro.fleet import FleetManager
-
-        if isinstance(manager, FleetManager):
-            targets = [
-                MaintenanceTarget(
-                    f"shard-{index}", shard.context, lock, manager.forget_sets
-                )
-                for index, (shard, lock) in enumerate(
-                    zip(manager.shards, manager.shard_locks)
-                )
-            ]
-            owner_config, metrics = manager.config, manager.metrics
-        else:
-            context = manager.context
-            targets = [MaintenanceTarget("archive", context, context.mutex)]
-            owner_config, metrics = context.config, context.metrics
-        if config is None and owner_config is not None:
-            config = owner_config.maintenance
+        targets = [
+            MaintenanceTarget(shard.label, shard.context, shard.lock, manager.forget_sets)
+            for shard in manager.shards
+        ]
+        if config is None:
+            config = manager.config.maintenance
         return cls(
-            targets, config=config, clock=clock, metrics=metrics, fault_hook=fault_hook
+            targets,
+            config=config,
+            clock=clock,
+            metrics=manager.metrics,
+            fault_hook=fault_hook,
         )
 
     # -- scheduling --------------------------------------------------------
@@ -376,7 +354,7 @@ class MaintenanceScheduler:
             if self.metrics is not None:
                 self._c_deferred.inc()
             target.lock.acquire()
-        sim_before = _shard_sim_s(context)
+        sim_before = context.simulated_s()
         try:
             with context.trace(
                 "maintenance", shard=target.name, pass_index=pass_index
@@ -406,7 +384,7 @@ class MaintenanceScheduler:
                 if scrub:
                     self._scrub(context, entry)
         finally:
-            entry.sim_s = _shard_sim_s(context) - sim_before
+            entry.sim_s = context.simulated_s() - sim_before
             target.lock.release()
         return entry
 

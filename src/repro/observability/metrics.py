@@ -14,6 +14,7 @@ registering a provider adds zero overhead to save/recover loops.
 from __future__ import annotations
 
 import threading
+import time
 from bisect import bisect_right
 from dataclasses import fields as dataclass_fields
 from typing import Callable, Iterable
@@ -139,8 +140,6 @@ class TimedLock:
         self._meta = threading.Lock()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        import time
-
         start = time.perf_counter()
         acquired = self._lock.acquire(blocking, timeout)
         waited = time.perf_counter() - start

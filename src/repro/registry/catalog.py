@@ -7,8 +7,8 @@ holds.  Every committed save appends one *version record* to a family:
   ``SetMetadata(extra={"family": "pack-a"})``; otherwise a derived set
   joins its base's family and an initial set roots a new family named
   after its own set id.
-* **version** — 1-based position within the family, assigned at save
-  time in commit order.
+* **version** — 1-based position within the family in set-id order,
+  assigned at save time (an archive commits its ids in order).
 * **tags** — ``"latest"`` is maintained automatically (always the
   newest surviving version); arbitrary tags are pinned with
   :meth:`Registry.tag` and feed
@@ -232,8 +232,8 @@ class Registry:
         is a transaction of the catalog's own journal, after the shard's
         commit: a store failure there is not the shard's, so it is
         counted (``registry_record_failures_total``) and leaves that one
-        record missing, as a crash in the same gap does, until
-        ``register --rebuild``.
+        record missing, as a crash in the same gap does, until the engine
+        reopens (:meth:`heal`) or ``register --rebuild``.
         """
         applier = copy.copy(self)
         applier.shard = int(shard)
@@ -387,10 +387,20 @@ class Registry:
             base_doc = self._version_doc(base) if base is not None else None
             family = str(base_doc["family"]) if base_doc is not None else set_id
         if existing is None:
-            version = 1 + max(
-                (int(doc["version"]) for _sid, doc in self._family_docs(family)),
-                default=0,
+            # Versions follow id order within a family.  A set recorded
+            # after a later id of its family (a lost record healed at
+            # open, concurrent shards) takes the place of the first later
+            # version, and those versions move up one.
+            docs = self._family_docs(family)
+            later = [(sid, doc) for sid, doc in docs if sid > set_id]
+            version = min(
+                (int(doc["version"]) for _sid, doc in later),
+                default=1 + max((int(doc["version"]) for _sid, doc in docs), default=0),
             )
+            for sid, doc in later:
+                self._write(
+                    VERSIONS_COLLECTION, sid, {**doc, "version": int(doc["version"]) + 1}
+                )
         if self._store.peek(FAMILIES_COLLECTION, family) is None:
             self._write(FAMILIES_COLLECTION, family, {"root_set": set_id})
         record: dict = {
@@ -507,6 +517,39 @@ class Registry:
                 self._record(set_id, descriptor, shard)
         self._inc("registry_rebuilds_total", "registry rebuilds completed")
         return len(descriptors)
+
+    def heal(self, contexts) -> int:
+        """Record the committed sets this fleet catalog lacks, in id order.
+
+        ``contexts`` are fleet shard contexts whose ``registry`` is this
+        catalog's binding (:meth:`bind`).  A kill between a shard's commit
+        and its root record leaves exactly that record missing; the fleet
+        engine heals the gap when it opens, as does any later store
+        failure that lost a record while the engine kept running.  Each
+        missing set is recorded through its shard's binding, so as one
+        transaction of this catalog's own journal, and takes its place in
+        id order (:meth:`_record`): ``latest`` stays on the newest id and
+        pinned tags are left as they are.  A set saved while its base's
+        record was missing started a family of its own; only
+        ``register --rebuild`` re-derives that.  With nothing missing
+        this only lists ids.  Returns the number of sets recorded.
+        """
+        with self._lock:
+            known = set(self._store.collection_ids(VERSIONS_COLLECTION))
+        lost = sorted(
+            (
+                (set_id, context)
+                for context in contexts
+                for set_id in innermost(context.document_store).collection_ids(
+                    SETS_COLLECTION
+                )
+                if set_id not in known
+            ),
+            key=lambda item: item[0],
+        )
+        for set_id, context in lost:
+            context.registry.record_save(set_id)
+        return len(lost)
 
     # -- query side --------------------------------------------------------
     def families(self) -> list[str]:

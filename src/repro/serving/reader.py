@@ -320,13 +320,15 @@ def apply_serving(
     context: "SaveContext",
     config,
     chunk_cache: "ChunkCache | None" = None,
+    prefix: str = "serving",
 ) -> "ServingCache | None":
     """Wire a context's serving cache according to its config.
 
-    Shared by :meth:`SaveContext.create`,
-    :func:`repro.storage.persistent.open_context`, and the fleet engine
-    (which passes one shared ``chunk_cache`` so tier 2 spans shards).
-    Returns the installed cache, or ``None`` when serving is disabled.
+    Called by :func:`repro.core.approach.build_context` for every
+    context; a fleet shard passes the fleet's one shared ``chunk_cache``
+    (so tier 2 spans shards) and its ``fleet_shard_<i>_serving`` metric
+    ``prefix``.  Returns the installed cache, or ``None`` when serving is
+    disabled.
     """
     settings = config.serving
     if not settings.enabled:
@@ -334,7 +336,7 @@ def apply_serving(
     cache = ServingCache(context, settings, chunk_cache=chunk_cache)
     context.serving = cache
     if context.metrics is not None:
-        cache.register_metrics(context.metrics)
+        cache.register_metrics(context.metrics, prefix=prefix)
     return cache
 
 

@@ -447,7 +447,7 @@ def detect_shards(directory: str | Path) -> int:
 
 
 def shard_roots(
-    directory: str | Path, shards: "int | None" = None
+    directory: str | Path, shards: "int | None" = None, fresh: "int | None" = None
 ) -> "tuple[list[Path], list[int]]":
     """The archive's shard roots, and the indices of the missing ones.
 
@@ -455,8 +455,10 @@ def shard_roots(
     directory itself: ``[directory]``.  A fleet is ``directory/shard-<i>``
     for every index below the detected shard count; an index whose
     directory is absent is reported missing, never recreated here.
-    ``shards=None`` auto-detects (no ``shard-<i>/`` means plain — or
-    fresh); a count asks for a fleet of exactly that size.
+    ``shards=None`` auto-detects (no ``shard-<i>/`` means plain); a count
+    asks for a fleet of exactly that size.  ``fresh`` is what a directory
+    holding no archive becomes when no count is asked: ``None`` the
+    directory itself, a count a fleet of that size.
 
     Two refusals live here and nowhere else: mixing a plain layout (any
     of ``artifacts/``, ``documents/`` or ``replica-<i>/``) with a fleet
@@ -478,7 +480,9 @@ def shard_roots(
             "open it without a shard count"
         )
     if shards is None and not detected:
-        return [root], []
+        if plain or fresh is None:
+            return [root], []
+        shards = fresh
     num = detected if shards is None else int(shards)
     if detected and detected != num:
         raise ConfigError(
@@ -531,7 +535,9 @@ def open_archive_stores(roots: list, config):
     return pairs[0] if len(pairs) == 1 else replicated_pair(pairs, config)
 
 
-def open_context(directory: str | Path, config: "object | None" = None):
+def open_context(
+    directory: str | Path, config: "object | None" = None, wiring=None
+):
     """Open (or create) a durable save context rooted at ``directory``.
 
     ``config`` is the :class:`~repro.config.ArchiveConfig` describing the
@@ -547,6 +553,9 @@ def open_context(directory: str | Path, config: "object | None" = None):
       layer; ``None`` auto-detects the topology, so a replicated archive
       reopens replicated without flags.
     * ``retry`` wraps each backend (see :func:`open_archive_stores`).
+
+    ``wiring`` makes the context a fleet shard (see
+    :func:`~repro.core.approach.build_context`).
     """
     from repro.config import resolve_config
     from repro.core.approach import build_context
@@ -559,8 +568,7 @@ def open_context(directory: str | Path, config: "object | None" = None):
         # silently shadowing every set in them.
         raise StorageError(
             f"archive at {root} is a sharded fleet layout (shard-<i>/ "
-            "subtrees); open it with repro.fleet.FleetManager.open or "
-            "repro-archive --shards"
+            "subtrees); open it with MultiModelManager.open or repro-archive"
         )
     replicas = detect_replicas(root) if config.replicas is None else config.replicas
     roots = [root]
@@ -578,4 +586,6 @@ def open_context(directory: str | Path, config: "object | None" = None):
                 )
         roots = [root / f"replica-{index}" for index in range(replicas)]
     file_store, document_store = open_archive_stores(roots, config)
-    return build_context(file_store, document_store, config, journal=config.journal)
+    return build_context(
+        file_store, document_store, config, journal=config.journal, wiring=wiring
+    )

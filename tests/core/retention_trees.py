@@ -36,12 +36,12 @@ from repro.core.retention import RetentionManager
 from repro.fleet import FleetManager
 from repro.maintenance import MaintenanceScheduler
 from repro.storage.hardware import ARCHIVE_PROFILE
-from repro.storage.persistent import open_context
 from repro.training.pipeline import PipelineConfig
 from repro.workloads.scenario import MultiModelScenario, ScenarioConfig
 
 #: The modules, not the ``repro.cli.main`` function the package exports.
-cli_main, cli_common = import_module("repro.cli.main"), import_module("repro.cli.common")
+cli_main = import_module("repro.cli.main")
+open_view = cli_main.open_view
 KEEP = 2
 CONFIGS = (("update", False), ("update", True), ("pas-delta", False), ("provenance", False))
 
@@ -90,26 +90,25 @@ def opened(root: Path, approach: str, config: ArchiveConfig):
 
 
 def contexts_of(manager) -> list:
-    if isinstance(manager, FleetManager):
-        return [shard.context for shard in manager.shards]
-    return [manager.context]
+    return [shard.context for shard in manager.shards]
 
 
 def run_cli(argv: "list[str]") -> dict:
     """Run one CLI call in process, keeping the shard contexts its view opened."""
-    captured: list = []
+    views: list = []
 
     def capture(*args, **kwargs):
-        captured.append(open_context(*args, **kwargs))
-        return captured[-1]
+        views.append(open_view(*args, **kwargs))
+        return views[-1]
 
-    cli_common.open_context = capture
+    cli_main.open_view = capture
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
             code = cli_main.main(argv)
     finally:
-        cli_common.open_context = open_context
+        cli_main.open_view = open_view
+    captured = [context for view in views for context in view.contexts]
     return {"exit": code, "stdout": out.getvalue(), "stats": stats_of(captured)}
 
 

@@ -89,3 +89,15 @@ class TestSaveRecover:
         assert id_a != id_b
         assert baseline.recover_set(id_a).equals(models)
         assert update.recover_set(id_b).equals(models)
+
+    def test_managers_sharing_a_context_route_each_others_sets(self, models):
+        context = SaveContext.create()
+        first = MultiModelManager.with_approach("update", context=context)
+        second = MultiModelManager.with_approach("update", context=context)
+        base = first.save_set(models)
+        assert second.recover_set(base).equals(models)
+        derived = models.copy()
+        derived.state(0)["0.bias"][:] += 1.0
+        child = second.save_set(derived, base_set_id=base)
+        assert first.recover_model(child, 0)["0.bias"].tolist() == derived.state(0)["0.bias"].tolist()
+        assert first.list_sets() == second.list_sets() == [base, child]

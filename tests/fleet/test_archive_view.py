@@ -84,9 +84,10 @@ class TestReplicatedPlainArchive:
 
     def test_fleet_open_refuses_and_creates_nothing(self, replicated):
         root, ids = replicated
-        for config in (ArchiveConfig(shards=2), ArchiveConfig()):
-            with pytest.raises(StorageError, match="plain single archive"):
-                FleetManager.open(root, "update", config)
+        with pytest.raises(StorageError, match="plain single archive"):
+            FleetManager.open(root, "update", ArchiveConfig(shards=2))
+        # Without a shard count the directory's own topology opens: plain.
+        assert FleetManager.open(root, "update").list_sets() == ids
         assert shard_dirs(root) == []
         assert MultiModelManager.open(str(root), "update").list_sets() == ids
 

@@ -20,11 +20,15 @@ import numpy as np
 import pytest
 
 from repro.cli import main as archive_main
-from repro.config import ArchiveConfig
+from repro.config import ArchiveConfig, FleetHealthConfig, ObservabilityConfig
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
 from repro.core.save_info import SetMetadata
+from repro.errors import ReplicaUnavailableError
 from repro.fleet import FleetManager
+from repro.observability import trace_document
+from repro.observability.metrics import global_registry
+from repro.storage.faults import FaultInjector, inject_faults
 
 OPENERS = {
     "plain": lambda root: MultiModelManager.open(str(root), "update"),
@@ -136,3 +140,39 @@ def test_retention_verbs_agree_and_reach_the_catalog(archives, capsys):
             versions,
         ],
     )
+
+
+def span_names(node: dict) -> "set[str]":
+    return {node["name"]}.union(*(span_names(child) for child in node.get("children", [])))
+
+
+@pytest.mark.parametrize("engine", [MultiModelManager, FleetManager], ids=lambda cls: cls.__name__)
+def test_plain_topology_contract(engine, templates, tmp_path):
+    """A plain archive is plain under either public name: no health
+    refusal, unprefixed metrics, no fleet trace envelope."""
+    root, ids = templates
+    shutil.copytree(root / "plain", tmp_path / "plain")
+    health = FleetHealthConfig(down_after=2)
+    config = ArchiveConfig(
+        health=health, observability=ObservabilityConfig(tracing=True, metrics=True)
+    )
+    manager = engine.open(tmp_path / "plain", "update", config)
+    assert [shard.label for shard in manager.shards] == ["archive"]
+
+    names = set(global_registry().collect())
+    assert any(name.startswith("file_store_") for name in names)
+    assert any(name.startswith("document_store_") for name in names)
+    assert not any(name.startswith("fleet_shard") for name in names)
+
+    models = manager.recover_set(ids[-1])
+    manager.recover_model(ids[-1], 1)
+    manager.save_set(models, base_set_id=ids[-1])
+    document = trace_document(manager.tracer.roots)
+    seen = set().union(*(span_names(trace["root"]) for trace in document["traces"]))
+    assert {"recover_set", "recover_model", "save_set"} <= seen
+    assert not seen & {"fleet", "shard-0"}
+
+    inject_faults(manager.context, FaultInjector(down_at=0, down_mode="before"))
+    for _ in range(health.down_after + 2):
+        with pytest.raises(ReplicaUnavailableError):
+            manager.save_set(models, base_set_id=ids[-1])

@@ -13,8 +13,10 @@ from collections import OrderedDict
 
 from repro.config import ArchiveConfig
 from repro.core.manager import MultiModelManager
+from repro.core.save_info import SetMetadata
 from repro.core.verify import ArchiveVerifier
 from repro.fleet import FleetManager, IngestQueue
+from repro.registry import open_fleet_registry
 
 # CI's fleet-stress job sweeps the writer count through this knob.
 THREADS = int(os.environ.get("REPRO_FLEET_WRITERS", "8"))
@@ -69,6 +71,36 @@ class TestSingleArchiveHammer:
             expected = tiny_set.state(0)[next(iter(tiny_set.state(0)))] + index
             name = next(iter(recovered.state(0)))
             assert (recovered.state(0)[name] == expected).all()
+
+    def test_derived_saves_into_one_family_commit_in_id_order(self, tiny_set, monkeypatch):
+        """Ids are allocated under the archive's mutex, so they commit in
+        id order and the catalog equals a rebuild, versions included."""
+        manager = MultiModelManager.with_approach("update")
+        pack = SetMetadata(extra={"family": "pack"})
+        base = manager.save_set(tiny_set, metadata=pack)
+        catalog = manager.context.registry
+        committed: list[str] = []
+        record = catalog.record_save
+
+        def recording(set_id):
+            committed.append(set_id)
+            record(set_id)
+
+        monkeypatch.setattr(catalog, "record_save", recording)
+
+        def worker(index):
+            for _ in range(SAVES_PER_THREAD):
+                manager.save_set(tiny_set, base_set_id=base, metadata=pack)
+
+        run_threads(worker)
+        assert len(committed) == THREADS * SAVES_PER_THREAD
+        assert committed == sorted(committed)
+        scratch = open_fleet_registry(None, resolver=lambda shard: manager.context)
+        scratch.rebuild([(None, manager.context)])
+        assert [r.to_json() for r in catalog.records()] == [
+            r.to_json() for r in scratch.records()
+        ]
+        assert catalog.resolve("pack") == committed[-1] == scratch.resolve("pack")
 
     def test_eight_threads_one_fleet_shard(self, tiny_set):
         """The same hammer through the fleet's routing layer, shards=1:

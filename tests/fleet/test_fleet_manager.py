@@ -119,21 +119,40 @@ class TestDurability:
             FleetManager.open(tmp_path / "f", "update", ArchiveConfig(shards=4))
 
     def test_plain_archive_is_refused(self, tmp_path, tiny_set):
+        """Opened without a shard count, a plain archive opens plain under
+        the fleet name too; a shard count asked of it is still refused."""
         manager = MultiModelManager.open(str(tmp_path / "plain"), "update")
-        manager.save_set(tiny_set)
+        set_id = manager.save_set(tiny_set)
         with pytest.raises(StorageError, match="plain single archive"):
-            FleetManager.open(tmp_path / "plain", "update")
+            FleetManager.open(tmp_path / "plain", "update", ArchiveConfig(shards=1))
+        fleet = FleetManager.open(tmp_path / "plain", "update")
+        assert not fleet.sharded and fleet.shards[0].label == "archive"
+        assert fleet.recover_set(set_id).equals(tiny_set)
+        assert not (tmp_path / "plain" / "shard-0").exists()
 
     def test_single_archive_open_refuses_fleet_layout(self, tmp_path, tiny_set):
-        FleetManager.open(tmp_path / "f", "update", ArchiveConfig(shards=2))
+        fleet = FleetManager.open(tmp_path / "f", "update", ArchiveConfig(shards=2))
+        set_id = fleet.save_set(tiny_set)
         with pytest.raises(StorageError, match="fleet"):
             open_context(str(tmp_path / "f"))
-        with pytest.raises(StorageError, match="fleet"):
-            MultiModelManager.open(str(tmp_path / "f"), "update")
+        # The engine opens the directory's own topology under either name.
+        reopened = MultiModelManager.open(str(tmp_path / "f"), "update")
+        assert reopened.sharded and reopened.num_shards == 2
+        assert reopened.shard_of(set_id) == fleet.shard_of(set_id)
+        assert reopened.recover_set(set_id).equals(tiny_set)
 
-    def test_manager_refuses_sharded_config(self):
-        with pytest.raises(ConfigError, match="FleetManager"):
-            MultiModelManager.with_approach("update", ArchiveConfig(shards=2))
+    def test_manager_refuses_sharded_config(self, tiny_set):
+        """A shard count makes an in-memory fleet under either name."""
+        with pytest.raises(ConfigError, match="shards"):
+            ArchiveConfig(shards=0)
+        manager = MultiModelManager.with_approach("update", ArchiveConfig(shards=2))
+        assert manager.sharded and [s.label for s in manager.shards] == [
+            "shard-0",
+            "shard-1",
+        ]
+        set_id = manager.save_set(tiny_set)
+        assert manager.shard_of(set_id) == shard_for(set_id, 2)
+        assert manager.recover_set(set_id).equals(tiny_set)
 
     def test_replication_composes_under_sharding(self, tmp_path, tiny_set):
         config = ArchiveConfig(shards=2, replicas=3)

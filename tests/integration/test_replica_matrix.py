@@ -29,6 +29,7 @@ from repro.core.model_set import ModelSet
 from repro.core.save_info import ModelUpdate, UpdateInfo
 from repro.datasets.battery import battery_dataset_ref
 from repro.storage.faults import FaultInjector, inject_replica_faults
+from repro.storage.hardware import SERVER_PROFILE
 from repro.storage.journal import attach_journal
 from repro.storage.replication import replicated_stores
 from repro.training.pipeline import PipelineConfig, TrainingPipeline
@@ -225,6 +226,36 @@ class TestEveryReplicaIndex:
         assert scrub_archive(manager.context, deep=True).converged
         assert ArchiveFsck(manager.context).run(deep=True).ok
         assert_replicas_identical(manager.context)
+
+
+    def test_degraded_save_lands_at_quorum_for_a_healthy_price(self, model_sets):
+        """One replica down for a whole derived save: the save commits at
+        W=2 and charges no more write time than a healthy save; reviving
+        the replica, one deep scrub flushes its missed writes and a deep
+        fsck is clean."""
+        models, mutated = model_sets[0], model_sets[1]
+        charges = []
+        for down in (False, True):
+            context = SaveContext.create(
+                ArchiveConfig(profile=SERVER_PROFILE, replicas=NUM_REPLICAS)
+            )
+            attach_journal(context)
+            manager = MultiModelManager.with_approach("update", context=context)
+            base_id = manager.save_set(models)
+            if down:
+                injector = inject_replica_faults(
+                    context, 1, FaultInjector(seed=SEED_BASE + 11, down_at=0)
+                )
+            file_rep, _ = replicated_stores(context)
+            before = file_rep.stats.snapshot()
+            set_id = manager.save_set(mutated, base_set_id=base_id)
+            charges.append(file_rep.stats.delta_since(before).simulated_write_s)
+            assert manager.recover_set(set_id).equals(mutated)
+        assert charges[1] <= charges[0] * 1.01
+        injector.revive()
+        scrub = scrub_archive(context, deep=True)
+        assert scrub.pending_flushed > 0 and scrub.converged
+        assert ArchiveFsck(context).run(deep=True).ok
 
 
 class TestPersistentReplicaMatrix:

@@ -6,8 +6,9 @@ shard, so whichever way retention runs on a shard — a direct
 CLI — the root catalog stays equal to a rebuild over the same shards.
 The binding applies its records when the shard's transaction commits:
 a killed shard transaction never reaches the catalog, a kill in the
-catalog's own write loses exactly that record (``register --rebuild``
-restores it), and a catalog store failure is not the shard's failure.
+catalog's own write loses exactly that record (reopening the fleet, or
+``register --rebuild``, restores it), and a catalog store failure is not
+the shard's failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.config import ArchiveConfig, MaintenanceConfig
 from repro.core.model_set import ModelSet
 from repro.core.retention import RetentionManager
 from repro.core.save_info import SetMetadata
-from repro.errors import PermanentStorageError, SimulatedCrashError
+from repro.errors import DocumentNotFoundError, PermanentStorageError, SimulatedCrashError
 from repro.fleet import FleetManager, IngestQueue
 from repro.fleet.health import HEALTHY
 from repro.maintenance import MaintenanceScheduler, MaintenanceTarget
@@ -128,6 +129,19 @@ class TestRetentionBehindTheFleet:
         retention.collect(keep=[])
         assert_catalog_rule(fleet)
         assert "pack" not in fleet.registry.families()
+
+    def test_listing_drops_sets_deleted_on_the_shard(self, fleet_factory, models):
+        fleet = fleet_factory()
+        ids = save_pack(fleet, models)
+        before = fleet.list_sets()
+        shard = fleet.shards[owner(fleet, ids[0])]
+        doomed = shard.list_sets()
+        report = RetentionManager(shard.context).collect(keep=[])
+        assert sorted(report.deleted_sets) == doomed
+        assert fleet.list_sets() == sorted(set(before) - set(doomed))
+        with pytest.raises(DocumentNotFoundError):
+            fleet.recover_set(ids[0])
+        assert_catalog_rule(fleet)
 
     def test_scheduler_without_a_hook(self, fleet_factory, models):
         fleet = fleet_factory()
@@ -238,11 +252,13 @@ class TestKillPoints:
         monkeypatch.setattr(store, "_write_raw", killed)
         with pytest.raises(SimulatedCrashError):
             fleet.save_set(nudged(models, 7), base_set_id=ids[-1])
-        reopened = FleetManager.open(root, "update")
         # The shard committed: its set is there, and only its record is missing.
-        (new_id,) = set(reopened.list_sets()) - known
-        expected = [record for record in summary(rebuilt(reopened)) if record[0] != new_id]
-        assert summary(reopened.registry) == expected
+        (new_id,) = set(fleet.list_sets()) - known
+        expected = [record for record in summary(rebuilt(fleet)) if record[0] != new_id]
+        assert summary(fleet.registry) == expected
+        monkeypatch.undo()
+        # Reopening records the lost set; a rebuild changes nothing more.
+        assert_catalog_rule(FleetManager.open(root, "update"))
         assert archive_main([str(root), "register", "--rebuild"]) == 0
         capsys.readouterr()
         assert_catalog_rule(FleetManager.open(root, "update"))
@@ -279,6 +295,46 @@ class TestCatalogFailureIsNotAShardFailure:
         monkeypatch.undo()
         fleet.rebuild_registry()
         assert_catalog_rule(fleet)
+
+    def test_reopen_heals_the_lost_record(self, tmp_path, models, monkeypatch):
+        root = tmp_path / "fleet"
+        fleet = FleetManager.open(root, "update", ArchiveConfig(shards=2))
+        ids = save_pack(fleet, models, 2)
+        fleet.registry.tag("pack", "prod", ids[0])
+        self.failing_catalog(fleet, monkeypatch)
+        set_id = fleet.save_set(nudged(models, 3), base_set_id=ids[-1], metadata=PACK)
+        assert fleet.registry.resolve("pack") == ids[-1]
+        monkeypatch.undo()
+        reopened = FleetManager.open(root, "update")
+        assert reopened.registry.resolve("pack", "latest") == set_id
+        assert reopened.registry.resolve("pack", "prod") == ids[0]
+        assert reopened.registry.describe(set_id).version == 3
+        assert_catalog_rule(reopened)
+
+    def test_reopen_heals_a_lost_record_behind_a_newer_one(self, tmp_path, models, monkeypatch):
+        # The engine keeps running after the failure: a later save in the
+        # same family records first, and the healed set takes its id's place.
+        root = tmp_path / "fleet"
+        fleet = FleetManager.open(root, "update", ArchiveConfig(shards=2))
+        ids = save_pack(fleet, models, 2)
+        fleet.registry.tag("pack", "prod", ids[0])
+        self.failing_catalog(fleet, monkeypatch)
+        lost = fleet.save_set(nudged(models, 3), base_set_id=ids[-1], metadata=PACK)
+        monkeypatch.undo()
+        newer = fleet.save_set(nudged(models, 4), base_set_id=ids[-1], metadata=PACK)
+        assert fleet.registry.resolve("pack") == newer
+        reopened = FleetManager.open(root, "update")
+        registry = reopened.registry
+        assert registry.resolve("pack", "latest") == newer
+        assert registry.resolve("pack", "prod") == ids[0]
+        assert [(r.set_id, r.version) for r in registry.versions("pack")] == [
+            (ids[0], 1),
+            (ids[1], 2),
+            (lost, 3),
+            (newer, 4),
+        ]
+        assert reopened.recover_set(family="pack").equals(nudged(models, 4))
+        assert_catalog_rule(reopened)
 
     def test_ingest_flush_is_neither_retried_nor_parked(self, tmp_path, models, monkeypatch):
         fleet = FleetManager.open(tmp_path / "fleet", "update", ArchiveConfig(shards=2))

@@ -162,6 +162,18 @@ class TestRecoverByFamily:
         with pytest.raises(RegistryError, match="no registry"):
             manager.recover_set(family="pack")
 
+    def test_registry_off_leaves_an_existing_catalog_alone(self, tmp_path):
+        path = str(tmp_path / "archive")
+        models = build_models()
+        base_id = MultiModelManager.open(path, "update").save_set(
+            models, metadata=SetMetadata(extra={"family": "pack"})
+        )
+        manager = MultiModelManager.open(path, "update", ArchiveConfig(registry=False))
+        assert manager.context.registry is None and not manager.has_catalog
+        manager.save_set(perturb(models, 0, 0), base_set_id=base_id)
+        reopened = MultiModelManager.open(path, "update")
+        assert [r.set_id for r in reopened.registry.records()] == [base_id]
+
 
 class TestRetentionHooks:
     def test_delete_retargets_latest(self, manager):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.config import ArchiveConfig, ServingConfig
+from repro.config import ArchiveConfig, ObservabilityConfig, ServingConfig
 from repro.core.model_set import ModelSet
 from repro.fleet import FleetManager
 
@@ -71,9 +71,22 @@ def test_fleet_recovery_byte_identical_with_cache():
 
 
 def test_shard_configs_disable_their_own_serving():
-    # The fleet installs the caches itself; a shard context opened from
-    # the derived per-shard config must not build a second stack.
-    from repro.fleet.manager import _shard_config
+    # A fleet shard builds no serving stack of its own: its one cache sits
+    # over the fleet's shared tier 2 and exports under the shard's prefix.
+    from repro.observability.metrics import global_registry
 
-    config = ArchiveConfig(shards=2, serving=ServingConfig(enabled=True))
-    assert _shard_config(config).serving.enabled is False
+    registry = global_registry()
+    registry.reset()
+    config = ArchiveConfig(
+        shards=2,
+        serving=ServingConfig(enabled=True),
+        observability=ObservabilityConfig(metrics=True),
+    )
+    try:
+        fleet = FleetManager.with_approach("update", config)
+        names = set(registry.collect())
+        assert {"fleet_shard_0_serving_requests", "fleet_shard_1_serving_requests"} <= names
+        assert not any(name.startswith("serving_") for name in names)
+        assert {id(cache.chunks) for cache in fleet.serving_caches} == {id(fleet.chunk_cache)}
+    finally:
+        registry.reset()

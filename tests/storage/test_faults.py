@@ -287,6 +287,26 @@ class TestWiring:
             return
         pytest.fail("no seed exercised a retried save")
 
+    @pytest.mark.parametrize("seed", [7, 9])
+    def test_ten_percent_transient_faults_are_absorbed(self, seed):
+        """A journaled U1 + U3 under a 10 % transient error rate completes
+        with retries on, recovers identically, and charges backoff."""
+        context = SaveContext.create()
+        attach_journal(context)
+        inject_faults(context, FaultInjector(seed=seed, transient_rate=0.1))
+        attach_retries(context, RetryPolicy(attempts=6))
+        manager = MultiModelManager.with_approach("update", context=context)
+        models = ModelSet.build("FFNN-48", num_models=6, seed=0)
+        derived = models.copy()
+        derived.state(0)["0.bias"][:] += 1.0
+        derived.state(5)["4.weight"][:] *= 1.25
+        base_id = manager.save_set(models)
+        derived_id = manager.save_set(derived, base_set_id=base_id)
+        assert manager.recover_set(derived_id).equals(derived)
+        file_stats, doc_stats = context.file_store.stats, context.document_store.stats
+        assert file_stats.retries + doc_stats.retries > 0
+        assert file_stats.simulated_retry_s + doc_stats.simulated_retry_s > 0
+
     def test_faulty_writer_close_is_one_fault_point(self):
         inner = FileStore()
         store = FaultyFileStore(
