@@ -20,32 +20,6 @@ from repro.workloads.scenario import MultiModelScenario, UseCase
 BENCH_NUM_MODELS = int(os.environ.get("REPRO_BENCH_MODELS", "100"))
 
 
-def pytest_addoption(parser) -> None:
-    parser.addoption(
-        "--seed",
-        action="store",
-        type=int,
-        default=None,
-        help=(
-            "Fault-schedule seed for fault-injecting benchmarks "
-            "(overrides the REPRO_FAULT_SEED environment variable)."
-        ),
-    )
-
-
-@pytest.fixture(scope="session")
-def fault_seed(request) -> int:
-    """Effective fault seed: ``--seed`` beats ``REPRO_FAULT_SEED`` beats 0.
-
-    Benchmarks that inject faults record this value in their results
-    JSON so a failing run can be replayed exactly.
-    """
-    option = request.config.getoption("--seed")
-    if option is not None:
-        return int(option)
-    return int(os.environ.get("REPRO_FAULT_SEED", "0"))
-
-
 @pytest.fixture(scope="session")
 def settings() -> ExperimentSettings:
     return ExperimentSettings(num_models=BENCH_NUM_MODELS, cycles=3, runs=1)

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any, Sequence
-
-import numpy as np
+from typing import Sequence
 
 
 def format_table(
@@ -61,16 +57,3 @@ def format_series(
     columns = ["approach"] + [str(label) for label in x_labels]
     rows = [[name, *values] for name, values in series.items()]
     return format_table(f"{title} [{unit}]", columns, rows, value_format=value_format)
-
-
-def percentile(values: "list[float]", q: float) -> float:
-    """The ``q``-th percentile of ``values`` (numpy's linear interpolation)."""
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
-
-
-def write_report(report: dict[str, Any], path: "str | Path") -> Path:
-    """Write a benchmark report as sorted, indented JSON (parents created)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path

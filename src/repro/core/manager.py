@@ -650,16 +650,21 @@ class MultiModelManager:
         return [shard.context.simulated_s() for shard in self.shards]
 
     # -- routing core ------------------------------------------------------
-    def allocate_save(self, base_set_id: "str | None" = None) -> tuple[str, int]:
+    def allocate_save(
+        self, base_set_id: "str | None" = None, shard: "int | None" = None
+    ) -> tuple[str, int]:
         """Reserve the next set id and pick its shard.
 
         Split from :meth:`execute_save` so the ingest queue can allocate
         ids in dispatch order (deterministic) while the saves themselves
         run later on worker threads.  Derived saves follow their base's
-        shard; initial saves hash the new id.
+        shard; initial saves hash the new id.  A caller that knows the
+        chain's shard passes it: the ingest queue's base may be an
+        allocation whose failed attempt has just dropped its placement
+        while a retry is pending.
         """
         with self._fleet_lock:
-            if base_set_id is not None:
+            if base_set_id is not None and shard is None:
                 shard = self._locate(base_set_id)
             set_id = f"set-{self.approach_name}-{next(self._ids):06d}"
             if base_set_id is None:

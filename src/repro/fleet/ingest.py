@@ -415,10 +415,10 @@ class IngestQueue:
         chain extends from its last durable save exactly as if the
         original flush had succeeded late — same coalescing, same id
         allocation, same journaled save, hence preserved lineage and
-        byte-identity.  Entries whose shard is still DOWN are skipped
-        (replay them after the shard recovers); an entry whose replay
-        fails again is re-parked as a fresh entry (exactly one copy —
-        the original is discarded before the resubmit).
+        byte-identity.  Entries whose shard is still DOWN, or whose chain
+        cannot be resolved, are skipped and kept; an entry whose replay
+        fails again is re-parked as fresh entries (exactly one copy of
+        each update — the original is discarded before the resubmit).
 
         Returns ``{"replayed": [...], "skipped": [...], "failed": [...]}``.
         """
@@ -439,48 +439,56 @@ class IngestQueue:
             ):
                 skipped.append(entry_id)
                 continue
+            target = entry["base"]
+            try:
+                try:
+                    self.fleet.shard_of(target)
+                except DocumentNotFoundError:
+                    # The failed flush's base was itself a rolled-back
+                    # allocation; fall back to the chain root.
+                    target = entry["root"]
+                # Resolve the chain before the entry is discarded: a store
+                # failing here leaves the entry parked as it is.
+                self.fleet.root_of(target)
+            except (OSError, StorageError) as error:
+                failed.append({"id": entry_id, "error": str(error), "reparked": [entry_id]})
+                continue
             states = store.load_states(entry_id)
             # Discard before resubmitting: a replay that fails re-parks
             # through the normal exhaustion path, leaving exactly one
             # (fresh) copy rather than a duplicate.
             store.discard(entry_id)
-            target = entry["base"]
+            unsent = OrderedDict(sorted(states.items()))
             try:
-                self.fleet.shard_of(target)
-            except DocumentNotFoundError:
-                # The failed flush's base was itself a rolled-back
-                # allocation; fall back to the chain root.
-                target = entry["root"]
-            try:
-                for model_index in sorted(states):
-                    self.submit(target, int(model_index), states[model_index])
+                for model_index, state in list(unsent.items()):
+                    try:
+                        self.submit(target, int(model_index), state)
+                    except IngestError as error:
+                        if not isinstance(error, IngestBackpressureError):
+                            del unsent[model_index]  # accepted; its flush failed
+                        raise
+                    del unsent[model_index]
                 self.flush(target)
                 self.drain()
             except IngestError as error:
                 reparked = list(getattr(error, "dead_letter_ids", ()))
-                if not reparked:
-                    # The failure happened before any flush could park
-                    # (e.g. admission refused the resubmit): park the
-                    # loaded states back ourselves so nothing is lost.
-                    reparked = [
+                if unsent:
+                    # Updates the queue never accepted (admission refused
+                    # one, or a flush failed first) are parked back here,
+                    # so nothing is lost.
+                    reparked.append(
                         store.park(
                             shard=target_shard,
                             root=entry["root"],
                             base=entry["base"],
-                            states=states,
-                            updates=int(entry["updates"]),
+                            states=unsent,
+                            updates=len(unsent),
                             seq=int(entry["seq"]),
                             error=f"replay failed: {error}",
                             parked_at=self.clock.now,
                         )
-                    ]
-                failed.append(
-                    {
-                        "id": entry_id,
-                        "error": str(error),
-                        "reparked": reparked,
-                    }
-                )
+                    )
+                failed.append({"id": entry_id, "error": str(error), "reparked": reparked})
             else:
                 replayed.append(entry_id)
                 with self._lock:
@@ -508,7 +516,7 @@ class IngestQueue:
         other even while earlier saves are still running on a worker.
         """
         base = chain.head
-        set_id, shard = self.fleet.allocate_save(base_set_id=base)
+        set_id, shard = self.fleet.allocate_save(base_set_id=base, shard=chain.shard)
         job = {
             "set_id": set_id,
             "base": base,
@@ -577,10 +585,18 @@ class IngestQueue:
                 if chain.materialized is None:
                     # Ungated read: flush admission (and half-open
                     # probing) is execute_save's allow(), and a gated
-                    # read would starve the probe of its chain head.
-                    chain.materialized = self.fleet.recover_set_for_flush(
-                        job["base"]
-                    )
+                    # read would starve the probe of its chain head.  It
+                    # is the save's first step, so its storage failure
+                    # is the save's and drives the shard breaker too; a
+                    # missing base is this queue's rolled-back allocation.
+                    try:
+                        chain.materialized = self.fleet.recover_set_for_flush(
+                            job["base"]
+                        )
+                    except (OSError, StorageError) as read_error:
+                        if not isinstance(read_error, DocumentNotFoundError):
+                            self.fleet.health.record_failure(job["shard"], read_error)
+                        raise
                 current = chain.materialized
                 for model_index, state in job["states"].items():
                     if not 0 <= model_index < len(current):

@@ -217,7 +217,7 @@ class _ReplicaSet:
         self._categories: dict[Any, str] = {}
 
     # -- primitive 1: the write fan-out -----------------------------------
-    def _fan_out(self, visit, key=None, targets=None, gated=True):
+    def _fan_out(self, visit, key=None, targets=None, gated=True, quorum=0):
         """Apply one mutation to the replicas; returns ``(acks, missed)``.
 
         ``visit(index, store)`` mutates one backend.  Per replica (all,
@@ -226,9 +226,16 @@ class _ReplicaSet:
         and is a miss; :data:`_MISSED` is a miss without penalty; anything
         else is an ack — the breaker closes and the repair entry for
         ``key`` is cleared.  Both results list replica indices.
+
+        When fewer than ``quorum`` replicas acknowledged, the replicas the
+        breaker refused are visited ungated, as half-open probes, before
+        the caller gives up: a revived replica whose breaker is still open
+        then lets the write commit.  A fan-out that reaches its quorum
+        never probes, so the healthy path is unchanged.
         """
         acks: list[int] = []
         missed: list[int] = []
+        refused: list[int] = []
         if targets is None:
             targets = range(len(self.replicas))
         for index in targets:
@@ -239,6 +246,8 @@ class _ReplicaSet:
                     outcome = visit(index, state.store)
                 except _REPLICA_FAILURES:
                     state.breaker.failure()
+            else:
+                refused.append(index)
             if outcome is _MISSED:
                 missed.append(index)
                 continue
@@ -246,6 +255,10 @@ class _ReplicaSet:
             if key is not None:
                 self._clear_repair(index, key)
             acks.append(index)
+        if refused and len(acks) < quorum:
+            probed, _ = self._fan_out(visit, key, targets=refused, gated=False)
+            acks = sorted(acks + probed)
+            missed = [index for index in missed if index not in probed]
         return acks, missed
 
     def _settle(self, what: str, key, op: str, acks, missed, quorum: int) -> None:
@@ -260,8 +273,8 @@ class _ReplicaSet:
 
     def _replicate(self, what: str, key, op: str, visit, quorum=None):
         """Gated fan-out to every replica, settled at W (or ``quorum``)."""
-        acks, missed = self._fan_out(visit, key)
         quorum = self.write_quorum if quorum is None else quorum
+        acks, missed = self._fan_out(visit, key, quorum=quorum)
         self._settle(what, key, op, acks, missed, quorum)
         return acks, missed
 
@@ -524,7 +537,7 @@ class ReplicatedFileStore(_ReplicaSet):
                 return _MISSED
 
         # No key: nothing has landed yet, so no repair entry is cleared.
-        _acks, missed = self._fan_out(visit)
+        _acks, missed = self._fan_out(visit, quorum=self.write_quorum)
         if not writers:
             raise QuorumError(
                 f"open_writer {artifact_id!r}: no replica reachable"

@@ -11,12 +11,14 @@ import sys
 import threading
 from collections import OrderedDict
 
-from repro.config import ArchiveConfig
+from repro.config import ArchiveConfig, FleetHealthConfig, ServingConfig
 from repro.core.manager import MultiModelManager
 from repro.core.save_info import SetMetadata
 from repro.core.verify import ArchiveVerifier
+from repro.errors import IngestError, ShardUnavailableError, StorageError
 from repro.fleet import FleetManager, IngestQueue
 from repro.registry import open_fleet_registry
+from repro.storage.faults import FaultInjector, inject_faults
 
 # CI's fleet-stress job sweeps the writer count through this knob.
 THREADS = int(os.environ.get("REPRO_FLEET_WRITERS", "8"))
@@ -181,3 +183,104 @@ class TestFleetHammer:
         records = {record.set_id: record.shard for record in fleet.registry.records()}
         assert len(records) == THREADS * 3
         assert records == {set_id: fleet.shard_of(set_id) for set_id in fleet.list_sets()}
+
+
+class TestIngestAcrossAnOutage:
+    def test_writers_and_readers_across_an_outage_and_a_replay(self, tiny_set):
+        """Writers on the worker pool and readers through serving, across a
+        shard outage, a revive and a replay: nothing lost, every byte exact."""
+        health = FleetHealthConfig(
+            down_after=2, probe_interval_ops=2, flush_retries=1, retry_base_s=0.01
+        )
+        fleet = FleetManager.with_approach(
+            "update",
+            ArchiveConfig(shards=2, serving=ServingConfig(enabled=True), health=health),
+        )
+        roots = [fleet.save_set(tiny_set) for _ in range(THREADS)]
+        queue = IngestQueue(fleet, flush_max_updates=len(tiny_set))
+
+        def state(chain, cycle, index):
+            return OrderedDict(
+                (name, (array + 0.5 * cycle + chain).astype(array.dtype))
+                for name, array in tiny_set.state(index).items()
+            )
+
+        def holds(model_set, chain, cycle):
+            return all(
+                (model_set.state(index)[name] == array).all()
+                for index in range(len(tiny_set))
+                for name, array in state(chain, cycle, index).items()
+            )
+
+        def write(cycles):
+            def worker(chain):
+                for cycle in cycles:
+                    for index in range(len(tiny_set)):
+                        queue.submit(roots[chain], index, state(chain, cycle, index))
+
+            run_threads(worker)
+            try:
+                queue.drain()
+            except IngestError:
+                pass  # the outage's flushes parked
+
+        reads, errors, stop = [], [], threading.Event()
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    for entry in queue.flush_log[-6:]:
+                        try:
+                            got = fleet.recover_set(entry["set_id"])
+                        except (ShardUnavailableError, StorageError):
+                            continue  # refused (or racing the breaker) while down
+                        reads.append(holds(got, roots.index(entry["root"]), entry["seq"]))
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        for thread in readers:
+            thread.start()
+        try:
+            write(range(2))
+            victim = fleet.shard_of(roots[0])
+            outage = inject_faults(
+                fleet.shards[victim].context, FaultInjector(down_at=0, down_mode="before")
+            )
+            write(range(2, 4))
+            assert fleet.health.is_down(victim) and fleet.deadletter.count > 0
+            outage.revive()
+            write(range(4, 6))  # the first flush probes and closes the breaker
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == [] and reads and all(reads)
+        snapshot = fleet.health.snapshot()[victim]
+        assert snapshot["state"] == "healthy" and snapshot["breaker_trips"] >= 1
+        assert snapshot["refused"] > 0 and snapshot["probes"] >= 1
+
+        # Each parked batch is a full overwrite at its cycle: replayed in
+        # park order, it extends its chain from the current head.
+        cycles = {root: [] for root in roots}
+        for entry in fleet.deadletter.entries():
+            cycles[entry["root"]].append(entry["seq"])
+        parked = sum(len(entry["models"]) for entry in fleet.deadletter.entries())
+        replayed = len(queue.flush_log)
+        report = queue.replay_dead_letters()
+        assert report["replayed"] and report["skipped"] == report["failed"] == []
+        assert fleet.deadletter.count == 0 and queue.updates_replayed == parked
+        heads = {}
+        for position, entry in enumerate(queue.flush_log):
+            cycle = entry["seq"] if position < replayed else cycles[entry["root"]].pop(0)
+            assert holds(fleet.recover_set(entry["set_id"]), roots.index(entry["root"]), cycle)
+            heads[entry["root"]] = cycle
+        queue.close()
+        # Zero loss: every accepted update was flushed exactly once.
+        assert sum(entry["models"] for entry in queue.flush_log) == THREADS * 6 * len(tiny_set)
+        assert queue.updates_coalesced == 0 and not any(cycles.values())
+        assert heads == {root: 3 if fleet.shard_of(root) == victim else 5 for root in roots}

@@ -19,13 +19,15 @@ from repro.config import (
 )
 from repro.errors import (
     ConfigError,
+    IngestError,
     ReplicaUnavailableError,
     ShardUnavailableError,
 )
-from repro.fleet import FleetManager
+from repro.fleet import FleetManager, IngestQueue
 from repro.fleet.health import DEGRADED, DOWN, HEALTHY, FleetHealthTracker
 from repro.observability.metrics import global_registry
 from repro.storage.faults import FaultInjector, inject_faults
+from repro.storage.hardware import ARCHIVE_PROFILE
 
 
 def health_config(**overrides) -> FleetHealthConfig:
@@ -288,6 +290,44 @@ class TestFleetGating:
         assert fleet.health.state(0) == HEALTHY
         injector.revive()
         assert fleet.save_set(tiny_set, base_set_id=base)
+
+
+class TestHealthyShardLatency:
+    def test_an_outage_does_not_slow_the_other_shard(self, tiny_set):
+        """Each healthy-shard flush during the outage charges at most 1.2x
+        its simulated seconds in a no-fault run."""
+
+        def run(outage):
+            fleet = FleetManager.with_approach(
+                "update", ArchiveConfig(shards=2, profile=ARCHIVE_PROFILE, health=health_config())
+            )
+            roots = [fleet.save_set(tiny_set) for _ in range(6)]
+            victim = fleet.shard_of(roots[0])
+            assert {fleet.shard_of(root) for root in roots} == {0, 1}
+            queue = IngestQueue(fleet, flush_max_updates=len(tiny_set), workers=0)
+            costs = []
+            for cycle in range(6):
+                if outage and cycle == 2:
+                    inject_faults(
+                        fleet.shards[victim].context,
+                        FaultInjector(down_at=0, down_mode="before"),
+                    )
+                for root in roots:
+                    before = fleet.shard_simulated_s()[1 - victim]
+                    try:
+                        for index in range(len(tiny_set)):
+                            queue.submit(root, index, tiny_set.state(index))
+                    except IngestError:
+                        assert fleet.shard_of(root) == victim  # parked
+                    if fleet.shard_of(root) != victim:
+                        costs.append(fleet.shard_simulated_s()[1 - victim] - before)
+            assert fleet.health.is_down(victim) == outage
+            return costs
+
+        healthy, degraded = run(outage=False), run(outage=True)
+        assert len(healthy) == len(degraded) > 0 and min(healthy) > 0
+        for clean, during in zip(healthy, degraded):
+            assert during <= 1.2 * clean
 
 
 class TestDownAtOpen:

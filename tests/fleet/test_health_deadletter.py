@@ -21,6 +21,7 @@ from repro.errors import (
     IngestBackpressureError,
     IngestClosedError,
     IngestError,
+    StorageError,
 )
 from repro.fleet import FleetManager, IngestQueue
 from repro.fleet.deadletter import DeadLetterStore
@@ -269,6 +270,22 @@ class TestRetryParkReplay:
         assert queue.flush_retries == 0  # no retry for client errors
         queue.close()
 
+    def test_a_failed_flush_read_trips_the_breaker(self, tiny_set):
+        # The outage begins at the save's first write, so the retry's
+        # materialization read is what fails: it counts as the save's
+        # second failure and the shard goes DOWN.
+        fleet = make_fleet(health_config(down_after=2))
+        base = fleet.save_set(tiny_set)
+        queue = IngestQueue(fleet, flush_max_updates=1, workers=0)
+        inject_faults(
+            fleet.shards[0].context, FaultInjector(down_at=0, down_mode="before")
+        )
+        with pytest.raises(IngestError):
+            queue.submit(base, 0, state_plus(tiny_set, 0, 1.0))
+        assert queue.flush_retries == 1 and queue.dead_lettered == 1
+        assert fleet.health.is_down(0)
+        queue.abort()
+
     def test_drain_error_aggregates_all_failing_sets(self, tiny_set):
         """Satellite: IngestError carries every failing set id + shard."""
         fleet = make_fleet()
@@ -301,6 +318,67 @@ class TestRetryParkReplay:
         # The pool is stopped despite the error: submit is a typed no.
         with pytest.raises(IngestClosedError):
             queue.submit(base, 0, state_plus(tiny_set, 0, 2.0))
+
+
+class TestReplayLosesNothing:
+    """A replay that cannot finish leaves every update it holds parked."""
+
+    def test_an_entry_whose_chain_cannot_be_resolved_stays_parked(self, tmp_path, tiny_set):
+        config = ArchiveConfig(shards=1, health=health_config(down_after=2))
+        fleet = FleetManager.open(tmp_path / "fleet", "update", config)
+        base = fleet.save_set(tiny_set)
+        queue = IngestQueue(fleet, flush_max_updates=1, workers=0)
+        take_down(fleet)
+        with pytest.raises(IngestError):
+            queue.submit(base, 0, state_plus(tiny_set, 0, 1.0))
+        queue.abort()
+        # A new process: its breaker is closed, and resolving the chain
+        # reads the store, which is still down.
+        fleet = FleetManager.open(tmp_path / "fleet", "update", config)
+        (entry,) = fleet.deadletter.entries()
+        outage = take_down(fleet)
+        with pytest.raises(StorageError):  # the outage begins at the first write
+            fleet.shards[0].context.file_store.put(b"x", artifact_id="trip")
+        queue = IngestQueue(fleet, flush_max_updates=1, workers=0)
+        report = queue.replay_dead_letters()
+        assert report["failed"] == [
+            {"id": entry["id"], "error": "injected replica outage", "reparked": [entry["id"]]}
+        ]
+        assert [e["id"] for e in fleet.deadletter.entries()] == [entry["id"]]
+        outage.revive()
+        outage.down_at = None
+        assert queue.replay_dead_letters()["replayed"] == [entry["id"]]
+        (flushed,) = queue.flush_log
+        assert states_equal(
+            fleet.recover_set(flushed["set_id"]).state(0), state_plus(tiny_set, 0, 1.0)
+        )
+        queue.close()
+
+    def test_updates_not_yet_resubmitted_are_parked_back(self, tiny_set):
+        fleet = make_fleet(health_config(down_after=2))
+        base = fleet.save_set(tiny_set)
+        queue = IngestQueue(fleet, flush_max_updates=2, workers=0)
+        outage = take_down(fleet)
+        queue.submit(base, 0, state_plus(tiny_set, 0, 1.0))
+        with pytest.raises(IngestError):
+            queue.submit(base, 1, state_plus(tiny_set, 1, 1.0))
+        outage.revive()
+        outage.down_at = None
+        for index in (0, 1):  # the flush probes and closes the breaker
+            queue.submit(base, index, state_plus(tiny_set, index, 2.0))
+        take_down(fleet)
+        queue.submit(base, 0, state_plus(tiny_set, 0, 3.0))  # pending
+        # The first replayed update completes the pending batch, whose
+        # flush fails: the entry's second update was never resubmitted.
+        (failure,) = queue.replay_dead_letters()["failed"]
+        entries = {e["id"]: e for e in fleet.deadletter.entries()}
+        assert sorted(entries) == sorted(failure["reparked"])
+        assert sorted(e["models"] for e in entries.values()) == [[0], [1]]
+        flushed = sum(entry["models"] for entry in queue.flush_log)
+        parked = sum(len(entry["models"]) for entry in entries.values())
+        # Five accepted updates: two flushed, one coalesced, two parked.
+        assert (flushed, queue.updates_coalesced, parked, queue.depth) == (2, 1, 2, 0)
+        queue.abort()
 
 
 class TestBackpressure:

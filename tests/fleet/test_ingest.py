@@ -6,11 +6,12 @@ from collections import OrderedDict
 import pytest
 
 from repro.config import ArchiveConfig, ObservabilityConfig
-from repro.errors import IngestError
+from repro.errors import IngestError, StorageError
 from repro.fleet import FleetManager, IngestQueue
 from repro.observability import prometheus_text
 from repro.observability.metrics import global_registry
 from repro.simtime import SimClock
+from repro.storage.faults import FaultInjector, inject_faults
 
 
 def state_plus(model_set, index, delta):
@@ -300,6 +301,37 @@ class TestFailedFlushRelease:
         expected = tiny_set.copy()
         expected.states[1] = state_plus(tiny_set, 1, 2.0)
         assert fleet.recover_set(entry["set_id"]).equals(expected)
+
+    def test_submit_while_a_failed_attempt_awaits_its_retry(self, tiny_set, monkeypatch):
+        """A batch dispatched against an id whose failed attempt dropped its
+        placement until the retry is allocated on the chain's shard."""
+        fleet = make_fleet()
+        base = fleet.save_set(tiny_set)
+        queue = IngestQueue(fleet, flush_max_updates=1, workers=1)
+        queue.submit(base, 0, state_plus(tiny_set, 0, 1.0))
+        queue.drain()  # the chain's contents are held: the next flush reads nothing
+        context = fleet.shards[0].context
+        outage = inject_faults(context, FaultInjector(down_at=0, down_mode="before"))
+        with pytest.raises(StorageError):  # down: a save fails reading its base
+            context.file_store.put(b"x", artifact_id="trip")
+        reinstate = fleet.reinstate_allocation
+
+        def writer_gets_in(set_id, shard, root=None):
+            outage.revive()
+            outage.down_at = None
+            queue.submit(base, 0, state_plus(tiny_set, 0, 3.0))  # a batch on set_id
+            reinstate(set_id, shard, root=root)
+
+        monkeypatch.setattr(fleet, "reinstate_allocation", writer_gets_in)
+        queue.submit(base, 1, state_plus(tiny_set, 1, 2.0))
+        queue.drain()
+        queue.close()
+        _first, retried, raced = queue.flush_log
+        assert raced["base"] == retried["set_id"] and queue.flush_retries == 1
+        expected = tiny_set.copy()
+        expected.states[0] = state_plus(tiny_set, 0, 3.0)
+        expected.states[1] = state_plus(tiny_set, 1, 2.0)
+        assert fleet.recover_set(raced["set_id"]).equals(expected)
 
 
 class TestMetricsExport:

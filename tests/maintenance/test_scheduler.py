@@ -21,7 +21,7 @@ from repro.core.approach import SETS_COLLECTION
 from repro.core.fsck import ArchiveFsck
 from repro.core.manager import MultiModelManager
 from repro.errors import DocumentNotFoundError, SimulatedCrashError
-from repro.fleet import FleetManager
+from repro.fleet import FleetManager, IngestQueue
 from repro.maintenance import MaintenanceScheduler, MaintenanceTarget
 from repro.observability.metrics import MetricsRegistry
 from repro.simtime import SimClock
@@ -246,6 +246,39 @@ class TestReplicaUpkeep:
         # One-shot passes scrub everything.
         full = scheduler.run_pass()
         assert [entry.scrubbed for entry in full.shards] == [True, True]
+
+
+class TestSaveLatency:
+    def test_maintenance_at_most_doubles_save_cost_and_reclaims(self, tiny_set):
+        """Saves among scheduled passes charge at most 2x their simulated
+        seconds with maintenance off; the archive ends under half the size."""
+
+        def run(config):
+            fleet = FleetManager.with_approach(
+                "update", ArchiveConfig(shards=2, profile=ARCHIVE_PROFILE)
+            )
+            clock = SimClock()
+            scheduler = MaintenanceScheduler.for_manager(fleet, config=config, clock=clock)
+            queue = IngestQueue(fleet, flush_max_updates=len(tiny_set), workers=0, clock=clock)
+            heads = [fleet.save_set(tiny_set) for _ in range(2)]
+            costs = []
+            for cycle in range(16):
+                for chain, head in enumerate(heads):
+                    before = sum(fleet.shard_simulated_s())
+                    for index in range(len(tiny_set)):
+                        queue.submit(head, index, perturbed(tiny_set, cycle + chain).state(index))
+                    costs.append(sum(fleet.shard_simulated_s()) - before)
+                    heads[chain] = queue.flush_log[-1]["set_id"]
+                clock.advance(5.0)
+                scheduler.tick()
+            return costs, fleet.total_stored_bytes()
+
+        (on, kept), (off, grown) = (
+            run(upkeep(interval_s=10.0, duty_cycle=0.5, gc_keep_last=4, compact_chain_depth=3)),
+            run(MaintenanceConfig()),
+        )
+        assert max(on) <= 2 * max(off)
+        assert kept < grown / 2
 
 
 class TestPacing:

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DocumentNotFoundError
@@ -167,6 +167,13 @@ def apply(store, op, root, shape, outages):
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(sequence=st.lists(ops, max_size=12))
+# A second outage while the revived replica's breaker is still open: the
+# write probes it rather than settle for one ack of W=2.
+@example(
+    sequence=[("outage", 1)]
+    + [("insert", ("sets", doc_id), {}) for doc_id in DOC_IDS]
+    + [("revive",), ("outage", 0), ("insert", ("hash_info", "a"), {})]
+)
 def test_remembered_sizes_are_the_compact_encoding(shape, sequence):
     with tempfile.TemporaryDirectory() as directory:
         root = None if shape == "memory" else Path(directory)

@@ -623,7 +623,10 @@ class TestFanOutContract:
             assert rep.stats.simulated_write_s == charged
             return
 
-        visited = outcome == "ack" or (outcome == "refused" and not gated)
+        # A refused replica is visited ungated, or as a probe when the
+        # others cannot reach W (every gated entry but the quorum-0 one).
+        probed = gated and needed > 0 and 3 - len(victims) < rep.write_quorum
+        visited = outcome == "ack" or (outcome == "refused" and (not gated or probed))
         ackers = [i for i in range(3) if visited or i not in victims]
         if len(ackers) < needed:
             with pytest.raises(QuorumError):

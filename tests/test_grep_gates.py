@@ -1,0 +1,154 @@
+"""The repository's grep gates, run as one tier-1 test.
+
+Each row: a pattern that must not come back, the ``path:line:text`` hits
+it allows (as ``grep -v`` drops them), why, and a line it must catch,
+which ``test_each_gate_still_fires`` plants in a scratch tree.  This file
+holds the patterns and is not scanned.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TREE = ("src", "tests", "benchmarks", "examples")
+
+
+class Gate(NamedTuple):
+    name: str
+    pattern: str
+    allowed: tuple  # ``grep -v`` patterns over ``path:line:text``
+    reason: str
+    sample: str  # a line the gate must catch, planted at ``plant``
+    plant: str = "src/repro/planted.py"
+    roots: tuple = TREE
+    check: "Callable[[Path], list[str]] | None" = None  # a multi-line gate
+
+
+def scan(root: Path, roots, pattern: str, allowed=()) -> list[str]:
+    hits = []
+    for top in roots:
+        for path in sorted((root / top).rglob("*.py")):
+            if path.resolve() == Path(__file__).resolve():
+                continue
+            relative = path.relative_to(root).as_posix()
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                hit = f"{relative}:{number}:{line}"
+                if re.search(pattern, line) and not any(re.search(a, hit) for a in allowed):
+                    hits.append(hit)
+    return hits
+
+
+def replica_visits(root: Path) -> list[str]:
+    """Private replication names imported, or replicas looped over, outside
+    storage; a parenthesized import's names are its eight next lines."""
+    outside = (r"^src/repro/storage/",)
+    hits = scan(
+        root, ("src/repro",),
+        r"from repro\.storage\.replication import .*\b_[A-Za-z]|for .+ in .+\.replicas\b", outside,
+    )
+    opened = r"from repro\.storage\.replication import \($"
+    for hit in scan(root, ("src/repro",), opened, outside):
+        relative, number, _line = hit.split(":", 2)
+        lines = (root / relative).read_text().splitlines()
+        for after in range(int(number) + 1, min(int(number) + 9, len(lines) + 1)):
+            if re.match(r"\s+_[A-Za-z]", lines[after - 1]):
+                hits.append(f"{relative}:{after}:{lines[after - 1]}")
+    return hits
+
+
+def descriptor_builders(root: Path) -> list[str]:
+    """Exactly one file under src/repro builds a set descriptor, and the
+    removed streaming writer is named nowhere."""
+    hits = scan(root, ("src/repro",), '"architecture_code"')
+    builders = sorted({hit.split(":")[0] for hit in hits})
+    if len(builders) != 1:
+        return builders or ["src/repro: no file builds a set descriptor"]
+    return scan(root, TREE, "write_full_set_streaming")
+
+
+GATES = (
+    Gate("Legacy-kwarg",
+         r"(with_approach|\.open|\.create)\((?:(?!ArchiveConfig)[^()])*\b"
+         r"(profile|workers|dedup|journal|retry|replicas|write_quorum|read_quorum)=",
+         (r"tests/core/test_config.py",),
+         "per-knob kwargs raise TypeError; pass ArchiveConfig (the allowance tests that)",
+         "m = MultiModelManager.with_approach('update', workers=4)"),
+    Gate("Document reach-through", r"\._collections\b", (r"^src/repro/storage/",),
+         "outside storage read documents with peek(); _collections votes on every document",
+         "docs = store._collections", roots=("src/repro",)),
+    Gate("Recovery-internals", r"from repro\.core\.(update|baseline|recovery) import .*\b_[a-z]",
+         (r"^src/repro/core/",), "outside repro.core recovery is the public plan API",
+         "from repro.core.recovery import _plan", "tests/planted.py"),
+    Gate("Row-constructor", r"\bfrom_rows\(", (r"^src/repro/(core|serving)/",),
+         "from_rows skips the schema check: only recovery and serving build rows from a plan",
+         "models = ModelSet.from_rows(rows)", "benchmarks/planted.py"),
+    Gate("Removed-knob", r"\bdifferential=", (),
+         "ServingConfig.differential was removed: tier 2 serves whenever digests are stored",
+         "config = ServingConfig(differential=True)", "examples/planted.py"),
+    Gate("Replica-visit", "", (),
+         "a replica is visited in storage/replication.py only: no private imports or loops",
+         "from repro.storage.replication import (\n    ReplicatedFileStore,\n    _MISSED,\n)",
+         "src/repro/core/planted.py", check=replica_visits),
+    Gate("Spill-mode", r"(^|[^A-Za-z])FileStore\([^)]*directory=", (),
+         "FileStore(directory=) was removed; the disk backend is PersistentFileStore",
+         "store = FileStore(directory='spill')"),
+    Gate("Set-descriptor", "", (),
+         "a full set is written by core/baseline.write_set; its descriptor is built in one file",
+         'descriptor = {"architecture_code": code}', check=descriptor_builders),
+    Gate("Retention", r"\b(compact_oldest_kept|_cmd_fleet_gc|on_deleted)\b", (),
+         "keep-the-newest-K is one rule, retire(older_than_newest(...))",
+         "manager.compact_oldest_kept()"),
+    Gate("Catalog hooks", r"\brecord_retention\b|\b_registry_if_active\b|view\.on_retired\b", (),
+         "the catalog hears retention from the transaction, not from a hook",
+         "registry.record_retention(ids)"),
+    Gate("Catalog writers", r"\.record_(save|delete|compact)\(",
+         (r"\bstats\.record_delete\(", r"^(src/repro/core/manager\.py|src/repro/core/retention\.py|"
+          r"src/repro/registry/|tests/registry/)"),
+         "only the engine's save wrapper and RetentionManager make catalog records",
+         "registry.record_save(set_id)", "src/repro/fleet/planted.py"),
+    Gate("Topology helpers",
+         r"\b(_run_fleet|_open_fleet_contexts|_fleet_shard_count|_fleet_catalog_hook|"
+         r"_cmd_fleet_warm|for_contexts|for_fleet|_shard_config|_init_catalog|"
+         r"_init_observability|_init_serving|maintenance_targets)\b", (),
+         "a plain archive is one shard; schedulers come from MaintenanceScheduler.for_manager",
+         "scheduler = MaintenanceScheduler.for_fleet(fleet)"),
+    Gate("Topology class checks", r"needs the sharded fleet engine|isinstance\([^)]*FleetManager",
+         (), "MultiModelManager and FleetManager are one engine",
+         "if isinstance(manager, FleetManager):"),
+    Gate("Document-plane", r"encode_document\(|json\.loads\(json\.dumps\(|marshal\.(loads|dumps)",
+         (), "charge stored_size() and return the held document; an editor calls thaw()",
+         "copy = marshal.loads(blob)", "src/repro/storage/planted.py", ("src/repro/storage",)),
+    Gate("Retired-bench",
+         r"repro\.bench\.(dedup|serving|fleet|scaling|registry|faults|replication)\b|"
+         r"bench_(dedup|serving|fleet_scaling|parallel_scaling|registry|faults)|"
+         r"repro\.bench\.(chaos|soak)|bench_(chaos|soak)|REPRO_(CHAOS|SOAK)_", (),
+         "retired benches' claims are tier-1 tests; their timings the wall-clock ledger",
+         "CYCLES = os.environ['REPRO_SOAK_CYCLES']", "benchmarks/planted.py"),
+)
+
+
+def violations(gate: Gate, root: Path) -> list[str]:
+    return gate.check(root) if gate.check else scan(root, gate.roots, gate.pattern, gate.allowed)
+
+
+@pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.name)
+def test_gate_holds(gate):
+    assert violations(gate, ROOT) == [], gate.reason
+
+
+@pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.name)
+def test_each_gate_still_fires(gate, tmp_path):
+    for top in TREE:
+        (tmp_path / top).mkdir()
+    (tmp_path / "src/repro/core").mkdir(parents=True)
+    (tmp_path / "src/repro/core/baseline.py").write_text('KEY = "architecture_code"\n')
+    assert violations(gate, tmp_path) == []
+    planted = tmp_path / gate.plant
+    planted.parent.mkdir(parents=True, exist_ok=True)
+    planted.write_text(f"import os\n{gate.sample}\n")
+    assert violations(gate, tmp_path), f"{gate.name} missed {gate.sample!r}"
