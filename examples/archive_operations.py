@@ -5,7 +5,8 @@ Everything a fleet operator does over the archive's lifetime:
 
 1. open a disk-backed archive and ingest several update cycles,
 2. *reopen* it (as a new process would) and inspect the lineage DAG,
-3. audit integrity (checksummed artifacts, hash info, chain structure),
+3. audit integrity (checksummed artifacts, hash info, chain structure,
+   and every set recovered),
 4. run a post-accident analysis on a single cell — recovering only that
    model and charting its parameter drift across cycles, and
 5. apply a retention policy: keep the newest generations, compacting
@@ -20,7 +21,7 @@ Run with::
 import tempfile
 
 from repro import (
-    ArchiveVerifier,
+    ArchiveFsck,
     LineageGraph,
     MultiModelManager,
     RetentionManager,
@@ -70,10 +71,10 @@ def main() -> None:
         )
 
         # 3. Audit integrity before trusting the archive.
-        report = ArchiveVerifier(manager.context).verify_all(deep=True)
+        report = ArchiveFsck(manager.context).run(deep=True, recover=True)
         print(
             f"integrity audit: {report.sets_checked} sets checked, "
-            f"{'clean' if report.ok else report.issues}"
+            f"{'clean' if report.ok else report.summary()}"
         )
 
         # 4. Post-accident analysis of one cell: recover only its model.
@@ -98,7 +99,7 @@ def main() -> None:
         # The survivors still recover bit-exactly.
         recovered = manager.recover_set(latest)
         assert recovered.equals(cases[-1].model_set)
-        assert ArchiveVerifier(manager.context).verify_all(deep=True).ok
+        assert ArchiveFsck(manager.context).run(deep=True, recover=True).ok
         print("post-retention: latest generation recovers bit-exactly, audit clean")
 
 

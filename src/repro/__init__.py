@@ -36,6 +36,7 @@ from repro.config import (
 )
 from repro.core.approach import SaveApproach, SaveContext
 from repro.core.baseline import BaselineApproach
+from repro.core.fsck import ArchiveFsck
 from repro.core.lineage import LineageGraph, diff_sets, model_history
 from repro.core.manager import MultiModelManager
 from repro.core.mmlib_base import MMlibBaseApproach
@@ -45,7 +46,6 @@ from repro.core.recommender import ApproachRecommender, ScenarioProfile
 from repro.core.retention import RetentionManager
 from repro.core.save_info import ModelUpdate, SetMetadata, UpdateInfo
 from repro.core.update import UpdateApproach
-from repro.core.verify import ArchiveVerifier
 from repro.fleet import FleetManager, IngestQueue
 from repro.maintenance import MaintenanceScheduler
 from repro.observability import MetricsRegistry, TraceRecorder, global_registry
@@ -56,7 +56,7 @@ from repro.simtime import SimClock
 __all__ = [
     "ApproachRecommender",
     "ArchiveConfig",
-    "ArchiveVerifier",
+    "ArchiveFsck",
     "BaselineApproach",
     "FleetHealthConfig",
     "FleetManager",

@@ -7,8 +7,8 @@ Subcommands cover the operator loop demonstrated in
 
     repro-archive <dir> info                 # sets, sizes, lineage summary
     repro-archive <dir> lineage              # the derivation chains
-    repro-archive <dir> verify [--deep]      # integrity audit
-    repro-archive <dir> fsck [--deep]        # consistency audit + bitrot scan
+    repro-archive <dir> verify [--deep]      # the audit; --deep recovers every set
+    repro-archive <dir> fsck [--deep]        # the audit; --deep re-hashes every byte
     repro-archive <dir> scrub [--shallow]    # converge replicas (anti-entropy)
     repro-archive <dir> history SET_ID IDX   # one model's drift
     repro-archive <dir> compact SET_ID       # delta -> full snapshot
@@ -31,7 +31,8 @@ replicated layout (``replica-<i>/`` subtrees) is likewise auto-detected;
 ``--replicas``/``--write-quorum``/``--read-quorum`` create or override
 the topology.  ``fsck`` and ``scrub`` exit 0 when clean, 1 when issues
 were found that are repairable (or were repaired), and 2 on
-unrecoverable data loss.
+unrecoverable data loss; ``verify`` prints the same report as ``fsck``
+and exits 0 when clean, 1 otherwise.
 
 A sharded fleet layout (``shard-<i>/`` subtrees) is auto-detected the
 same way;

@@ -14,11 +14,11 @@ import sys
 from repro.cli.common import ArchiveView, _detect_approach, _manager_for, config_from_args
 from repro.config import ArchiveConfig, ObservabilityConfig
 from repro.core.approach import SETS_COLLECTION, SaveContext
+from repro.core.fsck import ArchiveFsck, FsckReport, scrub_archive
 from repro.core.lineage import LineageGraph, model_history
 from repro.core.manager import MultiModelManager
 from repro.core.migration import migrate_archive
 from repro.core.retention import RetentionManager
-from repro.core.verify import ArchiveVerifier
 from repro.storage.hardware import SERVER_PROFILE
 
 
@@ -89,27 +89,26 @@ def _cmd_lineage(context: SaveContext, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(context: SaveContext, args: argparse.Namespace) -> int:
-    report = ArchiveVerifier(context).verify_all(deep=args.deep)
-    print(f"checked {report.sets_checked} sets")
-    if report.ok:
-        print("archive is clean")
-        return 0
-    for issue in report.issues:
-        print(f"ISSUE {issue}")
-    return 1
+    """The audit with ``--deep`` adding every set's recovery: exits 0 or 1."""
+    report = ArchiveFsck(context).run(deep=args.deep, recover=args.deep)
+    return min(_print_audit(report, "archive is clean"), 1)
 
 
 def _cmd_fsck(context: SaveContext, args: argparse.Namespace) -> int:
-    from repro.core.fsck import ArchiveFsck
-
     report = ArchiveFsck(context).run(deep=args.deep)
+    return _print_audit(report, "archive is consistent")
+
+
+def _print_audit(report: FsckReport, clean: str) -> int:
+    """Print one audit report, a line per finding; returns its exit code."""
     print(
         f"checked {report.sets_checked} sets, {report.artifacts_checked} "
         f"artifacts, {report.chunks_checked} chunks"
     )
     if report.ok:
-        print("archive is consistent")
+        print(clean)
         return 0
+    print(f"ISSUES: {report.summary()}")
     for txn in report.pending_journal:
         print(f"PENDING-TXN {txn} (reopen the archive to roll it back)")
     for entry in report.missing_artifacts:
@@ -142,12 +141,12 @@ def _cmd_fsck(context: SaveContext, args: argparse.Namespace) -> int:
             f"{entry['extra_documents']} extra / "
             f"{entry['divergent_documents']} divergent documents"
         )
+    for issue in report.set_issues:
+        print(f"ISSUE {issue}")
     return report.exit_code
 
 
 def _cmd_scrub(context: SaveContext, args: argparse.Namespace) -> int:
-    from repro.core.fsck import scrub_archive
-
     report = scrub_archive(context, deep=not args.shallow)
     print(report.summary())
     for replica, artifact in report.artifacts_healed:

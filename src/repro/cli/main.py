@@ -179,13 +179,19 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("info", help="summarize the archive")
     subparsers.add_parser("lineage", help="print the derivation chains")
 
-    verify = subparsers.add_parser("verify", help="audit archive integrity")
+    verify = subparsers.add_parser(
+        "verify", help="audit the archive as fsck does, exiting 0 (clean) or 1"
+    )
     verify.add_argument(
-        "--deep", action="store_true", help="also recover sets and recheck hashes"
+        "--deep",
+        action="store_true",
+        help="also re-hash every stored byte and recover every set against "
+        "its stored hash info",
     )
 
     fsck = subparsers.add_parser(
-        "fsck", help="audit archive consistency (journal, orphans, refcounts)"
+        "fsck", help="audit the archive (journal, references, orphans, refcounts, "
+        "set descriptors)"
     )
     fsck.add_argument(
         "--deep",

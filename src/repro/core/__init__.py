@@ -22,6 +22,7 @@ from repro.core.approach import SaveApproach, SaveContext
 from repro.core.baseline import BaselineApproach
 from repro.core.compression import CODECS, CompressionCodec
 from repro.core.export import export_models, import_models
+from repro.core.fsck import ArchiveFsck
 from repro.core.lineage import LineageGraph, diff_sets, model_history
 from repro.core.manager import MultiModelManager
 from repro.core.mmlib_base import MMlibBaseApproach
@@ -39,12 +40,11 @@ from repro.core.recommender import ApproachRecommender, ScenarioProfile
 from repro.core.retention import RetentionManager
 from repro.core.save_info import ModelUpdate, SetMetadata, UpdateInfo
 from repro.core.update import UpdateApproach
-from repro.core.verify import ArchiveVerifier
 
 __all__ = [
     "ApproachRecommender",
     "ArchiveConfig",
-    "ArchiveVerifier",
+    "ArchiveFsck",
     "BaselineApproach",
     "CODECS",
     "CompressionCodec",

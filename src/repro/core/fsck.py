@@ -1,15 +1,18 @@
-"""Archive fsck and corruption-tolerant (salvage) recovery.
+"""Archive audit and corruption-tolerant (salvage) recovery.
 
 Two complementary tools for the "after an accident" half of the paper's
 archival story:
 
-* :class:`ArchiveFsck` — a structural audit of the whole archive:
-  leftover journal transactions, set descriptors referencing missing
-  artifacts, artifacts referenced by nothing (orphans a rolled-back save
-  should have reclaimed), and a full refcount audit of the chunk ledger
-  against the digest matrices of every chunked set.  ``deep=True`` also
-  re-hashes every artifact against its recorded checksum and every chunk
-  against its content digest.
+* :class:`ArchiveFsck` — the one audit of the whole archive: leftover
+  journal transactions, set descriptors referencing missing artifacts,
+  artifacts referenced by nothing (orphans a rolled-back save should
+  have reclaimed), a full refcount audit of the chunk ledger against the
+  digest matrices of every chunked set, and each set's own descriptor
+  (artifact lengths, diff lists, chain links, side documents, chunk
+  digests).  ``deep=True`` also re-hashes every artifact against its
+  recorded checksum and every chunk against its content digest;
+  ``recover=True`` recovers every set and checks it against its stored
+  per-layer hash info.
 * :func:`salvage_recover` — recovery that does not abort on the first
   corrupt byte.  Every model that still verifies is returned; the report
   lists exactly which models were lost and why.  For deduplicated sets
@@ -32,24 +35,28 @@ CLI verbs): **0** clean, **1** issues that were (or can be) repaired,
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 from repro.core.approach import SETS_COLLECTION, SaveContext
+from repro.core.baseline import layer_hashes
+from repro.core.manager import APPROACHES
 from repro.core.mmlib_base import MODELS_COLLECTION
 from repro.core.recovery import (
     HASH_COLLECTION,
     RecoveryPlan,
+    SetOwns,
     assemble,
     layer_nbytes,
     resolve_chunked,
     set_owns,
 )
-from repro.errors import DocumentNotFoundError
+from repro.errors import DocumentNotFoundError, ReproError
 from repro.nn.serialization import ModelState, StateSchema, deserialize_state_dict
 from repro.observability import trace as _trace
 from repro.storage.chunk_index import PACKS_COLLECTION
-from repro.storage.hashing import hash_array, hash_bytes
+from repro.storage.hashing import hash_bytes
 from repro.storage.journal import JOURNAL_COLLECTION, entry_ids
 from repro.storage.replication import replica_divergence, replicated_stores
 
@@ -58,9 +65,20 @@ from repro.storage.replication import replica_divergence, replicated_stores
 # fsck
 # ---------------------------------------------------------------------------
 
+class SetIssue(NamedTuple):
+    """One finding in one set's descriptor (see :meth:`ArchiveFsck.run`)."""
+
+    set_id: str
+    kind: str
+    detail: str
+
+    def __str__(self) -> str:
+        return f"[{self.kind}] {self.set_id}: {self.detail}"
+
+
 @dataclass
 class FsckReport:
-    """Outcome of an archive consistency audit."""
+    """Outcome of an archive audit."""
 
     sets_checked: int = 0
     artifacts_checked: int = 0
@@ -70,7 +88,7 @@ class FsckReport:
     pending_journal: list[str] = field(default_factory=list)
     #: ``{"set_id", "artifact"}`` — referenced but absent from the store.
     missing_artifacts: list[dict] = field(default_factory=list)
-    #: Stored artifacts no set, model document, or chunk pack references.
+    #: Stored artifacts no set or chunk pack references.
     orphan_artifacts: list[str] = field(default_factory=list)
     #: ``{"digest", "expected", "actual"}`` — ledger refcount disagrees
     #: with the count implied by the surviving digest matrices.
@@ -89,6 +107,9 @@ class FsckReport:
     #: Per-replica diffs against the majority view (replicated archives
     #: only; see :func:`repro.storage.replication.replica_divergence`).
     replica_divergence: list[dict] = field(default_factory=list)
+    #: Sets whose descriptor disagrees with what it names, or (``recover``
+    #: only) that do not recover to their stored hash info.
+    set_issues: list[SetIssue] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -102,6 +123,7 @@ class FsckReport:
             or self.quarantined_chunks
             or self.degraded_artifacts
             or self.replica_divergence
+            or self.set_issues
         )
 
     @property
@@ -110,12 +132,17 @@ class FsckReport:
 
         Loss means bytes with no surviving good copy: a referenced
         artifact absent everywhere, an artifact whose every copy fails
-        verification, or a corrupt chunk.  Everything else — pending
-        journal entries, orphans, refcount drift, quarantine records,
-        degraded replicas, divergence — is repairable by recovery, GC,
-        or a scrub.
+        verification, a corrupt chunk, or a set whose descriptor and
+        stored bytes disagree.  Everything else — pending journal
+        entries, orphans, refcount drift, quarantine records, degraded
+        replicas, divergence — is repairable by recovery, GC, or a scrub.
         """
-        if self.missing_artifacts or self.corrupt_artifacts or self.corrupt_chunks:
+        if (
+            self.missing_artifacts
+            or self.corrupt_artifacts
+            or self.corrupt_chunks
+            or self.set_issues
+        ):
             return 2
         return 0 if self.ok else 1
 
@@ -137,6 +164,7 @@ class FsckReport:
             ("quarantined chunks", self.quarantined_chunks),
             ("degraded artifacts", self.degraded_artifacts),
             ("divergent replicas", self.replica_divergence),
+            ("set issues", self.set_issues),
         ):
             if items:
                 parts.append(f"{len(items)} {label}")
@@ -144,7 +172,7 @@ class FsckReport:
 
 
 class ArchiveFsck:
-    """Structural (and optionally byte-level) audit of one save context."""
+    """The audit of one save context: structure, and optionally every byte."""
 
     def __init__(self, context: SaveContext) -> None:
         self.context = context
@@ -152,46 +180,33 @@ class ArchiveFsck:
     def _collection(self, name: str) -> dict:
         return self.context.document_store.peek_collection(name)
 
-    def _referenced_artifacts(self) -> dict[str, str]:
-        """artifact id -> the document that references it."""
-        referenced: dict[str, str] = {}
-        for set_id, doc in self._collection(SETS_COLLECTION).items():
-            artifact = doc.get("params_artifact")
-            if artifact is not None:
-                referenced[str(artifact)] = set_id
-        for model_id, doc in self._collection(MODELS_COLLECTION).items():
-            for key in ("params_artifact", "code_artifact"):
-                artifact = doc.get(key)
-                if artifact is not None:
-                    referenced[str(artifact)] = model_id
+    def _owns(self, sets: dict) -> "dict[str, SetOwns]":
+        return {set_id: set_owns(self.context, set_id, doc) for set_id, doc in sets.items()}
+
+    def _referenced_artifacts(
+        self, owns: "dict[str, SetOwns] | None" = None
+    ) -> dict[str, str]:
+        """artifact id -> the set or chunk pack that references it."""
+        if owns is None:
+            owns = self._owns(self._collection(SETS_COLLECTION))
+        referenced = {
+            artifact: set_id for set_id, owned in owns.items() for artifact in owned.artifacts
+        }
         for pack_id, doc in self._collection(PACKS_COLLECTION).items():
             referenced[str(doc["artifact"])] = pack_id
         return referenced
 
-    def _expected_chunk_refs(self) -> dict[str, int]:
-        """Reference counts implied by the surviving chunked sets.
-
-        Mirrors the ingest accounting: every (model, layer) occurrence of
-        a digest is one reference, duplicates within a set included.
-        """
-        expected: dict[str, int] = {}
-        for set_id, doc in self._collection(SETS_COLLECTION).items():
-            if doc.get("storage") != "chunked":
-                continue
-            # A missing matrix is reported as missing-chunk-digests by verify.
-            for row in set_owns(self.context, set_id, doc).matrix or ():
-                for digest in row:
-                    expected[digest] = expected.get(digest, 0) + 1
-        return expected
-
-    def run(self, deep: bool = False) -> FsckReport:
-        """Audit the archive; ``deep=True`` re-hashes every stored byte."""
+    def run(self, deep: bool = False, recover: bool = False) -> FsckReport:
+        """Audit the archive; ``deep=True`` re-hashes every stored byte,
+        ``recover=True`` recovers every set against its stored hash info."""
         report = FsckReport()
         file_store = self.context.file_store
         report.pending_journal = entry_ids(self._collection(JOURNAL_COLLECTION))
-        report.sets_checked = len(self._collection(SETS_COLLECTION))
+        sets = self._collection(SETS_COLLECTION)
+        report.sets_checked = len(sets)
+        owns = self._owns(sets)
 
-        referenced = self._referenced_artifacts()
+        referenced = self._referenced_artifacts(owns)
         for artifact, owner in sorted(referenced.items()):
             if not file_store.exists(artifact):
                 report.missing_artifacts.append(
@@ -204,10 +219,12 @@ class ArchiveFsck:
 
         if self._collection(PACKS_COLLECTION):
             chunk_store = self.context.chunk_store()
-            expected = self._expected_chunk_refs()
-            for digest in sorted(set(expected) | {
-                d for d in chunk_store._chunks
-            }):
+            # Every (model, layer) occurrence of a digest is one reference,
+            # duplicates within a set included: the ingest accounting.
+            expected = Counter(
+                digest for owned in owns.values() for row in owned.matrix or () for digest in row
+            )
+            for digest in sorted(set(expected) | set(chunk_store._chunks)):
                 want = expected.get(digest, 0)
                 have = chunk_store.references(digest)
                 if want != have:
@@ -216,6 +233,10 @@ class ArchiveFsck:
                     )
             report.quarantined_chunks = chunk_store.quarantined_digests()
             report.chunks_checked = len(chunk_store)
+
+        for set_id in sorted(sets):
+            found = self._set_issues(set_id, sets[set_id], owns[set_id], recover)
+            report.set_issues.extend(SetIssue(set_id, *issue) for issue in found)
 
         if deep:
             self._deep_scan(report, referenced)
@@ -226,6 +247,98 @@ class ArchiveFsck:
                 file_rep, doc_rep, deep=deep
             )
         return report
+
+    def _set_issues(
+        self, set_id: str, document: dict, owned: SetOwns, recover: bool
+    ) -> "Iterator[tuple[str, str]]":
+        """``(kind, detail)`` for one set's descriptor against what it
+        names: artifact and chunk lengths, the diff list, the chain link,
+        the side documents.  A missing artifact is ``missing_artifacts``."""
+        approach_name = str(document.get("type"))
+        if approach_name not in APPROACHES:
+            yield "unknown-approach", f"type {approach_name!r}"
+            return
+        store = self.context.document_store
+        file_store = self.context.file_store
+        chunked = document.get("storage") == "chunked"
+        item_bytes = 2 if document.get("param_dtype") == "float16" else 4
+        if chunked:
+            yield from self._chunk_issues(document, owned.matrix, item_bytes)
+        artifact = document.get("params_artifact")
+        if artifact is not None and file_store.exists(artifact) and "schema" in document:
+            schema = StateSchema.from_json(document["schema"])
+            actual = file_store.size(artifact)
+            kind = document.get("kind", "full")
+            if kind == "full":
+                expected = int(document["num_models"]) * schema.num_parameters * item_bytes
+                if actual != expected:
+                    yield "length-mismatch", f"artifact has {actual} bytes, expected {expected}"
+            if kind == "delta" and "diff" in document and document.get("codec", "none") == "none":
+                sizes = layer_nbytes(schema)
+                diff = document["diff"]
+                expected = sum(sizes[int(layer)] for _, layers in diff for layer in layers)
+                if actual != expected:
+                    yield "diff-mismatch", (
+                        f"delta blob has {actual} bytes, diff list implies {expected}"
+                    )
+        base = document.get("base_set")
+        # A chunked set's base is lineage only — recovery reads its digest
+        # matrix — so a collected base is not a broken chain.
+        if base is not None and not chunked and not store.exists(SETS_COLLECTION, base):
+            yield "broken-chain", f"base set {base!r} missing"
+        for model_id in document.get("model_ids", []):
+            if not store.exists(MODELS_COLLECTION, model_id):
+                yield "missing-model-doc", model_id
+        if recover:
+            yield from self._recovery_issues(set_id, document, approach_name)
+
+    def _chunk_issues(self, document: dict, matrix, item_bytes: int):
+        """A chunked set: a digest matrix of the declared shape, every
+        digest indexed with the length its layer implies (first finding)."""
+        if matrix is None:
+            yield "missing-chunk-digests", "chunked set has neither chunk_digests nor hash info"
+            return
+        if len(matrix) != int(document.get("num_models", len(matrix))):
+            yield "count-mismatch", (
+                f"digest matrix has {len(matrix)} rows, descriptor says "
+                f"{document.get('num_models')}"
+            )
+            return
+        chunk_store = self.context.chunk_store()
+        sizes = layer_nbytes(StateSchema.from_json(document["schema"]), item_bytes)
+        for model, row in enumerate(matrix):
+            for layer, digest in enumerate(row):
+                where = f"model {model} layer {layer}: chunk {digest[:12]}…"
+                if digest not in chunk_store:
+                    yield "missing-chunk", f"{where} not in the chunk index"
+                    return
+                actual = chunk_store.chunk_length(digest)
+                if actual != sizes[layer]:
+                    yield "length-mismatch", (
+                        f"{where} has {actual} bytes, schema implies {sizes[layer]}"
+                    )
+                    return
+
+    def _recovery_issues(self, set_id: str, document: dict, approach_name: str):
+        """Recover the set; its models must match its count and hash info."""
+        try:
+            model_set = APPROACHES[approach_name](self.context).recover(set_id)
+        except ReproError as exc:
+            yield "unrecoverable", str(exc)
+            return
+        hash_doc = self.context.document_store.peek(HASH_COLLECTION, set_id)
+        if len(model_set) != int(document.get("num_models", len(model_set))):
+            yield "count-mismatch", (
+                f"recovered {len(model_set)} models, descriptor says "
+                f"{document.get('num_models')}"
+            )
+        elif hash_doc is not None:
+            bad = _hash_mismatches(self.context, hash_doc, dict(enumerate(model_set.states)))
+            if bad:
+                yield "hash-mismatch", (
+                    f"model(s) {', '.join(map(str, bad))}: stored hash info "
+                    "does not match recovered parameters"
+                )
 
     def _deep_scan(self, report: FsckReport, referenced: dict[str, str]) -> None:
         file_store = self.context.file_store
@@ -707,8 +820,6 @@ def _salvage_artifact_based(
     layer — precise corruption attribution; sets without it fall back to
     the whole-artifact checksum, which can only vouch for all-or-nothing.
     """
-    from repro.core.manager import APPROACHES
-
     approach = APPROACHES[approach_name](context)
     num_models = int(document.get("num_models", 0))
     hash_doc = context.document_store.peek(HASH_COLLECTION, set_id)
@@ -729,25 +840,34 @@ def _salvage_artifact_based(
                 ]
                 return
 
-    layer_names = None
-    if hash_doc is not None:
-        layer_names = list(hash_doc.get("layers", []))
     for index in range(num_models):
         try:
-            state = approach.recover_model(set_id, index)
+            report.models[index] = approach.recover_model(set_id, index)
         except Exception as exc:
             report.failed.append({"model": index, "reason": str(exc)})
-            continue
-        if hash_doc is not None:
-            names = layer_names or list(state)
-            recomputed = [hash_array(state[name], length=64) for name in names]
-            if recomputed != list(hash_doc["hashes"][index]):
-                report.failed.append(
-                    {
-                        "model": index,
-                        "reason": "recovered parameters do not match the "
-                        "stored per-layer hash info",
-                    }
-                )
-                continue
-        report.models[index] = state
+    if hash_doc is not None:
+        for index in _hash_mismatches(context, hash_doc, report.models):
+            del report.models[index]
+            report.failed.append(
+                {
+                    "model": index,
+                    "reason": "recovered parameters do not match the "
+                    "stored per-layer hash info",
+                }
+            )
+        report.failed.sort(key=lambda entry: entry["model"])
+
+
+def _hash_mismatches(
+    context: SaveContext, hash_doc: dict, states: "dict[int, OrderedDict]"
+) -> list[int]:
+    """The models of ``states`` (index -> recovered state) whose layer
+    hashes differ from the set's stored hash info: the Update save's own
+    hash pass, re-run on what recovery returned."""
+    if not states:
+        return []
+    indices = list(states)
+    names = hash_doc.get("layers") or list(states[indices[0]])
+    rows = layer_hashes(list(states.values()), names, context.workers, indices)
+    stored = hash_doc["hashes"]
+    return [index for index, row in zip(indices, rows) if row != list(stored[index])]

@@ -57,6 +57,7 @@ from repro.errors import (
     IngestBackpressureError,
     IngestClosedError,
     IngestError,
+    ShardUnavailableError,
     StorageError,
 )
 from repro.core.manager import MultiModelManager
@@ -233,15 +234,22 @@ class IngestQueue:
 
         Raises :class:`~repro.errors.IngestClosedError` once
         ``close()``/``abort()`` has begun (deterministic, regardless of
-        worker-pool state) and
+        worker-pool state),
         :class:`~repro.errors.IngestBackpressureError` when the target
-        shard's admission watermark refuses the update.
+        shard's admission watermark refuses the update, and
+        :class:`~repro.errors.ShardUnavailableError` when the shard's
+        store cannot resolve the chain.
         """
+        self._submit(set_id, model_index, state, replay=False)
+
+    def _submit(self, set_id: str, model_index: int, state, replay: bool) -> None:
+        """:meth:`submit`; a ``replay`` never displaces a pending state of
+        the same model (it is older), and counts as coalesced instead."""
         if model_index < 0:
             raise IngestError(f"model index must be >= 0, got {model_index}")
         # Chain resolution may read descriptors; do it outside the queue
         # lock (memoized by the fleet).
-        root = self.fleet.root_of(set_id)
+        root = self._root_of(set_id)
         shard = self.fleet.shard_of(set_id)
         jobs = []
         with self._cond:
@@ -259,13 +267,31 @@ class IngestQueue:
                 self.updates_coalesced += 1
             if not chain.pending:
                 chain.first_at = self.clock.now
-            chain.pending[model_index] = state
+            if not (replay and model_index in chain.pending):
+                chain.pending[model_index] = state
             chain.updates += 1
             self.updates_submitted += 1
             if chain.updates >= self.flush_max_updates:
                 jobs.append(self._dispatch_locked(chain))
             jobs.extend(self._due_by_age_locked())
         self._run_or_enqueue(jobs)
+
+    def _root_of(self, set_id: str) -> str:
+        """The chain root of ``set_id``.  A store that fails the lookup
+        counts against the shard's breaker, as a failed flush read does,
+        and refuses the call as :class:`ShardUnavailableError`."""
+        try:
+            return self.fleet.root_of(set_id)
+        except DocumentNotFoundError:
+            raise
+        except (OSError, StorageError) as error:
+            shard = self.fleet.shard_of(set_id)
+            self.fleet.health.record_failure(shard, error)
+            raise ShardUnavailableError(
+                f"shard {shard} could not resolve the chain of {set_id!r}: {error}",
+                shard=shard,
+                set_id=set_id,
+            ) from error
 
     def _check_open_locked(self) -> None:
         if self._closing or self._closed:
@@ -321,7 +347,7 @@ class IngestQueue:
 
     def flush(self, set_id: "str | None" = None) -> None:
         """Force-flush one chain (by any of its set ids) or everything."""
-        root = self.fleet.root_of(set_id) if set_id is not None else None
+        root = self._root_of(set_id) if set_id is not None else None
         with self._lock:
             if root is None:
                 chains = [c for c in self._chains.values() if c.pending]
@@ -415,7 +441,9 @@ class IngestQueue:
         chain extends from its last durable save exactly as if the
         original flush had succeeded late — same coalescing, same id
         allocation, same journaled save, hence preserved lineage and
-        byte-identity.  Entries whose shard is still DOWN, or whose chain
+        byte-identity.  A parked state is older than a pending update of
+        the same model on its chain, so it never displaces one: it counts
+        as coalesced.  Entries whose shard is still DOWN, or whose chain
         cannot be resolved, are skipped and kept; an entry whose replay
         fails again is re-parked as fresh entries (exactly one copy of
         each update — the original is discarded before the resubmit).
@@ -462,7 +490,7 @@ class IngestQueue:
             try:
                 for model_index, state in list(unsent.items()):
                     try:
-                        self.submit(target, int(model_index), state)
+                        self._submit(target, int(model_index), state, replay=True)
                     except IngestError as error:
                         if not isinstance(error, IngestBackpressureError):
                             del unsent[model_index]  # accepted; its flush failed

@@ -12,7 +12,7 @@ import repro.errors
 EXPECTED_TOP_LEVEL = [
     "ApproachRecommender",
     "ArchiveConfig",
-    "ArchiveVerifier",
+    "ArchiveFsck",
     "BaselineApproach",
     "FleetHealthConfig",
     "FleetManager",

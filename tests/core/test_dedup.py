@@ -15,7 +15,7 @@ from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
 from repro.core.recovery import set_owns
 from repro.core.retention import RetentionManager
-from repro.core.verify import ArchiveVerifier
+from repro.core.fsck import ArchiveFsck
 from repro.errors import InvalidUpdatePlanError
 from repro.storage.hardware import ARCHIVE_PROFILE
 from repro.workloads.scenario import MultiModelScenario, ScenarioConfig
@@ -145,7 +145,7 @@ class TestRefcountGC:
         # were protected by its references.
         assert_states_equal(manager.recover_set(ids[-1]), sets[-1])
         assert manager.context.chunk_store().dead_bytes() == 0
-        assert ArchiveVerifier(manager.context).verify_all(deep=True).ok
+        assert ArchiveFsck(manager.context).run(deep=True, recover=True).ok
 
     def test_gc_reclaims_exactly_zero_ref_bytes(self):
         for approach in APPROACHES:
@@ -308,7 +308,7 @@ class TestPersistentDedup:
         stats = manager.context.file_store.stats
         assert stats.chunks_deduped > 0
         assert 0.0 < stats.dedup_ratio < 1.0
-        assert ArchiveVerifier(manager.context).verify_all(deep=True).ok
+        assert ArchiveFsck(manager.context).run(deep=True, recover=True).ok
 
 
 class TestCli:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ArchiveConfig
-from repro.core.approach import SaveContext
+from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.recovery import digest_matrix
 from repro.core.fsck import ArchiveFsck, SalvageReport, salvage_recover
 from repro.core.manager import MultiModelManager
@@ -12,6 +12,7 @@ from repro.core.model_set import ModelSet
 from repro.errors import DocumentNotFoundError, SimulatedCrashError
 from repro.nn.serialization import StateSchema
 from repro.storage.faults import corrupt_artifact
+from repro.storage.document_store import thaw
 from repro.storage.journal import JOURNAL_COLLECTION, attach_journal, innermost
 
 
@@ -27,8 +28,6 @@ def models_fixture(num=4):
 def unique_digest_of_model(context, set_id, model_index):
     """A chunk digest referenced only by one model of one chunked set."""
     store = context.document_store
-    from repro.core.approach import SETS_COLLECTION
-
     matrices = {
         sid: digest_matrix(context, doc, sid)
         for sid, doc in store._collections[SETS_COLLECTION].items()
@@ -73,9 +72,8 @@ class TestFsckClean:
 
     @pytest.mark.parametrize("replicas", [None, 3])
     def test_audits_charge_no_document_read(self, replicas):
-        """fsck and the shallow verify peek; what a chunked set owns is
-        read uncharged like the rest of the audit."""
-        from repro.core.verify import ArchiveVerifier
+        """fsck peeks: what a chunked set owns, and every set's own
+        checks, are read uncharged like the rest of the audit."""
 
         manager = MultiModelManager.with_approach(
             "update", ArchiveConfig(dedup=True, replicas=replicas)
@@ -88,7 +86,6 @@ class TestFsckClean:
         stats = manager.context.document_store.stats
         before = stats.snapshot()
         assert ArchiveFsck(manager.context).run(deep=True).ok
-        assert ArchiveVerifier(manager.context).verify_all(deep=False).ok
         assert stats.snapshot() == before
 
 
@@ -171,6 +168,108 @@ class TestFsckFindings:
         manager.context.chunk_store().quarantine([digest])
         report = ArchiveFsck(manager.context).run()
         assert report.quarantined_chunks == [digest]
+
+
+def edit_descriptor(manager, set_id, **fields):
+    store = manager.context.document_store
+    document = thaw(store.peek(SETS_COLLECTION, set_id))
+    document.update(fields)
+    store.replace(SETS_COLLECTION, set_id, document)
+
+
+def edit_artifact(manager, set_id, change):
+    artifact = manager.set_info(set_id)["params_artifact"]
+    blobs = innermost(manager.context.file_store)._blobs
+    blobs[artifact] = change(blobs[artifact])
+
+
+def truncate_full(manager, ids):
+    edit_artifact(manager, ids[0], lambda blob: blob[:-100])
+
+
+def pad_delta(manager, ids):
+    edit_artifact(manager, ids[1], lambda blob: blob + b"\0" * 4)
+
+
+def flip_byte(manager, ids):
+    edit_artifact(manager, ids[0], lambda blob: blob[:64] + bytes([blob[64] ^ 0xFF]) + blob[65:])
+
+
+def drop_base(manager, ids):
+    manager.context.document_store.delete(SETS_COLLECTION, ids[0])
+
+
+def forget_model_document(manager, ids):
+    model_id = manager.set_info(ids[0])["model_ids"][0]
+    manager.context.document_store.delete("mmlib_models", model_id)
+
+
+def drop_chunk_digests(manager, ids):
+    document = thaw(manager.context.document_store.peek(SETS_COLLECTION, ids[0]))
+    del document["chunk_digests"]
+    manager.context.document_store.replace(SETS_COLLECTION, ids[0], document)
+
+
+def miscount(manager, ids):
+    edit_descriptor(manager, ids[0], num_models=99)
+
+
+def unknown_chunk(manager, ids):
+    matrix = [list(row) for row in manager.set_info(ids[0])["chunk_digests"]]
+    matrix[0][0] = "f" * 64
+    edit_descriptor(manager, ids[0], chunk_digests=matrix)
+
+
+def unknown_type(manager, ids):
+    edit_descriptor(manager, ids[0], type="bogus")
+
+
+#: (kind, approach, dedup, damage, recover): each per-set kind of the audit.
+SET_ISSUE_CASES = [
+    ("length-mismatch", "update", False, truncate_full, False),
+    ("diff-mismatch", "update", False, pad_delta, False),
+    ("broken-chain", "update", False, drop_base, False),
+    ("missing-model-doc", "mmlib-base", False, forget_model_document, False),
+    ("missing-chunk-digests", "baseline", True, drop_chunk_digests, False),
+    ("count-mismatch", "baseline", True, miscount, False),
+    ("missing-chunk", "baseline", True, unknown_chunk, False),
+    ("unknown-approach", "baseline", False, unknown_type, False),
+    ("unrecoverable", "update", False, drop_base, True),
+    ("hash-mismatch", "update", False, flip_byte, True),
+]
+
+
+class TestSetIssues:
+    @pytest.mark.parametrize(
+        "kind, approach, dedup, damage, recover",
+        SET_ISSUE_CASES,
+        ids=[case[0] for case in SET_ISSUE_CASES],
+    )
+    def test_each_kind_is_loss(self, kind, approach, dedup, damage, recover):
+        manager = make_manager(approach, dedup=dedup)
+        models = models_fixture()
+        ids = [manager.save_set(models)]
+        derived = models.copy()
+        derived.state(0)["0.bias"][:] += 1.0
+        ids.append(manager.save_set(derived, base_set_id=ids[0]))
+        assert ArchiveFsck(manager.context).run(recover=True).ok
+        damage(manager, ids)
+        report = ArchiveFsck(manager.context).run(recover=recover)
+        assert kind in {issue.kind for issue in report.set_issues}
+        assert report.exit_code == 2
+        assert "set issues" in report.summary()
+        if recover:
+            shallow = ArchiveFsck(manager.context).run()
+            assert kind not in {issue.kind for issue in shallow.set_issues}
+
+    def test_salvage_and_recover_share_the_hash_check(self):
+        manager = make_manager("update")
+        set_id = manager.save_set(models_fixture())
+        flip_byte(manager, [set_id])
+        (issue,) = ArchiveFsck(manager.context).run(recover=True).set_issues
+        salvage = salvage_recover(manager.context, set_id)
+        assert issue.detail.startswith(f"model(s) {salvage.failed_indices[0]}:")
+        assert salvage.recovered_indices == [1, 2, 3]
 
 
 class TestSalvageChunked:
@@ -328,6 +427,27 @@ class TestCLI:
         # Corruption with no intact replica is unrecoverable loss: exit 2.
         assert main([str(tmp_path), "fsck", "--deep"]) == 2
         assert "CORRUPT" in capsys.readouterr().out
+
+    def test_set_issue_lines_and_verify_exit(self, tmp_path, capsys):
+        from pathlib import Path
+
+        from repro.cli import main
+
+        manager = MultiModelManager.open(str(tmp_path), "update")
+        models = models_fixture()
+        base = manager.save_set(models)
+        derived = models.copy()
+        derived.state(0)["0.bias"][:] += 1.0
+        delta = manager.save_set(derived, base_set_id=base)
+        (blob,) = Path(tmp_path, "artifacts").glob(f"{delta}-*.bin")
+        blob.write_bytes(blob.read_bytes() + b"\0" * 4)
+        assert main([str(tmp_path), "fsck"]) == 2
+        out = capsys.readouterr().out
+        assert "ISSUES: 1 set issues" in out
+        assert f"ISSUE [diff-mismatch] {delta}: delta blob has" in out
+        # verify prints the same report and keeps its 0/1 exit.
+        assert main([str(tmp_path), "verify"]) == 1
+        assert capsys.readouterr().out == out
 
     def test_fsck_reports_orphans(self, tmp_path, capsys):
         from repro.cli import main

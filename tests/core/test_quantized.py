@@ -112,11 +112,11 @@ class TestApi:
             approach.recover_model(set_id, 8)
 
     def test_verifier_understands_fp16_lengths(self, models):
-        from repro.core.verify import ArchiveVerifier
+        from repro.core.fsck import ArchiveFsck
 
         manager = MultiModelManager.with_approach("baseline-fp16")
         manager.save_set(models)
-        report = ArchiveVerifier(manager.context).verify_all()
+        report = ArchiveFsck(manager.context).run()
         assert report.ok
 
     def test_corrupt_length_detected(self, approach, models):

@@ -98,9 +98,9 @@ class TestStreamingSave:
         reopened = MultiModelManager.open(str(tmp_path), "update")
         assert reopened.recover_set(set_id).equals(reference_set)
         # The streamed artifact carries a valid checksum.
-        from repro.core.verify import ArchiveVerifier
+        from repro.core.fsck import ArchiveFsck
 
-        assert ArchiveVerifier(reopened.context).verify_all(deep=True).ok
+        assert ArchiveFsck(reopened.context).run(deep=True, recover=True).ok
 
 
 class TestArtifactWriter:

@@ -1,4 +1,4 @@
-"""Tests for archive verification and retention (compaction + GC)."""
+"""Tests for the audit's per-set checks and retention (compaction + GC)."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.core.lineage import LineageGraph
 from repro.core.manager import MultiModelManager
 from repro.core.retention import RetentionManager
 from repro.core.update import HASH_COLLECTION
-from repro.core.verify import ArchiveVerifier
+from repro.core.fsck import ArchiveFsck
 from repro.errors import DocumentNotFoundError
 from tests.conftest import save_sequence
 
@@ -22,7 +22,7 @@ def update_archive(synthetic_cases):
 class TestVerifier:
     def test_clean_archive_passes(self, update_archive):
         manager, set_ids = update_archive
-        report = ArchiveVerifier(manager.context).verify_all(deep=True)
+        report = ArchiveFsck(manager.context).run(deep=True, recover=True)
         assert report.ok
         assert report.sets_checked == len(set_ids)
 
@@ -30,15 +30,17 @@ class TestVerifier:
     def test_other_approaches_pass(self, approach, synthetic_cases):
         manager = MultiModelManager.with_approach(approach)
         save_sequence(manager, synthetic_cases)
-        assert ArchiveVerifier(manager.context).verify_all(deep=True).ok
+        assert ArchiveFsck(manager.context).run(deep=True, recover=True).ok
 
     def test_missing_artifact_detected(self, update_archive):
         manager, set_ids = update_archive
         document = manager.set_info(set_ids[0])
         manager.context.file_store.delete(document["params_artifact"])
-        report = ArchiveVerifier(manager.context).verify_all()
+        report = ArchiveFsck(manager.context).run()
         assert not report.ok
-        assert any(issue.kind == "missing-artifact" for issue in report.issues)
+        assert report.missing_artifacts == [
+            {"set_id": set_ids[0], "artifact": document["params_artifact"]}
+        ]
 
     def test_truncated_full_artifact_detected(self, update_archive):
         manager, set_ids = update_archive
@@ -46,8 +48,8 @@ class TestVerifier:
         artifact = document["params_artifact"]
         blobs = manager.context.file_store._blobs
         blobs[artifact] = blobs[artifact][:-100]
-        report = ArchiveVerifier(manager.context).verify_all()
-        assert any(issue.kind == "length-mismatch" for issue in report.issues)
+        report = ArchiveFsck(manager.context).run()
+        assert any(issue.kind == "length-mismatch" for issue in report.set_issues)
 
     def test_delta_blob_mismatch_detected(self, update_archive):
         manager, set_ids = update_archive
@@ -55,14 +57,14 @@ class TestVerifier:
         artifact = document["params_artifact"]
         blobs = manager.context.file_store._blobs
         blobs[artifact] = blobs[artifact] + b"\x00" * 4
-        report = ArchiveVerifier(manager.context).verify_all()
-        assert any(issue.kind == "diff-mismatch" for issue in report.issues)
+        report = ArchiveFsck(manager.context).run()
+        assert any(issue.kind == "diff-mismatch" for issue in report.set_issues)
 
     def test_broken_chain_detected(self, update_archive):
         manager, set_ids = update_archive
         manager.context.document_store.delete(SETS_COLLECTION, set_ids[0])
-        report = ArchiveVerifier(manager.context).verify_all()
-        assert any(issue.kind == "broken-chain" for issue in report.issues)
+        report = ArchiveFsck(manager.context).run()
+        assert any(issue.kind == "broken-chain" for issue in report.set_issues)
 
     def test_tampered_parameters_fail_deep_hash_check(self, update_archive):
         manager, set_ids = update_archive
@@ -72,8 +74,8 @@ class TestVerifier:
         tampered = bytearray(blobs[artifact])
         tampered[64] ^= 0xFF
         blobs[artifact] = bytes(tampered)
-        report = ArchiveVerifier(manager.context).verify_all(deep=True)
-        assert any(issue.kind == "hash-mismatch" for issue in report.issues)
+        report = ArchiveFsck(manager.context).run(deep=True, recover=True)
+        assert any(issue.kind == "hash-mismatch" for issue in report.set_issues)
 
     def test_shallow_check_misses_value_tampering(self, update_archive):
         # Documents why deep verification exists: same tampering, but the
@@ -85,7 +87,7 @@ class TestVerifier:
         tampered = bytearray(blobs[artifact])
         tampered[64] ^= 0xFF
         blobs[artifact] = bytes(tampered)
-        assert ArchiveVerifier(manager.context).verify_all(deep=False).ok
+        assert ArchiveFsck(manager.context).run().ok
 
 
 class TestCompaction:
@@ -211,7 +213,7 @@ class TestGarbageCollection:
     def test_post_gc_archive_verifies_clean(self, update_archive):
         manager, _set_ids = update_archive
         RetentionManager(manager.context).keep_last(2)
-        assert ArchiveVerifier(manager.context).verify_all(deep=True).ok
+        assert ArchiveFsck(manager.context).run(deep=True, recover=True).ok
 
     def test_gc_on_persistent_archive(self, tmp_path, synthetic_cases):
         manager = MultiModelManager.open(str(tmp_path), "update")

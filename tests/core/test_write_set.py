@@ -29,7 +29,6 @@ from repro.core.quantized import QuantizedBaselineApproach
 from repro.core.recovery import resolve_chain
 from repro.core.retention import RetentionManager
 from repro.core.save_info import ModelUpdate, UpdateInfo
-from repro.core.verify import ArchiveVerifier
 from repro.datasets.battery import battery_dataset_ref
 from repro.errors import ArchitectureMismatchError
 from repro.observability import phase_breakdown
@@ -152,7 +151,7 @@ class TestArtifactStoredOnDedupContexts:
             state = manager.recover_model(derived_id, index)
             expected = recovered.state(index)
             assert all(np.array_equal(state[name], expected[name]) for name in expected)
-        assert ArchiveVerifier(manager.context).verify_all(deep=True).ok
+        assert ArchiveFsck(manager.context).run(deep=True, recover=True).ok
 
 
 class TestBlocking:
@@ -268,7 +267,7 @@ class TestDrifts:
         survivor = manager.context.document_store.peek(SETS_COLLECTION, ids[1])
         assert survivor["kind"] == "full" and survivor["compacted_from"] == ids[0]
         assert survivor["architecture_code"] == get_architecture("FFNN-48").source_code
-        assert ArchiveVerifier(manager.context).verify_all(deep=True).ok
+        assert ArchiveFsck(manager.context).run(deep=True, recover=True).ok
         assert manager.recover_set(ids[2]).equals(models)
 
     def test_half_precision_honours_workers(self):

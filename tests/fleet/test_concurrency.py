@@ -14,7 +14,7 @@ from collections import OrderedDict
 from repro.config import ArchiveConfig, FleetHealthConfig, ServingConfig
 from repro.core.manager import MultiModelManager
 from repro.core.save_info import SetMetadata
-from repro.core.verify import ArchiveVerifier
+from repro.core.fsck import ArchiveFsck
 from repro.errors import IngestError, ShardUnavailableError, StorageError
 from repro.fleet import FleetManager, IngestQueue
 from repro.registry import open_fleet_registry
@@ -65,7 +65,7 @@ class TestSingleArchiveHammer:
         # No duplicate ids, none lost, and every descriptor exists.
         assert len(set(all_ids)) == THREADS * SAVES_PER_THREAD
         assert sorted(all_ids) == manager.list_sets()
-        report = ArchiveVerifier(manager.context).verify_all()
+        report = ArchiveFsck(manager.context).run()
         assert report.ok
         # Every thread's sets recover to that thread's exact variant.
         for index, ids in saved.items():
@@ -116,7 +116,7 @@ class TestSingleArchiveHammer:
         run_threads(worker)
         assert len(fleet.list_sets()) == THREADS * SAVES_PER_THREAD
         assert fleet.shard_locks[0].acquisitions >= THREADS * SAVES_PER_THREAD
-        report = ArchiveVerifier(fleet.shards[0].context).verify_all()
+        report = ArchiveFsck(fleet.shards[0].context).run()
         assert report.ok
 
 
@@ -159,7 +159,7 @@ class TestFleetHammer:
             ).all()
         queue.close()
         for shard in fleet.shards:
-            assert ArchiveVerifier(shard.context).verify_all().ok
+            assert ArchiveFsck(shard.context).run().ok
 
     def test_concurrent_shard_commits_all_reach_the_root_catalog(
         self, tiny_set, tmp_path

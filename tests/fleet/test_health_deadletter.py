@@ -21,10 +21,12 @@ from repro.errors import (
     IngestBackpressureError,
     IngestClosedError,
     IngestError,
+    ShardUnavailableError,
     StorageError,
 )
 from repro.fleet import FleetManager, IngestQueue
 from repro.fleet.deadletter import DeadLetterStore
+from repro.fleet.health import DEGRADED
 from repro.storage.faults import FaultInjector, inject_faults
 
 
@@ -378,6 +380,52 @@ class TestReplayLosesNothing:
         parked = sum(len(entry["models"]) for entry in entries.values())
         # Five accepted updates: two flushed, one coalesced, two parked.
         assert (flushed, queue.updates_coalesced, parked, queue.depth) == (2, 1, 2, 0)
+        queue.abort()
+
+    def test_a_parked_state_never_displaces_a_pending_one(self, tiny_set):
+        fleet = make_fleet(health_config(down_after=3))
+        base = fleet.save_set(tiny_set)
+        queue = IngestQueue(fleet, flush_max_updates=2, workers=0)
+        older, newer = state_plus(tiny_set, 0, 1.0), state_plus(tiny_set, 0, 2.0)
+        queue.submit(base, 0, older)
+        outage = take_down(fleet)
+        with pytest.raises(IngestError) as failure:
+            queue.flush(base)
+        (entry_id,) = failure.value.dead_letter_ids
+        outage.revive()
+        outage.down_at = None
+        queue.submit(base, 0, newer)  # pending: one update, below the count
+        assert queue.replay_dead_letters()["replayed"] == [entry_id]
+        (flushed,) = queue.flush_log
+        assert flushed["models"] == 1
+        assert states_equal(fleet.recover_set(flushed["set_id"]).state(0), newer)
+        # Three updates accepted: one coalesced (the parked one), one flushed.
+        assert (queue.updates_submitted, queue.updates_coalesced) == (3, 1)
+        queue.close()
+
+
+class TestUnresolvableChain:
+    def test_a_dead_store_refuses_submit_as_shard_unavailable(self, tmp_path, tiny_set):
+        config = ArchiveConfig(shards=1, health=health_config(down_after=2))
+        base = FleetManager.open(tmp_path / "fleet", "update", config).save_set(tiny_set)
+        # A new process: nothing memoized, its breaker closed.
+        fleet = FleetManager.open(tmp_path / "fleet", "update", config)
+        queue = IngestQueue(fleet, flush_max_updates=2, workers=0)
+        outage = take_down(fleet)
+        with pytest.raises(StorageError):  # the outage begins at the first write
+            fleet.shards[0].context.file_store.put(b"x", artifact_id="trip")
+        for call in (lambda: queue.submit(base, 0, state_plus(tiny_set, 0, 1.0)),
+                     lambda: queue.flush(base)):
+            with pytest.raises(ShardUnavailableError) as refusal:
+                call()
+            assert (refusal.value.shard, refusal.value.set_id) == (0, base)
+            assert isinstance(refusal.value.__cause__, StorageError)
+            assert fleet.health.state(0) == DEGRADED or fleet.health.is_down(0)
+        # Two failed lookups trip the breaker, as two failed flushes do.
+        assert fleet.health.is_down(0)
+        assert (queue.updates_submitted, queue.depth) == (0, 0)
+        outage.revive()
+        outage.down_at = None
         queue.abort()
 
 

@@ -10,7 +10,7 @@ from repro.core.manager import MultiModelManager
 from repro.core.migration import migrate_archive
 from repro.core.model_set import ModelSet
 from repro.core.retention import RetentionManager
-from repro.core.verify import ArchiveVerifier
+from repro.core.fsck import ArchiveFsck
 from repro.training.seeds import derive_seed
 
 #: A history step: (branch_from_offset_back, model_to_change, layer_index).
@@ -56,7 +56,7 @@ class TestArchiveProperties:
         saved, _order = build_history(manager, steps, seed)
         for set_id, expected in saved.items():
             assert manager.recover_set(set_id).equals(expected)
-        assert ArchiveVerifier(manager.context).verify_all(deep=True).ok
+        assert ArchiveFsck(manager.context).run(deep=True, recover=True).ok
 
     @given(
         steps=history_steps,
@@ -77,7 +77,7 @@ class TestArchiveProperties:
         assert set(order[-keep_count:]) <= set(survivors)
         for set_id in survivors:
             assert manager.recover_set(set_id).equals(saved[set_id])
-        assert ArchiveVerifier(manager.context).verify_all(deep=True).ok
+        assert ArchiveFsck(manager.context).run(deep=True, recover=True).ok
 
     @given(steps=history_steps, seed=st.integers(min_value=0, max_value=50))
     @settings(

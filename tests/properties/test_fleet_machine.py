@@ -185,12 +185,14 @@ class FleetMachine(RuleBasedStateMachine):
         return shard in self.down or self.fleet.health.is_down(shard)
 
     # -- the ingest spec ---------------------------------------------------
-    def _expect(self, key: int, index: int, state, dispatches: list) -> bool:
-        """The model's half of one submit; ``False`` when admission sheds it."""
+    def _expect(self, key: int, index: int, state, dispatches: list, replay=False) -> bool:
+        """The model's half of one submit; ``False`` when admission sheds it.
+        A replayed (older) state never displaces a pending one."""
         chain = self.chains[key]
         if index not in chain.pending and self._load(chain.shard) >= HIGH_WATERMARK:
             return False
-        chain.pending[index] = state
+        if not (replay and index in chain.pending):
+            chain.pending[index] = state
         chain.updates += 1
         if chain.updates >= NUM_MODELS:
             self._dispatch(key, dispatches)
@@ -207,7 +209,7 @@ class FleetMachine(RuleBasedStateMachine):
             return
         except IngestError:
             pass  # the flush it triggered failed: the batch is matched in _settle
-        except StorageError:
+        except ShardUnavailableError:
             # Resolving the chain read a dead shard: refused, not accepted.
             assert chain.shard in self.down
             return
@@ -315,7 +317,7 @@ class FleetMachine(RuleBasedStateMachine):
                     self.queue.flush(self.chains[key].head)
                 except IngestError:
                     pass  # dispatched, and failed: matched in _settle
-                except StorageError:
+                except ShardUnavailableError:
                     assert self.chains[key].shard in self.down  # as in _submit
                     return
                 self._dispatch(key, dispatches)
@@ -457,7 +459,7 @@ class FleetMachine(RuleBasedStateMachine):
             unsent = dict(sorted(batch.items()))
             for index, state in sorted(batch.items()):
                 dispatches = []
-                if not self._expect(key, index, state, dispatches):
+                if not self._expect(key, index, state, dispatches, replay=True):
                     break  # refused at admission
                 del unsent[index]
                 self.resubmitted += 1

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
-from repro.core.verify import ArchiveVerifier
+from repro.core.fsck import ArchiveFsck
 from repro.storage.persistent import (
     PersistentDocumentStore,
     PersistentFileStore,
@@ -57,7 +57,9 @@ class TestInterruptedSaveLeavesArchiveConsistent:
         reopened = MultiModelManager.open(str(tmp_path), "baseline")
         assert reopened.list_sets() == [good_id]
         assert reopened.recover_set(good_id).equals(models)
-        assert ArchiveVerifier(reopened.context).verify_all(deep=True).ok
+        report = ArchiveFsck(reopened.context).run(deep=True, recover=True)
+        assert report.set_issues == []
+        assert report.orphan_artifacts == ["set-baseline-000999-params"]
 
     def test_next_save_after_simulated_crash_succeeds(self, tmp_path):
         models = ModelSet.build("FFNN-48", num_models=4, seed=0)

@@ -129,6 +129,10 @@ GATES = (
          r"repro\.bench\.(chaos|soak)|bench_(chaos|soak)|REPRO_(CHAOS|SOAK)_", (),
          "retired benches' claims are tier-1 tests; their timings the wall-clock ledger",
          "CYCLES = os.environ['REPRO_SOAK_CYCLES']", "benchmarks/planted.py"),
+    Gate("Second-audit",
+         r"\b(ArchiveVerifier|VerificationReport|verify_all)\b|repro\.core\.verify\b",
+         (), "ArchiveFsck is the one audit: run(deep=, recover=) holds every verify check",
+         "from repro.core.verify import ArchiveVerifier", "tests/planted.py"),
 )
 
 
