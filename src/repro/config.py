@@ -100,8 +100,6 @@ class MaintenanceConfig:
     #: Re-hash every replica copy during scrub (catches torn writes;
     #: shallow trusts recorded digests).
     scrub_deep: bool = False
-    #: Drain the replication layer's pending repair queues each pass.
-    drain_repairs: bool = True
 
 
 @dataclass(frozen=True)
@@ -153,10 +151,6 @@ class FleetHealthConfig:
     #: retry_multiplier ** (k - 1)`` simulated seconds.
     retry_base_s: float = 0.05
     retry_multiplier: float = 2.0
-    #: Park a batch in the durable dead-letter store once its retries
-    #: are exhausted (storage failures only; client errors such as an
-    #: out-of-range model index are surfaced without parking).
-    dead_letter: bool = True
 
 
 @dataclass(frozen=True)

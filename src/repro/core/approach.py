@@ -1,12 +1,13 @@
 """The pluggable save-approach API and the shared save context.
 
-Every approach implements the same three operations:
+Every approach implements the same four operations:
 
 * :meth:`SaveApproach.save_initial` — persist a model set with no base
   (use case U1),
 * :meth:`SaveApproach.save_derived` — persist a set derived from a
-  previously saved base set (use case U3), and
-* :meth:`SaveApproach.recover` — reconstruct a set from its id.
+  previously saved base set (use case U3),
+* :meth:`SaveApproach.recover` — reconstruct a set from its id, and
+* :meth:`SaveApproach.recover_model` — reconstruct one model of it.
 
 Approaches are strategies over a shared :class:`SaveContext` holding the
 storage substrates (file store, document store) and the dataset registry,
@@ -384,21 +385,14 @@ class SaveApproach(ABC):
     def recover(self, set_id: str) -> ModelSet:
         """Reconstruct the full model set saved under ``set_id``."""
 
+    @abstractmethod
     def recover_model(self, set_id: str, model_index: int) -> "OrderedDict":
         """Reconstruct a single model's parameters from a saved set.
 
         The paper's scenario recovers "a selected number of models, for
         example, after an accident" (§1) — far cheaper than a full-set
-        recovery.  Subclasses override this with range-read
-        implementations; this fallback recovers the whole set and slices.
+        recovery.  An index outside the set raises :class:`IndexError`.
         """
-        model_set = self.recover(set_id)
-        if not 0 <= model_index < len(model_set):
-            raise IndexError(
-                f"model index {model_index} out of range for a "
-                f"{len(model_set)}-model set"
-            )
-        return model_set.state(model_index)
 
     # -- shared helpers -----------------------------------------------------
     def _require_type(self, document: dict, expected: str, set_id: str) -> None:

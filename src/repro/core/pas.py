@@ -16,8 +16,9 @@ future work (§4.5, citing [6]) can be measured rather than argued:
   expensive save path the paper notes for ModelHub ("worse than
   quadratic run time" in their general algorithm; linear here, but still
   a full base recovery per save);
-* recovery walks the chain like Update, decompressing and XOR-applying
-  each delta.
+* recovery is Update's plan (:mod:`repro.core.recovery`): every delta
+  is an XOR source over the selected models, decoded whole when
+  compressed and XORed onto the snapshot's bytes.
 
 Registered under the approach name ``"pas-delta"``.
 """
@@ -27,13 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
-from repro.core.baseline import read_full_set, write_set
+from repro.core.baseline import write_set
 from repro.core.compression import get_codec
 from repro.core.model_set import ModelSet
-from repro.core.recovery import chain_documents
+from repro.core.recovery import execute, resolve
 from repro.core.save_info import SetMetadata, UpdateInfo
-from repro.errors import InvalidUpdatePlanError, RecoveryError
-from repro.nn.serialization import StateSchema, bytes_to_parameters
+from repro.errors import InvalidUpdatePlanError
 
 
 def _set_bits(model_set: ModelSet) -> np.ndarray:
@@ -44,17 +44,6 @@ def _set_bits(model_set: ModelSet) -> np.ndarray:
         for arr in state.values()
     ]
     return np.concatenate(chunks)
-
-
-def _bits_to_set(
-    bits: np.ndarray, architecture: str, schema: StateSchema, num_models: int
-) -> ModelSet:
-    raw = bits.astype(np.uint32, copy=False).tobytes()
-    states = [
-        bytes_to_parameters(raw, schema, offset=index * schema.num_bytes)
-        for index in range(num_models)
-    ]
-    return ModelSet(architecture, states)
 
 
 class PasDeltaApproach(SaveApproach):
@@ -81,7 +70,7 @@ class PasDeltaApproach(SaveApproach):
         metadata: SetMetadata | None,
         base_set_id: str | None = None,
     ) -> str:
-        # Always artifact-stored: recovery XORs deltas over ``read_full_set``.
+        # Always artifact-stored: recovery XORs deltas over the snapshot.
         fields = {"kind": "full", "chain_depth": 0}
         if base_set_id is not None:
             fields["base_set"] = base_set_id
@@ -155,67 +144,9 @@ class PasDeltaApproach(SaveApproach):
 
     # -- recover -------------------------------------------------------------
     def recover(self, set_id: str) -> ModelSet:
-        base_doc, base_id, chain = chain_documents(self, set_id)
-        model_set = read_full_set(self.context, base_doc, base_id)
-        if not chain:
-            return model_set
-        bits = _set_bits(model_set)
-        schema = model_set.schema
-        architecture = model_set.architecture
-        num_models = len(model_set)
-        for document in reversed(chain):
-            payload = get_codec(str(document["codec"])).decode(
-                self.context.file_store.get(document["params_artifact"])
-            )
-            delta = np.frombuffer(payload, dtype=np.uint32)
-            if delta.shape != bits.shape:
-                raise RecoveryError(
-                    f"delta of set {set_id!r} has {delta.size} words, "
-                    f"expected {bits.size}"
-                )
-            bits = bits ^ delta
-        return _bits_to_set(bits, architecture, schema, num_models)
+        return execute(self.context, resolve(self, set_id))
 
     def recover_model(self, set_id: str, model_index: int):
-        """Recover one model without materializing the whole set.
-
-        The base snapshot contributes a single range read (the model's
-        slice of the full artifact); each chain delta is decoded — the
-        compressing codec rules out range addressing — but only the
-        model's word slice is XOR-applied, so memory stays per-model and
-        the base read shrinks from the full set to one model.
-        """
-        from repro.core.baseline import read_single_model
-
-        base_doc, base_id, chain = chain_documents(self, set_id)
-        num_models = int(base_doc["num_models"])
-        if not 0 <= model_index < num_models:
-            raise IndexError(
-                f"model index {model_index} out of range for set {set_id!r} "
-                f"({num_models} models)"
-            )
-        state = read_single_model(self.context, base_doc, base_id, model_index)
-        if not chain:
-            return state
-        schema = StateSchema.from_json(chain[0]["schema"])
-        words_per_model = schema.num_bytes // 4
-        bits = np.concatenate(
-            [
-                np.asarray(arr, dtype=np.float32).reshape(-1).view(np.uint32)
-                for arr in state.values()
-            ]
-        )
-        for document in reversed(chain):
-            payload = get_codec(str(document["codec"])).decode(
-                self.context.file_store.get(document["params_artifact"])
-            )
-            delta = np.frombuffer(payload, dtype=np.uint32)
-            if delta.size != num_models * words_per_model:
-                raise RecoveryError(
-                    f"delta of set {set_id!r} has {delta.size} words, "
-                    f"expected {num_models * words_per_model}"
-                )
-            bits = bits ^ delta[
-                model_index * words_per_model : (model_index + 1) * words_per_model
-            ]
-        return bytes_to_parameters(bits.astype(np.uint32, copy=False).tobytes(), schema)
+        """Recover one model: a model-sized range of the snapshot, and that
+        model's rows of every delta (decoded whole when compressed)."""
+        return execute(self.context, resolve(self, set_id, model_index)).state(0)

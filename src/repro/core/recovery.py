@@ -7,14 +7,17 @@ Every artifact- or chunk-stored set is recovered the same way:
    Update chain that is the paper's idea made explicit — walk the diff
    lists newest first and let the *newest writer win* every
    (model, layer) slot — so the plan names, per contributing artifact,
-   exactly the byte segments that are final.  For a chunked set the plan
-   is its digest matrix.
+   exactly the byte segments that are final.  A pas-delta chain stores
+   whole-set XOR deltas with no diff list: every delta is an *XOR*
+   source over every selected slot, applied to the snapshot's bytes.
+   For a chunked set the plan is its digest matrix.
 2. **fetch** is the one place a plan becomes store calls: coalesced
    vectored range reads for uncompressed artifacts, one whole-blob read
    plus decode for compressed ones, one striped ``get`` for a snapshot
    read whole, one :meth:`ChunkStore.fetch` for unique digests.
 3. **assemble** is the one place bytes become parameters: one join of
-   the selected slots, read as one float32 row per model.
+   the selected slots, one vectorized XOR of the XOR sources' rows, read
+   as one float32 row per model.
 
 Callers differ only in which slots they hand to *fetch*: the uncached
 read path hands all of them, the serving cache withholds the slots whose
@@ -55,6 +58,12 @@ class Source:
     ``offsets`` / ``nbytes`` / ``slots`` are parallel columns sorted by
     offset; ``total`` is the (decoded) size the descriptor implies for
     the whole artifact.
+
+    A *replace* source gives its slots their final bytes.  An *XOR*
+    source (``xor``) covers every selected slot, and its bytes are XORed
+    onto what the replace sources and the snapshot give the slot.  One
+    approach writes one chain, so a chain's deltas are all replace or
+    all XOR, and the two never interleave.
     """
 
     artifact: str
@@ -67,6 +76,12 @@ class Source:
     slots: np.ndarray
     #: The segments are the entire artifact (a full set read whole).
     whole: bool = False
+    #: Combine by XOR onto the older value instead of replacing it.
+    xor: bool = False
+
+
+#: Where :func:`fetch` leaves the XOR of every XOR source's selected rows.
+XOR_ROWS = ("xor",)
 
 
 @dataclass
@@ -273,7 +288,9 @@ def resolve_chain(
     ``deltas`` are the chain's delta descriptors newest first (empty for
     a full set); ``hashes`` is the set's hash-info matrix when the caller
     wants slots keyed by content.  Only the selected models' diff entries
-    claim slots, so a single-model plan stays one row wide.
+    claim slots, so a single-model plan stays one row wide.  A delta with
+    no diff list (pas-delta) claims none: it becomes an XOR source over
+    every selected slot, at the slot's offset in the whole set.
     """
     top = deltas[0] if deltas else base_doc
     schema = StateSchema.from_json(top["schema"])
@@ -285,6 +302,10 @@ def resolve_chain(
             f"chain base has {base_doc['num_models']} models, "
             f"set {set_id!r} has {num_models}"
         )
+    xor = bool(deltas) and "diff" not in deltas[0]
+    if any(("diff" in document) == xor for document in deltas):
+        raise RecoveryError(f"set {set_id!r}: chain mixes XOR and replace deltas")
+    replacing, xoring = ([], deltas) if xor else (deltas, [])
     models = _select(num_models, model_index, set_id)
     dtype = str(base_doc.get("param_dtype", "float32"))
     sizes = np.asarray(layer_nbytes(schema, np.dtype(dtype).itemsize), dtype=np.int64)
@@ -294,7 +315,7 @@ def resolve_chain(
 
     # One flat pass over every diff entry of the chain, newest delta
     # first; a segment is one (entry, layer) extent of its delta's blob.
-    columns = [diff_columns(document) for document in deltas]
+    columns = [diff_columns(document) for document in replacing]
     writers, counts, layers = map(np.concatenate, zip(_NO_DIFF, *columns))
     if len(writers) and int(writers.max()) >= num_models:
         raise RecoveryError(
@@ -331,25 +352,38 @@ def resolve_chain(
             final_nbytes[cuts[depth] : cuts[depth + 1]],
             final_slots[cuts[depth] : cuts[depth + 1]],
         )
-        for depth, document in enumerate(deltas)
+        for depth, document in enumerate(replacing)
     ]
 
-    # Base snapshot: everything no delta finalized.
+    # Base snapshot: everything no delta finalized (every slot of an XOR
+    # chain, whose deltas then XOR onto the same whole-set offsets).
     unclaimed = np.ones(len(models) * num_layers, dtype=bool)
     unclaimed[claimed] = False
     rest = np.flatnonzero(unclaimed)
     layer = rest % num_layers
-    sources.append(
+    offsets = np.asarray(models, dtype=np.int64)[rest // num_layers] * model_nbytes + (
+        np.cumsum(sizes) - sizes
+    )[layer]
+    whole = not replacing and model_index is None
+    total = num_models * model_nbytes
+    sources.extend(
         Source(
-            base_doc["params_artifact"],
-            "none",
-            None,
-            num_models * model_nbytes,
-            np.asarray(models, dtype=np.int64)[rest // num_layers] * model_nbytes
-            + (np.cumsum(sizes) - sizes)[layer],
+            document["params_artifact"],
+            str(document.get("codec", "none")),
+            depth,
+            total,
+            offsets,
             sizes[layer],
             rest,
-            whole=not deltas and model_index is None,
+            whole=whole,
+            xor=True,
+        )
+        for depth, document in enumerate(xoring)
+    )
+    sources.append(
+        Source(
+            base_doc["params_artifact"], "none", None, total, offsets, sizes[layer],
+            rest, whole=whole,
         )
     )
     digests = None
@@ -420,7 +454,9 @@ def _fetch_source(
     """Read one source's wanted segments into ``values``.
 
     Only exactly adjacent segments are merged into one range — no gap is
-    ever bridged, so the bytes charged equal the bytes needed.
+    ever bridged, so the bytes charged equal the bytes needed.  A replace
+    source's segments land under their slots' keys; an XOR source's
+    selected rows, in slot order, are XORed into ``values[XOR_ROWS]``.
     """
     offsets, nbytes, slots = source.offsets, source.nbytes, source.slots
     if wanted is not None:
@@ -437,6 +473,10 @@ def _fetch_source(
         _check_length(artifact, file_store.size(artifact), source.total)
     if not len(slots):
         return  # every byte superseded, or every wanted slot already held
+    breaks = np.flatnonzero(offsets[1:] != offsets[:-1] + nbytes[:-1]) + 1
+    starts = [0, *breaks.tolist(), len(offsets)]
+    lengths = np.add.reduceat(nbytes, starts[:-1])
+    ranges = list(zip(offsets[starts[:-1]].tolist(), lengths.tolist()))
     with _trace.span(
         "store-fetch" if source.depth is None else "delta-fetch",
         key=source.depth,
@@ -444,10 +484,6 @@ def _fetch_source(
         artifact=artifact,
     ):
         if ranged:
-            breaks = np.flatnonzero(offsets[1:] != offsets[:-1] + nbytes[:-1]) + 1
-            starts = [0, *breaks.tolist(), len(offsets)]
-            lengths = np.add.reduceat(nbytes, starts[:-1])
-            ranges = list(zip(offsets[starts[:-1]].tolist(), lengths.tolist()))
             blobs = file_store.get_ranges(artifact, ranges, workers=workers)
         else:
             # Range addressing into a compressed blob is impossible, and
@@ -456,7 +492,17 @@ def _fetch_source(
                 file_store.get(artifact, workers=workers)
             )
             _check_length(artifact, len(blob), source.total)
-            starts, ranges, blobs = [0, len(offsets)], [(0, source.total)], [blob]
+            view = memoryview(blob)
+            blobs = [view[start : start + length] for start, length in ranges]
+    if source.xor:
+        # One running XOR, so a deep chain holds one set of delta rows,
+        # not one per delta.
+        rows = np.concatenate([np.frombuffer(blob, dtype=np.uint8) for blob in blobs])
+        if XOR_ROWS in values:
+            values[XOR_ROWS] ^= rows
+        else:
+            values[XOR_ROWS] = rows
+        return
     offsets, nbytes, slots = offsets.tolist(), nbytes.tolist(), slots.tolist()
     for index, (blob, (start, _length)) in enumerate(zip(blobs, ranges)):
         view = memoryview(blob)
@@ -495,8 +541,10 @@ def assemble(
     """Every plan row's (or only ``rows``') parameters, one float32 row each.
 
     The selected slots' bytes are joined once, in row-major slot order,
-    and read as one ``(rows, parameters)`` matrix ordered like
-    ``plan.models`` (or ``rows``).
+    the XOR sources' rows (already XORed together by :func:`fetch`) are
+    XORed onto them in one vectorized pass, and the result is read as one
+    ``(rows, parameters)`` matrix ordered like ``plan.models`` (or
+    ``rows``).
     """
     keys = plan.keys
     num_layers = len(plan.schema.entries)
@@ -515,6 +563,12 @@ def assemble(
                 f"fetched {len(joined)} parameter bytes for {shape[0]} models "
                 f"of {shape[1]} parameters"
             )
+        if XOR_ROWS in values:
+            delta = values[XOR_ROWS]
+            if rows is not None:
+                delta = delta.reshape(len(plan.models), -1)[list(rows)].ravel()
+            bits = np.frombuffer(joined, dtype=np.uint8)
+            bits ^= delta
         # float32 rows stay views of the joined buffer; half precision widens.
         return np.frombuffer(joined, dtype=item).reshape(shape).astype(
             np.float32, copy=False

@@ -43,13 +43,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
-from repro.core.baseline import (
-    layer_hashes,
-    read_full_set,
-    read_single_model,
-    write_hash_info,
-    write_set,
-)
+from repro.core.baseline import layer_hashes, read_full_set, write_hash_info, write_set
 from repro.core.compression import get_codec
 from repro.core.model_set import ModelSet
 from repro.core.parallel import parallel_map
@@ -60,7 +54,7 @@ from repro.core.recovery import (
     is_chunked,
     resolve,
 )
-from repro.core.recovery import layer_nbytes as _layer_nbytes
+from repro.core.recovery import _select
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.errors import InvalidUpdatePlanError, RecoveryError
 from repro.nn.serialization import StateSchema
@@ -350,60 +344,13 @@ class UpdateApproach(SaveApproach):
         writes to this model were all superseded.  With a compressing
         codec, range addressing into a delta blob is impossible and the
         full delta is read and decoded instead.  ``"replay"`` recovery
-        applies the chain forward with per-delta range reads.
+        replays the whole set (Figure 5's algorithm) and keeps one model.
         """
         if self._replays(set_id):
-            return self._recover_model_replay(set_id, model_index)
+            model_set = self._recover_replay(set_id)
+            (index,) = _select(len(model_set), model_index, set_id)
+            return model_set.state(index)
         return execute(self.context, resolve(self, set_id, model_index)).state(0)
-
-    def _recover_model_replay(self, set_id: str, model_index: int):
-        """The pre-compaction single-model recovery (chain replay)."""
-        base_doc, base_id, chain = chain_documents(self, set_id)
-        state = read_single_model(self.context, base_doc, base_id, model_index)
-        for index, document in enumerate(reversed(chain)):
-            with _trace.span("apply-delta", key=index, kind="store-read"):
-                self._apply_delta_to_model(state, document, model_index)
-        return state
-
-    def _apply_delta_to_model(
-        self, state, document: dict, model_index: int
-    ) -> None:
-        schema = StateSchema.from_json(document["schema"])
-        if int(document["num_models"]) <= model_index:
-            raise RecoveryError(
-                f"model index {model_index} out of range for delta set"
-            )
-        layer_entries = schema.entries
-        layer_nbytes = _layer_nbytes(schema)
-        # Locate the target model's contiguous chunk within the blob.
-        offset = 0
-        target_layers: list[int] | None = None
-        for diff_model, changed_layers in document["diff"]:
-            chunk = sum(layer_nbytes[int(layer)] for layer in changed_layers)
-            if int(diff_model) == model_index:
-                target_layers = [int(layer) for layer in changed_layers]
-                break
-            offset += chunk
-        if target_layers is None:
-            return  # model untouched in this cycle
-        length = sum(layer_nbytes[layer] for layer in target_layers)
-        codec_name = str(document.get("codec", "none"))
-        if codec_name == "none":
-            payload = self.context.file_store.get_range(
-                document["params_artifact"], offset=offset, length=length
-            )
-            cursor = 0
-        else:
-            payload = get_codec(codec_name).decode(
-                self.context.file_store.get(document["params_artifact"])
-            )
-            cursor = offset
-        for layer in target_layers:
-            name, shape = layer_entries[layer]
-            size = int(np.prod(shape)) if shape else 1
-            values = np.frombuffer(payload, dtype=np.float32, count=size, offset=cursor)
-            state[name] = values.reshape(shape)  # written into the state's row
-            cursor += size * 4
 
     def _apply_delta(self, base: ModelSet, document: dict) -> ModelSet:
         schema = StateSchema.from_json(document["schema"])

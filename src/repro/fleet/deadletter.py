@@ -11,8 +11,9 @@ one transaction of the store's private write-ahead
 rolls back cleanly at the next open; an entry is either fully durable
 or absent).
 
-Entries record their shard, chain root, dispatch base, per-chain
-dispatch sequence number and submission count, so an operator (or
+Entries record their shard, chain root, dispatch base, the id their
+failed flush had allocated, per-chain dispatch sequence number and
+submission count, so an operator (or
 ``repro-archive <fleet> deadletter list|replay|purge``) can replay them
 through the normal ingest path: :meth:`IngestQueue.replay_dead_letters`
 re-submits the stored states, which re-coalesce, re-allocate ids, and
@@ -83,8 +84,13 @@ class DeadLetterStore:
         seq: int,
         error: str,
         parked_at: float,
+        set_id: "str | None" = None,
     ) -> str:
         """Durably park one exhausted batch; returns the entry id.
+
+        ``set_id`` is the id the batch's failed flush had allocated: a
+        batch dispatched while this one was in flight names it as its
+        base, which therefore never lands (``None``: not a flush).
 
         One journal transaction covers the payload artifact and the
         descriptor document — a crash mid-park leaves nothing behind.
@@ -110,6 +116,7 @@ class DeadLetterStore:
                         "shard": int(shard),
                         "root": root,
                         "base": base,
+                        "set_id": set_id,
                         "updates": int(updates),
                         "seq": int(seq),
                         "models": [index for index, _ in lengths],

@@ -52,6 +52,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.model_set import ModelSet
+from repro.core.recovery import HASH_COLLECTION
 from repro.errors import (
     DocumentNotFoundError,
     IngestBackpressureError,
@@ -61,6 +62,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.core.manager import MultiModelManager
+from repro.nn.serialization import parameters_to_bytes
 from repro.simtime import SimClock
 
 __all__ = ["IngestQueue"]
@@ -442,9 +444,12 @@ class IngestQueue:
         original flush had succeeded late — same coalescing, same id
         allocation, same journaled save, hence preserved lineage and
         byte-identity.  A parked state is older than a pending update of
-        the same model on its chain, so it never displaces one: it counts
-        as coalesced.  Entries whose shard is still DOWN, or whose chain
-        cannot be resolved, are skipped and kept; an entry whose replay
+        the same model on its chain, so it never displaces one, nor is it
+        replayed over a state a later save holds (see :meth:`_superseded`):
+        either way it counts as coalesced, and an entry left with no model
+        is discarded as replayed.  Entries whose shard is still DOWN are
+        skipped and kept; one whose chain cannot be resolved or compared
+        stays parked and is reported failed; an entry whose replay
         fails again is re-parked as fresh entries (exactly one copy of
         each update — the original is discarded before the resubmit).
 
@@ -454,7 +459,13 @@ class IngestQueue:
         replayed: list[str] = []
         skipped: list[str] = []
         failed: list[dict] = []
-        for entry in store.entries(shard=shard):
+        entries = store.entries(shard=shard)
+        # Each chain's newest save before any entry replays, and each
+        # parked flush's entry (a later batch's base, when both failed).
+        with self._lock:
+            heads = {root: chain.last_saved for root, chain in self._chains.items()}
+        flushes = {entry["set_id"]: entry for entry in entries if entry.get("set_id")}
+        for entry in entries:
             entry_id = entry["id"]
             target_shard = int(entry["shard"])
             # An out-of-range shard index happens when the highest-index
@@ -467,21 +478,23 @@ class IngestQueue:
             ):
                 skipped.append(entry_id)
                 continue
-            target = entry["base"]
+            states = store.load_states(entry_id)
             try:
-                try:
-                    self.fleet.shard_of(target)
-                except DocumentNotFoundError:
-                    # The failed flush's base was itself a rolled-back
-                    # allocation; fall back to the chain root.
-                    target = entry["root"]
-                # Resolve the chain before the entry is discarded: a store
-                # failing here leaves the entry parked as it is.
+                # A base that never landed is a rolled-back allocation (an
+                # earlier batch's failed flush): submit by the chain root.
+                target = entry["base"] if self._landed(entry["base"]) else entry["root"]
+                # Resolve the chain and compare states before the entry is
+                # discarded: a store failing here leaves it parked as it is.
                 self.fleet.root_of(target)
+                stale = self._superseded(entry, heads.get(entry["root"]), flushes, states)
+                for model_index in stale:
+                    del states[model_index]
+                with self._lock:
+                    self.updates_submitted += len(stale)
+                    self.updates_coalesced += len(stale)
             except (OSError, StorageError) as error:
                 failed.append({"id": entry_id, "error": str(error), "reparked": [entry_id]})
                 continue
-            states = store.load_states(entry_id)
             # Discard before resubmitting: a replay that fails re-parks
             # through the normal exhaustion path, leaving exactly one
             # (fresh) copy rather than a duplicate.
@@ -522,6 +535,48 @@ class IngestQueue:
                 with self._lock:
                     self.updates_replayed += len(states)
         return {"replayed": replayed, "skipped": skipped, "failed": failed}
+
+    def _superseded(
+        self, entry: dict, head: "str | None", flushes: dict, models
+    ) -> "list[int]":
+        """Of an entry's parked ``models``, those a save that landed after
+        the batch's dispatch holds in another state: replaying them would
+        roll them back.
+
+        The batch was dispatched on top of its base or, when that base is
+        another parked batch's failed flush, on top of that batch's base
+        (and so on).  Each model's state there is compared with its state
+        on ``head``, the chain's newest save before this replay began:
+        stored hash rows when both sets have them, else recovered rows.
+        No head (a queue that has not seen the chain) or no landed base:
+        nothing is dropped.
+        """
+        if head is None:
+            return []
+        base = entry["base"]
+        while not self._landed(base):
+            if base not in flushes:
+                return []
+            base = flushes[base]["base"]
+        if head == base:
+            return []
+        peek = self.fleet.shards[self.fleet.shard_of(base)].context.document_store.peek
+        old, new = (peek(HASH_COLLECTION, set_id) for set_id in (base, head))
+        if old is not None and new is not None:
+            return [i for i in models if old["hashes"][i] != new["hashes"][i]]
+        recover = self.fleet.recover_model
+        return [
+            i
+            for i in models
+            if parameters_to_bytes(recover(base, i)) != parameters_to_bytes(recover(head, i))
+        ]
+
+    def _landed(self, set_id: str) -> bool:
+        try:
+            self.fleet.shard_of(set_id)
+        except DocumentNotFoundError:
+            return False
+        return True
 
     # -- dispatch ----------------------------------------------------------
     def _due_by_age_locked(self) -> list[dict]:
@@ -687,9 +742,7 @@ class IngestQueue:
         save, and record the failure for :meth:`drain` to surface."""
         chain: _Chain = job["chain"]
         entry_id = None
-        if self._health.enabled and self._health.dead_letter and isinstance(
-            error, (OSError, StorageError)
-        ):
+        if self._health.enabled and isinstance(error, (OSError, StorageError)):
             try:
                 entry_id = self.fleet.deadletter.park(
                     shard=job["shard"],
@@ -700,6 +753,7 @@ class IngestQueue:
                     seq=job["seq"],
                     error=f"{type(error).__name__}: {error}",
                     parked_at=self.clock.now,
+                    set_id=job["set_id"],
                 )
             except Exception:  # noqa: BLE001 - parking is best-effort
                 entry_id = None

@@ -379,8 +379,7 @@ class MaintenanceScheduler:
                 if target.on_retired is not None and report.deleted_sets:
                     target.on_retired(report.deleted_sets)
                 self._fault("post-commit", target.name, pass_index)
-                if self.config.drain_repairs:
-                    entry.repairs_drained += self._drain_repairs(context)
+                entry.repairs_drained += self._drain_repairs(context)
                 if scrub:
                     self._scrub(context, entry)
         finally:

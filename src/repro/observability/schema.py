@@ -5,8 +5,8 @@ exported document validates against the checked-in copy of
 :data:`TRACE_SCHEMA` (``benchmarks/trace_schema.json``).  The validator implements the subset
 of JSON Schema the trace schema uses — ``type``, ``properties``,
 ``required``, ``items``, ``enum``, ``minimum``, ``additionalProperties``
-and ``$ref`` into ``$defs`` — because the repo deliberately takes no
-third-party dependencies beyond numpy.
+and ``$ref`` into ``$defs`` — so checking a trace needs no JSON Schema
+package: the repo depends on numpy and networkx only (``pyproject.toml``).
 
 Run as a module to validate a file::
 

@@ -9,12 +9,17 @@ any depth, fetches exactly what a warm tier 2 lacks, and salvage loses
 exactly the models whose rows reference a corrupt chunk.  A plan built
 from the diff columns memoized on held descriptors equals one built from
 thawed (plain) descriptors, across compaction and a reopen, and a
-replaced descriptor never serves its predecessor's columns.
+replaced descriptor never serves its predecessor's columns.  pas-delta's
+whole-set XOR chains (codec none/zlib/shuffle-zlib, with and without
+snapshots, 1 and 4 workers) recover every set and model that was saved,
+resolve from metadata alone, and are charged what pas-delta's own
+readers were charged.
 """
 
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +37,10 @@ from repro.core.recovery import (
 )
 from repro.core.retention import RetentionManager
 from repro.core.update import UpdateApproach
+from repro.errors import RecoveryError
 from repro.storage.document_store import thaw
 from repro.storage.faults import corrupt_artifact
+from repro.storage.hardware import SERVER_PROFILE
 
 NUM_MODELS = 4
 NUM_LAYERS = len(ModelSet.build("FFNN-48", num_models=1, seed=0).schema.entries)
@@ -50,13 +57,19 @@ property_settings = settings(
 )
 
 
-def build_chain(cycles, codec="none", dedup=False, serving=False, directory=None):
+def build_chain(
+    cycles, codec="none", dedup=False, serving=False, directory=None,
+    approach="update", snapshot_interval=None, **knobs,
+):
     """Save U1 plus one derived set per cycle; returns manager, ids, sets.
 
-    In memory, or on disk under ``directory``."""
-    config = ArchiveConfig(dedup=dedup, serving=ServingConfig(enabled=serving))
+    In memory, or on disk under ``directory``; ``knobs`` are further
+    :class:`ArchiveConfig` fields."""
+    config = ArchiveConfig(dedup=dedup, serving=ServingConfig(enabled=serving), **knobs)
     if directory is None:
-        manager = MultiModelManager.with_approach("update", config, codec=codec)
+        manager = MultiModelManager.with_approach(
+            approach, config, codec=codec, snapshot_interval=snapshot_interval
+        )
     else:
         manager = MultiModelManager.open(directory, "update", config)
     sets = [ModelSet.build("FFNN-48", num_models=NUM_MODELS, seed=0)]
@@ -185,7 +198,7 @@ def plan_fields(plan) -> tuple:
         plan.architecture, plan.schema, plan.dtype, plan.models, plan.digests,
         [
             (source.artifact, source.codec, source.depth, source.total, source.whole,
-             source.offsets.tolist(), source.nbytes.tolist(), source.slots.tolist())
+             source.xor, source.offsets.tolist(), source.nbytes.tolist(), source.slots.tolist())
             for source in plan.sources
         ],
     )
@@ -249,3 +262,70 @@ class TestMemoizedColumns:
         after = diff_columns(store.peek(SETS_COLLECTION, ids[-1]))
         assert len(after.writers) == 1 < len(before.writers)
         assert_memo_matches_thawed(manager, ids)
+
+
+#: A depth-3 pas-delta chain with overlapping and untouched models.
+PIN_CYCLES = [{0: {0}, 2: {1, 3}}, {1: {2}}, {0: {0, 1}, 3: {5}}]
+
+
+class TestXorPlan:
+    @given(
+        cycles=chains,
+        codec=st.sampled_from(["none", "zlib", "shuffle-zlib"]),
+        interval=st.sampled_from([None, 2, 3]),
+        workers=st.sampled_from([1, 4]),
+    )
+    @property_settings
+    def test_every_set_and_model_recovers_what_was_saved(
+        self, cycles, codec, interval, workers
+    ):
+        manager, ids, sets = build_chain(
+            cycles, codec, approach="pas-delta", snapshot_interval=interval,
+            workers=workers,
+        )
+        approach = manager.approach
+        for set_id, expected in zip(ids, sets):
+            for selector in (None, *range(NUM_MODELS)):
+                plan, delta = read_delta(manager, lambda: resolve(approach, set_id, selector))
+                assert delta.reads == 0
+            depth = len(chain_documents(approach, set_id)[2])
+            assert [source.xor for source in plan.sources] == [True] * depth + [False]
+            assert approach.recover(set_id).equals(expected)
+            for model in range(NUM_MODELS):
+                assert same_state(approach.recover_model(set_id, model), expected.state(model))
+
+    @pytest.mark.parametrize(
+        "workers, selector, charges",
+        # (bytes read, reads, simulated read seconds) of the readers the
+        # plan replaced: one striped snapshot get plus one unstriped get
+        # per delta, or one model-sized snapshot range plus one get per
+        # delta.  Striping the delta gets makes 4 workers no dearer.
+        [
+            (1, None, (91_091, 4, 0.000_436_436_4)),
+            (1, 1, (31_175, 4, 0.000_412_470)),
+            (4, None, (91_091, 4, 0.000_412_470)),
+            (4, 1, (31_175, 4, 0.000_412_470)),
+        ],
+    )
+    def test_charges_equal_the_replaced_readers(self, workers, selector, charges):
+        manager, ids, _sets = build_chain(
+            PIN_CYCLES, "shuffle-zlib", approach="pas-delta", profile=SERVER_PROFILE,
+            workers=workers,
+        )
+        approach = manager.approach
+        if selector is None:
+            _result, delta = read_delta(manager, lambda: approach.recover(ids[-1]))
+        else:
+            _result, delta = read_delta(manager, lambda: approach.recover_model(ids[-1], selector))
+        assert (delta.bytes_read, delta.reads) == charges[:2]
+        if workers == 1:
+            assert delta.simulated_read_s == pytest.approx(charges[2], rel=1e-9)
+        else:
+            assert delta.simulated_read_s <= charges[2] * (1 + 1e-9)
+
+    def test_a_chain_mixing_xor_and_replace_deltas_is_refused(self):
+        manager, ids, _sets = build_chain(PIN_CYCLES[:1], approach="pas-delta")
+        base_doc, _base_id, (xor_delta,) = chain_documents(manager.approach, ids[-1])
+        replace_delta = {**thaw(xor_delta), "diff": [[0, [0]]]}
+        with pytest.raises(RecoveryError, match="mixes XOR and replace"):
+            resolve_chain(base_doc, [xor_delta, replace_delta], ids[-1])

@@ -366,7 +366,9 @@ class TestReplayLosesNothing:
             queue.submit(base, 1, state_plus(tiny_set, 1, 1.0))
         outage.revive()
         outage.down_at = None
-        for index in (0, 1):  # the flush probes and closes the breaker
+        # The flush probes and closes the breaker; it leaves the parked
+        # models as they were on the entry's base, so they still replay.
+        for index in (2, 3):
             queue.submit(base, index, state_plus(tiny_set, index, 2.0))
         take_down(fleet)
         queue.submit(base, 0, state_plus(tiny_set, 0, 3.0))  # pending
@@ -401,6 +403,82 @@ class TestReplayLosesNothing:
         assert states_equal(fleet.recover_set(flushed["set_id"]).state(0), newer)
         # Three updates accepted: one coalesced (the parked one), one flushed.
         assert (queue.updates_submitted, queue.updates_coalesced) == (3, 1)
+        queue.close()
+
+    @pytest.mark.parametrize("approach", ["update", "baseline"])
+    def test_a_parked_state_never_rolls_back_a_flushed_one(self, tiny_set, approach):
+        """Update sets compare stored hash rows, Baseline sets recovered rows."""
+        fleet = FleetManager.with_approach(
+            approach, ArchiveConfig(shards=1, health=health_config(down_after=3))
+        )
+        base = fleet.save_set(tiny_set)
+        queue = IngestQueue(fleet, flush_max_updates=2, workers=0)
+        older, newer = state_plus(tiny_set, 0, 1.0), state_plus(tiny_set, 0, 2.0)
+        other = state_plus(tiny_set, 1, 1.0)
+        queue.submit(base, 0, older)
+        outage = take_down(fleet)
+        with pytest.raises(IngestError) as failure:
+            queue.submit(base, 1, other)  # completes the batch; its flush fails
+        (entry_id,) = failure.value.dead_letter_ids
+        outage.revive()
+        outage.down_at = None
+        queue.submit(base, 0, newer)
+        queue.flush(base)
+        assert queue.replay_dead_letters()["replayed"] == [entry_id]
+        assert fleet.deadletter.entries() == []
+        flushed, replayed = queue.flush_log
+        # Model 0's parked state is dropped as coalesced; model 1's replays.
+        assert replayed["models"] == 1
+        head = fleet.recover_set(replayed["set_id"])
+        assert states_equal(head.state(0), newer)
+        assert states_equal(head.state(1), other)
+        assert (queue.updates_submitted, queue.updates_coalesced) == (5, 1)
+        queue.close()
+
+    def test_a_batch_parked_behind_another_compares_against_its_base(self, tiny_set):
+        """The second batch's base is the first batch's failed flush, which
+        never landed: it compares against the first batch's base."""
+        fleet = make_fleet(health_config(down_after=10))
+        base = fleet.save_set(tiny_set)
+        queue = IngestQueue(fleet, flush_max_updates=1, workers=1)
+        outage = take_down(fleet)
+        with fleet.shards[0].lock:  # both batches dispatch before the first runs
+            queue.submit(base, 0, state_plus(tiny_set, 0, 1.0))
+            queue.submit(base, 1, state_plus(tiny_set, 1, 1.0))
+        with pytest.raises(IngestError):
+            queue.drain()
+        first, second = fleet.deadletter.entries()
+        assert (first["base"], second["base"]) == (base, first["set_id"])
+        outage.revive()
+        outage.down_at = None
+        newer = state_plus(tiny_set, 1, 2.0)
+        queue.submit(base, 1, newer)
+        queue.drain()
+        report = queue.replay_dead_letters()
+        assert report["replayed"] == [first["id"], second["id"]]
+        head = fleet.recover_set(queue.flush_log[-1]["set_id"])
+        assert states_equal(head.state(0), state_plus(tiny_set, 0, 1.0))
+        assert states_equal(head.state(1), newer)
+        assert queue.updates_coalesced == 1
+        queue.close()
+
+    def test_an_entry_left_empty_is_discarded_as_replayed(self, tiny_set):
+        fleet = make_fleet(health_config(down_after=3))
+        base = fleet.save_set(tiny_set)
+        queue = IngestQueue(fleet, flush_max_updates=2, workers=0)
+        queue.submit(base, 0, state_plus(tiny_set, 0, 1.0))
+        outage = take_down(fleet)
+        with pytest.raises(IngestError) as failure:
+            queue.flush(base)
+        (entry_id,) = failure.value.dead_letter_ids
+        outage.revive()
+        outage.down_at = None
+        newer = state_plus(tiny_set, 0, 2.0)
+        queue.submit(base, 0, newer)
+        queue.flush(base)
+        assert queue.replay_dead_letters()["replayed"] == [entry_id]
+        (flushed,) = queue.flush_log
+        assert states_equal(fleet.recover_model(flushed["set_id"], 0), newer)
         queue.close()
 
 

@@ -126,6 +126,7 @@ class FleetMachine(RuleBasedStateMachine):
         self.chains: dict[int, Chain] = {}
         self.next_chain = 0
         self.parked: dict[str, tuple[int, dict]] = {}  # entry id -> (chain, batch)
+        self.seen: set[int] = set()  # chains this process's queue holds
         self.down: dict[int, FaultInjector] = {}  # shard -> its cold outage
         self.replica_down: "FaultInjector | None" = None
         self.stale: set[int] = set()  # shards whose replicas may diverge
@@ -148,6 +149,7 @@ class FleetMachine(RuleBasedStateMachine):
         self.scheduler = MaintenanceScheduler.for_manager(self.fleet, clock=self.clock)
         self.carried = sum(len(batch) for _chain, batch in self.parked.values())
         self.accepted = self.resubmitted = 0
+        self.seen.clear()
         self.down.clear()
         self.replica_down = None
         self.saved_last.clear()
@@ -206,6 +208,7 @@ class FleetMachine(RuleBasedStateMachine):
             self.queue.submit(chain.head, index, state)
         except IngestBackpressureError:
             assert shed, "admission refused an update below the watermark"
+            self.seen.add(key)
             return
         except IngestError:
             pass  # the flush it triggered failed: the batch is matched in _settle
@@ -213,8 +216,29 @@ class FleetMachine(RuleBasedStateMachine):
             # Resolving the chain read a dead shard: refused, not accepted.
             assert chain.shard in self.down
             return
+        self.seen.add(key)
         assert self._expect(key, index, state, dispatches), "admitted past the watermark"
         self.accepted += 1
+
+    def _live(self, entry: dict, head: "str | None", flushes: dict, batch: dict) -> dict:
+        """The parked models a replay resubmits.  A model whose state on
+        ``head`` (its chain's head as the replay began, once the queue
+        holds the chain) differs from its state on the batch's landed
+        base (its base, or the base of the parked batch whose failed flush
+        its base is) was saved since: dropped, as replaying it would roll
+        the model back."""
+        base = entry["base"]
+        while base not in self.sets:
+            if base not in flushes:
+                return batch
+            base = flushes[base]["base"]
+        if head is None or head == base:
+            return batch
+        return {
+            index: state
+            for index, state in batch.items()
+            if digest([self.sets[head][index]]) == digest([self.sets[base][index]])
+        }
 
     def _dispatch(self, key: int, dispatches: list) -> None:
         chain = self.chains[key]
@@ -292,7 +316,11 @@ class FleetMachine(RuleBasedStateMachine):
                 as_set(states), metadata=SetMetadata(extra={"family": family})
             )
         except (ShardUnavailableError, StorageError):
-            assert self.down, "an initial save failed with every shard up"
+            # A breaker an earlier outage tripped refuses saves until a
+            # half-open probe closes it, even once the shard is back.
+            assert self.down or any(map(self.fleet.health.is_down, range(SHARDS))), (
+                "an initial save failed with every shard up"
+            )
             return
         shard = shard_for(set_id, SHARDS)
         self._commit(set_id, states, None, family, shard)
@@ -447,6 +475,8 @@ class FleetMachine(RuleBasedStateMachine):
     @rule()
     def replay(self):
         watched, entries = self._watch(), self.fleet.deadletter.entries()
+        heads = {key: self.chains[key].head for key in self.seen & set(self.chains)}
+        flushes = {entry["set_id"]: entry for entry in entries if entry["set_id"]}
         report = self.queue.replay_dead_letters()
         outcomes = self._outcomes(watched)
         kept = set(report["skipped"]) | {
@@ -456,6 +486,11 @@ class FleetMachine(RuleBasedStateMachine):
             if entry["id"] in kept:
                 continue
             key, batch = self.parked.pop(entry["id"])
+            live = self._live(entry, heads.get(key), flushes, batch)
+            self.resubmitted += len(batch) - len(live)  # dropped: coalesced
+            batch = live
+            if batch:
+                self.seen.add(key)
             unsent = dict(sorted(batch.items()))
             for index, state in sorted(batch.items()):
                 dispatches = []

@@ -8,7 +8,9 @@ holds the patterns and is not scanned.
 
 from __future__ import annotations
 
+import ast
 import re
+import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -69,6 +71,31 @@ def descriptor_builders(root: Path) -> list[str]:
     if len(builders) != 1:
         return builders or ["src/repro: no file builds a set descriptor"]
     return scan(root, TREE, "write_full_set_streaming")
+
+
+def undeclared_imports(root: Path) -> list[str]:
+    """Third-party top-level imports under src/repro that pyproject.toml's
+    ``[project] dependencies`` do not declare (each declared distribution
+    is imported under its own name)."""
+    declared = set()
+    pyproject = root / "pyproject.toml"
+    if pyproject.exists():
+        listed = re.search(r"^dependencies = (\[.*\])$", pyproject.read_text(), re.M)
+        declared = {re.split(r"[<>=!~;\[ ]", spec)[0] for spec in ast.literal_eval(listed[1])}
+    hits = []
+    for path in sorted((root / "src/repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in declared | {"repro"}:
+                    hits.append(f"{path.relative_to(root).as_posix()}:{node.lineno}:{name}")
+    return hits
 
 
 GATES = (
@@ -133,6 +160,12 @@ GATES = (
          r"\b(ArchiveVerifier|VerificationReport|verify_all)\b|repro\.core\.verify\b",
          (), "ArchiveFsck is the one audit: run(deep=, recover=) holds every verify check",
          "from repro.core.verify import ArchiveVerifier", "tests/planted.py"),
+    Gate("Side-reader", r"\b(_bits_to_set|_recover_model_replay|_apply_delta_to_model)\b", (),
+         "every set and model recovers through the plan; replay's one reader is the whole set",
+         "state = self._recover_model_replay(set_id, 0)"),
+    Gate("Declared-dependency", "", (),
+         "import repro must work on a clean install: declare every third-party import",
+         "import networkx as nx", check=undeclared_imports),
 )
 
 
