@@ -2,8 +2,9 @@
 
 ``info`` summarizes the whole archive view; ``lineage``/``verify``/
 ``fsck``/``scrub`` audit one shard (a plain archive is a view of one);
-``history``/``compact``/``export``/``migrate``/``stats`` read or rewrite
-one shard's contents; ``trace`` runs the synthetic traced update cycle.
+``history``/``export`` read through the view's engine;
+``compact``/``migrate``/``stats`` read or rewrite one shard's contents;
+``trace`` runs the synthetic traced update cycle.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli.common import ArchiveView, _detect_approach, _manager_for, config_from_args
+from repro.cli.common import ArchiveView, _detect_approach, config_from_args
 from repro.config import ArchiveConfig, ObservabilityConfig
 from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.fsck import ArchiveFsck, FsckReport, scrub_archive
@@ -164,11 +165,11 @@ def _cmd_scrub(context: SaveContext, args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _cmd_history(context: SaveContext, args: argparse.Namespace) -> int:
-    manager = _manager_for(context, args.approach)
-    lineage = LineageGraph.from_context(context)
-    chain = lineage.recovery_chain(args.set_id)
-    history = model_history(manager, chain, args.model_index)
+def _cmd_history(view: ArchiveView, args: argparse.Namespace) -> int:
+    context = view.owner(args.set_id)
+    engine = view.bound
+    chain = LineageGraph.from_context(context).recovery_chain(args.set_id)
+    history = model_history(engine, chain, args.model_index)
     print(f"model {args.model_index} across {len(chain)} generations:")
     for set_id, drift in zip(history.set_ids, history.drift_from_start):
         print(f"  {set_id}  drift={drift:.6f}")
@@ -181,10 +182,11 @@ def _cmd_compact(context: SaveContext, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export(context: SaveContext, args: argparse.Namespace) -> int:
+def _cmd_export(view: ArchiveView, args: argparse.Namespace) -> int:
     from repro.core.export import export_models
 
-    manager = _manager_for(context, args.approach)
+    view.owner(args.set_id)  # an unknown set is refused first, as by history
+    manager = view.bound
     indices = args.models if args.models else None
     manifest = export_models(
         manager,

@@ -2,11 +2,11 @@
 
 Every verb module receives the same building blocks: the
 :class:`~repro.config.ArchiveConfig` derived from the global flags
-(:func:`config_from_args`), the :class:`ArchiveView` of the directory
-(:func:`open_view`), and a manager bound to the archive's auto-detected
-approach (:func:`_manager_for`).  Keeping them here means a verb module
-imports exactly one sibling and the argparse wiring in
-:mod:`repro.cli.main` stays declarative.
+(:func:`config_from_args`) and the :class:`ArchiveView` of the directory
+(:func:`open_view`), whose one engine is bound to the archive's
+approach.  Keeping them here means a verb module imports exactly one
+sibling and the argparse wiring in :mod:`repro.cli.main` stays
+declarative.
 """
 
 from __future__ import annotations
@@ -86,36 +86,27 @@ def config_from_args(args: argparse.Namespace) -> ArchiveConfig:
     )
 
 
-def _detect_approach(context: SaveContext) -> str | None:
-    """The single approach used by the archive, or None if empty/mixed."""
+def _detect_approach(*contexts: SaveContext) -> str | None:
+    """The single approach the contexts' sets use, or None if empty/mixed."""
     types = {
         str(doc.get("type"))
+        for context in contexts
         for doc in context.document_store.peek_collection(SETS_COLLECTION).values()
     }
     return types.pop() if len(types) == 1 else None
-
-
-def _manager_for(context: SaveContext, approach: str | None) -> MultiModelManager:
-    detected = _detect_approach(context)
-    name = approach or detected
-    if name is None:
-        raise ReproError(
-            "archive is empty or mixes approaches; pass --approach explicitly"
-        )
-    return MultiModelManager.with_approach(name, context=context)
 
 
 @dataclass
 class ArchiveView:
     """The shards a verb runs against, plain or fleet alike.
 
-    ``engine`` is the archive engine opened over the directory for
-    management (no approach bound; see :func:`open_view`): a plain
-    archive is its one shard, labelled ``archive``, with the catalog in
-    place; a fleet is its ``shard-<i>/`` shards and the root
-    ``registry/`` catalog.  ``missing`` holds the shards that could not
-    be opened (directory gone or unreadable); ``contexts`` the others, in
-    index order, and ``indices`` their shard numbers.
+    ``engine`` is the archive engine opened over the directory (see
+    :func:`open_view`): a plain archive is its one shard, labelled
+    ``archive``, with the catalog in place; a fleet is its ``shard-<i>/``
+    shards and the root ``registry/`` catalog.  ``missing`` holds the
+    shards that could not be opened (directory gone or unreadable);
+    ``contexts`` the others, in index order, and ``indices`` their shard
+    numbers.
     """
 
     directory: Path
@@ -170,6 +161,13 @@ class ArchiveView:
         return self.engine.shards[self.engine.shard_of(set_id)].context
 
     @property
+    def bound(self) -> MultiModelManager:
+        """The engine, for verbs that save or recover: it needs an approach."""
+        if self.engine.approach_name is None:
+            raise ReproError("archive is empty or mixes approaches; pass --approach explicitly")
+        return self.engine
+
+    @property
     def has_catalog(self) -> bool:
         """Whether a catalog is kept; asking never creates a fleet's."""
         return self.engine.has_catalog
@@ -190,7 +188,9 @@ class ArchiveView:
         )
 
 
-def open_view(directory: str, config: ArchiveConfig) -> ArchiveView:
+def open_view(
+    directory: str, config: ArchiveConfig, approach: "str | None" = None
+) -> ArchiveView:
     """Open the archive at ``directory`` as an :class:`ArchiveView`.
 
     The engine's own shard assembly
@@ -199,12 +199,15 @@ def open_view(directory: str, config: ArchiveConfig) -> ArchiveView:
     created at open: a fleet's root ``registry/`` is kept when it exists,
     and a plain archive's catalog, which lives in its own document store,
     is kept always.  Every verb records into the catalog kept.  Missing
-    shards are reported, never recreated.
+    shards are reported, never recreated.  The engine is bound to
+    ``approach`` (``--approach``), else to the one approach the shards
+    hold, else to none (an empty or mixed archive).
     """
     config = config.with_(registry=False)
     shards = open_shards(directory, config)
     if not shards.sharded:
         attach_registry(shards.contexts[0])
+    approach = approach or _detect_approach(*shards.contexts)
     return ArchiveView(
-        Path(directory), MultiModelManager(None, config, shards), sorted(shards.down)
+        Path(directory), MultiModelManager(approach, config, shards), sorted(shards.down)
     )

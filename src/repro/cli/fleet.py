@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cli.common import ArchiveView, _detect_approach, config_from_args
-from repro.errors import ReproError
+from repro.cli.common import ArchiveView
+from repro.errors import IngestError, ReproError
 
 
 def _cmd_deadletter(view: ArchiveView, args: argparse.Namespace) -> int:
@@ -51,26 +51,14 @@ def _cmd_deadletter(view: ArchiveView, args: argparse.Namespace) -> int:
         )
         print(f"purged {count} dead-letter entries")
         return 0
-    # replay: re-submit parked batches through the normal ingest path so
-    # lineage and byte-identity of the recovered chains are preserved.
-    if not store_dir.is_dir():
+    # replay: re-submit parked batches through the normal ingest path, on
+    # the view's engine, exactly as an in-process queue replays them.
+    if not store_dir.is_dir() or view.engine.deadletter.count == 0:
         print("0 dead-letter entries to replay")
         return 0
-    approach = args.approach or next(
-        filter(None, map(_detect_approach, view.contexts)), None
-    )
-    if approach is None:
-        raise ReproError(
-            "could not detect the fleet's approach; pass --approach"
-        )
-    from repro.errors import IngestError
-    from repro.fleet import FleetManager, IngestQueue
+    from repro.fleet import IngestQueue
 
-    fleet = FleetManager.open(view.directory, approach, config_from_args(args))
-    if fleet.deadletter.count == 0:
-        print("0 dead-letter entries to replay")
-        return 0
-    queue = IngestQueue(fleet, flush_max_updates=10**9, workers=0)
+    queue = IngestQueue(view.bound, flush_max_updates=10**9, workers=0)
     try:
         summary = queue.replay_dead_letters(shard=args.shard)
     finally:

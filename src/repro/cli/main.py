@@ -53,9 +53,10 @@ _INSPECTION = {
     "stats": _cmd_stats,
 }
 #: Whole-view verbs that need every shard.
-_WHOLE = {"gc": _gc, "maintain": _maintain, "warm": _warm}
-#: Verbs addressed by set id, run on the shard owning the set.
-_ROUTED = {"history": _cmd_history, "compact": _cmd_compact, "export": _cmd_export}
+_WHOLE = {
+    "gc": _gc, "maintain": _maintain, "warm": _warm,
+    "history": _cmd_history, "export": _cmd_export,
+}
 #: Verbs run once per shard (``migrate`` merges every shard into one
 #: target: fleet ids are unique, so per-shard migration cannot collide).
 _EACH = {"evict": _cmd_evict, "migrate": _cmd_migrate}
@@ -460,8 +461,8 @@ def _run(view: ArchiveView, args: argparse.Namespace) -> int:
     )
     if command in _WHOLE:
         return _WHOLE[command](view, args)
-    if command in _ROUTED:
-        return _ROUTED[command](view.owner(args.set_id), args)
+    if command == "compact":
+        return _cmd_compact(view.owner(args.set_id), args)
     return view.each(
         lambda _index, context: _EACH[command](context, args),
         banner=command != "migrate",
@@ -474,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "trace":
             return _cmd_trace(args)
         config = config_from_args(args)
-        view = open_view(args.directory, config)
+        view = open_view(args.directory, config, args.approach)
         result = _run(view, args)
     except (ReproError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 from itertools import chain
 
-from repro.cli.common import ArchiveView, _manager_for
+from repro.cli.common import ArchiveView
 from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.retention import RetentionManager, older_than_newest
 from repro.errors import DocumentNotFoundError, ReproError
@@ -109,30 +109,29 @@ def _maintain(view: ArchiveView, args: argparse.Namespace) -> int:
 def _warm(view: ArchiveView, args: argparse.Namespace) -> int:
     """Warm each named set on the shard owning it; ``--all`` warms every shard."""
     if args.all:
-        return view.each(lambda _index, context: _cmd_warm(context, args))
-    owned: dict[int, tuple[SaveContext, list[str]]] = {}
+        return view.each(lambda index, _context: _cmd_warm(view, index, args))
+    owned: dict[int, list[str]] = {}
     for set_id in args.set_ids:
-        context = view.owner(set_id)
-        owned.setdefault(id(context), (context, []))[1].append(set_id)
+        owned.setdefault(view.engine.shard_of(set_id), []).append(set_id)
     return max(
         (
-            _cmd_warm(context, argparse.Namespace(**{**vars(args), "set_ids": set_ids}))
-            for context, set_ids in owned.values()
+            _cmd_warm(view, index, argparse.Namespace(**{**vars(args), "set_ids": set_ids}))
+            for index, set_ids in owned.items()
         ),
         default=0,
     )
 
 
-def _cmd_warm(context: SaveContext, args: argparse.Namespace) -> int:
-    manager = _manager_for(context, args.approach)
-    serving = context.serving
+def _cmd_warm(view: ArchiveView, index: int, args: argparse.Namespace) -> int:
+    shard = view.bound.shards[index]
+    serving = shard.context.serving
     if serving is None:  # pragma: no cover - warm implies --serve-cache
         raise ReproError("serving cache is disabled; pass --serve-cache")
     if args.all:
-        set_ids = context.document_store.collection_ids(SETS_COLLECTION)
+        set_ids = shard.list_sets()
     else:
         set_ids = args.set_ids
-    summary = serving.warm(set_ids, manager.approach)
+    summary = serving.warm(set_ids, shard.approach)
     print(f"warmed {len(summary['warmed'])} sets into the serving cache")
     for set_id in summary["warmed"]:
         print(f"  - {set_id}")

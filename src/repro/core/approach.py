@@ -46,6 +46,13 @@ SETS_COLLECTION = "model_sets"
 _NULL_CONTEXT = nullcontext()
 
 
+def id_order(set_id: str) -> "tuple[int, str]":
+    """Sort key of set ids in allocation order: the commit counter every
+    id ends with (-1 for an id without one), then the id itself."""
+    suffix = set_id.rsplit("-", 1)[-1]
+    return (int(suffix) if suffix.isdigit() else -1, set_id)
+
+
 @dataclass
 class SaveContext:
     """Bundles the storage substrates an approach writes to and reads from.
@@ -294,13 +301,8 @@ def build_context(
         dedup=config.dedup,
         config=config,
     )
-    highest = -1
-    for set_id in document_store.collection_ids(SETS_COLLECTION):
-        try:
-            highest = max(highest, int(set_id.rsplit("-", 1)[-1]))
-        except ValueError:
-            continue
-    context._set_counter = itertools.count(highest + 1)
+    ids = document_store.collection_ids(SETS_COLLECTION)
+    context._set_counter = itertools.count(max(map(id_order, ids), default=(-1,))[0] + 1)
     if journal:
         attach_journal(context)
     prefix = "" if wiring is None else f"fleet_shard_{wiring.index}_"

@@ -3,9 +3,9 @@
 The paper's scenario archives "every model ever generated for analytical
 and archival purposes" (§1).  This module provides the analytical side:
 
-* :class:`LineageGraph` — the derivation DAG of all saved sets (built
-  from descriptor documents, no parameter I/O), with ancestor/descendant
-  queries and chain statistics,
+* :class:`LineageGraph` — the derivation DAG of all saved sets (one
+  pass over the descriptor documents, no parameter I/O), with
+  ancestor/descendant queries, chain statistics and chain heads,
 * :func:`diff_sets` — which models and layers differ between two
   recovered sets, with change magnitudes, and
 * :func:`model_history` — one model's parameter trajectory across a
@@ -16,129 +16,139 @@ and archival purposes" (§1).  This module provides the analytical side:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
-from repro.core.approach import SETS_COLLECTION, SaveContext
+from repro.core.approach import SETS_COLLECTION, SaveContext, id_order
 from repro.core.model_set import ModelSet
+from repro.core.recovery import walk_chain
 from repro.errors import DocumentNotFoundError, ReproError
 
 
 class LineageGraph:
     """Derivation DAG over the sets stored in one context.
 
-    Nodes are set ids annotated with their descriptor's type/kind; an
-    edge ``base -> derived`` exists for every derived save.  Construction
-    reads only descriptor documents via the management plane (uncharged),
-    so building the graph over thousands of sets is cheap.
+    One pass over the descriptor documents, peeked through the
+    management plane (uncharged, no parameter I/O), into plain dicts: an
+    edge ``base -> derived`` for every derived save whose base is held.
+    A recorded base whose document is gone (a GC'd ancestor of a chunked
+    set) is provenance only, so no query lists a deleted set.
     """
 
-    def __init__(self, graph: nx.DiGraph) -> None:
-        self._graph = graph
+    def __init__(self, documents: "dict[str, dict]") -> None:
+        # A snapshot: later saves do not change this graph.
+        self._documents = dict(documents)
+        self._base: dict[str, str] = {}
+        self._derived: dict[str, list[str]] = {set_id: [] for set_id in self._documents}
+        for set_id, document in self._documents.items():
+            base = document.get("base_set")
+            if base in self._documents:
+                self._base[set_id] = base
+                self._derived[base].append(set_id)
 
     @classmethod
     def from_context(cls, context: SaveContext) -> "LineageGraph":
-        graph = nx.DiGraph()
-        documents = context.document_store.peek_collection(SETS_COLLECTION)
-        for set_id, document in sorted(documents.items()):
-            graph.add_node(
-                set_id,
-                approach=document.get("type"),
-                kind=document.get("kind", "full"),
-                storage=document.get("storage", "plain"),
-                num_models=document.get("num_models"),
-            )
-            base = document.get("base_set")
-            if base is not None and base in documents:
-                # A recorded base whose document is gone (a GC'd ancestor
-                # of a chunked set) is provenance only — materialising it
-                # as a node would list deleted sets in roots()/ancestors().
-                graph.add_edge(base, set_id)
-        return cls(graph)
+        return cls(context.document_store.peek_collection(SETS_COLLECTION))
 
     # -- structure ------------------------------------------------------------
     def __contains__(self, set_id: str) -> bool:
-        return set_id in self._graph
+        return set_id in self._documents
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._documents)
 
     def _require(self, set_id: str) -> None:
-        if set_id not in self._graph:
+        if set_id not in self._documents:
             raise DocumentNotFoundError(f"unknown set {set_id!r}")
 
     def roots(self) -> list[str]:
         """Sets with no base (initial saves and compacted snapshots)."""
-        return sorted(n for n in self._graph if self._graph.in_degree(n) == 0)
+        return sorted(set_id for set_id in self._documents if set_id not in self._base)
 
     def leaves(self) -> list[str]:
         """Sets nothing derives from (typically the latest generation)."""
-        return sorted(n for n in self._graph if self._graph.out_degree(n) == 0)
+        return sorted(set_id for set_id, derived in self._derived.items() if not derived)
 
     def base_of(self, set_id: str) -> str | None:
         """Immediate base set, or None for initial saves."""
         self._require(set_id)
-        predecessors = list(self._graph.predecessors(set_id))
-        return predecessors[0] if predecessors else None
+        return self._base.get(set_id)
 
     def ancestors(self, set_id: str) -> list[str]:
         """All transitive bases, nearest first."""
         self._require(set_id)
         chain = []
-        current = self.base_of(set_id)
+        current = self._base.get(set_id)
         while current is not None:
             chain.append(current)
-            current = self.base_of(current)
+            current = self._base.get(current)
         return chain
 
     def descendants(self, set_id: str) -> list[str]:
         """All sets transitively derived from ``set_id``, sorted."""
         self._require(set_id)
-        return sorted(nx.descendants(self._graph, set_id))
+        return sorted(reachable(self._derived, set_id))
 
     def recovery_chain(self, set_id: str) -> list[str]:
         """Sets a recursive recovery of ``set_id`` must touch, in the
-        order they are applied (full snapshot first).
-
-        Full snapshots cut the chain: Baseline/MMlib-base sets are their
-        own chain, and an Update set saved with a snapshot interval stops
-        at the nearest ``kind == "full"`` ancestor.  Chunked sets cut it
-        too — their digest matrix recovers in one hop, with the chunk
-        layer's refcounts (not chain ancestry) keeping shared bytes alive.
-        """
+        order they are applied (full snapshot first): the ids of the walk
+        recovery itself reads (:func:`~repro.core.recovery.walk_chain`),
+        which a full snapshot or a chunked set ends."""
         self._require(set_id)
-        chain = [set_id]
-        current = set_id
+        return [current for current, _document in reversed(walk_chain(self._held, set_id))]
 
-        def _chained(node: dict) -> bool:
-            return (
-                node.get("kind", "full") != "full"
-                and node.get("storage", "plain") != "chunked"
-            )
-
-        while _chained(self._graph.nodes[current]):
-            base = self.base_of(current)
-            if base is None:
-                raise ReproError(
-                    f"set {current!r} is derived but has no base recorded"
-                )
-            chain.append(base)
-            current = base
-        return list(reversed(chain))
+    def _held(self, set_id: "str | None") -> dict:
+        if set_id not in self._documents:
+            raise ReproError(f"set {set_id!r} is a recorded base but is not held")
+        return self._documents[set_id]
 
     def chain_depth(self, set_id: str) -> int:
         """Number of derived hops a recovery replays (0 for full sets)."""
         return len(self.recovery_chain(set_id)) - 1
 
     def node_info(self, set_id: str) -> dict:
-        """The graph's annotation for one set."""
+        """One set's descriptor summary: approach, kind, storage, models."""
         self._require(set_id)
-        return dict(self._graph.nodes[set_id])
+        document = self._documents[set_id]
+        return {
+            "approach": document.get("type"),
+            "kind": document.get("kind", "full"),
+            "storage": document.get("storage", "plain"),
+            "num_models": document.get("num_models"),
+        }
 
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying graph for custom analyses."""
-        return self._graph.copy()
+    @cached_property
+    def _links(self) -> "dict[str, list[str]]":
+        """Derived-from links, by the id each set names (held or not): its
+        ``base_set``, or a compacted snapshot's ``compacted_from``."""
+        links: dict[str, list[str]] = {}
+        for set_id, document in self._documents.items():
+            origin = document.get("base_set") or document.get("compacted_from")
+            if origin is not None:
+                links.setdefault(origin, []).append(set_id)
+        return links
+
+    def head_of(self, set_id: str) -> "str | None":
+        """The newest set, by id counter, reachable from ``set_id`` along
+        derived-from links (``set_id`` itself when held): the head a save
+        that meant to extend ``set_id`` extends now.  ``None`` when
+        neither ``set_id`` nor anything derived from it is held."""
+        reached = reachable(self._links, set_id) | ({set_id} & self._documents.keys())
+        return max(reached, key=id_order, default=None)
+
+
+def reachable(edges: "dict[str, list[str]]", start: str) -> "set[str]":
+    """Every id reachable from ``start`` along ``edges``, a map from an id
+    to the ids derived from it (``start`` itself excluded)."""
+    reached: set[str] = set()
+    frontier = list(edges.get(start, ()))
+    while frontier:
+        current = frontier.pop()
+        if current not in reached:
+            reached.add(current)
+            frontier.extend(edges.get(current, ()))
+    return reached
 
 
 @dataclass(frozen=True)
@@ -218,7 +228,7 @@ def model_history(manager, set_ids: list[str], model_index: int) -> ModelHistory
     ``manager`` is a :class:`~repro.core.manager.MultiModelManager`; only
     the target model is recovered from each set, so the cost is
     independent of the set size for range-read approaches.  The per-set
-    recoveries are independent and run on the context's worker lanes.
+    recoveries are independent and run on the shards' worker lanes.
     """
     from repro.core.parallel import parallel_map
 
@@ -227,20 +237,13 @@ def model_history(manager, set_ids: list[str], model_index: int) -> ModelHistory
     states = parallel_map(
         lambda set_id: manager.recover_model(set_id, model_index),
         set_ids,
-        manager.context.workers,
+        manager.shards[0].context.workers,
     )
-    first = states[0]
-    step_l2 = []
-    drift = []
-    for previous, current in zip(states, states[1:]):
-        step_l2.append(_state_l2(previous, current))
-    for current in states:
-        drift.append(_state_l2(first, current))
     return ModelHistory(
         model_index=model_index,
         set_ids=tuple(set_ids),
-        step_l2=tuple(step_l2),
-        drift_from_start=tuple(drift),
+        step_l2=tuple(map(_state_l2, states, states[1:])),
+        drift_from_start=tuple(_state_l2(states[0], state) for state in states),
     )
 
 

@@ -41,6 +41,7 @@ from repro.core.approach import (
     SaveApproach,
     SaveContext,
     ShardWiring,
+    id_order,
 )
 from repro.core.baseline import BaselineApproach
 from repro.core.mmlib_base import MMlibBaseApproach
@@ -271,17 +272,13 @@ class MultiModelManager:
             config.health if self.sharded else replace(config.health, enabled=False),
             on_transition=self._on_health_transition,
         )
-        highest = -1
         for index, shard in enumerate(self.shards):
             for set_id in shard.list_sets():
                 self._placement[set_id] = index
-                suffix = set_id.rsplit("-", 1)[-1]
-                if suffix.isdigit():
-                    highest = max(highest, int(suffix))
         self._ids = (
             self.shards[0].context._set_counter
             if len(self.shards) == 1
-            else itertools.count(highest + 1)
+            else itertools.count(max(map(id_order, self._placement), default=(-1,))[0] + 1)
         )
         for index, reason in sorted(shards.down.items()):
             self.health.pin_down(index, reason)

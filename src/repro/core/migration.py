@@ -3,8 +3,9 @@
 A deployment that started on MMlib-base (or Baseline) and wants Update's
 storage profile should not have to discard its history.
 :func:`migrate_archive` re-encodes an existing archive set-by-set, in
-lineage order, so derived relations are preserved: what was a chain of
-full MMlib-base snapshots becomes an Update chain of deltas.
+id order (every base before the sets derived from it), so derived
+relations are preserved: what was a chain of full MMlib-base snapshots
+becomes an Update chain of deltas.
 
 Provenance cannot be a migration *target* for synthetic histories — its
 derived saves need genuine :class:`~repro.core.save_info.UpdateInfo`
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.approach import SETS_COLLECTION, SaveContext
+from repro.core.approach import SETS_COLLECTION, SaveContext, id_order
 from repro.core.lineage import LineageGraph
 from repro.core.manager import APPROACHES, MultiModelManager
 from repro.errors import ReproError
@@ -49,9 +50,11 @@ def migrate_archive(
 ) -> MigrationReport:
     """Re-encode every set in ``source`` into ``target_manager``'s archive.
 
-    Sets are processed in topological (lineage) order; a set whose base
-    was migrated is saved as *derived from the migrated base*, so the
-    target approach can exploit the relation (Update computes deltas).
+    Sets are processed in id-counter order, which puts every base before
+    the sets derived from it (an id is allocated after its base's); a
+    set whose base was migrated is saved as *derived from the migrated
+    base*, so the target approach can exploit the relation (Update
+    computes deltas).
     Returns the old-to-new id mapping.
     """
     if target_manager.approach.name == "provenance":
@@ -60,25 +63,17 @@ def migrate_archive(
             "archives carry no training provenance to re-encode"
         )
     lineage = LineageGraph.from_context(source)
-    ordered = _topological_order(lineage)
     report = MigrationReport()
     report.source_bytes = source.total_bytes()
-    for set_id in ordered:
+    for set_id in sorted(source.document_store.collection_ids(SETS_COLLECTION), key=id_order):
         document = source.document_store.peek(SETS_COLLECTION, set_id)
         approach_name = str(document["type"])
         if approach_name not in APPROACHES:
             raise ReproError(f"set {set_id!r} has unknown type {approach_name!r}")
         model_set = APPROACHES[approach_name](source).recover(set_id)
-        base = lineage.base_of(set_id)
-        migrated_base = report.id_map.get(base) if base is not None else None
+        migrated_base = report.id_map.get(lineage.base_of(set_id))
         new_id = target_manager.save_set(model_set, base_set_id=migrated_base)
         report.id_map[set_id] = new_id
     report.target_bytes = target_manager.total_stored_bytes()
     return report
 
-
-def _topological_order(lineage: LineageGraph) -> list[str]:
-    """Roots first, every base before its derived sets."""
-    import networkx as nx
-
-    return list(nx.topological_sort(lineage.to_networkx()))

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Container, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Container, NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,25 +179,44 @@ def set_owns(context: SaveContext, set_id: str, document: dict) -> SetOwns:
     return SetOwns(artifacts, matrix, documents)
 
 
+def ends_chain(document: dict) -> bool:
+    """The one rule that ends every chain walk: a full snapshot, or a
+    chunked set, whose digest matrix is its whole recipe (refcounts, not
+    ancestry, keep its shared bytes alive).  A plain delta never derives
+    from a chunked base (Update refuses it), so only a walk that starts
+    at a chunked set stops at one."""
+    return document.get("kind", "full") == "full" or document.get("storage") == "chunked"
+
+
+def walk_chain(read: "Callable[[str], dict]", set_id: str) -> "list[tuple[str, dict]]":
+    """``(set id, descriptor)`` from ``set_id`` back to the set that ends
+    its chain (:func:`ends_chain`), newest first.  ``read`` fetches one
+    descriptor: a charged read for recovery, a peek for the lineage."""
+    chain = [(set_id, read(set_id))]
+    while not ends_chain(chain[-1][1]):
+        base = chain[-1][1].get("base_set")
+        chain.append((base, read(base)))
+    return chain
+
+
 def chain_documents(
     approach: "SaveApproach", set_id: str
 ) -> "tuple[dict, str, list[dict]]":
-    """Walk the chain metadata-only back to the nearest full snapshot.
+    """Walk the chain metadata-only back to the set that ends it.
 
     Returns ``(base_document, base_set_id, deltas)`` with the delta
     documents ordered newest first.
     """
+
+    def read(current_id: str) -> dict:
+        document = approach.context.set_document(current_id)
+        approach._require_type(document, approach.name, current_id)
+        return document
+
     with _trace.span("chain-walk", kind="metadata"):
-        deltas: list[dict] = []
-        current_id = set_id
-        while True:
-            document = approach.context.set_document(current_id)
-            approach._require_type(document, approach.name, current_id)
-            if document["kind"] == "full":
-                _trace.add_event("chain-resolved", base=current_id, depth=len(deltas))
-                return document, current_id, deltas
-            deltas.append(document)
-            current_id = str(document["base_set"])
+        *deltas, (base_id, base_doc) = walk_chain(read, set_id)
+        _trace.add_event("chain-resolved", base=base_id, depth=len(deltas))
+    return base_doc, base_id, [document for _id, document in deltas]
 
 
 # -- resolve ----------------------------------------------------------------

@@ -51,6 +51,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro.core.lineage import LineageGraph
 from repro.core.model_set import ModelSet
 from repro.core.recovery import HASH_COLLECTION
 from repro.errors import (
@@ -439,19 +440,24 @@ class IngestQueue:
     def replay_dead_letters(self, shard: "int | None" = None) -> dict:
         """Re-submit parked batches through the normal ingest path.
 
-        Entries replay oldest-first, one flush per entry, so a replayed
-        chain extends from its last durable save exactly as if the
-        original flush had succeeded late — same coalescing, same id
-        allocation, same journaled save, hence preserved lineage and
-        byte-identity.  A parked state is older than a pending update of
-        the same model on its chain, so it never displaces one, nor is it
-        replayed over a state a later save holds (see :meth:`_superseded`):
-        either way it counts as coalesced, and an entry left with no model
-        is discarded as replayed.  Entries whose shard is still DOWN are
-        skipped and kept; one whose chain cannot be resolved or compared
-        stays parked and is reported failed; an entry whose replay
-        fails again is re-parked as fresh entries (exactly one copy of
-        each update — the original is discarded before the resubmit).
+        Entries replay oldest-first, one flush per entry, each onto its
+        chain's head as the store holds it: the newest set, by id counter,
+        derived (through compaction too) from the batch's landed base,
+        else from its chain root (:meth:`LineageGraph.head_of`, one
+        descriptor scan per shard per replay).  So a fresh process
+        replays exactly as the queue that parked the entry: same
+        coalescing, same id allocation, same journaled save, hence
+        preserved lineage and byte-identity.  A parked state is older
+        than a pending update of the same model on its chain, so it never
+        displaces one, nor is it replayed over a state the head holds
+        (see :meth:`_superseded`; a collected base leaves nothing to
+        compare): either way it counts as coalesced, and an entry left
+        with no model is discarded as replayed.  Entries
+        whose shard is still DOWN are skipped and kept; one whose chain
+        cannot be resolved or compared, or has no set left, stays parked
+        and is reported failed; an entry whose replay fails again is
+        re-parked as fresh entries (exactly one copy of each update — the
+        original is discarded before the resubmit).
 
         Returns ``{"replayed": [...], "skipped": [...], "failed": [...]}``.
         """
@@ -460,11 +466,10 @@ class IngestQueue:
         skipped: list[str] = []
         failed: list[dict] = []
         entries = store.entries(shard=shard)
-        # Each chain's newest save before any entry replays, and each
-        # parked flush's entry (a later batch's base, when both failed).
-        with self._lock:
-            heads = {root: chain.last_saved for root, chain in self._chains.items()}
+        # Each parked flush's entry (a later batch's base, when both
+        # failed), and each shard's lineage as the replay began.
         flushes = {entry["set_id"]: entry for entry in entries if entry.get("set_id")}
+        lineages: dict[int, LineageGraph] = {}
         for entry in entries:
             entry_id = entry["id"]
             target_shard = int(entry["shard"])
@@ -479,14 +484,21 @@ class IngestQueue:
                 skipped.append(entry_id)
                 continue
             states = store.load_states(entry_id)
+            context = self.fleet.shards[target_shard].context
             try:
-                # A base that never landed is a rolled-back allocation (an
-                # earlier batch's failed flush): submit by the chain root.
-                target = entry["base"] if self._landed(entry["base"]) else entry["root"]
                 # Resolve the chain and compare states before the entry is
                 # discarded: a store failing here leaves it parked as it is.
-                self.fleet.root_of(target)
-                stale = self._superseded(entry, heads.get(entry["root"]), flushes, states)
+                if target_shard not in lineages:
+                    lineages[target_shard] = LineageGraph.from_context(context)
+                lineage = lineages[target_shard]
+                base = entry["base"]
+                while base not in lineage and base in flushes:
+                    base = flushes[base]["base"]
+                head = lineage.head_of(base) or lineage.head_of(entry["root"])
+                if head is None:
+                    raise DocumentNotFoundError(f"no set of the chain of {base!r} is held")
+                self.fleet.root_of(head)
+                stale = self._superseded(context, base, head, states) if base in lineage else []
                 for model_index in stale:
                     del states[model_index]
                 with self._lock:
@@ -503,13 +515,13 @@ class IngestQueue:
             try:
                 for model_index, state in list(unsent.items()):
                     try:
-                        self._submit(target, int(model_index), state, replay=True)
+                        self._submit(head, int(model_index), state, replay=True)
                     except IngestError as error:
                         if not isinstance(error, IngestBackpressureError):
                             del unsent[model_index]  # accepted; its flush failed
                         raise
                     del unsent[model_index]
-                self.flush(target)
+                self.flush(head)
                 self.drain()
             except IngestError as error:
                 reparked = list(getattr(error, "dead_letter_ids", ()))
@@ -536,32 +548,15 @@ class IngestQueue:
                     self.updates_replayed += len(states)
         return {"replayed": replayed, "skipped": skipped, "failed": failed}
 
-    def _superseded(
-        self, entry: dict, head: "str | None", flushes: dict, models
-    ) -> "list[int]":
-        """Of an entry's parked ``models``, those a save that landed after
-        the batch's dispatch holds in another state: replaying them would
-        roll them back.
-
-        The batch was dispatched on top of its base or, when that base is
-        another parked batch's failed flush, on top of that batch's base
-        (and so on).  Each model's state there is compared with its state
-        on ``head``, the chain's newest save before this replay began:
-        stored hash rows when both sets have them, else recovered rows.
-        No head (a queue that has not seen the chain) or no landed base:
-        nothing is dropped.
-        """
-        if head is None:
-            return []
-        base = entry["base"]
-        while not self._landed(base):
-            if base not in flushes:
-                return []
-            base = flushes[base]["base"]
+    def _superseded(self, context, base: str, head: str, models) -> "list[int]":
+        """Of an entry's parked ``models``, those ``head`` holds in another
+        state than ``base``, the batch's landed base: a save after the
+        batch's dispatch wrote them, and replaying them would roll them
+        back.  Compared by stored hash rows when both sets have them, else
+        by recovered rows."""
         if head == base:
             return []
-        peek = self.fleet.shards[self.fleet.shard_of(base)].context.document_store.peek
-        old, new = (peek(HASH_COLLECTION, set_id) for set_id in (base, head))
+        old, new = (context.document_store.peek(HASH_COLLECTION, s) for s in (base, head))
         if old is not None and new is not None:
             return [i for i in models if old["hashes"][i] != new["hashes"][i]]
         recover = self.fleet.recover_model
@@ -570,13 +565,6 @@ class IngestQueue:
             for i in models
             if parameters_to_bytes(recover(base, i)) != parameters_to_bytes(recover(head, i))
         ]
-
-    def _landed(self, set_id: str) -> bool:
-        try:
-            self.fleet.shard_of(set_id)
-        except DocumentNotFoundError:
-            return False
-        return True
 
     # -- dispatch ----------------------------------------------------------
     def _due_by_age_locked(self) -> list[dict]:

@@ -6,7 +6,7 @@ exported document validates against the checked-in copy of
 of JSON Schema the trace schema uses — ``type``, ``properties``,
 ``required``, ``items``, ``enum``, ``minimum``, ``additionalProperties``
 and ``$ref`` into ``$defs`` — so checking a trace needs no JSON Schema
-package: the repo depends on numpy and networkx only (``pyproject.toml``).
+package: the repo depends on numpy only (``pyproject.toml``).
 
 Run as a module to validate a file::
 

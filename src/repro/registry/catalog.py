@@ -591,23 +591,14 @@ class Registry:
         with self._lock:
             self._require_version(set_id)
             docs = self._version_docs()
+        from repro.core.lineage import reachable
+
         children: dict[str, list[str]] = {}
         for child, doc in docs:
             base = doc.get("base_set")
             if base is not None:
                 children.setdefault(base, []).append(child)
-        direct = sorted(children.get(set_id, []))
-        if not transitive:
-            return direct
-        seen: set[str] = set()
-        frontier = list(direct)
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(children.get(current, []))
-        return sorted(seen)
+        return sorted(reachable(children, set_id) if transitive else children.get(set_id, []))
 
     def tags(self, family: str) -> dict[str, str]:
         """``{tag: set_id}`` of a family (always includes ``latest``)."""

@@ -9,13 +9,21 @@ deterministic.
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
 import threading
 import time
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import ArchiveConfig, FleetHealthConfig
+from repro.core.lineage import LineageGraph
+from repro.core.retention import RetentionManager
 from repro.errors import (
     DeadLetterError,
     IngestBackpressureError,
@@ -480,6 +488,82 @@ class TestReplayLosesNothing:
         (flushed,) = queue.flush_log
         assert states_equal(fleet.recover_model(flushed["set_id"], 0), newer)
         queue.close()
+
+
+def park_then_extend(fleet, tiny_set, saves: int = 1) -> "tuple[str, list]":
+    """Park a batch of model 0 on the chain's base, then land ``saves``
+    more saves of model 1 on the chain; returns the base and the saves."""
+    base = fleet.save_set(tiny_set)
+    queue = IngestQueue(fleet, flush_max_updates=2, workers=0)
+    queue.submit(base, 0, state_plus(tiny_set, 0, 1.0))
+    outage = take_down(fleet)
+    with pytest.raises(IngestError):
+        queue.flush(base)
+    outage.revive()
+    outage.down_at = None
+    for step in range(saves):
+        queue.submit(base, 1, state_plus(tiny_set, 1, 2.0 + step))
+        queue.flush(base)
+    queue.close()
+    return base, [entry["set_id"] for entry in queue.flush_log]
+
+
+class TestReplayExtendsTheNewestSave:
+    """Replay reads the chain's head from the store, so a queue that never
+    saw the chain (a new process) extends the newest save, not the base."""
+
+    def replay_in_a_new_queue(self, fleet) -> dict:
+        queue = IngestQueue(fleet, flush_max_updates=10**9, workers=0)
+        assert queue.replay_dead_letters()["failed"] == []
+        queue.close()
+        (flushed,) = queue.flush_log
+        return flushed
+
+    def test_a_new_queue_replays_onto_the_newest_save(self, tiny_set):
+        fleet = make_fleet(health_config(down_after=3))
+        base, (later,) = park_then_extend(fleet, tiny_set)
+        flushed = self.replay_in_a_new_queue(fleet)
+        assert flushed["base"] == later
+        head = fleet.recover_set(flushed["set_id"])
+        assert states_equal(head.state(0), state_plus(tiny_set, 0, 1.0))
+        assert states_equal(head.state(1), state_plus(tiny_set, 1, 2.0))
+
+    def test_a_compacted_set_between_base_and_head_is_followed(self, tiny_set):
+        """Compaction drops the set's ``base_set``; its ``compacted_from``
+        still leads from the base to the head."""
+        fleet = make_fleet(health_config(down_after=3))
+        base, (middle, newest) = park_then_extend(fleet, tiny_set, saves=2)
+        assert RetentionManager(fleet.shards[0].context).compact(middle)
+        flushed = self.replay_in_a_new_queue(fleet)
+        assert flushed["base"] == newest
+        head = fleet.recover_set(flushed["set_id"])
+        assert states_equal(head.state(0), state_plus(tiny_set, 0, 1.0))
+        assert states_equal(head.state(1), state_plus(tiny_set, 1, 3.0))
+
+    def test_the_cli_replays_as_an_in_process_queue_does(self, tmp_path, tiny_set):
+        config = ArchiveConfig(shards=1, health=health_config(down_after=3))
+        _base, (later,) = park_then_extend(
+            FleetManager.open(tmp_path / "cli", "update", config), tiny_set
+        )
+        shutil.copytree(tmp_path / "cli", tmp_path / "in-process")
+        src = str(Path(repro.__file__).resolve().parents[1])  # the package under test
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", str(tmp_path / "cli"), "deadletter", "replay"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        in_process = FleetManager.open(tmp_path / "in-process", "update", config)
+        flushed = self.replay_in_a_new_queue(in_process)
+        assert flushed["base"] == later
+        cli = FleetManager.open(tmp_path / "cli", "update", config)
+        assert cli.list_sets() == in_process.list_sets()
+        lineages = [LineageGraph.from_context(f.shards[0].context) for f in (cli, in_process)]
+        assert lineages[0].leaves() == lineages[1].leaves() == [flushed["set_id"]]
+        assert lineages[0].base_of(flushed["set_id"]) == later
+        for set_id in cli.list_sets():
+            assert cli.recover_set(set_id).equals(in_process.recover_set(set_id))
 
 
 class TestUnresolvableChain:

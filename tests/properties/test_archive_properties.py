@@ -1,16 +1,21 @@
 """Property-based tests over archive operations: retention, migration,
 and lineage invariants under randomized histories."""
 
+from collections import OrderedDict
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config import ArchiveConfig
+from repro.core.approach import SETS_COLLECTION, id_order
 from repro.core.lineage import LineageGraph
 from repro.core.manager import MultiModelManager
 from repro.core.migration import migrate_archive
 from repro.core.model_set import ModelSet
 from repro.core.retention import RetentionManager
 from repro.core.fsck import ArchiveFsck
+from repro.fleet import FleetManager, IngestQueue
 from repro.training.seeds import derive_seed
 
 #: A history step: (branch_from_offset_back, model_to_change, layer_index).
@@ -122,3 +127,70 @@ class TestArchiveProperties:
         single = manager.recover_model(last, model_index)
         full = manager.recover_set(last).state(model_index)
         assert all(np.array_equal(single[k], full[k]) for k in full)
+
+
+#: A fleet step: (operation, how many sets back its target is, model index).
+fleet_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["start", "save", "ingest", "compact"]),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=3),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def assert_links_point_back(contexts) -> None:
+    """Every ``base_set`` and ``compacted_from`` names an older id."""
+    for context in contexts:
+        for set_id, document in context.document_store.peek_collection(SETS_COLLECTION).items():
+            for link in (document.get("base_set"), document.get("compacted_from")):
+                assert link is None or id_order(link) < id_order(set_id), (set_id, link)
+
+
+class TestIdOrder:
+    @given(steps=fleet_steps)
+    @settings(
+        max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_every_link_points_at_an_older_id(self, steps):
+        """The order migration saves in: through direct saves, ingest's
+        allocate-at-dispatch on a worker pool (batches chain on ids whose
+        saves have not run yet), compaction and migration itself."""
+        models = ModelSet.build("FFNN-48", num_models=4, seed=0)
+        fleet = FleetManager.with_approach("update", ArchiveConfig(shards=2))
+        queue = IngestQueue(fleet, flush_max_updates=1, workers=2)
+        fleet.save_set(models)
+        for step, (operation, back, index) in enumerate(steps):
+            held = fleet.list_sets()
+            target = held[max(0, len(held) - 1 - back)]
+            state = OrderedDict(
+                (name, (array + np.float32(step + 1)).astype(array.dtype))
+                for name, array in models.state(index).items()
+            )
+            if operation == "start":
+                fleet.save_set(models)
+            elif operation == "save":
+                derived = fleet.recover_set(target)
+                derived.states[index] = state
+                fleet.save_set(derived, base_set_id=target)
+            elif operation == "ingest":
+                for offset in range(3):
+                    queue.submit(target, (index + offset) % len(models), state)
+                queue.drain()
+            else:
+                shard = fleet.shards[fleet.shard_of(target)]
+                with shard.lock:
+                    RetentionManager(shard.context).compact(target)
+        queue.close()
+        contexts = [shard.context for shard in fleet.shards]
+        assert_links_point_back(contexts)
+        migrated = MultiModelManager.with_approach("update")
+        for context in contexts:
+            report = migrate_archive(context, migrated)
+            source, target = (LineageGraph.from_context(c) for c in (context, migrated.context))
+            for old_id, new_id in report.id_map.items():
+                base = source.base_of(old_id)
+                assert target.base_of(new_id) == report.id_map.get(base)
+        assert_links_point_back([migrated.context])

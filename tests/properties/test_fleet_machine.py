@@ -126,7 +126,6 @@ class FleetMachine(RuleBasedStateMachine):
         self.chains: dict[int, Chain] = {}
         self.next_chain = 0
         self.parked: dict[str, tuple[int, dict]] = {}  # entry id -> (chain, batch)
-        self.seen: set[int] = set()  # chains this process's queue holds
         self.down: dict[int, FaultInjector] = {}  # shard -> its cold outage
         self.replica_down: "FaultInjector | None" = None
         self.stale: set[int] = set()  # shards whose replicas may diverge
@@ -149,7 +148,6 @@ class FleetMachine(RuleBasedStateMachine):
         self.scheduler = MaintenanceScheduler.for_manager(self.fleet, clock=self.clock)
         self.carried = sum(len(batch) for _chain, batch in self.parked.values())
         self.accepted = self.resubmitted = 0
-        self.seen.clear()
         self.down.clear()
         self.replica_down = None
         self.saved_last.clear()
@@ -208,7 +206,6 @@ class FleetMachine(RuleBasedStateMachine):
             self.queue.submit(chain.head, index, state)
         except IngestBackpressureError:
             assert shed, "admission refused an update below the watermark"
-            self.seen.add(key)
             return
         except IngestError:
             pass  # the flush it triggered failed: the batch is matched in _settle
@@ -216,23 +213,22 @@ class FleetMachine(RuleBasedStateMachine):
             # Resolving the chain read a dead shard: refused, not accepted.
             assert chain.shard in self.down
             return
-        self.seen.add(key)
         assert self._expect(key, index, state, dispatches), "admitted past the watermark"
         self.accepted += 1
 
-    def _live(self, entry: dict, head: "str | None", flushes: dict, batch: dict) -> dict:
+    def _live(self, entry: dict, head: str, flushes: dict, batch: dict) -> dict:
         """The parked models a replay resubmits.  A model whose state on
-        ``head`` (its chain's head as the replay began, once the queue
-        holds the chain) differs from its state on the batch's landed
-        base (its base, or the base of the parked batch whose failed flush
-        its base is) was saved since: dropped, as replaying it would roll
-        the model back."""
+        ``head`` (its chain's head as the replay began, whichever process
+        replays) differs from its state on the batch's landed base (its
+        base, or the base of the parked batch whose failed flush its base
+        is) was saved since: dropped, as replaying it would roll the model
+        back."""
         base = entry["base"]
         while base not in self.sets:
             if base not in flushes:
                 return batch
             base = flushes[base]["base"]
-        if head is None or head == base:
+        if head == base:
             return batch
         return {
             index: state
@@ -475,7 +471,7 @@ class FleetMachine(RuleBasedStateMachine):
     @rule()
     def replay(self):
         watched, entries = self._watch(), self.fleet.deadletter.entries()
-        heads = {key: self.chains[key].head for key in self.seen & set(self.chains)}
+        heads = {key: chain.head for key, chain in self.chains.items()}
         flushes = {entry["set_id"]: entry for entry in entries if entry["set_id"]}
         report = self.queue.replay_dead_letters()
         outcomes = self._outcomes(watched)
@@ -486,11 +482,9 @@ class FleetMachine(RuleBasedStateMachine):
             if entry["id"] in kept:
                 continue
             key, batch = self.parked.pop(entry["id"])
-            live = self._live(entry, heads.get(key), flushes, batch)
+            live = self._live(entry, heads[key], flushes, batch)
             self.resubmitted += len(batch) - len(live)  # dropped: coalesced
             batch = live
-            if batch:
-                self.seen.add(key)
             unsent = dict(sorted(batch.items()))
             for index, state in sorted(batch.items()):
                 dispatches = []
@@ -699,6 +693,43 @@ class DedupOneReplica(FleetMachine):
 @seed(SEED_BASE)
 class PlainThreeReplicas(FleetMachine):
     dedup, replicas = False, 3
+
+
+class Drawn:
+    """A ``st.data()`` stand-in whose draws are given in order."""
+
+    def __init__(self, *values) -> None:
+        self.values = list(values)
+
+    def draw(self, strategy, label=None):
+        return self.values.pop(0)
+
+
+def test_a_reopened_fleet_replays_onto_the_newest_save():
+    """The shrunk sequence that once forked a chain: a batch parks on the
+    chain's base (both initial sets live on shard 1), a killed root
+    catalog write follows a newer save's shard commit, and the reopened
+    process replays.  The replay must compare against, and extend, that
+    newer save."""
+    machine = DedupOneReplica()
+    steps = (
+        machine.one_chain_per_family,
+        lambda: machine.shard_down(1),
+        lambda: machine.submit(Drawn(0), [0], True),
+        machine.shard_revive,
+        lambda: machine.crash("catalog", 0, Drawn(0)),
+        machine.replay,
+    )
+    try:
+        for step in steps:
+            step()
+            for invariant in (machine.sets_recover, machine.no_update_lost,
+                              machine.breakers_close, machine.archive_consistent):
+                invariant()
+        assert machine.chains[0].head == "set-update-000003"
+        assert not machine.parked
+    finally:
+        machine.teardown()
 
 
 TestDedupOneReplica = DedupOneReplica.TestCase

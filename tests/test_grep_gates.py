@@ -166,6 +166,9 @@ GATES = (
     Gate("Declared-dependency", "", (),
          "import repro must work on a clean install: declare every third-party import",
          "import networkx as nx", check=undeclared_imports),
+    Gate("No-networkx", r"^\s*(import networkx|from networkx\b)", (),
+         "the lineage is one descriptor scan into plain dicts; numpy is the one dependency",
+         "    from networkx import topological_sort", roots=("src",)),
 )
 
 
