@@ -39,6 +39,8 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.baseline import layer_hashes
 from repro.core.manager import APPROACHES
@@ -56,7 +58,7 @@ from repro.errors import DocumentNotFoundError, ReproError
 from repro.nn.serialization import ModelState, StateSchema, deserialize_state_dict
 from repro.observability import trace as _trace
 from repro.storage.chunk_index import PACKS_COLLECTION
-from repro.storage.hashing import hash_bytes
+from repro.storage.hashing import DIGESTS, hash_bytes
 from repro.storage.journal import JOURNAL_COLLECTION, entry_ids
 from repro.storage.replication import replica_divergence, replicated_stores
 
@@ -672,11 +674,11 @@ def _salvage_chunks(
     from replicas); the models whose slots all arrived are assembled.
     """
     chunk_store = context.chunk_store()
-    unique = dict.fromkeys(plan.digests)
-    known = [digest for digest in unique if digest in chunk_store]
-    missing = set(unique) - set(known)
-    values, corrupted = chunk_store.fetch_verified(
-        known, workers=context.workers, quarantine=True
+    unique = plan.unique
+    known = unique[chunk_store.held(unique)]
+    missing = set(np.setdiff1d(unique, known).tolist())
+    hex_values, corrupted = chunk_store.fetch_verified(
+        DIGESTS.hexes(known.tolist()), workers=context.workers, quarantine=True
     )
     if corrupted:
         repaired = _repair_from_replicas(context, sorted(corrupted))
@@ -684,26 +686,26 @@ def _salvage_chunks(
             healed, still_bad = chunk_store.fetch_verified(
                 repaired, workers=context.workers, quarantine=True
             )
-            values.update(healed)
+            hex_values.update(healed)
             corrupted -= set(healed)
             corrupted |= still_bad
             report.repaired_chunks = sorted(healed)
     report.corrupt_chunks = sorted(corrupted)
+    values = dict(zip(DIGESTS.ids(hex_values), hex_values.values()))
 
     num_layers = len(plan.schema.entries)
     intact: list[int] = []
-    for index in plan.models:
-        row = plan.digests[index * num_layers : (index + 1) * num_layers]
-        bad = [digest for digest in row if digest not in values]
+    for index, row in zip(plan.models, plan.digests.reshape(-1, num_layers).tolist()):
+        bad = [ident for ident in row if ident not in values]
         if not bad:
             intact.append(index)
             continue
-        kinds = "missing" if all(d in missing for d in bad) else "corrupt"
+        kinds = "missing" if all(ident in missing for ident in bad) else "corrupt"
         report.failed.append(
             {
                 "model": index,
                 "reason": f"{len(bad)} {kinds} chunk(s)",
-                "digests": sorted({d[:16] for d in bad}),
+                "digests": sorted({digest[:16] for digest in DIGESTS.hexes(bad)}),
             }
         )
     matrix = assemble(plan, values, rows=intact)

@@ -10,18 +10,20 @@ Every artifact- or chunk-stored set is recovered the same way:
    exactly the byte segments that are final.  A pas-delta chain stores
    whole-set XOR deltas with no diff list: every delta is an *XOR*
    source over every selected slot, applied to the snapshot's bytes.
-   For a chunked set the plan is its digest matrix.
+   For a chunked set the plan is its digest matrix, as an id column
+   (:data:`~repro.storage.hashing.DIGESTS`).
 2. **fetch** is the one place a plan becomes store calls: coalesced
    vectored range reads for uncompressed artifacts, one whole-blob read
    plus decode for compressed ones, one striped ``get`` for a snapshot
-   read whole, one :meth:`ChunkStore.fetch` for unique digests.
+   read whole, one :meth:`ChunkStore.fetch` for unique digests (hex
+   only at that boundary).
 3. **assemble** is the one place bytes become parameters: one join of
-   the selected slots, one vectorized XOR of the XOR sources' rows, read
-   as one float32 row per model.
+   the selected slots' bytes, gathered by key, one vectorized XOR of the
+   XOR sources' rows, read as one float32 row per model.
 
 Callers differ only in which slots they hand to *fetch*: the uncached
 read path hands all of them, the serving cache withholds the slots whose
-digest its tier 2 holds, and salvage swaps in a verifying fetch and
+digest id its tier 2 holds, and salvage swaps in a verifying fetch and
 assembles the models whose slots all arrived.  Total parameter bytes
 fetched equal one set's worth at any chain depth.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Container, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from repro.errors import DocumentNotFoundError, RecoveryError
 from repro.nn.serialization import StateSchema
 from repro.observability import trace as _trace
 from repro.storage.document_store import FrozenDict
+from repro.storage.hashing import DIGESTS, distinct
 
 if TYPE_CHECKING:
     from repro.core.approach import SaveApproach
@@ -99,8 +102,11 @@ class RecoveryPlan:
     dtype: str
     models: "list[int]"
     sources: "list[Source]"
-    #: Content digest of each slot, when one is stored.
-    digests: "list[str] | None" = None
+    #: Content digest id of each slot, when one is stored: a read-only
+    #: ``int64`` column (:data:`~repro.storage.hashing.DIGESTS`).
+    digests: "np.ndarray | None" = None
+    #: ``digests`` without repeats, in order of first occurrence.
+    unique: "np.ndarray | None" = None
 
     @property
     def chunked(self) -> bool:
@@ -108,9 +114,9 @@ class RecoveryPlan:
 
     @property
     def keys(self) -> Sequence:
-        """What fetched bytes are keyed by: digest if known, else slot."""
+        """What fetched bytes are keyed by: digest id if known, else slot."""
         if self.digests is not None:
-            return self.digests
+            return self.digests.tolist()
         return range(len(self.models) * len(self.schema.entries))
 
 
@@ -122,20 +128,83 @@ def layer_nbytes(schema: StateSchema, itemsize: int = 4) -> "list[int]":
     ]
 
 
-def digest_matrix(
+def digest_source(
     context: SaveContext, document: dict, set_id: str, read=None
-) -> "list | None":
-    """The digest matrix of a chunked set (from its descriptor or, for
-    Update sets, from the hash-info document that doubles as one).
+) -> "dict | None":
+    """The document holding a chunked set's digest matrix: its descriptor
+    or, for Update sets, the hash-info document that doubles as one.
 
     ``read`` fetches the hash-info document: the store's charged ``get``
     by default (recovery pays, a missing document raises), or an uncharged
     ``peek`` for audits and retention (a missing document yields ``None``).
     """
     if "chunk_digests" in document:
-        return document["chunk_digests"]
-    hash_doc = (read or context.document_store.get)(HASH_COLLECTION, set_id)
-    return None if hash_doc is None else hash_doc["hashes"]
+        return document
+    return (read or context.document_store.get)(HASH_COLLECTION, set_id)
+
+
+def _matrix_of(source: dict) -> list:
+    return source["chunk_digests"] if "chunk_digests" in source else source["hashes"]
+
+
+def digest_matrix(
+    context: SaveContext, document: dict, set_id: str, read=None
+) -> "list | None":
+    """The hex digest matrix of a chunked set (see :func:`digest_source`)."""
+    source = digest_source(context, document, set_id, read)
+    return None if source is None else _matrix_of(source)
+
+
+class DigestColumns(NamedTuple):
+    """A digest matrix interned (:data:`~repro.storage.hashing.DIGESTS`)."""
+
+    #: Read-only ``(models, layers)`` ids.
+    matrix: np.ndarray
+    #: Every id of ``matrix`` once, in order of first occurrence.
+    unique: np.ndarray
+
+
+def _interned(source: dict) -> "DigestColumns | None":
+    """``source``'s digest matrix as :class:`DigestColumns`, or ``None``
+    when its rows differ in length."""
+    matrix = _matrix_of(source)
+    width = len(matrix[0]) if len(matrix) else 0
+    if any(len(row) != width for row in matrix):
+        return None
+    ids = DIGESTS.intern_many(chain.from_iterable(matrix)).reshape(len(matrix), width)
+    ids.flags.writeable = False
+    return DigestColumns(ids, distinct(ids.ravel()))
+
+
+def digest_ids(
+    source: dict, models: "list[int]", num_models: int, num_layers: int
+) -> "DigestColumns | None":
+    """The selected models' digests: ``matrix`` one slot-ordered id
+    column, and its ``unique`` ids; ``None`` unless the matrix is
+    ``num_models`` × ``num_layers``.
+
+    The whole matrix is interned once per held document and kept on it
+    (:meth:`FrozenDict.derive`, like the diff columns); one model read
+    while that memo is cold interns only its own row.
+    """
+    matrix = _matrix_of(source)
+    if len(matrix) != num_models:
+        return None
+    if isinstance(source, FrozenDict) and (
+        len(models) > 1 or source.derived(_interned) is not None
+    ):
+        columns = source.derive(_interned)
+        if columns is None or columns.matrix.shape[1] != num_layers:
+            return None
+        if len(models) == num_models:
+            return DigestColumns(columns.matrix.ravel(), columns.unique)
+        ids = columns.matrix[models].ravel()
+    else:
+        rows = [matrix[model] for model in models]
+        if any(len(row) != num_layers for row in rows):
+            return None
+        ids = DIGESTS.intern_many(chain.from_iterable(rows))
+    return DigestColumns(ids, distinct(ids))
 
 
 class SetOwns(NamedTuple):
@@ -262,6 +331,18 @@ def diff_columns(document: dict) -> DiffColumns:
     return _columns_of(document)
 
 
+def _parse_schema(document: dict) -> StateSchema:
+    return StateSchema.from_json(document["schema"])
+
+
+def schema_of(document: dict) -> StateSchema:
+    """A descriptor's schema, parsed once per held document (like the
+    diff columns) so its layer extents are computed once too."""
+    if isinstance(document, FrozenDict):
+        return document.derive(_parse_schema)
+    return _parse_schema(document)
+
+
 def _select(num_models: int, model_index: "int | None", set_id: str) -> "list[int]":
     if model_index is None:
         return list(range(num_models))
@@ -279,19 +360,21 @@ def resolve_chunked(
     """Plan a chunked set from its (already fetched) descriptor."""
     num_models = int(document["num_models"])
     models = _select(num_models, model_index, set_id)
-    matrix = digest_matrix(context, document, set_id)
-    if len(matrix) != num_models:
+    schema = schema_of(document)
+    source = digest_source(context, document, set_id)
+    columns = digest_ids(source, models, num_models, len(schema.entries))
+    if columns is None:
         raise RecoveryError(
-            f"set {set_id!r}: digest matrix has {len(matrix)} rows, "
-            f"expected {num_models}"
+            f"set {set_id!r}: digest matrix is not {num_models} rows of "
+            f"{len(schema.entries)} layers"
         )
     return RecoveryPlan(
         str(document["architecture"]),
-        StateSchema.from_json(document["schema"]),
+        schema,
         str(document.get("param_dtype", "float32")),
         models,
-        sources=[],
-        digests=[digest for model in models for digest in matrix[model]],
+        [],
+        *columns,
     )
 
 
@@ -300,21 +383,21 @@ def resolve_chain(
     deltas: "list[dict]",
     set_id: str,
     model_index: "int | None" = None,
-    hashes: "list | None" = None,
+    hash_doc: "dict | None" = None,
 ) -> RecoveryPlan:
     """Plan an artifact-stored set: newest writer wins every slot.
 
     ``deltas`` are the chain's delta descriptors newest first (empty for
-    a full set); ``hashes`` is the set's hash-info matrix when the caller
-    wants slots keyed by content.  Only the selected models' diff entries
-    claim slots, so a single-model plan stays one row wide.  A delta with
+    a full set); ``hash_doc`` is the set's hash-info document when the
+    caller wants slots keyed by content.  Only the selected models' diff
+    entries claim slots, so a single-model plan stays one row wide.  A delta with
     no diff list (pas-delta) claims none: it becomes an XOR source over
     every selected slot, at the slot's offset in the whole set.
     """
     top = deltas[0] if deltas else base_doc
-    schema = StateSchema.from_json(top["schema"])
+    schema = schema_of(top)
     num_models = int(top["num_models"])
-    if deltas and StateSchema.from_json(base_doc["schema"]) != schema:
+    if deltas and schema_of(base_doc) != schema:
         raise RecoveryError("delta schema does not match the base set's schema")
     if int(base_doc["num_models"]) != num_models:
         raise RecoveryError(
@@ -405,20 +488,16 @@ def resolve_chain(
             rest, whole=whole,
         )
     )
-    digests = None
-    if (
-        hashes is not None
-        and len(hashes) == num_models
-        and all(len(row) == num_layers for row in hashes)
-    ):
-        digests = [digest for model in models for digest in hashes[model]]
+    columns = None
+    if hash_doc is not None:
+        columns = digest_ids(hash_doc, models, num_models, num_layers)
     return RecoveryPlan(
         str(base_doc["architecture"]),
         schema,
         dtype,
         models,
         sources,
-        digests,
+        *(columns or ()),
     )
 
 
@@ -447,14 +526,14 @@ def resolve(
         document = context.set_document(set_id)
         approach._require_type(document, approach.name, set_id)
         return resolve_chunked(context, document, set_id, model_index)
-    hashes = None
+    hash_doc = None
     if hash_info:
         try:
-            hashes = context.document_store.get(HASH_COLLECTION, set_id)["hashes"]
+            hash_doc = context.document_store.get(HASH_COLLECTION, set_id)
         except DocumentNotFoundError:
             pass
     base_doc, _base_id, deltas = chain_documents(approach, set_id)
-    return resolve_chain(base_doc, deltas, set_id, model_index, hashes)
+    return resolve_chain(base_doc, deltas, set_id, model_index, hash_doc)
 
 
 # -- fetch ------------------------------------------------------------------
@@ -530,23 +609,30 @@ def _fetch_source(
             values[keys[slots[segment]]] = view[relative : relative + nbytes[segment]]
 
 
-def fetch(context: SaveContext, plan: RecoveryPlan, have: Container = ()) -> dict:
-    """Read from the store every slot whose key is not in ``have``.
+def fetch(
+    context: SaveContext, plan: RecoveryPlan, have: "np.ndarray | None" = None
+) -> dict:
+    """Read from the store every slot the caller does not hold.
 
-    Returns ``key -> bytes`` for what was read.  One ``get`` /
-    ``get_ranges`` per contributing artifact, or one
-    :meth:`ChunkStore.fetch` of the unique missing digests.
+    ``have`` masks :attr:`RecoveryPlan.unique`: the digest ids whose
+    bytes the caller holds.  Returns ``key -> bytes`` for what was read.
+    One ``get`` / ``get_ranges`` per contributing artifact, or one
+    :meth:`ChunkStore.fetch` of the unique missing digests, whose hex
+    form is needed only there.
     """
-    keys = plan.keys
     if plan.chunked:
-        missing = [digest for digest in dict.fromkeys(keys) if digest not in have]
-        if not missing:
+        missing = plan.unique if have is None else plan.unique[~have]
+        if not len(missing):
             return {}
         with _trace.span("chunk-fetch", kind="store-read", chunks=len(missing)):
-            return context.chunk_store().fetch(missing, workers=context.workers)
+            fetched = context.chunk_store().fetch(
+                DIGESTS.hexes(missing.tolist()), workers=context.workers
+            )
+        return dict(zip(DIGESTS.ids(fetched), fetched.values()))
+    keys = plan.keys
     wanted = None
-    if have:
-        wanted = np.fromiter((key not in have for key in keys), bool, len(keys))
+    if have is not None and have.any():
+        wanted = ~np.isin(plan.digests, plan.unique[have])
     values: dict = {}
     for source in plan.sources:
         _fetch_source(context.file_store, source, wanted, context.workers, keys, values)

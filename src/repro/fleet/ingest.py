@@ -51,6 +51,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro.core.approach import id_order
 from repro.core.lineage import LineageGraph
 from repro.core.model_set import ModelSet
 from repro.core.recovery import HASH_COLLECTION
@@ -88,6 +89,8 @@ class _Chain:
     #: memory across flushes (the worker owning this chain's shard is
     #: the only mutator).
     materialized: "ModelSet | None" = None
+    #: The set whose contents ``materialized`` holds.
+    materialized_id: str = ""
 
 
 _SHUTDOWN = object()
@@ -235,6 +238,12 @@ class IngestQueue:
         flush that saves it (and, as chain contents, after it): mutating
         ``state`` after ``submit`` is undefined.
 
+        Naming a set of the chain newer (by id counter) than the head
+        the queue remembers — one saved outside the queue — moves the
+        head there first, so the next flush derives from it instead of
+        forking the chain; naming an older one (its root, say) changes
+        nothing.
+
         Raises :class:`~repro.errors.IngestClosedError` once
         ``close()``/``abort()`` has begun (deterministic, regardless of
         worker-pool state),
@@ -263,6 +272,8 @@ class IngestQueue:
                     root=root, head=set_id, shard=shard, last_saved=set_id
                 )
                 self._chains[root] = chain
+            elif set_id not in (root, chain.head) and id_order(set_id) > id_order(chain.head):
+                chain.head = chain.last_saved = set_id
             if model_index not in chain.pending:
                 self._admit_locked(chain.shard)
                 self._shard_load[chain.shard] += 1
@@ -653,7 +664,7 @@ class IngestQueue:
                     job["set_id"], job["shard"], root=job["root"]
                 )
             try:
-                if chain.materialized is None:
+                if chain.materialized is None or chain.materialized_id != job["base"]:
                     # Ungated read: flush admission (and half-open
                     # probing) is execute_save's allow(), and a gated
                     # read would starve the probe of its chain head.  It
@@ -664,6 +675,7 @@ class IngestQueue:
                         chain.materialized = self.fleet.recover_set_for_flush(
                             job["base"]
                         )
+                        chain.materialized_id = job["base"]
                     except (OSError, StorageError) as read_error:
                         if not isinstance(read_error, DocumentNotFoundError):
                             self.fleet.health.record_failure(job["shard"], read_error)
@@ -704,6 +716,7 @@ class IngestQueue:
                 error = client_error
                 break
             else:
+                chain.materialized_id = job["set_id"]
                 with self._lock:
                     chain.inflight -= 1
                     chain.last_saved = job["set_id"]

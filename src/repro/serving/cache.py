@@ -3,15 +3,18 @@
 Two cache tiers live here (tier 3 is the store itself):
 
 * :class:`SetCache` — tier 1, fully materialized model sets (and single
-  recovered models) under one byte budget.  Entries remember the chunk
-  digests they were assembled from so quarantine/GC invalidation can
-  drop exactly the sets a doomed chunk contributed to.
-* :class:`ChunkCache` — tier 2, decoded chunk bytes keyed by the
-  chunk-store SHA-256.  Content-addressed, so near-duplicate versions
-  share entries across sets — and, because one instance can back every
-  shard of a fleet, across shards.  Eviction is refcount-aware: chunks
-  no live set references anymore (refcount 0 in every attached chunk
-  store) are evicted before any still-referenced chunk.
+  recovered models) under one byte budget, each held as one
+  ``(models, parameters)`` matrix.  Entries remember the digest ids they
+  were assembled from so quarantine/GC invalidation can drop exactly the
+  sets a doomed chunk contributed to.
+* :class:`ChunkCache` — tier 2, decoded chunk bytes keyed by the digest
+  id (:data:`~repro.storage.hashing.DIGESTS`) of their SHA-256, held in
+  columns by id.  Content-addressed, so near-duplicate versions share
+  entries across sets — and, because one instance can back every shard
+  of a fleet and ids are process-wide, across shards.  Eviction is
+  refcount-aware: chunks no live set references anymore (refcount 0 in
+  every attached chunk store) are evicted before any still-referenced
+  chunk.
 
 Neither tier touches :class:`~repro.storage.stats.StorageStats`: cache
 hits charge zero simulated store time by construction.  The serving
@@ -23,7 +26,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from repro.nn.serialization import StateSchema
+from repro.storage.hashing import fit, lookup
 
 
 @dataclass
@@ -82,13 +90,20 @@ class ServingStats:
 
 @dataclass
 class SetEntry:
-    """One tier-1 entry: a pristine materialized value plus provenance."""
+    """One tier-1 entry: a pristine matrix of rows plus provenance."""
 
-    value: object
-    nbytes: int
-    #: Chunk digests the value was assembled from (``None`` when the
-    #: entry came from an opaque full-recovery fallback).
-    digests: "frozenset[str] | None" = None
+    #: ``(models, parameters)`` float32 rows; one row for a single model.
+    #: Never handed out: every hit copies it.
+    rows: np.ndarray
+    architecture: str
+    schema: StateSchema
+    #: Digest ids the rows were assembled from (``None`` when the entry
+    #: came from an opaque full-recovery fallback).
+    digests: "np.ndarray | None" = None
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes
 
 
 class SetCache:
@@ -136,13 +151,13 @@ class SetCache:
                 self.current_bytes -= self._entries.pop(key).nbytes
             return len(doomed)
 
-    def invalidate_digests(self, digests: "set[str]") -> int:
-        """Drop entries assembled from any of the given chunk digests."""
+    def invalidate_digests(self, ids: np.ndarray) -> int:
+        """Drop entries assembled from any of the given digest ids."""
         with self._lock:
             doomed = [
                 key
                 for key, entry in self._entries.items()
-                if entry.digests is not None and not digests.isdisjoint(entry.digests)
+                if entry.digests is not None and np.isin(entry.digests, ids).any()
             ]
             for key in doomed:
                 self.current_bytes -= self._entries.pop(key).nbytes
@@ -164,13 +179,26 @@ class SetCache:
             return len(self._entries)
 
 
-class ChunkCache:
-    """Tier 2: decoded chunk bytes keyed by chunk-store SHA-256.
+class ChunkHits(NamedTuple):
+    """What :meth:`ChunkCache.get_many` found for an id column."""
 
+    #: Which of the asked ids tier 2 holds.
+    held: np.ndarray
+    #: The held ids' bytes (an object array, in the order asked).
+    data: np.ndarray
+    #: The held ids' byte lengths.
+    nbytes: np.ndarray
+
+
+class ChunkCache:
+    """Tier 2: decoded chunk bytes keyed by digest id.
+
+    Three columns indexed by id: the bytes (an object array), their
+    lengths, and a last-use tick (0: not held), which orders the LRU.
     One instance may back several serving caches (the fleet shares a
     single tier 2 across its shards — chunk content addressing makes
     entries shard-agnostic).  ``ref_sources`` are
-    ``digest -> live refcount`` callables (one per attached chunk
+    ``digest id -> live refcount`` callables (one per attached chunk
     store); when the budget forces eviction, chunks with zero live
     references everywhere go first, in LRU order, before any
     still-referenced chunk is touched.
@@ -178,100 +206,121 @@ class ChunkCache:
 
     def __init__(self, budget_bytes: int) -> None:
         self.budget_bytes = int(budget_bytes)
-        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
+        self._data = np.zeros(1, dtype=object)
+        self._nbytes = np.zeros(1, dtype=np.int64)
+        self._last_use = np.zeros(1, dtype=np.int64)
+        self._clock = 0
         self._lock = threading.Lock()
-        self.ref_sources: "list[Callable[[str], int]]" = []
+        self.ref_sources: "list[Callable[[int], int]]" = []
         self.current_bytes = 0
         self.evictions = 0
         self.invalidations = 0
 
-    def add_ref_source(self, source: "Callable[[str], int]") -> None:
+    def add_ref_source(self, source: "Callable[[int], int]") -> None:
         with self._lock:
             self.ref_sources.append(source)
 
-    def _references(self, digest: str) -> int:
+    def _references(self, ident: int) -> int:
         total = 0
         for source in self.ref_sources:
             try:
-                total += int(source(digest))
+                total += int(source(ident))
             except Exception:
                 continue  # an unknown digest counts as unreferenced
         return total
 
-    def get_many(
-        self, digests: Iterable[str]
-    ) -> "tuple[dict[str, bytes], list[str]]":
-        """Partition ``digests`` into cached ``{digest: bytes}`` + missing."""
-        found: dict[str, bytes] = {}
-        missing: list[str] = []
-        with self._lock:
-            for digest in digests:
-                data = self._entries.get(digest)
-                if data is None:
-                    missing.append(digest)
-                else:
-                    self._entries.move_to_end(digest)
-                    found[digest] = data
-        return found, missing
+    def _touch(self, ids: np.ndarray) -> None:
+        """Mark ``ids`` used now, in order (the last is the most recent)."""
+        self._last_use[ids] = np.arange(self._clock + 1, self._clock + 1 + len(ids))
+        self._clock += len(ids)
 
-    def put_many(self, values: "dict[str, bytes]") -> None:
+    def get_many(self, ids: np.ndarray) -> ChunkHits:
+        """Which of the (distinct) digest ``ids`` are held, with their
+        bytes and lengths; the held ones become most recently used."""
+        with self._lock:
+            held = lookup(self._last_use, ids) > 0
+            found = ids[held]
+            self._touch(found)
+            return ChunkHits(held, self._data[found], self._nbytes[found])
+
+    def put_many(self, values: "dict[int, bytes]") -> None:
+        """Hold ``digest id -> bytes`` (a chunk over the budget is skipped)."""
         if self.budget_bytes <= 0:
             return
+        kept = [
+            (ident, data)
+            for ident, data in ((ident, bytes(chunk)) for ident, chunk in values.items())
+            if len(data) <= self.budget_bytes
+        ]
+        if not kept:
+            return
+        ids, data = zip(*kept)
+        index = np.array(ids, dtype=np.int64)
+        blobs = np.empty(len(data), dtype=object)
+        blobs[:] = data
+        lengths = list(map(len, data))
         with self._lock:
-            for digest, data in values.items():
-                data = bytes(data)
-                if len(data) > self.budget_bytes:
-                    continue
-                old = self._entries.pop(digest, None)
-                if old is not None:
-                    self.current_bytes -= len(old)
-                self._entries[digest] = data
-                self.current_bytes += len(data)
+            size = max(ids) + 1
+            self._data = fit(self._data, size)
+            self._nbytes = fit(self._nbytes, size)
+            self._last_use = fit(self._last_use, size)
+            # An id not held has length 0, so this subtracts replaced bytes only.
+            self.current_bytes += sum(lengths) - int(self._nbytes[index].sum())
+            self._data[index] = blobs
+            self._nbytes[index] = lengths
+            self._touch(index)
             self._evict_over_budget()
+
+    def _lru_order(self) -> np.ndarray:
+        held = np.flatnonzero(self._last_use)
+        return held[np.argsort(self._last_use[held])]
+
+    def _remove(self, ids: np.ndarray) -> None:
+        self.current_bytes -= int(self._nbytes[ids].sum())
+        self._data[ids] = None
+        self._nbytes[ids] = 0
+        self._last_use[ids] = 0
 
     def _evict_over_budget(self) -> None:
         if self.current_bytes <= self.budget_bytes:
             return
+        order = self._lru_order().tolist()
         # Refcount-aware pass: unreferenced chunks go first, LRU order.
         if self.ref_sources:
-            for digest in list(self._entries):
+            for ident in order:
                 if self.current_bytes <= self.budget_bytes:
                     return
-                if self._references(digest) == 0:
-                    self.current_bytes -= len(self._entries.pop(digest))
+                if self._references(ident) == 0:
+                    self._remove(np.array([ident]))
                     self.evictions += 1
-        while self.current_bytes > self.budget_bytes and self._entries:
-            _, data = self._entries.popitem(last=False)
-            self.current_bytes -= len(data)
+            order = [ident for ident in order if self._last_use[ident]]
+        for ident in order:
+            if self.current_bytes <= self.budget_bytes:
+                return
+            self._remove(np.array([ident]))
             self.evictions += 1
 
-    def drop(self, digests: Iterable[str]) -> int:
-        """Invalidate the given digests (quarantined or collected chunks)."""
+    def drop(self, ids: np.ndarray) -> int:
+        """Invalidate the given digest ids (quarantined or collected chunks)."""
         with self._lock:
-            dropped = 0
-            for digest in digests:
-                data = self._entries.pop(digest, None)
-                if data is not None:
-                    self.current_bytes -= len(data)
-                    dropped += 1
-            self.invalidations += dropped
-            return dropped
+            doomed = np.unique(ids[lookup(self._last_use, ids) > 0])
+            self._remove(doomed)
+            self.invalidations += len(doomed)
+            return len(doomed)
 
     def clear(self) -> int:
         with self._lock:
-            count = len(self._entries)
-            self._entries.clear()
-            self.current_bytes = 0
+            count = len(self)
+            self._remove(np.flatnonzero(self._last_use))
             return count
 
-    def __contains__(self, digest: str) -> bool:
-        with self._lock:
-            return digest in self._entries
+    def __contains__(self, ident: int) -> bool:
+        return bool(lookup(self._last_use, np.array([ident]))[0])
 
-    def keys(self) -> "list[str]":
+    def keys(self) -> np.ndarray:
+        """The held digest ids, least recently used first."""
         with self._lock:
-            return list(self._entries)
+            return self._lru_order()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return int(np.count_nonzero(self._last_use))

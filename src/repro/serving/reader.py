@@ -5,8 +5,9 @@ Layered in front of ``MultiModelManager.recover_set``/``recover_model``
 from three tiers:
 
 * **tier 1** — byte-budgeted LRU of fully materialized model sets,
-* **tier 2** — decoded chunks keyed by their chunk-store SHA-256,
-  shared across sets (and, in a fleet, across shards),
+* **tier 2** — decoded chunks keyed by the interned id of their
+  SHA-256 (:data:`~repro.storage.hashing.DIGESTS`), shared across sets
+  (and, in a fleet, across shards),
 * **tier 3** — the existing (possibly replicated, hedged) store.
 
 The perf mechanism is *differential recovery*: the per-layer SHA-256
@@ -15,7 +16,10 @@ matrices the Update approach already persists (``hash_info``) key every
 chunks tier 2 does not hold — recovering v8 when v7 is warm reads just
 the layers that differ.  A miss runs the uncached read path's own
 executor (:mod:`repro.core.recovery`: resolve → fetch → assemble) and
-merely withholds from *fetch* the slots tier 2 already holds, so
+merely withholds from *fetch* the slots tier 2 already holds.  Its
+bookkeeping is array work on the plan's digest id column: the unique
+ids, a tier-2 presence mask, the chunk store's servable mask, a sum of
+tier 2's length column.  So
 recovered bytes are identical and a *cold* recovery charges exactly what
 the uncached path charges, at every ``workers`` setting; hits charge
 zero simulated store time.
@@ -41,6 +45,7 @@ from repro.errors import ReplicaUnavailableError
 from repro.nn.serialization import ModelState, StateSchema, state_row
 from repro.observability import trace as _trace
 from repro.serving.cache import ChunkCache, ServingStats, SetCache, SetEntry
+from repro.storage.hashing import DIGESTS
 
 if TYPE_CHECKING:
     from repro.config import ServingConfig
@@ -91,7 +96,9 @@ class ServingCache:
                 return
             self._attached_stores.add(id(store))
         store.invalidation_listeners.append(self.invalidate_digests)
-        self.chunks.add_ref_source(store.references)
+        self.chunks.add_ref_source(
+            lambda ident: store.references(DIGESTS.hexes([ident])[0])
+        )
 
     # -- invalidation ------------------------------------------------------
     def invalidate_set(self, set_id: str) -> int:
@@ -101,13 +108,12 @@ class ServingCache:
             self.stats.record(invalidations=dropped)
         return dropped
 
-    def invalidate_digests(self, digests) -> int:
-        """Drop doomed chunks from tier 2 and any tier-1 entry using them."""
-        doomed = set(digests)
-        if not doomed:
+    def invalidate_digests(self, ids: np.ndarray) -> int:
+        """Drop doomed digest ids from tier 2 and any tier-1 entry using them."""
+        if not len(ids):
             return 0
-        dropped = self.chunks.drop(doomed)
-        dropped += self.sets.invalidate_digests(doomed)
+        dropped = self.chunks.drop(ids)
+        dropped += self.sets.invalidate_digests(ids)
         if dropped:
             self.stats.record(invalidations=dropped)
         return dropped
@@ -169,37 +175,22 @@ class ServingCache:
     # -- read path ---------------------------------------------------------
     def recover_set(self, set_id: str, approach: "SaveApproach") -> ModelSet:
         """Tiered ``recover_set``: byte-identical to ``approach.recover``."""
-        self.stats.record(requests=1)
-        hit = self._tier1(set_id, None, "tier1-hit")
-        if hit is not None:
-            return hit
-        self.stats.record(set_misses=1)
-        result, digests = self._recover_miss(set_id, None, approach)
-        nbytes = result.parameter_bytes
-        self.sets.put((set_id, None), SetEntry(result.copy(), nbytes, digests))
-        self.stats.record(logical_bytes_served=nbytes)
-        return result
+        return self._serve(set_id, None, approach)
 
     def recover_model(
         self, set_id: str, model_index: int, approach: "SaveApproach"
     ) -> "OrderedDict[str, np.ndarray]":
         """Tiered single-model recovery (slices a warm tier-1 set)."""
-        self.stats.record(requests=1)
+        return self._serve(set_id, model_index, approach)
+
+    def _serve(self, set_id: str, model_index: "int | None", approach: "SaveApproach"):
         hit = self._tier1(set_id, model_index, "tier1-hit")
         if hit is not None:
             return hit
-        self.stats.record(set_misses=1)
-        state, digests = self._recover_miss(set_id, model_index, approach)
-        schema = (
-            state.schema
-            if isinstance(state, ModelState)
-            else StateSchema.from_state_dict(state)
-        )
-        private = ModelState(schema, state_row(state))
-        nbytes = private.row.nbytes
-        self.sets.put((set_id, model_index), SetEntry(private, nbytes, digests))
-        self.stats.record(logical_bytes_served=nbytes)
-        return state
+        self.stats.record(requests=1, set_misses=1)
+        value, entry = self._recover_miss(set_id, model_index, approach)
+        self.sets.put((set_id, model_index), entry)
+        return value
 
     def serve_stale(self, set_id: str, model_index: "int | None" = None):
         """Tier-1-only lookup for routing reads around a DOWN shard.
@@ -211,37 +202,41 @@ class ServingCache:
         raises :class:`~repro.errors.ShardUnavailableError`).  Hits count
         as ``stale_hits`` on top of the normal hit counters.
         """
-        self.stats.record(requests=1)
         hit = self._tier1(set_id, model_index, "tier1-stale-hit", stale_hits=1)
         if hit is None:
-            self.stats.record(set_misses=1)
+            self.stats.record(requests=1, set_misses=1)
         return hit
 
     def _tier1(self, set_id: str, model_index: "int | None", span: str, **counters):
-        """A private copy of a tier-1 value, or ``None`` on a miss.
+        """A private copy of a tier-1 value, or ``None`` on a miss (a hit
+        counts as a request; the caller counts a miss).
 
         A set is served from its full-set entry; one model from the
         full-set entry's row when it is cached, else from the model's own
-        entry.  Either way the caller gets fresh rows (tier 1 stays
-        pristine whatever the caller writes).
+        entry.  Either way the caller gets fresh rows, one copy of the
+        entry's matrix (tier 1 stays pristine whatever the caller writes).
         """
         entry = self.sets.get((set_id, None))
         index = model_index
         if model_index is not None and not (
-            entry is not None and 0 <= model_index < len(entry.value)
+            entry is not None and 0 <= model_index < len(entry.rows)
         ):
-            entry, index = self.sets.get((set_id, model_index)), None
+            entry, index = self.sets.get((set_id, model_index)), 0
         if entry is None:
             return None
         fields = {} if model_index is None else {"model": model_index}
         with _trace.span(span, kind="cache", set_id=set_id, **fields):
-            if index is None:
-                value, nbytes = entry.value.copy(), entry.nbytes
+            if model_index is None:
+                value = ModelSet.from_rows(
+                    entry.architecture, entry.schema, entry.rows.copy()
+                )
+                nbytes = entry.nbytes
             else:
-                value = entry.value.copy_state(index)
+                value = ModelState(entry.schema, entry.rows[index].copy())
                 nbytes = value.row.nbytes
             self.stats.record(
-                set_hits=1, logical_bytes_served=nbytes, bytes_saved=nbytes, **counters
+                requests=1, set_hits=1, logical_bytes_served=nbytes, bytes_saved=nbytes,
+                **counters,
             )
             return value
 
@@ -259,15 +254,17 @@ class ServingCache:
 
     def _recover_miss(
         self, set_id: str, model_index: "int | None", approach: "SaveApproach"
-    ):
+    ) -> "tuple[object, SetEntry]":
         """Recover a set (or one model) through tier 2.
 
-        Returns ``(value, digests)``.  Sets whose slots are keyed by
-        content — chunked sets, and Update sets read whole (their
-        hash-info document is one more metadata read, worth it for a set
-        but not for one model) — run the recovery executor with the
-        slots tier 2 holds withheld from the store fetch; everything
-        else is the approach's own read.
+        Returns what the caller gets and the tier-1 entry for it: a
+        private copy of the same parameters as one ``(models,
+        parameters)`` matrix, with the unique digest ids they came from.
+        Sets whose slots are keyed by content — chunked sets, and Update
+        sets read whole (their hash-info document is one more metadata
+        read, worth it for a set but not for one model) — run the
+        recovery executor with the slots tier 2 holds withheld from the
+        store fetch; everything else is the approach's own read.
         """
         from repro.core.update import UpdateApproach
 
@@ -277,43 +274,58 @@ class ServingCache:
             model_index is None and isinstance(approach, UpdateApproach)
         ):
             if model_index is None:
-                return approach.recover(set_id), None
-            return approach.recover_model(set_id, model_index), None
+                value = approach.recover(set_id)
+                rows = np.stack([
+                    state.row if isinstance(state, ModelState) else state_row(state)
+                    for state in value
+                ])
+                entry = SetEntry(rows, value.architecture, value.schema)
+            else:
+                value = approach.recover_model(set_id, model_index)
+                schema = (
+                    value.schema
+                    if isinstance(value, ModelState)
+                    else StateSchema.from_state_dict(value)
+                )
+                entry = SetEntry(state_row(value)[None], "", schema)
+            self.stats.record(logical_bytes_served=entry.nbytes)
+            return value, entry
 
         context = self.context
         plan = recovery.resolve(approach, set_id, model_index, hash_info=True)
         values: dict = {}
-        unique = None
+        unique = held = None
         if plan.digests is not None:
-            unique = list(dict.fromkeys(plan.digests))
+            unique = plan.unique
             with _trace.span("tier2-lookup", kind="cache", chunks=len(unique)):
-                values, _missing = self.chunks.get_many(unique)
+                held, data, nbytes = self.chunks.get_many(unique)
+                hits = unique[held]
                 if chunked:
                     # A digest the store no longer holds, or holds
                     # quarantined, takes the store path, so the error the
                     # uncached read would raise still surfaces.
-                    servable = context.chunk_store().servable(values)
-                    values = {
-                        digest: data
-                        for digest, data in values.items()
-                        if digest in servable
-                    }
+                    servable = context.chunk_store().servable(hits)
+                    if not servable.all():
+                        held[held] = servable
+                        hits, data, nbytes = hits[servable], data[servable], nbytes[servable]
+                values = dict(zip(hits.tolist(), data.tolist()))
             self.stats.record(
                 chunk_hits=len(values),
                 chunk_misses=len(unique) - len(values),
-                bytes_saved=sum(len(data) for data in values.values()),
+                bytes_saved=int(nbytes.sum()),
             )
         if unique is None or len(values) < len(unique):
             with _trace.span("tier3-fetch", kind="store-read"):
-                fetched = recovery.fetch(context, plan, have=values)
+                fetched = recovery.fetch(context, plan, have=held)
             if unique is not None:
                 self.chunks.put_many(fetched)
             values.update(fetched)
         matrix = recovery.assemble(plan, values)
-        digests = None if unique is None else frozenset(unique)
+        self.stats.record(logical_bytes_served=matrix.nbytes)
+        entry = SetEntry(matrix.copy(), plan.architecture, plan.schema, unique)
         if model_index is None:
-            return ModelSet.from_rows(plan.architecture, plan.schema, matrix), digests
-        return ModelState(plan.schema, matrix[0]), digests
+            return ModelSet.from_rows(plan.architecture, plan.schema, matrix), entry
+        return ModelState(plan.schema, matrix[0]), entry
 
 
 def apply_serving(

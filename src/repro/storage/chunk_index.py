@@ -22,6 +22,11 @@ Layout
     count, rewritten whenever counts change (the "metadata cost" charged
     for a deduplicated save).
 
+In memory the index also keeps two boolean columns by digest id
+(:data:`~repro.storage.hashing.DIGESTS`): which digests it holds and
+which of those are quarantined, so :meth:`ChunkStore.servable` answers
+for a whole id column at once.
+
 Reads use the **single-fetch fan-out**: :meth:`ChunkStore.fetch` groups
 the requested digests by pack, coalesces adjacent ranges, and issues one
 vectored :meth:`get_ranges` per pack — each unique chunk crosses the wire
@@ -40,9 +45,11 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.errors import ChunkCorruptionError, StorageError
 from repro.storage.file_store import WriterContext
-from repro.storage.hashing import hash_bytes
+from repro.storage.hashing import DIGESTS, fit, hash_bytes, lookup
 
 #: Collection holding one layout document per pack artifact.
 PACKS_COLLECTION = "chunk_packs"
@@ -166,6 +173,7 @@ class IngestSession(WriterContext):
         pack_artifact: str | None = None
         if self._writer is not None:
             pack_artifact = self._writer.close()
+            store._mark([digest for digest, _ in self._new], held=True, quarantined=False)
             offset = 0
             for digest, length in self._new:
                 prior = store._chunks.get(digest)
@@ -227,11 +235,15 @@ class ChunkStore:
         self.file_store = file_store
         self.document_store = document_store
         self._chunks: dict[str, _Chunk] = {}
-        #: Callables invoked with an iterable of digests the moment those
-        #: digests stop being servable (quarantined or swept).  The
-        #: serving cache registers here so a doomed chunk can never be
-        #: served from cache after the store has disowned it.
-        self.invalidation_listeners: list[Callable[[Iterable[str]], None]] = []
+        #: By digest id: which digests ``_chunks`` holds, and which of
+        #: those are quarantined (kept equal to it by every mutation).
+        self._held = np.zeros(1, dtype=bool)
+        self._quarantined = np.zeros(1, dtype=bool)
+        #: Callables invoked with an id column of the digests that just
+        #: stopped being servable (quarantined or swept).  The serving
+        #: cache registers here so a doomed chunk can never be served
+        #: from cache after the store has disowned it.
+        self.invalidation_listeners: list[Callable[[np.ndarray], None]] = []
         packs = document_store.peek_collection(PACKS_COLLECTION)
         # Deterministic rebuild: repair packs apply last so a repaired
         # digest always resolves to its clean copy, and a pack's
@@ -257,6 +269,8 @@ class ChunkStore:
             for digest in refs_doc.get("quarantined", []):
                 if digest in self._chunks:
                     self._chunks[digest].quarantined = True
+        self._mark(self._chunks, held=True)
+        self._mark(self.quarantined_digests(), quarantined=True)
 
     # -- write ----------------------------------------------------------------
     def open_ingest(
@@ -298,6 +312,21 @@ class ChunkStore:
                 REFS_COLLECTION, document, doc_id=REFS_DOC_ID, category="chunk-index"
             )
 
+    def _mark(
+        self, digests: Iterable[str], held: "bool | None" = None,
+        quarantined: "bool | None" = None,
+    ) -> np.ndarray:
+        """Set the id columns of ``digests``; returns their ids."""
+        ids = DIGESTS.intern_many(digests)
+        size = len(DIGESTS)
+        if held is not None:
+            self._held = fit(self._held, size)
+            self._held[ids] = held
+        if quarantined is not None:
+            self._quarantined = fit(self._quarantined, size)
+            self._quarantined[ids] = quarantined
+        return ids
+
     def _mark_superseded(self, digest: str, old_chunk: _Chunk) -> None:
         """Disown ``digest``'s old location in its pack's layout document.
 
@@ -329,10 +358,11 @@ class ChunkStore:
         layer) slots the caller fans it out to.
         """
         unique = dict.fromkeys(digests)
+        chunks = self._chunks
         quarantined = [
             digest
             for digest in unique
-            if digest in self._chunks and self._chunks[digest].quarantined
+            if (chunk := chunks.get(digest)) is not None and chunk.quarantined
         ]
         if quarantined:
             raise ChunkCorruptionError(
@@ -438,7 +468,7 @@ class ChunkStore:
                 newly_quarantined.append(digest)
         if newly_quarantined:
             self._persist_refs()
-            self._notify_invalidated(newly_quarantined)
+            self._notify_invalidated(self._mark(newly_quarantined, quarantined=True))
 
     def repair(self, digest: str, data: bytes) -> None:
         """Replace a quarantined chunk's bytes with a verified clean copy.
@@ -479,6 +509,7 @@ class ChunkStore:
         self._chunks[digest] = _Chunk(
             pack_id, 0, len(payload), refs=chunk.refs, quarantined=False
         )
+        self._mark([digest], quarantined=False)
         self._persist_refs()
 
     def quarantined_digests(self) -> list[str]:
@@ -573,12 +604,14 @@ class ChunkStore:
         if report.chunks_reclaimed:
             self._persist_refs()
         if swept_digests:
-            self._notify_invalidated(swept_digests)
+            self._notify_invalidated(
+                self._mark(swept_digests, held=False, quarantined=False)
+            )
         return report
 
-    def _notify_invalidated(self, digests: "list[str]") -> None:
+    def _notify_invalidated(self, ids: np.ndarray) -> None:
         for listener in self.invalidation_listeners:
-            listener(digests)
+            listener(ids)
 
     # -- inspection (management plane, not charged) ---------------------------
     def __contains__(self, digest: str) -> bool:
@@ -592,15 +625,14 @@ class ChunkStore:
         chunk = self._chunks.get(digest)
         return chunk.refs if chunk is not None else 0
 
-    def servable(self, digests: Iterable[str]) -> "set[str]":
-        """The digests of ``digests`` a read would serve: held and not
-        quarantined."""
-        chunks = self._chunks
-        return {
-            digest
-            for digest in digests
-            if (chunk := chunks.get(digest)) is not None and not chunk.quarantined
-        }
+    def held(self, ids: np.ndarray) -> np.ndarray:
+        """A mask over the digest ids ``ids``: which the index holds."""
+        return lookup(self._held, ids)
+
+    def servable(self, ids: np.ndarray) -> np.ndarray:
+        """A mask over the digest ids ``ids``: which a read would serve
+        (held and not quarantined)."""
+        return self.held(ids) & ~lookup(self._quarantined, ids)
 
     def chunk_length(self, digest: str) -> int:
         """Stored byte length of one chunk (raises for unknown digests)."""

@@ -75,6 +75,14 @@ class FrozenDict(dict):
             value = derived[build] = build(self)
             return value
 
+    def derived(self, build: Callable[["FrozenDict"], T]) -> "T | None":
+        """What :meth:`derive` keeps for ``build``; ``None`` until its
+        first call (a cold memo)."""
+        try:
+            return self._derived.get(build)
+        except AttributeError:
+            return None
+
 
 class FrozenList(list):
     """A held document's arrays: a ``list`` whose mutators raise."""

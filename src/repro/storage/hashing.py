@@ -5,13 +5,20 @@ parameter hashes, and the file store addresses artifacts by content hash.
 SHA-256 truncated to 16 hex characters keeps the per-layer hash records
 small (the paper counts hash info as real storage overhead) while leaving
 collisions negligible at the scale of thousands of models.
+
+Hex stays the stored form of a digest.  In memory, the read path works
+on :data:`DIGESTS`, one process-wide table interning every digest it
+meets to a dense integer id, so a digest matrix becomes an ``int64``
+column and per-digest bookkeeping (chunk presence, serving tier 2)
+becomes boolean and integer columns indexed by id.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,6 +26,82 @@ from repro.nn.serialization import ModelState
 
 #: Hex characters kept from the SHA-256 digest for layer hashes.
 LAYER_HASH_LENGTH = 16
+
+
+class DigestTable:
+    """Interns hex digests to dense integer ids, and maps ids back.
+
+    Ids are never reused or forgotten, so an id names the same digest in
+    every chunk store and cache of the process.  Lookups of known digests
+    take no lock; a new digest is added under one.
+    """
+
+    def __init__(self) -> None:
+        self._ids: dict[str, int] = {}
+        self._hex: list[str] = []
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._hex)
+
+    def intern_many(self, digests: Iterable[str]) -> np.ndarray:
+        """The ids of ``digests``, in order (new digests are added)."""
+        digests = list(digests)
+        try:
+            return np.fromiter(map(self._ids.__getitem__, digests), np.int64, len(digests))
+        except KeyError:
+            with self._lock:
+                ids, hexes = self._ids, self._hex
+                for digest in digests:
+                    if digest not in ids:
+                        ids[digest] = len(hexes)
+                        hexes.append(digest)
+            return np.fromiter(map(self._ids.__getitem__, digests), np.int64, len(digests))
+
+    def ids(self, digests: Iterable[str]) -> "list[int]":
+        """The ids of already interned ``digests``, in order."""
+        return list(map(self._ids.__getitem__, digests))
+
+    def hexes(self, ids: Iterable[int]) -> "list[str]":
+        """The hex digests of ``ids``, in order."""
+        return list(map(self._hex.__getitem__, ids))
+
+
+#: The one digest table every chunk store, plan and cache shares.
+DIGESTS = DigestTable()
+
+
+def fit(column: np.ndarray, size: int) -> np.ndarray:
+    """``column``, or a zero-padded copy of it, longer than ``size``.
+
+    Ids below ``size`` fit, and the last slot stays zero for
+    :func:`lookup`; capacity doubles, so growing id by id stays
+    amortized O(1).  Start a column as ``np.zeros(1, dtype)``.
+    """
+    if size < len(column):
+        return column
+    grown = np.zeros(max(size + 1, 2 * len(column)), dtype=column.dtype)
+    grown[: len(column)] = column
+    return grown
+
+
+def lookup(column: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``column[ids]``, reading zero (``False``) for an id past the
+    column's end (one interned after the column last grew): clipping
+    reads it from the last slot, which :func:`fit` keeps zero."""
+    return column.take(ids, mode="clip")
+
+
+def distinct(ids: np.ndarray) -> np.ndarray:
+    """``ids`` without repeats, in order of first occurrence.
+
+    A dict pass costs ~2 µs on one model's row and ~160 µs on a
+    2,000-slot set; ``np.unique`` ~10 µs and ~36 µs.
+    """
+    if len(ids) <= 64:
+        return np.fromiter(dict.fromkeys(ids.tolist()), np.int64)
+    _values, first = np.unique(ids, return_index=True)
+    return ids[np.sort(first)]
 
 
 def hash_bytes(data: bytes, length: int | None = None) -> str:

@@ -6,6 +6,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.config import ArchiveConfig, ObservabilityConfig
+from repro.core.lineage import LineageGraph
 from repro.errors import IngestError, StorageError
 from repro.fleet import FleetManager, IngestQueue
 from repro.observability import prometheus_text
@@ -92,6 +93,41 @@ class TestCoalescing:
         roots = {entry["root"] for entry in queue.flush_log}
         assert roots == {base_a, base_b}
         queue.close()
+
+
+class TestOutsideSaves:
+    """A set saved on the chain outside the queue (a direct ``save_set``,
+    another process) and then named by a submit becomes the head."""
+
+    def test_a_newer_named_set_is_the_next_base(self, tiny_set):
+        fleet = make_fleet()
+        root = fleet.save_set(tiny_set)
+        queue = IngestQueue(fleet, flush_max_updates=100, workers=0)
+        queue.submit(root, 0, state_plus(tiny_set, 0, 1.0))
+        queue.flush()
+        (first,) = queue.flush_log
+        outside = fleet.recover_set(first["set_id"])
+        outside.states[1] = state_plus(tiny_set, 1, 5.0)
+        newer = fleet.save_set(outside, base_set_id=first["set_id"])
+        queue.submit(newer, 2, state_plus(tiny_set, 2, 7.0))
+        queue.close()
+        second = queue.flush_log[-1]
+        lineage = LineageGraph.from_context(fleet.shards[0].context)
+        assert lineage.leaves() == [second["set_id"]]  # one head, no fork
+        assert second["base"] == newer
+        expected = outside.copy()
+        expected.states[2] = state_plus(tiny_set, 2, 7.0)
+        assert fleet.recover_set(second["set_id"]).equals(expected)
+
+    def test_naming_an_older_set_keeps_the_remembered_head(self, tiny_set):
+        fleet = make_fleet()
+        root = fleet.save_set(tiny_set)
+        queue = IngestQueue(fleet, flush_max_updates=1, workers=0)
+        queue.submit(root, 0, state_plus(tiny_set, 0, 1.0))
+        queue.submit(root, 1, state_plus(tiny_set, 1, 2.0))
+        queue.close()
+        first, second = queue.flush_log
+        assert second["base"] == first["set_id"]
 
 
 class TestAgeDeadline:

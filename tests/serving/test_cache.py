@@ -1,12 +1,23 @@
-"""Unit tests for the serving cache data structures (tiers 1 and 2)."""
+"""Unit tests for the serving cache data structures (tiers 1 and 2).
+
+Both tiers key chunks by digest id; the ids here are small integers
+standing for any interned digest."""
 
 import numpy as np
 
+from repro.nn.serialization import StateSchema
 from repro.serving.cache import ChunkCache, ServingStats, SetCache, SetEntry
+
+D1, D2, D3, D9 = 1, 2, 3, 9
+
+
+def ids(*values: int) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
 
 
 def entry(nbytes: int, digests=None) -> SetEntry:
-    return SetEntry(value=object(), nbytes=nbytes, digests=digests)
+    rows = np.zeros((1, nbytes), dtype=np.uint8)
+    return SetEntry(rows, "", StateSchema(()), digests=digests)
 
 
 class TestSetCache:
@@ -52,10 +63,10 @@ class TestSetCache:
 
     def test_invalidate_digests_drops_intersecting_entries_only(self):
         cache = SetCache(budget_bytes=1000)
-        cache.put(("a", None), entry(10, digests=frozenset({"d1", "d2"})))
-        cache.put(("b", None), entry(10, digests=frozenset({"d3"})))
+        cache.put(("a", None), entry(10, digests=ids(D1, D2)))
+        cache.put(("b", None), entry(10, digests=ids(D3)))
         cache.put(("c", None), entry(10, digests=None))  # unknown lineage
-        assert cache.invalidate_digests({"d2"}) == 1
+        assert cache.invalidate_digests(ids(D2)) == 1
         assert cache.get(("a", None)) is None
         assert cache.get(("b", None)) is not None
         assert cache.get(("c", None)) is not None
@@ -64,51 +75,53 @@ class TestSetCache:
 class TestChunkCache:
     def test_get_many_partitions_found_and_missing(self):
         cache = ChunkCache(budget_bytes=1000)
-        cache.put_many({"d1": b"one", "d2": b"two"})
-        found, missing = cache.get_many(["d1", "d3"])
-        assert found == {"d1": b"one"}
-        assert missing == ["d3"]
+        cache.put_many({D1: b"one", D2: b"two"})
+        asked = ids(D1, D3)
+        held, data, nbytes = cache.get_many(asked)
+        assert dict(zip(asked[held].tolist(), data.tolist())) == {D1: b"one"}
+        assert nbytes.tolist() == [3]
+        assert asked[~held].tolist() == [D3]
 
     def test_byte_budget_evicts_lru(self):
         cache = ChunkCache(budget_bytes=10)
-        cache.put_many({"d1": b"aaaaa"})
-        cache.put_many({"d2": b"bbbbb"})
-        cache.put_many({"d3": b"ccccc"})
-        assert "d1" not in cache
-        assert "d3" in cache
+        cache.put_many({D1: b"aaaaa"})
+        cache.put_many({D2: b"bbbbb"})
+        cache.put_many({D3: b"ccccc"})
+        assert D1 not in cache
+        assert D3 in cache
         assert cache.current_bytes <= 10
 
     def test_zero_reference_chunks_evicted_first(self):
         cache = ChunkCache(budget_bytes=10)
-        refs = {"d1": 1, "d2": 0}
-        cache.add_ref_source(lambda digest: refs.get(digest, 0))
-        cache.put_many({"d1": b"aaaaa", "d2": b"bbbbb"})
-        cache.put_many({"d3": b"ccccc"})  # over budget: d2 (0 refs) goes
-        assert "d2" not in cache
-        assert "d1" in cache
+        refs = {D1: 1, D2: 0}
+        cache.add_ref_source(lambda ident: refs.get(ident, 0))
+        cache.put_many({D1: b"aaaaa", D2: b"bbbbb"})
+        cache.put_many({D3: b"ccccc"})  # over budget: D2 (0 refs) goes
+        assert D2 not in cache
+        assert D1 in cache
 
     def test_failing_ref_source_counts_as_unreferenced(self):
         cache = ChunkCache(budget_bytes=1000)
 
-        def broken(digest):
+        def broken(ident):
             raise RuntimeError("store is gone")
 
         cache.add_ref_source(broken)
-        cache.put_many({"d1": b"x"})
-        assert cache._references("d1") == 0
+        cache.put_many({D1: b"x"})
+        assert cache._references(D1) == 0
 
     def test_drop_counts_invalidations(self):
         cache = ChunkCache(budget_bytes=1000)
-        cache.put_many({"d1": b"x", "d2": b"y"})
-        assert cache.drop(["d1", "d9"]) == 1
+        cache.put_many({D1: b"x", D2: b"y"})
+        assert cache.drop(ids(D1, D9)) == 1
         assert cache.invalidations == 1
-        assert "d1" not in cache
+        assert D1 not in cache
 
     def test_put_many_coerces_to_bytes(self):
         cache = ChunkCache(budget_bytes=1000)
-        cache.put_many({"d1": np.frombuffer(b"abcd", dtype=np.uint8).tobytes()})
-        found, _ = cache.get_many(["d1"])
-        assert isinstance(found["d1"], bytes)
+        cache.put_many({D1: memoryview(np.frombuffer(b"abcd", dtype=np.uint8))})
+        _held, data, _nbytes = cache.get_many(ids(D1))
+        assert isinstance(data[0], bytes)
 
 
 class TestServingStats:

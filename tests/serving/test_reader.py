@@ -17,6 +17,7 @@ from repro.core.recovery import HASH_COLLECTION
 from repro.core.retention import RetentionManager
 from repro.errors import ChunkCorruptionError, QuorumError
 from repro.storage.faults import FaultInjector, inject_replica_faults
+from repro.storage.hashing import DIGESTS
 from repro.storage.hardware import SERVER_PROFILE
 
 
@@ -302,7 +303,7 @@ class TestInvalidation:
         doomed = next(iter(store._chunks))
         serving.evict()  # keep tier 2, drop tier 1
         store.quarantine([doomed])
-        assert doomed not in serving.chunks
+        assert DIGESTS.intern_many([doomed])[0] not in serving.chunks
         counters = serving.counters()
         assert counters["invalidations"] >= 1
 
@@ -314,10 +315,12 @@ class TestInvalidation:
         set_id = manager.save_set(ModelSet.build("FFNN-48", num_models=2, seed=12))
         serving = manager.context.serving
         manager.recover_set(set_id)
-        held, _missing = serving.chunks.get_many(serving.chunks.keys())
+        keys = serving.chunks.keys()
+        _held, data, _nbytes = serving.chunks.get_many(keys)
+        held = dict(zip(keys.tolist(), data.tolist()))
         store = manager.context.chunk_store()
         doomed = next(iter(held))
-        store.quarantine([doomed])
+        store.quarantine(DIGESTS.hexes([doomed]))
         serving.chunks.put_many(held)  # back in tier 2, still quarantined
         assert doomed in serving.chunks
         with pytest.raises(ChunkCorruptionError):
@@ -338,7 +341,7 @@ class TestInvalidation:
         # The derived set's chunks survive; collected ones are gone.
         assert len(serving.chunks) <= populated
         store = manager.context.chunk_store()
-        for digest in serving.chunks.keys():
+        for digest in DIGESTS.hexes(serving.chunks.keys().tolist()):
             assert digest in store
 
     def test_quarantine_drops_tier1_sets_built_from_the_chunk(self):

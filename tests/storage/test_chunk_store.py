@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import ArchiveConfig
 from repro.errors import StorageError
@@ -13,7 +15,7 @@ from repro.storage.chunk_index import (
 )
 from repro.storage.document_store import DocumentStore
 from repro.storage.file_store import FileStore
-from repro.storage.hashing import hash_bytes
+from repro.storage.hashing import DIGESTS, hash_bytes, lookup
 
 
 def make_store():
@@ -397,3 +399,78 @@ class TestGCCrashConsistency:
         assert reopened.recover_set(second).equals(derived)
         report = ArchiveFsck(reopened.context).run()
         assert report.ok, report.summary()
+
+
+#: Chunk payloads the column property draws from (the last is never stored).
+PAYLOADS = [bytes([index]) * (40 + index) for index in range(6)]
+
+#: One step: (operation, payload index or indices).
+column_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), st.lists(st.integers(0, 4), min_size=1, max_size=6)),
+        st.tuples(st.sampled_from(["quarantine", "repair", "release"]), st.integers(0, 4)),
+        st.tuples(st.sampled_from(["sweep", "rebuild"]), st.just(0)),
+    ),
+    max_size=14,
+)
+
+
+def assert_columns_match_index(store):
+    """The id columns equal a recount from ``_chunks``; servable-by-id
+    equals the hex rule it replaced; ids and hex round-trip."""
+    every = np.arange(len(DIGESTS), dtype=np.int64)
+    held = np.zeros(len(DIGESTS), dtype=bool)
+    held[DIGESTS.ids(store._chunks)] = True
+    quarantined = np.zeros(len(DIGESTS), dtype=bool)
+    quarantined[DIGESTS.ids(store.quarantined_digests())] = True
+    assert (lookup(store._held, every) == held).all()
+    assert (lookup(store._quarantined, every) == quarantined).all()
+    digests = [hash_bytes(payload) for payload in PAYLOADS]
+    ids = DIGESTS.intern_many(digests)
+    by_hex = [
+        digest in store._chunks and not store._chunks[digest].quarantined
+        for digest in digests
+    ]
+    assert store.servable(ids).tolist() == by_hex
+    assert store.held(ids).tolist() == [digest in store._chunks for digest in digests]
+    assert DIGESTS.hexes(ids.tolist()) == digests
+    assert DIGESTS.intern_many(DIGESTS.hexes(ids.tolist())).tolist() == ids.tolist()
+
+
+class TestIdColumns:
+    @given(steps=column_steps)
+    @example(steps=[("ingest", [0, 1]), ("release", 0), ("sweep", 0)])
+    @example(steps=[("ingest", [0]), ("quarantine", 0), ("repair", 0), ("rebuild", 0)])
+    @example(steps=[("ingest", [0]), ("quarantine", 0), ("ingest", [0])])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_columns_equal_a_recount_after_any_sequence(self, steps):
+        store = make_store()
+        assert_columns_match_index(store)
+        for number, (kind, arg) in enumerate(steps):
+            if kind == "ingest":
+                store.ingest(refs([PAYLOADS[i] for i in arg]), pack_id=f"p{number}")
+            elif kind == "rebuild":
+                store = ChunkStore(store.file_store, store.document_store)
+            elif kind == "sweep":
+                store.sweep()
+            else:
+                digest = hash_bytes(PAYLOADS[arg])
+                chunk = store._chunks.get(digest)
+                if kind == "quarantine" and chunk is not None:
+                    store.quarantine([digest])
+                elif kind == "repair" and chunk is not None and chunk.quarantined:
+                    store.repair(digest, PAYLOADS[arg])
+                elif kind == "release" and chunk is not None and chunk.refs > 0:
+                    store.release([digest] * chunk.refs)  # its sets are gone
+            assert_columns_match_index(store)
+
+    def test_listeners_hear_ids(self):
+        store = make_store()
+        heard = []
+        store.invalidation_listeners.append(lambda ids: heard.append(ids.tolist()))
+        store.ingest(refs(PAYLOADS[:2]), pack_id="p0")
+        first, second = DIGESTS.intern_many(hash_bytes(p) for p in PAYLOADS[:2]).tolist()
+        store.quarantine([hash_bytes(PAYLOADS[0])])
+        store.release([hash_bytes(PAYLOADS[1])])
+        store.sweep()
+        assert heard == [[first], [second]]
