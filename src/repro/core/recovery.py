@@ -15,8 +15,7 @@ Every artifact- or chunk-stored set is recovered the same way:
 2. **fetch** is the one place a plan becomes store calls: coalesced
    vectored range reads for uncompressed artifacts, one whole-blob read
    plus decode for compressed ones, one striped ``get`` for a snapshot
-   read whole, one :meth:`ChunkStore.fetch` for unique digests (hex
-   only at that boundary).
+   read whole, one :meth:`ChunkStore.fetch` of the unique digest ids.
 3. **assemble** is the one place bytes become parameters: one join of
    the selected slots' bytes, gathered by key, one vectorized XOR of the
    XOR sources' rows, read as one float32 row per model.
@@ -512,6 +511,7 @@ def resolve(
     set_id: str,
     model_index: "int | None" = None,
     hash_info: bool = False,
+    chunked: "bool | None" = None,
 ) -> RecoveryPlan:
     """Plan the recovery of ``set_id`` (or one model of it).
 
@@ -519,10 +519,13 @@ def resolve(
     walking the chain at all) or the chain's descriptors, plus — for a
     chunked set, or when ``hash_info`` asks for content keys — the
     hash-info document.  A missing or mis-shaped hash-info document
-    leaves the plan keyed by slot.
+    leaves the plan keyed by slot.  ``chunked`` is the set's storage
+    kind when the caller has already peeked it (:func:`is_chunked`).
     """
     context = approach.context
-    if is_chunked(context, set_id):
+    if chunked is None:
+        chunked = is_chunked(context, set_id)
+    if chunked:
         document = context.set_document(set_id)
         approach._require_type(document, approach.name, set_id)
         return resolve_chunked(context, document, set_id, model_index)
@@ -617,18 +620,14 @@ def fetch(
     ``have`` masks :attr:`RecoveryPlan.unique`: the digest ids whose
     bytes the caller holds.  Returns ``key -> bytes`` for what was read.
     One ``get`` / ``get_ranges`` per contributing artifact, or one
-    :meth:`ChunkStore.fetch` of the unique missing digests, whose hex
-    form is needed only there.
+    :meth:`ChunkStore.fetch` of the unique missing digest ids.
     """
     if plan.chunked:
         missing = plan.unique if have is None else plan.unique[~have]
         if not len(missing):
             return {}
         with _trace.span("chunk-fetch", kind="store-read", chunks=len(missing)):
-            fetched = context.chunk_store().fetch(
-                DIGESTS.hexes(missing.tolist()), workers=context.workers
-            )
-        return dict(zip(DIGESTS.ids(fetched), fetched.values()))
+            return context.chunk_store().fetch(missing, workers=context.workers)
     keys = plan.keys
     wanted = None
     if have is not None and have.any():

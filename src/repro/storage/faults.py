@@ -315,9 +315,11 @@ class FaultyFileStore(_FaultProxy):
     def get_range(self, artifact_id: str, offset: int, length: int) -> bytes:
         return self.get_ranges(artifact_id, [(offset, length)])[0]
 
-    def get_ranges(self, artifact_id: str, ranges, workers: int = 1):
+    def get_ranges(self, artifact_id: str, ranges, workers: int = 1, check=None):
         return self._injector.read(
-            lambda: self._inner.get_ranges(artifact_id, ranges, workers=workers),
+            lambda: self._inner.get_ranges(
+                artifact_id, ranges, workers=workers, check=check
+            ),
             ids=(artifact_id,),
         )
 
@@ -517,9 +519,11 @@ class RetryingFileStore(_RetryProxy):
     def get_range(self, artifact_id: str, offset: int, length: int) -> bytes:
         return self.get_ranges(artifact_id, [(offset, length)])[0]
 
-    def get_ranges(self, artifact_id: str, ranges, workers: int = 1):
+    def get_ranges(self, artifact_id: str, ranges, workers: int = 1, check=None):
         return self._with_retries(
-            lambda: self._inner.get_ranges(artifact_id, ranges, workers=workers)
+            lambda: self._inner.get_ranges(
+                artifact_id, ranges, workers=workers, check=check
+            )
         )
 
     def delete(self, artifact_id: str) -> None:

@@ -23,6 +23,7 @@ at once.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 from repro.errors import ArtifactNotFoundError, DuplicateArtifactError, StorageError
 from repro.storage.document_store import unsafe_name
@@ -299,6 +300,7 @@ class FileStore:
         artifact_id: str,
         ranges: "list[tuple[int, int]]",
         workers: int = 1,
+        check: "Callable[[list[bytes]], bool] | None" = None,
     ) -> "list[bytes]":
         """Vectored range read: fetch ``(offset, length)`` slices at once.
 
@@ -307,6 +309,9 @@ class FileStore:
         across ``workers`` lanes (a parallel engine issues independent
         range requests concurrently).  Compacted chain recovery uses this
         to fetch exactly the final bytes of every model and layer.
+
+        ``check`` is ignored: one store's ranged reads are unverified by
+        design (a replicated store runs it to choose a replica).
         """
         self._require(artifact_id)
         if not ranges:

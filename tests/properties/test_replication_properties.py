@@ -134,3 +134,57 @@ class TestSingleReplicaFaultSchedules:
         fsck = ArchiveFsck(manager.context).run(deep=True)
         assert fsck.ok, fsck.summary()
         assert_bytes_identical(manager.recover_set(set_id), reference)
+
+
+#: One vote-memo step: ("read" | "write" | "delete", doc) or
+#: ("rot", doc, replica, value) — a new object installed on one replica
+#: through its own store.
+memo_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["read", "write", "delete"]), st.integers(0, 2)),
+        st.tuples(
+            st.just("rot"),
+            st.integers(0, 2),
+            st.integers(0, NUM_REPLICAS - 1),
+            st.integers(0, 2),
+        ),
+    ),
+    max_size=30,
+)
+
+
+class TestVoteMemo:
+    @given(steps=memo_steps)
+    @settings(max_examples=60, deadline=None)
+    def test_remembered_votes_equal_fresh_votes(self, steps):
+        from repro.storage.document_store import DocumentStore
+        from repro.storage.replication import ReplicatedDocumentStore
+
+        rep = ReplicatedDocumentStore([DocumentStore() for _ in range(NUM_REPLICAS)])
+        version = 0
+        for step in steps:
+            kind, doc_id = step[0], f"d{step[1]}"
+            if kind == "write":
+                version += 1
+                if rep.exists("c", doc_id):
+                    rep.replace("c", doc_id, {"v": version})
+                else:
+                    rep._write_raw("c", doc_id, {"v": version})
+            elif kind == "delete" and rep.exists("c", doc_id):
+                rep.delete("c", doc_id)
+            elif kind == "rot":
+                _, _, replica, value = step
+                rep.replicas[replica].store._write_raw("c", doc_id, {"v": value})
+            for doc_id in ("d0", "d1", "d2"):
+                ballots = [
+                    (index, state.store.peek("c", doc_id))
+                    for index, state in enumerate(rep.replicas)
+                ]
+                # The vote without a key neither reads nor writes the memo.
+                fresh = rep._vote(ballots)
+                assert rep._elect("c", doc_id) == fresh
+                assert rep.peek_collection("c").get(doc_id) == fresh[1]
+            # The memo holds only what the replicas hold now.
+            for (collection, doc_id), memo in rep._unanimous.items():
+                for index, document in memo:
+                    assert document is rep.replicas[index].store.peek(collection, doc_id)

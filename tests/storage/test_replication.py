@@ -422,6 +422,56 @@ class TestDocumentMajority:
         assert rep.insert("c", {"v": 2}) == "doc-00000042"
 
 
+
+class TestVoteMemo:
+    """A unanimous vote over held documents is remembered; the same
+    objects cast again skip the comparison, and anything else re-votes."""
+
+    def test_a_new_object_on_one_replica_is_voted_afresh(self):
+        rep = make_doc_rep(3)
+        doc_id = rep.insert("c", {"v": 1})
+        assert rep.get("c", doc_id) == {"v": 1}
+        assert ("c", doc_id) in rep._unanimous
+        # Through the replica's own store: a new held object, not an edit.
+        rep.replicas[0].store.replace("c", doc_id, {"v": 2})
+        assert rep.get("c", doc_id) == {"v": 1}
+        assert ("c", doc_id) not in rep._unanimous
+        rep.replicas[1].store.replace("c", doc_id, {"v": 2})
+        assert rep.get("c", doc_id) == {"v": 2}
+        assert rep.peek_collection("c") == {doc_id: {"v": 2}}
+
+    def test_a_replace_is_read_back(self):
+        rep = make_doc_rep(3)
+        doc_id = rep.insert("c", {"v": 1})
+        assert rep.peek("c", doc_id) == {"v": 1}
+        rep.replace("c", doc_id, {"v": 3})
+        assert rep.get("c", doc_id) == {"v": 3}
+
+    def test_the_store_writes_forget_the_memo(self):
+        rep = make_doc_rep(3)
+        doc_id = rep.insert("c", {"v": 1})
+        for write in (
+            lambda: rep.replace("c", doc_id, {"v": 2}),
+            lambda: rep._write_raw("c", doc_id, {"v": 3}),
+            lambda: rep._delete_raw("c", doc_id),
+        ):
+            assert rep.peek("c", doc_id) is not None
+            assert ("c", doc_id) in rep._unanimous
+            write()
+            assert ("c", doc_id) not in rep._unanimous
+        assert rep.peek("c", doc_id) is None
+        other = rep.insert("c", {"v": 4})
+        assert rep.get("c", other) == {"v": 4}
+        rep.delete("c", other)
+        assert ("c", other) not in rep._unanimous
+        assert not rep.exists("c", other)
+
+    def test_only_held_documents_are_remembered(self):
+        rep = make_doc_rep(3)
+        assert rep._vote([(0, {"v": 1}), (1, {"v": 1})], ("c", "plain")) == (0, {"v": 1})
+        assert rep.peek("c", "absent") is None
+        assert rep._unanimous == {}
+
 class TestDivergenceDiff:
     def test_clean_replicas_report_nothing(self):
         file_rep, doc_rep = make_file_rep(3), make_doc_rep(3)
