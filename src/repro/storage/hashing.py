@@ -92,13 +92,19 @@ def lookup(column: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return column.take(ids, mode="clip")
 
 
+#: Up to this many ids (one model's row is 8) a Python pass beats
+#: numpy's per-call overhead; above it (a set's thousands) arrays win.
+#: :func:`distinct` and the chunk store's read planner switch here.
+SMALL_IDS = 64
+
+
 def distinct(ids: np.ndarray) -> np.ndarray:
     """``ids`` without repeats, in order of first occurrence.
 
     A dict pass costs ~2 µs on one model's row and ~160 µs on a
     2,000-slot set; ``np.unique`` ~10 µs and ~36 µs.
     """
-    if len(ids) <= 64:
+    if len(ids) <= SMALL_IDS:
         return np.fromiter(dict.fromkeys(ids.tolist()), np.int64)
     _values, first = np.unique(ids, return_index=True)
     return ids[np.sort(first)]
