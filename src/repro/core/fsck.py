@@ -226,9 +226,10 @@ class ArchiveFsck:
             expected = Counter(
                 digest for owned in owns.values() for row in owned.matrix or () for digest in row
             )
-            for digest in sorted(set(expected) | set(chunk_store._chunks)):
+            digests = sorted(set(expected) | set(chunk_store))
+            counts = chunk_store.references(DIGESTS.intern_many(digests)).tolist()
+            for digest, have in zip(digests, counts):
                 want = expected.get(digest, 0)
-                have = chunk_store.references(digest)
                 if want != have:
                     report.refcount_mismatches.append(
                         {"digest": digest, "expected": want, "actual": have}
@@ -314,7 +315,7 @@ class ArchiveFsck:
                 if digest not in chunk_store:
                     yield "missing-chunk", f"{where} not in the chunk index"
                     return
-                actual = chunk_store.chunk_length(digest)
+                actual = chunk_store.locate(digest).length
                 if actual != sizes[layer]:
                     yield "length-mismatch", (
                         f"{where} has {actual} bytes, schema implies {sizes[layer]}"
@@ -375,10 +376,12 @@ class ArchiveFsck:
             chunk_store = self.context.chunk_store()
             # Chunks whose pack has no clean copy anywhere cannot be
             # range-read; the pack is already reported as corrupt above.
+            quarantined = set(chunk_store.quarantined_digests())
             digests = [
-                d
-                for d, c in chunk_store._chunks.items()
-                if not c.quarantined and c.artifact_id not in lost_packs
+                digest
+                for digest in chunk_store
+                if digest not in quarantined
+                and chunk_store.locate(digest).artifact_id not in lost_packs
             ]
             _values, corrupted = chunk_store.fetch_verified(
                 digests, workers=self.context.workers, quarantine=False
@@ -591,10 +594,7 @@ def _scrub_archive(context: SaveContext, deep: bool) -> ScrubReport:
         if packs:
             chunk_store = context.chunk_store()
             for digest in chunk_store.quarantined_digests():
-                record = chunk_store._chunks[digest]
-                data = file_rep.verified_slice(
-                    record.artifact_id, record.offset, record.length, digest
-                )
+                data = file_rep.verified_slice(*chunk_store.locate(digest), digest)
                 if data is not None:
                     chunk_store.repair(digest, data)
                     report.chunks_repaired.append(digest)

@@ -197,9 +197,9 @@ class ChunkCache:
     lengths, and a last-use tick (0: not held), which orders the LRU.
     One instance may back several serving caches (the fleet shares a
     single tier 2 across its shards — chunk content addressing makes
-    entries shard-agnostic).  ``ref_sources`` are
-    ``digest id -> live refcount`` callables (one per attached chunk
-    store); when the budget forces eviction, chunks with zero live
+    entries shard-agnostic).  ``ref_sources`` map an id column to its
+    live refcounts (one per attached chunk store: its ``references``);
+    when the budget forces eviction, chunks with zero live
     references everywhere go first, in LRU order, before any
     still-referenced chunk is touched.
     """
@@ -211,23 +211,14 @@ class ChunkCache:
         self._last_use = np.zeros(1, dtype=np.int64)
         self._clock = 0
         self._lock = threading.Lock()
-        self.ref_sources: "list[Callable[[int], int]]" = []
+        self.ref_sources: "list[Callable[[np.ndarray], np.ndarray]]" = []
         self.current_bytes = 0
         self.evictions = 0
         self.invalidations = 0
 
-    def add_ref_source(self, source: "Callable[[int], int]") -> None:
+    def add_ref_source(self, source: "Callable[[np.ndarray], np.ndarray]") -> None:
         with self._lock:
             self.ref_sources.append(source)
-
-    def _references(self, ident: int) -> int:
-        total = 0
-        for source in self.ref_sources:
-            try:
-                total += int(source(ident))
-            except Exception:
-                continue  # an unknown digest counts as unreferenced
-        return total
 
     def _touch(self, ids: np.ndarray) -> None:
         """Mark ``ids`` used now, in order (the last is the most recent)."""
@@ -284,13 +275,15 @@ class ChunkCache:
     def _evict_over_budget(self) -> None:
         if self.current_bytes <= self.budget_bytes:
             return
-        order = self._lru_order().tolist()
+        lru = self._lru_order()
+        order = lru.tolist()
         # Refcount-aware pass: unreferenced chunks go first, LRU order.
         if self.ref_sources:
-            for ident in order:
+            references = sum(source(lru) for source in self.ref_sources)
+            for ident, count in zip(order, references.tolist()):
                 if self.current_bytes <= self.budget_bytes:
                     return
-                if self._references(ident) == 0:
+                if count == 0:
                     self._remove(np.array([ident]))
                     self.evictions += 1
             order = [ident for ident in order if self._last_use[ident]]

@@ -45,7 +45,6 @@ from repro.errors import ReplicaUnavailableError
 from repro.nn.serialization import ModelState, StateSchema, state_row
 from repro.observability import trace as _trace
 from repro.serving.cache import ChunkCache, ServingStats, SetCache, SetEntry
-from repro.storage.hashing import DIGESTS
 
 if TYPE_CHECKING:
     from repro.config import ServingConfig
@@ -96,9 +95,7 @@ class ServingCache:
                 return
             self._attached_stores.add(id(store))
         store.invalidation_listeners.append(self.invalidate_digests)
-        self.chunks.add_ref_source(
-            lambda ident: store.references(DIGESTS.hexes([ident])[0])
-        )
+        self.chunks.add_ref_source(store.references)
 
     # -- invalidation ------------------------------------------------------
     def invalidate_set(self, set_id: str) -> int:

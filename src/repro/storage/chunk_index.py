@@ -22,9 +22,11 @@ Layout
     count, rewritten whenever counts change (the "metadata cost" charged
     for a deduplicated save).
 
-In memory the index also keeps columns by digest id
-(:data:`~repro.storage.hashing.DIGESTS`): which digests it holds, which
-of those are quarantined, and each chunk's pack, offset and length, so
+In memory the index is six columns by digest id
+(:data:`~repro.storage.hashing.DIGESTS`): whether a digest is held,
+whether it is quarantined, each chunk's pack, offset and length, and
+its reference count.  The constructor rebuilds them from the two
+collections above and every mutation writes them directly, so
 :meth:`ChunkStore.servable` answers for a whole id column at once and a
 read plans its ranges with array operations.
 
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,18 +66,13 @@ REFS_COLLECTION = "chunk_refs"
 #: Document id of the refcount ledger.
 REFS_DOC_ID = "refcounts"
 
-@dataclass
-class _Chunk:
-    """Index entry: where a chunk's bytes live and how many refs hold it."""
+
+class ChunkLocation(NamedTuple):
+    """Where one chunk's stored bytes live: a range of a pack artifact."""
 
     artifact_id: str
     offset: int
     length: int
-    refs: int = 0
-    #: Stored bytes failed digest verification; reads refuse the chunk,
-    #: refcounts are preserved, and the next ingest or an explicit repair
-    #: re-stores clean bytes.
-    quarantined: bool = False
 
 
 @dataclass(frozen=True)
@@ -177,16 +174,20 @@ def _slices(blobs: "list[bytes]", slots: "list[tuple[int, int, int]]") -> "list[
 
 
 def _digest_check(
-    ids: "list[int]", slots: "list[tuple[int, int, int]]"
+    ids: "list[int]", slots: "list[tuple[int, int, int]]", passed: "set[int] | None" = None
 ) -> "Callable[[list[bytes]], bool]":
     """A :meth:`get_ranges` check: the chunk at each of ``slots`` hashes
-    to the digest of its id in ``ids`` (hex is built only if it runs)."""
+    to the digest of its id in ``ids`` (hex is built only if it runs).
+    When it passes, ``ids`` join ``passed``: the store served them checked."""
 
     def check(blobs: "list[bytes]") -> bool:
-        return all(
+        verdict = all(
             hash_bytes(chunk) == digest
             for chunk, digest in zip(_slices(blobs, slots), DIGESTS.hexes(ids))
         )
+        if verdict and passed is not None:
+            passed.update(ids)
+        return verdict
 
     return check
 
@@ -214,14 +215,12 @@ class IngestSession(WriterContext):
         self._category = category
         self._workers = workers
         self._writer = None
-        #: digests first stored by this session, in pack order.
-        self._new: list[tuple[str, int]] = []
-        self._new_lengths: dict[str, int] = {}
-        self._offset = 0
-        self._refs: dict[str, int] = {}
-        self._total = 0
+        #: The digest id of every reference added, repeats included.
+        self._ids: list[int] = []
+        #: Length by digest id of the chunks first stored by this session,
+        #: in pack order.
+        self._new: dict[int, int] = {}
         self._deduped = 0
-        self._bytes_new = 0
         self._bytes_deduped = 0
         self._closed = False
 
@@ -234,29 +233,27 @@ class IngestSession(WriterContext):
         """
         if self._closed:
             raise StorageError("ingest session already closed")
-        self._total += 1
-        self._refs[digest] = self._refs.get(digest, 0) + 1
-        known = self._store._chunks.get(digest)
+        ident = DIGESTS.intern(digest)
+        self._ids.append(ident)
+        store = self._store
         # A quarantined chunk counts as absent: its stored bytes are
         # corrupt, so this save re-stores a clean copy (healing the index
         # for every set referencing the digest).
-        if known is not None and known.quarantined:
-            known = None
-        if known is not None or digest in self._new_lengths:
-            length = known.length if known is not None else self._new_lengths[digest]
+        if ident < len(store._held) and store._held[ident] and not store._quarantined[ident]:
+            length = store._length[ident]
+        else:
+            length = self._new.get(ident)
+        if length is not None:
             self._deduped += 1
             self._bytes_deduped += length
             return
         payload = data() if callable(data) else bytes(data)
         if self._writer is None:
-            self._writer = self._store.file_store.open_writer(
+            self._writer = store.file_store.open_writer(
                 self._pack_id, category=self._category, workers=self._workers
             )
         self._writer.write(payload)
-        self._new.append((digest, len(payload)))
-        self._new_lengths[digest] = len(payload)
-        self._offset += len(payload)
-        self._bytes_new += len(payload)
+        self._new[ident] = len(payload)
 
     def close(self) -> IngestReport:
         """Finalize the pack (if any) and commit index + refcounts."""
@@ -267,45 +264,37 @@ class IngestSession(WriterContext):
         pack_artifact: str | None = None
         if self._writer is not None:
             pack_artifact = self._writer.close()
-            offset = 0
-            for digest, length in self._new:
-                prior = store._chunks.get(digest)
-                if prior is not None:
-                    # Re-store of a quarantined chunk: the clean copy takes
-                    # over the digest, keeping accumulated references, and
-                    # the corrupt location is disowned so an index rebuild
-                    # cannot resurrect it.
-                    store._mark_superseded(digest, prior)
-                store._chunks[digest] = _Chunk(
-                    pack_artifact,
-                    offset,
-                    length,
-                    refs=prior.refs if prior is not None else 0,
-                )
-                offset += length
-            store._sync(digest for digest, _ in self._new)
+            ids = np.fromiter(self._new, np.int64, len(self._new))
+            lengths = np.fromiter(self._new.values(), np.int64, len(self._new))
+            # Re-store of a quarantined chunk: the clean copy takes over
+            # the digest, keeping accumulated references, and the corrupt
+            # location is disowned so an index rebuild cannot resurrect it.
+            for ident in ids[store.held(ids)].tolist():
+                store._mark_superseded(ident)
+            store._place(ids, pack_artifact, np.cumsum(lengths) - lengths, lengths)
+            store._quarantined[ids] = False
             store.document_store.insert(
                 PACKS_COLLECTION,
                 {
                     "artifact": pack_artifact,
-                    "digests": [digest for digest, _ in self._new],
-                    "lengths": [length for _, length in self._new],
+                    "digests": DIGESTS.hexes(self._new),
+                    "lengths": lengths.tolist(),
                 },
                 doc_id=pack_artifact,
                 category="chunk-index",
             )
-        for digest, count in self._refs.items():
-            store._chunks[digest].refs += count
+        referenced, counts = np.unique(np.array(self._ids, dtype=np.int64), return_counts=True)
+        store._refs[referenced] += counts
         store._persist_refs()
         store.file_store.stats.record_chunks(
-            self._total, self._deduped, self._bytes_deduped
+            len(self._ids), self._deduped, int(self._bytes_deduped)
         )
         return IngestReport(
-            chunks_total=self._total,
+            chunks_total=len(self._ids),
             chunks_new=len(self._new),
             chunks_deduped=self._deduped,
-            bytes_new=self._bytes_new,
-            bytes_deduped=self._bytes_deduped,
+            bytes_new=sum(self._new.values()),
+            bytes_deduped=int(self._bytes_deduped),
             pack_artifact=pack_artifact,
         )
 
@@ -328,15 +317,17 @@ class ChunkStore:
     def __init__(self, file_store, document_store) -> None:
         self.file_store = file_store
         self.document_store = document_store
-        self._chunks: dict[str, _Chunk] = {}
-        #: By digest id, ``_chunks`` as columns (:meth:`_sync` keeps them
-        #: equal to it): whether a digest is held, quarantined, and the
-        #: number (in ``_pack_ids``), offset and length of its location.
+        #: The index, by digest id: whether a digest is held, whether its
+        #: stored bytes are quarantined (they failed verification: reads
+        #: refuse the chunk until a clean copy takes over the digest), the
+        #: number (in ``_pack_ids``), offset and length of its location,
+        #: and its reference count.  An id not held reads zero throughout.
         self._held = np.zeros(1, dtype=bool)
         self._quarantined = np.zeros(1, dtype=bool)
         self._pack = np.zeros(1, dtype=np.int64)
         self._offset = np.zeros(1, dtype=np.int64)
         self._length = np.zeros(1, dtype=np.int64)
+        self._refs = np.zeros(1, dtype=np.int64)
         #: Pack artifact id by pack number, and back.
         self._pack_ids: list[str] = []
         self._pack_numbers: dict[str, int] = {}
@@ -354,23 +345,27 @@ class ChunkStore:
             packs.values(), key=lambda doc: bool(doc.get("repair", False))
         )
         for doc in ordered:
-            superseded = set(doc.get("superseded", []))
-            offset = 0
-            for digest, length in zip(doc["digests"], doc["lengths"]):
-                if digest not in superseded:
-                    self._chunks[digest] = _Chunk(
-                        str(doc["artifact"]), offset, int(length)
-                    )
-                offset += int(length)
-        refs_doc = document_store.peek(REFS_COLLECTION, REFS_DOC_ID)
-        if refs_doc:
-            for digest, refs in refs_doc["refs"].items():
-                if digest in self._chunks:
-                    self._chunks[digest].refs = int(refs)
-            for digest in refs_doc.get("quarantined", []):
-                if digest in self._chunks:
-                    self._chunks[digest].quarantined = True
-        self._sync(self._chunks)
+            lengths = np.asarray(doc["lengths"], dtype=np.int64)
+            superseded = set(doc.get("superseded", ()))
+            kept = np.fromiter(
+                (digest not in superseded for digest in doc["digests"]), bool, len(lengths)
+            )
+            self._place(
+                DIGESTS.intern_many(doc["digests"])[kept],
+                str(doc["artifact"]),
+                (np.cumsum(lengths) - lengths)[kept],
+                lengths[kept],
+            )
+        ledger = document_store.peek(REFS_COLLECTION, REFS_DOC_ID) or {}
+        refs = ledger.get("refs", {})
+        counted = DIGESTS.intern_many(refs)
+        quarantined = DIGESTS.intern_many(ledger.get("quarantined", ()))
+        self._grow()
+        # Only held digests keep a count or a quarantine flag.
+        self._refs[counted] = np.where(
+            self._held[counted], np.fromiter(refs.values(), np.int64, len(refs)), 0
+        )
+        self._quarantined[quarantined] = self._held[quarantined]
 
     # -- write ----------------------------------------------------------------
     def open_ingest(
@@ -394,15 +389,10 @@ class ChunkStore:
 
     def _persist_refs(self) -> None:
         """Rewrite the refcount ledger document (the metadata charge)."""
-        document = {
-            "refs": {
-                digest: chunk.refs
-                for digest, chunk in sorted(self._chunks.items())
-            }
-        }
-        quarantined = sorted(
-            digest for digest, chunk in self._chunks.items() if chunk.quarantined
-        )
+        ids = np.flatnonzero(self._held)
+        counts = zip(DIGESTS.hexes(ids.tolist()), self._refs[ids].tolist())
+        document = {"refs": dict(sorted(counts))}
+        quarantined = self.quarantined_digests()
         if quarantined:
             document["quarantined"] = quarantined
         if self.document_store.exists(REFS_COLLECTION, REFS_DOC_ID):
@@ -412,48 +402,46 @@ class ChunkStore:
                 REFS_COLLECTION, document, doc_id=REFS_DOC_ID, category="chunk-index"
             )
 
-    def _sync(self, digests: Iterable[str]) -> np.ndarray:
-        """Copy ``digests``' entries of ``_chunks`` — or their absence —
-        into the id columns; returns their ids."""
-        digests = list(digests)
-        ids = DIGESTS.intern_many(digests)
-        size = len(DIGESTS)
-        for name in ("_held", "_quarantined", "_pack", "_offset", "_length"):
-            setattr(self, name, fit(getattr(self, name), size))
-        chunks = [self._chunks.get(digest) for digest in digests]
-        held = np.fromiter((chunk is not None for chunk in chunks), bool, len(chunks))
-        self._held[ids] = held
-        self._quarantined[ids] = False
-        located = [
-            (chunk.quarantined, chunk.artifact_id, chunk.offset, chunk.length)
-            for chunk in chunks
-            if chunk is not None
-        ]
-        if located:
-            quarantined, packs, offsets, lengths = zip(*located)
-            numbers = {pack: self._pack_number(pack) for pack in dict.fromkeys(packs)}
-            at = ids[held]
-            self._quarantined[at] = quarantined
-            self._pack[at] = list(map(numbers.__getitem__, packs))
-            self._offset[at] = offsets
-            self._length[at] = lengths
-        return ids
+    def _grow(self) -> None:
+        """Fit every column to the digest table (see :func:`fit`)."""
+        for name in ("_held", "_quarantined", "_pack", "_offset", "_length", "_refs"):
+            setattr(self, name, fit(getattr(self, name), len(DIGESTS)))
 
-    def _pack_number(self, artifact_id: str) -> int:
-        """The number the ``_pack`` column names pack ``artifact_id`` by."""
+    def _place(
+        self, ids: np.ndarray, artifact_id: str, offsets: np.ndarray, lengths: np.ndarray
+    ) -> None:
+        """Hold chunks ``ids`` at ``offsets`` of pack ``artifact_id``
+        (their counts and quarantine flags are left as they are)."""
+        self._grow()
         number = self._pack_numbers.setdefault(artifact_id, len(self._pack_ids))
         if number == len(self._pack_ids):
             self._pack_ids.append(artifact_id)
-        return number
+        self._held[ids] = True
+        self._pack[ids] = number
+        self._offset[ids] = offsets
+        self._length[ids] = lengths
 
-    def _mark_superseded(self, digest: str, old_chunk: _Chunk) -> None:
-        """Disown ``digest``'s old location in its pack's layout document.
+    def _held_ids(self, digests: Iterable[str], action: str) -> np.ndarray:
+        """The ids of ``digests``, which must all be held."""
+        digests = list(digests)
+        ids = DIGESTS.intern_many(digests)
+        held = self.held(ids)
+        if not held.all():
+            unknown = digests[int(np.argmin(held))]
+            raise StorageError(f"{action}: unknown chunk {unknown!r}")
+        return ids
+
+    def _mark_superseded(self, ident: int) -> None:
+        """Disown chunk ``ident``'s current location in its pack's layout
+        document (called just before a clean copy takes over the digest).
 
         The digest (and its offset math) stays in the pack document so the
         surviving chunks' offsets remain valid, but an index rebuild will
         never resolve the digest to the disowned (corrupt) bytes again.
         """
-        doc = self.document_store._read_raw(PACKS_COLLECTION, old_chunk.artifact_id)
+        artifact_id = self._pack_ids[self._pack[ident]]
+        [digest] = DIGESTS.hexes([ident])
+        doc = self.document_store._read_raw(PACKS_COLLECTION, artifact_id)
         if doc is None:
             return
         superseded = set(doc.get("superseded", []))
@@ -462,7 +450,7 @@ class ChunkStore:
         superseded.add(digest)
         self.document_store.replace(
             PACKS_COLLECTION,
-            old_chunk.artifact_id,
+            artifact_id,
             {**doc, "superseded": sorted(superseded)},
         )
 
@@ -480,6 +468,13 @@ class ChunkStore:
         once regardless of how many (model, layer) slots the caller fans
         it out to, and comes back as a view of its range's bytes.
         """
+        return self._read(ids, workers)
+
+    def _read(
+        self, ids: "np.ndarray | Sequence[int]", workers: int, passed: "set[int] | None" = None
+    ) -> "dict[int, memoryview]":
+        """:meth:`fetch`; the ids whose bytes the store's read check
+        passed join ``passed`` (none do on a store that ignores it)."""
         ids = np.asarray(ids, dtype=np.int64)
         # Only held digests are ever quarantined.  (Python's any/all over
         # a short list cost a tenth of numpy's on one model's 8 chunks.)
@@ -501,7 +496,7 @@ class ChunkStore:
                 self._pack_ids[number],
                 ranges,
                 workers=workers,
-                check=_digest_check(chunk_ids, slots),
+                check=_digest_check(chunk_ids, slots, passed),
             )
             out.update(zip(chunk_ids, _slices(blobs, slots)))
         return out
@@ -518,41 +513,38 @@ class ChunkStore:
         chunks are reported corrupted without touching the bytes; freshly
         discovered corruption (bitrot, unreadable pack regions) is
         quarantined and persisted when ``quarantine=True`` so subsequent
-        plain :meth:`fetch` calls refuse fast.
+        plain :meth:`fetch` calls refuse fast.  Each chunk is hashed once:
+        by the store's read check where it runs one, else here.
         """
-        unique = dict.fromkeys(digests)
-        corrupted: set[str] = set()
-        to_read: list[str] = []
-        for digest in unique:
-            chunk = self._chunks.get(digest)
-            if chunk is None:
-                raise StorageError(f"unknown chunk {digest!r}")
-            if chunk.quarantined:
-                corrupted.add(digest)
-            else:
-                to_read.append(digest)
+        unique = list(dict.fromkeys(digests))
+        ids = self._held_ids(unique, "read")
+        flagged = self._quarantined[ids]
+        corrupted = {digest for digest, bad in zip(unique, flagged.tolist()) if bad}
+        to_read = ids[~flagged].tolist()
+        # A missing pack raises StorageError or OSError, a truncated one
+        # ValueError (its ranges run past the end).
+        unreadable = (StorageError, OSError, ValueError)
+        checked: set[int] = set()
+        try:
+            fetched = self._read(to_read, workers, checked)
+        except unreadable:
+            # Fall back to per-digest reads so one bad pack only loses its
+            # own chunks.
+            fetched, checked = {}, set()
+            for ident in to_read:
+                try:
+                    fetched.update(self._read([ident], 1, checked))
+                except unreadable:
+                    pass  # absent from ``fetched``: corrupted below
         values: dict[str, memoryview] = {}
         newly: list[str] = []
-        if to_read:
-            ids = DIGESTS.intern_many(to_read).tolist()
-            try:
-                fetched = self.fetch(ids, workers=workers)
-            except (StorageError, OSError):
-                # A pack is unreadable (missing, truncated) — fall back to
-                # per-digest reads so one bad pack only loses its own chunks.
-                fetched = {}
-                for ident in ids:
-                    try:
-                        fetched.update(self.fetch([ident]))
-                    except (StorageError, OSError):
-                        pass  # absent from ``fetched``: corrupted below
-            for digest, ident in zip(to_read, ids):
-                data = fetched.get(ident)
-                if data is None or hash_bytes(data) != digest:
-                    corrupted.add(digest)
-                    newly.append(digest)
-                else:
-                    values[digest] = data
+        for digest, ident in zip(DIGESTS.hexes(to_read), to_read):
+            data = fetched.get(ident)
+            if data is not None and (ident in checked or hash_bytes(data) == digest):
+                values[digest] = data
+            else:
+                corrupted.add(digest)
+                newly.append(digest)
         if newly and quarantine:
             self.quarantine(newly)
         return values, corrupted
@@ -565,17 +557,12 @@ class ChunkStore:
         Reference counts are untouched: the *identity* is fine, only the
         bytes at the current location are bad.
         """
-        newly_quarantined: list[str] = []
-        for digest in digests:
-            chunk = self._chunks.get(digest)
-            if chunk is None:
-                raise StorageError(f"quarantine of unknown chunk {digest!r}")
-            if not chunk.quarantined:
-                chunk.quarantined = True
-                newly_quarantined.append(digest)
-        if newly_quarantined:
+        ids = self._held_ids(digests, "quarantine")
+        fresh = distinct(ids[~self._quarantined[ids]])
+        if len(fresh):
+            self._quarantined[fresh] = True
             self._persist_refs()
-            self._notify_invalidated(self._sync(newly_quarantined))
+            self._notify_invalidated(fresh)
 
     def repair(self, digest: str, data: bytes) -> None:
         """Replace a quarantined chunk's bytes with a verified clean copy.
@@ -586,9 +573,7 @@ class ChunkStore:
         the corrupt location is disowned, and the digest keeps its
         accumulated reference count.
         """
-        chunk = self._chunks.get(digest)
-        if chunk is None:
-            raise StorageError(f"repair of unknown chunk {digest!r}")
+        ids = self._held_ids([digest], "repair")
         payload = bytes(data)
         if hash_bytes(payload) != digest:
             raise ChunkCorruptionError(
@@ -612,28 +597,21 @@ class ChunkStore:
             doc_id=pack_id,
             category="chunk-index",
         )
-        self._mark_superseded(digest, chunk)
-        self._chunks[digest] = _Chunk(
-            pack_id, 0, len(payload), refs=chunk.refs, quarantined=False
-        )
-        self._sync([digest])
+        self._mark_superseded(int(ids[0]))
+        self._place(ids, pack_id, 0, len(payload))
+        self._quarantined[ids] = False
         self._persist_refs()
 
     def quarantined_digests(self) -> list[str]:
         """Digests currently refusing reads (management plane)."""
-        return sorted(d for d, c in self._chunks.items() if c.quarantined)
+        return sorted(DIGESTS.hexes(np.flatnonzero(self._quarantined).tolist()))
 
     # -- reference management -------------------------------------------------
     def release(self, digests: Iterable[str]) -> None:
         """Drop one reference per digest (set deletion); persists the ledger."""
-        changed = False
-        for digest in digests:
-            chunk = self._chunks.get(digest)
-            if chunk is None:
-                raise StorageError(f"release of unknown chunk {digest!r}")
-            chunk.refs -= 1
-            changed = True
-        if changed:
+        ids = self._held_ids(digests, "release")
+        if len(ids):
+            np.subtract.at(self._refs, ids, 1)
             self._persist_refs()
 
     # -- garbage collection ---------------------------------------------------
@@ -646,36 +624,37 @@ class ChunkStore:
         honestly).  Afterwards the store holds exactly the live chunks.
         """
         report = SweepReport()
-        swept_digests: list[str] = []
-        by_pack: dict[str, list[tuple[str, _Chunk]]] = {}
-        for digest, chunk in self._chunks.items():
-            by_pack.setdefault(chunk.artifact_id, []).append((digest, chunk))
-        for artifact_id, entries in sorted(by_pack.items()):
-            dead = [(d, c) for d, c in entries if c.refs <= 0]
-            if not dead:
-                continue
-            live = [(d, c) for d, c in entries if c.refs > 0]
-            report.chunks_reclaimed += len(dead)
-            report.bytes_reclaimed += sum(c.length for _, c in dead)
-            for digest, _ in dead:
-                del self._chunks[digest]
-                swept_digests.append(digest)
-            if not live:
+        held = np.flatnonzero(self._held)
+        dead = held[self._refs[held] <= 0]
+        packs = {
+            self._pack_ids[number]: held[self._pack[held] == number]
+            for number in set(self._pack[dead].tolist())
+        }
+        for artifact_id, members in sorted(packs.items()):
+            members = members[np.argsort(self._offset[members], kind="stable")]
+            alive = self._refs[members] > 0
+            live, doomed = members[alive], members[~alive]
+            report.chunks_reclaimed += len(doomed)
+            report.bytes_reclaimed += int(self._length[doomed].sum())
+            self._held[doomed] = self._quarantined[doomed] = False
+            self._pack[doomed] = self._offset[doomed] = self._length[doomed] = 0
+            self._refs[doomed] = 0
+            if not len(live):
                 self.file_store.delete(artifact_id)
                 self.document_store.delete(PACKS_COLLECTION, artifact_id)
                 report.packs_deleted.append(artifact_id)
                 continue
             # Rewrite the pack with only its live chunks, preserving order.
-            live.sort(key=lambda item: item[1].offset)
+            offsets, lengths = self._offset[live], self._length[live]
             # Quarantined chunks move as they are: their bytes are known bad.
-            checked = [index for index, (_, c) in enumerate(live) if not c.quarantined]
+            checked = np.flatnonzero(~self._quarantined[live])
             blobs = self.file_store.get_ranges(
                 artifact_id,
-                [(c.offset, c.length) for _, c in live],
+                list(zip(offsets.tolist(), lengths.tolist())),
                 workers=workers,
                 check=_digest_check(
-                    DIGESTS.ids(live[index][0] for index in checked),
-                    [(index, 0, live[index][1].length) for index in checked],
+                    live[checked].tolist(),
+                    [(index, 0, int(lengths[index])) for index in checked.tolist()],
                 ),
             )
             new_id = f"{artifact_id}-gc"
@@ -692,24 +671,14 @@ class ChunkStore:
                 digest=hasher.hexdigest(),
             )
             self.file_store.delete(artifact_id)
-            offset = 0
-            for digest, chunk in live:
-                self._chunks[digest] = _Chunk(
-                    new_id,
-                    offset,
-                    chunk.length,
-                    refs=chunk.refs,
-                    quarantined=chunk.quarantined,
-                )
-                offset += chunk.length
-            self._sync(digest for digest, _ in live)
+            self._place(live, new_id, np.cumsum(lengths) - lengths, lengths)
             self.document_store.delete(PACKS_COLLECTION, artifact_id)
             self.document_store.insert(
                 PACKS_COLLECTION,
                 {
                     "artifact": new_id,
-                    "digests": [digest for digest, _ in live],
-                    "lengths": [chunk.length for _, chunk in live],
+                    "digests": DIGESTS.hexes(live.tolist()),
+                    "lengths": lengths.tolist(),
                 },
                 doc_id=new_id,
                 category="chunk-index",
@@ -717,10 +686,7 @@ class ChunkStore:
             report.packs_rewritten.append(new_id)
         if report.chunks_reclaimed:
             self._persist_refs()
-        if swept_digests:
-            self._notify_invalidated(
-                self._sync(swept_digests)
-            )
+            self._notify_invalidated(dead)
         return report
 
     def _notify_invalidated(self, ids: np.ndarray) -> None:
@@ -729,15 +695,19 @@ class ChunkStore:
 
     # -- inspection (management plane, not charged) ---------------------------
     def __contains__(self, digest: str) -> bool:
-        return digest in self._chunks
+        return bool(lookup(self._held, DIGESTS.intern(digest)))
+
+    def __iter__(self) -> Iterator[str]:
+        """The held digests, in id order."""
+        return iter(DIGESTS.hexes(np.flatnonzero(self._held).tolist()))
 
     def __len__(self) -> int:
-        return len(self._chunks)
+        return int(np.count_nonzero(self._held))
 
-    def references(self, digest: str) -> int:
-        """Current reference count of one chunk (0 if unknown)."""
-        chunk = self._chunks.get(digest)
-        return chunk.refs if chunk is not None else 0
+    def references(self, ids: "np.ndarray | int") -> "np.ndarray | int":
+        """Current reference counts of digest ``ids`` (0 if unknown); a
+        single id gives a single count."""
+        return lookup(self._refs, ids)
 
     def held(self, ids: np.ndarray) -> np.ndarray:
         """A mask over the digest ids ``ids``: which the index holds."""
@@ -748,31 +718,31 @@ class ChunkStore:
         (held and not quarantined)."""
         return self.held(ids) & ~lookup(self._quarantined, ids)
 
-    def chunk_length(self, digest: str) -> int:
-        """Stored byte length of one chunk (raises for unknown digests)."""
-        try:
-            return self._chunks[digest].length
-        except KeyError:
-            raise StorageError(f"unknown chunk {digest!r}") from None
+    def locate(self, digest: str) -> ChunkLocation:
+        """Where one chunk's bytes live (raises for unknown digests)."""
+        [ident] = self._held_ids([digest], "locate").tolist()
+        return ChunkLocation(
+            self._pack_ids[self._pack[ident]], int(self._offset[ident]), int(self._length[ident])
+        )
 
     def total_references(self) -> int:
-        return sum(chunk.refs for chunk in self._chunks.values())
+        return int(self._refs.sum())
 
     def live_bytes(self) -> int:
         """Bytes held by chunks with at least one reference."""
-        return sum(c.length for c in self._chunks.values() if c.refs > 0)
+        return int(self._length[self._refs > 0].sum())
 
     def dead_bytes(self) -> int:
         """Bytes held by zero-reference chunks (reclaimable by sweep)."""
-        return sum(c.length for c in self._chunks.values() if c.refs <= 0)
+        return int(self._length[self._held & (self._refs <= 0)].sum())
 
     def stored_bytes(self) -> int:
         """Bytes of all indexed chunks, live or dead."""
-        return sum(c.length for c in self._chunks.values())
+        return int(self._length.sum())
 
     def dedup_ratio(self) -> float:
         """1 - unique/references: the fraction of references served free."""
         refs = self.total_references()
         if refs == 0:
             return 0.0
-        return 1.0 - len(self._chunks) / refs
+        return 1.0 - len(self) / refs

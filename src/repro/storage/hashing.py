@@ -58,6 +58,11 @@ class DigestTable:
                         hexes.append(digest)
             return np.fromiter(map(self._ids.__getitem__, digests), np.int64, len(digests))
 
+    def intern(self, digest: str) -> int:
+        """The id of one ``digest`` (added if new): a dict lookup when known."""
+        ident = self._ids.get(digest)
+        return ident if ident is not None else int(self.intern_many([digest])[0])
+
     def ids(self, digests: Iterable[str]) -> "list[int]":
         """The ids of already interned ``digests``, in order."""
         return list(map(self._ids.__getitem__, digests))

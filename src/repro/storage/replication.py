@@ -133,30 +133,6 @@ class ReplicaState:
     #: ranks replicas by healthy profile cost only).
     latency_factor: float = 1.0
 
-    # Monitoring / test views of the breaker.
-    @property
-    def failures(self) -> int:
-        """Consecutive failed operations (reset on any success)."""
-        return self.breaker.failures
-
-    @failures.setter
-    def failures(self, value: int) -> None:
-        self.breaker.failures = value
-
-    @property
-    def breaker_open(self) -> bool:
-        """True while the circuit breaker is open (traffic skips the node)."""
-        return self.breaker.open
-
-    @breaker_open.setter
-    def breaker_open(self, value: bool) -> None:
-        self.breaker.open = value
-
-    @property
-    def breaker_trips(self) -> int:
-        """Times the breaker has opened (monitoring)."""
-        return self.breaker.trips
-
 
 def default_quorums(num_replicas: int) -> tuple[int, int]:
     """Majority write quorum and the matching read quorum (W + R = N + 1)."""

@@ -161,7 +161,7 @@ class TestRefcountGC:
                 target = keep_digests if set_id == ids[-1] else doomed_digests
                 target.update(d for row in matrix for d in row)
             only_doomed = doomed_digests - keep_digests
-            expected = sum(chunk_store.chunk_length(d) for d in only_doomed)
+            expected = sum(chunk_store.locate(d).length for d in only_doomed)
             survivor = manager.recover_set(ids[-1])
             chunk_bytes_before = chunk_store.stored_bytes()
             report = RetentionManager(manager.context).collect(keep=[ids[-1]])

@@ -50,7 +50,7 @@ def unique_digest_of_model(context, set_id, model_index):
 
 
 def corrupt_chunk(context, digest):
-    chunk = context.chunk_store()._chunks[digest]
+    chunk = context.chunk_store().locate(digest)
     corrupt_artifact(context.file_store, chunk.artifact_id, offset=chunk.offset)
     context._invalidate_chunk_store()
 
@@ -168,6 +168,37 @@ class TestFsckFindings:
         manager.context.chunk_store().quarantine([digest])
         report = ArchiveFsck(manager.context).run()
         assert report.quarantined_chunks == [digest]
+
+
+class TestTruncatedPack:
+    """A pack cut short before a reopen on a plain durable dedup archive:
+    its ranges past the end are unreadable chunks, reported, not raised."""
+
+    def test_deep_fsck_and_salvage_report_the_lost_half(self, tmp_path):
+        root = str(tmp_path / "archive")
+        manager = MultiModelManager.open(root, "update", ArchiveConfig(dedup=True))
+        models = models_fixture(3)
+        set_id = manager.save_set(models)
+        chunk_store = manager.context.chunk_store()
+        located = {digest: chunk_store.locate(digest) for digest in chunk_store}
+        [pack] = {location.artifact_id for location in located.values()}
+        path = tmp_path / "archive" / "artifacts" / f"{pack}.bin"
+        cut = path.stat().st_size // 2
+        with open(path, "r+b") as handle:
+            handle.truncate(cut)
+        lost = sorted(d for d, (_, offset, length) in located.items() if offset + length > cut)
+        assert 0 < len(lost) < len(located)
+
+        reopened = MultiModelManager.open(root, "update", ArchiveConfig(dedup=True))
+        report = ArchiveFsck(reopened.context).run(deep=True)
+        assert report.corrupt_chunks == lost
+        salvage = salvage_recover(reopened.context, set_id)
+        assert salvage.corrupt_chunks == lost
+        # Models are packed in order: the first lies wholly before the cut.
+        assert 0 in salvage.recovered_indices and salvage.failed_indices
+        for index in salvage.recovered_indices:
+            for name, value in models.state(index).items():
+                assert np.array_equal(salvage.models[index][name], value)
 
 
 def edit_descriptor(manager, set_id, **fields):

@@ -177,7 +177,7 @@ class TestSalvage:
         context = manager.context
         matrix = digest_matrix(context, manager.set_info(ids[-1]), ids[-1])
         victim = matrix[slot // NUM_LAYERS][slot % NUM_LAYERS]
-        chunk = context.chunk_store()._chunks[victim]
+        chunk = context.chunk_store().locate(victim)
         corrupt_artifact(context.file_store, chunk.artifact_id, offset=chunk.offset)
         context._invalidate_chunk_store()
 

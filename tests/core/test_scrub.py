@@ -97,7 +97,7 @@ class TestScrub:
         set_id = manager.save_set(models())
         file_rep, _ = replicated_stores(manager.context)
         chunk_store = manager.context.chunk_store()
-        pack = next(iter(chunk_store._chunks.values())).artifact_id
+        pack = chunk_store.locate(next(iter(chunk_store))).artifact_id
         # Damage every copy, but at different chunks: byte-complementary.
         length = file_rep.size(pack)
         corrupt_artifact(file_rep.replicas[0].store, pack, offset=0)
@@ -132,8 +132,8 @@ class TestScrub:
         # still divergent); replica 1 — an acker — goes down.
         file_rep, doc_rep = replicated_stores(manager.context)
         for state in (*file_rep.replicas, *doc_rep.replicas):
-            state.breaker_open = False
-            state.failures = 0
+            state.breaker.open = False
+            state.breaker.failures = 0
         injector1 = inject_replica_faults(
             manager.context, 1, FaultInjector(seed=4, down_at=0, down_mode="before")
         )

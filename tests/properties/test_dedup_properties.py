@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.config import ArchiveConfig
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
+from repro.storage.hashing import DIGESTS
 
 APPROACHES = ["baseline", "update", "baseline-fp16"]
 
@@ -115,4 +116,4 @@ def test_refcounts_match_live_references(data):
     chunk_store = manager.context.chunk_store()
     assert len(chunk_store) == len(expected)
     for digest, count in expected.items():
-        assert chunk_store.references(digest) == count
+        assert chunk_store.references(DIGESTS.intern(digest)) == count

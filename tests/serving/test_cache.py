@@ -7,6 +7,7 @@ import numpy as np
 
 from repro.nn.serialization import StateSchema
 from repro.serving.cache import ChunkCache, ServingStats, SetCache, SetEntry
+from repro.storage.hashing import lookup
 
 D1, D2, D3, D9 = 1, 2, 3, 9
 
@@ -94,21 +95,21 @@ class TestChunkCache:
     def test_zero_reference_chunks_evicted_first(self):
         cache = ChunkCache(budget_bytes=10)
         refs = {D1: 1, D2: 0}
-        cache.add_ref_source(lambda ident: refs.get(ident, 0))
+        cache.add_ref_source(lambda idents: np.array([refs.get(i, 0) for i in idents.tolist()]))
         cache.put_many({D1: b"aaaaa", D2: b"bbbbb"})
         cache.put_many({D3: b"ccccc"})  # over budget: D2 (0 refs) goes
         assert D2 not in cache
         assert D1 in cache
 
-    def test_failing_ref_source_counts_as_unreferenced(self):
-        cache = ChunkCache(budget_bytes=1000)
-
-        def broken(ident):
-            raise RuntimeError("store is gone")
-
-        cache.add_ref_source(broken)
-        cache.put_many({D1: b"x"})
-        assert cache._references(D1) == 0
+    def test_ids_a_store_never_held_count_as_unreferenced(self):
+        # A chunk store's refs column reads 0 past its end (``lookup``).
+        column = np.array([0, 1, 1, 0], dtype=np.int64)
+        cache = ChunkCache(budget_bytes=10)
+        cache.add_ref_source(lambda idents: lookup(column, idents))
+        cache.put_many({D1: b"aaaaa", D9: b"99999"})
+        cache.put_many({D2: b"bbbbb"})  # over budget: D9 (never held) goes
+        assert D9 not in cache
+        assert D1 in cache and D2 in cache
 
     def test_drop_counts_invalidations(self):
         cache = ChunkCache(budget_bytes=1000)

@@ -348,7 +348,7 @@ class TestInvalidation:
         manager.recover_set(set_id)
         serving = manager.context.serving
         store = manager.context.chunk_store()
-        doomed = next(iter(store._chunks))
+        doomed = next(iter(store))
         serving.evict()  # keep tier 2, drop tier 1
         store.quarantine([doomed])
         assert DIGESTS.intern_many([doomed])[0] not in serving.chunks
@@ -398,7 +398,7 @@ class TestInvalidation:
         set_id = manager.save_set(base)
         manager.recover_set(set_id)  # tier-1 entry remembers its digests
         store = manager.context.chunk_store()
-        doomed = next(iter(store._chunks))
+        doomed = next(iter(store))
         store.quarantine([doomed])
         serving = manager.context.serving
         assert all(key[0] != set_id for key in serving.sets.keys())

@@ -59,7 +59,7 @@ class TestIngest:
         # Fully deduplicated save: no pack artifact, no file write at all.
         assert report.pack_artifact is None
         assert store.file_store.stats.writes == writes_before
-        assert store.references(hash_bytes(a)) == 3
+        assert store.references(key(a)) == 3
 
     def test_deferred_serialization_only_for_new_chunks(self):
         store = make_store()
@@ -187,8 +187,8 @@ class TestPersistence:
         # A second ChunkStore over the same substrates sees everything.
         reopened = ChunkStore(file_store, document_store)
         assert len(reopened) == 2
-        assert reopened.references(hash_bytes(a)) == 2
-        assert reopened.references(hash_bytes(b)) == 1
+        assert reopened.references(key(a)) == 2
+        assert reopened.references(key(b)) == 1
         out = reopened.fetch(keys(a, b))
         assert out[key(a)] == a and out[key(b)] == b
         # And continues deduplicating against the persisted index.
@@ -241,7 +241,7 @@ class TestQuarantineAndRepair:
         store = make_store()
         a, b = b"alpha" * 100, b"beta" * 100
         report = store.ingest(refs([a, b]), pack_id="p0")
-        chunk = store._chunks[hash_bytes(a)]
+        chunk = store.locate(hash_bytes(a))
         corrupt_artifact(store.file_store, report.pack_artifact, offset=chunk.offset)
         values, corrupted = store.fetch_verified([hash_bytes(a), hash_bytes(b)])
         assert corrupted == {hash_bytes(a)}
@@ -280,7 +280,7 @@ class TestQuarantineAndRepair:
         # The quarantined copy counts as absent: the bytes are re-stored.
         assert report.chunks_new == 1
         assert store.quarantined_digests() == []
-        assert store.references(hash_bytes(a)) == 3  # prior refs preserved
+        assert store.references(key(a)) == 3  # prior refs preserved
         assert store.fetch(keys(a))[key(a)] == a
 
     def test_healed_chunk_survives_index_rebuild(self):
@@ -293,7 +293,7 @@ class TestQuarantineAndRepair:
         store = ChunkStore(file_store, document_store)
         a, b = b"alpha" * 100, b"beta" * 100
         r0 = store.ingest(refs([a, b]), pack_id="p0")
-        chunk = store._chunks[hash_bytes(a)]
+        chunk = store.locate(hash_bytes(a))
         corrupt_artifact(file_store, r0.pack_artifact, offset=chunk.offset)
         store.quarantine([hash_bytes(a)])
         store.ingest(refs([a]), pack_id="p1")
@@ -313,7 +313,7 @@ class TestQuarantineAndRepair:
         store.quarantine([hash_bytes(a)])
         store.repair(hash_bytes(a), a)
         assert store.quarantined_digests() == []
-        assert store.references(hash_bytes(a)) == 3
+        assert store.references(key(a)) == 3
         assert store.fetch(keys(a))[key(a)] == a
         # And the repair wins over the superseded pack after a rebuild.
         reopened = ChunkStore(file_store, document_store)
@@ -425,38 +425,65 @@ column_steps = st.lists(
 )
 
 
-def assert_columns_match_index(store):
-    """The id columns equal a recount from ``_chunks``; servable-by-id
-    equals the hex rule it replaced; ids and hex round-trip; a fetch by
-    the location columns returns every servable chunk's bytes."""
+def assert_columns_match_model(store, model):
+    """The id columns hold exactly ``model`` (digest -> [refs,
+    quarantined]); the inspection methods agree with it; a fetch by the
+    location columns returns every servable chunk's bytes; and a store
+    rebuilt from the same documents has equal columns."""
     every = np.arange(len(DIGESTS), dtype=np.int64)
-    held = np.zeros(len(DIGESTS), dtype=bool)
-    held[DIGESTS.ids(store._chunks)] = True
-    quarantined = np.zeros(len(DIGESTS), dtype=bool)
-    quarantined[DIGESTS.ids(store.quarantined_digests())] = True
-    assert (lookup(store._held, every) == held).all()
-    assert (lookup(store._quarantined, every) == quarantined).all()
-    located, chunks = DIGESTS.ids(store._chunks), list(store._chunks.values())
-    packs = [store._pack_ids[number] for number in store._pack[located].tolist()]
-    assert packs == [chunk.artifact_id for chunk in chunks]
-    assert store._offset[located].tolist() == [chunk.offset for chunk in chunks]
-    assert store._length[located].tolist() == [chunk.length for chunk in chunks]
     stored = {hash_bytes(payload): payload for payload in PAYLOADS}
-    servable = [digest for digest, chunk in store._chunks.items() if not chunk.quarantined]
+    held = np.zeros(len(DIGESTS), dtype=bool)
+    quarantined = np.zeros(len(DIGESTS), dtype=bool)
+    counts = np.zeros(len(DIGESTS), dtype=np.int64)
+    length = np.zeros(len(DIGESTS), dtype=np.int64)
+    for digest, (count, flagged) in model.items():
+        ident = DIGESTS.intern(digest)
+        held[ident], quarantined[ident], counts[ident] = True, flagged, count
+        length[ident] = len(stored[digest])
+    assert (store.held(every) == held).all()
+    assert (lookup(store._quarantined, every) == quarantined).all()
+    assert (store.references(every) == counts).all()
+    assert (lookup(store._length, every) == length).all()
+    assert len(store) == len(model) and set(store) == set(model)
+    assert store.quarantined_digests() == sorted(d for d, (_, q) in model.items() if q)
+    assert store.total_references() == sum(count for count, _ in model.values())
+    assert store.live_bytes() == int(length[counts > 0].sum())
+    assert store.dead_bytes() == int(length[held & (counts <= 0)].sum())
+    assert store.stored_bytes() == int(length.sum())
+    servable = [digest for digest, (_, flagged) in model.items() if not flagged]
+    assert store.servable(every).tolist() == (held & ~quarantined).tolist()
     fetched = store.fetch(DIGESTS.ids(servable))
     assert {ident: bytes(data) for ident, data in fetched.items()} == {
-        ident: stored[digest] for ident, digest in zip(DIGESTS.ids(servable), servable)
+        DIGESTS.intern(digest): stored[digest] for digest in servable
     }
-    digests = [hash_bytes(payload) for payload in PAYLOADS]
-    ids = DIGESTS.intern_many(digests)
-    by_hex = [
-        digest in store._chunks and not store._chunks[digest].quarantined
-        for digest in digests
-    ]
-    assert store.servable(ids).tolist() == by_hex
-    assert store.held(ids).tolist() == [digest in store._chunks for digest in digests]
-    assert DIGESTS.hexes(ids.tolist()) == digests
-    assert DIGESTS.intern_many(DIGESTS.hexes(ids.tolist())).tolist() == ids.tolist()
+    for digest in model:
+        assert store.locate(digest).length == len(stored[digest])
+    rebuilt = ChunkStore(store.file_store, store.document_store)
+    for name in ("_held", "_quarantined", "_offset", "_length", "_refs"):
+        assert (lookup(getattr(rebuilt, name), every) == lookup(getattr(store, name), every)).all()
+    assert [rebuilt.locate(d) for d in model] == [store.locate(d) for d in model]
+    ids = DIGESTS.intern_many(stored)
+    assert DIGESTS.hexes(ids.tolist()) == list(stored)
+
+
+def apply_to_model(model, kind, arg):
+    """The chunk store's rules, kept as a plain dict: digest -> [refs, quarantined]."""
+    if kind == "ingest":
+        for index in arg:
+            entry = model.setdefault(hash_bytes(PAYLOADS[index]), [0, False])
+            entry[0] += 1
+            entry[1] = False  # a re-stored chunk is clean again
+    elif kind == "sweep":
+        for digest in [d for d, (count, _) in model.items() if count <= 0]:
+            del model[digest]
+    elif kind != "rebuild" and hash_bytes(PAYLOADS[arg]) in model:
+        entry = model[hash_bytes(PAYLOADS[arg])]
+        if kind == "quarantine":
+            entry[1] = True
+        elif kind == "repair":
+            entry[1] = False
+        else:  # release: its sets are gone
+            entry[0] = 0
 
 
 class TestIdColumns:
@@ -464,27 +491,29 @@ class TestIdColumns:
     @example(steps=[("ingest", [0, 1]), ("release", 0), ("sweep", 0)])
     @example(steps=[("ingest", [0]), ("quarantine", 0), ("repair", 0), ("rebuild", 0)])
     @example(steps=[("ingest", [0]), ("quarantine", 0), ("ingest", [0])])
+    @example(steps=[("ingest", [0, 1, 2]), ("quarantine", 1), ("release", 0), ("sweep", 0)])
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_columns_equal_a_recount_after_any_sequence(self, steps):
-        store = make_store()
-        assert_columns_match_index(store)
+    def test_columns_equal_a_dict_model_after_any_sequence(self, steps):
+        store, model = make_store(), {}
+        assert_columns_match_model(store, model)
         for number, (kind, arg) in enumerate(steps):
+            single = kind in ("quarantine", "repair", "release")
+            digest = hash_bytes(PAYLOADS[arg]) if single else None
+            entry = model.get(digest)
             if kind == "ingest":
                 store.ingest(refs([PAYLOADS[i] for i in arg]), pack_id=f"p{number}")
             elif kind == "rebuild":
                 store = ChunkStore(store.file_store, store.document_store)
             elif kind == "sweep":
                 store.sweep()
-            else:
-                digest = hash_bytes(PAYLOADS[arg])
-                chunk = store._chunks.get(digest)
-                if kind == "quarantine" and chunk is not None:
-                    store.quarantine([digest])
-                elif kind == "repair" and chunk is not None and chunk.quarantined:
-                    store.repair(digest, PAYLOADS[arg])
-                elif kind == "release" and chunk is not None and chunk.refs > 0:
-                    store.release([digest] * chunk.refs)  # its sets are gone
-            assert_columns_match_index(store)
+            elif kind == "quarantine" and entry is not None:
+                store.quarantine([digest])
+            elif kind == "repair" and entry is not None and entry[1]:
+                store.repair(digest, PAYLOADS[arg])
+            elif kind == "release" and entry is not None and entry[0] > 0:
+                store.release([digest] * entry[0])
+            apply_to_model(model, kind, arg)
+            assert_columns_match_model(store, model)
 
     def test_listeners_hear_ids(self):
         store = make_store()

@@ -76,7 +76,7 @@ def test_every_write_entry_point_refuses_before_mutating(tmp_path, kind, bad):
         # A bad name is the caller's error, not three replica failures.
         assert store.pending_repairs() == {}
         for state in store.replicas:
-            assert (state.failures, state.breaker_open) == (0, False)
+            assert (state.breaker.failures, state.breaker.open) == (0, False)
 
 
 def open_manager(kind, root):

@@ -351,7 +351,7 @@ class TestBackendContract:
         assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
         # A bad name is the caller's mistake: no replica is blamed for it.
         for state in getattr(any_store, "replicas", ()):
-            assert state.failures == 0 and not state.breaker_open
+            assert state.breaker.failures == 0 and not state.breaker.open
 
     def test_spill_mode_is_gone(self, tmp_path):
         with pytest.raises(TypeError):

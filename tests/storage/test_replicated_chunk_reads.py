@@ -18,8 +18,9 @@ from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
 from repro.core.fsck import ArchiveFsck
 from repro.core.retention import RetentionManager
+from repro.storage import chunk_index
 from repro.storage.faults import corrupt_artifact
-from repro.storage.hashing import DIGESTS
+from repro.storage.hashing import DIGESTS, hash_bytes
 from repro.storage.replication import replicated_stores
 
 
@@ -44,7 +45,7 @@ def served_digests(manager, set_id, model_index):
 def rot_on_preferred_replica(manager, digest):
     """Flip one byte inside ``digest``'s chunk on replica 0, the replica
     reads try first; returns the chunk's pack."""
-    chunk = manager.context.chunk_store()._chunks[digest]
+    chunk = manager.context.chunk_store().locate(digest)
     file_rep, _ = replicated_stores(manager.context)
     corrupt_artifact(file_rep.replicas[0].store, chunk.artifact_id, chunk.offset)
     return chunk.artifact_id
@@ -118,7 +119,7 @@ def test_a_short_copy_of_a_served_pack_fails_over(tmp_path, models, reopen):
     config = ArchiveConfig(dedup=True, replicas=3)
     manager = MultiModelManager.open(root, "update", config)
     set_id = manager.save_set(models)
-    chunk = manager.context.chunk_store()._chunks[served_digests(manager, set_id, 2)[-1]]
+    chunk = manager.context.chunk_store().locate(served_digests(manager, set_id, 2)[-1])
     pack = chunk.artifact_id
     path = tmp_path / "archive" / "replica-0" / "artifacts" / f"{pack}.bin"
     with open(path, "r+b") as handle:
@@ -131,3 +132,28 @@ def test_a_short_copy_of_a_served_pack_fails_over(tmp_path, models, reopen):
     assert_model_equals(manager.recover_model(set_id, 2), models, 2)
     assert file_rep.stats.read_failovers == failovers + 1
     assert file_rep.pending_repairs() == {"replica-0": {pack: "put"}}
+
+
+@pytest.mark.parametrize("replicas", [None, 3])
+def test_fetch_verified_hashes_each_chunk_once(tmp_path, monkeypatch, replicas):
+    # A replicated store's read check hashes every chunk it serves, and
+    # fetch_verified keeps that verdict; a plain store ignores the check,
+    # so there fetch_verified hashes what it was served itself.
+    manager = MultiModelManager.open(
+        str(tmp_path / "archive"), "update", ArchiveConfig(dedup=True, replicas=replicas)
+    )
+    models = ModelSet.build("FFNN-48", num_models=5, seed=11)
+    manager.save_set(models)
+    chunk_store = manager.context.chunk_store()
+    digests = list(chunk_store)
+    assert len(digests) == 40
+    hashed = []
+
+    def counting(data, *args):
+        hashed.append(len(data))
+        return hash_bytes(data, *args)
+
+    monkeypatch.setattr(chunk_index, "hash_bytes", counting)
+    values, corrupted = chunk_store.fetch_verified(digests)
+    assert not corrupted and sorted(values) == sorted(digests)
+    assert len(hashed) == 40

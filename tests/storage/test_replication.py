@@ -189,7 +189,7 @@ class TestCircuitBreaker:
         for index in range(3):
             rep.put(b"d" * (index + 1), artifact_id=f"a{index}")
         state = rep.replicas[1]
-        assert state.breaker_open and state.breaker_trips == 1
+        assert state.breaker.open and state.breaker.trips == 1
 
     def test_open_breaker_skips_replica_without_contact(self):
         rep, down = self.make_down_rep()
@@ -209,7 +209,7 @@ class TestCircuitBreaker:
         # probe_interval_ops=4: three skips, then the probe succeeds.
         for index in range(4):
             rep.put(b"d", artifact_id=f"b{index}")
-        assert not rep.replicas[1].breaker_open
+        assert not rep.replicas[1].breaker.open
         assert rep.replicas[1].store.exists("b3")
 
 

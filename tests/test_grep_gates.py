@@ -169,6 +169,9 @@ GATES = (
     Gate("No-networkx", r"^\s*(import networkx|from networkx\b)", (),
          "the lineage is one descriptor scan into plain dicts; numpy is the one dependency",
          "    from networkx import topological_sort", roots=("src",)),
+    Gate("One chunk index", r"\b_Chunk\b|\._chunks\[|\._chunks\.items\(", (),
+         "the chunk store is its digest-id columns; read a chunk through locate(), not a hex dict",
+         "record = chunk_store._chunks[digest]", "tests/planted.py"),
 )
 
 
