@@ -12,7 +12,6 @@
 
 from repro.bench.metrics import Measurement, measure_recover, measure_save
 from repro.bench.report import format_series, format_table
-from repro.bench.runner import run_experiment
 
 __all__ = [
     "Measurement",
@@ -22,3 +21,13 @@ __all__ = [
     "measure_save",
     "run_experiment",
 ]
+
+
+def __getattr__(name: str):
+    # ``runner`` loads on first use, so ``python -m repro.bench.runner``
+    # does not find it already imported by its own package.
+    if name == "run_experiment":
+        from repro.bench.runner import run_experiment
+
+        return run_experiment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

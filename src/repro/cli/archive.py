@@ -127,6 +127,11 @@ def _print_audit(report: FsckReport, clean: str) -> int:
         print(f"CORRUPT-CHUNK {digest[:16]}…")
     for digest in report.quarantined_chunks:
         print(f"QUARANTINED {digest[:16]}…")
+    for entry in report.short_packs:
+        print(
+            f"SHORT-PACK {entry['artifact']}: {entry['size']} bytes, its "
+            f"chunks end at {entry['needs']}"
+        )
     for artifact in report.degraded_artifacts:
         print(f"DEGRADED {artifact} (a clean replica copy survives; run scrub)")
     for entry in report.replica_divergence:

@@ -102,6 +102,9 @@ class FsckReport:
     corrupt_chunks: list[str] = field(default_factory=list)
     #: Chunks already quarantined before this run.
     quarantined_chunks: list[str] = field(default_factory=list)
+    #: ``{"artifact", "size", "needs"}`` — chunk packs shorter, on every
+    #: copy, than the end of the last chunk they hold.
+    short_packs: list[dict] = field(default_factory=list)
     #: Artifacts corrupt on *some* replica while a clean copy survives
     #: elsewhere — degraded, not lost; a scrub heals them (deep scan of a
     #: replicated archive only).
@@ -123,6 +126,7 @@ class FsckReport:
             or self.corrupt_artifacts
             or self.corrupt_chunks
             or self.quarantined_chunks
+            or self.short_packs
             or self.degraded_artifacts
             or self.replica_divergence
             or self.set_issues
@@ -134,15 +138,17 @@ class FsckReport:
 
         Loss means bytes with no surviving good copy: a referenced
         artifact absent everywhere, an artifact whose every copy fails
-        verification, a corrupt chunk, or a set whose descriptor and
-        stored bytes disagree.  Everything else — pending journal
-        entries, orphans, refcount drift, quarantine records, degraded
-        replicas, divergence — is repairable by recovery, GC, or a scrub.
+        verification, a corrupt chunk, a pack too short for its chunks,
+        or a set whose descriptor and stored bytes disagree.  Everything
+        else — pending journal entries, orphans, refcount drift,
+        quarantine records, degraded replicas, divergence — is
+        repairable by recovery, GC, or a scrub.
         """
         if (
             self.missing_artifacts
             or self.corrupt_artifacts
             or self.corrupt_chunks
+            or self.short_packs
             or self.set_issues
         ):
             return 2
@@ -164,6 +170,7 @@ class FsckReport:
             ("corrupt artifacts", self.corrupt_artifacts),
             ("corrupt chunks", self.corrupt_chunks),
             ("quarantined chunks", self.quarantined_chunks),
+            ("short packs", self.short_packs),
             ("degraded artifacts", self.degraded_artifacts),
             ("divergent replicas", self.replica_divergence),
             ("set issues", self.set_issues),
@@ -235,6 +242,7 @@ class ArchiveFsck:
                         {"digest": digest, "expected": want, "actual": have}
                     )
             report.quarantined_chunks = chunk_store.quarantined_digests()
+            report.short_packs = self._short_packs(chunk_store)
             report.chunks_checked = len(chunk_store)
 
         for set_id in sorted(sets):
@@ -250,6 +258,23 @@ class ArchiveFsck:
                 file_rep, doc_rep, deep=deep
             )
         return report
+
+    def _short_packs(self, chunk_store) -> list[dict]:
+        """Packs too short for the chunks they hold, from sizes alone (no
+        byte is read).  On a replicated store a pack is short only when
+        every copy is; one short copy is degraded, a deep scan's finding."""
+        file_store = self.context.file_store
+        file_rep, _doc_rep = replicated_stores(self.context)
+        short = []
+        for artifact, needs in chunk_store.pack_extents().items():
+            if file_rep is not None:
+                sizes = file_rep.replica_sizes(artifact).values()
+            else:
+                sizes = [file_store.size(artifact)] if file_store.exists(artifact) else []
+            size = max(sizes, default=None)  # None: a missing artifact
+            if size is not None and size < needs:
+                short.append({"artifact": artifact, "size": size, "needs": needs})
+        return short
 
     def _set_issues(
         self, set_id: str, document: dict, owned: SetOwns, recover: bool

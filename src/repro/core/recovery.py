@@ -130,16 +130,23 @@ def layer_nbytes(schema: StateSchema, itemsize: int = 4) -> "list[int]":
 def digest_source(
     context: SaveContext, document: dict, set_id: str, read=None
 ) -> "dict | None":
-    """The document holding a chunked set's digest matrix: its descriptor
-    or, for Update sets, the hash-info document that doubles as one.
+    """The document holding a set's digest matrix: Update's hash-info
+    document (which doubles as a chunked Update set's), else a chunked
+    descriptor's own ``chunk_digests``.
 
     ``read`` fetches the hash-info document: the store's charged ``get``
     by default (recovery pays, a missing document raises), or an uncharged
-    ``peek`` for audits and retention (a missing document yields ``None``).
+    ``peek`` for the registry's diff, audits and retention (``None`` when
+    the set stores no matrix, e.g. a plain Baseline set).
+    :func:`~repro.core.baseline.write_set` stores one of the two, never
+    both.  Should a set carry both, hash info wins wherever ``read`` looks
+    for it uncharged; recovery's charged read takes the descriptor's
+    ``chunk_digests`` rather than pay for a read it does not need.
     """
-    if "chunk_digests" in document:
+    if "chunk_digests" in document and read is None:
         return document
-    return (read or context.document_store.get)(HASH_COLLECTION, set_id)
+    hash_doc = (read or context.document_store.get)(HASH_COLLECTION, set_id)
+    return document if hash_doc is None and "chunk_digests" in document else hash_doc
 
 
 def _matrix_of(source: dict) -> list:
@@ -149,7 +156,7 @@ def _matrix_of(source: dict) -> list:
 def digest_matrix(
     context: SaveContext, document: dict, set_id: str, read=None
 ) -> "list | None":
-    """The hex digest matrix of a chunked set (see :func:`digest_source`)."""
+    """The hex digest matrix of a set (see :func:`digest_source`)."""
     source = digest_source(context, document, set_id, read)
     return None if source is None else _matrix_of(source)
 

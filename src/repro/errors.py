@@ -31,6 +31,7 @@ __all__ = [
     "IngestClosedError",
     "IngestBackpressureError",
     "ArtifactCorruptionError",
+    "ArtifactTruncatedError",
     "ChunkCorruptionError",
     "SimulatedCrashError",
     "RecoveryError",
@@ -184,6 +185,22 @@ class QuorumError(StorageError):
 
 class ArtifactCorruptionError(StorageError):
     """Stored bytes no longer match their recorded digest (bitrot)."""
+
+
+class ArtifactTruncatedError(ArtifactCorruptionError):
+    """A ranged read runs past the end of an artifact (a torn write, a
+    truncated file, or a descriptor that outgrew its bytes)."""
+
+    def __init__(self, artifact_id: str, size: int, end: int) -> None:
+        super().__init__(
+            f"artifact {artifact_id!r} is truncated: a range ends at byte "
+            f"{end}, the artifact has {size}"
+        )
+        self.artifact_id = artifact_id
+        #: The artifact's stored size in bytes.
+        self.size = size
+        #: End offset of the first range past it.
+        self.end = end
 
 
 class ChunkCorruptionError(ArtifactCorruptionError):

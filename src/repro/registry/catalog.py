@@ -35,13 +35,14 @@ import copy
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Any, Callable
 
 from repro.errors import RegistryError, StorageError
 from repro.observability import trace as _trace
 from repro.registry.records import (
     FAMILIES_COLLECTION,
-    HASH_COLLECTION,
     REGISTRY_COLLECTIONS,
     REGISTRY_DIR,
     SETS_COLLECTION,
@@ -665,12 +666,15 @@ class Registry:
         """Layer-level change set between two registered sets.
 
         Answered from stored digest matrices — Update's per-layer hash
-        documents or a chunked set's ``chunk_digests`` — whenever both
+        documents or a chunked set's ``chunk_digests``, read through
+        :func:`repro.core.recovery.digest_source` — whenever both
         sides carry one, reading **zero parameter bytes**.  A set
         without digest metadata (e.g. plain Baseline) falls back to
         recover-and-hash for that side only.  Both matrices are full
         SHA-256 over each layer's raw bytes, so every source agrees with
-        the ground-truth recover-and-compare oracle.
+        the ground-truth recover-and-compare oracle.  A matrix that is
+        not ``num_models`` rows of one digest per layer raises
+        :class:`RegistryError`.
         """
         self._inc("registry_queries_total", "registry queries answered")
         with _trace.span(
@@ -701,48 +705,61 @@ class Registry:
                         f"cannot diff {set_a!r} and {set_b!r}: "
                         f"{label} differs ({field_a!r} vs {field_b!r})"
                     )
-            matrices = [
-                self._digest_matrix(set_id, context, descriptor)
-                or self._recovered_matrix(set_id, context, descriptor)
-                for set_id, context, descriptor in sides
-            ]
-            (layers_a, rows_a, source_a), (layers_b, rows_b, source_b) = matrices
-            if list(layers_a) != list(layers_b):
+            (layers_a, rows_a, source_a), (layers_b, rows_b, source_b) = (
+                self._matrix(*side) for side in sides
+            )
+            layers = tuple(layers_a)
+            if layers != tuple(layers_b):
                 raise RegistryError(
                     f"cannot diff {set_a!r} and {set_b!r}: layer schemas differ"
                 )
-            changed = []
-            for index, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
-                changed_layers = tuple(
-                    layer
-                    for layer, digest_a, digest_b in zip(layers_a, row_a, row_b)
-                    if digest_a != digest_b
+            # Whole rows first (one C-level compare each); only the rows
+            # that differ are split into layers.
+            changed = tuple(
+                RegistryModelDiff(
+                    index, tuple(compress(layers, map(ne, rows_a[index], rows_b[index])))
                 )
-                if changed_layers:
-                    changed.append(RegistryModelDiff(index, changed_layers))
+                for index in compress(count(), map(ne, rows_a, rows_b))
+            )
             source = source_a if source_a == source_b else f"{source_a}+{source_b}"
             return RegistryDiff(
                 set_a=set_a,
                 set_b=set_b,
                 num_models=int(doc_a.get("num_models", len(rows_a))),
-                layers=tuple(layers_a),
-                changed=tuple(changed),
+                layers=layers,
+                changed=changed,
                 source=source,
             )
 
     @staticmethod
-    def _digest_matrix(set_id: str, context, descriptor: dict):
-        """A stored per-layer digest matrix, read without parameter bytes."""
-        hash_doc = innermost(context.document_store).peek(HASH_COLLECTION, set_id)
-        if hash_doc is not None:
-            return list(hash_doc["layers"]), hash_doc["hashes"], "hash-info"
-        digests = descriptor.get("chunk_digests")
-        if digests is not None:
+    def _matrix(set_id: str, context, descriptor: dict):
+        """``(layers, rows, source)`` of one side of a diff: the stored
+        digest matrix, read uncharged through recovery's one reader, else
+        recovered and hashed.  A matrix that is not ``num_models`` rows of
+        one digest per layer is refused: comparing it would drop rows."""
+        from repro.core.recovery import digest_source
+
+        stored = digest_source(
+            context, descriptor, set_id, innermost(context.document_store).peek
+        )
+        if stored is None:
+            layers, rows, source = Registry._recovered_matrix(set_id, context, descriptor)
+        elif stored is descriptor:
             from repro.nn.serialization import StateSchema
 
             layers = StateSchema.from_json(descriptor["schema"]).layer_names()
-            return layers, digests, "chunk-digests"
-        return None
+            rows, source = stored["chunk_digests"], "chunk-digests"
+        else:
+            layers, rows, source = stored["layers"], stored["hashes"], "hash-info"
+        num_models = int(descriptor.get("num_models", len(rows)))
+        widths = set(map(len, rows))
+        if len(rows) != num_models or widths - {len(layers)}:
+            raise RegistryError(
+                f"cannot diff set {set_id!r}: its {source} matrix has "
+                f"{len(rows)} rows of widths {sorted(widths)}, expected "
+                f"{num_models} rows of {len(layers)} layers"
+            )
+        return layers, rows, source
 
     @staticmethod
     def _recovered_matrix(set_id: str, context, descriptor: dict):

@@ -34,12 +34,10 @@ REGISTRY_COLLECTIONS = (
     TAGS_COLLECTION,
 )
 
-#: Mirrors :data:`repro.core.approach.SETS_COLLECTION` and
-#: :data:`repro.core.update.HASH_COLLECTION`.  Not imported: the core
-#: package builds registries, not the other way around (same convention
-#: as :mod:`repro.storage.journal`).
+#: Mirrors :data:`repro.core.approach.SETS_COLLECTION`.  Not imported:
+#: the core package builds registries, not the other way around (same
+#: convention as :mod:`repro.storage.journal`).
 SETS_COLLECTION = "model_sets"
-HASH_COLLECTION = "hash_info"
 
 
 def journaled_write(store, journal, collection: str, doc_id: str, document: dict):

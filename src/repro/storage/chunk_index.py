@@ -521,9 +521,8 @@ class ChunkStore:
         flagged = self._quarantined[ids]
         corrupted = {digest for digest, bad in zip(unique, flagged.tolist()) if bad}
         to_read = ids[~flagged].tolist()
-        # A missing pack raises StorageError or OSError, a truncated one
-        # ValueError (its ranges run past the end).
-        unreadable = (StorageError, OSError, ValueError)
+        # A missing or truncated pack raises StorageError (or OSError).
+        unreadable = (StorageError, OSError)
         checked: set[int] = set()
         try:
             fetched = self._read(to_read, workers, checked)
@@ -724,6 +723,14 @@ class ChunkStore:
         return ChunkLocation(
             self._pack_ids[self._pack[ident]], int(self._offset[ident]), int(self._length[ident])
         )
+
+    def pack_extents(self) -> "dict[str, int]":
+        """``{pack artifact id: end of its last held chunk}``: the least
+        size each pack must have for every chunk it holds to be read."""
+        held = np.flatnonzero(self._held)
+        ends = np.zeros(len(self._pack_ids), dtype=np.int64)
+        np.maximum.at(ends, self._pack[held], self._offset[held] + self._length[held])
+        return dict(zip(self._pack_ids, ends.tolist()))
 
     def total_references(self) -> int:
         return int(self._refs.sum())

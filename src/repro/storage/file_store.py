@@ -25,7 +25,12 @@ from __future__ import annotations
 import hashlib
 from typing import Callable
 
-from repro.errors import ArtifactNotFoundError, DuplicateArtifactError, StorageError
+from repro.errors import (
+    ArtifactNotFoundError,
+    ArtifactTruncatedError,
+    DuplicateArtifactError,
+    StorageError,
+)
 from repro.storage.document_store import unsafe_name
 from repro.storage.hardware import (
     LOCAL_PROFILE,
@@ -311,7 +316,9 @@ class FileStore:
         to fetch exactly the final bytes of every model and layer.
 
         ``check`` is ignored: one store's ranged reads are unverified by
-        design (a replicated store runs it to choose a replica).
+        design (a replicated store runs it to choose a replica).  A range
+        past the artifact's end raises :class:`ArtifactTruncatedError`; a
+        negative offset or length is the caller's bug (``ValueError``).
         """
         self._require(artifact_id)
         if not ranges:
@@ -321,10 +328,7 @@ class FileStore:
             if offset < 0 or length < 0:
                 raise ValueError("offset and length must be non-negative")
             if offset + length > size:
-                raise ValueError(
-                    f"range [{offset}, {offset + length}) exceeds artifact "
-                    f"size {size}"
-                )
+                raise ArtifactTruncatedError(artifact_id, size, offset + length)
         chunks = self._read_ranges(artifact_id, ranges)
         total = sum(len(chunk) for chunk in chunks)
         self.stats.record_read(total, self._ranges_cost(chunks, workers))

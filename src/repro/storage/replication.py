@@ -753,6 +753,13 @@ class ReplicatedFileStore(_ReplicaSet):
         )
         return {**answers, **dict.fromkeys(silent, "unreachable")}
 
+    def replica_sizes(self, artifact_id: str) -> dict[str, int]:
+        """``{replica name: size}`` of every reachable copy (uncharged)."""
+        answers, _silent = self._ask_all(
+            lambda store: store.size(artifact_id) if store.exists(artifact_id) else None
+        )
+        return {name: size for name, size in answers.items() if size is not None}
+
     def verify_artifact(self, artifact_id: str) -> bool:
         """Whether *every* reachable copy still matches its digest.
 

@@ -162,7 +162,7 @@ class TestFileStoreRange:
         assert store.stats.bytes_read == 10
 
     def test_get_range_validation(self):
-        from repro.errors import ArtifactNotFoundError
+        from repro.errors import ArtifactNotFoundError, ArtifactTruncatedError
         from repro.storage.file_store import FileStore
 
         store = FileStore()
@@ -171,7 +171,7 @@ class TestFileStoreRange:
             store.get_range("ghost", 0, 1)
         with pytest.raises(ValueError):
             store.get_range("blob", -1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ArtifactTruncatedError):
             store.get_range("blob", 2, 5)
 
     def test_get_range_from_disk_spill(self, tmp_path):

@@ -1,0 +1,135 @@
+"""A chunk pack cut short is a typed failure, never a bare ``ValueError``.
+
+A durable ``dedup=True`` archive holds one 3-model FFNN-48 set; its pack
+is cut to half its size and the archive reopened.  Every entry point
+then either returns the right bytes or raises a
+:class:`~repro.errors.ReproError` subclass with the CLI's exit 2, and a
+shallow ``fsck`` names the pack from sizes alone.  With three replicas
+one short copy is served around; every copy short is the plain case.
+"""
+
+import contextlib
+import io
+import os
+import shutil
+
+import pytest
+
+from repro.config import ArchiveConfig
+from repro.core.fsck import ArchiveFsck, salvage_recover
+from repro.core.manager import MultiModelManager
+from repro.core.model_set import ModelSet
+from repro.cli.main import main
+from repro.errors import ArtifactTruncatedError, ReproError
+
+PACK = "set-update-000000-chunks"
+
+
+def build_archive(root, replicas):
+    """Save the one set at ``root``; returns its models."""
+    models = ModelSet.build("FFNN-48", num_models=3, seed=0)
+    manager = MultiModelManager.open(root, "update", config(replicas))
+    assert manager.save_set(models) == "set-update-000000"
+    return models
+
+
+def config(replicas):
+    return ArchiveConfig(dedup=True, replicas=replicas)
+
+
+def cut(root, directories):
+    for directory in directories:
+        path = os.path.join(root, directory, "artifacts", f"{PACK}.bin")
+        os.truncate(path, os.path.getsize(path) // 2)
+
+
+def run_cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue() + err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def short_plain(tmp_path_factory):
+    root = tmp_path_factory.mktemp("short-plain")
+    models = build_archive(root, replicas=1)
+    cut(root, [""])
+    return root, models
+
+
+@pytest.fixture(scope="module")
+def replicated(tmp_path_factory):
+    """``{copies cut: root}`` of two replicas=3 archives."""
+    roots = {}
+    for copies in (1, 3):
+        root = tmp_path_factory.mktemp(f"short-{copies}-of-3")
+        models = build_archive(root, replicas=3)
+        cut(root, [f"replica-{index}" for index in range(copies)])
+        roots[copies] = root
+    return roots, models
+
+
+class TestShortPack:
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda manager: manager.recover_set("set-update-000000"),
+            lambda manager: manager.recover_model("set-update-000000", 2),
+        ],
+        ids=["recover_set", "recover_model"],
+    )
+    def test_reads_raise_the_typed_error(self, short_plain, read):
+        root, _models = short_plain
+        manager = MultiModelManager.open(root, "update", config(1))
+        with pytest.raises(ArtifactTruncatedError, match=PACK) as info:
+            read(manager)
+        assert isinstance(info.value, ReproError)
+        assert info.value.artifact_id == PACK and info.value.size < info.value.end
+
+    def test_export_exits_2_naming_the_pack(self, short_plain, tmp_path):
+        root, _models = short_plain
+        code, output = run_cli(root, "export", "set-update-000000", tmp_path / "bundle")
+        assert code == 2
+        assert f"artifact {PACK!r} is truncated" in output
+
+    def test_shallow_fsck_reports_the_short_pack(self, short_plain):
+        root, _models = short_plain
+        report = ArchiveFsck(MultiModelManager.open(root, "update", config(1)).context).run()
+        [entry] = report.short_packs
+        assert entry["artifact"] == PACK and entry["size"] * 2 == entry["needs"]
+        assert report.exit_code == 2
+        code, output = run_cli(root, "fsck")
+        assert code == 2 and f"SHORT-PACK {PACK}" in output
+
+    def test_salvage_keeps_the_model_before_the_cut(self, short_plain, tmp_path):
+        root, models = short_plain
+        shutil.copytree(root, tmp_path / "copy")  # salvage quarantines what it loses
+        manager = MultiModelManager.open(tmp_path / "copy", "update", config(1))
+        report = salvage_recover(manager.context, "set-update-000000")
+        assert report.recovered_indices == [0] and report.failed_indices == [1, 2]
+        for name, value in models.state(0).items():
+            assert (report.models[0][name] == value).all()
+
+
+class TestReplicatedShortPack:
+    def test_one_short_copy_is_served_around(self, replicated):
+        roots, models = replicated
+        manager = MultiModelManager.open(roots[1], "update", config(3))
+        assert manager.recover_set("set-update-000000").equals(models)
+        state = manager.recover_model("set-update-000000", 2)
+        for name, value in models.state(2).items():
+            assert (state[name] == value).all()
+        assert ArchiveFsck(manager.context).run().short_packs == []
+        deep = ArchiveFsck(manager.context).run(deep=True)
+        assert deep.degraded_artifacts == [PACK] and deep.exit_code == 1
+
+    def test_every_copy_short_is_the_plain_failure(self, replicated):
+        roots, _models = replicated
+        manager = MultiModelManager.open(roots[3], "update", config(3))
+        with pytest.raises(ReproError, match=PACK):
+            manager.recover_set("set-update-000000")
+        report = ArchiveFsck(manager.context).run()
+        assert [entry["artifact"] for entry in report.short_packs] == [PACK]
+        assert report.exit_code == 2

@@ -7,6 +7,8 @@ atomicity), the query API, rebuild, and the acceptance criteria:
 raw set id on both plain and fleet archives.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core.save_info import SetMetadata
 from repro.errors import RegistryError
 from repro.fleet import FleetManager
 from repro.registry import REGISTRY_COLLECTIONS, Registry
+from repro.storage.document_store import thaw
 
 
 def build_models(num_models=3, seed=0):
@@ -322,6 +325,28 @@ class TestDiff:
         diff = manager.context.registry.diff(a, b)
         assert diff.source == "recovered"
         assert diff.changed_models == (1,)
+
+    @pytest.mark.parametrize(
+        "cut, shape",
+        [
+            (lambda hashes: hashes.pop(), "2 rows of widths [8]"),
+            (lambda hashes: hashes[2].pop(), "3 rows of widths [7, 8]"),
+        ],
+        ids=["row", "layer"],
+    )
+    def test_malformed_digest_matrix_refused(self, manager, cut, shape):
+        # Comparing row by row would drop what one side lacks and call a
+        # changed set identical.
+        models = build_models()
+        a = manager.save_set(models, metadata=SetMetadata(extra={"family": "f"}))
+        b = manager.save_set(perturb(models, 2, 3), base_set_id=a)
+        store = manager.context.document_store
+        hash_info = thaw(store.peek("hash_info", b))
+        cut(hash_info["hashes"])
+        store.replace("hash_info", b, hash_info)
+        message = rf"set '{b}': its hash-info matrix has {re.escape(shape)}"
+        with pytest.raises(RegistryError, match=message):
+            manager.context.registry.diff(a, b)
 
     def test_mismatched_shapes_rejected(self, manager):
         a = manager.save_set(build_models(num_models=2))

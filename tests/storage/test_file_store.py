@@ -4,7 +4,12 @@ import pytest
 
 from repro.config import ArchiveConfig
 from repro.core.approach import SaveContext
-from repro.errors import ArtifactNotFoundError, DuplicateArtifactError, StorageError
+from repro.errors import (
+    ArtifactNotFoundError,
+    ArtifactTruncatedError,
+    DuplicateArtifactError,
+    StorageError,
+)
 from repro.storage.file_store import FileStore
 from repro.storage.hardware import M1_PROFILE
 from repro.storage.hashing import hash_bytes
@@ -162,8 +167,9 @@ class TestGetRanges:
     def test_out_of_bounds_range_rejected(self):
         store = FileStore()
         store.put(b"0123456789", artifact_id="digits")
-        with pytest.raises(ValueError):
+        with pytest.raises(ArtifactTruncatedError, match="'digits'.* 13, .* 10") as info:
             store.get_ranges("digits", [(0, 3), (8, 5)])
+        assert (info.value.artifact_id, info.value.size, info.value.end) == ("digits", 10, 13)
         with pytest.raises(ValueError):
             store.get_ranges("digits", [(-1, 3)])
 

@@ -10,6 +10,7 @@ from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
 from repro.errors import (
     ArtifactNotFoundError,
+    ArtifactTruncatedError,
     DocumentNotFoundError,
     DuplicateArtifactError,
     StorageError,
@@ -57,7 +58,7 @@ class TestPersistentFileStore:
         store = PersistentFileStore(tmp_path)
         store.put(bytes(range(100)), artifact_id="a1")
         assert store.get_range("a1", 50, 10) == bytes(range(50, 60))
-        with pytest.raises(ValueError):
+        with pytest.raises(ArtifactTruncatedError):
             store.get_range("a1", 95, 10)
 
     def test_delete_removes_files(self, tmp_path):
