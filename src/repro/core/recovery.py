@@ -7,7 +7,10 @@ Every artifact- or chunk-stored set is recovered the same way:
    Update chain that is the paper's idea made explicit — walk the diff
    lists newest first and let the *newest writer win* every
    (model, layer) slot — so the plan names, per contributing artifact,
-   exactly the byte segments that are final.  A pas-delta chain stores
+   exactly the byte segments that are final.  One model's plan does
+   not rerun that pass: it gathers its row from the pass's outcome, the
+   chain's :class:`ChainTable`, built once and kept on the chain head.
+   A pas-delta chain stores
    whole-set XOR deltas with no diff list: every delta is an *XOR*
    source over every selected slot, applied to the snapshot's bytes.
    For a chunked set the plan is its digest matrix, as an id column
@@ -29,9 +32,10 @@ fetched equal one set's worth at any chain depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -121,10 +125,7 @@ class RecoveryPlan:
 
 def layer_nbytes(schema: StateSchema, itemsize: int = 4) -> "list[int]":
     """Raw byte size of every schema layer, in order (float32 by default)."""
-    return [
-        (int(np.prod(shape)) if shape else 1) * itemsize
-        for _name, shape in schema.entries
-    ]
+    return [math.prod(shape) * itemsize for _name, shape in schema.entries]
 
 
 def digest_source(
@@ -384,43 +385,17 @@ def resolve_chunked(
     )
 
 
-def resolve_chain(
-    base_doc: dict,
-    deltas: "list[dict]",
-    set_id: str,
-    model_index: "int | None" = None,
-    hash_doc: "dict | None" = None,
-) -> RecoveryPlan:
-    """Plan an artifact-stored set: newest writer wins every slot.
+def _chain_sources(
+    base_doc: dict, replacing: "list[dict]", xoring: "list[dict]",
+    sizes: np.ndarray, num_models: int,
+) -> "list[Source]":
+    """Every model's sources: the chain's one newest-writer-wins pass.
 
-    ``deltas`` are the chain's delta descriptors newest first (empty for
-    a full set); ``hash_doc`` is the set's hash-info document when the
-    caller wants slots keyed by content.  Only the selected models' diff
-    entries claim slots, so a single-model plan stays one row wide.  A delta with
-    no diff list (pas-delta) claims none: it becomes an XOR source over
-    every selected slot, at the slot's offset in the whole set.
+    ``replacing`` / ``xoring`` are the chain's replace or XOR deltas,
+    newest first (one of the two is empty); ``sizes`` are the layers'
+    byte sizes.  Slots are numbered row-major over every model.
     """
-    top = deltas[0] if deltas else base_doc
-    schema = schema_of(top)
-    num_models = int(top["num_models"])
-    if deltas and schema_of(base_doc) != schema:
-        raise RecoveryError("delta schema does not match the base set's schema")
-    if int(base_doc["num_models"]) != num_models:
-        raise RecoveryError(
-            f"chain base has {base_doc['num_models']} models, "
-            f"set {set_id!r} has {num_models}"
-        )
-    xor = bool(deltas) and "diff" not in deltas[0]
-    if any(("diff" in document) == xor for document in deltas):
-        raise RecoveryError(f"set {set_id!r}: chain mixes XOR and replace deltas")
-    replacing, xoring = ([], deltas) if xor else (deltas, [])
-    models = _select(num_models, model_index, set_id)
-    dtype = str(base_doc.get("param_dtype", "float32"))
-    sizes = np.asarray(layer_nbytes(schema, np.dtype(dtype).itemsize), dtype=np.int64)
     num_layers, model_nbytes = len(sizes), int(sizes.sum())
-    row_of = np.full(num_models, -1, dtype=np.int64)
-    row_of[models] = np.arange(len(models))
-
     # One flat pass over every diff entry of the chain, newest delta
     # first; a segment is one (entry, layer) extent of its delta's blob.
     columns = [diff_columns(document) for document in replacing]
@@ -435,15 +410,12 @@ def resolve_chain(
     first_entry = np.cumsum([0] + [len(column.writers) for column in columns])
     first_segment = np.concatenate(([0], np.cumsum(counts)))[first_entry]
     first_byte = starts[first_segment]
-    # Newest writer wins: of the selected models' segments, the first
-    # (newest) to name a slot is final.
-    rows = np.repeat(row_of[writers], counts)
-    selected = np.flatnonzero(rows >= 0)
+    # Newest writer wins: the first (newest) segment to name a slot is final.
     claimed, first = np.unique(
-        rows[selected] * num_layers + layers[selected], return_index=True
+        np.repeat(writers, counts) * num_layers + layers, return_index=True
     )
     order = np.argsort(first)
-    final, final_slots = selected[first[order]], claimed[order]
+    final, final_slots = first[order], claimed[order]
     final_starts, final_nbytes = starts[final], nbytes[final]
     # Each delta's final segments are one contiguous run of ``final``,
     # addressed from the start of that delta's blob.
@@ -465,14 +437,12 @@ def resolve_chain(
 
     # Base snapshot: everything no delta finalized (every slot of an XOR
     # chain, whose deltas then XOR onto the same whole-set offsets).
-    unclaimed = np.ones(len(models) * num_layers, dtype=bool)
+    unclaimed = np.ones(num_models * num_layers, dtype=bool)
     unclaimed[claimed] = False
     rest = np.flatnonzero(unclaimed)
     layer = rest % num_layers
-    offsets = np.asarray(models, dtype=np.int64)[rest // num_layers] * model_nbytes + (
-        np.cumsum(sizes) - sizes
-    )[layer]
-    whole = not replacing and model_index is None
+    offsets = rest // num_layers * model_nbytes + (np.cumsum(sizes) - sizes)[layer]
+    whole = not replacing
     total = num_models * model_nbytes
     sources.extend(
         Source(
@@ -494,9 +464,152 @@ def resolve_chain(
             rest, whole=whole,
         )
     )
+    return sources
+
+
+#: The columns of a source holding none of a selection's slots.
+_NO_SLOTS = (np.empty(0, dtype=np.int64),) * 3
+
+
+class ChainTable(NamedTuple):
+    """A chain's newest-writer-wins outcome, slot by slot.
+
+    Slots are numbered row-major over every model × layer.  A model's
+    plan is a gather from its row (:meth:`row`), so newest-writer-wins
+    runs once per chain, not once per selection.
+    """
+
+    #: The chain's descriptors, newest first, base last: the table holds
+    #: only while a walk returns these very objects.
+    documents: tuple
+    #: ``(artifact, codec, depth, total, xor)`` of each of the whole
+    #: set's sources (:func:`_chain_sources`), in plan order.
+    heads: "list[tuple]"
+    #: Per slot, the index in ``heads`` of the replace delta or snapshot
+    #: holding its final bytes ...
+    holder: np.ndarray
+    #: ... and the slot's byte offset in that source's artifact.
+    offset: np.ndarray
+
+    @classmethod
+    def of(cls, documents: tuple, sources: "list[Source]") -> "ChainTable":
+        """Scatter the whole set's sources into per-slot columns."""
+        num_slots = sum(len(source.slots) for source in sources if not source.xor)
+        holder = np.empty(num_slots, dtype=np.int32)
+        offset = np.empty(num_slots, dtype=np.int64)
+        for index, source in enumerate(sources):
+            if not source.xor:
+                holder[source.slots] = index
+                offset[source.slots] = source.offsets
+        heads = [
+            (source.artifact, source.codec, source.depth, source.total, source.xor)
+            for source in sources
+        ]
+        return cls(documents, heads, holder, offset)
+
+    def row(self, model: int, sizes: np.ndarray) -> "list[Source]":
+        """Model ``model``'s sources, its slots numbered by layer: each
+        source's slots grouped, then sorted by offset.  Every source of
+        the chain is kept, empty or not, and an XOR source covers the
+        model's whole row, as the snapshot holds it."""
+        num_layers = len(sizes)
+        span = slice(model * num_layers, (model + 1) * num_layers)
+        holder, offset = self.holder[span], self.offset[span]
+        layers = np.lexsort((offset, holder))
+        cuts = np.searchsorted(holder[layers], np.arange(len(self.heads) + 1)).tolist()
+        offsets, nbytes = offset[layers], sizes[layers]
+        base = len(self.heads) - 1
+        gathered = []
+        for index, (artifact, codec, depth, total, xor) in enumerate(self.heads):
+            start, stop = cuts[base : base + 2] if xor else cuts[index : index + 2]
+            # Most of a deep chain's deltas hold none of one model's slots.
+            columns = (
+                (offsets[start:stop], nbytes[start:stop], layers[start:stop])
+                if start < stop else _NO_SLOTS
+            )
+            gathered.append(Source(artifact, codec, depth, total, *columns, xor=xor))
+        return gathered
+
+
+class ChainMemo:
+    """Where a chain head's held descriptor keeps its :class:`ChainTable`
+    (:meth:`FrozenDict.derive`); ``table`` is ``None`` until the first
+    single-model resolve."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, _head: dict) -> None:
+        self.table: "ChainTable | None" = None
+
+
+def chain_table(documents: tuple, build: "Callable[[], list[Source]]") -> ChainTable:
+    """The table of the chain ``documents`` (newest first, base last).
+
+    Built from ``build()`` — the whole set's sources — once per chain
+    head, and kept on the head's held descriptor.  It is rebuilt when
+    the walk returns any other object for any set of the chain (a
+    compaction, migration or replace made a new one), and on every call
+    over plain (thawed) descriptors.
+    """
+    if not all(isinstance(document, FrozenDict) for document in documents):
+        return ChainTable.of(documents, build())
+    memo = documents[0].derive(ChainMemo)
+    table = memo.table
+    if (
+        table is None
+        or len(table.documents) != len(documents)
+        or not all(map(is_, table.documents, documents))
+    ):
+        table = memo.table = ChainTable.of(documents, build())
+    return table
+
+
+def resolve_chain(
+    base_doc: dict,
+    deltas: "list[dict]",
+    set_id: str,
+    model_index: "int | None" = None,
+    hash_doc: "dict | None" = None,
+) -> RecoveryPlan:
+    """Plan an artifact-stored set: newest writer wins every slot.
+
+    ``deltas`` are the chain's delta descriptors newest first (empty for
+    a full set); ``hash_doc`` is the set's hash-info document when the
+    caller wants slots keyed by content.  The whole set is planned by one
+    newest-writer-wins pass; one model is a gather from that pass's
+    :class:`ChainTable`, kept per chain, so a single-model plan stays one
+    row wide.  A delta with no diff list (pas-delta) claims no slot: it
+    becomes an XOR source over every selected slot, at the slot's offset
+    in the whole set.
+    """
+    top = deltas[0] if deltas else base_doc
+    schema = schema_of(top)
+    num_models = int(top["num_models"])
+    if deltas and schema_of(base_doc) != schema:
+        raise RecoveryError("delta schema does not match the base set's schema")
+    if int(base_doc["num_models"]) != num_models:
+        raise RecoveryError(
+            f"chain base has {base_doc['num_models']} models, "
+            f"set {set_id!r} has {num_models}"
+        )
+    xor = bool(deltas) and "diff" not in deltas[0]
+    if any(("diff" in document) == xor for document in deltas):
+        raise RecoveryError(f"set {set_id!r}: chain mixes XOR and replace deltas")
+    replacing, xoring = ([], deltas) if xor else (deltas, [])
+    models = _select(num_models, model_index, set_id)
+    dtype = str(base_doc.get("param_dtype", "float32"))
+    sizes = np.asarray(layer_nbytes(schema, np.dtype(dtype).itemsize), dtype=np.int64)
+
+    def whole_set() -> "list[Source]":
+        return _chain_sources(base_doc, replacing, xoring, sizes, num_models)
+
+    if model_index is None:
+        sources = whole_set()
+    else:
+        sources = chain_table((*deltas, base_doc), whole_set).row(model_index, sizes)
     columns = None
     if hash_doc is not None:
-        columns = digest_ids(hash_doc, models, num_models, num_layers)
+        columns = digest_ids(hash_doc, models, num_models, len(sizes))
     return RecoveryPlan(
         str(base_doc["architecture"]),
         schema,

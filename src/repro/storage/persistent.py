@@ -29,7 +29,7 @@ import weakref
 import zlib
 from pathlib import Path
 
-from repro.errors import ConfigError, StorageError
+from repro.errors import ArtifactTruncatedError, ConfigError, StorageError
 from repro.storage.document_store import (
     DocumentStore,
     auto_id_counter,
@@ -137,11 +137,18 @@ class PersistentFileStore(FileStore):
         return data
 
     def _read_ranges(self, artifact_id: str, ranges) -> "list[bytes]":
+        """The ranges' bytes; a range the file no longer holds (cut since
+        its size was remembered) raises :class:`ArtifactTruncatedError`
+        with the size on disk."""
         chunks = []
         with open(self._path(artifact_id), "rb") as handle:
             for offset, length in ranges:
                 handle.seek(offset)
-                chunks.append(handle.read(length))
+                chunk = handle.read(length)
+                if len(chunk) < length:
+                    size = os.fstat(handle.fileno()).st_size
+                    raise ArtifactTruncatedError(artifact_id, size, offset + length)
+                chunks.append(chunk)
         return chunks
 
     def _remove(self, artifact_id: str) -> None:

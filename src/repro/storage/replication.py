@@ -67,6 +67,7 @@ from repro.breaker import Breaker
 from repro.errors import (
     ArtifactCorruptionError,
     ArtifactNotFoundError,
+    ArtifactTruncatedError,
     DocumentNotFoundError,
     DuplicateArtifactError,
     QuorumError,
@@ -667,8 +668,8 @@ class ReplicatedFileStore(_ReplicaSet):
         fsck) before its byte ranges are trusted.  Either way a corrupt
         replica never silently feeds garbage into recovery; rot in bytes
         a check does not cover is the scrubber's to find.  A copy too
-        short to hold every range (a torn write, a truncated file) is
-        corrupt too.
+        short to hold every range (a torn write, a truncated file, also
+        one cut after its size was remembered) is corrupt too.
         """
         end = max((offset + length for offset, length in ranges), default=0)
 
@@ -679,7 +680,10 @@ class ReplicatedFileStore(_ReplicaSet):
                 return _CORRUPT
             if check is None and not store.verify_artifact(artifact_id):
                 return _CORRUPT
-            chunks = store.get_ranges(artifact_id, ranges, workers=workers)
+            try:
+                chunks = store.get_ranges(artifact_id, ranges, workers=workers)
+            except ArtifactTruncatedError:
+                return _CORRUPT  # cut since the copy's size was remembered
             if check is not None and not check(chunks):
                 return _CORRUPT
             return chunks, sum(len(chunk) for chunk in chunks)

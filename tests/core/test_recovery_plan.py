@@ -9,7 +9,10 @@ any depth, fetches exactly what a warm tier 2 lacks, and salvage loses
 exactly the models whose rows reference a corrupt chunk.  A plan built
 from the diff columns memoized on held descriptors equals one built from
 thawed (plain) descriptors, across compaction and a reopen, and a
-replaced descriptor never serves its predecessor's columns.  pas-delta's
+replaced descriptor never serves its predecessor's columns.  A chain
+head's single-model plans gather from one chain table, kept while the
+walk returns the same descriptors and rebuilt after a compaction, and a
+warm read is charged exactly what the cold one was.  pas-delta's
 whole-set XOR chains (codec none/zlib/shuffle-zlib, with and without
 snapshots, 1 and 4 workers) recover every set and model that was saved,
 resolve from metadata alone, and are charged what pas-delta's own
@@ -28,6 +31,7 @@ from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
 from repro.core.approach import SETS_COLLECTION
 from repro.core.recovery import (
+    ChainMemo,
     chain_documents,
     diff_columns,
     digest_matrix,
@@ -212,14 +216,28 @@ def thawed_plan(approach, set_id, selector):
     )
 
 
+def chain_table_of(manager, set_id):
+    """The chain table kept on ``set_id``'s held descriptor, or ``None``."""
+    memo = manager.context.document_store.peek(SETS_COLLECTION, set_id).derived(ChainMemo)
+    return None if memo is None else memo.table
+
+
 def assert_memo_matches_thawed(manager, ids):
     for set_id in ids:
         for selector in (None, *range(NUM_MODELS)):
+            tables = []
             for _ in range(2):  # the second resolve serves memoized columns
                 memoized = resolve(manager.approach, set_id, selector)
                 assert plan_fields(memoized) == plan_fields(
                     thawed_plan(manager.approach, set_id, selector)
                 )
+                tables.append(chain_table_of(manager, set_id))
+            if selector is not None:  # ... and the head's chain table
+                assert tables[0] is not None and tables[1] is tables[0]
+
+
+#: A depth-4 Update chain whose head rewrites model 1 (read by the table tests).
+WARM_CYCLES = [{0: {0, 1}, 1: {2}}, {1: {0}, 3: {1, 2}}, {0: {3}, 2: {0}}, {1: {1}}]
 
 
 class TestMemoizedColumns:
@@ -262,6 +280,51 @@ class TestMemoizedColumns:
         after = diff_columns(store.peek(SETS_COLLECTION, ids[-1]))
         assert len(after.writers) == 1 < len(before.writers)
         assert_memo_matches_thawed(manager, ids)
+
+    def test_a_compaction_between_warm_reads_rebuilds_the_table(self, monkeypatch):
+        manager, ids, sets = build_chain(WARM_CYCLES)
+        approach, store = manager.approach, manager.context.file_store
+        for _ in range(2):  # cold, then warm
+            assert same_state(approach.recover_model(ids[-1], 1), sets[-1].state(1))
+        warm = chain_table_of(manager, ids[-1])
+        compacted = [manager.set_info(set_id)["params_artifact"] for set_id in ids[1:3]]
+        assert RetentionManager(manager.context).compact(ids[2])
+
+        read = []
+        for name in ("get", "get_ranges", "size"):
+            method = getattr(store, name)
+            monkeypatch.setattr(
+                store, name,
+                lambda artifact, *args, method=method, **kwargs: (
+                    read.append(artifact) or method(artifact, *args, **kwargs)
+                ),
+            )
+        assert same_state(approach.recover_model(ids[-1], 1), sets[-1].state(1))
+        assert chain_table_of(manager, ids[-1]) is not warm
+        plan = resolve(approach, ids[-1], 1)
+        assert [source.depth for source in plan.sources] == [0, 1, None]
+        assert plan.sources[-1].artifact == manager.set_info(ids[2])["params_artifact"]
+        assert read and not set(read) & set(compacted)
+
+    @pytest.mark.parametrize("depth", [0, 1, 4])
+    def test_a_warm_read_is_charged_what_the_cold_read_was(self, depth):
+        manager, ids, sets = build_chain(WARM_CYCLES[:depth], profile=SERVER_PROFILE)
+        stores = (manager.context.file_store.stats, manager.context.document_store.stats)
+        charges = []
+        for _ in range(2):  # cold, then warm
+            before = [stats.snapshot() for stats in stores]
+            state = manager.approach.recover_model(ids[-1], 1)
+            assert same_state(state, sets[-1].state(1))
+            charges.append([
+                value
+                for stats, snapshot in zip(stores, before)
+                for delta in (stats.delta_since(snapshot),)
+                for value in (delta.bytes_read, delta.reads, delta.simulated_read_s)
+            ])
+        assert chain_table_of(manager, ids[-1]) is not None
+        # Deltas of running sums: equal up to rounding.
+        assert charges[1] == pytest.approx(charges[0], rel=1e-12)
+        assert charges[0][4] == depth + 1  # one descriptor per set of the chain
 
 
 #: A depth-3 pas-delta chain with overlapping and untouched models.

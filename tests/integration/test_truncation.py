@@ -6,6 +6,11 @@ then either returns the right bytes or raises a
 :class:`~repro.errors.ReproError` subclass with the CLI's exit 2, and a
 shallow ``fsck`` names the pack from sizes alone.  With three replicas
 one short copy is served around; every copy short is the plain case.
+
+Cut under the engine that wrote it (no reopen, so the store still
+remembers the old size), a pack or delta fails its read with the same
+:class:`~repro.errors.ArtifactTruncatedError`, and one short replica is
+served around with a repair queued and no breaker penalty.
 """
 
 import contextlib
@@ -13,12 +18,15 @@ import io
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.config import ArchiveConfig
+from repro.core.approach import SETS_COLLECTION
 from repro.core.fsck import ArchiveFsck, salvage_recover
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
+from repro.core.recovery import ChainMemo
 from repro.cli.main import main
 from repro.errors import ArtifactTruncatedError, ReproError
 
@@ -26,11 +34,11 @@ PACK = "set-update-000000-chunks"
 
 
 def build_archive(root, replicas):
-    """Save the one set at ``root``; returns its models."""
+    """Save the one set at ``root``; returns the engine and the models."""
     models = ModelSet.build("FFNN-48", num_models=3, seed=0)
     manager = MultiModelManager.open(root, "update", config(replicas))
     assert manager.save_set(models) == "set-update-000000"
-    return models
+    return manager, models
 
 
 def config(replicas):
@@ -54,7 +62,7 @@ def run_cli(*argv):
 @pytest.fixture(scope="module")
 def short_plain(tmp_path_factory):
     root = tmp_path_factory.mktemp("short-plain")
-    models = build_archive(root, replicas=1)
+    _manager, models = build_archive(root, replicas=1)
     cut(root, [""])
     return root, models
 
@@ -65,7 +73,7 @@ def replicated(tmp_path_factory):
     roots = {}
     for copies in (1, 3):
         root = tmp_path_factory.mktemp(f"short-{copies}-of-3")
-        models = build_archive(root, replicas=3)
+        _manager, models = build_archive(root, replicas=3)
         cut(root, [f"replica-{index}" for index in range(copies)])
         roots[copies] = root
     return roots, models
@@ -133,3 +141,56 @@ class TestReplicatedShortPack:
         report = ArchiveFsck(manager.context).run()
         assert [entry["artifact"] for entry in report.short_packs] == [PACK]
         assert report.exit_code == 2
+
+
+def same_state(state, expected) -> bool:
+    return all((state[name] == value).all() for name, value in expected.items())
+
+
+class TestCutUnderALiveEngine:
+    """No reopen: the store still remembers each artifact's old size."""
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda manager: manager.recover_set("set-update-000000"),
+            lambda manager: manager.recover_model("set-update-000000", 2),
+        ],
+        ids=["recover_set", "recover_model"],
+    )
+    def test_a_cut_pack_raises_the_typed_error(self, tmp_path, read):
+        manager, _models = build_archive(tmp_path, replicas=1)
+        cut(tmp_path, [""])
+        with pytest.raises(ArtifactTruncatedError, match=PACK) as info:
+            read(manager)
+        assert info.value.artifact_id == PACK and info.value.size < info.value.end
+
+    def test_a_warm_model_read_of_a_cut_delta_raises_the_typed_error(self, tmp_path):
+        manager = MultiModelManager.open(tmp_path, "update", ArchiveConfig())
+        models = ModelSet.build("FFNN-48", num_models=3, seed=0)
+        base_id = manager.save_set(models)
+        derived = models.copy()
+        for model in (1, 2):  # model 2's segments close the delta's blob
+            state = derived.state(model)
+            for name in state:
+                state[name] = (state[name] + np.float32(1)).astype(np.float32)
+        head = manager.save_set(derived, base_set_id=base_id)
+        assert same_state(manager.recover_model(head, 2), derived.state(2))
+        held = manager.context.document_store.peek(SETS_COLLECTION, head)
+        assert held.derived(ChainMemo).table is not None  # the read is warm
+
+        delta = held["params_artifact"]
+        path = tmp_path / "artifacts" / f"{delta}.bin"
+        os.truncate(path, os.path.getsize(path) // 2)
+        with pytest.raises(ArtifactTruncatedError, match=delta) as info:
+            manager.recover_model(head, 2)
+        assert info.value.size == os.path.getsize(path) < info.value.end
+
+    def test_one_cut_copy_is_served_around_and_repaired(self, tmp_path):
+        manager, models = build_archive(tmp_path, replicas=3)
+        cut(tmp_path, ["replica-0"])  # the copy a read tries first
+        assert manager.recover_set("set-update-000000").equals(models)
+        assert same_state(manager.recover_model("set-update-000000", 2), models.state(2))
+        store = manager.context.file_store
+        assert store.pending_repairs() == {"replica-0": {PACK: "put"}}
+        assert store.replicas[0].breaker.failures == 0

@@ -98,6 +98,30 @@ def undeclared_imports(root: Path) -> list[str]:
     return hits
 
 
+def newest_writer_passes(root: Path) -> list[str]:
+    """core/recovery.py resolves newest-writer-wins in one place: one
+    ``np.unique(..., return_index=...)``, and no per-selection ``row_of``."""
+    path = root / "src/repro/core/recovery.py"
+    if not path.exists():
+        return []
+    relative, text = path.relative_to(root).as_posix(), path.read_text()
+    hits = [
+        f"{relative}:{number}:{line}"
+        for number, line in enumerate(text.splitlines(), 1)
+        if re.search(r"\brow_of\b", line)
+    ]
+    passes = [
+        f"{relative}:{node.lineno}:np.unique(..., return_index=...)"
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "np.unique"
+        and any(keyword.arg == "return_index" for keyword in node.keywords)
+    ]
+    if len(passes) != 1:
+        hits.extend(passes or [f"{relative}: no newest-writer pass"])
+    return hits
+
+
 GATES = (
     Gate("Legacy-kwarg",
          r"(with_approach|\.open|\.create)\((?:(?!ArchiveConfig)[^()])*\b"
@@ -172,6 +196,10 @@ GATES = (
     Gate("One chunk index", r"\b_Chunk\b|\._chunks\[|\._chunks\.items\(", (),
          "the chunk store is its digest-id columns; read a chunk through locate(), not a hex dict",
          "record = chunk_store._chunks[digest]", "tests/planted.py"),
+    Gate("One newest-writer pass", "", (),
+         "a model's plan is a gather from the chain table, not a second resolve",
+         "row_of = np.full(num_models, -1)", "src/repro/core/recovery.py",
+         check=newest_writer_passes),
 )
 
 
