@@ -20,6 +20,7 @@ the management system.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 from dataclasses import dataclass
@@ -68,13 +69,22 @@ class Measurement:
 
 
 def _measure(manager: MultiModelManager, operation) -> tuple[object, Measurement]:
+    """Time ``operation()`` with the cyclic collector paused (as ``timeit``
+    does: where a collection lands is an accident of the allocation
+    count); its prior state is restored, also when the operation raises."""
     file_store = manager.context.file_store
     doc_store = manager.context.document_store
     file_before = file_store.stats.snapshot()
     doc_before = doc_store.stats.snapshot()
-    start = time.perf_counter()
-    result = operation()
-    real_s = time.perf_counter() - start
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = operation()
+        real_s = time.perf_counter() - start
+    finally:
+        if collecting:
+            gc.enable()
     file_delta = file_store.stats.delta_since(file_before)
     doc_delta = doc_store.stats.delta_since(doc_before)
     simulated = (

@@ -3,25 +3,24 @@
 Every experiment function takes an :class:`ExperimentSettings`, runs the
 paper's scenario against all relevant approaches, and returns an
 :class:`ExperimentResult` holding both the machine-readable data (used by
-the test suite and the pytest benches) and a formatted report in the
-shape the paper presents (used by the ``repro-bench`` CLI and
-EXPERIMENTS.md).
+the test suite) and a formatted report in the shape the paper presents
+(used by the ``repro-bench`` CLI and EXPERIMENTS.md).  Every timed point
+goes through :func:`repro.bench.metrics._measure`, and a TTS/TTR point
+is the median of ``runs`` samples (the paper reports medians of 5).
 
 Scale: the paper uses 5000 models; storage per model is exact and
 TTS/TTR scale linearly in the set size, so the default here is a faster
-``num_models=500`` with ``--full-scale`` (or ``REPRO_FULL_SCALE=1``)
-switching to the paper's 5000.
+``num_models=500`` with ``--full-scale`` switching to the paper's 5000.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.bench.metrics import Measurement, measure_recover, measure_save, median
+from repro.bench.metrics import Measurement, _measure, measure_recover, measure_save, median
 from repro.bench.report import format_series, format_table
 from repro.config import ArchiveConfig
 from repro.core.manager import MultiModelManager
@@ -145,22 +144,23 @@ def _save_all(
     return manager, set_ids, measurements
 
 
-def _median_tts(
+def _save_runs(
     approach: str,
     cases: list[UseCase],
     profile: HardwareProfile,
     runs: int,
     **approach_kwargs,
-) -> list[float]:
-    """Median TTS per use case over ``runs`` independent save sequences."""
-    per_case: list[list[float]] = [[] for _ in cases]
+) -> "tuple[MultiModelManager, list[str], list[list[Measurement]]]":
+    """``runs`` independent save sequences: the last sequence's manager and
+    set ids, and each use case's ``runs`` save measurements."""
+    samples: list[list[Measurement]] = [[] for _case in cases]
     for _run in range(runs):
-        _manager, _ids, measurements = _save_all(
+        manager, set_ids, measurements = _save_all(
             approach, cases, profile, **approach_kwargs
         )
-        for index, measurement in enumerate(measurements):
-            per_case[index].append(measurement.total_s)
-    return [median(values) for values in per_case]
+        for case_samples, measurement in zip(samples, measurements):
+            case_samples.append(measurement)
+    return manager, set_ids, samples
 
 
 def _recoveries(
@@ -185,6 +185,15 @@ def _recoveries(
         for measurements, set_id in zip(samples, set_ids):
             measurements.append(measure_recover(manager, set_id)[1])
     return samples
+
+
+def _final_ttr(manager: MultiModelManager, set_id: str, runs: int):
+    """Median TTR of ``runs`` recoveries of one set, and the recovered set."""
+    recovered, times = None, []
+    for _run in range(runs):
+        recovered, measurement = measure_recover(manager, set_id)
+        times.append(measurement.total_s)
+    return median(times), recovered
 
 
 def _medians(samples: "list[list[Measurement]]", part: str = "total_s") -> list[float]:
@@ -339,7 +348,7 @@ def figure4(settings: ExperimentSettings) -> ExperimentResult:
     """Median TTS per use case, for the configured hardware profile."""
     cases = _generate_cases(settings.scenario_config())
     series = {
-        approach: _median_tts(approach, cases, settings.profile, settings.runs)
+        approach: _medians(_save_runs(approach, cases, settings.profile, settings.runs)[2])
         for approach in APPROACH_NAMES
     }
     text = format_series(
@@ -515,12 +524,9 @@ def snapshot_interval(settings: ExperimentSettings) -> ExperimentResult:
             "update", cases, settings.profile, snapshot_interval=interval
         )
         total_mb = sum(m.bytes_written for m in measurements) / 1e6
-        _set, recover_measurement = measure_recover(manager, set_ids[-1])
-        rows.append([label, total_mb, recover_measurement.total_s])
-        data[label] = {
-            "storage_mb": total_mb,
-            "final_ttr_s": recover_measurement.total_s,
-        }
+        final_ttr, _set = _final_ttr(manager, set_ids[-1], settings.runs)
+        rows.append([label, total_mb, final_ttr])
+        data[label] = {"storage_mb": total_mb, "final_ttr_s": final_ttr}
     text = format_table(
         f"Ablation A1 — Update snapshot interval ({settings.num_models} models, "
         f"{cycles} update cycles): storage vs. final-set TTR",
@@ -541,19 +547,19 @@ def compression(settings: ExperimentSettings) -> ExperimentResult:
     rows = []
     data: dict[str, dict[str, float]] = {}
     for codec in ("none", "zlib", "shuffle-zlib"):
-        manager, set_ids, measurements = _save_all(
-            "update", cases, settings.profile, codec=codec
+        manager, set_ids, samples = _save_runs(
+            "update", cases, settings.profile, settings.runs, codec=codec
         )
-        u3_mb = sum(m.bytes_written for m in measurements[1:]) / 1e6
-        tts = median([m.total_s for m in measurements[1:]])
-        recovered, recover_measurement = measure_recover(manager, set_ids[-1])
+        u3_mb = sum(case[0].bytes_written for case in samples[1:]) / 1e6
+        tts = median(_medians(samples[1:]))
+        final_ttr, recovered = _final_ttr(manager, set_ids[-1], settings.runs)
         if not recovered.equals(cases[-1].model_set):
             raise AssertionError(f"codec {codec!r} corrupted the recovery")
-        rows.append([codec, u3_mb, tts, recover_measurement.total_s])
+        rows.append([codec, u3_mb, tts, final_ttr])
         data[codec] = {
             "u3_storage_mb": u3_mb,
             "median_u3_tts_s": tts,
-            "final_ttr_s": recover_measurement.total_s,
+            "final_ttr_s": final_ttr,
         }
     text = format_table(
         f"Ablation A2 — compression of Update deltas ({settings.num_models} "
@@ -634,26 +640,16 @@ def set_size_sweep(settings: ExperimentSettings) -> ExperimentResult:
         cases = _generate_cases(config)
         per_size: dict[str, dict[str, float]] = {}
         for approach in ("mmlib-base", "baseline"):
-            tts_values = []
-            measurement = None
-            for _run in range(settings.runs):
-                _m, _ids, measurements = _save_all(
-                    approach, cases, settings.profile
-                )
-                measurement = measurements[0]
-                tts_values.append(measurement.total_s)
-            per_size[approach] = {
-                "bytes_per_model": measurement.bytes_written / size,
-                "tts_ms_per_model": 1e3 * median(tts_values) / size,
-            }
-            rows.append(
-                [
-                    size,
-                    approach,
-                    measurement.bytes_written / size / 1e3,
-                    1e3 * median(tts_values) / size,
-                ]
+            _m, _ids, samples = _save_runs(
+                approach, cases, settings.profile, settings.runs
             )
+            bytes_per_model = samples[0][0].bytes_written / size
+            tts_ms_per_model = 1e3 * _medians(samples)[0] / size
+            per_size[approach] = {
+                "bytes_per_model": bytes_per_model,
+                "tts_ms_per_model": tts_ms_per_model,
+            }
+            rows.append([size, approach, bytes_per_model / 1e3, tts_ms_per_model])
         data[size] = per_size
     text = format_table(
         "Set-size sweep — per-model save cost (U1 only), MMlib-base vs "
@@ -682,12 +678,12 @@ def granularity(settings: ExperimentSettings) -> ExperimentResult:
     rows = []
     data: dict[str, dict[str, float]] = {}
     for mode in ("layer", "model"):
-        _manager, _ids, measurements = _save_all(
-            "update", cases, settings.profile, granularity=mode
+        _manager, _ids, samples = _save_runs(
+            "update", cases, settings.profile, settings.runs, granularity=mode
         )
-        u3_bytes = [m.bytes_written for m in measurements[1:]]
+        u3_bytes = [case[0].bytes_written for case in samples[1:]]
         u3_mb = sum(u3_bytes) / len(u3_bytes) / 1e6
-        tts = median([m.total_s for m in measurements[1:]])
+        tts = median(_medians(samples[1:]))
         rows.append([mode, u3_mb, tts])
         data[mode] = {"u3_storage_mb": u3_mb, "median_u3_tts_s": tts}
     text = format_table(
@@ -713,38 +709,37 @@ def single_model(settings: ExperimentSettings) -> ExperimentResult:
     from Baseline's artifact, a chain of model-sized reads from Update,
     and a per-model replay from Provenance.
     """
-    import time
-
     cases = _generate_cases(settings.scenario_config())
     target = settings.num_models // 2
     rows = []
     data: dict[str, dict[str, float]] = {}
     for approach in ("mmlib-base", "baseline", "update"):
         manager, set_ids, _saves = _save_all(approach, cases, settings.profile)
-        _set, full = measure_recover(manager, set_ids[-1])
-
-        file_before = manager.context.file_store.stats.snapshot()
-        start = time.perf_counter()
+        final = set_ids[-1]
+        # Both sides are accounted alike, in interleaved rounds.
+        samples: list[list[Measurement]] = [[], []]
         for _run in range(settings.runs):
-            manager.recover_model(set_ids[-1], target)
-        single_real = (time.perf_counter() - start) / settings.runs
-        file_delta = manager.context.file_store.stats.delta_since(file_before)
-        single_bytes = file_delta.bytes_read / settings.runs
-        single_total = single_real + (
-            file_delta.simulated_read_s / settings.runs
-        )
-        rows.append(
-            [approach, full.total_s, single_total, single_bytes / 1e6]
-        )
+            samples[0].append(measure_recover(manager, final)[1])
+            samples[1].append(
+                _measure(manager, lambda: manager.recover_model(final, target))[1]
+            )
+        full, single = _medians(samples)
+        full_sim, single_sim = _medians(samples, "simulated_s")
+        single_mb = median([m.file_stats.bytes_read for m in samples[1]]) / 1e6
+        rows.append([approach, full, single, full_sim, single_sim, single_mb])
         data[approach] = {
-            "full_ttr_s": full.total_s,
-            "single_ttr_s": single_total,
-            "single_read_mb": single_bytes / 1e6,
+            "full_ttr_s": full,
+            "single_ttr_s": single,
+            "full_simulated_s": full_sim,
+            "single_simulated_s": single_sim,
+            "single_read_mb": single_mb,
         }
     text = format_table(
         f"Ablation A4 — single-model vs full-set recovery "
-        f"({settings.num_models} x {settings.architecture}, final set)",
-        ["approach", "full-set TTR s", "single-model s", "bytes read MB"],
+        f"({settings.num_models} x {settings.architecture}, final set, "
+        f"medians of {settings.runs} runs)",
+        ["approach", "full-set TTR s", "single-model s", "full simulated s",
+         "single simulated s", "file bytes read MB"],
         rows,
         value_format="{:.5f}",
     )
@@ -827,7 +822,8 @@ def timeline(settings: ExperimentSettings) -> ExperimentResult:
 
     Runs U1 plus ``cycles`` update cycles with one full-set recovery at
     the end (the paper's rare post-accident read), accumulating each
-    approach's total storage and total time.  The same scenario is fed
+    approach's total storage and total time (the sum of its points'
+    medians).  The same scenario is fed
     to the :class:`~repro.core.recommender.ApproachRecommender`'s
     analytical model; agreement on the *ordering* validates that the
     recommender ranks on numbers that track reality.
@@ -839,18 +835,16 @@ def timeline(settings: ExperimentSettings) -> ExperimentResult:
     rows = []
     measured: dict[str, dict[str, float]] = {}
     for approach in APPROACH_NAMES:
-        manager, set_ids, measurements = _save_all(
-            approach, cases, settings.profile
+        manager, set_ids, samples = _save_runs(
+            approach, cases, settings.profile, settings.runs
         )
-        total_storage = sum(m.bytes_written for m in measurements)
-        total_time = sum(m.total_s for m in measurements)
-        if approach == "provenance":
-            # Synthetic updates cannot be replayed; recover the initial
-            # full set (same store path, no retraining) for the timeline.
-            _set, recover_measurement = measure_recover(manager, set_ids[0])
-        else:
-            _set, recover_measurement = measure_recover(manager, set_ids[-1])
-        total_time += recover_measurement.total_s
+        total_storage = sum(case[0].bytes_written for case in samples)
+        # Synthetic updates cannot be replayed; Provenance recovers the
+        # initial full set (same store path, no retraining) for the timeline.
+        recovered_id = set_ids[0] if approach == "provenance" else set_ids[-1]
+        total_time = sum(_medians(samples)) + _final_ttr(
+            manager, recovered_id, settings.runs
+        )[0]
         measured[approach] = {
             "storage_mb": total_storage / 1e6,
             "time_s": total_time,
@@ -911,21 +905,21 @@ def delta_encoding(settings: ExperimentSettings) -> ExperimentResult:
     rows = []
     data: dict[str, dict[str, float]] = {}
     for approach in ("update", "pas-delta"):
-        manager, set_ids, measurements = _save_all(
-            approach, cases, settings.profile
+        manager, set_ids, samples = _save_runs(
+            approach, cases, settings.profile, settings.runs
         )
-        u3_mb = sum(m.bytes_written for m in measurements[1:]) / len(
-            measurements[1:]
+        u3_mb = sum(case[0].bytes_written for case in samples[1:]) / len(
+            samples[1:]
         ) / 1e6
-        tts = median([m.total_s for m in measurements[1:]])
-        recovered, recover_measurement = measure_recover(manager, set_ids[-1])
+        tts = median(_medians(samples[1:]))
+        final_ttr, recovered = _final_ttr(manager, set_ids[-1], settings.runs)
         if not recovered.equals(cases[-1].model_set):
             raise AssertionError(f"{approach} recovery diverged")
-        rows.append([approach, u3_mb, tts, recover_measurement.total_s])
+        rows.append([approach, u3_mb, tts, final_ttr])
         data[approach] = {
             "u3_storage_mb": u3_mb,
             "median_u3_tts_s": tts,
-            "final_ttr_s": recover_measurement.total_s,
+            "final_ttr_s": final_ttr,
         }
     text = format_table(
         f"Ablation A6 — delta encoding (PAS-style XOR) vs Update "
@@ -1084,8 +1078,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--full-scale",
         action="store_true",
-        help="use the paper's 5000 models (slow); also enabled by "
-        "REPRO_FULL_SCALE=1",
+        help="use the paper's 5000 models (slow)",
     )
     parser.add_argument(
         "--json",
@@ -1096,11 +1089,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    num_models = args.num_models
-    if args.full_scale or os.environ.get("REPRO_FULL_SCALE") == "1":
-        num_models = 5000
     settings = ExperimentSettings(
-        num_models=num_models,
+        num_models=5000 if args.full_scale else args.num_models,
         cycles=args.cycles,
         runs=args.runs,
         profile_name=args.profile,

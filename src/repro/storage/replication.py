@@ -669,21 +669,18 @@ class ReplicatedFileStore(_ReplicaSet):
         replica never silently feeds garbage into recovery; rot in bytes
         a check does not cover is the scrubber's to find.  A copy too
         short to hold every range (a torn write, a truncated file, also
-        one cut after its size was remembered) is corrupt too.
+        one cut after its size was remembered) is corrupt too: the
+        backend's bounds check or short read says so.  A missing copy
+        raises ``ArtifactNotFoundError``, which the failover counts.
         """
-        end = max((offset + length for offset, length in ranges), default=0)
 
         def read(store):
-            if not store.exists(artifact_id):
-                return _MISSING
-            if store.size(artifact_id) < end:
-                return _CORRUPT
             if check is None and not store.verify_artifact(artifact_id):
                 return _CORRUPT
             try:
                 chunks = store.get_ranges(artifact_id, ranges, workers=workers)
             except ArtifactTruncatedError:
-                return _CORRUPT  # cut since the copy's size was remembered
+                return _CORRUPT
             if check is not None and not check(chunks):
                 return _CORRUPT
             return chunks, sum(len(chunk) for chunk in chunks)

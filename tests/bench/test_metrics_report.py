@@ -1,8 +1,10 @@
 """Tests for measurement primitives and report formatting."""
 
+import gc
+
 import pytest
 
-from repro.bench.metrics import Measurement, measure_recover, measure_save, median
+from repro.bench.metrics import Measurement, _measure, measure_recover, measure_save, median
 from repro.bench.report import format_series, format_table
 from repro.config import ArchiveConfig
 from repro.core.manager import MultiModelManager
@@ -55,6 +57,35 @@ class TestMeasureRecover:
         recovered, measurement = measure_recover(manager, set_id)
         assert recovered.equals(models)
         assert measurement.reads >= 2
+
+
+class TestOneClock:
+    def test_the_collector_is_paused_only_while_the_clock_runs(self):
+        manager = MultiModelManager.with_approach("baseline")
+        collecting = []
+
+        def operation():
+            collecting.append(gc.isenabled())
+            return "done"
+
+        def failing():
+            collecting.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        assert gc.isenabled()
+        assert _measure(manager, operation)[0] == "done"
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="boom"):
+            _measure(manager, failing)
+        assert gc.isenabled()
+        # A caller that paused the collector itself keeps it paused.
+        gc.disable()
+        try:
+            _measure(manager, operation)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert collecting == [False, False, False]
 
 
 class TestMedian:

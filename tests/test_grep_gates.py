@@ -25,7 +25,7 @@ class Gate(NamedTuple):
     pattern: str
     allowed: tuple  # ``grep -v`` patterns over ``path:line:text``
     reason: str
-    sample: str  # a line the gate must catch, planted at ``plant``
+    sample: "str | tuple"  # a line the gate must catch (each one), planted at ``plant``
     plant: str = "src/repro/planted.py"
     roots: tuple = TREE
     check: "Callable[[Path], list[str]] | None" = None  # a multi-line gate
@@ -177,9 +177,15 @@ GATES = (
     Gate("Retired-bench",
          r"repro\.bench\.(dedup|serving|fleet|scaling|registry|faults|replication)\b|"
          r"bench_(dedup|serving|fleet_scaling|parallel_scaling|registry|faults)|"
-         r"repro\.bench\.(chaos|soak)|bench_(chaos|soak)|REPRO_(CHAOS|SOAK)_", (),
-         "retired benches' claims are tier-1 tests; their timings the wall-clock ledger",
-         "CYCLES = os.environ['REPRO_SOAK_CYCLES']", "benchmarks/planted.py"),
+         r"repro\.bench\.(chaos|soak)|bench_(chaos|soak)|REPRO_(CHAOS|SOAK)_|"
+         r"pytest_benchmark|benchmark\.pedantic|REPRO_BENCH_MODELS|REPRO_FULL_SCALE", (),
+         "retired benches' claims are tier-1 tests; their timings the wall-clock ledger and "
+         "repro-bench, whose points are medians of _measure samples",
+         ("CYCLES = os.environ['REPRO_SOAK_CYCLES']", "import pytest_benchmark",
+          "data = benchmark.pedantic(run, rounds=2, iterations=1)",
+          "MODELS = int(os.environ.get('REPRO_BENCH_MODELS', '100'))",
+          "if os.environ.get('REPRO_FULL_SCALE') == '1':"),
+         "benchmarks/planted.py"),
     Gate("Second-audit",
          r"\b(ArchiveVerifier|VerificationReport|verify_all)\b|repro\.core\.verify\b",
          (), "ArchiveFsck is the one audit: run(deep=, recover=) holds every verify check",
@@ -221,5 +227,6 @@ def test_each_gate_still_fires(gate, tmp_path):
     assert violations(gate, tmp_path) == []
     planted = tmp_path / gate.plant
     planted.parent.mkdir(parents=True, exist_ok=True)
-    planted.write_text(f"import os\n{gate.sample}\n")
-    assert violations(gate, tmp_path), f"{gate.name} missed {gate.sample!r}"
+    for sample in gate.sample if isinstance(gate.sample, tuple) else (gate.sample,):
+        planted.write_text(f"import os\n{sample}\n")
+        assert violations(gate, tmp_path), f"{gate.name} missed {sample!r}"
