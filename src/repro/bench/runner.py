@@ -409,7 +409,7 @@ def figure5(settings: ExperimentSettings) -> ExperimentResult:
         "provenance",
         prov_cases,
         settings.profile,
-        max(1, settings.runs - 1),
+        settings.runs,
         dataset_cache=False,
     )
     text = format_series(
@@ -458,7 +458,7 @@ def provenance_training(settings: ExperimentSettings) -> ExperimentResult:
         "provenance",
         cases,
         settings.profile,
-        max(1, settings.runs - 1),
+        settings.runs,
         dataset_cache=False,
     )
     base = ttr[1] if len(ttr) > 1 and ttr[1] > 0 else 1.0

@@ -46,15 +46,17 @@ from repro.core.baseline import layer_hashes
 from repro.core.manager import APPROACHES
 from repro.core.mmlib_base import MODELS_COLLECTION
 from repro.core.recovery import (
-    HASH_COLLECTION,
     RecoveryPlan,
     SetOwns,
+    StoredDigests,
     assemble,
+    changed_rows,
     layer_nbytes,
     resolve_chunked,
     set_owns,
+    stored_digests,
 )
-from repro.errors import DocumentNotFoundError, ReproError
+from repro.errors import ArtifactNotFoundError, DocumentNotFoundError, ReproError
 from repro.nn.serialization import ModelState, StateSchema, deserialize_state_dict
 from repro.observability import trace as _trace
 from repro.storage.chunk_index import PACKS_COLLECTION
@@ -116,21 +118,24 @@ class FsckReport:
     #: only) that do not recover to their stored hash info.
     set_issues: list[SetIssue] = field(default_factory=list)
 
+    def _findings(self) -> "list[tuple[str, list]]":
+        return [
+            ("pending journal entries", self.pending_journal),
+            ("missing artifacts", self.missing_artifacts),
+            ("orphan artifacts", self.orphan_artifacts),
+            ("refcount mismatches", self.refcount_mismatches),
+            ("corrupt artifacts", self.corrupt_artifacts),
+            ("corrupt chunks", self.corrupt_chunks),
+            ("quarantined chunks", self.quarantined_chunks),
+            ("short packs", self.short_packs),
+            ("degraded artifacts", self.degraded_artifacts),
+            ("divergent replicas", self.replica_divergence),
+            ("set issues", self.set_issues),
+        ]
+
     @property
     def ok(self) -> bool:
-        return not (
-            self.pending_journal
-            or self.missing_artifacts
-            or self.orphan_artifacts
-            or self.refcount_mismatches
-            or self.corrupt_artifacts
-            or self.corrupt_chunks
-            or self.quarantined_chunks
-            or self.short_packs
-            or self.degraded_artifacts
-            or self.replica_divergence
-            or self.set_issues
-        )
+        return not any(items for _label, items in self._findings())
 
     @property
     def exit_code(self) -> int:
@@ -161,23 +166,7 @@ class FsckReport:
                 f"{self.artifacts_checked} artifacts, "
                 f"{self.chunks_checked} chunks"
             )
-        parts = []
-        for label, items in (
-            ("pending journal entries", self.pending_journal),
-            ("missing artifacts", self.missing_artifacts),
-            ("orphan artifacts", self.orphan_artifacts),
-            ("refcount mismatches", self.refcount_mismatches),
-            ("corrupt artifacts", self.corrupt_artifacts),
-            ("corrupt chunks", self.corrupt_chunks),
-            ("quarantined chunks", self.quarantined_chunks),
-            ("short packs", self.short_packs),
-            ("degraded artifacts", self.degraded_artifacts),
-            ("divergent replicas", self.replica_divergence),
-            ("set issues", self.set_issues),
-        ):
-            if items:
-                parts.append(f"{len(items)} {label}")
-        return "; ".join(parts)
+        return "; ".join(f"{len(items)} {label}" for label, items in self._findings() if items)
 
 
 class ArchiveFsck:
@@ -260,19 +249,17 @@ class ArchiveFsck:
         return report
 
     def _short_packs(self, chunk_store) -> list[dict]:
-        """Packs too short for the chunks they hold, from sizes alone (no
-        byte is read).  On a replicated store a pack is short only when
-        every copy is; one short copy is degraded, a deep scan's finding."""
-        file_store = self.context.file_store
-        file_rep, _doc_rep = replicated_stores(self.context)
+        """Packs too short for the chunks they hold, from the sizes their
+        backends hold now (no byte is read).  On a replicated store a pack
+        is short only when every copy is (``size_at_rest`` is the largest);
+        one short copy is degraded, a deep scan's finding."""
         short = []
         for artifact, needs in chunk_store.pack_extents().items():
-            if file_rep is not None:
-                sizes = file_rep.replica_sizes(artifact).values()
-            else:
-                sizes = [file_store.size(artifact)] if file_store.exists(artifact) else []
-            size = max(sizes, default=None)  # None: a missing artifact
-            if size is not None and size < needs:
+            try:
+                size = self.context.file_store.size_at_rest(artifact)
+            except ArtifactNotFoundError:
+                continue  # a missing artifact, reported as such
+            if size < needs:
                 short.append({"artifact": artifact, "size": size, "needs": needs})
         return short
 
@@ -354,14 +341,15 @@ class ArchiveFsck:
         except ReproError as exc:
             yield "unrecoverable", str(exc)
             return
-        hash_doc = self.context.document_store.peek(HASH_COLLECTION, set_id)
+        stored = stored_digests(self.context, document, set_id, self.context.document_store.peek)
         if len(model_set) != int(document.get("num_models", len(model_set))):
             yield "count-mismatch", (
                 f"recovered {len(model_set)} models, descriptor says "
                 f"{document.get('num_models')}"
             )
-        elif hash_doc is not None:
-            bad = _hash_mismatches(self.context, hash_doc, dict(enumerate(model_set.states)))
+        elif stored is not None and stored.source == "hash-info":
+            states = dict(enumerate(model_set.states))
+            bad = _hash_mismatches(self.context, stored, states, len(model_set))
             if bad:
                 yield "hash-mismatch", (
                     f"model(s) {', '.join(map(str, bad))}: stored hash info "
@@ -755,7 +743,6 @@ def _repair_from_replicas(context: SaveContext, digests: list[str]) -> list[str]
     store = context.document_store
     chunk_store = context.chunk_store()
     sets = store.peek_collection(SETS_COLLECTION)
-    hash_docs = store.peek_collection(HASH_COLLECTION)
     for other_id in sorted(sets):
         if not remaining:
             break
@@ -766,26 +753,20 @@ def _repair_from_replicas(context: SaveContext, digests: list[str]) -> list[str]
             continue
         if doc.get("param_dtype", "float32") != "float32":
             continue
-        hash_doc = hash_docs.get(other_id)
-        if hash_doc is None:
-            continue
         artifact = doc.get("params_artifact")
         if artifact is None or not context.file_store.exists(artifact):
             continue
+        stored = stored_digests(context, doc, other_id, store.peek)
+        if stored is None:
+            continue
         schema = StateSchema.from_json(doc["schema"])
-        nbytes = layer_nbytes(schema)
-        offsets = [0] * len(nbytes)
-        for layer in range(1, len(nbytes)):
-            offsets[layer] = offsets[layer - 1] + nbytes[layer - 1]
-        for model_index, row in enumerate(hash_doc["hashes"]):
-            for layer, digest in enumerate(row):
+        for model_index, row in enumerate(stored.rows):
+            for digest, (_name, _shape, start, stop) in zip(row, schema.extents):
                 if digest not in remaining:
                     continue
                 try:
                     data = context.file_store.get_range(
-                        artifact,
-                        offset=model_index * schema.num_bytes + offsets[layer],
-                        length=nbytes[layer],
+                        artifact, offset=model_index * schema.num_bytes + start, length=stop - start
                     )
                 except Exception:
                     continue  # replica itself unreadable — keep looking
@@ -849,9 +830,8 @@ def _salvage_artifact_based(
     """
     approach = APPROACHES[approach_name](context)
     num_models = int(document.get("num_models", 0))
-    hash_doc = context.document_store.peek(HASH_COLLECTION, set_id)
-
-    if hash_doc is None:
+    stored = stored_digests(context, document, set_id, context.document_store.peek)
+    if stored is None:
         # No per-model hashes: the artifact checksum is the only oracle.
         artifact = document.get("params_artifact")
         if artifact is not None and context.file_store.exists(artifact):
@@ -872,8 +852,8 @@ def _salvage_artifact_based(
             report.models[index] = approach.recover_model(set_id, index)
         except Exception as exc:
             report.failed.append({"model": index, "reason": str(exc)})
-    if hash_doc is not None:
-        for index in _hash_mismatches(context, hash_doc, report.models):
+    if stored is not None:
+        for index in _hash_mismatches(context, stored, report.models, num_models):
             del report.models[index]
             report.failed.append(
                 {
@@ -886,15 +866,18 @@ def _salvage_artifact_based(
 
 
 def _hash_mismatches(
-    context: SaveContext, hash_doc: dict, states: "dict[int, OrderedDict]"
+    context: SaveContext,
+    stored: StoredDigests,
+    states: "dict[int, OrderedDict]",
+    num_models: int,
 ) -> list[int]:
     """The models of ``states`` (index -> recovered state) whose layer
     hashes differ from the set's stored hash info: the Update save's own
-    hash pass, re-run on what recovery returned."""
-    if not states:
-        return []
+    hash pass, re-run on what recovery returned.  Against a matrix that
+    is not ``num_models`` rows of one digest per layer none verifies."""
     indices = list(states)
-    names = hash_doc.get("layers") or list(states[indices[0]])
-    rows = layer_hashes(list(states.values()), names, context.workers, indices)
-    stored = hash_doc["hashes"]
-    return [index for index, row in zip(indices, rows) if row != list(stored[index])]
+    if not indices or stored.malformed(num_models):
+        return indices
+    rows = layer_hashes(list(states.values()), stored.layers, context.workers, indices)
+    old = [stored.rows[index] for index in indices]
+    return [index for index, _layers in changed_rows(old, rows, indices)]

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import is_, itemgetter
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from itertools import chain, compress, count
+from operator import is_, itemgetter, ne
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,22 +128,8 @@ def layer_nbytes(schema: StateSchema, itemsize: int = 4) -> "list[int]":
     return [math.prod(shape) * itemsize for _name, shape in schema.entries]
 
 
-def digest_source(
-    context: SaveContext, document: dict, set_id: str, read=None
-) -> "dict | None":
-    """The document holding a set's digest matrix: Update's hash-info
-    document (which doubles as a chunked Update set's), else a chunked
-    descriptor's own ``chunk_digests``.
-
-    ``read`` fetches the hash-info document: the store's charged ``get``
-    by default (recovery pays, a missing document raises), or an uncharged
-    ``peek`` for the registry's diff, audits and retention (``None`` when
-    the set stores no matrix, e.g. a plain Baseline set).
-    :func:`~repro.core.baseline.write_set` stores one of the two, never
-    both.  Should a set carry both, hash info wins wherever ``read`` looks
-    for it uncharged; recovery's charged read takes the descriptor's
-    ``chunk_digests`` rather than pay for a read it does not need.
-    """
+def _holder(context: SaveContext, document: dict, set_id: str, read=None) -> "dict | None":
+    """The document holding a set's digest matrix (see :func:`stored_digests`)."""
     if "chunk_digests" in document and read is None:
         return document
     hash_doc = (read or context.document_store.get)(HASH_COLLECTION, set_id)
@@ -154,12 +140,71 @@ def _matrix_of(source: dict) -> list:
     return source["chunk_digests"] if "chunk_digests" in source else source["hashes"]
 
 
+class StoredDigests(NamedTuple):
+    """A set's stored digest matrix (see :func:`stored_digests`)."""
+
+    #: One layer name per column.
+    layers: Sequence
+    #: One row of hex digests per model.
+    rows: Sequence
+    #: Where it is stored: ``"hash-info"`` or ``"chunk-digests"`` (the
+    #: registry labels a matrix it hashed from a recovered set ``"recovered"``).
+    source: str
+
+    def malformed(self, num_models: int, width: "int | None" = None) -> "str | None":
+        """Why ``rows`` is not ``num_models`` rows of ``width`` digests
+        (default: one per layer), else ``None``."""
+        width = len(self.layers) if width is None else width
+        widths = set(map(len, self.rows))
+        if len(self.rows) != num_models or widths - {width}:
+            return (
+                f"its {self.source} matrix has {len(self.rows)} rows of widths "
+                f"{sorted(widths)}, expected {num_models} rows of {width} layers"
+            )
+        return None
+
+
+def stored_digests(
+    context: SaveContext, document: dict, set_id: str, read=None
+) -> "StoredDigests | None":
+    """The one reader of a set's stored digest matrix: its hash-info
+    document (Update's, chunked or not), else its descriptor's own
+    ``chunk_digests``; ``None`` when it has neither (plain Baseline).
+    ``read`` fetches hash info: the charged ``get`` by default (a missing
+    document raises), or an uncharged ``peek``.  A set carrying both
+    matrices is read from hash info, except that a charged read takes the
+    descriptor's rather than pay for one it does not need."""
+    held = _holder(context, document, set_id, read)
+    if held is None:
+        return None
+    if "chunk_digests" in held:
+        layers = schema_of(document).layer_names()
+        return StoredDigests(layers, held["chunk_digests"], "chunk-digests")
+    return StoredDigests(held["layers"], held["hashes"], "hash-info")
+
+
 def digest_matrix(
     context: SaveContext, document: dict, set_id: str, read=None
 ) -> "list | None":
-    """The hex digest matrix of a set (see :func:`digest_source`)."""
-    source = digest_source(context, document, set_id, read)
-    return None if source is None else _matrix_of(source)
+    """The rows of :func:`stored_digests`, or ``None``."""
+    stored = stored_digests(context, document, set_id, read)
+    return None if stored is None else stored.rows
+
+
+def changed_rows(
+    old: Sequence, new: Sequence, labels: "Iterable | None" = None, layers: Sequence = ()
+) -> "Iterator[tuple[Any, tuple]]":
+    """The one digest comparison: each row of ``new`` that differs from
+    ``old``'s at the same position, as ``(label, the changed layers)``;
+    ``labels`` name the rows (default: positions), ``layers`` the columns
+    (default: none, for callers that only ask which rows).  Whole rows
+    are compared first, one C-level ``!=`` each; both sides must be of
+    one shape (``StoredDigests.malformed``)."""
+    rows = zip(count() if labels is None else labels, old, new)
+    return (
+        (label, tuple(compress(layers, map(ne, a, b))))
+        for label, a, b in compress(rows, map(ne, old, new))
+    )
 
 
 class DigestColumns(NamedTuple):
@@ -368,7 +413,7 @@ def resolve_chunked(
     num_models = int(document["num_models"])
     models = _select(num_models, model_index, set_id)
     schema = schema_of(document)
-    source = digest_source(context, document, set_id)
+    source = _holder(context, document, set_id)
     columns = digest_ids(source, models, num_models, len(schema.entries))
     if columns is None:
         raise RecoveryError(

@@ -48,11 +48,13 @@ from repro.core.compression import get_codec
 from repro.core.model_set import ModelSet
 from repro.core.parallel import parallel_map
 from repro.core.recovery import (
-    HASH_COLLECTION,
+    HASH_COLLECTION,  # noqa: F401 - re-exported: where Update's hash info lives
     chain_documents,
+    changed_rows,
     execute,
     is_chunked,
     resolve,
+    stored_digests,
 )
 from repro.core.recovery import _select
 from repro.core.save_info import SetMetadata, UpdateInfo
@@ -204,30 +206,22 @@ class UpdateApproach(SaveApproach):
         )
         # Step 3: diff against the base set's stored hash info.
         with _trace.span("diff", kind="diff"):
-            # The charged get returns the base's stored (read-only)
+            # The charged read returns the base's stored (read-only)
             # matrix; a shallow copy of its rows becomes the new set's,
-            # with the hashed models' rows swapped in as they are diffed.
-            new_hashes = list(
-                self.context.document_store.get(HASH_COLLECTION, base_set_id)["hashes"]
-            )
-            if len(new_hashes) != len(model_set) or any(
-                len(row) != len(layer_names) for row in new_hashes
-            ):
-                raise InvalidUpdatePlanError(
-                    f"hash info of base set {base_set_id!r} is not a "
-                    f"{len(model_set)} x {len(layer_names)} matrix"
-                )
-            diff: list[list[Any]] = []
-            all_layers = list(range(len(layer_names)))
+            # with the hashed models' rows swapped in.
+            stored = stored_digests(self.context, base_doc, base_set_id)
+            problem = stored.malformed(len(model_set), len(layer_names))
+            if problem:
+                raise InvalidUpdatePlanError(f"base set {base_set_id!r}: {problem}")
+            new_hashes = list(stored.rows)
+            columns = range(len(layer_names))
+            whole = list(columns) if self.granularity == "model" else None
+            old_rows = [new_hashes[index] for index in hashed]
+            diff: list[list[Any]] = [
+                [model_index, list(layers) if whole is None else whole]
+                for model_index, layers in changed_rows(old_rows, rows, hashed, columns)
+            ]
             for model_index, new in zip(hashed, rows):
-                old = new_hashes[model_index]
-                changed = [
-                    layer for layer, (a, b) in enumerate(zip(old, new)) if a != b
-                ]
-                if changed and self.granularity == "model":
-                    changed = all_layers
-                if changed:
-                    diff.append([model_index, changed])
                 new_hashes[model_index] = new
 
         if self.context.dedup:

@@ -51,10 +51,11 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.core.approach import id_order
+from repro.core.approach import SETS_COLLECTION, id_order
+from repro.core.baseline import layer_hashes
 from repro.core.lineage import LineageGraph
 from repro.core.model_set import ModelSet
-from repro.core.recovery import HASH_COLLECTION
+from repro.core.recovery import changed_rows, stored_digests
 from repro.errors import (
     DocumentNotFoundError,
     IngestBackpressureError,
@@ -64,7 +65,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.core.manager import MultiModelManager
-from repro.nn.serialization import parameters_to_bytes
 from repro.simtime import SimClock
 
 __all__ = ["IngestQueue"]
@@ -563,19 +563,21 @@ class IngestQueue:
         """Of an entry's parked ``models``, those ``head`` holds in another
         state than ``base``, the batch's landed base: a save after the
         batch's dispatch wrote them, and replaying them would roll them
-        back.  Compared by stored hash rows when both sets have them, else
-        by recovered rows."""
-        if head == base:
+        back.  Compared by digest rows (:func:`changed_rows`): stored, else
+        hashed from the models the engine recovers."""
+        models = list(models)
+        if head == base or not models:
             return []
-        old, new = (context.document_store.peek(HASH_COLLECTION, s) for s in (base, head))
-        if old is not None and new is not None:
-            return [i for i in models if old["hashes"][i] != new["hashes"][i]]
-        recover = self.fleet.recover_model
-        return [
-            i
-            for i in models
-            if parameters_to_bytes(recover(base, i)) != parameters_to_bytes(recover(head, i))
-        ]
+        store, sides = context.document_store, []
+        for set_id in (base, head):
+            document = store.peek(SETS_COLLECTION, set_id)
+            stored = document and stored_digests(context, document, set_id, store.peek)
+            if stored:
+                sides.append([stored.rows[index] for index in models])
+                continue
+            states = [self.fleet.recover_model(set_id, index) for index in models]
+            sides.append(layer_hashes(states, list(states[0]), context.workers, models))
+        return [index for index, _layers in changed_rows(*sides, models)]
 
     # -- dispatch ----------------------------------------------------------
     def _due_by_age_locked(self) -> list[dict]:

@@ -35,10 +35,9 @@ import copy
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, count
-from operator import ne
 from typing import Any, Callable
 
+from repro.core.recovery import StoredDigests, changed_rows, stored_digests
 from repro.errors import RegistryError, StorageError
 from repro.observability import trace as _trace
 from repro.registry.records import (
@@ -667,7 +666,8 @@ class Registry:
 
         Answered from stored digest matrices — Update's per-layer hash
         documents or a chunked set's ``chunk_digests``, read through
-        :func:`repro.core.recovery.digest_source` — whenever both
+        :func:`repro.core.recovery.stored_digests` and compared by
+        :func:`repro.core.recovery.changed_rows` — whenever both
         sides carry one, reading **zero parameter bytes**.  A set
         without digest metadata (e.g. plain Baseline) falls back to
         recover-and-hash for that side only.  Both matrices are full
@@ -713,13 +713,9 @@ class Registry:
                 raise RegistryError(
                     f"cannot diff {set_a!r} and {set_b!r}: layer schemas differ"
                 )
-            # Whole rows first (one C-level compare each); only the rows
-            # that differ are split into layers.
             changed = tuple(
-                RegistryModelDiff(
-                    index, tuple(compress(layers, map(ne, rows_a[index], rows_b[index])))
-                )
-                for index in compress(count(), map(ne, rows_a, rows_b))
+                RegistryModelDiff(index, changed_layers)
+                for index, changed_layers in changed_rows(rows_a, rows_b, layers=layers)
             )
             source = source_a if source_a == source_b else f"{source_a}+{source_b}"
             return RegistryDiff(
@@ -735,37 +731,16 @@ class Registry:
     def _matrix(set_id: str, context, descriptor: dict):
         """``(layers, rows, source)`` of one side of a diff: the stored
         digest matrix, read uncharged through recovery's one reader, else
-        recovered and hashed.  A matrix that is not ``num_models`` rows of
-        one digest per layer is refused: comparing it would drop rows."""
-        from repro.core.recovery import digest_source
-
-        stored = digest_source(
-            context, descriptor, set_id, innermost(context.document_store).peek
-        )
-        if stored is None:
-            layers, rows, source = Registry._recovered_matrix(set_id, context, descriptor)
-        elif stored is descriptor:
-            from repro.nn.serialization import StateSchema
-
-            layers = StateSchema.from_json(descriptor["schema"]).layer_names()
-            rows, source = stored["chunk_digests"], "chunk-digests"
-        else:
-            layers, rows, source = stored["layers"], stored["hashes"], "hash-info"
-        num_models = int(descriptor.get("num_models", len(rows)))
-        widths = set(map(len, rows))
-        if len(rows) != num_models or widths - {len(layers)}:
-            raise RegistryError(
-                f"cannot diff set {set_id!r}: its {source} matrix has "
-                f"{len(rows)} rows of widths {sorted(widths)}, expected "
-                f"{num_models} rows of {len(layers)} layers"
-            )
-        return layers, rows, source
-
-    @staticmethod
-    def _recovered_matrix(set_id: str, context, descriptor: dict):
-        """Fallback for digest-less sets: recover and hash each layer."""
-        from repro.core.manager import APPROACHES
+        recovered and hashed.  A malformed stored matrix is refused:
+        comparing it would drop rows."""
+        stored = stored_digests(context, descriptor, set_id, innermost(context.document_store).peek)
+        if stored is not None:
+            problem = stored.malformed(int(descriptor.get("num_models", len(stored.rows))))
+            if problem:
+                raise RegistryError(f"cannot diff set {set_id!r}: {problem}")
+            return stored
         from repro.core.baseline import layer_hashes
+        from repro.core.manager import APPROACHES
 
         approach_name = str(descriptor.get("type"))
         if approach_name not in APPROACHES:
@@ -775,7 +750,7 @@ class Registry:
         model_set = APPROACHES[approach_name](context).recover(set_id)
         layers = model_set.schema.layer_names()
         hashes = layer_hashes(model_set.states, layers, context.workers)
-        return layers, hashes, "recovered"
+        return StoredDigests(layers, hashes, "recovered")
 
 
 def attach_registry(context) -> Registry:

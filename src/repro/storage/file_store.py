@@ -153,7 +153,7 @@ class FileStore:
         Latency profile charged per operation; defaults to zero-latency.
 
     A backend overrides the byte hooks (``_write``, ``_load``,
-    ``_read_ranges``, ``_remove``, ``_size_of``, ``_held``,
+    ``_read_ranges``, ``_remove``, ``_size_of``, ``_size_at_rest``, ``_held``,
     ``recorded_digest``, ``_writer_class``), never an operation built on
     them.  This class's hooks hold the bytes in ``_blobs``; :meth:`get`
     returns them unverified (:meth:`verify_artifact` is what notices rot).
@@ -197,6 +197,9 @@ class FileStore:
 
     def _size_of(self, artifact_id: str) -> int:
         return len(self._blobs[artifact_id])
+
+    def _size_at_rest(self, artifact_id: str) -> int:
+        return self._size_of(artifact_id)
 
     def _held(self):
         """The backend's index: a mapping keyed by the ids held."""
@@ -374,6 +377,12 @@ class FileStore:
     def size(self, artifact_id: str) -> int:
         self._require(artifact_id)
         return self._size_of(artifact_id)
+
+    def size_at_rest(self, artifact_id: str) -> int:
+        """The size its backend holds now, uncharged (audits): a disk file cut
+        since it was written or found keeps the :meth:`size` reads plan by."""
+        self._require(artifact_id)
+        return self._size_at_rest(artifact_id)
 
     def exists(self, artifact_id: str) -> bool:
         return artifact_id in self._held()

@@ -160,6 +160,12 @@ class PersistentFileStore(FileStore):
     def _size_of(self, artifact_id: str) -> int:
         return self._sizes[artifact_id]
 
+    def _size_at_rest(self, artifact_id: str) -> int:
+        try:
+            return self._path(artifact_id).stat().st_size
+        except FileNotFoundError:
+            return 0
+
     def _held(self) -> "dict[str, int]":
         return self._sizes
 

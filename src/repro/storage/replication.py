@@ -754,12 +754,16 @@ class ReplicatedFileStore(_ReplicaSet):
         )
         return {**answers, **dict.fromkeys(silent, "unreachable")}
 
-    def replica_sizes(self, artifact_id: str) -> dict[str, int]:
-        """``{replica name: size}`` of every reachable copy (uncharged)."""
+    def size_at_rest(self, artifact_id: str) -> int:
+        """The largest size a reachable copy holds now (uncharged): an
+        artifact is short only when every copy is."""
         answers, _silent = self._ask_all(
-            lambda store: store.size(artifact_id) if store.exists(artifact_id) else None
+            lambda store: store.size_at_rest(artifact_id) if store.exists(artifact_id) else None
         )
-        return {name: size for name, size in answers.items() if size is not None}
+        sizes = [size for size in answers.values() if size is not None]
+        if not sizes:
+            raise ArtifactNotFoundError(f"no artifact {artifact_id!r}")
+        return max(sizes)
 
     def verify_artifact(self, artifact_id: str) -> bool:
         """Whether *every* reachable copy still matches its digest.

@@ -301,10 +301,10 @@ class TestOtherExperiments:
 
         monkeypatch.setattr(TrainingPipeline, "train", counted_train)
         monkeypatch.setattr(runner, "measure_recover", counted_recover)
-        # runs=6 -> the median of five timed samples per point, taken in
+        # runs=5 -> the median of five timed samples per point, taken in
         # interleaved rounds.
         result = run_experiment(
-            "provenance-training", ExperimentSettings(num_models=3, cycles=3, runs=6)
+            "provenance-training", ExperimentSettings(num_models=3, cycles=3, runs=5)
         )
         ttr = result.data["ttr"]
         # U1 < U3-1 < U3-2 < U3-3 — each recovery replays one more cycle,

@@ -302,6 +302,18 @@ class TestSetIssues:
         assert issue.detail.startswith(f"model(s) {salvage.failed_indices[0]}:")
         assert salvage.recovered_indices == [1, 2, 3]
 
+    def test_a_short_hash_matrix_verifies_no_model(self):
+        # Indexed row by row, a matrix short of a model raised IndexError.
+        manager = make_manager("update")
+        set_id = manager.save_set(models_fixture())
+        store = manager.context.document_store
+        hash_info = thaw(store.peek("hash_info", set_id))
+        hash_info["hashes"].pop()
+        store.replace("hash_info", set_id, hash_info)
+        (issue,) = ArchiveFsck(manager.context).run(recover=True).set_issues
+        assert issue.kind == "hash-mismatch" and issue.detail.startswith("model(s) 0, 1, 2, 3:")
+        assert salvage_recover(manager.context, set_id).failed_indices == [0, 1, 2, 3]
+
 
 class TestSalvageChunked:
     def test_single_corrupt_chunk_loses_exactly_one_model(self):

@@ -9,8 +9,9 @@ one short copy is served around; every copy short is the plain case.
 
 Cut under the engine that wrote it (no reopen, so the store still
 remembers the old size), a pack or delta fails its read with the same
-:class:`~repro.errors.ArtifactTruncatedError`, and one short replica is
-served around with a repair queued and no breaker penalty.
+:class:`~repro.errors.ArtifactTruncatedError`, one short replica is
+served around with a repair queued and no breaker penalty, and a shallow
+``fsck`` still names the pack from the sizes on disk.
 """
 
 import contextlib
@@ -27,6 +28,7 @@ from repro.core.fsck import ArchiveFsck, salvage_recover
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
 from repro.core.recovery import ChainMemo
+from repro.cli.archive import _print_audit
 from repro.cli.main import main
 from repro.errors import ArtifactTruncatedError, ReproError
 
@@ -194,3 +196,21 @@ class TestCutUnderALiveEngine:
         store = manager.context.file_store
         assert store.pending_repairs() == {"replica-0": {PACK: "put"}}
         assert store.replicas[0].breaker.failures == 0
+
+    @pytest.mark.parametrize(
+        "replicas, copies",
+        [(1, [""]), (3, ["replica-0", "replica-1", "replica-2"])],
+        ids=["plain", "every-copy"],
+    )
+    def test_shallow_fsck_sees_the_cut_without_a_reopen(self, tmp_path, replicas, copies):
+        # The store's remembered sizes still say whole; the size rule
+        # asks each backend what it holds now.
+        manager, _models = build_archive(tmp_path, replicas)
+        cut(tmp_path, copies)
+        report = ArchiveFsck(manager.context).run()
+        [entry] = report.short_packs
+        assert entry["artifact"] == PACK and entry["size"] * 2 == entry["needs"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = _print_audit(report, "clean")
+        assert code == 2 and f"SHORT-PACK {PACK}" in out.getvalue()
+        assert manager.context.file_store.size(PACK) == entry["needs"]  # reads: unchanged

@@ -1,12 +1,15 @@
 """Property tests for the registry: diff-vs-oracle and rebuild idempotence.
 
-Two invariants the catalog must hold regardless of approach or shape:
+Three invariants the catalog must hold regardless of approach or shape:
 
 * ``Registry.diff`` is **byte-consistent with the ground-truth oracle**:
   recover both sets and compare every layer's bytes — the diff computed
   from stored hash metadata (or recover-and-hash fallback) must report
   exactly the layers whose recovered bytes differ.  This is what makes
   metadata-only diffs trustworthy.
+* Update's **stored diff list is the registry's diff** of each derived
+  set against its base, over random chains (dedup on and off, ``touched``
+  hints, layer or model granularity).
 * ``Registry.rebuild`` is **idempotent**: rebuilding twice leaves the
   catalog byte-identical to rebuilding once, on plain archives and on
   sharded fleets.
@@ -20,6 +23,7 @@ from repro.config import ArchiveConfig
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
 from repro.core.save_info import SetMetadata
+from repro.core.update import UpdateApproach
 from repro.fleet import FleetManager
 from repro.registry import REGISTRY_COLLECTIONS
 
@@ -149,6 +153,55 @@ class TestDiffOracle:
         assert reported == oracle_diff(
             manager.recover_set(base_id), manager.recover_set(derived_id)
         )
+
+
+class TestStoredDiffIsTheRegistryDiff:
+    """Update's step 3 and ``Registry.diff`` run one comparison: over a
+    random chain the ``diff`` list each derived set stores is the diff
+    the registry reports against its base, widened to every layer of a
+    changed model at model granularity; every set replays exactly."""
+
+    @given(
+        dedup=st.booleans(),
+        granularity=st.sampled_from(["layer", "model"]),
+        chain=st.lists(
+            st.tuples(perturbations, st.none() | st.frozensets(st.integers(0, NUM_MODELS - 1))),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_stored_diff_is_the_registry_diff(self, dedup, granularity, chain):
+        manager = MultiModelManager.with_approach(
+            "update", ArchiveConfig(dedup=dedup), granularity=granularity
+        )
+        models = ModelSet.build("FFNN-48", num_models=NUM_MODELS, seed=0)
+        names = tuple(models.schema.layer_names())
+        saved = {manager.save_set(models, metadata=SetMetadata(extra={"family": "prop"})): models}
+        for plan, extra in chain:
+            base_id = list(saved)[-1]
+            models = apply_perturbations(models, plan)
+            # ``touched`` vouches for every model it leaves out, so it
+            # holds each changed model, plus any others.
+            touched = None if extra is None else extra | {model for model, _ in plan}
+            set_id, shard = manager.allocate_save(base_id)
+            manager.execute_save(set_id, shard, models, base_id, touched=touched)
+            diff = manager.context.registry.diff(base_id, set_id)
+            expected = {
+                entry.model_index: names if granularity == "model" else entry.changed_layers
+                for entry in diff.changed
+            }
+            stored = manager.set_info(set_id)["diff"]
+            assert {index: tuple(names[layer] for layer in layers)
+                    for index, layers in stored} == expected
+            saved[set_id] = models
+        replay = UpdateApproach(manager.context, recovery="replay")
+        for set_id, expected_set in saved.items():
+            assert replay.recover(set_id).equals(expected_set)
 
 
 class TestRebuildIdempotence:

@@ -122,6 +122,30 @@ def newest_writer_passes(root: Path) -> list[str]:
     return hits
 
 
+#: The whole-row compare, written once (``recovery.changed_rows``).
+ROW_COMPARE = r"map\(ne, old, new\)"
+
+
+def digest_readers(root: Path) -> list[str]:
+    """Only core/recovery.py reads a stored digest matrix (baseline.py
+    writes it): no digest-document subscript or hash-info read anywhere
+    else, no digest compare outside recovery.py, and its whole-row
+    compare written once."""
+    trees = ("src", "benchmarks", "examples")
+    hits = scan(
+        root, trees,
+        r"\[[\"'](hashes|chunk_digests|layers)[\"']\]|\.get\([\"'](hashes|chunk_digests)[\"']|"
+        r"\.(get|peek|peek_collection)\(\s*(HASH_COLLECTION|[\"']hash_info[\"'])",
+        (r"^src/repro/core/(recovery|baseline)\.py:",),
+    )
+    hits += scan(root, trees, r"\bmap\(ne\b", (r"^src/repro/core/recovery\.py:",))
+    path = root / "src/repro/core/recovery.py"
+    if path.exists():
+        compares = len(re.findall(ROW_COMPARE, path.read_text()))
+        if compares != 1:
+            hits.append(f"src/repro/core/recovery.py: {compares} whole-row compares, not 1")
+    return hits
+
 GATES = (
     Gate("Legacy-kwarg",
          r"(with_approach|\.open|\.create)\((?:(?!ArchiveConfig)[^()])*\b"
@@ -206,6 +230,15 @@ GATES = (
          "a model's plan is a gather from the chain table, not a second resolve",
          "row_of = np.full(num_models, -1)", "src/repro/core/recovery.py",
          check=newest_writer_passes),
+    Gate("One digest reader", "", (),
+         "a set's stored digests have one reader (recovery.stored_digests) and one "
+         "row comparison (recovery.changed_rows)",
+         ('rows = hash_doc["hashes"]', 'matrix = descriptor["chunk_digests"]',
+          'names = hash_doc["layers"]', 'rows = hash_doc.get("hashes")',
+          "doc = store.peek(HASH_COLLECTION, set_id)",
+          "docs = store.peek_collection(HASH_COLLECTION)",
+          "changed = list(compress(count(), map(ne, old, new)))"),
+         "src/repro/fleet/planted.py", check=digest_readers),
 )
 
 
