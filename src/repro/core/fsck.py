@@ -278,11 +278,13 @@ class ArchiveFsck:
         chunked = document.get("storage") == "chunked"
         item_bytes = 2 if document.get("param_dtype") == "float16" else 4
         if chunked:
-            yield from self._chunk_issues(document, owned.matrix, item_bytes)
+            yield from self._chunk_issues(document, owned.digests, item_bytes)
         artifact = document.get("params_artifact")
         if artifact is not None and file_store.exists(artifact) and "schema" in document:
             schema = StateSchema.from_json(document["schema"])
-            actual = file_store.size(artifact)
+            # As the backends hold it now (a replicated store's largest
+            # copy), as the short-pack rule reads a pack.
+            actual = file_store.size_at_rest(artifact)
             kind = document.get("kind", "full")
             if kind == "full":
                 expected = int(document["num_models"]) * schema.num_parameters * item_bytes
@@ -307,21 +309,20 @@ class ArchiveFsck:
         if recover:
             yield from self._recovery_issues(set_id, document, approach_name)
 
-    def _chunk_issues(self, document: dict, matrix, item_bytes: int):
-        """A chunked set: a digest matrix of the declared shape, every
-        digest indexed with the length its layer implies (first finding)."""
-        if matrix is None:
+    def _chunk_issues(self, document: dict, stored: "StoredDigests | None", item_bytes: int):
+        """A chunked set: a digest matrix of the declared shape (one row
+        per model, one digest per schema layer), every digest indexed
+        with the length its layer implies (first finding)."""
+        if stored is None:
             yield "missing-chunk-digests", "chunked set has neither chunk_digests nor hash info"
             return
-        if len(matrix) != int(document.get("num_models", len(matrix))):
-            yield "count-mismatch", (
-                f"digest matrix has {len(matrix)} rows, descriptor says "
-                f"{document.get('num_models')}"
-            )
+        sizes = layer_nbytes(StateSchema.from_json(document["schema"]), item_bytes)
+        problem = stored.malformed(int(document.get("num_models", len(stored.rows))), len(sizes))
+        if problem:
+            yield "count-mismatch", problem
             return
         chunk_store = self.context.chunk_store()
-        sizes = layer_nbytes(StateSchema.from_json(document["schema"]), item_bytes)
-        for model, row in enumerate(matrix):
+        for model, row in enumerate(stored.rows):
             for layer, digest in enumerate(row):
                 where = f"model {model} layer {layer}: chunk {digest[:12]}…"
                 if digest not in chunk_store:

@@ -29,8 +29,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from operator import is_not
 from pathlib import Path
 from typing import Any, Callable
 
@@ -45,7 +47,7 @@ from repro.core.approach import (
 )
 from repro.core.baseline import BaselineApproach
 from repro.core.mmlib_base import MMlibBaseApproach
-from repro.core.model_set import ModelSet
+from repro.core.model_set import ModelSet, SavedRows
 from repro.core.pas import PasDeltaApproach
 from repro.core.provenance import ProvenanceApproach
 from repro.core.quantized import QuantizedBaselineApproach
@@ -265,6 +267,12 @@ class MultiModelManager:
         self._deadletter_lock = threading.Lock()
         self._registry_lock = threading.Lock()
         self._unkept = None
+        #: Set id -> the rows this engine's committed ``save_set`` froze,
+        #: held only while the saved set holds them.  Per engine: set ids
+        #: collide across archives.
+        self._saved_rows: "weakref.WeakValueDictionary[str, SavedRows]" = (
+            weakref.WeakValueDictionary()
+        )
         #: Per-shard circuit breakers gating every save/recover route; a
         #: plain archive's never refuse.
         self.health = FleetHealthTracker(
@@ -738,27 +746,49 @@ class MultiModelManager:
         ``coalesce`` span between the fleet envelope and the shard save.
         ``touched`` is the ingest queue's vouch that every other model
         is the base set's byte for byte; a derived Update save then
-        hashes only those models (DESIGN.md §9).
+        hashes only those models (DESIGN.md §9).  The set is not frozen.
         """
-        approach = self.shards[shard].approach
-        if base_set_id is None:
-            write = lambda: approach.save_initial(model_set, metadata=metadata)  # noqa: E731
-        else:
-            write = lambda: approach.save_derived(  # noqa: E731
-                model_set,
-                base_set_id,
-                update_info=update_info,
-                metadata=metadata,
-                touched=touched,
-            )
         return self._run_save(
             set_id,
             shard,
             "save_set",
             "initial" if base_set_id is None else "derived",
-            write,
+            self._writer(shard, model_set, base_set_id, update_info, metadata, lambda: touched),
             coalesce,
         )
+
+    def _writer(
+        self,
+        shard: int,
+        model_set: ModelSet,
+        base_set_id: "str | None",
+        update_info: "UpdateInfo | None",
+        metadata: "SetMetadata | None",
+        touched: "Callable[[], frozenset[int] | None]",
+    ) -> "Callable[[], str]":
+        """The shard approach's save of ``model_set``; a derived save asks
+        ``touched()`` inside the save's span."""
+        approach = self.shards[shard].approach
+        if base_set_id is None:
+            return lambda: approach.save_initial(model_set, metadata=metadata)
+        return lambda: approach.save_derived(
+            model_set,
+            base_set_id,
+            update_info=update_info,
+            metadata=metadata,
+            touched=touched(),
+        )
+
+    def _unproven(self, model_set: ModelSet, base_set_id: str) -> "frozenset[int] | None":
+        """The identity test: the models of ``model_set`` whose row is not
+        the one this engine's ``save_set`` of ``base_set_id`` froze at the
+        same index (a caller's dict never is); ``None`` (every model) when
+        that save is unknown here or had another length."""
+        saved = self._saved_rows.get(base_set_id)
+        if saved is None or len(saved.rows) != len(model_set):
+            return None
+        unproven = map(is_not, model_set.rows(), saved.rows)
+        return frozenset(itertools.compress(itertools.count(), unproven))
 
     def _run_save(
         self,
@@ -768,10 +798,12 @@ class MultiModelManager:
         mode: str,
         write: "Callable[[], str]",
         coalesce: "dict | None" = None,
+        committed: "Callable[[], None] | None" = None,
     ) -> str:
         """Gate, lock and envelope one save, with ``set_id`` reserved on
         the shard; a save that fails before consuming its id drops the
-        reservation and the optimistic placement."""
+        reservation and the optimistic placement.  ``committed`` runs
+        after the commit, inside the save's span."""
         if not self.health.allow(shard):
             raise ShardUnavailableError(
                 f"shard {shard} is down ({self.health.reason(shard)}); "
@@ -791,7 +823,7 @@ class MultiModelManager:
                             if coalesce is None
                             else _trace.span("coalesce", **coalesce)
                         ):
-                            saved = self._save(target, span, mode, write)
+                            saved = self._save(target, span, mode, write, committed)
                     finally:
                         if context._reserved_set_id is not None:
                             context._reserved_set_id = None
@@ -810,12 +842,19 @@ class MultiModelManager:
         return saved
 
     @staticmethod
-    def _save(shard: Shard, span: str, mode: str, write: "Callable[[], str]") -> str:
+    def _save(
+        shard: Shard,
+        span: str,
+        mode: str,
+        write: "Callable[[], str]",
+        committed: "Callable[[], None] | None" = None,
+    ) -> str:
         """The one save wrapper: mutex → trace span → journal transaction →
         ``write()`` → catalog record, still inside the transaction so the
         record commits (or rolls back) atomically with the save — on a
         fleet shard, ``context.registry`` is the root catalog's binding,
-        which applies the record once the shard commits."""
+        which applies the record once the shard commits — then
+        ``committed()``, which a raise or rollback never reaches."""
         context = shard.context
         with context.mutex:
             with context.trace(span, approach=shard.approach.name, mode=mode):
@@ -823,7 +862,9 @@ class MultiModelManager:
                     set_id = write()
                     if context.registry is not None:
                         context.registry.record_save(set_id)
-                    return set_id
+                if committed is not None:
+                    committed()
+                return set_id
 
     # -- save / recover / delete -------------------------------------------
     def _allocated(self, base_set_id: "str | None", run: "Callable[[str, int], str]") -> str:
@@ -852,18 +893,34 @@ class MultiModelManager:
         On a journaled archive the save is one atomic commit (a crash
         rolls it back at the next :meth:`open`), serialized under the
         owning shard's mutex against every other writer of that shard.
+        A committed save freezes ``model_set``'s rows (read-only private
+        copies, :meth:`ModelSet.freeze`), and this engine remembers them
+        while the set holds them: a later derived save from this set id
+        hashes only the models whose row is not the one frozen at the
+        same index (DESIGN.md §9).
         """
-        return self._allocated(
-            base_set_id,
-            lambda set_id, shard: self.execute_save(
+
+        def run(set_id: str, shard: int) -> str:
+            touched = None  # every model, unless the identity test ran
+
+            def prove() -> "frozenset[int] | None":
+                nonlocal touched
+                touched = self._unproven(model_set, base_set_id)
+                return touched
+
+            def freeze() -> None:
+                self._saved_rows[set_id] = model_set.freeze(touched)
+
+            return self._run_save(
                 set_id,
                 shard,
-                model_set,
-                base_set_id=base_set_id,
-                update_info=update_info,
-                metadata=metadata,
-            ),
-        )
+                "save_set",
+                "initial" if base_set_id is None else "derived",
+                self._writer(shard, model_set, base_set_id, update_info, metadata, prove),
+                committed=freeze,
+            )
+
+        return self._allocated(base_set_id, run)
 
     def save_set_streaming(
         self,

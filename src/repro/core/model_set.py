@@ -12,12 +12,21 @@ produce — or the caller's own state dict, kept as handed in.
 :meth:`ModelSet.state` returns a row as a
 :class:`~repro.nn.serialization.ModelState` of views into it, built on
 first access and kept.
+
+A committed ``MultiModelManager.save_set`` freezes the set's rows: each
+row-backed model becomes a private read-only copy (``writeable=False``),
+so writing into a saved set raises ``ValueError``, a state or view taken
+before the save is detached from the set, and :meth:`ModelSet.copy` is
+the writable copy.  ``states[i] = ...`` still replaces a model, and a
+caller's own dict is never frozen.  The engine remembers the frozen rows
+(:class:`SavedRows`) while the set holds them, which lets a later derived
+save prove a model unchanged by identity (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import Iterator
 
 import numpy as np
@@ -27,6 +36,22 @@ from repro.errors import ArchitectureMismatchError
 from repro.nn import Module
 from repro.nn.serialization import ModelState, StateSchema, state_row
 from repro.training.seeds import derive_seed
+
+
+#: What :class:`SavedRows` holds for a caller's dict: no row is it.
+_NO_ROW = object()
+
+
+class SavedRows:
+    """The rows one committed save froze, one per model; a caller's dict
+    is a marker that no row is.  The saved set owns it, so an engine that
+    maps a set id to it weakly forgets the save when the set is collected
+    or saved again."""
+
+    __slots__ = ("rows", "__weakref__")
+
+    def __init__(self, rows: tuple) -> None:
+        self.rows = rows
 
 
 class ModelSet:
@@ -42,6 +67,9 @@ class ModelSet:
         copied — except a :class:`ModelState` of a row-backed set, whose
         row is shared.
     """
+
+    #: The rows the newest committed save froze (see :meth:`freeze`).
+    _saved: "SavedRows | None" = None
 
     def __init__(
         self,
@@ -191,6 +219,26 @@ class ModelSet:
     def copy_state(self, index: int) -> ModelState:
         """Model ``index`` as a :class:`ModelState` over a private row."""
         return ModelState(self.schema, self._private_row(index))
+
+    def rows(self) -> "tuple[np.ndarray | None, ...]":
+        """Each model's row itself (``None`` for a caller's dict)."""
+        return tuple(map(_row, self._models))
+
+    def freeze(self, copied: "Iterable[int] | None" = None) -> SavedRows:
+        """Make each row-backed model of ``copied`` (default: every model)
+        a read-only private copy of its row, and return the rows the set
+        then holds.  A committed save calls it with the models whose row
+        is not one an earlier save froze; a view handed out before stays
+        writable but no longer reaches the set."""
+        models = self._models
+        for index in range(len(models)) if copied is None else copied:
+            row = _row(models[index])
+            if row is not None:
+                frozen = row.copy()
+                frozen.flags.writeable = False
+                models[index] = frozen
+        self._saved = SavedRows(tuple(_NO_ROW if row is None else row for row in self.rows()))
+        return self._saved
 
     def _private_row(self, index: int) -> np.ndarray:
         model = self._models[index]

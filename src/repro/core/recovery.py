@@ -183,14 +183,6 @@ def stored_digests(
     return StoredDigests(held["layers"], held["hashes"], "hash-info")
 
 
-def digest_matrix(
-    context: SaveContext, document: dict, set_id: str, read=None
-) -> "list | None":
-    """The rows of :func:`stored_digests`, or ``None``."""
-    stored = stored_digests(context, document, set_id, read)
-    return None if stored is None else stored.rows
-
-
 def changed_rows(
     old: Sequence, new: Sequence, labels: "Iterable | None" = None, layers: Sequence = ()
 ) -> "Iterator[tuple[Any, tuple]]":
@@ -264,10 +256,15 @@ class SetOwns(NamedTuple):
 
     #: The set's ``params_artifact`` and every model document's artifacts.
     artifacts: "list[str]"
-    #: A chunked set's digest matrix (``None``: not chunked, or none stored).
-    matrix: "list | None"
+    #: A chunked set's stored digests (``None``: not chunked, or none stored).
+    digests: "StoredDigests | None"
     #: ``(collection, id)`` of its side documents: model documents, hash info.
     documents: "list[tuple[str, str]]"
+
+    @property
+    def matrix(self) -> "Sequence | None":
+        """The rows of :attr:`digests`, or ``None``."""
+        return None if self.digests is None else self.digests.rows
 
 
 def set_owns(context: SaveContext, set_id: str, document: dict) -> SetOwns:
@@ -293,11 +290,11 @@ def set_owns(context: SaveContext, set_id: str, document: dict) -> SetOwns:
     hash_doc = store.peek(HASH_COLLECTION, set_id)
     if hash_doc is not None:
         documents.append((HASH_COLLECTION, set_id))
-    matrix = None
+    digests = None
     if document.get("storage") == "chunked":
         # One peek serves both answers (on a replicated store it is a vote).
-        matrix = digest_matrix(context, document, set_id, lambda *_key: hash_doc)
-    return SetOwns(artifacts, matrix, documents)
+        digests = stored_digests(context, document, set_id, lambda *_key: hash_doc)
+    return SetOwns(artifacts, digests, documents)
 
 
 def ends_chain(document: dict) -> bool:

@@ -428,7 +428,9 @@ class IngestQueue:
             self._errors.clear()
 
     def _shutdown_pool(self) -> None:
-        """Mark the queue closed and stop the workers (idempotent)."""
+        """Mark the queue closed, stop the workers and let go of each
+        chain's materialized set (idempotent): a closed queue takes no
+        submit, and the set is only a cache of the last durable save."""
         with self._lock:
             already = self._closed
             self._closed = True
@@ -437,6 +439,9 @@ class IngestQueue:
                 job_queue.put(_SHUTDOWN)
             for thread in self._threads:
                 thread.join()
+        with self._lock:
+            for chain in self._chains.values():
+                chain.materialized = None
         registry = self.fleet.metrics
         if registry is not None:
             registry.unregister_provider("fleet:ingest")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import ArchiveConfig
 from repro.core.approach import SETS_COLLECTION, SaveContext
-from repro.core.recovery import digest_matrix
+from repro.core.recovery import stored_digests
 from repro.core.fsck import ArchiveFsck, SalvageReport, salvage_recover
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
@@ -29,7 +29,7 @@ def unique_digest_of_model(context, set_id, model_index):
     """A chunk digest referenced only by one model of one chunked set."""
     store = context.document_store
     matrices = {
-        sid: digest_matrix(context, doc, sid)
+        sid: stored_digests(context, doc, sid).rows
         for sid, doc in store._collections[SETS_COLLECTION].items()
         if doc.get("storage") == "chunked"
     }
@@ -301,6 +301,18 @@ class TestSetIssues:
         salvage = salvage_recover(manager.context, set_id)
         assert issue.detail.startswith(f"model(s) {salvage.failed_indices[0]}:")
         assert salvage.recovered_indices == [1, 2, 3]
+
+    def test_a_wide_digest_row_is_a_finding(self):
+        # Indexed layer by layer, a row longer than the schema raised IndexError.
+        manager = make_manager("baseline", dedup=True)
+        set_id = manager.save_set(models_fixture(3))
+        matrix = [list(row) for row in manager.set_info(set_id)["chunk_digests"]]
+        matrix[0].append(matrix[0][0])
+        edit_descriptor(manager, set_id, chunk_digests=matrix)
+        report = ArchiveFsck(manager.context).run()
+        (issue,) = report.set_issues
+        assert issue.kind == "count-mismatch" and "widths [8, 9]" in issue.detail
+        assert report.exit_code == 2
 
     def test_a_short_hash_matrix_verifies_no_model(self):
         # Indexed row by row, a matrix short of a model raised IndexError.

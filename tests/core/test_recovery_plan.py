@@ -34,10 +34,10 @@ from repro.core.recovery import (
     ChainMemo,
     chain_documents,
     diff_columns,
-    digest_matrix,
     layer_nbytes,
     resolve,
     resolve_chain,
+    stored_digests,
 )
 from repro.core.retention import RetentionManager
 from repro.core.update import UpdateApproach
@@ -179,7 +179,7 @@ class TestSalvage:
     def test_corrupt_chunk_loses_exactly_the_rows_referencing_it(self, cycles, slot):
         manager, ids, sets = build_chain(cycles, dedup=True)
         context = manager.context
-        matrix = digest_matrix(context, manager.set_info(ids[-1]), ids[-1])
+        matrix = stored_digests(context, manager.set_info(ids[-1]), ids[-1]).rows
         victim = matrix[slot // NUM_LAYERS][slot % NUM_LAYERS]
         chunk = context.chunk_store().locate(victim)
         corrupt_artifact(context.file_store, chunk.artifact_id, offset=chunk.offset)

@@ -226,6 +226,34 @@ class TestFailedFlushes:
         replay_saves(tmp_path / "direct", dedup, "layer", initial, run.saves)
         assert shard_digests(tmp_path / "ingest") == shard_digests(tmp_path / "direct")
 
+    def test_a_closed_queue_holds_no_set_and_a_fresh_one_replays(self, tmp_path):
+        """close() drops every chain's materialized set (a cache of the
+        last durable save); a new queue replays the parked batch onto the
+        head it reads from the store, byte-identical to direct saves."""
+        initial = initial_sets(2)
+        run = Recorded(tmp_path / "ingest", False, "layer", flush_retries=0)
+        roots = [run.fleet.save_set(model_set) for model_set in initial]
+        current = [model_set.copy() for model_set in initial]
+        queue = IngestQueue(run.fleet, flush_max_updates=2, workers=0)
+        run_stream(queue, roots, current, [(0, 0, 1, 1.0), (0, 1, 2, 1.0)])
+        run_stream(queue, roots, current, [(1, 3, 1, 1.0), (1, 2, 2, 1.0)])
+        injector = inject_faults(
+            run.fleet.shards[run.fleet.shard_of(roots[0])].context,
+            FaultInjector(down_at=0, down_mode="before"),
+        )
+        with pytest.raises(IngestError, match="dead-lettered"):
+            run_stream(queue, roots, current, [(0, 2, 3, 1.0), (0, 0, 0, 0.5)])
+        injector.revive()
+        queue.close()
+        assert [chain.materialized for chain in queue._chains.values()] == [None, None]
+        fresh = IngestQueue(run.fleet, flush_max_updates=2, workers=0)
+        assert fresh.replay_dead_letters()["failed"] == []
+        fresh.close()
+        assert run.fleet.deadletter.count == 0
+        assert run.fleet.recover_set(chain_head(fresh, roots[0])).equals(current[0])
+        replay_saves(tmp_path / "direct", False, "layer", initial, run.saves)
+        assert shard_digests(tmp_path / "ingest") == shard_digests(tmp_path / "direct")
+
 
 def test_flush_hashes_only_its_batch(tiny_set, monkeypatch):
     """A flush of k models calls ``hash_array`` k x layers times."""

@@ -214,3 +214,32 @@ class TestCutUnderALiveEngine:
             code = _print_audit(report, "clean")
         assert code == 2 and f"SHORT-PACK {PACK}" in out.getvalue()
         assert manager.context.file_store.size(PACK) == entry["needs"]  # reads: unchanged
+
+    @pytest.mark.parametrize(
+        "replicas, copies",
+        [(1, [""]), (3, ["replica-0", "replica-1", "replica-2"])],
+        ids=["plain", "every-copy"],
+    )
+    def test_shallow_fsck_sees_a_delta_cut_without_a_reopen(self, tmp_path, replicas, copies):
+        # An uncompressed Update delta: its size rule reads the backends
+        # as the short-pack rule does, not the size remembered at write.
+        manager = MultiModelManager.open(tmp_path, "update", ArchiveConfig(replicas=replicas))
+        models = ModelSet.build("FFNN-48", num_models=3, seed=0)
+        base_id = manager.save_set(models)
+        derived = models.copy()
+        state = derived.state(1)
+        for name in state:
+            state[name] = (state[name] + np.float32(1)).astype(np.float32)
+        head = manager.save_set(derived, base_set_id=base_id)
+        delta = manager.set_info(head)["params_artifact"]
+        whole = manager.context.file_store.size(delta)
+        for directory in copies:
+            os.truncate(os.path.join(tmp_path, directory, "artifacts", f"{delta}.bin"), whole // 2)
+        report = ArchiveFsck(manager.context).run()
+        [issue] = report.set_issues
+        assert issue.set_id == head and issue.kind == "diff-mismatch"
+        assert issue.detail.startswith(f"delta blob has {whole // 2} bytes")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = _print_audit(report, "clean")
+        assert code == 2 and "diff-mismatch" in out.getvalue()
+        assert manager.context.file_store.size(delta) == whole  # reads: unchanged

@@ -230,6 +230,15 @@ GATES = (
          "a model's plan is a gather from the chain table, not a second resolve",
          "row_of = np.full(num_models, -1)", "src/repro/core/recovery.py",
          check=newest_writer_passes),
+    Gate("Frozen rows stay frozen",
+         r"writeable\s*=\s*True|setflags\([^)]*write\s*=\s*True|\btouched=",
+         (r"^src/repro/(core/manager|fleet/ingest)\.py:\d+:"
+          r"(?!.*(writeable|setflags)).*\btouched=",),
+         "a saved set's rows stay read-only, and only the engine's identity test and the "
+         "ingest queue's batch vouch that a model is unchanged",
+         ("row.flags.writeable = True", "row.setflags(write=True)",
+          "approach.save_derived(models, base_id, touched=frozenset())"),
+         roots=("src/repro",)),
     Gate("One digest reader", "", (),
          "a set's stored digests have one reader (recovery.stored_digests) and one "
          "row comparison (recovery.changed_rows)",
