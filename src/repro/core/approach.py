@@ -332,6 +332,10 @@ class SaveApproach(ABC):
 
     #: Short name used in set ids, documents, and benchmark reports.
     name: str = "abstract"
+    #: Whether :meth:`save_derived` takes a ``touched`` keyword: the engine
+    #: proves models unchanged by identity, and freezes a saved set's rows,
+    #: only for such an approach (DESIGN.md §9).  Only Update sets it.
+    reads_touched: bool = False
 
     def __init__(self, context: SaveContext) -> None:
         self.context = context
@@ -350,16 +354,13 @@ class SaveApproach(ABC):
         base_set_id: str,
         update_info: UpdateInfo | None = None,
         metadata: SetMetadata | None = None,
-        *,
-        touched: "frozenset[int] | None" = None,
     ) -> str:
         """Persist a set derived from ``base_set_id``; returns the new id.
 
         ``update_info`` carries the cycle's provenance; approaches that do
-        not need it may ignore it.  ``touched``, when given, vouches that
-        every model outside it is byte-identical to the base set's (only
-        a writer that owns the set, the fleet ingest queue, passes it);
-        approaches that do not use it ignore it.
+        not need it may ignore it.  An approach with :attr:`reads_touched`
+        also takes a keyword-only ``touched``: the models outside it are
+        vouched byte-identical to the base set's.
         """
 
     def save_initial_streaming(

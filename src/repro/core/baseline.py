@@ -34,6 +34,7 @@ from repro.core.parallel import parallel_map
 from repro.core.recovery import (
     HASH_COLLECTION,
     execute,
+    resolve,
     resolve_chain,
     resolve_chunked,
 )
@@ -355,13 +356,11 @@ def read_full_set(context: SaveContext, document: dict, set_id: str) -> ModelSet
     return execute(context, resolve_chain(document, [], set_id))
 
 
+# No caller in the package: Baseline recovers through ``recovery.resolve``.
+# Kept because benchmarks/wallclock/layers.py (WRAPS) wraps both by name;
+# they go with those two rows.
 def read_chunked_set(context: SaveContext, document: dict, set_id: str) -> ModelSet:
-    """Reconstruct a chunked set saved by :func:`write_set`.
-
-    Single-fetch fan-out: each *unique* chunk is fetched once (vectored
-    range reads per pack artifact) and copied into every referencing
-    (model, layer) slot of the set's rows.
-    """
+    """Reconstruct a chunked set saved by :func:`write_set`."""
     return execute(context, resolve_chunked(context, document, set_id))
 
 
@@ -421,8 +420,6 @@ class BaselineApproach(SaveApproach):
         base_set_id: str,
         update_info: UpdateInfo | None = None,
         metadata: SetMetadata | None = None,
-        *,
-        touched: "frozenset[int] | None" = None,
     ) -> str:
         # Baseline takes no advantage of the relation to the base set: it
         # always saves complete representations (its storage consumption
@@ -439,15 +436,7 @@ class BaselineApproach(SaveApproach):
         )
 
     def recover(self, set_id: str) -> ModelSet:
-        document = self.context.set_document(set_id)
-        self._require_type(document, self.name, set_id)
-        if document.get("storage") == "chunked":
-            return read_chunked_set(self.context, document, set_id)
-        return read_full_set(self.context, document, set_id)
+        return execute(self.context, resolve(self, set_id))
 
     def recover_model(self, set_id: str, model_index: int):
-        document = self.context.set_document(set_id)
-        self._require_type(document, self.name, set_id)
-        if document.get("storage") == "chunked":
-            return read_chunked_model(self.context, document, set_id, model_index)
-        return read_single_model(self.context, document, set_id, model_index)
+        return execute(self.context, resolve(self, set_id, model_index)).state(0)

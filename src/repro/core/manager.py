@@ -746,7 +746,8 @@ class MultiModelManager:
         ``coalesce`` span between the fleet envelope and the shard save.
         ``touched`` is the ingest queue's vouch that every other model
         is the base set's byte for byte; a derived Update save then
-        hashes only those models (DESIGN.md §9).  The set is not frozen.
+        hashes only those models (DESIGN.md §9), and any other approach
+        never sees it.  The set is not frozen.
         """
         return self._run_save(
             set_id,
@@ -766,11 +767,16 @@ class MultiModelManager:
         metadata: "SetMetadata | None",
         touched: "Callable[[], frozenset[int] | None]",
     ) -> "Callable[[], str]":
-        """The shard approach's save of ``model_set``; a derived save asks
-        ``touched()`` inside the save's span."""
+        """The shard approach's save of ``model_set``; a derived save on an
+        approach that :attr:`~SaveApproach.reads_touched` asks ``touched()``
+        inside the save's span."""
         approach = self.shards[shard].approach
         if base_set_id is None:
             return lambda: approach.save_initial(model_set, metadata=metadata)
+        if not approach.reads_touched:
+            return lambda: approach.save_derived(
+                model_set, base_set_id, update_info=update_info, metadata=metadata
+            )
         return lambda: approach.save_derived(
             model_set,
             base_set_id,
@@ -893,11 +899,13 @@ class MultiModelManager:
         On a journaled archive the save is one atomic commit (a crash
         rolls it back at the next :meth:`open`), serialized under the
         owning shard's mutex against every other writer of that shard.
-        A committed save freezes ``model_set``'s rows (read-only private
+        On an approach that :attr:`~SaveApproach.reads_touched` (Update),
+        a committed save freezes ``model_set``'s rows (read-only private
         copies, :meth:`ModelSet.freeze`), and this engine remembers them
         while the set holds them: a later derived save from this set id
         hashes only the models whose row is not the one frozen at the
-        same index (DESIGN.md §9).
+        same index (DESIGN.md §9).  On any other approach the set keeps
+        its rows as handed in.
         """
 
         def run(set_id: str, shard: int) -> str:
@@ -917,7 +925,7 @@ class MultiModelManager:
                 "save_set",
                 "initial" if base_set_id is None else "derived",
                 self._writer(shard, model_set, base_set_id, update_info, metadata, prove),
-                committed=freeze,
+                committed=freeze if self.shards[shard].approach.reads_touched else None,
             )
 
         return self._allocated(base_set_id, run)

@@ -13,14 +13,16 @@ produce — or the caller's own state dict, kept as handed in.
 :class:`~repro.nn.serialization.ModelState` of views into it, built on
 first access and kept.
 
-A committed ``MultiModelManager.save_set`` freezes the set's rows: each
+A committed ``MultiModelManager.save_set`` on an Update archive (an
+approach that ``reads_touched``) freezes the set's rows: each
 row-backed model becomes a private read-only copy (``writeable=False``),
 so writing into a saved set raises ``ValueError``, a state or view taken
 before the save is detached from the set, and :meth:`ModelSet.copy` is
 the writable copy.  ``states[i] = ...`` still replaces a model, and a
 caller's own dict is never frozen.  The engine remembers the frozen rows
 (:class:`SavedRows`) while the set holds them, which lets a later derived
-save prove a model unchanged by identity (DESIGN.md §9).
+save prove a model unchanged by identity (DESIGN.md §9).  A set saved on
+an archive of any other approach keeps its rows as handed in.
 """
 
 from __future__ import annotations

@@ -95,8 +95,6 @@ class PasDeltaApproach(SaveApproach):
         base_set_id: str,
         update_info: UpdateInfo | None = None,
         metadata: SetMetadata | None = None,
-        *,
-        touched: "frozenset[int] | None" = None,
     ) -> str:
         base_doc = self.context.set_document(base_set_id)
         self._require_type(base_doc, self.name, base_set_id)

@@ -62,8 +62,6 @@ class ProvenanceApproach(SaveApproach):
         base_set_id: str,
         update_info: UpdateInfo | None = None,
         metadata: SetMetadata | None = None,
-        *,
-        touched: "frozenset[int] | None" = None,
     ) -> str:
         if update_info is None:
             raise InvalidUpdatePlanError(

@@ -67,6 +67,7 @@ class UpdateApproach(SaveApproach):
     """Delta saving of changed layers, detected via per-layer hashes."""
 
     name = "update"
+    reads_touched = True
 
     def __init__(
         self,

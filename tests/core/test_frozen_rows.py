@@ -1,16 +1,19 @@
-"""A committed ``save_set`` freezes the set's rows.
+"""A committed ``save_set`` on an Update archive freezes the set's rows.
 
 Each row-backed model becomes a private read-only copy, so writing into
 a saved set raises and a view handed out before the save no longer
 reaches it; the engine remembers the frozen rows, and a derived save
 from that set id hashes only the models whose row is not the one frozen
 at the same index.  A caller's dict is never frozen and always hashed.
+Every other approach never reads ``touched``: its saved sets keep their
+rows as handed in, and the engine records nothing.
 ``tests/properties/test_frozen_rows.py`` holds the archives to the full
 pass's.
 """
 
 from __future__ import annotations
 
+from operator import is_
 from unittest.mock import Mock
 
 import numpy as np
@@ -20,7 +23,10 @@ import repro.core.update as update
 from repro.config import ArchiveConfig
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
+from repro.core.save_info import UpdateInfo
 from repro.errors import DocumentNotFoundError, SimulatedCrashError
+from repro.fleet import IngestQueue
+from tests.fleet.test_ingest_identity import digest_dir
 
 ARCH = "FFNN-48"
 
@@ -125,3 +131,43 @@ class TestFreeze:
         assert first.save_set(base) == base_id  # the ids collide
         second.save_set(ModelSet(ARCH, list(base.states)), base_set_id=base_id)
         assert hashed == [[0, 1, 2]]
+
+
+class TestOnlyUpdateFreezes:
+    @pytest.mark.parametrize(
+        "approach", ["baseline", "baseline-fp16", "mmlib-base", "provenance", "pas-delta"]
+    )
+    def test_a_saved_set_keeps_its_rows(self, approach):
+        manager = MultiModelManager.with_approach(approach)
+        base = row_set()
+        rows = base.rows()
+        base_id = manager.save_set(base)
+        derived = base.copy()
+        nudge(derived.state(1))
+        derived_rows = derived.rows()
+        manager.save_set(
+            derived, base_set_id=base_id, update_info=UpdateInfo(pipelines={}, updates=())
+        )
+        for model_set, before in ((base, rows), (derived, derived_rows)):
+            assert all(map(is_, model_set.rows(), before))
+            assert all(row.flags.writeable for row in model_set.rows())
+        assert not manager._saved_rows
+
+    def test_an_ingest_flush_saves_what_a_direct_save_does(self, tmp_path):
+        """On a Baseline archive the queue's ``touched`` is dropped: the
+        flush and a direct derived save leave the same archive."""
+        initial = ModelSet.build(ARCH, num_models=4, seed=3)
+        edited = initial.copy_state(2)
+        nudge(edited)
+        queued = MultiModelManager.open(tmp_path / "ingest", "baseline", ArchiveConfig())
+        root = queued.save_set(initial)
+        with IngestQueue(queued, workers=0) as queue:
+            queue.submit(root, 2, edited)
+        direct = MultiModelManager.open(tmp_path / "direct", "baseline", ArchiveConfig())
+        assert direct.save_set(initial) == root
+        derived = initial.copy()
+        derived.states[2] = edited
+        assert [entry["set_id"] for entry in queue.flush_log] == [
+            direct.save_set(derived, base_set_id=root)
+        ]
+        assert digest_dir(tmp_path / "ingest") == digest_dir(tmp_path / "direct")

@@ -231,13 +231,16 @@ GATES = (
          "row_of = np.full(num_models, -1)", "src/repro/core/recovery.py",
          check=newest_writer_passes),
     Gate("Frozen rows stay frozen",
-         r"writeable\s*=\s*True|setflags\([^)]*write\s*=\s*True|\btouched=",
+         r"writeable\s*=\s*True|setflags\([^)]*write\s*=\s*True|\btouched=|\btouched\s*:",
          (r"^src/repro/(core/manager|fleet/ingest)\.py:\d+:"
-          r"(?!.*(writeable|setflags)).*\btouched=",),
-         "a saved set's rows stay read-only, and only the engine's identity test and the "
-         "ingest queue's batch vouch that a model is unchanged",
+          r"(?!.*(writeable|setflags)).*\btouched=",
+          r"^src/repro/core/(manager|update)\.py:\d+:(?!.*(writeable|setflags)).*\btouched\s*:"),
+         "a saved set's rows stay read-only, only the engine's identity test and the "
+         "ingest queue's batch vouch that a model is unchanged, and only Update's "
+         "save_derived (and the engine that hands it over) takes touched",
          ("row.flags.writeable = True", "row.setflags(write=True)",
-          "approach.save_derived(models, base_id, touched=frozenset())"),
+          "approach.save_derived(models, base_id, touched=frozenset())",
+          '        touched: "frozenset[int] | None" = None,'),
          roots=("src/repro",)),
     Gate("One digest reader", "", (),
          "a set's stored digests have one reader (recovery.stored_digests) and one "
