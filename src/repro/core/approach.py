@@ -17,7 +17,6 @@ so comparative benchmarks run all approaches against identical backends.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 import itertools
@@ -36,6 +35,7 @@ from repro.storage.file_store import FileStore
 from repro.storage.persistent import open_archive_stores
 
 if TYPE_CHECKING:
+    from repro.nn.serialization import ModelState
     from repro.observability.metrics import MetricsRegistry
     from repro.observability.trace import TraceRecorder
     from repro.storage.journal import RecoveryReport, SaveJournal
@@ -386,15 +386,24 @@ class SaveApproach(ABC):
     # -- recover -----------------------------------------------------------
     @abstractmethod
     def recover(self, set_id: str) -> ModelSet:
-        """Reconstruct the full model set saved under ``set_id``."""
+        """Reconstruct the full model set saved under ``set_id``.
+
+        Every model is a read-only float32 row (:mod:`repro.core.model_set`):
+        the serving cache stacks the rows into its tier-1 entry and hands
+        out views, so a set of state dicts cannot be served.
+        """
 
     @abstractmethod
-    def recover_model(self, set_id: str, model_index: int) -> "OrderedDict":
+    def recover_model(self, set_id: str, model_index: int) -> "ModelState":
         """Reconstruct a single model's parameters from a saved set.
 
         The paper's scenario recovers "a selected number of models, for
         example, after an accident" (§1) — far cheaper than a full-set
         recovery.  An index outside the set raises :class:`IndexError`.
+        Returns a :class:`~repro.nn.serialization.ModelState` over a
+        read-only row that holds this model alone: the serving cache
+        keeps that row as the model's tier-1 entry, and a view of a
+        larger buffer would keep the whole buffer alive.
         """
 
     # -- shared helpers -----------------------------------------------------

@@ -986,8 +986,9 @@ class MultiModelManager:
 
         Named by raw ``set_id`` or by catalog coordinates (``family=``,
         optional ``tag=``, default ``"latest"``); both spellings recover
-        identical bytes.  Returns a :class:`ModelSet` and raises on any
-        corruption; ``salvage=True`` returns a
+        identical bytes.  Returns a :class:`ModelSet` of read-only rows
+        (``copy()`` is the writable copy; :mod:`repro.core.model_set`)
+        and raises on any corruption; ``salvage=True`` returns a
         :class:`~repro.core.fsck.SalvageReport` of every model that still
         verifies and why the others were lost, bypassing the serving
         cache (:class:`~repro.config.ServingConfig`), which otherwise
@@ -1055,6 +1056,8 @@ class MultiModelManager:
         Much cheaper than :meth:`recover_set` for the paper's
         post-accident-analysis scenario: all approaches use range reads
         or per-model provenance replay instead of materializing the set.
+        Returns a :class:`~repro.nn.serialization.ModelState` over a
+        read-only row (``copy()`` is the writable copy).
         """
         shard = self.shard_of(set_id)
         if not self.health.gate_read(shard):

@@ -30,7 +30,7 @@ from repro.core.approach import SETS_COLLECTION, SaveApproach
 from repro.core.model_set import ModelSet
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.errors import RecoveryError
-from repro.nn.serialization import deserialize_state_dict, serialize_state_dict
+from repro.nn.serialization import deserialize_state_row, serialize_state_dict
 
 #: Collection holding MMlib-base's one-document-per-model records.
 MODELS_COLLECTION = "mmlib_models"
@@ -158,7 +158,7 @@ class MMlibBaseApproach(SaveApproach):
         for model_id in document["model_ids"]:
             model_doc = self.context.document_store.get(MODELS_COLLECTION, model_id)
             payload = self.context.file_store.get(model_doc["params_artifact"])
-            states.append(deserialize_state_dict(payload))
+            states.append(deserialize_state_row(payload))
         if len(states) != int(document["num_models"]):
             raise RecoveryError(
                 f"set {set_id!r}: expected {document['num_models']} models, "
@@ -178,8 +178,7 @@ class MMlibBaseApproach(SaveApproach):
         model_doc = self.context.document_store.get(
             MODELS_COLLECTION, model_ids[model_index]
         )
-        payload = self.context.file_store.get(model_doc["params_artifact"])
-        return deserialize_state_dict(payload)
+        return deserialize_state_row(self.context.file_store.get(model_doc["params_artifact"]))
 
     @staticmethod
     def per_model_overhead_bytes(model_set: ModelSet) -> int:

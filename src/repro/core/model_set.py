@@ -13,16 +13,26 @@ produce — or the caller's own state dict, kept as handed in.
 :class:`~repro.nn.serialization.ModelState` of views into it, built on
 first access and kept.
 
-A committed ``MultiModelManager.save_set`` on an Update archive (an
-approach that ``reads_touched``) freezes the set's rows: each
-row-backed model becomes a private read-only copy (``writeable=False``),
-so writing into a saved set raises ``ValueError``, a state or view taken
-before the save is detached from the set, and :meth:`ModelSet.copy` is
-the writable copy.  ``states[i] = ...`` still replaces a model, and a
-caller's own dict is never frozen.  The engine remembers the frozen rows
-(:class:`SavedRows`) while the set holds them, which lets a later derived
-save prove a model unchanged by identity (DESIGN.md §9).  A set saved on
-an archive of any other approach keeps its rows as handed in.
+**Read-only rows.**  One rule covers saved and recovered sets:
+
+* A committed ``MultiModelManager.save_set`` on an Update archive (an
+  approach that ``reads_touched``) freezes the set's rows: each
+  row-backed model becomes a private read-only copy
+  (``writeable=False``), and a state or view taken before the save is
+  detached from the set.  A caller's own dict is never frozen, and a set
+  saved on an archive of any other approach keeps its rows as handed in.
+* Every recovery returns read-only rows: ``recover_set`` and
+  ``recover_model`` on every approach, on plain, dedup and fleet
+  archives, and every serving-cache answer (hit, miss and
+  ``serve_stale``), which is a view of the cache's own entry
+  (DESIGN.md §6).
+
+Either way a write into a row raises ``ValueError``,
+:meth:`ModelSet.copy` / :meth:`ModelSet.copy_state` are the writable
+copies, and ``states[i] = ...`` still replaces a model.  The engine
+remembers a saved set's frozen rows (:class:`SavedRows`) while the set
+holds them, which lets a later derived save prove a model unchanged by
+identity (DESIGN.md §9); a recovered set's rows are never recorded.
 """
 
 from __future__ import annotations
@@ -42,6 +52,13 @@ from repro.training.seeds import derive_seed
 
 #: What :class:`SavedRows` holds for a caller's dict: no row is it.
 _NO_ROW = object()
+
+
+def read_only(rows: np.ndarray) -> np.ndarray:
+    """``rows`` itself, made read-only.  For rows no one else writes: a
+    recovery's fresh matrix, a private copy."""
+    rows.flags.writeable = False
+    return rows
 
 
 class SavedRows:
@@ -165,10 +182,12 @@ class ModelSet:
         return model
 
     def build_model(self, index: int) -> Module:
-        """Materialize model ``index`` as an executable module."""
+        """Materialize model ``index`` as an executable module over a
+        private copy of its parameters: training the module never writes
+        into the set, and works on read-only rows too."""
         spec = get_architecture(self.architecture)
         model = spec.build(rng=np.random.default_rng(0))
-        model.load_state_dict(self.state(index))
+        model.load_state_dict(self.copy_state(index))
         model.eval()
         return model
 
@@ -236,9 +255,7 @@ class ModelSet:
         for index in range(len(models)) if copied is None else copied:
             row = _row(models[index])
             if row is not None:
-                frozen = row.copy()
-                frozen.flags.writeable = False
-                models[index] = frozen
+                models[index] = read_only(row.copy())
         self._saved = SavedRows(tuple(_NO_ROW if row is None else row for row in self.rows()))
         return self._saved
 

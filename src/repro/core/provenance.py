@@ -12,7 +12,9 @@ Recovery recovers the base set (recursively, like Update) and then
 *re-trains* every updated model by deterministically replaying its
 pipeline on the referenced dataset — the source of both the 99%+ storage
 reduction and the compute-heavy staircase time-to-recover (Figure 5,
-§4.4).
+§4.4).  A recovered row is read-only (:mod:`repro.core.model_set`), so
+each replay trains a module over a copy of the model's row and stores
+the result as a new read-only row.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import numpy as np
 from repro.architectures.registry import get_architecture
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
 from repro.core.baseline import read_full_set, read_single_model, write_set
-from repro.core.model_set import ModelSet
+from repro.core.model_set import ModelSet, read_only
 from repro.core.recovery import chain_documents
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.errors import InvalidUpdatePlanError, ProvenanceReplayError
+from repro.nn.serialization import ModelState, state_row
 from repro.training.environment import capture_environment
 from repro.training.pipeline import TrainingPipeline
 
@@ -122,21 +125,15 @@ class ProvenanceApproach(SaveApproach):
         """
         base_doc, base_id, chain = chain_documents(self, set_id)
         state = read_single_model(self.context, base_doc, base_id, model_index)
-        spec = get_architecture(str(base_doc["architecture"]))
+        architecture = str(base_doc["architecture"])
         for document in reversed(chain):
             info = UpdateInfo.from_json(
                 {"pipelines": document["pipelines"], "updates": document["updates"]}
             )
             for update in info.updates:
-                if update.model_index != model_index:
-                    continue
-                model = spec.build(rng=np.random.default_rng(0))
-                model.load_state_dict(state)
-                dataset = self.context.dataset_registry.resolve(update.dataset_ref)
-                TrainingPipeline(info.pipelines[update.pipeline_key]).train(
-                    model, dataset
-                )
-                state = model.state_dict()
+                if update.model_index == model_index:
+                    row = self._retrained(architecture, state, info, update)
+                    state = ModelState(state.schema, row)
         return state
 
     def _replay(self, base: ModelSet, document: dict) -> ModelSet:
@@ -155,11 +152,22 @@ class ProvenanceApproach(SaveApproach):
         info = UpdateInfo.from_json(
             {"pipelines": document["pipelines"], "updates": document["updates"]}
         )
-        derived = base.copy()
+        # A model no update names shares the base's read-only row.
+        rows = list(base.rows())
         for update in info.updates:
-            model = derived.build_model(update.model_index)
-            dataset = self.context.dataset_registry.resolve(update.dataset_ref)
-            pipeline = TrainingPipeline(info.pipelines[update.pipeline_key])
-            pipeline.train(model, dataset)
-            derived.states[update.model_index] = model.state_dict()
-        return derived
+            index = update.model_index
+            rows[index] = self._retrained(
+                base.architecture, ModelState(base.schema, rows[index]), info, update
+            )
+        return ModelSet.from_rows(base.architecture, base.schema, rows)
+
+    def _retrained(
+        self, architecture: str, state: ModelState, info: UpdateInfo, update
+    ) -> np.ndarray:
+        """A new read-only row: ``state`` re-trained by ``update``'s
+        pipeline on its dataset (the module trains a copy of the row)."""
+        model = get_architecture(architecture).build(rng=np.random.default_rng(0))
+        model.load_state_dict(state.copy())
+        dataset = self.context.dataset_registry.resolve(update.dataset_ref)
+        TrainingPipeline(info.pipelines[update.pipeline_key]).train(model, dataset)
+        return read_only(state_row(model.state_dict()))

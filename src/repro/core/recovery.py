@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.approach import SETS_COLLECTION, SaveContext
 from repro.core.compression import get_codec
 from repro.core.mmlib_base import MODELS_COLLECTION
-from repro.core.model_set import ModelSet
+from repro.core.model_set import ModelSet, read_only
 from repro.errors import DocumentNotFoundError, RecoveryError
 from repro.nn.serialization import StateSchema
 from repro.observability import trace as _trace
@@ -842,7 +842,8 @@ def assemble(
 
 
 def execute(context: SaveContext, plan: RecoveryPlan) -> ModelSet:
-    """The uncached read: fetch every slot, assemble every row."""
+    """The uncached read: fetch every slot, assemble every row (read-only,
+    like every recovered row: :mod:`repro.core.model_set`)."""
     return ModelSet.from_rows(
-        plan.architecture, plan.schema, assemble(plan, fetch(context, plan))
+        plan.architecture, plan.schema, read_only(assemble(plan, fetch(context, plan)))
     )

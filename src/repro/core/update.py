@@ -45,7 +45,7 @@ import numpy as np
 from repro.core.approach import SETS_COLLECTION, SaveApproach, SaveContext
 from repro.core.baseline import layer_hashes, read_full_set, write_hash_info, write_set
 from repro.core.compression import get_codec
-from repro.core.model_set import ModelSet
+from repro.core.model_set import ModelSet, read_only
 from repro.core.parallel import parallel_map
 from repro.core.recovery import (
     HASH_COLLECTION,  # noqa: F401 - re-exported: where Update's hash info lives
@@ -59,7 +59,7 @@ from repro.core.recovery import (
 from repro.core.recovery import _select
 from repro.core.save_info import SetMetadata, UpdateInfo
 from repro.errors import InvalidUpdatePlanError, RecoveryError
-from repro.nn.serialization import StateSchema
+from repro.nn.serialization import ModelState, StateSchema
 from repro.observability import trace as _trace
 
 
@@ -339,12 +339,14 @@ class UpdateApproach(SaveApproach):
         writes to this model were all superseded.  With a compressing
         codec, range addressing into a delta blob is impossible and the
         full delta is read and decoded instead.  ``"replay"`` recovery
-        replays the whole set (Figure 5's algorithm) and keeps one model.
+        replays the whole set (Figure 5's algorithm) and keeps a private
+        copy of one model's row, so the model does not keep the replayed
+        set alive.
         """
         if self._replays(set_id):
             model_set = self._recover_replay(set_id)
             (index,) = _select(len(model_set), model_index, set_id)
-            return model_set.state(index)
+            return ModelState(model_set.schema, read_only(model_set.rows()[index].copy()))
         return execute(self.context, resolve(self, set_id, model_index)).state(0)
 
     def _apply_delta(self, base: ModelSet, document: dict) -> ModelSet:
@@ -355,10 +357,13 @@ class UpdateApproach(SaveApproach):
             self.context.file_store.get(document["params_artifact"])
         )
         layer_entries = schema.entries
-        derived = base.copy()
+        # Copy on write: a changed model gets a new row, every other
+        # model shares the base's (read-only) row.
+        rows = list(base.rows())
         cursor = 0
         for model_index, changed_layers in document["diff"]:
-            state = derived.state(int(model_index))
+            model_index = int(model_index)
+            state = ModelState(schema, rows[model_index].copy())
             for layer in changed_layers:
                 name, shape = layer_entries[int(layer)]
                 size = int(np.prod(shape)) if shape else 1
@@ -370,8 +375,9 @@ class UpdateApproach(SaveApproach):
                 )
                 state[name] = values.reshape(shape)
                 cursor += nbytes
+            rows[model_index] = read_only(state.row)
         if cursor != len(payload):
             raise RecoveryError(
                 f"delta artifact has {len(payload) - cursor} unused trailing bytes"
             )
-        return derived
+        return ModelSet.from_rows(base.architecture, schema, rows)

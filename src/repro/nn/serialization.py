@@ -4,8 +4,9 @@ Two encodings are provided, matching the two ways the paper's approaches
 persist parameters:
 
 * A **self-describing** codec (:func:`serialize_state_dict` /
-  :func:`deserialize_state_dict`) that embeds layer names and shapes in
-  every blob.  MMlib-base uses this per model, which is exactly the
+  :func:`deserialize_state_dict`, or :func:`deserialize_state_row` for
+  one read-only row) that embeds layer names and shapes in every blob.
+  MMlib-base uses this per model, which is exactly the
   per-model key/metadata redundancy the paper's O1 identifies.
 * A **schema-split** codec (:func:`parameters_to_bytes` /
   :func:`bytes_to_parameters` with a :class:`StateSchema`) that stores the
@@ -164,15 +165,16 @@ def serialize_state_dict(state: "OrderedDict[str, np.ndarray]") -> bytes:
     return b"".join(parts)
 
 
-def deserialize_state_dict(blob: bytes) -> "OrderedDict[str, np.ndarray]":
-    """Decode a blob produced by :func:`serialize_state_dict`."""
+def _layers(blob: bytes) -> "list[tuple[str, tuple[int, ...], int, int]]":
+    """``(name, shape, offset, count)`` of every layer of a blob produced by
+    :func:`serialize_state_dict`, checked against the blob's length."""
     if blob[:4] != _MAGIC:
         raise SerializationError("bad magic: not a serialized state dict")
     offset = 4
     try:
         (count,) = struct.unpack_from("<I", blob, offset)
         offset += 4
-        state: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        layers = []
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
@@ -182,18 +184,39 @@ def deserialize_state_dict(blob: bytes) -> "OrderedDict[str, np.ndarray]":
             offset += 1
             shape = struct.unpack_from(f"<{ndim}I", blob, offset)
             offset += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            nbytes = size * _ITEM_SIZE
-            array = np.frombuffer(blob, dtype=DTYPE, count=size, offset=offset)
-            offset += nbytes
-            state[name] = array.reshape(shape).copy()
-    except (struct.error, UnicodeDecodeError, ValueError) as exc:
+            size = math.prod(shape)
+            layers.append((name, shape, offset, size))
+            offset += size * _ITEM_SIZE
+    except (struct.error, UnicodeDecodeError) as exc:
         raise SerializationError("truncated or corrupt state dict blob") from exc
+    if offset > len(blob):
+        raise SerializationError("truncated or corrupt state dict blob")
     if offset != len(blob):
         raise SerializationError(
             f"trailing bytes in state dict blob: {len(blob) - offset}"
         )
-    return state
+    return layers
+
+
+def deserialize_state_dict(blob: bytes) -> "OrderedDict[str, np.ndarray]":
+    """Decode a blob produced by :func:`serialize_state_dict`."""
+    return OrderedDict(
+        (name, np.frombuffer(blob, DTYPE, size, offset).reshape(shape).copy())
+        for name, shape, offset, size in _layers(blob)
+    )
+
+
+def deserialize_state_row(blob: bytes) -> ModelState:
+    """Decode a blob produced by :func:`serialize_state_dict` into one
+    model over a read-only row: its parameter bytes are copied once,
+    straight into the row."""
+    layers = _layers(blob)
+    view = memoryview(blob)
+    row = np.frombuffer(
+        b"".join(view[offset : offset + size * _ITEM_SIZE] for _n, _s, offset, size in layers),
+        dtype=DTYPE,
+    )
+    return ModelState(StateSchema(tuple((name, shape) for name, shape, _o, _c in layers)), row)
 
 
 def parameters_to_bytes(state: "OrderedDict[str, np.ndarray]") -> bytes:

@@ -3,10 +3,11 @@
 Two cache tiers live here (tier 3 is the store itself):
 
 * :class:`SetCache` — tier 1, fully materialized model sets (and single
-  recovered models) under one byte budget, each held as one
-  ``(models, parameters)`` matrix.  Entries remember the digest ids they
-  were assembled from so quarantine/GC invalidation can drop exactly the
-  sets a doomed chunk contributed to.
+  recovered models) under one byte budget, each held as one read-only
+  ``(models, parameters)`` matrix whose views every answer hands out.
+  Entries remember the digest ids they were assembled from so
+  quarantine/GC invalidation can drop exactly the sets a doomed chunk
+  contributed to.
 * :class:`ChunkCache` — tier 2, decoded chunk bytes keyed by the digest
   id (:data:`~repro.storage.hashing.DIGESTS`) of their SHA-256, held in
   columns by id.  Content-addressed, so near-duplicate versions share
@@ -90,10 +91,11 @@ class ServingStats:
 
 @dataclass
 class SetEntry:
-    """One tier-1 entry: a pristine matrix of rows plus provenance."""
+    """One tier-1 entry: a read-only matrix of rows plus provenance."""
 
     #: ``(models, parameters)`` float32 rows; one row for a single model.
-    #: Never handed out: every hit copies it.
+    #: Read-only: the miss that built it and every hit hand out views of
+    #: it, never a copy.
     rows: np.ndarray
     architecture: str
     schema: StateSchema
@@ -110,9 +112,10 @@ class SetCache:
     """Tier 1: LRU of materialized sets/models under a byte budget.
 
     Keys are ``(set_id, None)`` for full sets and ``(set_id, index)``
-    for single recovered models.  Values are stored pristine — callers
-    insert a private copy and receive copies back — so a consumer
-    mutating a recovered set can never poison later reads.
+    for single recovered models.  An entry's matrix is read-only (``put``
+    refuses a writable one), so callers share it as views: a consumer's
+    write into a recovered set raises instead of poisoning later reads,
+    and ``copy()`` is its writable copy.
     """
 
     def __init__(self, budget_bytes: int) -> None:
@@ -130,6 +133,8 @@ class SetCache:
             return entry
 
     def put(self, key: tuple, entry: SetEntry) -> None:
+        if entry.rows.flags.writeable:
+            raise ValueError("a tier-1 entry's rows must be read-only: answers share them")
         if self.budget_bytes <= 0 or entry.nbytes > self.budget_bytes:
             return
         with self._lock:

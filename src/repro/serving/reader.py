@@ -40,9 +40,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import recovery
-from repro.core.model_set import ModelSet
+from repro.core.model_set import ModelSet, read_only
 from repro.errors import ReplicaUnavailableError
-from repro.nn.serialization import ModelState, StateSchema, state_row
+from repro.nn.serialization import ModelState
 from repro.observability import trace as _trace
 from repro.serving.cache import ChunkCache, ServingStats, SetCache, SetEntry
 
@@ -195,9 +195,10 @@ class ServingCache:
         Never touches tier 2 or the store (the shard's breaker is open),
         so it can only return *committed* values a successful recovery
         materialized earlier — stale at worst, never torn.  Returns the
-        copied set/state on a hit, ``None`` on a miss (the fleet then
-        raises :class:`~repro.errors.ShardUnavailableError`).  Hits count
-        as ``stale_hits`` on top of the normal hit counters.
+        set/state on a hit, read-only views of the tier-1 entry like any
+        hit, ``None`` on a miss (the fleet then raises
+        :class:`~repro.errors.ShardUnavailableError`).  Hits count as
+        ``stale_hits`` on top of the normal hit counters.
         """
         hit = self._tier1(set_id, model_index, "tier1-stale-hit", stale_hits=1)
         if hit is None:
@@ -205,13 +206,14 @@ class ServingCache:
         return hit
 
     def _tier1(self, set_id: str, model_index: "int | None", span: str, **counters):
-        """A private copy of a tier-1 value, or ``None`` on a miss (a hit
-        counts as a request; the caller counts a miss).
+        """A tier-1 value, or ``None`` on a miss (a hit counts as a
+        request; the caller counts a miss).
 
         A set is served from its full-set entry; one model from the
         full-set entry's row when it is cached, else from the model's own
-        entry.  Either way the caller gets fresh rows, one copy of the
-        entry's matrix (tier 1 stays pristine whatever the caller writes).
+        entry.  Either way the caller gets read-only views of the entry's
+        matrix and nothing is copied: a write raises, so tier 1 stays
+        pristine, and ``copy()`` is the caller's writable copy.
         """
         entry = self.sets.get((set_id, None))
         index = model_index
@@ -224,12 +226,10 @@ class ServingCache:
         fields = {} if model_index is None else {"model": model_index}
         with _trace.span(span, kind="cache", set_id=set_id, **fields):
             if model_index is None:
-                value = ModelSet.from_rows(
-                    entry.architecture, entry.schema, entry.rows.copy()
-                )
+                value = ModelSet.from_rows(entry.architecture, entry.schema, entry.rows)
                 nbytes = entry.nbytes
             else:
-                value = ModelState(entry.schema, entry.rows[index].copy())
+                value = ModelState(entry.schema, entry.rows[index])
                 nbytes = value.row.nbytes
             self.stats.record(
                 requests=1, set_hits=1, logical_bytes_served=nbytes, bytes_saved=nbytes,
@@ -254,14 +254,18 @@ class ServingCache:
     ) -> "tuple[object, SetEntry]":
         """Recover a set (or one model) through tier 2.
 
-        Returns what the caller gets and the tier-1 entry for it: a
-        private copy of the same parameters as one ``(models,
-        parameters)`` matrix, with the unique digest ids they came from.
+        Returns what the caller gets and the tier-1 entry for it: one
+        read-only ``(models, parameters)`` matrix, with the unique digest
+        ids it came from, of which the caller gets views (no copy: a
+        recovered row is read-only, :mod:`repro.core.model_set`).
         Sets whose slots are keyed by content — chunked sets, and Update
         sets read whole (their hash-info document is one more metadata
         read, worth it for a set but not for one model) — run the
         recovery executor with the slots tier 2 holds withheld from the
-        store fetch; everything else is the approach's own read.
+        store fetch; everything else is the approach's own read, whose
+        rows a set's entry stacks into one matrix and a model's entry
+        shares (that row holds the model alone:
+        :meth:`~repro.core.approach.SaveApproach.recover_model`).
         """
         from repro.core.update import UpdateApproach
 
@@ -271,20 +275,13 @@ class ServingCache:
             model_index is None and isinstance(approach, UpdateApproach)
         ):
             if model_index is None:
-                value = approach.recover(set_id)
-                rows = np.stack([
-                    state.row if isinstance(state, ModelState) else state_row(state)
-                    for state in value
-                ])
-                entry = SetEntry(rows, value.architecture, value.schema)
+                recovered = approach.recover(set_id)
+                matrix = read_only(np.stack(recovered.rows()))
+                entry = SetEntry(matrix, recovered.architecture, recovered.schema)
+                value = ModelSet.from_rows(entry.architecture, entry.schema, matrix)
             else:
                 value = approach.recover_model(set_id, model_index)
-                schema = (
-                    value.schema
-                    if isinstance(value, ModelState)
-                    else StateSchema.from_state_dict(value)
-                )
-                entry = SetEntry(state_row(value)[None], "", schema)
+                entry = SetEntry(value.row[None], "", value.schema)
             self.stats.record(logical_bytes_served=entry.nbytes)
             return value, entry
 
@@ -324,9 +321,9 @@ class ServingCache:
             if unique is not None:
                 self.chunks.put_many(fetched)
             values.update(fetched)
-        matrix = recovery.assemble(plan, values)
+        matrix = read_only(recovery.assemble(plan, values))
         self.stats.record(logical_bytes_served=matrix.nbytes)
-        entry = SetEntry(matrix.copy(), plan.architecture, plan.schema, unique)
+        entry = SetEntry(matrix, plan.architecture, plan.schema, unique)
         if model_index is None:
             return ModelSet.from_rows(plan.architecture, plan.schema, matrix), entry
         return ModelState(plan.schema, matrix[0]), entry

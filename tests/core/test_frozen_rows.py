@@ -151,7 +151,9 @@ class TestOnlyUpdateFreezes:
         for model_set, before in ((base, rows), (derived, derived_rows)):
             assert all(map(is_, model_set.rows(), before))
             assert all(row.flags.writeable for row in model_set.rows())
+        recovered = manager.recover_set(base_id)  # read-only here too, and not recorded
         assert not manager._saved_rows
+        assert not any(row.flags.writeable for row in recovered.rows())
 
     def test_an_ingest_flush_saves_what_a_direct_save_does(self, tmp_path):
         """On a Baseline archive the queue's ``touched`` is dropped: the

@@ -11,6 +11,7 @@ from repro.nn.serialization import (
     StateSchema,
     bytes_to_parameters,
     deserialize_state_dict,
+    deserialize_state_row,
     parameters_to_bytes,
     serialize_state_dict,
     state_dict_num_bytes,
@@ -59,6 +60,17 @@ class TestSelfDescribingCodec:
         # The self-describing format embeds names/shapes — the O1 overhead
         # MMlib-base pays per model.
         assert len(serialize_state_dict(state)) > state_dict_num_bytes(state)
+
+    def test_row_decoder_gives_one_read_only_row(self, state):
+        blob = serialize_state_dict(state)
+        decoded = deserialize_state_row(blob)
+        assert decoded.schema == StateSchema.from_state_dict(state)
+        assert not decoded.row.flags.writeable
+        for key in state:
+            assert np.array_equal(decoded[key], state[key])
+        for bad in (blob[: len(blob) // 2], blob + b"\x00\x00", b"XXXX" + blob[4:]):
+            with pytest.raises(SerializationError):
+                deserialize_state_row(bad)
 
     def test_unicode_layer_names(self):
         state = OrderedDict([("schicht.gewichte", np.ones(3, dtype=np.float32))])

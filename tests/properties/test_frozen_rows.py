@@ -8,7 +8,9 @@ context: that engine remembers no save, so it always takes the full
 pass.  Every stored diff list, hash-info document and recovered set must
 equal the oracle's.  Between saves the sequence writes through states
 handed out before a save and through the buffers behind caller-made
-read-only rows; neither may reach a saved set.
+read-only rows; neither may reach a saved set.  A derived set is built
+from the newest saved set, or from a recovery of it (uncached or through
+the serving cache), whose read-only rows the engine never recorded.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.config import ArchiveConfig
+from repro.config import ArchiveConfig, ServingConfig
 from repro.core.approach import SaveContext
 from repro.core.manager import MultiModelManager
 from repro.core.model_set import ModelSet
@@ -32,10 +34,12 @@ MODELS = 4
 KINDS = ("share", "edit", "same", "dict", "other", "read-only")
 
 #: One step: ("derive", archive, source archive, one kind per model) |
+#: ("recover", archive, archive, one kind per model) — derived from a
+#: recovery of the archive's newest set |
 #: ("resave", archive, archive, ()) — the newest set saved again on itself.
 steps = st.one_of(
     st.tuples(
-        st.just("derive"),
+        st.sampled_from(["derive", "recover"]),
         st.integers(0, 1),
         st.integers(0, 1),
         st.lists(st.sampled_from(KINDS), min_size=MODELS, max_size=MODELS),
@@ -51,9 +55,11 @@ def nudged(values: np.ndarray, amount: float) -> np.ndarray:
 class Archive:
     """An engine under test, its oracle context and what it saved."""
 
-    def __init__(self, dedup: bool, seed: int) -> None:
+    def __init__(self, dedup: bool, seed: int, serving: bool = False) -> None:
         config = ArchiveConfig(dedup=dedup)
-        self.engine = MultiModelManager.with_approach("update", config)
+        self.engine = MultiModelManager.with_approach(
+            "update", config.with_(serving=ServingConfig(enabled=serving))
+        )
         self.oracle = SaveContext.create(config)
         self.sets: list[ModelSet] = []
         self.ids: list[str] = []
@@ -107,19 +113,37 @@ def derived_from(source: ModelSet, kinds, step: int) -> "tuple[ModelSet, list]":
 
 
 class TestFrozenRowsMatchTheFullPass:
-    @given(dedup=st.booleans(), sequence=st.lists(steps, min_size=1, max_size=5))
+    @given(
+        dedup=st.booleans(),
+        serving=st.booleans(),
+        sequence=st.lists(steps, min_size=1, max_size=5),
+    )
     # Archive 0's set shared into archive 1's colliding base id.
-    @example(dedup=False, sequence=[("derive", 0, 1, ["share"] * MODELS)])
+    @example(dedup=False, serving=False, sequence=[("derive", 0, 1, ["share"] * MODELS)])
+    # A recovered base, kept whole but for one edit, then shared across.
+    @example(
+        dedup=True,
+        serving=True,
+        sequence=[
+            ("recover", 0, 0, ["share", "edit", "share", "share"]),
+            ("derive", 1, 0, ["share"] * MODELS),
+        ],
+    )
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_every_save_stores_what_the_full_pass_stores(self, dedup, sequence):
-        archives = [Archive(dedup, seed=0), Archive(dedup, seed=1)]
+    def test_every_save_stores_what_the_full_pass_stores(self, dedup, serving, sequence):
+        archives = [Archive(dedup, seed=0, serving=serving), Archive(dedup, seed=1)]
         assert archives[0].ids == archives[1].ids  # set ids collide
         for step, (action, target, source, kinds) in enumerate(sequence, 1):
             archive = archives[target]
             if action == "resave":
                 archive.save(archive.sets[-1], archive.ids[-1])
                 continue
-            model_set, handles = derived_from(archives[source].sets[-1], kinds, step)
+            base = (
+                archive.engine.recover_set(archive.ids[-1])
+                if action == "recover"
+                else archives[source].sets[-1]
+            )
+            model_set, handles = derived_from(base, kinds, step)
             archive.save(model_set, archive.ids[-1])
             for handle in handles:  # the caller writes on after the save
                 handle += np.float32(3)

@@ -4,6 +4,7 @@ Both tiers key chunks by digest id; the ids here are small integers
 standing for any interned digest."""
 
 import numpy as np
+import pytest
 
 from repro.nn.serialization import StateSchema
 from repro.serving.cache import ChunkCache, ServingStats, SetCache, SetEntry
@@ -18,10 +19,18 @@ def ids(*values: int) -> np.ndarray:
 
 def entry(nbytes: int, digests=None) -> SetEntry:
     rows = np.zeros((1, nbytes), dtype=np.uint8)
+    rows.flags.writeable = False  # answers share an entry's rows
     return SetEntry(rows, "", StateSchema(()), digests=digests)
 
 
 class TestSetCache:
+    def test_a_writable_entry_is_refused(self):
+        cache = SetCache(budget_bytes=100)
+        writable = SetEntry(np.zeros((1, 40), dtype=np.uint8), "", StateSchema(()))
+        with pytest.raises(ValueError, match="read-only"):
+            cache.put(("a", None), writable)
+        assert len(cache) == 0 and cache.current_bytes == 0
+
     def test_lru_eviction_respects_byte_budget(self):
         cache = SetCache(budget_bytes=100)
         cache.put(("a", None), entry(40))

@@ -74,8 +74,10 @@ class TestByteIdentity:
         set_id = manager.save_set(base)
         first = manager.recover_set(set_id)
         name = list(first.state(0))[0]
-        first.state(0)[name][:] = 0.0  # caller scribbles over the result
+        with pytest.raises(ValueError, match="read-only"):
+            first.state(0)[name][:] = 0.0  # caller scribbles over the result
         again = manager.recover_set(set_id)
+        assert again.equals(manager.approach.recover(set_id))
         assert again.equals(base)
 
     def test_mutating_a_model_sliced_from_a_cached_set_cannot_poison_it(self):
@@ -86,12 +88,18 @@ class TestByteIdentity:
         hit = manager.recover_model(set_id, 1)
         assert manager.context.serving.stats.set_hits == 1
         name = list(hit)[0]
-        hit[name][:] = 0.0  # scribble through the view ...
-        hit[name] = np.ones_like(hit[name])  # ... and through assignment
-        assert manager.recover_set(set_id).equals(base)
+        with pytest.raises(ValueError, match="read-only"):
+            hit[name][:] = 0.0  # scribble through the view ...
+        with pytest.raises(ValueError, match="read-only"):
+            hit[name] = np.ones_like(hit[name])  # ... and through assignment
+        served = manager.recover_set(set_id)
+        assert served.equals(manager.approach.recover(set_id))
+        assert served.equals(base)
         again = manager.recover_model(set_id, 1)
+        oracle = manager.approach.recover_model(set_id, 1)
         for layer, values in base.state(1).items():
             assert again[layer].tobytes() == values.tobytes()
+            assert oracle[layer].tobytes() == values.tobytes()
 
     def test_recover_model_slices_a_cached_full_set(self):
         manager = serving_manager()

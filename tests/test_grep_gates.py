@@ -242,6 +242,12 @@ GATES = (
           "approach.save_derived(models, base_id, touched=frozenset())",
           '        touched: "frozenset[int] | None" = None,'),
          roots=("src/repro",)),
+    Gate("One copy per read", r"(\.rows|\bmatrix)(\[[^]]*\])?\.copy\(\)", (),
+         "a serving answer is a read-only view of its tier-1 entry: neither a hit nor a miss "
+         "copies the entry's rows or the assembled matrix",
+         ("value = entry.rows.copy()", "state = ModelState(schema, entry.rows[index].copy())",
+          "entry = SetEntry(matrix.copy(), architecture, schema)"),
+         "src/repro/serving/planted.py", ("src/repro/serving",)),
     Gate("One digest reader", "", (),
          "a set's stored digests have one reader (recovery.stored_digests) and one "
          "row comparison (recovery.changed_rows)",
